@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "simmpi/coll_algos.h"
@@ -164,6 +165,8 @@ void write_json(const std::string& path, const std::vector<Entry>& entries,
   std::fprintf(out, "  \"bench\": \"bench_coll\",\n");
   std::fprintf(out, "  \"schema\": 2,\n");
   std::fprintf(out, "  \"smoke\": %s,\n", smoke ? "true" : "false");
+  std::fprintf(out, "  \"host_hw_concurrency\": %u,\n",
+               unsigned(std::thread::hardware_concurrency()));
   std::fprintf(out, "  \"profile\": \"zero\",\n");
   std::fprintf(out, "  \"entries\": [\n");
   for (size_t i = 0; i < entries.size(); ++i) {

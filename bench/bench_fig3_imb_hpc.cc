@@ -10,6 +10,7 @@
 // BENCH_coll_fig3.json so the collective-latency trajectory is tracked
 // in-repo alongside BENCH_coll.json (--smoke shrinks the sweep for CI).
 #include <cstring>
+#include <thread>
 
 #include "bench_common.h"
 
@@ -36,6 +37,8 @@ void write_json(const std::string& path, const std::vector<PanelResult>& rs,
   std::fprintf(out, "  \"bench\": \"bench_fig3_imb_hpc\",\n");
   std::fprintf(out, "  \"schema\": 1,\n");
   std::fprintf(out, "  \"smoke\": %s,\n", smoke ? "true" : "false");
+  std::fprintf(out, "  \"host_hw_concurrency\": %u,\n",
+               unsigned(std::thread::hardware_concurrency()));
   std::fprintf(out, "  \"profile\": \"omnipath\",\n");
   std::fprintf(out, "  \"routines\": [\n");
   for (size_t i = 0; i < rs.size(); ++i) {

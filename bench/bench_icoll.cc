@@ -201,6 +201,8 @@ void write_json(const std::string& path, const std::vector<OverlapRow>& rows,
   std::fprintf(out, "  \"bench\": \"bench_icoll\",\n");
   std::fprintf(out, "  \"schema\": 2,\n");
   std::fprintf(out, "  \"smoke\": %s,\n", smoke ? "true" : "false");
+  std::fprintf(out, "  \"host_hw_concurrency\": %u,\n",
+               unsigned(std::thread::hardware_concurrency()));
   std::fprintf(out, "  \"profile\": \"omnipath\",\n");
   std::fprintf(out, "  \"overlap\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {

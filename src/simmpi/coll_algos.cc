@@ -85,8 +85,6 @@ CollTuning CollTuning::from_env(CollTuning base) {
 
 namespace coll {
 
-// (Tree/chunk arithmetic shared with the schedule twins: coll_tree.h.)
-
 // ---------------------------------------------------------------------------
 // Names, registry, selection
 // ---------------------------------------------------------------------------
@@ -247,81 +245,17 @@ CollAlgo select(CollOp c, const CollTuning& t, int nranks, size_t bytes,
 }
 
 // ---------------------------------------------------------------------------
-// Engine: shared plumbing
+// Engine: the shared-memory fan-in variants of the blocking collectives.
+// Every other algorithm is a schedule (coll_sched.cc).
 // ---------------------------------------------------------------------------
 
 void Engine::charge(Rank& r, size_t bytes) {
-  spin_for_ns(r.world_->profile().message_cost_ns(bytes));
-}
-
-// ---------------------------------------------------------------------------
-// Barrier
-// ---------------------------------------------------------------------------
-
-void Engine::barrier_dissemination(Rank& r, const detail::CommData& c) {
-  int n = int(c.world_ranks.size());
-  int me = c.my_comm_rank;
-  u8 token = 1;
-  for (int k = 1; k < n; k <<= 1) {
-    int to = (me + k) % n;
-    int from = (me - k + n) % n;
-    u8 dummy;
-    Request req = r.irecv_internal(&dummy, 1, from, kCollectiveTag, c);
-    r.send_internal(&token, 1, to, kCollectiveTag, c);
-    r.wait(req);
-  }
-}
-
-void Engine::barrier_linear(Rank& r, const detail::CommData& c) {
-  int n = int(c.world_ranks.size());
-  int me = c.my_comm_rank;
-  u8 token = 1;
-  if (me == 0) {
-    for (int src = 1; src < n; ++src)
-      r.recv_internal(&token, 1, src, kCollectiveTag, c);
-    for (int dst = 1; dst < n; ++dst)
-      r.send_internal(&token, 1, dst, kCollectiveTag, c);
-  } else {
-    r.send_internal(&token, 1, 0, kCollectiveTag, c);
-    r.recv_internal(&token, 1, 0, kCollectiveTag, c);
-  }
+  spin_for_ns(r.world().profile().message_cost_ns(bytes));
 }
 
 void Engine::barrier_shm(Rank& r, const detail::CommData& c) {
   charge(r, 0);
-  c.coll->barrier_wait(*r.world_);
-}
-
-// ---------------------------------------------------------------------------
-// Bcast
-// ---------------------------------------------------------------------------
-
-void Engine::bcast_linear(Rank& r, const detail::CommData& c, void* buf,
-                          size_t bytes, int root) {
-  int n = int(c.world_ranks.size());
-  if (c.my_comm_rank == root) {
-    for (int dst = 0; dst < n; ++dst)
-      if (dst != root) r.send_internal(buf, bytes, dst, kCollectiveTag, c);
-  } else {
-    r.recv_internal(buf, bytes, root, kCollectiveTag, c);
-  }
-}
-
-void Engine::bcast_binomial(Rank& r, const detail::CommData& c, void* buf,
-                            size_t bytes, int root) {
-  int n = int(c.world_ranks.size());
-  int me = rel(c.my_comm_rank, root, n);
-  // Relative rank me receives from me - 2^j (lowest set bit), then
-  // forwards to me + 2^k for growing k below that bit.
-  if (me != 0) {
-    int lsb = me & -me;
-    r.recv_internal(buf, bytes, unrel(me - lsb, root, n), kCollectiveTag, c);
-  }
-  int lsb = me == 0 ? (1 << 30) : (me & -me);
-  for (int k = 1; k < lsb && k < n; k <<= 1) {
-    if (me + k < n)
-      r.send_internal(buf, bytes, unrel(me + k, root, n), kCollectiveTag, c);
-  }
+  c.coll->barrier_wait(r.world());
 }
 
 void Engine::bcast_shm(Rank& r, const detail::CommData& c, void* buf,
@@ -331,72 +265,13 @@ void Engine::bcast_shm(Rank& r, const detail::CommData& c, void* buf,
     std::memcpy(ctx.slot(root), buf, bytes);
     charge(r, bytes);
   }
-  ctx.barrier_wait(*r.world_);
+  ctx.barrier_wait(r.world());
   if (c.my_comm_rank != root) {
     std::memcpy(buf, ctx.slot(root), bytes);
     charge(r, bytes);
   }
   // Keeps the root from reusing its slot before every reader is done.
-  ctx.barrier_wait(*r.world_);
-}
-
-// ---------------------------------------------------------------------------
-// Reduce
-// ---------------------------------------------------------------------------
-
-void Engine::reduce_linear(Rank& r, const detail::CommData& c,
-                           const void* sendbuf, void* recvbuf, int count,
-                           Datatype type, ReduceOp op, int root) {
-  int n = int(c.world_ranks.size());
-  size_t bytes = size_t(count) * datatype_size(type);
-  if (c.my_comm_rank != root) {
-    r.send_internal(sendbuf, bytes, root, kCollectiveTag, c);
-    return;
-  }
-  // Canonical left-to-right combine over comm-rank order — the reference
-  // order every other algorithm is differential-tested against.
-  std::vector<u8> own(bytes);
-  std::memcpy(own.data(), sendbuf, bytes);  // sendbuf may alias recvbuf
-  std::vector<u8> tmp(bytes);
-  u8* out = static_cast<u8*>(recvbuf);
-  for (int src = 0; src < n; ++src) {
-    const u8* contrib;
-    if (src == root) {
-      contrib = own.data();
-    } else {
-      r.recv_internal(tmp.data(), bytes, src, kCollectiveTag, c);
-      contrib = tmp.data();
-    }
-    if (src == 0)
-      std::memcpy(out, contrib, bytes);
-    else
-      apply_reduce(op, type, contrib, out, count);
-  }
-}
-
-void Engine::reduce_binomial(Rank& r, const detail::CommData& c,
-                             const void* sendbuf, void* recvbuf, int count,
-                             Datatype type, ReduceOp op, int root) {
-  int n = int(c.world_ranks.size());
-  size_t bytes = size_t(count) * datatype_size(type);
-  int me = rel(c.my_comm_rank, root, n);
-  std::vector<u8> acc(bytes);
-  std::memcpy(acc.data(), sendbuf, bytes);
-  std::vector<u8> incoming(bytes);
-  // Receive from children (me + 2^k), fold, then send to parent (me - lsb).
-  for (int k = 1; k < n; k <<= 1) {
-    if ((me & k) != 0) {
-      r.send_internal(acc.data(), bytes, unrel(me - k, root, n),
-                      kCollectiveTag, c);
-      break;
-    }
-    if (me + k < n) {
-      r.recv_internal(incoming.data(), bytes, unrel(me + k, root, n),
-                      kCollectiveTag, c);
-      apply_reduce(op, type, incoming.data(), acc.data(), count);
-    }
-  }
-  if (me == 0 && recvbuf != nullptr) std::memcpy(recvbuf, acc.data(), bytes);
+  ctx.barrier_wait(r.world());
 }
 
 void Engine::reduce_shm(Rank& r, const detail::CommData& c,
@@ -407,7 +282,7 @@ void Engine::reduce_shm(Rank& r, const detail::CommData& c,
   size_t bytes = size_t(count) * datatype_size(type);
   std::memcpy(ctx.slot(c.my_comm_rank), sendbuf, bytes);
   charge(r, bytes);
-  ctx.barrier_wait(*r.world_);
+  ctx.barrier_wait(r.world());
   if (c.my_comm_rank == root) {
     u8* out = static_cast<u8*>(recvbuf);
     std::memcpy(out, ctx.slot(0), bytes);
@@ -415,198 +290,7 @@ void Engine::reduce_shm(Rank& r, const detail::CommData& c,
       apply_reduce(op, type, ctx.slot(src), out, count);
     charge(r, bytes);
   }
-  ctx.barrier_wait(*r.world_);
-}
-
-// ---------------------------------------------------------------------------
-// Allreduce
-// ---------------------------------------------------------------------------
-
-void Engine::allreduce_linear(Rank& r, const detail::CommData& c,
-                              const void* sendbuf, void* recvbuf, int count,
-                              Datatype type, ReduceOp op) {
-  size_t bytes = size_t(count) * datatype_size(type);
-  reduce_linear(r, c, sendbuf, recvbuf, count, type, op, 0);
-  bcast_linear(r, c, recvbuf, bytes, 0);
-}
-
-void Engine::allreduce_binomial(Rank& r, const detail::CommData& c,
-                                const void* sendbuf, void* recvbuf, int count,
-                                Datatype type, ReduceOp op) {
-  // Binomial-tree reduce + binomial-tree bcast: 2 (n - 1) total messages
-  // with subtree pipelining — the strongest choice when rank threads
-  // outnumber cores and barrier-style global synchronization stalls.
-  size_t bytes = size_t(count) * datatype_size(type);
-  reduce_binomial(r, c, sendbuf, recvbuf, count, type, op, 0);
-  bcast_binomial(r, c, recvbuf, bytes, 0);
-}
-
-void Engine::allreduce_rdbl(Rank& r, const detail::CommData& c,
-                            const void* sendbuf, void* recvbuf, int count,
-                            Datatype type, ReduceOp op) {
-  int n = int(c.world_ranks.size());
-  int me = c.my_comm_rank;
-  size_t bytes = size_t(count) * datatype_size(type);
-  if (recvbuf != sendbuf) std::memmove(recvbuf, sendbuf, bytes);
-  std::vector<u8> tmp(bytes);
-  int pof2 = floor_pof2(n);
-  int rem = n - pof2;
-  // Fold the rem extra ranks into their even partners' odd neighbours.
-  int newrank;
-  if (me < 2 * rem) {
-    if ((me % 2) == 0) {
-      r.send_internal(recvbuf, bytes, me + 1, kCollectiveTag, c);
-      newrank = -1;
-    } else {
-      r.recv_internal(tmp.data(), bytes, me - 1, kCollectiveTag, c);
-      apply_reduce(op, type, tmp.data(), recvbuf, count);
-      newrank = me / 2;
-    }
-  } else {
-    newrank = me - rem;
-  }
-  if (newrank >= 0) {
-    for (int mask = 1; mask < pof2; mask <<= 1) {
-      int newpartner = newrank ^ mask;
-      int partner = newpartner < rem ? newpartner * 2 + 1 : newpartner + rem;
-      Request req =
-          r.irecv_internal(tmp.data(), bytes, partner, kCollectiveTag, c);
-      r.send_internal(recvbuf, bytes, partner, kCollectiveTag, c);
-      r.wait(req);
-      apply_reduce(op, type, tmp.data(), recvbuf, count);
-    }
-  }
-  // Hand the result back to the folded-out even ranks.
-  if (me < 2 * rem) {
-    if ((me % 2) == 0)
-      r.recv_internal(recvbuf, bytes, me + 1, kCollectiveTag, c);
-    else
-      r.send_internal(recvbuf, bytes, me - 1, kCollectiveTag, c);
-  }
-}
-
-void Engine::allreduce_ring(Rank& r, const detail::CommData& c,
-                            const void* sendbuf, void* recvbuf, int count,
-                            Datatype type, ReduceOp op) {
-  int n = int(c.world_ranks.size());
-  int me = c.my_comm_rank;
-  size_t esize = datatype_size(type);
-  if (recvbuf != sendbuf) std::memmove(recvbuf, sendbuf, size_t(count) * esize);
-  std::vector<int> cnts, offs;
-  chunk_counts(count, n, &cnts, &offs);
-  std::vector<u8> tmp((size_t(count) / n + 1) * esize);
-  u8* out = static_cast<u8*>(recvbuf);
-  int right = (me + 1) % n, left = (me - 1 + n) % n;
-  // Reduce-scatter phase: each chunk circulates the ring accumulating.
-  for (int s = 0; s < n - 1; ++s) {
-    int send_chunk = (me - s + n) % n;
-    int recv_chunk = (me - s - 1 + n) % n;
-    Request req =
-        r.irecv_internal(tmp.data(), size_t(cnts[recv_chunk]) * esize, left,
-                         kCollectiveTag, c);
-    r.send_internal(out + size_t(offs[send_chunk]) * esize,
-                    size_t(cnts[send_chunk]) * esize, right, kCollectiveTag, c);
-    r.wait(req);
-    apply_reduce(op, type, tmp.data(), out + size_t(offs[recv_chunk]) * esize,
-                 cnts[recv_chunk]);
-  }
-  // Allgather phase: rank me now owns complete chunk (me + 1) % n.
-  for (int s = 0; s < n - 1; ++s) {
-    int send_chunk = (me + 1 - s + n) % n;
-    int recv_chunk = (me - s + n) % n;
-    Request req = r.irecv_internal(out + size_t(offs[recv_chunk]) * esize,
-                                   size_t(cnts[recv_chunk]) * esize, left,
-                                   kCollectiveTag, c);
-    r.send_internal(out + size_t(offs[send_chunk]) * esize,
-                    size_t(cnts[send_chunk]) * esize, right, kCollectiveTag, c);
-    r.wait(req);
-  }
-}
-
-void Engine::allreduce_rabenseifner(Rank& r, const detail::CommData& c,
-                                    const void* sendbuf, void* recvbuf,
-                                    int count, Datatype type, ReduceOp op) {
-  int n = int(c.world_ranks.size());
-  int pof2 = floor_pof2(n);
-  if (count < pof2) {
-    // Chunks would be empty; recursive doubling is the right tool anyway.
-    allreduce_rdbl(r, c, sendbuf, recvbuf, count, type, op);
-    return;
-  }
-  int me = c.my_comm_rank;
-  size_t esize = datatype_size(type);
-  size_t bytes = size_t(count) * esize;
-  if (recvbuf != sendbuf) std::memmove(recvbuf, sendbuf, bytes);
-  std::vector<u8> tmp(bytes);
-  u8* out = static_cast<u8*>(recvbuf);
-  int rem = n - pof2;
-  int newrank;
-  if (me < 2 * rem) {
-    if ((me % 2) == 0) {
-      r.send_internal(out, bytes, me + 1, kCollectiveTag, c);
-      newrank = -1;
-    } else {
-      r.recv_internal(tmp.data(), bytes, me - 1, kCollectiveTag, c);
-      apply_reduce(op, type, tmp.data(), out, count);
-      newrank = me / 2;
-    }
-  } else {
-    newrank = me - rem;
-  }
-  if (newrank >= 0) {
-    auto real_rank = [&](int nr) { return nr < rem ? nr * 2 + 1 : nr + rem; };
-    std::vector<int> cnts, offs;
-    chunk_counts(count, pof2, &cnts, &offs);
-    auto range_elems = [&](int lo, int hi) {
-      return offs[hi - 1] + cnts[hi - 1] - offs[lo];
-    };
-    // Reduce-scatter by recursive halving; remember each step's window so
-    // the allgather phase can replay it in reverse.
-    struct Step {
-      int partner, keep_lo, keep_hi, give_lo, give_hi;
-    };
-    std::vector<Step> steps;
-    int lo = 0, hi = pof2;
-    for (int mask = pof2 >> 1; mask >= 1; mask >>= 1) {
-      int partner = real_rank(newrank ^ mask);
-      int mid = lo + (hi - lo) / 2;
-      Step st;
-      st.partner = partner;
-      if ((newrank & mask) == 0) {
-        st.keep_lo = lo, st.keep_hi = mid, st.give_lo = mid, st.give_hi = hi;
-      } else {
-        st.keep_lo = mid, st.keep_hi = hi, st.give_lo = lo, st.give_hi = mid;
-      }
-      Request req = r.irecv_internal(
-          tmp.data(), size_t(range_elems(st.keep_lo, st.keep_hi)) * esize,
-          partner, kCollectiveTag, c);
-      r.send_internal(out + size_t(offs[st.give_lo]) * esize,
-                      size_t(range_elems(st.give_lo, st.give_hi)) * esize,
-                      partner, kCollectiveTag, c);
-      r.wait(req);
-      apply_reduce(op, type, tmp.data(), out + size_t(offs[st.keep_lo]) * esize,
-                   range_elems(st.keep_lo, st.keep_hi));
-      lo = st.keep_lo, hi = st.keep_hi;
-      steps.push_back(st);
-    }
-    // Allgather by recursive doubling: reverse of the halving schedule.
-    for (auto it = steps.rbegin(); it != steps.rend(); ++it) {
-      Request req = r.irecv_internal(
-          out + size_t(offs[it->give_lo]) * esize,
-          size_t(range_elems(it->give_lo, it->give_hi)) * esize, it->partner,
-          kCollectiveTag, c);
-      r.send_internal(out + size_t(offs[it->keep_lo]) * esize,
-                      size_t(range_elems(it->keep_lo, it->keep_hi)) * esize,
-                      it->partner, kCollectiveTag, c);
-      r.wait(req);
-    }
-  }
-  if (me < 2 * rem) {
-    if ((me % 2) == 0)
-      r.recv_internal(out, bytes, me + 1, kCollectiveTag, c);
-    else
-      r.send_internal(out, bytes, me - 1, kCollectiveTag, c);
-  }
+  ctx.barrier_wait(r.world());
 }
 
 void Engine::allreduce_shm(Rank& r, const detail::CommData& c,
@@ -617,72 +301,13 @@ void Engine::allreduce_shm(Rank& r, const detail::CommData& c,
   size_t bytes = size_t(count) * datatype_size(type);
   std::memcpy(ctx.slot(c.my_comm_rank), sendbuf, bytes);
   charge(r, bytes);
-  ctx.barrier_wait(*r.world_);
+  ctx.barrier_wait(r.world());
   u8* out = static_cast<u8*>(recvbuf);
   std::memcpy(out, ctx.slot(0), bytes);
   for (int src = 1; src < n; ++src)
     apply_reduce(op, type, ctx.slot(src), out, count);
   charge(r, bytes);
-  ctx.barrier_wait(*r.world_);
-}
-
-// ---------------------------------------------------------------------------
-// Gather / Scatter
-// ---------------------------------------------------------------------------
-
-void Engine::gather_linear(Rank& r, const detail::CommData& c,
-                           const void* sendbuf, void* recvbuf, size_t block,
-                           int root, bool in_place) {
-  int n = int(c.world_ranks.size());
-  if (c.my_comm_rank == root) {
-    u8* out = static_cast<u8*>(recvbuf);
-    if (!in_place) std::memcpy(out + size_t(root) * block, sendbuf, block);
-    for (int src = 0; src < n; ++src) {
-      if (src == root) continue;
-      r.recv_internal(out + size_t(src) * block, block, src, kCollectiveTag, c);
-    }
-  } else {
-    r.send_internal(sendbuf, block, root, kCollectiveTag, c);
-  }
-}
-
-void Engine::gather_binomial(Rank& r, const detail::CommData& c,
-                             const void* sendbuf, void* recvbuf, size_t block,
-                             int root, bool in_place) {
-  int n = int(c.world_ranks.size());
-  int me = rel(c.my_comm_rank, root, n);
-  // Subtree of relative rank me spans contiguous relative ranks
-  // [me, me + span); stage it in relative order, root reorders at the end.
-  int span = me == 0 ? n : std::min(me & -me, n - me);
-  std::vector<u8> tmp(size_t(span) * block);
-  const u8* own =
-      in_place && c.my_comm_rank == root
-          ? static_cast<const u8*>(recvbuf) + size_t(root) * block
-          : static_cast<const u8*>(sendbuf);
-  std::memcpy(tmp.data(), own, block);
-  int have = 1;  // blocks held so far, always a contiguous prefix of tmp
-  for (int k = 1; k < n; k <<= 1) {
-    if ((me & k) != 0) {
-      r.send_internal(tmp.data(), size_t(have) * block, unrel(me - k, root, n),
-                      kCollectiveTag, c);
-      break;
-    }
-    if (me + k < n) {
-      int child_span = std::min(k, n - (me + k));
-      r.recv_internal(tmp.data() + size_t(k) * block, size_t(child_span) * block,
-                      unrel(me + k, root, n), kCollectiveTag, c);
-      have = k + child_span;
-    }
-  }
-  if (me == 0) {
-    u8* out = static_cast<u8*>(recvbuf);
-    for (int i = 0; i < n; ++i) {
-      int abs = unrel(i, root, n);
-      if (abs == root && in_place) continue;
-      std::memcpy(out + size_t(abs) * block, tmp.data() + size_t(i) * block,
-                  block);
-    }
-  }
+  ctx.barrier_wait(r.world());
 }
 
 void Engine::gather_shm(Rank& r, const detail::CommData& c,
@@ -695,7 +320,7 @@ void Engine::gather_shm(Rank& r, const detail::CommData& c,
     std::memcpy(ctx.slot(me), sendbuf, block);
     charge(r, block);
   }
-  ctx.barrier_wait(*r.world_);
+  ctx.barrier_wait(r.world());
   if (me == root) {
     u8* out = static_cast<u8*>(recvbuf);
     if (!in_place) std::memcpy(out + size_t(root) * block, sendbuf, block);
@@ -705,57 +330,7 @@ void Engine::gather_shm(Rank& r, const detail::CommData& c,
     }
     charge(r, block);
   }
-  ctx.barrier_wait(*r.world_);
-}
-
-void Engine::scatter_linear(Rank& r, const detail::CommData& c,
-                            const void* sendbuf, void* recvbuf, size_t block,
-                            int root, bool in_place) {
-  int n = int(c.world_ranks.size());
-  if (c.my_comm_rank == root) {
-    const u8* in = static_cast<const u8*>(sendbuf);
-    for (int dst = 0; dst < n; ++dst) {
-      if (dst == root) continue;
-      r.send_internal(in + size_t(dst) * block, block, dst, kCollectiveTag, c);
-    }
-    if (!in_place)
-      std::memcpy(recvbuf, in + size_t(root) * block, block);
-  } else {
-    r.recv_internal(recvbuf, block, root, kCollectiveTag, c);
-  }
-}
-
-void Engine::scatter_binomial(Rank& r, const detail::CommData& c,
-                              const void* sendbuf, void* recvbuf, size_t block,
-                              int root, bool in_place) {
-  int n = int(c.world_ranks.size());
-  int me = rel(c.my_comm_rank, root, n);
-  int span = me == 0 ? n : std::min(me & -me, n - me);
-  std::vector<u8> tmp(size_t(span) * block);
-  int lsb = 1 << 30;
-  if (me == 0) {
-    // Stage sendbuf in relative-rank order so subtrees are contiguous.
-    const u8* in = static_cast<const u8*>(sendbuf);
-    for (int i = 0; i < n; ++i)
-      std::memcpy(tmp.data() + size_t(i) * block,
-                  in + size_t(unrel(i, root, n)) * block, block);
-  } else {
-    lsb = me & -me;
-    r.recv_internal(tmp.data(), size_t(span) * block, unrel(me - lsb, root, n),
-                    kCollectiveTag, c);
-  }
-  // Peel off children's subtrees, largest first (mirror of gather fan-in).
-  for (int k = floor_pof2(std::min(lsb, n) - 1 > 0 ? std::min(lsb, n) - 1 : 1);
-       k >= 1; k >>= 1) {
-    if (k < lsb && me + k < n) {
-      int child_span = std::min(k, n - (me + k));
-      r.send_internal(tmp.data() + size_t(k) * block,
-                      size_t(child_span) * block, unrel(me + k, root, n),
-                      kCollectiveTag, c);
-    }
-  }
-  if (!(in_place && c.my_comm_rank == root))
-    std::memcpy(recvbuf, tmp.data(), block);
+  ctx.barrier_wait(r.world());
 }
 
 void Engine::scatter_shm(Rank& r, const detail::CommData& c,
@@ -774,72 +349,12 @@ void Engine::scatter_shm(Rank& r, const detail::CommData& c,
       std::memcpy(recvbuf, in + size_t(root) * block, block);
     charge(r, block);
   }
-  ctx.barrier_wait(*r.world_);
+  ctx.barrier_wait(r.world());
   if (me != root) {
     std::memcpy(recvbuf, ctx.slot(me), block);
     charge(r, block);
   }
-  ctx.barrier_wait(*r.world_);
-}
-
-// ---------------------------------------------------------------------------
-// Allgather
-// ---------------------------------------------------------------------------
-
-void Engine::allgather_linear(Rank& r, const detail::CommData& c,
-                              const void* sendbuf, void* recvbuf, size_t block,
-                              bool in_place) {
-  size_t total = size_t(c.world_ranks.size()) * block;
-  gather_linear(r, c, sendbuf, recvbuf, block, 0, in_place);
-  bcast_linear(r, c, recvbuf, total, 0);
-}
-
-void Engine::allgather_ring(Rank& r, const detail::CommData& c,
-                            const void* sendbuf, void* recvbuf, size_t block,
-                            bool in_place) {
-  int n = int(c.world_ranks.size());
-  int me = c.my_comm_rank;
-  u8* out = static_cast<u8*>(recvbuf);
-  if (!in_place) std::memcpy(out + size_t(me) * block, sendbuf, block);
-  // In step s, send block (me - s) to the right, receive block
-  // (me - s - 1) from the left.
-  int right = (me + 1) % n;
-  int left = (me - 1 + n) % n;
-  for (int s = 0; s < n - 1; ++s) {
-    int send_block = (me - s + n) % n;
-    int recv_block = (me - s - 1 + n) % n;
-    Request req = r.irecv_internal(out + size_t(recv_block) * block, block,
-                                   left, kCollectiveTag, c);
-    r.send_internal(out + size_t(send_block) * block, block, right,
-                    kCollectiveTag, c);
-    r.wait(req);
-  }
-}
-
-void Engine::allgather_rdbl(Rank& r, const detail::CommData& c,
-                            const void* sendbuf, void* recvbuf, size_t block,
-                            bool in_place) {
-  int n = int(c.world_ranks.size());
-  if (!is_pof2(n)) {  // hypercube exchange needs a power of two
-    allgather_ring(r, c, sendbuf, recvbuf, block, in_place);
-    return;
-  }
-  int me = c.my_comm_rank;
-  u8* out = static_cast<u8*>(recvbuf);
-  if (!in_place) std::memcpy(out + size_t(me) * block, sendbuf, block);
-  // At step `mask` each rank owns the `mask` blocks starting at
-  // (me & ~(mask - 1)); partners swap regions, doubling ownership.
-  for (int mask = 1; mask < n; mask <<= 1) {
-    int partner = me ^ mask;
-    int my_start = me & ~(mask - 1);
-    int peer_start = partner & ~(mask - 1);
-    Request req = r.irecv_internal(out + size_t(peer_start) * block,
-                                   size_t(mask) * block, partner,
-                                   kCollectiveTag, c);
-    r.send_internal(out + size_t(my_start) * block, size_t(mask) * block,
-                    partner, kCollectiveTag, c);
-    r.wait(req);
-  }
+  ctx.barrier_wait(r.world());
 }
 
 void Engine::allgather_shm(Rank& r, const detail::CommData& c,
@@ -853,127 +368,14 @@ void Engine::allgather_shm(Rank& r, const detail::CommData& c,
                            : static_cast<const u8*>(sendbuf);
   std::memcpy(ctx.slot(me), own, block);
   charge(r, block);
-  ctx.barrier_wait(*r.world_);
+  ctx.barrier_wait(r.world());
   for (int src = 0; src < n; ++src) {
     if (src == me) continue;
     std::memcpy(out + size_t(src) * block, ctx.slot(src), block);
   }
   if (!in_place) std::memcpy(out + size_t(me) * block, sendbuf, block);
   charge(r, block);
-  ctx.barrier_wait(*r.world_);
-}
-
-// ---------------------------------------------------------------------------
-// Alltoall
-// ---------------------------------------------------------------------------
-
-void Engine::alltoall_linear(Rank& r, const detail::CommData& c,
-                             const void* sendbuf, void* recvbuf, size_t sblock,
-                             size_t rblock) {
-  int n = int(c.world_ranks.size());
-  int me = c.my_comm_rank;
-  const u8* in = static_cast<const u8*>(sendbuf);
-  u8* out = static_cast<u8*>(recvbuf);
-  std::memcpy(out + size_t(me) * rblock, in + size_t(me) * sblock, sblock);
-  // Post every receive, then push every send in rank order.
-  std::vector<Request> reqs;
-  reqs.reserve(size_t(n) - 1);
-  for (int src = 0; src < n; ++src) {
-    if (src == me) continue;
-    reqs.push_back(r.irecv_internal(out + size_t(src) * rblock, rblock, src,
-                                    kCollectiveTag, c));
-  }
-  for (int dst = 0; dst < n; ++dst) {
-    if (dst == me) continue;
-    r.send_internal(in + size_t(dst) * sblock, sblock, dst, kCollectiveTag, c);
-  }
-  r.waitall(reqs);
-}
-
-void Engine::alltoall_pairwise(Rank& r, const detail::CommData& c,
-                               const void* sendbuf, void* recvbuf,
-                               size_t sblock, size_t rblock) {
-  int n = int(c.world_ranks.size());
-  int me = c.my_comm_rank;
-  const u8* in = static_cast<const u8*>(sendbuf);
-  u8* out = static_cast<u8*>(recvbuf);
-  std::memcpy(out + size_t(me) * rblock, in + size_t(me) * sblock, sblock);
-  // Rotated pairwise exchange: step s pairs me with (me + s) / (me - s).
-  for (int s = 1; s < n; ++s) {
-    int to = (me + s) % n;
-    int from = (me - s + n) % n;
-    Request req = r.irecv_internal(out + size_t(from) * rblock, rblock, from,
-                                   kCollectiveTag, c);
-    r.send_internal(in + size_t(to) * sblock, sblock, to, kCollectiveTag, c);
-    r.wait(req);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Reduce_scatter (sendbuf == nullptr means in-place: input in recvbuf)
-// ---------------------------------------------------------------------------
-
-void Engine::reduce_scatter_linear(Rank& r, const detail::CommData& c,
-                                   const void* sendbuf, void* recvbuf,
-                                   const int* recvcounts, Datatype type,
-                                   ReduceOp op) {
-  int n = int(c.world_ranks.size());
-  int me = c.my_comm_rank;
-  size_t esize = datatype_size(type);
-  int total = 0;
-  std::vector<int> offs(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    offs[i] = total;
-    total += recvcounts[i];
-  }
-  const void* input = sendbuf != nullptr ? sendbuf : recvbuf;
-  // Reduce the full vector to rank 0 in canonical order, then scatterv.
-  std::vector<u8> full;
-  if (me == 0) full.resize(size_t(total) * esize);
-  reduce_linear(r, c, input, me == 0 ? full.data() : nullptr, total, type, op,
-                0);
-  if (me == 0) {
-    for (int dst = 1; dst < n; ++dst)
-      r.send_internal(full.data() + size_t(offs[dst]) * esize,
-                      size_t(recvcounts[dst]) * esize, dst, kCollectiveTag, c);
-    std::memcpy(recvbuf, full.data(), size_t(recvcounts[0]) * esize);
-  } else {
-    r.recv_internal(recvbuf, size_t(recvcounts[me]) * esize, 0, kCollectiveTag,
-                    c);
-  }
-}
-
-void Engine::reduce_scatter_pairwise(Rank& r, const detail::CommData& c,
-                                     const void* sendbuf, void* recvbuf,
-                                     const int* recvcounts, Datatype type,
-                                     ReduceOp op) {
-  int n = int(c.world_ranks.size());
-  int me = c.my_comm_rank;
-  size_t esize = datatype_size(type);
-  std::vector<int> offs(static_cast<size_t>(n));
-  int total = 0;
-  for (int i = 0; i < n; ++i) {
-    offs[i] = total;
-    total += recvcounts[i];
-  }
-  const u8* in = static_cast<const u8*>(sendbuf != nullptr ? sendbuf : recvbuf);
-  size_t my_bytes = size_t(recvcounts[me]) * esize;
-  // Accumulate into a staging buffer: with in-place input, recvbuf still
-  // feeds outgoing chunks during the exchange.
-  std::vector<u8> acc(my_bytes);
-  std::memcpy(acc.data(), in + size_t(offs[me]) * esize, my_bytes);
-  std::vector<u8> tmp(my_bytes);
-  for (int s = 1; s < n; ++s) {
-    int to = (me + s) % n;
-    int from = (me - s + n) % n;
-    Request req =
-        r.irecv_internal(tmp.data(), my_bytes, from, kCollectiveTag, c);
-    r.send_internal(in + size_t(offs[to]) * esize,
-                    size_t(recvcounts[to]) * esize, to, kCollectiveTag, c);
-    r.wait(req);
-    apply_reduce(op, type, tmp.data(), acc.data(), recvcounts[me]);
-  }
-  std::memcpy(recvbuf, acc.data(), my_bytes);
+  ctx.barrier_wait(r.world());
 }
 
 void Engine::reduce_scatter_shm(Rank& r, const detail::CommData& c,
@@ -993,63 +395,14 @@ void Engine::reduce_scatter_shm(Rank& r, const detail::CommData& c,
   const void* input = sendbuf != nullptr ? sendbuf : recvbuf;
   std::memcpy(ctx.slot(me), input, size_t(total) * esize);
   charge(r, size_t(total) * esize);
-  ctx.barrier_wait(*r.world_);
+  ctx.barrier_wait(r.world());
   size_t my_off = size_t(offs[me]) * esize;
   u8* out = static_cast<u8*>(recvbuf);
   std::memcpy(out, ctx.slot(0) + my_off, size_t(recvcounts[me]) * esize);
   for (int src = 1; src < n; ++src)
     apply_reduce(op, type, ctx.slot(src) + my_off, out, recvcounts[me]);
   charge(r, size_t(recvcounts[me]) * esize);
-  ctx.barrier_wait(*r.world_);
-}
-
-// ---------------------------------------------------------------------------
-// Scan / Exscan
-// ---------------------------------------------------------------------------
-
-void Engine::scan_linear(Rank& r, const detail::CommData& c,
-                         const void* sendbuf, void* recvbuf, int count,
-                         Datatype type, ReduceOp op) {
-  int n = int(c.world_ranks.size());
-  int me = c.my_comm_rank;
-  size_t bytes = size_t(count) * datatype_size(type);
-  std::vector<u8> own(bytes);
-  std::memcpy(own.data(), sendbuf, bytes);  // sendbuf may alias recvbuf
-  if (me > 0) {
-    r.recv_internal(recvbuf, bytes, me - 1, kCollectiveTag, c);
-    apply_reduce(op, type, own.data(), recvbuf, count);
-  } else {
-    std::memcpy(recvbuf, own.data(), bytes);
-  }
-  if (me < n - 1)
-    r.send_internal(recvbuf, bytes, me + 1, kCollectiveTag, c);
-}
-
-void Engine::scan_rdbl(Rank& r, const detail::CommData& c,
-                       const void* sendbuf, void* recvbuf, int count,
-                       Datatype type, ReduceOp op) {
-  int n = int(c.world_ranks.size());
-  int me = c.my_comm_rank;
-  size_t bytes = size_t(count) * datatype_size(type);
-  if (recvbuf != sendbuf) std::memmove(recvbuf, sendbuf, bytes);
-  // partial = reduction over the contiguous rank window ending at me;
-  // result (recvbuf) accumulates everything at or below me.
-  std::vector<u8> partial(bytes);
-  std::memcpy(partial.data(), recvbuf, bytes);
-  std::vector<u8> tmp(bytes);
-  for (int mask = 1; mask < n; mask <<= 1) {
-    int up = me + mask, down = me - mask;
-    Request req;
-    if (down >= 0)
-      req = r.irecv_internal(tmp.data(), bytes, down, kCollectiveTag, c);
-    if (up < n)
-      r.send_internal(partial.data(), bytes, up, kCollectiveTag, c);
-    if (down >= 0) {
-      r.wait(req);
-      apply_reduce(op, type, tmp.data(), recvbuf, count);
-      apply_reduce(op, type, tmp.data(), partial.data(), count);
-    }
-  }
+  ctx.barrier_wait(r.world());
 }
 
 void Engine::scan_shm(Rank& r, const detail::CommData& c, const void* sendbuf,
@@ -1059,66 +412,13 @@ void Engine::scan_shm(Rank& r, const detail::CommData& c, const void* sendbuf,
   size_t bytes = size_t(count) * datatype_size(type);
   std::memcpy(ctx.slot(me), sendbuf, bytes);
   charge(r, bytes);
-  ctx.barrier_wait(*r.world_);
+  ctx.barrier_wait(r.world());
   u8* out = static_cast<u8*>(recvbuf);
   std::memcpy(out, ctx.slot(0), bytes);
   for (int src = 1; src <= me; ++src)
     apply_reduce(op, type, ctx.slot(src), out, count);
   charge(r, bytes);
-  ctx.barrier_wait(*r.world_);
-}
-
-void Engine::exscan_linear(Rank& r, const detail::CommData& c,
-                           const void* sendbuf, void* recvbuf, int count,
-                           Datatype type, ReduceOp op) {
-  int n = int(c.world_ranks.size());
-  int me = c.my_comm_rank;
-  size_t bytes = size_t(count) * datatype_size(type);
-  std::vector<u8> own(bytes);
-  std::memcpy(own.data(), sendbuf, bytes);
-  if (me > 0)  // recvbuf stays untouched on rank 0 (MPI semantics)
-    r.recv_internal(recvbuf, bytes, me - 1, kCollectiveTag, c);
-  if (me < n - 1) {
-    if (me == 0) {
-      r.send_internal(own.data(), bytes, 1, kCollectiveTag, c);
-    } else {
-      std::vector<u8> incl(bytes);
-      std::memcpy(incl.data(), recvbuf, bytes);
-      apply_reduce(op, type, own.data(), incl.data(), count);
-      r.send_internal(incl.data(), bytes, me + 1, kCollectiveTag, c);
-    }
-  }
-}
-
-void Engine::exscan_rdbl(Rank& r, const detail::CommData& c,
-                         const void* sendbuf, void* recvbuf, int count,
-                         Datatype type, ReduceOp op) {
-  int n = int(c.world_ranks.size());
-  int me = c.my_comm_rank;
-  size_t bytes = size_t(count) * datatype_size(type);
-  std::vector<u8> partial(bytes);
-  std::memcpy(partial.data(), sendbuf, bytes);
-  std::vector<u8> tmp(bytes);
-  bool have_result = false;
-  for (int mask = 1; mask < n; mask <<= 1) {
-    int up = me + mask, down = me - mask;
-    Request req;
-    if (down >= 0)
-      req = r.irecv_internal(tmp.data(), bytes, down, kCollectiveTag, c);
-    if (up < n)
-      r.send_internal(partial.data(), bytes, up, kCollectiveTag, c);
-    if (down >= 0) {
-      r.wait(req);
-      // Incoming windows tile [0, me) exactly across the rounds.
-      if (!have_result) {
-        std::memcpy(recvbuf, tmp.data(), bytes);
-        have_result = true;
-      } else {
-        apply_reduce(op, type, tmp.data(), recvbuf, count);
-      }
-      apply_reduce(op, type, tmp.data(), partial.data(), count);
-    }
-  }
+  ctx.barrier_wait(r.world());
 }
 
 void Engine::exscan_shm(Rank& r, const detail::CommData& c,
@@ -1129,7 +429,7 @@ void Engine::exscan_shm(Rank& r, const detail::CommData& c,
   size_t bytes = size_t(count) * datatype_size(type);
   std::memcpy(ctx.slot(me), sendbuf, bytes);
   charge(r, bytes);
-  ctx.barrier_wait(*r.world_);
+  ctx.barrier_wait(r.world());
   if (me > 0) {
     u8* out = static_cast<u8*>(recvbuf);
     std::memcpy(out, ctx.slot(0), bytes);
@@ -1137,7 +437,7 @@ void Engine::exscan_shm(Rank& r, const detail::CommData& c,
       apply_reduce(op, type, ctx.slot(src), out, count);
     charge(r, bytes);
   }
-  ctx.barrier_wait(*r.world_);
+  ctx.barrier_wait(r.world());
 }
 
 }  // namespace coll

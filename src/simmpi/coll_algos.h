@@ -3,17 +3,18 @@
 // Production MPIs (MPICH, Open MPI) implement every collective several
 // times and pick an algorithm per call from the message size and the
 // communicator size. This header gives simmpi the same structure: each
-// collective names the algorithm variants it supports (algos_for), a
+// collective names the algorithm variants it supports (algos_for), and a
 // selection table maps (tuning, comm size, message size) to a concrete
-// variant (select), and coll::Engine holds the implementations, which
-// collectives.cc dispatches to. Small messages additionally qualify for
-// the shared-memory fan-in path (CollectiveContext in world.h) that
-// bypasses the mailbox transport entirely.
+// variant (select). Each p2p variant is implemented once, as a schedule
+// builder in coll_sched.h that blocking and nonblocking calls share, the
+// way MPICH's transport-based collectives and libNBC do. Small messages
+// additionally qualify for the shared-memory fan-in path (coll::Engine
+// over CollectiveContext in world.h) that bypasses the mailbox transport.
 //
-// Cost-model honesty: p2p-based algorithms are charged per message by
-// send_internal; the shm variants charge one NetworkProfile message cost
-// per fan-in/fan-out phase (Engine::charge), so Figure 3/4 simulations
-// account for every algorithm step either way.
+// Cost-model honesty: p2p schedule steps of a blocking call are charged
+// per message at injection, like a p2p send; the shm variants charge one
+// NetworkProfile message cost per fan-in/fan-out phase (Engine::charge),
+// so Figure 3/4 simulations account for every algorithm step either way.
 #pragma once
 
 #include <span>
@@ -67,10 +68,11 @@ CollTuning forced_tuning(CollOp c, CollAlgo algo);
 CollAlgo select(CollOp c, const CollTuning& t, int nranks, size_t bytes,
                 bool shm_ok, int hw_threads = 0);
 
-/// Algorithm implementations. Static-only; a friend of Rank so variants
-/// can use the internal (reserved-tag) p2p primitives and the per-comm
-/// CollectiveContext. All methods assume comm size > 1 and pre-resolved
-/// MPI_IN_PLACE arguments unless noted.
+/// The shared-memory fan-in variants of the blocking collectives (kShm),
+/// over the communicator's CollectiveContext. Every other algorithm exists
+/// once, as a schedule (coll_sched.h), which blocking and nonblocking calls
+/// share. All methods assume comm size > 1, a CollectiveContext and
+/// payloads that fit a slot.
 class Engine {
  public:
   Engine() = delete;
@@ -78,124 +80,37 @@ class Engine {
   /// Charges one interconnect message cost (shm algorithm steps).
   static void charge(Rank& r, size_t bytes);
 
-  // --- barrier ---
-  static void barrier_dissemination(Rank& r, const detail::CommData& c);
-  static void barrier_linear(Rank& r, const detail::CommData& c);
   static void barrier_shm(Rank& r, const detail::CommData& c);
-
-  // --- bcast ---
-  static void bcast_linear(Rank& r, const detail::CommData& c, void* buf,
-                           size_t bytes, int root);
-  static void bcast_binomial(Rank& r, const detail::CommData& c, void* buf,
-                             size_t bytes, int root);
   static void bcast_shm(Rank& r, const detail::CommData& c, void* buf,
                         size_t bytes, int root);
-
-  // --- reduce (recvbuf may be null on non-root ranks) ---
-  static void reduce_linear(Rank& r, const detail::CommData& c,
-                            const void* sendbuf, void* recvbuf, int count,
-                            Datatype type, ReduceOp op, int root);
-  static void reduce_binomial(Rank& r, const detail::CommData& c,
-                              const void* sendbuf, void* recvbuf, int count,
-                              Datatype type, ReduceOp op, int root);
+  /// recvbuf may be null on non-root ranks.
   static void reduce_shm(Rank& r, const detail::CommData& c,
                          const void* sendbuf, void* recvbuf, int count,
                          Datatype type, ReduceOp op, int root);
-
-  // --- allreduce ---
-  static void allreduce_linear(Rank& r, const detail::CommData& c,
-                               const void* sendbuf, void* recvbuf, int count,
-                               Datatype type, ReduceOp op);
-  static void allreduce_binomial(Rank& r, const detail::CommData& c,
-                                 const void* sendbuf, void* recvbuf, int count,
-                                 Datatype type, ReduceOp op);
-  static void allreduce_rdbl(Rank& r, const detail::CommData& c,
-                             const void* sendbuf, void* recvbuf, int count,
-                             Datatype type, ReduceOp op);
-  static void allreduce_ring(Rank& r, const detail::CommData& c,
-                             const void* sendbuf, void* recvbuf, int count,
-                             Datatype type, ReduceOp op);
-  static void allreduce_rabenseifner(Rank& r, const detail::CommData& c,
-                                     const void* sendbuf, void* recvbuf,
-                                     int count, Datatype type, ReduceOp op);
   static void allreduce_shm(Rank& r, const detail::CommData& c,
                             const void* sendbuf, void* recvbuf, int count,
                             Datatype type, ReduceOp op);
-
-  // --- gather/scatter (in_place: root's block already in recvbuf /
-  //     root keeps its block in sendbuf) ---
-  static void gather_linear(Rank& r, const detail::CommData& c,
-                            const void* sendbuf, void* recvbuf, size_t block,
-                            int root, bool in_place);
-  static void gather_binomial(Rank& r, const detail::CommData& c,
-                              const void* sendbuf, void* recvbuf, size_t block,
-                              int root, bool in_place);
+  /// in_place: the root's block already sits in recvbuf.
   static void gather_shm(Rank& r, const detail::CommData& c,
                          const void* sendbuf, void* recvbuf, size_t block,
                          int root, bool in_place);
-  static void scatter_linear(Rank& r, const detail::CommData& c,
-                             const void* sendbuf, void* recvbuf, size_t block,
-                             int root, bool in_place);
-  static void scatter_binomial(Rank& r, const detail::CommData& c,
-                               const void* sendbuf, void* recvbuf,
-                               size_t block, int root, bool in_place);
+  /// in_place: the root keeps its block in sendbuf.
   static void scatter_shm(Rank& r, const detail::CommData& c,
                           const void* sendbuf, void* recvbuf, size_t block,
                           int root, bool in_place);
-
-  // --- allgather (in_place: own block already at recvbuf[me * block]) ---
-  static void allgather_linear(Rank& r, const detail::CommData& c,
-                               const void* sendbuf, void* recvbuf,
-                               size_t block, bool in_place);
-  static void allgather_ring(Rank& r, const detail::CommData& c,
-                             const void* sendbuf, void* recvbuf, size_t block,
-                             bool in_place);
-  static void allgather_rdbl(Rank& r, const detail::CommData& c,
-                             const void* sendbuf, void* recvbuf, size_t block,
-                             bool in_place);
+  /// in_place: the own block already sits at recvbuf[me * block].
   static void allgather_shm(Rank& r, const detail::CommData& c,
                             const void* sendbuf, void* recvbuf, size_t block,
                             bool in_place);
-
-  // --- alltoall ---
-  static void alltoall_linear(Rank& r, const detail::CommData& c,
-                              const void* sendbuf, void* recvbuf,
-                              size_t sblock, size_t rblock);
-  static void alltoall_pairwise(Rank& r, const detail::CommData& c,
-                                const void* sendbuf, void* recvbuf,
-                                size_t sblock, size_t rblock);
-
-  // --- reduce_scatter (sendbuf == nullptr means in-place: full input in
-  //     recvbuf; the result block lands at the front of recvbuf) ---
-  static void reduce_scatter_linear(Rank& r, const detail::CommData& c,
-                                    const void* sendbuf, void* recvbuf,
-                                    const int* recvcounts, Datatype type,
-                                    ReduceOp op);
-  static void reduce_scatter_pairwise(Rank& r, const detail::CommData& c,
-                                      const void* sendbuf, void* recvbuf,
-                                      const int* recvcounts, Datatype type,
-                                      ReduceOp op);
+  /// sendbuf == nullptr means in-place: the full input sits in recvbuf and
+  /// the result block lands at its front.
   static void reduce_scatter_shm(Rank& r, const detail::CommData& c,
                                  const void* sendbuf, void* recvbuf,
                                  const int* recvcounts, Datatype type,
                                  ReduceOp op);
-
-  // --- scan / exscan ---
-  static void scan_linear(Rank& r, const detail::CommData& c,
-                          const void* sendbuf, void* recvbuf, int count,
-                          Datatype type, ReduceOp op);
-  static void scan_rdbl(Rank& r, const detail::CommData& c,
-                        const void* sendbuf, void* recvbuf, int count,
-                        Datatype type, ReduceOp op);
   static void scan_shm(Rank& r, const detail::CommData& c,
                        const void* sendbuf, void* recvbuf, int count,
                        Datatype type, ReduceOp op);
-  static void exscan_linear(Rank& r, const detail::CommData& c,
-                            const void* sendbuf, void* recvbuf, int count,
-                            Datatype type, ReduceOp op);
-  static void exscan_rdbl(Rank& r, const detail::CommData& c,
-                          const void* sendbuf, void* recvbuf, int count,
-                          Datatype type, ReduceOp op);
   static void exscan_shm(Rank& r, const detail::CommData& c,
                          const void* sendbuf, void* recvbuf, int count,
                          Datatype type, ReduceOp op);

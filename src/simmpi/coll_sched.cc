@@ -1,5 +1,6 @@
 #include "simmpi/coll_sched.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "simmpi/coll_tree.h"
@@ -19,16 +20,21 @@ Schedule::Schedule(World* world, const detail::CommData& c, i64 seq)
       c_(&c),
       comm_id_(c.id),
       seq_(seq),
-      tag_base_(kIcollTagBase - int(seq % kIcollSeqWindow) * kIcollRounds) {}
+      tag_base_(kIcollTagBase - int(seq % kIcollSeqWindow) * kIcollRounds) {
+  // Small schedules then allocate each array once.
+  steps_.reserve(6);
+  deps_.reserve(16);
+}
 
 Schedule::~Schedule() {
   if (shm_ != nullptr) world_->release_icoll_group(comm_id_, seq_);
 }
 
 u8* Schedule::scratch(size_t bytes) {
+  // Uninitialized: every scratch byte is written by a step before it is read.
   scratch_.push_back(
-      std::make_unique<std::vector<u8>>(bytes > 0 ? bytes : 1));
-  return scratch_.back()->data();
+      std::make_unique_for_overwrite<u8[]>(bytes > 0 ? bytes : 1));
+  return scratch_.back().get();
 }
 
 IcollShmGroup& Schedule::shm_group(size_t slot_bytes) {
@@ -38,16 +44,18 @@ IcollShmGroup& Schedule::shm_group(size_t slot_bytes) {
   return *shm_;
 }
 
-Schedule::StepId Schedule::push(Step step, std::vector<StepId> deps) {
-  for (StepId d : deps)
-    if (d != kNone) step.deps.push_back(d);
+Schedule::StepId Schedule::push(Step step, Deps deps) {
+  step.deps_begin = deps_.size();
+  for (StepId d : deps.ids())
+    if (d != kNone) deps_.push_back(d);
+  step.deps_end = deps_.size();
   steps_.push_back(std::move(step));
   ++remaining_;
   return StepId(steps_.size()) - 1;
 }
 
 Schedule::StepId Schedule::send(const void* buf, size_t bytes, int peer,
-                                int round, std::vector<StepId> deps) {
+                                int round, Deps deps) {
   MW_CHECK(round >= 0 && round < kIcollRounds, "icoll round out of range");
   Step s;
   s.kind = Step::Kind::kSend;
@@ -56,11 +64,11 @@ Schedule::StepId Schedule::send(const void* buf, size_t bytes, int peer,
   s.peer = peer;
   s.tag = tag_base_ - round;
   s.wire_ns = world_->profile().message_cost_ns(bytes);
-  return push(std::move(s), std::move(deps));
+  return push(std::move(s), deps);
 }
 
 Schedule::StepId Schedule::recv(void* buf, size_t bytes, int peer, int round,
-                                std::vector<StepId> deps) {
+                                Deps deps) {
   MW_CHECK(round >= 0 && round < kIcollRounds, "icoll round out of range");
   Step s;
   s.kind = Step::Kind::kRecv;
@@ -68,12 +76,12 @@ Schedule::StepId Schedule::recv(void* buf, size_t bytes, int peer, int round,
   s.bytes = bytes;
   s.peer = peer;
   s.tag = tag_base_ - round;
-  return push(std::move(s), std::move(deps));
+  return push(std::move(s), deps);
 }
 
 Schedule::StepId Schedule::reduce(const void* src, void* dst, int count,
                                   Datatype type, ReduceOp op,
-                                  std::vector<StepId> deps) {
+                                  Deps deps) {
   Step s;
   s.kind = Step::Kind::kReduce;
   s.src = src;
@@ -81,38 +89,38 @@ Schedule::StepId Schedule::reduce(const void* src, void* dst, int count,
   s.count = count;
   s.type = type;
   s.op = op;
-  return push(std::move(s), std::move(deps));
+  return push(std::move(s), deps);
 }
 
 Schedule::StepId Schedule::copy(const void* src, void* dst, size_t bytes,
-                                std::vector<StepId> deps) {
+                                Deps deps) {
   Step s;
   s.kind = Step::Kind::kCopy;
   s.src = src;
   s.dst = dst;
   s.bytes = bytes;
-  return push(std::move(s), std::move(deps));
+  return push(std::move(s), deps);
 }
 
 Schedule::StepId Schedule::shm_arrive(int phase, size_t charge_bytes,
-                                      std::vector<StepId> deps) {
+                                      Deps deps) {
   Step s;
   s.kind = Step::Kind::kShmArrive;
   s.phase = phase;
   s.wire_ns = world_->profile().message_cost_ns(charge_bytes);
-  return push(std::move(s), std::move(deps));
+  return push(std::move(s), deps);
 }
 
-Schedule::StepId Schedule::shm_wait(int phase, std::vector<StepId> deps) {
+Schedule::StepId Schedule::shm_wait(int phase, Deps deps) {
   Step s;
   s.kind = Step::Kind::kShmWait;
   s.phase = phase;
-  return push(std::move(s), std::move(deps));
+  return push(std::move(s), deps);
 }
 
 bool Schedule::deps_done(const Step& s) const {
-  for (StepId d : s.deps)
-    if (steps_[size_t(d)].state != Step::State::kDone) return false;
+  for (size_t i = s.deps_begin; i < s.deps_end; ++i)
+    if (steps_[size_t(deps_[i])].state != Step::State::kDone) return false;
   return true;
 }
 
@@ -126,19 +134,20 @@ bool Schedule::advance(Rank& r, Step& s) {
       return true;
     case Step::Kind::kSend:
       if (s.state == Step::State::kPending) {
-        // Post immediately so peers can match; the wire-time deadline
-        // (instead of the blocking path's injection spin) is what lets the
-        // transfer proceed while the rank computes. Pipelined sends carry
+        // Blocking calls charge the wire as an injection spin inside
+        // isend_internal, like a p2p send. Nonblocking calls post at once so
+        // peers can match; the wire-time deadline is what lets the transfer
+        // proceed while the rank computes. Pipelined sends carry
         // per-segment deadlines inside the descriptor, so charging a
         // whole-message deadline here would double-count the wire.
-        const bool pipelined = r.sched_send_pipelined(s.bytes);
+        const bool deadline = !blocking_ && !r.sched_send_pipelined(s.bytes);
         s.req = r.isend_internal(s.src, s.bytes, s.peer, s.tag, *c_,
-                                 /*charge_wire=*/false);
-        s.ready_at_ns = pipelined ? 0 : now_ns() + s.wire_ns;
+                                 /*charge_wire=*/blocking_);
+        s.ready_at_ns = deadline ? now_ns() + s.wire_ns : 0;
         s.state = Step::State::kStarted;
       }
       if (s.req.valid() && !r.test_nonblocking(s.req)) return false;
-      return now_ns() >= s.ready_at_ns;
+      return s.ready_at_ns == 0 || now_ns() >= s.ready_at_ns;
     case Step::Kind::kRecv:
       if (s.state == Step::State::kPending) {
         s.req = r.irecv_internal(s.dst, s.bytes, s.peer, s.tag, *c_);
@@ -188,8 +197,17 @@ bool Schedule::progress(Rank& r) {
   return remaining_ == 0;
 }
 
+void Schedule::run_blocking(Rank& r, std::shared_ptr<Schedule> s) {
+  s->blocking_ = true;
+  Request req = r.start_icoll(std::move(s));
+  r.wait(req);
+}
+
 // ---------------------------------------------------------------------------
-// Builders
+// Builders. Exchange rounds push their receive before their send: advance()
+// starts steps in push order, so by symmetry the peer's send tends to find
+// a live posted receive and copies straight into it, completing at once
+// instead of waiting for this rank to pull a parked rendezvous payload.
 // ---------------------------------------------------------------------------
 
 std::shared_ptr<Schedule> build_ibarrier(World* w, const detail::CommData& c,
@@ -220,10 +238,10 @@ std::shared_ptr<Schedule> build_ibarrier(World* w, const detail::CommData& c,
       Schedule::StepId ps = Schedule::kNone, pr = Schedule::kNone;
       int round = 0;
       for (int k = 1; k < n; k <<= 1, ++round) {
-        Schedule::StepId snd =
-            s->send(tok, 1, (me + k) % n, round, {ps, pr});
         Schedule::StepId rv =
             s->recv(tok + 1, 1, (me - k + n) % n, round, {ps, pr});
+        Schedule::StepId snd =
+            s->send(tok, 1, (me + k) % n, round, {ps, pr});
         ps = snd;
         pr = rv;
       }
@@ -298,25 +316,29 @@ Schedule::StepId sched_reduce_linear(Schedule& s, const detail::CommData& c,
   const int me = c.my_comm_rank;
   const size_t bytes = size_t(count) * datatype_size(type);
   if (me != root) return s.send(sendbuf, bytes, root, round, {});
-  // Canonical left-to-right combine over comm-rank order; contributions
-  // arrive into per-source scratch so the receives themselves overlap.
+  // Canonical left-to-right combine over comm-rank order. Contributions
+  // arrive into two alternating scratch buffers: two receives overlap, and
+  // the root holds 2 x bytes of scratch whatever the communicator size.
   u8* own = s.scratch(bytes);
   Schedule::StepId own_cp = s.copy(sendbuf, own, bytes, {});
+  u8* in[2] = {s.scratch(bytes), n > 2 ? s.scratch(bytes) : nullptr};
+  Schedule::StepId consumed[2] = {Schedule::kNone, Schedule::kNone};
+  int slot = 0;
   Schedule::StepId prev = Schedule::kNone;
   for (int src = 0; src < n; ++src) {
-    const u8* contrib;
-    Schedule::StepId ready;
-    if (src == root) {
-      contrib = own;
-      ready = own_cp;
-    } else {
-      u8* in = s.scratch(bytes);
-      ready = s.recv(in, bytes, src, round, {});
-      contrib = in;
+    const u8* contrib = own;
+    Schedule::StepId ready = own_cp;
+    if (src != root) {
+      contrib = in[slot];
+      ready = s.recv(in[slot], bytes, src, round, {consumed[slot]});
     }
     prev = src == 0 ? s.copy(contrib, recvbuf, bytes, {ready})
                     : s.reduce(contrib, recvbuf, count, type, op,
                                {ready, prev});
+    if (src != root) {
+      consumed[slot] = prev;
+      slot ^= 1;
+    }
   }
   return prev;
 }
@@ -336,16 +358,23 @@ BinomialReduce sched_reduce_binomial(Schedule& s, const detail::CommData& c,
   const size_t bytes = size_t(count) * datatype_size(type);
   u8* acc = s.scratch(bytes);
   Schedule::StepId prev = s.copy(sendbuf, acc, bytes, {});
+  // Children's partials arrive into two alternating scratch buffers, as in
+  // sched_reduce_linear.
+  u8* in[2] = {nullptr, nullptr};
+  Schedule::StepId consumed[2] = {Schedule::kNone, Schedule::kNone};
+  int slot = 0;
   for (int k = 1; k < n; k <<= 1) {
     if ((mr & k) != 0) {
       prev = s.send(acc, bytes, unrel(mr - k, root, n), round, {prev});
       break;
     }
     if (mr + k < n) {
-      u8* in = s.scratch(bytes);
-      Schedule::StepId rv =
-          s.recv(in, bytes, unrel(mr + k, root, n), round, {});
-      prev = s.reduce(in, acc, count, type, op, {rv, prev});
+      if (in[slot] == nullptr) in[slot] = s.scratch(bytes);
+      Schedule::StepId rv = s.recv(in[slot], bytes, unrel(mr + k, root, n),
+                                   round, {consumed[slot]});
+      prev = s.reduce(in[slot], acc, count, type, op, {rv, prev});
+      consumed[slot] = prev;
+      slot ^= 1;
     }
   }
   return {prev, acc};
@@ -396,8 +425,9 @@ std::shared_ptr<Schedule> build_ireduce(World* w, const detail::CommData& c,
 
 namespace {
 
-/// Recursive-doubling allreduce schedule (with the non-pof2 fold-in/out of
-/// allreduce_rdbl). Result lands in recvbuf on every rank.
+/// Recursive-doubling allreduce schedule. Non-pof2 sizes fold the extra
+/// ranks into their odd neighbours first and hand the result back last.
+/// Result lands in recvbuf on every rank.
 void sched_allreduce_rdbl(Schedule& s, const detail::CommData& c,
                           const void* sendbuf, void* recvbuf, int count,
                           Datatype type, ReduceOp op) {
@@ -429,8 +459,6 @@ void sched_allreduce_rdbl(Schedule& s, const detail::CommData& c,
     for (int mask = 1; mask < pof2; mask <<= 1, ++round) {
       int newpartner = newrank ^ mask;
       int partner = newpartner < rem ? newpartner * 2 + 1 : newpartner + rem;
-      // Receive first so the partner's eager send finds a live posted
-      // receive (direct delivery, no staging copy).
       Schedule::StepId rv = s.recv(tmp, bytes, partner, round, {prev});
       Schedule::StepId snd = s.send(recvbuf, bytes, partner, round, {prev});
       prev = s.reduce(tmp, recvbuf, count, type, op, {snd, rv});
@@ -461,9 +489,6 @@ void sched_allreduce_ring(Schedule& s, const detail::CommData& c,
   std::vector<Schedule::StepId> prevs = {
       s.copy(sendbuf, recvbuf, size_t(count) * esize, {})};
   int round = 0;
-  // Each round posts its receive before its send: advance() starts steps in
-  // push order, so by symmetry the peer's receive tends to be live when an
-  // eager chunk lands, enabling the direct single-copy delivery path.
   for (int st = 0; st < n - 1; ++st, ++round) {
     int send_chunk = (me - st + n) % n;
     int recv_chunk = (me - st - 1 + n) % n;
@@ -548,12 +573,12 @@ void sched_allreduce_raben(Schedule& s, const detail::CommData& c,
       } else {
         wn.keep_lo = mid, wn.keep_hi = hi, wn.give_lo = lo, wn.give_hi = mid;
       }
+      Schedule::StepId rv =
+          s.recv(tmp, size_t(range_elems(wn.keep_lo, wn.keep_hi)) * esize,
+                 wn.partner, round, prevs);
       Schedule::StepId snd =
           s.send(out + size_t(offs[size_t(wn.give_lo)]) * esize,
                  size_t(range_elems(wn.give_lo, wn.give_hi)) * esize,
-                 wn.partner, round, prevs);
-      Schedule::StepId rv =
-          s.recv(tmp, size_t(range_elems(wn.keep_lo, wn.keep_hi)) * esize,
                  wn.partner, round, prevs);
       prevs = {s.reduce(tmp, out + size_t(offs[size_t(wn.keep_lo)]) * esize,
                         range_elems(wn.keep_lo, wn.keep_hi), type, op,
@@ -562,13 +587,13 @@ void sched_allreduce_raben(Schedule& s, const detail::CommData& c,
       wins.push_back(wn);
     }
     for (auto it = wins.rbegin(); it != wins.rend(); ++it, ++round) {
-      Schedule::StepId snd =
-          s.send(out + size_t(offs[size_t(it->keep_lo)]) * esize,
-                 size_t(range_elems(it->keep_lo, it->keep_hi)) * esize,
-                 it->partner, round, prevs);
       Schedule::StepId rv =
           s.recv(out + size_t(offs[size_t(it->give_lo)]) * esize,
                  size_t(range_elems(it->give_lo, it->give_hi)) * esize,
+                 it->partner, round, prevs);
+      Schedule::StepId snd =
+          s.send(out + size_t(offs[size_t(it->keep_lo)]) * esize,
+                 size_t(range_elems(it->keep_lo, it->keep_hi)) * esize,
                  it->partner, round, prevs);
       prevs = {snd, rv};
     }
@@ -652,6 +677,108 @@ std::shared_ptr<Schedule> build_iallreduce(World* w, const detail::CommData& c,
   return s;
 }
 
+std::shared_ptr<Schedule> build_gather(World* w, const detail::CommData& c,
+                                       i64 seq, CollAlgo algo,
+                                       const void* sendbuf, void* recvbuf,
+                                       size_t block, int root, bool in_place) {
+  auto s = std::make_shared<Schedule>(w, c, seq);
+  const int n = int(c.world_ranks.size());
+  const int me = c.my_comm_rank;
+  u8* out = static_cast<u8*>(recvbuf);
+  if (algo == CollAlgo::kLinear) {
+    if (me != root) {
+      s->send(sendbuf, block, root, 0, {});
+      return s;
+    }
+    if (!in_place) s->copy(sendbuf, out + size_t(root) * block, block, {});
+    for (int src = 0; src < n; ++src)
+      if (src != root) s->recv(out + size_t(src) * block, block, src, 0, {});
+    return s;
+  }
+  // Binomial: the subtree of relative rank mr spans the contiguous relative
+  // ranks [mr, mr + span); it is staged in relative order and the root
+  // reorders it into recvbuf at the end.
+  const int mr = rel(me, root, n);
+  const int span = mr == 0 ? n : std::min(mr & -mr, n - mr);
+  u8* tmp = s->scratch(size_t(span) * block);
+  const void* own =
+      in_place && me == root ? out + size_t(root) * block : sendbuf;
+  std::vector<Schedule::StepId> staged = {s->copy(own, tmp, block, {})};
+  for (int k = 1; k < n; k <<= 1) {
+    if ((mr & k) != 0) {
+      s->send(tmp, size_t(span) * block, unrel(mr - k, root, n), 0, staged);
+      break;
+    }
+    if (mr + k < n) {
+      const int child_span = std::min(k, n - (mr + k));
+      staged.push_back(s->recv(tmp + size_t(k) * block,
+                               size_t(child_span) * block,
+                               unrel(mr + k, root, n), 0, {}));
+    }
+  }
+  if (mr == 0) {
+    // Relative ranks [0, n - root) are absolute [root, n), the rest [0,
+    // root). In place, the root's own block is already home.
+    const size_t head = size_t(n - root), first = in_place ? 1 : 0;
+    s->copy(tmp + first * block, out + (size_t(root) + first) * block,
+            (head - first) * block, staged);
+    if (root > 0)
+      s->copy(tmp + head * block, out, size_t(root) * block, staged);
+  }
+  return s;
+}
+
+std::shared_ptr<Schedule> build_scatter(World* w, const detail::CommData& c,
+                                        i64 seq, CollAlgo algo,
+                                        const void* sendbuf, void* recvbuf,
+                                        size_t block, int root, bool in_place) {
+  auto s = std::make_shared<Schedule>(w, c, seq);
+  const int n = int(c.world_ranks.size());
+  const int me = c.my_comm_rank;
+  const u8* in = static_cast<const u8*>(sendbuf);
+  const bool keep_recvbuf = in_place && me == root;
+  if (algo == CollAlgo::kLinear) {
+    if (me != root) {
+      s->recv(recvbuf, block, root, 0, {});
+      return s;
+    }
+    for (int dst = 0; dst < n; ++dst)
+      if (dst != root) s->send(in + size_t(dst) * block, block, dst, 0, {});
+    if (!keep_recvbuf)
+      s->copy(in + size_t(root) * block, recvbuf, block, {});
+    return s;
+  }
+  // Binomial: mirror of the gather fan-in. The root stages sendbuf in
+  // relative-rank order so every subtree is contiguous; each rank receives
+  // its subtree from its parent and peels off its children's, largest first.
+  const int mr = rel(me, root, n);
+  const int span = mr == 0 ? n : std::min(mr & -mr, n - mr);
+  u8* tmp = s->scratch(size_t(span) * block);
+  std::vector<Schedule::StepId> staged;
+  int lsb = 1 << 30;
+  if (mr == 0) {
+    // Absolute ranks [root, n) are relative [0, n - root), the rest follow.
+    const size_t head = size_t(n - root);
+    staged.push_back(s->copy(in + size_t(root) * block, tmp, head * block, {}));
+    if (root > 0)
+      staged.push_back(
+          s->copy(in, tmp + head * block, size_t(root) * block, {}));
+  } else {
+    lsb = mr & -mr;
+    staged.push_back(s->recv(tmp, size_t(span) * block,
+                             unrel(mr - lsb, root, n), 0, {}));
+  }
+  for (int k = floor_pof2(n); k >= 1; k >>= 1) {
+    if (k < lsb && mr + k < n) {
+      const int child_span = std::min(k, n - (mr + k));
+      s->send(tmp + size_t(k) * block, size_t(child_span) * block,
+              unrel(mr + k, root, n), 0, staged);
+    }
+  }
+  if (!keep_recvbuf) s->copy(tmp, recvbuf, block, staged);
+  return s;
+}
+
 std::shared_ptr<Schedule> build_iallgather(World* w, const detail::CommData& c,
                                            i64 seq, CollAlgo algo,
                                            const void* sendbuf, void* recvbuf,
@@ -683,16 +810,16 @@ std::shared_ptr<Schedule> build_iallgather(World* w, const detail::CommData& c,
     }
     case CollAlgo::kRecursiveDoubling: {
       if (!is_pof2(n)) {
-        // Mirror allgather_rdbl: hypercube exchange needs a power of two.
+        // The hypercube exchange needs a power of two; others run the ring.
         std::vector<Schedule::StepId> prevs = {own};
         const int right = (me + 1) % n, left = (me - 1 + n) % n;
         for (int st = 0, round = 0; st < n - 1; ++st, ++round) {
           int send_block = (me - st + n) % n;
           int recv_block = (me - st - 1 + n) % n;
-          Schedule::StepId snd = s->send(out + size_t(send_block) * block,
-                                         block, right, round, prevs);
           Schedule::StepId rv = s->recv(out + size_t(recv_block) * block,
                                         block, left, round, prevs);
+          Schedule::StepId snd = s->send(out + size_t(send_block) * block,
+                                         block, right, round, prevs);
           prevs = {snd, rv};
         }
         break;
@@ -703,11 +830,11 @@ std::shared_ptr<Schedule> build_iallgather(World* w, const detail::CommData& c,
         int partner = me ^ mask;
         int my_start = me & ~(mask - 1);
         int peer_start = partner & ~(mask - 1);
-        Schedule::StepId snd =
-            s->send(out + size_t(my_start) * block, size_t(mask) * block,
-                    partner, round, prevs);
         Schedule::StepId rv =
             s->recv(out + size_t(peer_start) * block, size_t(mask) * block,
+                    partner, round, prevs);
+        Schedule::StepId snd =
+            s->send(out + size_t(my_start) * block, size_t(mask) * block,
                     partner, round, prevs);
         prevs = {snd, rv};
       }
@@ -734,10 +861,10 @@ std::shared_ptr<Schedule> build_iallgather(World* w, const detail::CommData& c,
       for (int st = 0, round = 0; st < n - 1; ++st, ++round) {
         int send_block = (me - st + n) % n;
         int recv_block = (me - st - 1 + n) % n;
-        Schedule::StepId snd = s->send(out + size_t(send_block) * block,
-                                       block, right, round, prevs);
         Schedule::StepId rv = s->recv(out + size_t(recv_block) * block, block,
                                       left, round, prevs);
+        Schedule::StepId snd = s->send(out + size_t(send_block) * block,
+                                       block, right, round, prevs);
         prevs = {snd, rv};
       }
       break;
@@ -769,10 +896,10 @@ std::shared_ptr<Schedule> build_ialltoall(World* w, const detail::CommData& c,
     for (int st = 1; st < n; ++st) {
       int to = (me + st) % n;
       int from = (me - st + n) % n;
-      Schedule::StepId snd =
-          s->send(in + size_t(to) * sblock, sblock, to, st - 1, prevs);
       Schedule::StepId rv = s->recv(out + size_t(from) * rblock, rblock, from,
                                     st - 1, prevs);
+      Schedule::StepId snd =
+          s->send(in + size_t(to) * sblock, sblock, to, st - 1, prevs);
       prevs = {snd, rv};
     }
   }
@@ -842,11 +969,11 @@ std::shared_ptr<Schedule> build_ireduce_scatter(
       for (int st = 1; st < n; ++st) {
         int to = (me + st) % n;
         int from = (me - st + n) % n;
+        u8* tmp = s->scratch(my_bytes);
+        Schedule::StepId rv = s->recv(tmp, my_bytes, from, st - 1, {});
         finals.push_back(s->send(in + size_t(offs[size_t(to)]) * esize,
                                  size_t(recvcounts[to]) * esize, to, st - 1,
                                  {}));
-        u8* tmp = s->scratch(my_bytes);
-        Schedule::StepId rv = s->recv(tmp, my_bytes, from, st - 1, {});
         prev = s->reduce(tmp, acc, recvcounts[me], type, op, {rv, prev});
       }
       finals.push_back(prev);

@@ -1,23 +1,28 @@
-// Nonblocking collectives: resumable step schedules + per-rank progress.
+// Collective schedules: the one implementation of every p2p collective
+// algorithm, shared by the blocking and the nonblocking entry points.
 //
-// Every registry algorithm of coll_algos.h has a second life here as a
-// *schedule*: a DAG of isend / irecv / local-reduce / copy / shm-phase
-// steps whose dependencies encode exactly the ordering the blocking
-// implementation got from program order. Initiating MPI_Iallreduce & co.
-// builds the schedule, posts its first wave of steps, and returns a
-// request; the per-rank progress engine (Rank::icoll_progress) then
-// advances all outstanding schedules from wait/test/waitall and
-// opportunistically from every blocking MPI entry point, so computation
-// folded between initiation and completion overlaps the collective.
+// A *schedule* is a DAG of isend / irecv / local-reduce / copy / shm-phase
+// steps whose dependencies encode the algorithm's ordering. Every entry
+// point (collectives.cc) picks a registry algorithm (coll_algos.h), builds
+// its schedule with the build_* factories below and registers it with the
+// per-rank progress engine (Rank::icoll_progress), which advances all
+// outstanding schedules from wait/test/waitall and opportunistically from
+// every blocking MPI entry point. A nonblocking call returns the request;
+// a blocking call waits for it right away through the same collective-
+// request wait loop (Schedule::run_blocking). Only the shared-memory
+// fan-in variants of blocking calls bypass schedules (coll::Engine *_shm).
 //
-// Cost-model honesty, nonblocking edition: p2p schedule steps charge the
-// NetworkProfile per message like the blocking algorithms do, but as a
-// *completion deadline* instead of an injection spin — modeling the
-// NIC-offloaded asynchronous transfer that makes overlap worthwhile in
-// the first place. The step is posted immediately (so peers can match it)
-// and counts as complete only once both the transfer finished and its
-// wire-time deadline elapsed. Shared-memory phases charge the same way on
-// their fan-in/fan-out arrivals.
+// Cost-model honesty: p2p steps charge the NetworkProfile per message in
+// one of two ways, derived from the call. A blocking call charges the wire
+// at injection (the isend spins, exactly like a p2p send) and posts large
+// payloads as one unsegmented rendezvous, so blocking collectives cost what
+// their step-by-step p2p composition costs (Figures 3/4). A nonblocking
+// call charges the wire as a *completion deadline* instead, modeling the
+// NIC-offloaded asynchronous transfer that makes overlap worthwhile: the
+// step is posted immediately (so peers can match it) and counts as
+// complete only once both the transfer finished and its wire-time deadline
+// elapsed. Shared-memory phases charge the same way on their fan-in/
+// fan-out arrivals.
 //
 // Concurrency: schedules are confined to the owning rank thread; cross-
 // rank traffic flows through the mailbox transport or through a per-
@@ -25,7 +30,10 @@
 // keeps interleaved outstanding shm collectives from mixing arrivals.
 #pragma once
 
+#include <atomic>
+#include <initializer_list>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "simmpi/world.h"
@@ -36,6 +44,19 @@ class Schedule {
  public:
   using StepId = int;
   static constexpr StepId kNone = -1;
+
+  /// A step's dependencies: a braced list `{a, b}` or a vector of ids. Read
+  /// only while the step is added, so building a step allocates nothing
+  /// per dependency list.
+  class Deps {
+   public:
+    Deps(std::initializer_list<StepId> ids) : ids_(ids.begin(), ids.size()) {}
+    Deps(const std::vector<StepId>& ids) : ids_(ids) {}
+    std::span<const StepId> ids() const { return ids_; }
+
+   private:
+    std::span<const StepId> ids_;
+  };
 
   /// `seq` is the per-communicator operation sequence number; it derives
   /// the schedule's private tag stride (types.h kIcollTagBase).
@@ -52,6 +73,11 @@ class Schedule {
   /// Communicator this schedule runs on (comm_free drains by this id).
   i32 comm_id() const { return comm_id_; }
 
+  /// Runs `s` for a blocking collective call: marks it blocking (sends
+  /// charge wire time at injection and set no deadline), registers it with
+  /// the progress engine and waits for it like a collective request.
+  static void run_blocking(Rank& r, std::shared_ptr<Schedule> s);
+
   // --- build API (used by the build_* factories below) ----------------------
   /// Allocates a stable scratch buffer owned by the schedule.
   u8* scratch(size_t bytes);
@@ -60,19 +86,19 @@ class Schedule {
   /// p2p steps: `round` disambiguates repeated same-peer messages within
   /// one schedule (must be < kIcollRounds). kNone deps are ignored.
   StepId send(const void* buf, size_t bytes, int peer, int round,
-              std::vector<StepId> deps);
+              Deps deps);
   StepId recv(void* buf, size_t bytes, int peer, int round,
-              std::vector<StepId> deps);
+              Deps deps);
   /// Local steps. copy uses memmove semantics (src may alias dst).
   StepId reduce(const void* src, void* dst, int count, Datatype type,
-                ReduceOp op, std::vector<StepId> deps);
+                ReduceOp op, Deps deps);
   StepId copy(const void* src, void* dst, size_t bytes,
-              std::vector<StepId> deps);
+              Deps deps);
   /// Shm phase steps: arrive posts the release increment immediately and
   /// completes once `charge_bytes` of wire time elapsed; wait completes
   /// when all ranks arrived at `phase`.
-  StepId shm_arrive(int phase, size_t charge_bytes, std::vector<StepId> deps);
-  StepId shm_wait(int phase, std::vector<StepId> deps);
+  StepId shm_arrive(int phase, size_t charge_bytes, Deps deps);
+  StepId shm_wait(int phase, Deps deps);
 
  private:
   struct Step {
@@ -92,10 +118,10 @@ class Schedule {
     u64 wire_ns = 0;      // cost charged as a completion deadline
     u64 ready_at_ns = 0;  // set when the step starts
     Request req;          // in-flight p2p transfer
-    std::vector<StepId> deps;
+    size_t deps_begin = 0, deps_end = 0;  // range in deps_
   };
 
-  StepId push(Step step, std::vector<StepId> deps);
+  StepId push(Step step, Deps deps);
   bool deps_done(const Step& s) const;
   /// Starts/polls one runnable step; returns true when it completed.
   bool advance(Rank& r, Step& s);
@@ -105,18 +131,22 @@ class Schedule {
   i32 comm_id_;  // survives the CommData for teardown after comm_free
   i64 seq_;
   int tag_base_;
+  bool blocking_ = false;  // built for a blocking call (run_blocking)
   std::vector<Step> steps_;
-  int remaining_ = 0;
-  std::vector<std::unique_ptr<std::vector<u8>>> scratch_;
+  std::vector<StepId> deps_;  // every step's dependencies, back to back
+  /// Atomic: the progress pass of one guest thread completes steps while
+  /// the rank's other guest threads poll done() on their own requests. The
+  /// last decrement publishes every step's writes to such a poller.
+  std::atomic<int> remaining_{0};
+  std::vector<std::unique_ptr<u8[]>> scratch_;
   std::shared_ptr<IcollShmGroup> shm_;
 };
 
 // ---------------------------------------------------------------------------
 // Schedule factories: one per collective, covering every algorithm the
-// blocking registry (coll_algos.h algos_for) offers for it. `algo` must be
-// a concrete choice (the entry points resolve kAuto via coll::select, so
-// nonblocking calls land on the same tuned algorithm as blocking ones).
-// All buffers pre-resolved (no MPI_IN_PLACE sentinels) as in coll::Engine.
+// registry (coll_algos.h algos_for) offers for it. `algo` must be a
+// concrete choice (the entry points resolve kAuto via coll::select). All
+// buffers are pre-resolved (no MPI_IN_PLACE sentinels) unless noted.
 // ---------------------------------------------------------------------------
 
 std::shared_ptr<Schedule> build_ibarrier(World* w, const detail::CommData& c,
@@ -134,6 +164,18 @@ std::shared_ptr<Schedule> build_iallreduce(World* w, const detail::CommData& c,
                                            const void* sendbuf, void* recvbuf,
                                            int count, Datatype type,
                                            ReduceOp op);
+/// Gather of `block` bytes per rank into the root's recvbuf. `in_place`:
+/// the root's own block already sits in recvbuf (its sendbuf is unused).
+std::shared_ptr<Schedule> build_gather(World* w, const detail::CommData& c,
+                                       i64 seq, CollAlgo algo,
+                                       const void* sendbuf, void* recvbuf,
+                                       size_t block, int root, bool in_place);
+/// Scatter of the root's sendbuf in `block`-byte pieces. `in_place`: the
+/// root keeps its block in sendbuf and never writes its recvbuf.
+std::shared_ptr<Schedule> build_scatter(World* w, const detail::CommData& c,
+                                        i64 seq, CollAlgo algo,
+                                        const void* sendbuf, void* recvbuf,
+                                        size_t block, int root, bool in_place);
 /// `sendbuf` must be pre-resolved: under MPI_IN_PLACE it points at the
 /// caller's own block inside recvbuf (the initial own-block copy is a
 /// memmove, so the alias is harmless).

@@ -1,8 +1,5 @@
-// Tree/chunk arithmetic shared by the blocking collective algorithms
-// (coll_algos.cc) and their schedule twins (coll_sched.cc). One copy on
-// purpose: the differential suites assume a blocking algorithm and its
-// nonblocking schedule walk exactly the same tree, so a change to the
-// rounding or relative-rank rules here updates both in lockstep.
+// Tree/chunk arithmetic of the collective schedules (coll_sched.cc) and
+// the selection table (coll_algos.cc).
 #pragma once
 
 #include <vector>

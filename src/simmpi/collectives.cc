@@ -1,8 +1,11 @@
 // Collective entry points: argument validation, MPI_IN_PLACE resolution,
-// and dispatch into the pluggable algorithm registry (coll_algos.h). The
-// actual communication algorithms live in coll::Engine; the size x
-// comm-size selection table (coll::select) picks one per call, with
-// CollTuning / MPIWASM_COLL_* overrides for ablation.
+// and algorithm selection from the pluggable registry (coll_algos.h): the
+// size x comm-size table (coll::select), CollTuning / MPIWASM_COLL_*
+// overrides and, for blocking calls, the online autotuner. Every p2p
+// algorithm exists once, as a schedule (coll_sched.h): a nonblocking call
+// returns its schedule's request, a blocking call runs the same schedule to
+// completion (Schedule::run_blocking). Blocking calls that select kShm take
+// the shared-memory fan-in (coll::Engine *_shm) instead.
 #include <cstring>
 #include <vector>
 
@@ -19,6 +22,7 @@ namespace {
 
 using coll::CollOp;
 using coll::Engine;
+using coll::Schedule;
 
 /// True when this communicator's shared-memory fan-in path can carry
 /// `slot_need` bytes per slot.
@@ -62,7 +66,7 @@ struct Choice {
 /// otherwise the Autotuner rotates through the registry candidates and
 /// then returns the locked winner, with the static pick as the fallback
 /// for never-measured keys. Advances the per-communicator call counter.
-/// Nonblocking twins bypass the tuner entirely (see below) — their
+/// Nonblocking calls bypass the tuner entirely (see below) — their
 /// completion is asynchronous, so they could never record a timing, and
 /// the blocking winner is the wrong pick for an overlapping schedule.
 Choice pick_algo_impl(World& w, detail::CommData& c, CollOp op, size_t bytes,
@@ -74,7 +78,7 @@ Choice pick_algo_impl(World& w, detail::CommData& c, CollOp op, size_t bytes,
   // Nonblocking schedules always use the static table. The autotuner's
   // cost model is blocking latency, a poor proxy for overlap quality: the
   // blocking winner is often the most tightly synchronized algorithm,
-  // exactly the one whose schedule twin pipelines worst. The static
+  // exactly the one whose schedule pipelines worst under overlap. The static
   // table's per-size structure choices are pipeline-friendly by
   // construction. The shm fan-in is excluded from auto selection too — a
   // CPU-side barrier overlaps nothing, and the schedule machinery's fixed
@@ -147,7 +151,8 @@ void run_timed(Rank& r, detail::CommData& c, World& w, const Choice& sel,
   if (c.coll != nullptr)
     Engine::barrier_shm(r, c);
   else
-    Engine::barrier_dissemination(r, c);
+    Schedule::run_blocking(r, coll::build_ibarrier(&w, c, c.icoll_seq++,
+                                                   CollAlgo::kDissemination));
   const u64 t0 = now_ns();
   fn();
   w.tuner()->record(sel.key, sel.algo, f64(now_ns() - t0) * 1e-3);
@@ -161,11 +166,11 @@ void Rank::barrier(Comm comm) {
   if (c.world_ranks.size() == 1) return;
   Choice sel = pick_algo(*world_, c, CollOp::kBarrier, 0, c.coll != nullptr);
   run_timed(*this, c, *world_, sel, [&] {
-    switch (sel.algo) {
-      case CollAlgo::kLinear: Engine::barrier_linear(*this, c); break;
-      case CollAlgo::kShm: Engine::barrier_shm(*this, c); break;
-      default: Engine::barrier_dissemination(*this, c); break;
-    }
+    if (sel.algo == CollAlgo::kShm)
+      Engine::barrier_shm(*this, c);
+    else
+      Schedule::run_blocking(
+          *this, coll::build_ibarrier(world_, c, c.icoll_seq++, sel.algo));
   });
 }
 
@@ -180,11 +185,12 @@ void Rank::bcast(void* buf, int count, Datatype type, int root, Comm comm) {
   Choice sel =
       pick_algo(*world_, c, CollOp::kBcast, bytes, shm_ok(c, *world_, bytes));
   run_timed(*this, c, *world_, sel, [&] {
-    switch (sel.algo) {
-      case CollAlgo::kLinear: Engine::bcast_linear(*this, c, buf, bytes, root); break;
-      case CollAlgo::kShm: Engine::bcast_shm(*this, c, buf, bytes, root); break;
-      default: Engine::bcast_binomial(*this, c, buf, bytes, root); break;
-    }
+    if (sel.algo == CollAlgo::kShm)
+      Engine::bcast_shm(*this, c, buf, bytes, root);
+    else
+      Schedule::run_blocking(*this,
+                             coll::build_ibcast(world_, c, c.icoll_seq++,
+                                                sel.algo, buf, bytes, root));
   });
 }
 
@@ -210,19 +216,12 @@ void Rank::reduce(const void* sendbuf, void* recvbuf, int count, Datatype type,
   Choice sel =
       pick_algo(*world_, c, CollOp::kReduce, bytes, shm_ok(c, *world_, bytes));
   run_timed(*this, c, *world_, sel, [&] {
-    switch (sel.algo) {
-      case CollAlgo::kLinear:
-        Engine::reduce_linear(*this, c, sendbuf, recvbuf, count, type, op,
-                              root);
-        break;
-      case CollAlgo::kShm:
-        Engine::reduce_shm(*this, c, sendbuf, recvbuf, count, type, op, root);
-        break;
-      default:
-        Engine::reduce_binomial(*this, c, sendbuf, recvbuf, count, type, op,
-                                root);
-        break;
-    }
+    if (sel.algo == CollAlgo::kShm)
+      Engine::reduce_shm(*this, c, sendbuf, recvbuf, count, type, op, root);
+    else
+      Schedule::run_blocking(
+          *this, coll::build_ireduce(world_, c, c.icoll_seq++, sel.algo,
+                                     sendbuf, recvbuf, count, type, op, root));
   });
 }
 
@@ -241,27 +240,12 @@ void Rank::allreduce(const void* sendbuf, void* recvbuf, int count,
   Choice sel = pick_algo(*world_, c, CollOp::kAllreduce, bytes,
                          shm_ok(c, *world_, bytes));
   run_timed(*this, c, *world_, sel, [&] {
-    switch (sel.algo) {
-      case CollAlgo::kLinear:
-        Engine::allreduce_linear(*this, c, sendbuf, recvbuf, count, type, op);
-        break;
-      case CollAlgo::kBinomial:
-        Engine::allreduce_binomial(*this, c, sendbuf, recvbuf, count, type, op);
-        break;
-      case CollAlgo::kRing:
-        Engine::allreduce_ring(*this, c, sendbuf, recvbuf, count, type, op);
-        break;
-      case CollAlgo::kRabenseifner:
-        Engine::allreduce_rabenseifner(*this, c, sendbuf, recvbuf, count, type,
-                                       op);
-        break;
-      case CollAlgo::kShm:
-        Engine::allreduce_shm(*this, c, sendbuf, recvbuf, count, type, op);
-        break;
-      default:
-        Engine::allreduce_rdbl(*this, c, sendbuf, recvbuf, count, type, op);
-        break;
-    }
+    if (sel.algo == CollAlgo::kShm)
+      Engine::allreduce_shm(*this, c, sendbuf, recvbuf, count, type, op);
+    else
+      Schedule::run_blocking(
+          *this, coll::build_iallreduce(world_, c, c.icoll_seq++, sel.algo,
+                                        sendbuf, recvbuf, count, type, op));
   });
 }
 
@@ -287,19 +271,12 @@ void Rank::gather(const void* sendbuf, int sendcount, void* recvbuf,
   Choice sel =
       pick_algo(*world_, c, CollOp::kGather, block, shm_ok(c, *world_, block));
   run_timed(*this, c, *world_, sel, [&] {
-    switch (sel.algo) {
-      case CollAlgo::kLinear:
-        Engine::gather_linear(*this, c, sendbuf, recvbuf, block, root,
-                              in_place);
-        break;
-      case CollAlgo::kShm:
-        Engine::gather_shm(*this, c, sendbuf, recvbuf, block, root, in_place);
-        break;
-      default:
-        Engine::gather_binomial(*this, c, sendbuf, recvbuf, block, root,
-                                in_place);
-        break;
-    }
+    if (sel.algo == CollAlgo::kShm)
+      Engine::gather_shm(*this, c, sendbuf, recvbuf, block, root, in_place);
+    else
+      Schedule::run_blocking(
+          *this, coll::build_gather(world_, c, c.icoll_seq++, sel.algo,
+                                    sendbuf, recvbuf, block, root, in_place));
   });
 }
 
@@ -324,19 +301,12 @@ void Rank::scatter(const void* sendbuf, int sendcount, void* recvbuf,
   Choice sel =
       pick_algo(*world_, c, CollOp::kScatter, block, shm_ok(c, *world_, block));
   run_timed(*this, c, *world_, sel, [&] {
-    switch (sel.algo) {
-      case CollAlgo::kLinear:
-        Engine::scatter_linear(*this, c, sendbuf, recvbuf, block, root,
-                               in_place);
-        break;
-      case CollAlgo::kShm:
-        Engine::scatter_shm(*this, c, sendbuf, recvbuf, block, root, in_place);
-        break;
-      default:
-        Engine::scatter_binomial(*this, c, sendbuf, recvbuf, block, root,
-                                 in_place);
-        break;
-    }
+    if (sel.algo == CollAlgo::kShm)
+      Engine::scatter_shm(*this, c, sendbuf, recvbuf, block, root, in_place);
+    else
+      Schedule::run_blocking(
+          *this, coll::build_scatter(world_, c, c.icoll_seq++, sel.algo,
+                                     sendbuf, recvbuf, block, root, in_place));
   });
 }
 
@@ -362,20 +332,12 @@ void Rank::allgather(const void* sendbuf, int sendcount, void* recvbuf,
   Choice sel = pick_algo(*world_, c, CollOp::kAllgather, block,
                          shm_ok(c, *world_, block));
   run_timed(*this, c, *world_, sel, [&] {
-    switch (sel.algo) {
-      case CollAlgo::kLinear:
-        Engine::allgather_linear(*this, c, sendbuf, recvbuf, block, in_place);
-        break;
-      case CollAlgo::kRecursiveDoubling:
-        Engine::allgather_rdbl(*this, c, sendbuf, recvbuf, block, in_place);
-        break;
-      case CollAlgo::kShm:
-        Engine::allgather_shm(*this, c, sendbuf, recvbuf, block, in_place);
-        break;
-      default:
-        Engine::allgather_ring(*this, c, sendbuf, recvbuf, block, in_place);
-        break;
-    }
+    if (sel.algo == CollAlgo::kShm)
+      Engine::allgather_shm(*this, c, sendbuf, recvbuf, block, in_place);
+    else
+      Schedule::run_blocking(
+          *this, coll::build_iallgather(world_, c, c.icoll_seq++, sel.algo,
+                                        sendbuf, recvbuf, block));
   });
 }
 
@@ -397,14 +359,9 @@ void Rank::alltoall(const void* sendbuf, int sendcount, void* recvbuf,
   Choice sel =
       pick_algo(*world_, c, CollOp::kAlltoall, sblock, /*ok=*/false);
   run_timed(*this, c, *world_, sel, [&] {
-    switch (sel.algo) {
-      case CollAlgo::kLinear:
-        Engine::alltoall_linear(*this, c, sendbuf, recvbuf, sblock, rblock);
-        break;
-      default:
-        Engine::alltoall_pairwise(*this, c, sendbuf, recvbuf, sblock, rblock);
-        break;
-    }
+    Schedule::run_blocking(
+        *this, coll::build_ialltoall(world_, c, c.icoll_seq++, sel.algo,
+                                     sendbuf, recvbuf, sblock, rblock));
   });
 }
 
@@ -458,20 +415,14 @@ void Rank::reduce_scatter(const void* sendbuf, void* recvbuf,
   Choice sel = pick_algo(*world_, c, CollOp::kReduceScatter, total * esize,
                          shm_ok(c, *world_, total * esize));
   run_timed(*this, c, *world_, sel, [&] {
-    switch (sel.algo) {
-      case CollAlgo::kPairwise:
-        Engine::reduce_scatter_pairwise(*this, c, input, recvbuf, recvcounts,
-                                        type, op);
-        break;
-      case CollAlgo::kShm:
-        Engine::reduce_scatter_shm(*this, c, input, recvbuf, recvcounts, type,
-                                   op);
-        break;
-      default:
-        Engine::reduce_scatter_linear(*this, c, input, recvbuf, recvcounts,
-                                      type, op);
-        break;
-    }
+    if (sel.algo == CollAlgo::kShm)
+      Engine::reduce_scatter_shm(*this, c, input, recvbuf, recvcounts, type,
+                                 op);
+    else
+      Schedule::run_blocking(
+          *this, coll::build_ireduce_scatter(world_, c, c.icoll_seq++,
+                                             sel.algo, input, recvbuf,
+                                             recvcounts, type, op));
   });
 }
 
@@ -490,17 +441,12 @@ void Rank::scan(const void* sendbuf, void* recvbuf, int count, Datatype type,
   Choice sel =
       pick_algo(*world_, c, CollOp::kScan, bytes, shm_ok(c, *world_, bytes));
   run_timed(*this, c, *world_, sel, [&] {
-    switch (sel.algo) {
-      case CollAlgo::kLinear:
-        Engine::scan_linear(*this, c, sendbuf, recvbuf, count, type, op);
-        break;
-      case CollAlgo::kShm:
-        Engine::scan_shm(*this, c, sendbuf, recvbuf, count, type, op);
-        break;
-      default:
-        Engine::scan_rdbl(*this, c, sendbuf, recvbuf, count, type, op);
-        break;
-    }
+    if (sel.algo == CollAlgo::kShm)
+      Engine::scan_shm(*this, c, sendbuf, recvbuf, count, type, op);
+    else
+      Schedule::run_blocking(
+          *this, coll::build_iscan(world_, c, c.icoll_seq++, sel.algo, sendbuf,
+                                   recvbuf, count, type, op));
   });
 }
 
@@ -516,24 +462,19 @@ void Rank::exscan(const void* sendbuf, void* recvbuf, int count, Datatype type,
   Choice sel =
       pick_algo(*world_, c, CollOp::kExscan, bytes, shm_ok(c, *world_, bytes));
   run_timed(*this, c, *world_, sel, [&] {
-    switch (sel.algo) {
-      case CollAlgo::kLinear:
-        Engine::exscan_linear(*this, c, sendbuf, recvbuf, count, type, op);
-        break;
-      case CollAlgo::kShm:
-        Engine::exscan_shm(*this, c, sendbuf, recvbuf, count, type, op);
-        break;
-      default:
-        Engine::exscan_rdbl(*this, c, sendbuf, recvbuf, count, type, op);
-        break;
-    }
+    if (sel.algo == CollAlgo::kShm)
+      Engine::exscan_shm(*this, c, sendbuf, recvbuf, count, type, op);
+    else
+      Schedule::run_blocking(
+          *this, coll::build_iexscan(world_, c, c.icoll_seq++, sel.algo,
+                                     sendbuf, recvbuf, count, type, op));
   });
 }
 
 // ---------------------------------------------------------------------------
-// Nonblocking collectives: validation + MPI_IN_PLACE resolution + the same
-// size x comm-size algorithm selection as the blocking twins, then a
-// schedule build (coll_sched.cc) registered with the progress engine.
+// Nonblocking collectives: validation + MPI_IN_PLACE resolution + the
+// static selection table, then the same schedule build as the blocking
+// call, registered with the progress engine and returned as a request.
 // ---------------------------------------------------------------------------
 
 Request Rank::ibarrier(Comm comm) {

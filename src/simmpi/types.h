@@ -49,18 +49,23 @@ constexpr i32 kNumReduceOps = 8;
 
 constexpr int kAnySource = -1;
 constexpr int kAnyTag = -1;
-/// Reserved tag for collective traffic; user tags must be >= 0.
+/// Reserved tag for alltoallv's p2p traffic (the other collectives use the
+/// schedule tags below); user tags must be >= 0.
 constexpr int kCollectiveTag = -42;
 
-/// Reserved tag space for nonblocking-collective schedules (coll_sched.h):
-/// each schedule owns a stride of kIcollRounds tags derived from its
+/// Reserved tag space for collective schedules (coll_sched.h): each
+/// schedule owns a stride of kIcollRounds tags derived from its
 /// per-communicator sequence number, so concurrently outstanding schedules
-/// on one communicator never match each other's traffic. Tags wrap after
-/// kIcollSeqWindow simultaneously outstanding operations per communicator —
-/// far beyond anything a real program keeps in flight.
+/// on one communicator never match each other's traffic. Blocking and
+/// nonblocking calls share the sequence, so tags wrap after
+/// kIcollSeqWindow collective calls on a communicator while a nonblocking
+/// one is still outstanding — far beyond anything a real program does.
 constexpr int kIcollTagBase = -1024;
 constexpr int kIcollRounds = 512;   // max p2p rounds per schedule
-constexpr int kIcollSeqWindow = 2048;
+constexpr int kIcollSeqWindow = 1 << 20;
+static_assert(i64(kIcollTagBase) - i64(kIcollSeqWindow) * kIcollRounds >
+                  i64(INT32_MIN),
+              "schedule tags must fit an int");
 
 /// Deadlock watchdog: a blocking MPI wait stuck this long aborts the run
 /// with a diagnostic instead of hanging CI forever. Shared by the simmpi

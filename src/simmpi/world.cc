@@ -45,6 +45,25 @@ std::shared_ptr<detail::RecvDesc> take_posted_match(detail::Mailbox& box,
   return nullptr;
 }
 
+/// Wakes everything waiting on `box`: its rank parked in poll_with_progress
+/// and p2p waits on its cv. Caller holds box.mu.
+void notify(detail::Mailbox& box) {
+  box.wakes.fetch_add(1, std::memory_order_relaxed);
+  box.cv.notify_all();
+}
+
+/// Marks a rendezvous send complete and wakes the rank that posted it,
+/// which may be parked on its own mailbox. The caller holds the receiver's
+/// box.mu; taking the sender's as well could deadlock against a transfer in
+/// the opposite direction, so this wake does not lock. A wake racing the
+/// parked rank's predicate check is lost; the park's timeout bounds that.
+void complete_send(detail::SendDesc& s) {
+  s.completed = true;
+  if (s.sender_box == nullptr) return;
+  s.sender_box->wakes.fetch_add(1, std::memory_order_relaxed);
+  s.sender_box->cv.notify_all();
+}
+
 /// Completes a matched receive with a single direct copy from the sender's
 /// buffer. Caller holds box.mu.
 void deliver_now(detail::Mailbox& box, detail::RecvDesc& r, const void* buf,
@@ -54,7 +73,7 @@ void deliver_now(detail::Mailbox& box, detail::RecvDesc& r, const void* buf,
   std::memcpy(r.dst, buf, n);
   r.status = Status{src_comm_rank, tag, n};
   r.done = true;
-  box.cv.notify_all();
+  notify(box);
 }
 
 /// Drains every matched pipelined send: copies the segments whose wire
@@ -81,14 +100,14 @@ void pump_pipelines(detail::Mailbox& box) {
       if (s.bytes > r.capacity) r.truncated = true;
       r.status = Status{s.src_comm_rank, s.tag, std::min(s.bytes, r.capacity)};
       r.done = true;
-      s.completed = true;
+      complete_send(s);
       it = box.draining.erase(it);
       completed_any = true;
     } else {
       ++it;
     }
   }
-  if (completed_any) box.cv.notify_all();
+  if (completed_any) notify(box);
 }
 
 }  // namespace
@@ -201,7 +220,7 @@ void World::request_abort(int code) {
   abort_code_ = code;
   for (auto& b : boxes_) {
     std::lock_guard<std::mutex> lock(b->mu);
-    b->cv.notify_all();
+    notify(*b);
   }
 }
 
@@ -342,8 +361,12 @@ void Rank::poll_with_progress(const std::function<bool()>& pred,
                               const char* what) {
   const u64 deadline =
       now_ns() + u64(std::chrono::nanoseconds(kBlockTimeout).count());
+  detail::Mailbox& box = world_->box(world_rank_);
   int idle = 0;
   while (true) {
+    // Sampled before the pass, so a wake that lands during it ends the
+    // park below at once.
+    const u64 seen = box.wakes.load(std::memory_order_relaxed);
     if (icoll_progress()) idle = 0;
     if (pred()) return;
     if (world_->aborting()) throw MpiAbort(-1);
@@ -352,14 +375,19 @@ void Rank::poll_with_progress(const std::function<bool()>& pred,
     // When a pass makes no headway the missing ingredient is a peer
     // thread getting CPU time. yield() is ~0.2us and actually runs the
     // peer on an oversubscribed host, so stay in the yield phase for a
-    // long stretch; sleep_for() rounds up to the kernel's timer slack
-    // (~50us+ even for a 1us request), which would dwarf a small
-    // collective's entire latency. Only a genuinely idle wait — hundreds
-    // of fruitless passes — drops into a real sleep to cap CPU burn.
-    if (++idle < 64)
+    // while. A genuinely idle wait then parks on this rank's mailbox cv to
+    // cap CPU burn: deliveries into the box and completions of this
+    // rank's sends wake it at once. The timeout covers progress nothing
+    // notifies (wire-time deadlines, pipelined segments, shm arrivals).
+    if (++idle < 64) {
       std::this_thread::yield();
-    else
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      continue;
+    }
+    std::unique_lock<std::mutex> lock(box.mu);
+    box.cv.wait_for(lock, std::chrono::microseconds(50), [&] {
+      return box.wakes.load(std::memory_order_relaxed) != seen ||
+             world_->aborting();
+    });
   }
 }
 
@@ -474,7 +502,7 @@ void Rank::send_internal(const void* buf, size_t bytes, int dest, int tag,
     desc->eager_buf.assign(static_cast<const u8*>(buf),
                            static_cast<const u8*>(buf) + bytes);
     box.unexpected.push_back(std::move(desc));
-    box.cv.notify_all();
+    notify(box);
     return;  // eager send completes locally
   }
   // Rendezvous: park the sender's buffer pointer and wait for the receiver
@@ -482,7 +510,7 @@ void Rank::send_internal(const void* buf, size_t bytes, int dest, int tag,
   desc->eager = false;
   desc->payload = static_cast<const u8*>(buf);
   box.unexpected.push_back(desc);
-  box.cv.notify_all();
+  notify(box);
   bool ok = wait_with_progress(box, lock, [&] {
     return desc->completed || world_->aborting();
   });
@@ -566,8 +594,8 @@ Status Rank::recv_internal(void* buf, size_t bytes, int source, int tag,
     std::memcpy(buf, s->eager_buf.data(), n);
   } else {
     std::memcpy(buf, s->payload, n);
-    s->completed = true;
-    box.cv.notify_all();  // wake the rendezvous sender
+    complete_send(*s);
+    notify(box);  // wake a blocking rendezvous sender waiting on this box
   }
   return Status{s->src_comm_rank, s->tag, n};
 }
@@ -637,6 +665,7 @@ Request Rank::isend_internal(const void* buf, size_t bytes, int dest, int tag,
   desc->src_comm_rank = c.my_comm_rank;
   desc->tag = tag;
   desc->bytes = bytes;
+  desc->sender_box = &world_->box(world_rank_);
   Request req;
   req.kind_ = Request::Kind::kSend;
   req.box = &box;
@@ -656,7 +685,7 @@ Request Rank::isend_internal(const void* buf, size_t bytes, int dest, int tag,
     } else {
       box.unexpected.push_back(desc);
     }
-    box.cv.notify_all();
+    notify(box);
     return req;
   }
   if (bytes <= prof.eager_limit || prof.force_copy) {
@@ -665,7 +694,7 @@ Request Rank::isend_internal(const void* buf, size_t bytes, int dest, int tag,
                            static_cast<const u8*>(buf) + bytes);
     desc->completed = true;  // buffered: sender side is done
     box.unexpected.push_back(std::move(desc));
-    box.cv.notify_all();
+    notify(box);
     // A buffered send is complete the moment the staging copy exists, so
     // hand back a trivially-complete request: every later test()/wait()
     // short-circuits without touching the destination mailbox lock (the
@@ -675,7 +704,7 @@ Request Rank::isend_internal(const void* buf, size_t bytes, int dest, int tag,
   desc->eager = false;
   desc->payload = static_cast<const u8*>(buf);
   box.unexpected.push_back(desc);
-  box.cv.notify_all();
+  notify(box);
   return req;
 }
 
@@ -718,19 +747,19 @@ Request Rank::irecv_internal(void* buf, size_t bytes, int source, int tag,
       box.draining.push_back(std::move(found));
       paired = true;
       pump_pipelines(box);
-      box.cv.notify_all();
+      notify(box);
       break;
     }
     if (s.eager) {
       std::memcpy(buf, s.eager_buf.data(), n);
     } else {
       std::memcpy(buf, s.payload, n);
-      s.completed = true;
+      complete_send(s);
     }
     desc->status = Status{s.src_comm_rank, s.tag, n};
     desc->done = true;
     box.unexpected.erase(it);
-    box.cv.notify_all();
+    notify(box);
     break;
   }
   if (!desc->done && !paired) box.posted.push_back(desc);
@@ -749,7 +778,7 @@ Status Rank::wait(Request& req) {
     // Drive the progress engine (all outstanding schedules, not just this
     // one — peers may need our share of a sibling collective first).
     poll_with_progress([&] { return req.coll->done(); },
-                       "wait: nonblocking collective");
+                       "wait: collective");
     req = Request{};
     return status;  // collective requests carry an empty status
   }

@@ -24,7 +24,6 @@ class Rank;
 class CollectiveContext;
 namespace coll {
 class Autotuner;
-class Engine;
 class Schedule;
 }  // namespace coll
 
@@ -37,6 +36,7 @@ constexpr int kUndefined = -9999;
 
 namespace detail {
 
+struct Mailbox;
 struct RecvDesc;
 
 struct SendDesc {
@@ -48,6 +48,7 @@ struct SendDesc {
   size_t bytes = 0;
   bool eager = true;
   bool completed = false;        // rendezvous: receiver copied the payload
+  Mailbox* sender_box = nullptr; // posting rank's box, woken on completion
 
   // --- Segmented pipelined rendezvous (schedule sends only) --------------
   // The sender exposes the payload in `chunk`-byte segments, each becoming
@@ -83,6 +84,10 @@ struct Mailbox {
   /// Any rank that takes `mu` pumps these (pump under lock is cheap: at
   /// most a memcpy of the newly visible prefix).
   std::deque<std::shared_ptr<SendDesc>> draining;
+  /// Bumped before every cv notify: deliveries into this box and
+  /// completions of sends its rank posted. A rank parked in
+  /// Rank::poll_with_progress waits for this to move.
+  std::atomic<u64> wakes{0};
 };
 
 struct CommData {
@@ -270,10 +275,10 @@ class Rank {
               ReduceOp op, Comm comm = kCommWorld);
 
   // --- Nonblocking collectives (schedule-based; coll_sched.h) --------------
-  // Each call picks the same registry algorithm as its blocking twin via
-  // coll::select, builds a resumable step schedule, and returns a request
-  // that wait/test/waitall/waitany/testall drive to completion. Buffers
-  // must stay valid and untouched until the request completes.
+  // Each call picks a registry algorithm via coll::select, builds the same
+  // step schedule a blocking call runs, and returns a request that
+  // wait/test/waitall/waitany/testall drive to completion. Buffers must
+  // stay valid and untouched until the request completes.
   Request ibarrier(Comm comm = kCommWorld);
   Request ibcast(void* buf, int count, Datatype type, int root,
                  Comm comm = kCommWorld);
@@ -307,7 +312,6 @@ class Rank {
 
  private:
   friend class World;
-  friend class coll::Engine;    // algorithm implementations (coll_algos.cc)
   friend class coll::Schedule;  // schedule steps use the internal p2p paths
   Rank(World* world, int world_rank);
 
@@ -346,7 +350,8 @@ class Rank {
   /// Polls `pred` while driving the progress engine until it holds; throws
   /// MpiAbort on world abort, MpiError("<what> ...") on watchdog timeout.
   /// The shared body of every schedule-aware blocking wait (wait on a
-  /// collective request, waitany, the comm_free drain).
+  /// collective request, and so every blocking p2p collective; waitany;
+  /// the comm_free drain). Idle waits park on this rank's mailbox cv.
   void poll_with_progress(const std::function<bool()>& pred, const char* what);
   /// Advances every outstanding schedule once. Reentrancy-guarded (schedule
   /// steps call test() which hooks progress) and cross-thread safe: a second

@@ -8,12 +8,14 @@
 // combine-order differences between tree/ring/doubling algorithms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
 
 #include "simmpi/coll_algos.h"
 #include "simmpi/reduce_ops.h"
 #include "simmpi/world.h"
+#include "support/timing.h"
 
 namespace mpiwasm::simmpi {
 namespace {
@@ -395,6 +397,43 @@ TEST(CollInPlace, AllreduceReduceScanMatchOutOfPlace) {
   });
 }
 
+// In-place gather/scatter under every forced algorithm and root: the root's
+// own block stays home (gather) or is never written (scatter).
+TEST(CollInPlace, GatherScatterEveryAlgorithmEveryRoot) {
+  const i64 count = 33;
+  for (const auto& [ranks, algo] : cases_for(CollOp::kGather)) {
+    CollTuning t = forced(CollOp::kGather, algo);
+    t.scatter = algo;
+    World world(ranks, NetworkProfile::zero(), t);
+    world.run([&](Rank& r) {
+      const int n = r.size();
+      for (int root = 0; root < n; ++root) {
+        std::vector<i32> mine(static_cast<size_t>(count));
+        for (i64 i = 0; i < count; ++i) mine[size_t(i)] = i32(gen(r.rank(), i));
+        if (r.rank() == root) {
+          std::vector<i32> all(size_t(count) * n, -1);
+          std::copy(mine.begin(), mine.end(), all.begin() + root * count);
+          r.gather(kInPlace, 0, all.data(), int(count), Datatype::kInt, root);
+          for (int src = 0; src < n; ++src)
+            for (i64 i = 0; i < count; ++i)
+              ASSERT_EQ(all[size_t(src * count + i)], i32(gen(src, i)))
+                  << "root=" << root << " algo=" << coll::algo_name(algo);
+          r.scatter(all.data(), int(count), const_cast<void*>(kInPlace),
+                    int(count), Datatype::kInt, root);
+        } else {
+          r.gather(mine.data(), int(count), nullptr, int(count),
+                   Datatype::kInt, root);
+          std::vector<i32> got(static_cast<size_t>(count), -1);
+          r.scatter(nullptr, int(count), got.data(), int(count),
+                    Datatype::kInt, root);
+          ASSERT_EQ(got, mine)
+              << "root=" << root << " algo=" << coll::algo_name(algo);
+        }
+      }
+    });
+  }
+}
+
 TEST(CollInPlace, GatherAllgatherScatterReduceScatter) {
   World world(5);
   world.run([](Rank& r) {
@@ -546,6 +585,40 @@ TEST(CollShmStress, BackToBackShmCollectivesStayConsistent) {
       r.barrier();
     }
   });
+}
+
+// Blocking collectives charge each p2p message's wire time at injection,
+// like a p2p send, so a rank that sends twice pays the latency twice, in
+// sequence. Nonblocking schedules charge it as a completion deadline
+// instead, which lets a binomial root's two sends overlap; that model must
+// not leak into blocking calls, whose modelled cost Figures 3/4 report.
+TEST(CollCostModel, BlockingSendsChargeWireAtInjection) {
+  NetworkProfile p;
+  p.name = "test";
+  p.latency_ns = 200'000;  // 0.2 ms per message
+  const u64 two_latencies = 2 * p.latency_ns;
+  {
+    World world(4, p,
+                forced(CollOp::kAllreduce, CollAlgo::kRecursiveDoubling));
+    world.run([&](Rank& r) {
+      i64 v = r.rank() + 1, sum = 0;
+      const u64 t0 = now_ns();
+      r.allreduce(&v, &sum, 1, Datatype::kLong, ReduceOp::kSum);
+      EXPECT_GE(now_ns() - t0, two_latencies) << "rank " << r.rank();
+      EXPECT_EQ(sum, 10);
+    });
+  }
+  {
+    World world(4, p, forced(CollOp::kBcast, CollAlgo::kBinomial));
+    world.run([&](Rank& r) {
+      i64 v = r.rank() == 0 ? 42 : -1;
+      const u64 t0 = now_ns();
+      r.bcast(&v, 1, Datatype::kLong, 0);
+      const u64 elapsed = now_ns() - t0;
+      if (r.rank() == 0) EXPECT_GE(elapsed, two_latencies);
+      EXPECT_EQ(v, 42);
+    });
+  }
 }
 
 }  // namespace

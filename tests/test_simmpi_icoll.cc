@@ -1,14 +1,17 @@
 // Differential + stress suite for the nonblocking collectives (coll_sched).
 //
-// Every nonblocking collective is validated against its blocking twin under
-// every registry algorithm, across message sizes from 1 B to 1 MiB (hitting
-// both the eager and rendezvous transports), power-of-two and non-pof2 rank
-// counts, MPI_IN_PLACE, multiple outstanding requests, and out-of-order
-// completion. Inputs are exact in every datatype (small integers), so a
-// blocking and a scheduled run of the same algorithm must agree bit-for-bit.
-// The suite also pins the progress-engine semantics production codes rely
-// on: blocking MPI calls must advance outstanding schedules (no deadlock
-// when a rank blocks in recv while a peer waits on a collective).
+// Every nonblocking collective is validated against a host-computed
+// reference under every registry algorithm, across message sizes from 1 B
+// to 1 MiB (hitting both the eager and rendezvous transports), power-of-two
+// and non-pof2 rank counts, MPI_IN_PLACE, multiple outstanding requests,
+// and out-of-order completion. Inputs are exact in every datatype (small
+// integers), so every algorithm must agree with the reference bit-for-bit.
+// (A blocking call runs the same schedule builder, so comparing the two
+// would test the builder against itself.) The suite also pins the
+// progress-engine semantics production codes rely on: blocking MPI calls
+// must advance outstanding schedules (no deadlock when a rank blocks in
+// recv while a peer waits on a collective), and blocking and nonblocking
+// calls interleave on one communicator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,22 +31,30 @@ using coll::CollOp;
 /// Deterministic exact-in-every-type element for (rank, index).
 i64 gen(int rank, i64 i) { return ((rank + 1) * 31 + i * 7) % 13 + 1; }
 
+/// Host-computed reference: element i is the sum of gen(k, first + i) over
+/// ranks k in [0, ranks).
+std::vector<i64> rank_sum(int ranks, i64 count, i64 first = 0) {
+  std::vector<i64> acc(static_cast<size_t>(count), 0);
+  for (int k = 0; k < ranks; ++k)
+    for (i64 i = 0; i < count; ++i) acc[size_t(i)] += gen(k, first + i);
+  return acc;
+}
+
 // Element counts of i64 (8 B .. 1 MiB); 131072 crosses the rendezvous
 // threshold for the full-vector algorithms.
 const i64 kCounts[] = {1, 3, 257, 2048, 65536, 131072};
 
-TEST(IcollDifferential, IallreduceEveryAlgorithmMatchesBlocking) {
+TEST(IcollDifferential, IallreduceEveryAlgorithmMatchesReference) {
   for (int ranks : {2, 3, 5, 8}) {
     for (CollAlgo algo : coll::algos_for(CollOp::kAllreduce)) {
       World world(ranks, NetworkProfile::zero(),
                   coll::forced_tuning(CollOp::kAllreduce, algo));
       for (i64 count : kCounts) {
+        const std::vector<i64> expect = rank_sum(ranks, count);
         world.run([&, count](Rank& r) {
           std::vector<i64> in(static_cast<size_t>(count));
           for (i64 i = 0; i < count; ++i) in[size_t(i)] = gen(r.rank(), i);
-          std::vector<i64> expect(static_cast<size_t>(count), -1), out(static_cast<size_t>(count), -2);
-          r.allreduce(in.data(), expect.data(), int(count), Datatype::kLong,
-                      ReduceOp::kSum);
+          std::vector<i64> out(static_cast<size_t>(count), -2);
           Request req = r.iallreduce(in.data(), out.data(), int(count),
                                      Datatype::kLong, ReduceOp::kSum);
           r.wait(req);
@@ -88,15 +99,13 @@ TEST(IcollDifferential, IreduceEveryAlgorithmEveryRoot) {
       World world(ranks, NetworkProfile::zero(),
                   coll::forced_tuning(CollOp::kReduce, algo));
       for (i64 count : {i64(3), i64(2048), i64(131072)}) {
+        const std::vector<i64> expect = rank_sum(ranks, count);
         for (int root = 0; root < ranks; ++root) {
           world.run([&, count, root](Rank& r) {
             std::vector<i64> in(static_cast<size_t>(count));
             for (i64 i = 0; i < count; ++i) in[size_t(i)] = gen(r.rank(), i);
             bool is_root = r.rank() == root;
-            std::vector<i64> expect(is_root ? static_cast<size_t>(count) : 0);
             std::vector<i64> out(is_root ? static_cast<size_t>(count) : 0);
-            r.reduce(in.data(), is_root ? expect.data() : nullptr, int(count),
-                     Datatype::kLong, ReduceOp::kSum, root);
             Request req =
                 r.ireduce(in.data(), is_root ? out.data() : nullptr,
                           int(count), Datatype::kLong, ReduceOp::kSum, root);
@@ -123,10 +132,11 @@ TEST(IcollDifferential, IallgatherEveryAlgorithm) {
           int n = r.size();
           std::vector<i64> in(static_cast<size_t>(count));
           for (i64 i = 0; i < count; ++i) in[size_t(i)] = gen(r.rank(), i);
-          std::vector<i64> expect(static_cast<size_t>(count) * size_t(n), -1);
+          std::vector<i64> expect(static_cast<size_t>(count) * size_t(n));
+          for (int k = 0; k < n; ++k)
+            for (i64 i = 0; i < count; ++i)
+              expect[size_t(k) * size_t(count) + size_t(i)] = gen(k, i);
           std::vector<i64> out(static_cast<size_t>(count) * size_t(n), -2);
-          r.allgather(in.data(), int(count), expect.data(), int(count),
-                      Datatype::kLong);
           Request req = r.iallgather(in.data(), int(count), out.data(),
                                      int(count), Datatype::kLong);
           r.wait(req);
@@ -149,9 +159,12 @@ TEST(IcollDifferential, IalltoallEveryAlgorithm) {
           std::vector<i64> in(static_cast<size_t>(count) * size_t(n));
           for (size_t i = 0; i < in.size(); ++i)
             in[i] = gen(r.rank(), i64(i));
-          std::vector<i64> expect(in.size(), -1), out(in.size(), -2);
-          r.alltoall(in.data(), int(count), expect.data(), int(count),
-                     Datatype::kLong);
+          // Block `src` of my output is block `me` of rank src's input.
+          std::vector<i64> expect(in.size()), out(in.size(), -2);
+          for (int src = 0; src < n; ++src)
+            for (i64 i = 0; i < count; ++i)
+              expect[size_t(src) * size_t(count) + size_t(i)] =
+                  gen(src, i64(r.rank()) * count + i);
           Request req = r.ialltoall(in.data(), int(count), out.data(),
                                     int(count), Datatype::kLong);
           r.wait(req);
@@ -196,9 +209,10 @@ TEST(IcollDifferential, IreduceScatterEveryAlgorithm) {
           std::vector<i64> in(static_cast<size_t>(total));
           for (i64 i = 0; i < total; ++i) in[size_t(i)] = gen(r.rank(), i);
           size_t mine = size_t(counts[size_t(r.rank())]);
-          std::vector<i64> expect(mine, -1), out(mine, -2);
-          r.reduce_scatter(in.data(), expect.data(), counts.data(),
-                           Datatype::kLong, ReduceOp::kSum);
+          i64 first = 0;
+          for (int i = 0; i < r.rank(); ++i) first += counts[size_t(i)];
+          const std::vector<i64> expect = rank_sum(n, i64(mine), first);
+          std::vector<i64> out(mine, -2);
           Request req =
               r.ireduce_scatter(in.data(), out.data(), counts.data(),
                                 Datatype::kLong, ReduceOp::kSum);
@@ -220,10 +234,8 @@ TEST(IcollDifferential, IscanEveryAlgorithm) {
         world.run([&, count](Rank& r) {
           std::vector<i64> in(static_cast<size_t>(count));
           for (i64 i = 0; i < count; ++i) in[size_t(i)] = gen(r.rank(), i);
-          std::vector<i64> expect(static_cast<size_t>(count), -1);
+          const std::vector<i64> expect = rank_sum(r.rank() + 1, count);
           std::vector<i64> out(static_cast<size_t>(count), -2);
-          r.scan(in.data(), expect.data(), int(count), Datatype::kLong,
-                 ReduceOp::kSum);
           Request req = r.iscan(in.data(), out.data(), int(count),
                                 Datatype::kLong, ReduceOp::kSum);
           r.wait(req);
@@ -244,10 +256,8 @@ TEST(IcollDifferential, IexscanEveryAlgorithm) {
         world.run([&, count](Rank& r) {
           std::vector<i64> in(static_cast<size_t>(count));
           for (i64 i = 0; i < count; ++i) in[size_t(i)] = gen(r.rank(), i);
-          std::vector<i64> expect(static_cast<size_t>(count), -1);
+          const std::vector<i64> expect = rank_sum(r.rank(), count);
           std::vector<i64> out(static_cast<size_t>(count), -1);
-          r.exscan(in.data(), expect.data(), int(count), Datatype::kLong,
-                   ReduceOp::kSum);
           Request req = r.iexscan(in.data(), out.data(), int(count),
                                   Datatype::kLong, ReduceOp::kSum);
           r.wait(req);
@@ -396,6 +406,41 @@ TEST(IcollOutstanding, MixedKindsAcrossCollectives) {
     ASSERT_EQ(asum, aexp);
     for (i64 i = 0; i < count; ++i) ASSERT_EQ(b[size_t(i)], gen(2, i) * 3);
   });
+}
+
+// Blocking and nonblocking collectives draw their schedule tags from one
+// per-communicator sequence: blocking calls issued while a nonblocking one
+// is outstanding on the same communicator must neither take its messages
+// nor wait on it. The shm fan-in is off so every call runs a schedule.
+TEST(IcollOutstanding, BlockingCollectivesWhileNonblockingOutstanding) {
+  CollTuning tuning;
+  tuning.enable_shm = false;
+  tuning.autotune = false;
+  for (int ranks : {3, 5, 8}) {
+    World world(ranks, NetworkProfile::zero(), tuning);
+    const int root = ranks - 1;
+    for (i64 count : {i64(3), i64(4096), i64(131072)}) {
+      const std::vector<i64> expect = rank_sum(ranks, count);
+      world.run([&, count](Rank& r) {
+        const size_t len = static_cast<size_t>(count);
+        std::vector<i64> in(len), pending(len, -1), blocking(len, -2), buf(len);
+        for (i64 i = 0; i < count; ++i) {
+          in[size_t(i)] = gen(r.rank(), i);
+          buf[size_t(i)] = r.rank() == root ? gen(root, i) * 3 : -1;
+        }
+        Request req = r.iallreduce(in.data(), pending.data(), int(count),
+                                   Datatype::kLong, ReduceOp::kSum);
+        r.allreduce(in.data(), blocking.data(), int(count), Datatype::kLong,
+                    ReduceOp::kSum);
+        r.bcast(buf.data(), int(count), Datatype::kLong, root);
+        r.wait(req);
+        ASSERT_EQ(pending, expect) << "ranks=" << ranks << " count=" << count;
+        ASSERT_EQ(blocking, expect) << "ranks=" << ranks << " count=" << count;
+        for (i64 i = 0; i < count; ++i)
+          ASSERT_EQ(buf[size_t(i)], gen(root, i) * 3);
+      });
+    }
+  }
 }
 
 TEST(IcollOutstanding, WaitallOverMixedP2pAndCollectiveRequests) {
