@@ -148,11 +148,13 @@ void run_timed(Rank& r, detail::CommData& c, World& w, const Choice& sel,
   // race ahead with their peers' wait time). Post-barrier, the local
   // duration approximates the algorithm's completion latency. Exploration
   // is rank-consistent, so every rank takes this barrier together.
-  if (c.coll != nullptr)
+  if (c.coll != nullptr) {
     Engine::barrier_shm(r, c);
-  else
-    Schedule::run_blocking(r, coll::build_ibarrier(&w, c, c.icoll_seq++,
-                                                   CollAlgo::kDissemination));
+  } else {
+    auto s = Schedule::acquire(r, c);
+    coll::build_ibarrier(*s, CollAlgo::kDissemination);
+    s->run_blocking(r);
+  }
   const u64 t0 = now_ns();
   fn();
   w.tuner()->record(sel.key, sel.algo, f64(now_ns() - t0) * 1e-3);
@@ -166,11 +168,13 @@ void Rank::barrier(Comm comm) {
   if (c.world_ranks.size() == 1) return;
   Choice sel = pick_algo(*world_, c, CollOp::kBarrier, 0, c.coll != nullptr);
   run_timed(*this, c, *world_, sel, [&] {
-    if (sel.algo == CollAlgo::kShm)
+    if (sel.algo == CollAlgo::kShm) {
       Engine::barrier_shm(*this, c);
-    else
-      Schedule::run_blocking(
-          *this, coll::build_ibarrier(world_, c, c.icoll_seq++, sel.algo));
+    } else {
+      auto s = Schedule::acquire(*this, c);
+      coll::build_ibarrier(*s, sel.algo);
+      s->run_blocking(*this);
+    }
   });
 }
 
@@ -185,12 +189,13 @@ void Rank::bcast(void* buf, int count, Datatype type, int root, Comm comm) {
   Choice sel =
       pick_algo(*world_, c, CollOp::kBcast, bytes, shm_ok(c, *world_, bytes));
   run_timed(*this, c, *world_, sel, [&] {
-    if (sel.algo == CollAlgo::kShm)
+    if (sel.algo == CollAlgo::kShm) {
       Engine::bcast_shm(*this, c, buf, bytes, root);
-    else
-      Schedule::run_blocking(*this,
-                             coll::build_ibcast(world_, c, c.icoll_seq++,
-                                                sel.algo, buf, bytes, root));
+    } else {
+      auto s = Schedule::acquire(*this, c);
+      coll::build_ibcast(*s, sel.algo, buf, bytes, root);
+      s->run_blocking(*this);
+    }
   });
 }
 
@@ -216,12 +221,14 @@ void Rank::reduce(const void* sendbuf, void* recvbuf, int count, Datatype type,
   Choice sel =
       pick_algo(*world_, c, CollOp::kReduce, bytes, shm_ok(c, *world_, bytes));
   run_timed(*this, c, *world_, sel, [&] {
-    if (sel.algo == CollAlgo::kShm)
+    if (sel.algo == CollAlgo::kShm) {
       Engine::reduce_shm(*this, c, sendbuf, recvbuf, count, type, op, root);
-    else
-      Schedule::run_blocking(
-          *this, coll::build_ireduce(world_, c, c.icoll_seq++, sel.algo,
-                                     sendbuf, recvbuf, count, type, op, root));
+    } else {
+      auto s = Schedule::acquire(*this, c);
+      coll::build_ireduce(*s, sel.algo, sendbuf, recvbuf, count, type, op,
+                          root);
+      s->run_blocking(*this);
+    }
   });
 }
 
@@ -240,12 +247,13 @@ void Rank::allreduce(const void* sendbuf, void* recvbuf, int count,
   Choice sel = pick_algo(*world_, c, CollOp::kAllreduce, bytes,
                          shm_ok(c, *world_, bytes));
   run_timed(*this, c, *world_, sel, [&] {
-    if (sel.algo == CollAlgo::kShm)
+    if (sel.algo == CollAlgo::kShm) {
       Engine::allreduce_shm(*this, c, sendbuf, recvbuf, count, type, op);
-    else
-      Schedule::run_blocking(
-          *this, coll::build_iallreduce(world_, c, c.icoll_seq++, sel.algo,
-                                        sendbuf, recvbuf, count, type, op));
+    } else {
+      auto s = Schedule::acquire(*this, c);
+      coll::build_iallreduce(*s, sel.algo, sendbuf, recvbuf, count, type, op);
+      s->run_blocking(*this);
+    }
   });
 }
 
@@ -271,12 +279,14 @@ void Rank::gather(const void* sendbuf, int sendcount, void* recvbuf,
   Choice sel =
       pick_algo(*world_, c, CollOp::kGather, block, shm_ok(c, *world_, block));
   run_timed(*this, c, *world_, sel, [&] {
-    if (sel.algo == CollAlgo::kShm)
+    if (sel.algo == CollAlgo::kShm) {
       Engine::gather_shm(*this, c, sendbuf, recvbuf, block, root, in_place);
-    else
-      Schedule::run_blocking(
-          *this, coll::build_gather(world_, c, c.icoll_seq++, sel.algo,
-                                    sendbuf, recvbuf, block, root, in_place));
+    } else {
+      auto s = Schedule::acquire(*this, c);
+      coll::build_gather(*s, sel.algo, sendbuf, recvbuf, block, root,
+                         in_place);
+      s->run_blocking(*this);
+    }
   });
 }
 
@@ -301,12 +311,14 @@ void Rank::scatter(const void* sendbuf, int sendcount, void* recvbuf,
   Choice sel =
       pick_algo(*world_, c, CollOp::kScatter, block, shm_ok(c, *world_, block));
   run_timed(*this, c, *world_, sel, [&] {
-    if (sel.algo == CollAlgo::kShm)
+    if (sel.algo == CollAlgo::kShm) {
       Engine::scatter_shm(*this, c, sendbuf, recvbuf, block, root, in_place);
-    else
-      Schedule::run_blocking(
-          *this, coll::build_scatter(world_, c, c.icoll_seq++, sel.algo,
-                                     sendbuf, recvbuf, block, root, in_place));
+    } else {
+      auto s = Schedule::acquire(*this, c);
+      coll::build_scatter(*s, sel.algo, sendbuf, recvbuf, block, root,
+                          in_place);
+      s->run_blocking(*this);
+    }
   });
 }
 
@@ -332,12 +344,13 @@ void Rank::allgather(const void* sendbuf, int sendcount, void* recvbuf,
   Choice sel = pick_algo(*world_, c, CollOp::kAllgather, block,
                          shm_ok(c, *world_, block));
   run_timed(*this, c, *world_, sel, [&] {
-    if (sel.algo == CollAlgo::kShm)
+    if (sel.algo == CollAlgo::kShm) {
       Engine::allgather_shm(*this, c, sendbuf, recvbuf, block, in_place);
-    else
-      Schedule::run_blocking(
-          *this, coll::build_iallgather(world_, c, c.icoll_seq++, sel.algo,
-                                        sendbuf, recvbuf, block));
+    } else {
+      auto s = Schedule::acquire(*this, c);
+      coll::build_iallgather(*s, sel.algo, sendbuf, recvbuf, block);
+      s->run_blocking(*this);
+    }
   });
 }
 
@@ -359,9 +372,9 @@ void Rank::alltoall(const void* sendbuf, int sendcount, void* recvbuf,
   Choice sel =
       pick_algo(*world_, c, CollOp::kAlltoall, sblock, /*ok=*/false);
   run_timed(*this, c, *world_, sel, [&] {
-    Schedule::run_blocking(
-        *this, coll::build_ialltoall(world_, c, c.icoll_seq++, sel.algo,
-                                     sendbuf, recvbuf, sblock, rblock));
+    auto s = Schedule::acquire(*this, c);
+    coll::build_ialltoall(*s, sel.algo, sendbuf, recvbuf, sblock, rblock);
+    s->run_blocking(*this);
   });
 }
 
@@ -415,14 +428,15 @@ void Rank::reduce_scatter(const void* sendbuf, void* recvbuf,
   Choice sel = pick_algo(*world_, c, CollOp::kReduceScatter, total * esize,
                          shm_ok(c, *world_, total * esize));
   run_timed(*this, c, *world_, sel, [&] {
-    if (sel.algo == CollAlgo::kShm)
+    if (sel.algo == CollAlgo::kShm) {
       Engine::reduce_scatter_shm(*this, c, input, recvbuf, recvcounts, type,
                                  op);
-    else
-      Schedule::run_blocking(
-          *this, coll::build_ireduce_scatter(world_, c, c.icoll_seq++,
-                                             sel.algo, input, recvbuf,
-                                             recvcounts, type, op));
+    } else {
+      auto s = Schedule::acquire(*this, c);
+      coll::build_ireduce_scatter(*s, sel.algo, input, recvbuf, recvcounts,
+                                  type, op);
+      s->run_blocking(*this);
+    }
   });
 }
 
@@ -441,12 +455,13 @@ void Rank::scan(const void* sendbuf, void* recvbuf, int count, Datatype type,
   Choice sel =
       pick_algo(*world_, c, CollOp::kScan, bytes, shm_ok(c, *world_, bytes));
   run_timed(*this, c, *world_, sel, [&] {
-    if (sel.algo == CollAlgo::kShm)
+    if (sel.algo == CollAlgo::kShm) {
       Engine::scan_shm(*this, c, sendbuf, recvbuf, count, type, op);
-    else
-      Schedule::run_blocking(
-          *this, coll::build_iscan(world_, c, c.icoll_seq++, sel.algo, sendbuf,
-                                   recvbuf, count, type, op));
+    } else {
+      auto s = Schedule::acquire(*this, c);
+      coll::build_iscan(*s, sel.algo, sendbuf, recvbuf, count, type, op);
+      s->run_blocking(*this);
+    }
   });
 }
 
@@ -462,12 +477,13 @@ void Rank::exscan(const void* sendbuf, void* recvbuf, int count, Datatype type,
   Choice sel =
       pick_algo(*world_, c, CollOp::kExscan, bytes, shm_ok(c, *world_, bytes));
   run_timed(*this, c, *world_, sel, [&] {
-    if (sel.algo == CollAlgo::kShm)
+    if (sel.algo == CollAlgo::kShm) {
       Engine::exscan_shm(*this, c, sendbuf, recvbuf, count, type, op);
-    else
-      Schedule::run_blocking(
-          *this, coll::build_iexscan(world_, c, c.icoll_seq++, sel.algo,
-                                     sendbuf, recvbuf, count, type, op));
+    } else {
+      auto s = Schedule::acquire(*this, c);
+      coll::build_iexscan(*s, sel.algo, sendbuf, recvbuf, count, type, op);
+      s->run_blocking(*this);
+    }
   });
 }
 
@@ -484,7 +500,9 @@ Request Rank::ibarrier(Comm comm) {
   CollAlgo a = pick_algo(*world_, c, CollOp::kBarrier, 0,
                          c.coll != nullptr,
                          /*nonblocking=*/true).algo;
-  return start_icoll(coll::build_ibarrier(world_, c, c.icoll_seq++, a));
+  auto s = Schedule::acquire(*this, c);
+  coll::build_ibarrier(*s, a);
+  return start_icoll(std::move(s));
 }
 
 Request Rank::ibcast(void* buf, int count, Datatype type, int root, Comm comm) {
@@ -497,8 +515,9 @@ Request Rank::ibcast(void* buf, int count, Datatype type, int root, Comm comm) {
   CollAlgo a = pick_algo(*world_, c, CollOp::kBcast, bytes,
                          shm_ok(c, *world_, bytes),
                          /*nonblocking=*/true).algo;
-  return start_icoll(
-      coll::build_ibcast(world_, c, c.icoll_seq++, a, buf, bytes, root));
+  auto s = Schedule::acquire(*this, c);
+  coll::build_ibcast(*s, a, buf, bytes, root);
+  return start_icoll(std::move(s));
 }
 
 Request Rank::ireduce(const void* sendbuf, void* recvbuf, int count,
@@ -522,8 +541,9 @@ Request Rank::ireduce(const void* sendbuf, void* recvbuf, int count,
   CollAlgo a = pick_algo(*world_, c, CollOp::kReduce, bytes,
                          shm_ok(c, *world_, bytes),
                          /*nonblocking=*/true).algo;
-  return start_icoll(coll::build_ireduce(world_, c, c.icoll_seq++, a, sendbuf,
-                                         recvbuf, count, type, op, root));
+  auto s = Schedule::acquire(*this, c);
+  coll::build_ireduce(*s, a, sendbuf, recvbuf, count, type, op, root);
+  return start_icoll(std::move(s));
 }
 
 Request Rank::iallreduce(const void* sendbuf, void* recvbuf, int count,
@@ -540,9 +560,9 @@ Request Rank::iallreduce(const void* sendbuf, void* recvbuf, int count,
   CollAlgo a = pick_algo(*world_, c, CollOp::kAllreduce, bytes,
                          shm_ok(c, *world_, bytes),
                          /*nonblocking=*/true).algo;
-  return start_icoll(coll::build_iallreduce(world_, c, c.icoll_seq++, a,
-                                            sendbuf, recvbuf, count, type,
-                                            op));
+  auto s = Schedule::acquire(*this, c);
+  coll::build_iallreduce(*s, a, sendbuf, recvbuf, count, type, op);
+  return start_icoll(std::move(s));
 }
 
 Request Rank::iallgather(const void* sendbuf, int sendcount, void* recvbuf,
@@ -566,8 +586,9 @@ Request Rank::iallgather(const void* sendbuf, int sendcount, void* recvbuf,
   CollAlgo a = pick_algo(*world_, c, CollOp::kAllgather, block,
                          shm_ok(c, *world_, block),
                          /*nonblocking=*/true).algo;
-  return start_icoll(coll::build_iallgather(world_, c, c.icoll_seq++, a,
-                                            sendbuf, recvbuf, block));
+  auto s = Schedule::acquire(*this, c);
+  coll::build_iallgather(*s, a, sendbuf, recvbuf, block);
+  return start_icoll(std::move(s));
 }
 
 Request Rank::ialltoall(const void* sendbuf, int sendcount, void* recvbuf,
@@ -587,8 +608,9 @@ Request Rank::ialltoall(const void* sendbuf, int sendcount, void* recvbuf,
   CollAlgo a = pick_algo(*world_, c, CollOp::kAlltoall, sblock,
                          /*ok=*/false,
                          /*nonblocking=*/true).algo;
-  return start_icoll(coll::build_ialltoall(world_, c, c.icoll_seq++, a,
-                                           sendbuf, recvbuf, sblock, rblock));
+  auto s = Schedule::acquire(*this, c);
+  coll::build_ialltoall(*s, a, sendbuf, recvbuf, sblock, rblock);
+  return start_icoll(std::move(s));
 }
 
 Request Rank::ireduce_scatter(const void* sendbuf, void* recvbuf,
@@ -611,8 +633,9 @@ Request Rank::ireduce_scatter(const void* sendbuf, void* recvbuf,
   CollAlgo a = pick_algo(*world_, c, CollOp::kReduceScatter, total * esize,
                          shm_ok(c, *world_, total * esize),
                          /*nonblocking=*/true).algo;
-  return start_icoll(coll::build_ireduce_scatter(
-      world_, c, c.icoll_seq++, a, input, recvbuf, recvcounts, type, op));
+  auto s = Schedule::acquire(*this, c);
+  coll::build_ireduce_scatter(*s, a, input, recvbuf, recvcounts, type, op);
+  return start_icoll(std::move(s));
 }
 
 Request Rank::iscan(const void* sendbuf, void* recvbuf, int count,
@@ -629,8 +652,9 @@ Request Rank::iscan(const void* sendbuf, void* recvbuf, int count,
   CollAlgo a = pick_algo(*world_, c, CollOp::kScan, bytes,
                          shm_ok(c, *world_, bytes),
                          /*nonblocking=*/true).algo;
-  return start_icoll(coll::build_iscan(world_, c, c.icoll_seq++, a, sendbuf,
-                                       recvbuf, count, type, op));
+  auto s = Schedule::acquire(*this, c);
+  coll::build_iscan(*s, a, sendbuf, recvbuf, count, type, op);
+  return start_icoll(std::move(s));
 }
 
 Request Rank::iexscan(const void* sendbuf, void* recvbuf, int count,
@@ -644,8 +668,9 @@ Request Rank::iexscan(const void* sendbuf, void* recvbuf, int count,
   CollAlgo a = pick_algo(*world_, c, CollOp::kExscan, bytes,
                          shm_ok(c, *world_, bytes),
                          /*nonblocking=*/true).algo;
-  return start_icoll(coll::build_iexscan(world_, c, c.icoll_seq++, a, sendbuf,
-                                         recvbuf, count, type, op));
+  auto s = Schedule::acquire(*this, c);
+  coll::build_iexscan(*s, a, sendbuf, recvbuf, count, type, op);
+  return start_icoll(std::move(s));
 }
 
 // ---------------------------------------------------------------------------
@@ -660,6 +685,7 @@ Comm Rank::comm_dup(Comm comm) {
   bcast(&new_id, 1, Datatype::kInt, 0, comm);
   detail::CommData dup = parent;
   dup.id = new_id;
+  dup.schedules.clear();
   dup.coll = world_->attach_coll(new_id, int(dup.world_ranks.size()));
   {
     std::unique_lock<std::shared_mutex> lock(comms_mu_);

@@ -61,7 +61,10 @@ constexpr int kCollectiveTag = -42;
 /// kIcollSeqWindow collective calls on a communicator while a nonblocking
 /// one is still outstanding — far beyond anything a real program does.
 constexpr int kIcollTagBase = -1024;
-constexpr int kIcollRounds = 512;   // max p2p rounds per schedule
+/// Tag rounds per schedule. Ring and pairwise steps share one round, so no
+/// builder needs more than 2 * log2(n) + 2 (Rabenseifner): 64 covers every
+/// int-sized communicator.
+constexpr int kIcollRounds = 64;
 constexpr int kIcollSeqWindow = 1 << 20;
 static_assert(i64(kIcollTagBase) - i64(kIcollSeqWindow) * kIcollRounds >
                   i64(INT32_MIN),

@@ -358,7 +358,7 @@ bool Rank::icoll_progress() {
 void Rank::progress() { icoll_progress(); }
 
 void Rank::poll_with_progress(const std::function<bool()>& pred,
-                              const char* what) {
+                              const char* what, coll::Schedule* own) {
   const u64 deadline =
       now_ns() + u64(std::chrono::nanoseconds(kBlockTimeout).count());
   detail::Mailbox& box = world_->box(world_rank_);
@@ -367,7 +367,13 @@ void Rank::poll_with_progress(const std::function<bool()>& pred,
     // Sampled before the pass, so a wake that lands during it ends the
     // park below at once.
     const u64 seen = box.wakes.load(std::memory_order_relaxed);
-    if (icoll_progress()) idle = 0;
+    bool advanced = icoll_progress();
+    if (own != nullptr) {
+      const int before = own->remaining();
+      advanced = own->progress(*this) || own->remaining() != before ||
+                 advanced;
+    }
+    if (advanced) idle = 0;
     if (pred()) return;
     if (world_->aborting()) throw MpiAbort(-1);
     if (now_ns() > deadline)
@@ -750,7 +756,8 @@ Request Rank::irecv_internal(void* buf, size_t bytes, int source, int tag,
       notify(box);
       break;
     }
-    if (s.eager) {
+    const bool eager = s.eager;
+    if (eager) {
       std::memcpy(buf, s.eager_buf.data(), n);
     } else {
       std::memcpy(buf, s.payload, n);
@@ -759,7 +766,9 @@ Request Rank::irecv_internal(void* buf, size_t bytes, int source, int tag,
     desc->status = Status{s.src_comm_rank, s.tag, n};
     desc->done = true;
     box.unexpected.erase(it);
-    notify(box);
+    // A blocking rendezvous sender waits on this box's cv; an eager sender
+    // has nothing to wait for.
+    if (!eager) notify(box);
     break;
   }
   if (!desc->done && !paired) box.posted.push_back(desc);
@@ -818,7 +827,7 @@ bool Rank::test(Request& req, Status* status) {
   detail::Mailbox& box = *req.box;
   std::lock_guard<std::mutex> lock(box.mu);
   if (!box.draining.empty()) pump_pipelines(box);
-  bool done = req.kind_ == Request::Kind::kRecv ? req.recv->done
+  bool done = req.kind_ == Request::Kind::kRecv ? req.recv->done.load()
                                                 : req.send->completed;
   if (done) {
     if (req.kind_ == Request::Kind::kRecv && status != nullptr)
@@ -830,11 +839,16 @@ bool Rank::test(Request& req, Status* status) {
 
 bool Rank::test_nonblocking(Request& req) {
   if (!req.valid()) return true;
+  if (req.kind_ == Request::Kind::kRecv &&
+      req.recv->done.load(std::memory_order_acquire)) {
+    req = Request{};
+    return true;
+  }
   detail::Mailbox& box = *req.box;
   std::unique_lock<std::mutex> lock(box.mu, std::try_to_lock);
   if (!lock.owns_lock()) return false;  // contended: the owner is pumping
   if (!box.draining.empty()) pump_pipelines(box);
-  const bool done = req.kind_ == Request::Kind::kRecv ? req.recv->done
+  const bool done = req.kind_ == Request::Kind::kRecv ? req.recv->done.load()
                                                       : req.send->completed;
   if (done) req = Request{};
   return done;
@@ -879,7 +893,7 @@ bool Rank::request_get_status(Request& req, Status* status) {
   detail::Mailbox& box = *req.box;
   std::lock_guard<std::mutex> lock(box.mu);
   if (!box.draining.empty()) pump_pipelines(box);
-  bool done = req.kind_ == Request::Kind::kRecv ? req.recv->done
+  bool done = req.kind_ == Request::Kind::kRecv ? req.recv->done.load()
                                                 : req.send->completed;
   if (done && req.kind_ == Request::Kind::kRecv && status != nullptr)
     *status = req.recv->status;

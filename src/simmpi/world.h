@@ -69,7 +69,8 @@ struct RecvDesc {
   int tag = kAnyTag;
   u8* dst = nullptr;
   size_t capacity = 0;
-  bool done = false;
+  /// Set under the box lock; atomic so a poll can see it without the lock.
+  std::atomic<bool> done{false};
   bool truncated = false;
   Status status;
 };
@@ -101,6 +102,12 @@ struct CommData {
   /// collectives on a communicator in the same order (MPI requirement), so
   /// the per-rank counters agree and derive matching schedule tag strides.
   i64 icoll_seq = 0;
+  /// Collective schedules kept for reuse (coll::Schedule::acquire): one
+  /// for the blocking call in progress plus a few outstanding nonblocking
+  /// ones; further concurrent schedules are not kept. Bound to this
+  /// CommData: a copy must drop them.
+  static constexpr size_t kPooledSchedules = 4;
+  std::vector<std::shared_ptr<coll::Schedule>> schedules;
   /// Autotuner call counters, keyed by (collective, size-bin, comm-size)
   /// packed key. Per-rank but consistent across the communicator by MPI's
   /// matching-call-order requirement, so every rank explores the same
@@ -350,9 +357,11 @@ class Rank {
   /// Polls `pred` while driving the progress engine until it holds; throws
   /// MpiAbort on world abort, MpiError("<what> ...") on watchdog timeout.
   /// The shared body of every schedule-aware blocking wait (wait on a
-  /// collective request, and so every blocking p2p collective; waitany;
-  /// the comm_free drain). Idle waits park on this rank's mailbox cv.
-  void poll_with_progress(const std::function<bool()>& pred, const char* what);
+  /// collective request; a blocking p2p collective, whose unregistered
+  /// schedule `own` each pass also drives; waitany; the comm_free drain).
+  /// Idle waits park on this rank's mailbox cv.
+  void poll_with_progress(const std::function<bool()>& pred, const char* what,
+                          coll::Schedule* own = nullptr);
   /// Advances every outstanding schedule once. Reentrancy-guarded (schedule
   /// steps call test() which hooks progress) and cross-thread safe: a second
   /// guest thread finding icoll_mu_ held skips the pass — the holder is

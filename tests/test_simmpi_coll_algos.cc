@@ -233,6 +233,60 @@ TEST(CollAlgoDifferential, AlltoallEveryAlgorithm) {
   }
 }
 
+// Ring and pairwise schedules take a step per peer but share one tag round
+// across the steps: a round per step would run out of the schedule's
+// kIcollRounds (64) tag rounds above 33 ranks.
+TEST(CollAlgoDifferential, RingAndPairwiseOnLargeCommunicator) {
+  const int ranks = 72;
+  const CollTuning ring_allreduce = forced(CollOp::kAllreduce, CollAlgo::kRing);
+  World w1(ranks, NetworkProfile::zero(), ring_allreduce);
+  w1.run([&](Rank& r) {
+    const int n = r.size();
+    std::vector<i64> v(size_t(n) + 3), sum(v.size(), -1);
+    for (size_t i = 0; i < v.size(); ++i) v[i] = gen(r.rank(), i64(i));
+    r.allreduce(v.data(), sum.data(), int(v.size()), Datatype::kLong,
+                ReduceOp::kSum);
+    for (size_t i = 0; i < v.size(); ++i) {
+      i64 want = 0;
+      for (int k = 0; k < n; ++k) want += gen(k, i64(i));
+      ASSERT_EQ(sum[i], want) << "element " << i;
+    }
+  });
+  World w2(ranks, NetworkProfile::zero(),
+           forced(CollOp::kAlltoall, CollAlgo::kPairwise));
+  w2.run([&](Rank& r) {
+    const int n = r.size();
+    std::vector<i32> send(static_cast<size_t>(n)), recv(send.size(), -1);
+    for (int dst = 0; dst < n; ++dst) send[size_t(dst)] = r.rank() * n + dst;
+    r.alltoall(send.data(), 1, recv.data(), 1, Datatype::kInt);
+    for (int src = 0; src < n; ++src)
+      ASSERT_EQ(recv[size_t(src)], src * n + r.rank());
+  });
+  World w3(ranks, NetworkProfile::zero(),
+           forced(CollOp::kAllgather, CollAlgo::kRing));
+  w3.run([&](Rank& r) {
+    const int n = r.size();
+    std::vector<i32> all(static_cast<size_t>(n), -1);
+    i32 mine = r.rank() * 3 + 1;
+    r.allgather(&mine, 1, all.data(), 1, Datatype::kInt);
+    for (int k = 0; k < n; ++k) ASSERT_EQ(all[size_t(k)], k * 3 + 1);
+  });
+  World w4(ranks, NetworkProfile::zero(),
+           forced(CollOp::kReduceScatter, CollAlgo::kPairwise));
+  w4.run([&](Rank& r) {
+    const int n = r.size();
+    std::vector<int> counts(static_cast<size_t>(n), 1);
+    std::vector<i64> in(counts.size());
+    for (int k = 0; k < n; ++k) in[size_t(k)] = gen(r.rank(), k);
+    i64 out = -1;
+    r.reduce_scatter(in.data(), &out, counts.data(), Datatype::kLong,
+                     ReduceOp::kSum);
+    i64 want = 0;
+    for (int k = 0; k < n; ++k) want += gen(k, r.rank());
+    ASSERT_EQ(out, want);
+  });
+}
+
 TEST(CollAlgoDifferential, ReduceScatterUnevenCounts) {
   for (const auto& [ranks, algo] : cases_for(CollOp::kReduceScatter)) {
     World world(ranks, NetworkProfile::zero(),
@@ -615,7 +669,9 @@ TEST(CollCostModel, BlockingSendsChargeWireAtInjection) {
       const u64 t0 = now_ns();
       r.bcast(&v, 1, Datatype::kLong, 0);
       const u64 elapsed = now_ns() - t0;
-      if (r.rank() == 0) EXPECT_GE(elapsed, two_latencies);
+      if (r.rank() == 0) {
+        EXPECT_GE(elapsed, two_latencies);
+      }
       EXPECT_EQ(v, 42);
     });
   }
