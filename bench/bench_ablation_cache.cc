@@ -3,6 +3,7 @@
 // amortizes compilation with a BLAKE-3-keyed FileSystemCache; repeated
 // executions must pay (almost) nothing.
 #include <filesystem>
+#include <thread>
 
 #include "bench_common.h"
 
@@ -14,6 +15,9 @@ using namespace mpiwasm::toolchain;
 
 int main() {
   print_banner("Ablation — compilation cache: cold vs warm compile times");
+  // compile() spreads a module's functions over the host's CPUs, so compile
+  // durations are wall time and depend on the core count.
+  std::printf("host_hw_concurrency: %u\n", std::thread::hardware_concurrency());
 
   auto cache_dir = std::filesystem::temp_directory_path() /
                    "mpiwasm-bench-cache";

@@ -8,10 +8,13 @@
 // emit), LightOpt = Cranelift analogue (one cheap pass round), Optimizing
 // = LLVM analogue (fixpoint pipeline with fusion).
 //
-// Compile durations are measured on an application-sized module
+// Compile durations (wall time; compile() uses every CPU in the affinity
+// mask) are measured on an application-sized module
 // (build_compile_stress_module; the paper's HPCG compiles to 722 KiB of
 // Wasm, far larger than our hand-assembled CG kernel); GFLOP/s comes from
 // the actual HPCG kernel at 1 rank.
+#include <thread>
+
 #include "bench_common.h"
 
 #include "runtime/engine.h"
@@ -22,6 +25,9 @@ using namespace mpiwasm::toolchain;
 
 int main() {
   print_banner("Table 1 — compiler backends: compile duration vs performance");
+  // compile() spreads a module's functions over the host's CPUs, so compile
+  // durations are wall time and depend on the core count.
+  std::printf("host_hw_concurrency: %u\n", std::thread::hardware_concurrency());
 
   HpcgParams p;
   p.n_per_rank = 1 << 15;

@@ -1,9 +1,13 @@
 #include "runtime/cache.h"
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <thread>
 
 #include "support/byte_buffer.h"
 #include "support/log.h"
@@ -150,19 +154,29 @@ std::optional<std::vector<u8>> read_file(const std::string& path) {
                          std::istreambuf_iterator<char>());
 }
 
-/// Atomically publishes `bytes` at `path`; concurrent ranks race benignly.
+/// Atomically publishes `bytes` at `path`; concurrent writers race
+/// benignly. Each writer fills its own temp file (pid + thread id), so two
+/// writers of one entry never truncate each other's bytes, and only a
+/// complete write is renamed into place.
 void write_entry(const std::string& path, std::span<const u8> bytes) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      MW_WARN("cannot write cache entry " << tmp);
-      return;
-    }
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              std::streamsize(bytes.size()));
+  std::ostringstream tmp_name;
+  tmp_name << path << ".tmp." << ::getpid() << "."
+           << std::this_thread::get_id();
+  const std::string tmp = tmp_name.str();
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  if (!out) {
+    MW_WARN("cannot write cache entry " << tmp);
+    return;
   }
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            std::streamsize(bytes.size()));
+  out.close();
   std::error_code ec;
+  if (!out) {
+    MW_WARN("failed writing cache entry " << tmp);
+    fs::remove(tmp, ec);
+    return;
+  }
   fs::rename(tmp, path, ec);
   if (ec) fs::remove(tmp, ec);
 }

@@ -9,6 +9,7 @@
 #include "runtime/lowering.h"
 #include "runtime/optimizer.h"
 #include "support/log.h"
+#include "support/parallel.h"
 #include "support/timing.h"
 #include "support/trace.h"
 #include "wasm/decoder.h"
@@ -66,13 +67,45 @@ std::string cache_tag(EngineTier tier, bool superinstructions,
   return tag;
 }
 
-/// Gives `rf` a native entry point: reuses a cache-loaded blob when its CPU
+/// Body bytes per parallel_for chunk in compile(): about 2 ms of lowering,
+/// optimization and codegen at the ~1.6 MB/s one Xeon vCPU compiles the jit
+/// tier.
+constexpr u64 kCompileChunkBytes = 4 << 10;
+
+/// The full optimizing pipeline (kOptimizing, kJit) with the config's
+/// ablation flags applied.
+OptOptions full_opt_options(bool superinstructions, bool hoist_bounds,
+                            bool simd) {
+  OptOptions opt = OptOptions::full();
+  opt.fuse_super = superinstructions;
+  opt.hoist_bounds = hoist_bounds;
+  opt.simd = simd;
+  return opt;
+}
+
+/// Compiles defined function `index` at compiled tier `tier`: lowers it,
+/// optimizes it as the tier needs (kLightOpt runs OptOptions::light(),
+/// kOptimizing and kJit run `full`), and at kJit generates its native blob
+/// (null on a template gap). Reads only the module, so compile() runs it
+/// for many functions at once; tier_up() runs it for one.
+RFunc compile_function(const wasm::Module& m, u32 index, EngineTier tier,
+                       const OptOptions& full) {
+  RFunc rf = lower_function(m, index);
+  if (tier == EngineTier::kLightOpt) {
+    optimize_function(rf, OptOptions::light());
+  } else if (tier != EngineTier::kBaseline) {
+    // kJit sits on top of the full optimizing pipeline: templates cover the
+    // fused superinstructions, so the native code keeps their wins.
+    optimize_function(rf, full);
+  }
+  if (tier == EngineTier::kJit) rf.jit = jit_compile_function(rf);
+  return rf;
+}
+
+/// Codegen for a cache-loaded body: keeps its blob when the blob's CPU
 /// features are a subset of the host's and its layout hash matches this
-/// build, recompiles otherwise, and installs into the module's arena.
-/// On any failure the blob is dropped and the function stays on the
-/// threaded interpreter (returns false). Caller must hold whatever lock
-/// serializes arena installs for `cm`.
-bool attach_jit_entry(const CompiledModule& cm, RFunc& rf) {
+/// build, and compiles a fresh one otherwise.
+void refresh_jit_blob(RFunc& rf) {
   const u32 host = jit_cpu_features();
   if (rf.jit != nullptr && ((rf.jit->cpu_features & ~host) != 0 ||
                             rf.jit->layout_hash != jit_layout_hash())) {
@@ -80,15 +113,20 @@ bool attach_jit_entry(const CompiledModule& cm, RFunc& rf) {
     rf.jit = nullptr;  // stale blob: recompile below
   }
   if (rf.jit == nullptr) rf.jit = jit_compile_function(rf);
-  if (rf.jit == nullptr) {
-    cm.jit_fallback_funcs.fetch_add(1, std::memory_order_relaxed);
-    MW_TRACE_INSTANT("engine", "jit.fallback");
-    return false;
+}
+
+/// Installs `rf`'s native blob into the module's arena and counts the
+/// outcome. Without a blob (template gap) or when the install fails, the
+/// blob is dropped and the function stays on the threaded interpreter
+/// (returns false). Caller must hold whatever serializes arena installs
+/// for `cm`.
+bool install_jit_entry(const CompiledModule& cm, RFunc& rf) {
+  if (rf.jit != nullptr) {
+    if (cm.jit_arena == nullptr) cm.jit_arena = std::make_unique<JitArena>();
+    rf.jit_entry = cm.jit_arena->install(*rf.jit);
+    if (rf.jit_entry == nullptr) rf.jit = nullptr;
   }
-  if (cm.jit_arena == nullptr) cm.jit_arena = std::make_unique<JitArena>();
-  rf.jit_entry = cm.jit_arena->install(*rf.jit);
-  if (rf.jit_entry == nullptr) {
-    rf.jit = nullptr;
+  if (rf.jit == nullptr) {
     cm.jit_fallback_funcs.fetch_add(1, std::memory_order_relaxed);
     MW_TRACE_INSTANT("engine", "jit.fallback");
     return false;
@@ -208,22 +246,18 @@ void tier_up(const CompiledModule& cm, u32 defined_index, EngineTier target) {
                      i64(defined_index));
   }
   if (!body) {
-    body = std::make_unique<RFunc>(lower_function(cm.module, defined_index));
-    // kJit sits on top of the full optimizing pipeline: templates cover the
-    // fused superinstructions, so the native code keeps their wins.
-    if (target != EngineTier::kBaseline) {
-      OptOptions opt = OptOptions::full();
-      opt.fuse_super = ts.opt_superinstructions;
-      opt.hoist_bounds = ts.opt_hoist_bounds;
-      opt.simd = ts.opt_simd;
-      optimize_function(*body, opt);
-    }
+    body = std::make_unique<RFunc>(compile_function(
+        cm.module, defined_index, target,
+        full_opt_options(ts.opt_superinstructions, ts.opt_hoist_bounds,
+                         ts.opt_simd)));
+  } else if (target == EngineTier::kJit) {
+    refresh_jit_blob(*body);
   }
-  // Native codegen (or validation + reinstall of a cache-loaded blob). On
-  // failure the fully optimized body is published at kOptimizing instead —
-  // the function permanently falls back to the threaded interpreter.
-  bool jit_ok = false;
-  if (target == EngineTier::kJit) jit_ok = attach_jit_entry(cm, *body);
+  // On a native-code failure the fully optimized body is published at
+  // kOptimizing instead — the function permanently falls back to the
+  // threaded interpreter.
+  const bool jit_ok =
+      target == EngineTier::kJit && install_jit_entry(cm, *body);
   if (cache && !from_cache)
     cache->store_func(cm.hash, defined_index, tag, *body);
   // Resolve direct-threading handler addresses before anyone can see the
@@ -374,13 +408,16 @@ std::shared_ptr<const CompiledModule> compile(std::span<const u8> bytes,
     if (auto rm = cache.load(cm->hash, tag)) {
       cm->regcode = std::move(*rm);
       cm->loaded_from_cache = true;
-      for (auto& rf : cm->regcode.funcs) prepare_rfunc(rf);
-      if (tier == EngineTier::kJit) {
+      for (auto& rf : cm->regcode.funcs) {
+        prepare_rfunc(rf);
         // Re-validate and re-install every cached native blob (helper
         // addresses are process-specific). Blobs from a different CPU or
         // codegen layout are silently recompiled; functions that still
         // can't be compiled run on the threaded interpreter.
-        for (auto& rf : cm->regcode.funcs) attach_jit_entry(*cm, rf);
+        if (tier == EngineTier::kJit) {
+          refresh_jit_blob(rf);
+          install_jit_entry(*cm, rf);
+        }
       }
       cm->compile_ms = compile_watch.elapsed_ms();
       MW_TRACE_INSTANT("engine", "cache.hit", "module", 1);
@@ -390,33 +427,34 @@ std::shared_ptr<const CompiledModule> compile(std::span<const u8> bytes,
     MW_TRACE_INSTANT("engine", "cache.miss", "module", 1);
   }
 
-  cm->regcode = lower_module(cm->module);
-  if (tier == EngineTier::kLightOpt) {
-    optimize_module(cm->regcode, OptOptions::light());
-  } else if (tier == EngineTier::kOptimizing || tier == EngineTier::kJit) {
-    OptOptions opt = OptOptions::full();
-    opt.fuse_super = cfg.opt_superinstructions;
-    opt.hoist_bounds = cfg.opt_hoist_bounds;
-    opt.simd = cfg.opt_simd;
-    OptStats stats = optimize_module(cm->regcode, opt);
-    MW_DEBUG("optimizer: " << stats.instrs_before << " -> "
-                           << stats.instrs_after << " instrs, "
-                           << stats.fused_super << " superinstrs, "
-                           << stats.guards_hoisted << " guards hoisted");
-  }
+  // Functions compile independently, in parallel. Everything that touches
+  // module-wide state — arena installs, the native-code counters, trace
+  // events and the cache store — happens afterwards on this thread in
+  // function-index order, so arena layout and cache bytes do not depend on
+  // scheduling.
+  const OptOptions full = full_opt_options(
+      cfg.opt_superinstructions, cfg.opt_hoist_bounds, cfg.opt_simd);
+  std::vector<RFunc>& funcs = cm->regcode.funcs;
+  funcs.resize(cm->module.bodies.size());
+  parallel_for(
+      u32(funcs.size()), kCompileChunkBytes,
+      [&](u32 i) { return u64(cm->module.bodies[i].code.size()); },
+      [&](u32 i) {
+        funcs[i] = compile_function(cm->module, i, tier, full);
+        // Resolve direct-threading handler addresses once per body.
+        prepare_rfunc(funcs[i]);
+      });
   if (tier == EngineTier::kJit) {
-    // Native codegen over the optimized RegCode; per-function fallback to
-    // the threaded interpreter wherever a template is missing.
+    // Per-function fallback to the threaded interpreter wherever a
+    // template is missing.
     u32 compiled = 0;
-    for (auto& rf : cm->regcode.funcs)
-      if (attach_jit_entry(*cm, rf)) ++compiled;
-    MW_DEBUG("jit: " << compiled << "/" << cm->regcode.funcs.size()
+    for (auto& rf : funcs)
+      if (install_jit_entry(*cm, rf)) ++compiled;
+    MW_DEBUG("jit: " << compiled << "/" << funcs.size()
                      << " functions native, "
                      << (cm->jit_arena ? cm->jit_arena->code_bytes() : 0)
                      << " code bytes");
   }
-  // Resolve direct-threading handler addresses once per published body.
-  for (auto& rf : cm->regcode.funcs) prepare_rfunc(rf);
   cm->compile_ms = compile_watch.elapsed_ms();
 
   if (cfg.enable_cache) {

@@ -12,6 +12,11 @@
 //                 and mul-add fusion (the LLVM point: slowest compile,
 //                 fastest run)
 //
+// The static tiers compile every function through one per-function
+// pipeline (lower -> optimize -> native blob), spread over the host's CPUs;
+// the results are installed in function-index order on the calling thread,
+// so the compiled module does not depend on scheduling.
+//
 // kTiered dissolves the compile-time/run-time trade-off: the unit of
 // compilation becomes the *function*, not the module. compile() only
 // predecodes (instant startup, like kInterp); each function carries an
@@ -213,8 +218,9 @@ struct CompiledModule {
   mutable TieredState tiered;   // kTiered only
   // Native-code state (kJit, and kTiered promotions to the jit stage). The
   // arena owns the executable mappings for the module's lifetime; installs
-  // are serialized (compile() is single-threaded, tiered promotions hold
-  // TieredState::mu). The counters feed TierUpSnapshot.
+  // are serialized (compile() installs on its calling thread after the
+  // parallel compile loop, tiered promotions hold TieredState::mu). The
+  // counters feed TierUpSnapshot.
   mutable std::unique_ptr<JitArena> jit_arena;
   mutable std::atomic<u64> jit_funcs{0};
   mutable std::atomic<u64> jit_fallback_funcs{0};

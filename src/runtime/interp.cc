@@ -8,6 +8,7 @@
 #include "runtime/arith.h"
 #include "runtime/engine.h"
 #include "runtime/instance.h"
+#include "support/parallel.h"
 
 namespace mpiwasm::rt {
 
@@ -342,10 +343,15 @@ PreFunc predecode_function(const wasm::Module& m, u32 defined_index) {
 }
 
 PreModule predecode_module(const wasm::Module& m) {
+  // Body bytes per parallel_for chunk: about 2 ms of predecoding at the
+  // ~12 MB/s one Xeon vCPU predecodes the compile-stress module.
+  constexpr u64 kPredecodeChunkBytes = 24 << 10;
   PreModule pm;
-  pm.funcs.reserve(m.bodies.size());
-  for (u32 i = 0; i < m.bodies.size(); ++i)
-    pm.funcs.push_back(predecode_function(m, i));
+  pm.funcs.resize(m.bodies.size());
+  parallel_for(
+      u32(m.bodies.size()), kPredecodeChunkBytes,
+      [&](u32 i) { return u64(m.bodies[i].code.size()); },
+      [&](u32 i) { pm.funcs[i] = predecode_function(m, i); });
   return pm;
 }
 

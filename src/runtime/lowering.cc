@@ -771,12 +771,4 @@ RFunc lower_function(const wasm::Module& m, u32 defined_index) {
   return lowering.run();
 }
 
-RModule lower_module(const wasm::Module& m) {
-  RModule rm;
-  rm.funcs.reserve(m.bodies.size());
-  for (u32 i = 0; i < m.bodies.size(); ++i)
-    rm.funcs.push_back(lower_function(m, i));
-  return rm;
-}
-
 }  // namespace mpiwasm::rt

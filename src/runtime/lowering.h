@@ -11,7 +11,4 @@ namespace mpiwasm::rt {
 /// Input must be validated; malformed input triggers InternalError.
 RFunc lower_function(const wasm::Module& m, u32 defined_index);
 
-/// Lowers every defined function.
-RModule lower_module(const wasm::Module& m);
-
 }  // namespace mpiwasm::rt

@@ -1462,17 +1462,4 @@ OptStats optimize_function(RFunc& f, const OptOptions& opts) {
   return stats;
 }
 
-OptStats optimize_module(RModule& m, const OptOptions& opts) {
-  OptStats total;
-  for (auto& f : m.funcs) {
-    OptStats s = optimize_function(f, opts);
-    total.instrs_before += s.instrs_before;
-    total.instrs_after += s.instrs_after;
-    total.fused_super += s.fused_super;
-    total.guards_hoisted += s.guards_hoisted;
-    total.rounds = std::max(total.rounds, s.rounds);
-  }
-  return total;
-}
-
 }  // namespace mpiwasm::rt

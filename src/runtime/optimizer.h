@@ -53,6 +53,5 @@ struct OptOptions {
 };
 
 OptStats optimize_function(RFunc& f, const OptOptions& opts = OptOptions::full());
-OptStats optimize_module(RModule& m, const OptOptions& opts = OptOptions::full());
 
 }  // namespace mpiwasm::rt

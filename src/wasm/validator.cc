@@ -5,10 +5,15 @@
 #include <sstream>
 #include <vector>
 
+#include "support/parallel.h"
 #include "wasm/decoder.h"
 
 namespace mpiwasm::wasm {
 namespace {
+
+// Body bytes per parallel_for chunk: about 2 ms of validation at the
+// ~35 MB/s one Xeon vCPU validates the compile-stress module.
+constexpr u64 kValidateChunkBytes = 64 << 10;
 
 class ValidationError : public std::runtime_error {
  public:
@@ -805,20 +810,26 @@ ValidationResult validate_module(const Module& m) {
   ValidationResult result;
   try {
     validate_module_shell(m);
-    for (u32 i = 0; i < m.bodies.size(); ++i) {
-      try {
-        FuncValidator v(m, i);
-        v.run();
-      } catch (const ValidationError& e) {
-        std::ostringstream os;
-        os << "func[" << (m.num_imported_funcs() + i) << "]: " << e.what();
-        verr(os.str());
-      } catch (const DecodeError& e) {
-        std::ostringstream os;
-        os << "func[" << (m.num_imported_funcs() + i) << "]: " << e.what();
-        verr(os.str());
-      }
-    }
+    // Bodies validate independently; parallel_for rethrows the error of the
+    // lowest failing index, so the message does not depend on scheduling.
+    parallel_for(
+        u32(m.bodies.size()), kValidateChunkBytes,
+        [&](u32 i) { return u64(m.bodies[i].code.size()); },
+        [&](u32 i) {
+          auto fail = [&](const char* what) {
+            std::ostringstream os;
+            os << "func[" << (m.num_imported_funcs() + i) << "]: " << what;
+            verr(os.str());
+          };
+          try {
+            FuncValidator v(m, i);
+            v.run();
+          } catch (const ValidationError& e) {
+            fail(e.what());
+          } catch (const DecodeError& e) {
+            fail(e.what());
+          }
+        });
     result.ok = true;
   } catch (const ValidationError& e) {
     result.error = e.what();

@@ -1,11 +1,20 @@
 // FileSystemCache tests: serialization round-trip, hit/miss behaviour,
-// hash-keyed invalidation, corrupt-entry recovery (paper §3.3 semantics).
+// hash-keyed invalidation, corrupt-entry recovery (paper §3.3 semantics),
+// concurrent writers, and the parallel static compile whose output the
+// cache stores.
 #include "testlib.h"
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <thread>
 
 #include "runtime/cache.h"
+#include "runtime/jit_x64.h"
+#include "runtime/lowering.h"
+#include "runtime/optimizer.h"
+#include "toolchain/kernels.h"
 
 namespace mpiwasm::test {
 namespace {
@@ -402,6 +411,125 @@ TEST(Cache, InterpTierSkipsCache) {
     if (e.path().extension() == ".rcache") ++entries;
   EXPECT_EQ(entries, 0u);
   fs::remove_all(dir);
+}
+
+TEST(Cache, ConcurrentWritersOfOneEntryLeaveOneLoadableEntry) {
+  auto dir = fresh_cache_dir();
+  // Large enough that a store takes a while, so writers overlap.
+  auto bytes = toolchain::build_compile_stress_module(64);
+  EngineConfig cfg;
+  cfg.tier = EngineTier::kOptimizing;
+  auto cm = rt::compile({bytes.data(), bytes.size()}, cfg);
+  const std::string tag = "optimizing";
+  FileSystemCache cache(dir);
+  cache.store(cm->hash, tag, cm->regcode);
+  // Once an entry exists a reader must always find a complete one: writers
+  // publish by rename, never by rewriting the file in place.
+  std::atomic<bool> writing{true};
+  std::atomic<u32> misses{0};
+  std::thread reader([&] {
+    while (writing.load())
+      if (!cache.load(cm->hash, tag)) misses.fetch_add(1);
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 2; ++t)
+    writers.emplace_back([&] {
+      for (int k = 0; k < 200; ++k) cache.store(cm->hash, tag, cm->regcode);
+    });
+  for (auto& w : writers) w.join();
+  writing.store(false);
+  reader.join();
+  EXPECT_EQ(misses.load(), 0u);
+  size_t entries = 0, temps = 0;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    if (e.path().extension() == ".rcache") ++entries;
+    if (e.path().filename().string().find(".tmp") != std::string::npos)
+      ++temps;
+  }
+  EXPECT_EQ(entries, 1u);
+  EXPECT_EQ(temps, 0u) << "every writer renames or removes its temp file";
+  auto loaded = cache.load(cm->hash, tag);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(rt::serialize_regcode(*loaded), rt::serialize_regcode(cm->regcode));
+  fs::remove_all(dir);
+}
+
+// The static tiers compile functions in parallel; a module of this size
+// spans many compile chunks, so helper threads take part whenever the host
+// has more than one CPU.
+constexpr u32 kParallelFuncs = 1024;
+
+const std::vector<u8>& parallel_stress_module() {
+  static const std::vector<u8> bytes =
+      toolchain::build_compile_stress_module(kParallelFuncs);
+  return bytes;
+}
+
+std::shared_ptr<const rt::CompiledModule> compile_stress(EngineTier tier) {
+  const auto& bytes = parallel_stress_module();
+  EngineConfig cfg;
+  cfg.tier = tier;
+  cfg.jit = true;
+  return rt::compile({bytes.data(), bytes.size()}, cfg);
+}
+
+const EngineTier kCompiledTiers[] = {EngineTier::kBaseline,
+                                     EngineTier::kLightOpt,
+                                     EngineTier::kOptimizing, EngineTier::kJit};
+
+TEST(ParallelCompile, EachFunctionMatchesTheSerialPipeline) {
+  for (EngineTier tier : kCompiledTiers) {
+    SCOPED_TRACE(rt::tier_name(tier));
+    auto cm = compile_stress(tier);
+    ASSERT_EQ(cm->regcode.funcs.size(), kParallelFuncs);
+    for (u32 i = 0; i < kParallelFuncs; ++i) {
+      rt::RFunc ref = rt::lower_function(cm->module, i);
+      if (tier == EngineTier::kLightOpt)
+        rt::optimize_function(ref, rt::OptOptions::light());
+      else if (tier != EngineTier::kBaseline)
+        rt::optimize_function(ref, rt::OptOptions::full());
+      if (tier == EngineTier::kJit) ref.jit = rt::jit_compile_function(ref);
+      // The serialized record covers every non-derived field, native blob
+      // included.
+      ASSERT_EQ(rt::serialize_rfunc(cm->regcode.funcs[i]),
+                rt::serialize_rfunc(ref))
+          << "func " << i;
+    }
+  }
+}
+
+TEST(ParallelCompile, JitCompilesEveryFunctionNatively) {
+  auto cm = compile_stress(EngineTier::kJit);
+  const rt::TierUpSnapshot s = rt::tierup_snapshot(*cm);
+  EXPECT_EQ(s.jit_funcs, kParallelFuncs);
+  EXPECT_EQ(s.jit_fallback_funcs, 0u);
+}
+
+TEST(ParallelCompile, RepeatedCompilesAreByteIdentical) {
+  for (EngineTier tier : kCompiledTiers) {
+    SCOPED_TRACE(rt::tier_name(tier));
+    auto a = compile_stress(tier);
+    auto b = compile_stress(tier);
+    EXPECT_EQ(rt::serialize_regcode(a->regcode),
+              rt::serialize_regcode(b->regcode));
+    if (tier == EngineTier::kJit) {
+      ASSERT_NE(a->jit_arena, nullptr);
+      ASSERT_NE(b->jit_arena, nullptr);
+      EXPECT_EQ(a->jit_arena->code_bytes(), b->jit_arena->code_bytes());
+    }
+  }
+}
+
+TEST(ParallelCompile, EveryTierComputesTheSameResult) {
+  const Value args[] = {Value::from_i32(1000)};
+  std::optional<f64> expected;
+  for (EngineTier tier : all_tiers()) {
+    SCOPED_TRACE(rt::tier_name(tier));
+    rt::Instance inst(compile_stress(tier), rt::ImportTable{});
+    const f64 got = inst.invoke("run", args).as_f64();
+    if (!expected) expected = got;
+    EXPECT_EQ(got, *expected);
+  }
 }
 
 }  // namespace

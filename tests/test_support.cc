@@ -1,7 +1,19 @@
-// Unit tests for the support library: LEB128, SHA-256, statistics.
+// Unit tests for the support library: LEB128, SHA-256, statistics, the
+// parallel loop.
 #include <gtest/gtest.h>
+#include <sched.h>
+
+#include <atomic>
+#include <chrono>
+#include <mutex>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "support/byte_buffer.h"
+#include "support/parallel.h"
 #include "support/sha256.h"
 #include "support/stats.h"
 #include "support/timing.h"
@@ -138,6 +150,59 @@ TEST(Timing, SpinForApproximatesTarget) {
   Stopwatch sw;
   spin_for_ns(200'000);  // 200us
   EXPECT_GE(sw.elapsed_ns(), 200'000u);
+}
+
+TEST(ParallelFor, CallsEveryIndexExactlyOnce) {
+  constexpr u32 kN = 1000;
+  std::vector<std::atomic<u32>> calls(kN);
+  parallel_for(
+      kN, 10, [](u32) { return u64(1); },
+      [&](u32 i) { calls[i].fetch_add(1); });
+  for (u32 i = 0; i < kN; ++i) EXPECT_EQ(calls[i].load(), 1u) << i;
+}
+
+TEST(ParallelFor, WorkUnderTwoChunksStaysOnTheCallingThread) {
+  std::set<std::thread::id> ids;
+  // 199 units with 100-unit chunks: one full chunk plus a lighter tail.
+  parallel_for(
+      199, 100, [](u32) { return u64(1); },
+      [&](u32) { ids.insert(std::this_thread::get_id()); });
+  ASSERT_EQ(ids.size(), 1u);
+  EXPECT_EQ(*ids.begin(), std::this_thread::get_id());
+}
+
+TEST(ParallelFor, SpreadsChunksOverHelpers) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+  if (CPU_COUNT(&set) < 2) GTEST_SKIP() << "one CPU in the affinity mask";
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  parallel_for(
+      200, 1, [](u32) { return u64(1); },
+      [&](u32) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        std::lock_guard<std::mutex> lock(mu);
+        ids.insert(std::this_thread::get_id());
+      });
+  EXPECT_GT(ids.size(), 1u);
+  EXPECT_LE(ids.size(), size_t(CPU_COUNT(&set)));
+}
+
+TEST(ParallelFor, RethrowsTheLowestFailingIndex) {
+  for (int run = 0; run < 20; ++run) {
+    try {
+      parallel_for(
+          1000, 10, [](u32) { return u64(1); },
+          [](u32 i) {
+            if (i == 37 || i == 512 || i == 990)
+              throw std::runtime_error(std::to_string(i));
+          });
+      FAIL() << "no exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "37");
+    }
+  }
 }
 
 }  // namespace

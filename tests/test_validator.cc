@@ -298,5 +298,50 @@ TEST(Validator, ErrorMessagesNameTheFunction) {
   EXPECT_NE(r.error.find("func[2]"), std::string::npos) << r.error;
 }
 
+// `n` functions of ~250 body bytes each; the bodies at `bad_add` (i32 + i64)
+// and `bad_underflow` (i32.add on an empty stack) are invalid.
+std::vector<u8> build_many_funcs(u32 n, u32 bad_add, u32 bad_underflow) {
+  ModuleBuilder b;
+  for (u32 i = 0; i < n; ++i) {
+    auto& f = b.begin_func({{I32, I64}, {I32}}, i == 0 ? "run" : "");
+    for (int k = 0; k < 40; ++k) {
+      f.i32_const(1 << 20);
+      f.op(Op::kDrop);
+    }
+    if (i == bad_underflow) f.op(Op::kI32Add);
+    f.local_get(0);
+    if (i == bad_add) {
+      f.local_get(1);
+      f.op(Op::kI32Add);
+    }
+    f.end();
+  }
+  return b.build();
+}
+
+TEST(Validator, ParallelValidationReportsTheLowestFailingFunction) {
+  // Big enough to validate in parallel chunks; func[3] and func[900] land
+  // in different chunks, and the lower index must win every time.
+  const auto big = build_many_funcs(1024, 3, 900);
+  ASSERT_GT(big.size(), 200u << 10);
+  // The same invalid body in a module too small to split: the message the
+  // serial loop gives.
+  const auto small = build_many_funcs(4, 3, 4);
+  const ValidationResult serial = validate_bytes(small);
+  ASSERT_FALSE(serial.ok);
+  EXPECT_EQ(serial.error.rfind("func[3]: ", 0), 0u) << serial.error;
+  EXPECT_NE(serial.error.find("type mismatch"), std::string::npos)
+      << serial.error;
+  for (int run = 0; run < 10; ++run) {
+    const ValidationResult r = validate_bytes(big);
+    ASSERT_FALSE(r.ok);
+    EXPECT_EQ(r.error, serial.error);
+  }
+  // With func[3] fixed, the later failure is reported.
+  const ValidationResult later = validate_bytes(build_many_funcs(1024, ~0u, 900));
+  ASSERT_FALSE(later.ok);
+  EXPECT_EQ(later.error.rfind("func[900]: ", 0), 0u) << later.error;
+}
+
 }  // namespace
 }  // namespace mpiwasm::wasm
