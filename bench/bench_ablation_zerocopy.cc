@@ -1,7 +1,8 @@
-// Ablation A (DESIGN.md): how much does §3.5's zero-copy address
-// translation actually buy? Same module, same host MPI, same interconnect
-// profile — only the embedder's buffer handling differs (direct
-// base+offset pointers vs staging copies on every Send/Recv).
+// Ablation A (docs/BENCHMARKS.md, "Benches without committed artifacts"):
+// how much does §3.5's zero-copy address translation actually buy? Same
+// module, same host MPI, same interconnect profile — only the embedder's
+// buffer handling differs (direct base+offset pointers vs staging copies
+// on every Send/Recv).
 #include "bench_common.h"
 
 using namespace mpiwasm;

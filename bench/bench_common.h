@@ -13,6 +13,17 @@
 
 namespace mpiwasm::bench {
 
+/// Prints the tier a figure bench's wasm runs execute at: the engine
+/// default, which runs the optimizing tier's code when native codegen is
+/// off (MPIWASM_JIT=0).
+inline void print_default_tier() {
+  const rt::EngineConfig engine;
+  std::printf("tier: %s%s\n", rt::tier_name(engine.tier),
+              engine.tier == rt::EngineTier::kJit && !engine.jit
+                  ? " (native codegen off: optimizing)"
+                  : "");
+}
+
 /// Runs an IMB routine natively on `ranks` ranks; returns rank-0 rows.
 inline std::vector<toolchain::ImbRow> run_native_imb(
     const toolchain::ImbParams& p, int ranks,

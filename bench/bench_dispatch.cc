@@ -207,8 +207,6 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
   std::fprintf(out, "  \"bench\": \"bench_dispatch\",\n");
   std::fprintf(out, "  \"schema\": 2,\n");
   std::fprintf(out, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-  std::fprintf(out, "  \"threaded_dispatch_compiled\": %s,\n",
-               rt::threaded_dispatch_compiled() ? "true" : "false");
   std::fprintf(out, "  \"tier\": \"optimizing (+jit column at tier jit)\",\n");
   std::fprintf(out,
                "  \"configs\": [\"prepr\", \"switch\", \"threaded\", "
@@ -249,8 +247,6 @@ int main(int argc, char** argv) {
   }
 
   print_banner("Executor dispatch / bounds-check / fusion trajectory");
-  if (!rt::threaded_dispatch_compiled())
-    std::printf("note: switch-dispatch build — threaded == switch here\n");
 
   struct Micro {
     const char* name;

@@ -73,6 +73,7 @@ int main(int argc, char** argv) {
 
   print_banner(
       "Figure 3 — IMB on the HPC profile (OmniPath model): native vs WASM");
+  print_default_tier();
   const auto profile = simmpi::NetworkProfile::omnipath();
   const int ranks = 8;  // paper: 768/6144 ranks; scaled to one node
 

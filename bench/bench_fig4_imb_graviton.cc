@@ -13,6 +13,7 @@ using namespace mpiwasm::toolchain;
 
 int main() {
   print_banner("Figure 4 — IMB + HPCG on the Graviton2 profile");
+  print_default_tier();
   const auto profile = simmpi::NetworkProfile::graviton2();
   const int ranks = 4;  // paper: 32 cores on one Graviton2 node; scaled
 
@@ -60,8 +61,9 @@ int main() {
   print_comparison_table("GFLOP/s", rows, /*lower_is_better=*/false);
   write_csv("fig4_hpcg.csv", "ranks,native_gflops,wasm_gflops", rows);
   std::printf(
-      "\nNote: the GFLOP/s gap is dominated by our engine executing RegCode\n"
-      "through a dispatch loop instead of machine code (DESIGN.md §2); the\n"
-      "paper's Wasmer/LLVM backend JITs to native instructions.\n");
+      "\nNote: the wasm side runs native code from the jit tier's templates,\n"
+      "which load every operand from and store every result to a frame in\n"
+      "memory (docs/ARCHITECTURE.md, \"src/runtime\"); the paper's\n"
+      "Wasmer/LLVM backend allocates registers.\n");
   return 0;
 }

@@ -14,6 +14,7 @@ using namespace mpiwasm::toolchain;
 
 int main() {
   print_banner("Figure 5a — NPB IS and DT: native vs WASM (SIMD on/off)");
+  print_default_tier();
   const auto profile = simmpi::NetworkProfile::omnipath();
 
   // --- IS: Mop/s across rank counts ----------------------------------------

@@ -16,6 +16,7 @@ using namespace mpiwasm::toolchain;
 
 int main() {
   print_banner("Figure 5c — HPCG strong scaling: native vs WASM");
+  print_default_tier();
   const auto profile = simmpi::NetworkProfile::omnipath();
   const u32 global_n = 1 << 16;
   const u32 iters = 30;

@@ -33,6 +33,7 @@ const char* dt_name(i32 handle) {
 
 int main() {
   print_banner("Figure 6 — datatype translation overhead in MPIWasm");
+  print_default_tier();
 
   DatatypePingPongParams p;
   p.max_bytes = 1 << 22;  // 8B .. 4MiB in x8 steps

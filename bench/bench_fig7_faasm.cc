@@ -13,6 +13,7 @@ using namespace mpiwasm::toolchain;
 
 int main() {
   print_banner("Figure 7 — PingPong: MPIWasm vs Faasm-like baseline");
+  print_default_tier();
 
   ImbParams p;
   p.routine = ImbRoutine::kPingPong;

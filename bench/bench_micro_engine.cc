@@ -53,7 +53,10 @@ void BM_TierLoopThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
   state.SetLabel(rt::tier_name(tier));
 }
-BENCHMARK(BM_TierLoopThroughput)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_TierLoopThroughput)
+    ->Arg(i64(rt::EngineTier::kInterp))
+    ->Arg(i64(rt::EngineTier::kOptimizing))
+    ->Arg(i64(rt::EngineTier::kJit));
 
 void BM_HostCallOverhead(benchmark::State& state) {
   wasm::ModuleBuilder b;
@@ -137,7 +140,10 @@ void BM_CompileHpcg(benchmark::State& state) {
   }
   state.SetLabel(rt::tier_name(tier));
 }
-BENCHMARK(BM_CompileHpcg)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_CompileHpcg)
+    ->Arg(i64(rt::EngineTier::kInterp))
+    ->Arg(i64(rt::EngineTier::kOptimizing))
+    ->Arg(i64(rt::EngineTier::kJit));
 
 }  // namespace
 

@@ -1,7 +1,7 @@
 // bench_tierup: startup-to-steady-state crossover of the tiered engine.
 //
-// The four static tiers force a global choice on the Table-1 trade-off
-// curve: instant startup (interp) or peak throughput (optimizing). Tiered
+// The static tiers force a global choice on the Table-1 trade-off curve:
+// instant startup (interp) or peak throughput (optimizing, jit). Tiered
 // mode should deliver both ends at once on a per-function basis:
 //   - time-to-first-result within ~2x of the interpreter (compile() only
 //     predecodes), and
@@ -86,17 +86,16 @@ void micro_crossover() {
 
   std::vector<Measurement> rows;
   for (rt::EngineTier tier :
-       {rt::EngineTier::kInterp, rt::EngineTier::kBaseline,
-        rt::EngineTier::kLightOpt, rt::EngineTier::kOptimizing}) {
+       {rt::EngineTier::kInterp, rt::EngineTier::kOptimizing,
+        rt::EngineTier::kJit}) {
     rt::EngineConfig cfg;
     cfg.tier = tier;
     rows.push_back(measure_micro(cfg, rt::tier_name(tier), loop_n, warm, timed));
   }
   rt::EngineConfig tiered;
   tiered.tier = rt::EngineTier::kTiered;
-  tiered.tierup_baseline_threshold = 4;
-  tiered.tierup_opt_threshold = 16;
-  rows.push_back(measure_micro(tiered, "tiered(4,16)", loop_n, warm, timed));
+  tiered.tierup_opt_threshold = 4;
+  rows.push_back(measure_micro(tiered, "tiered(4)", loop_n, warm, timed));
 
   f64 opt_steady = 0, interp_ttfr = 0;
   for (const auto& r : rows) {
@@ -127,17 +126,16 @@ void npb_crossover() {
   };
   std::vector<Cfg> cfgs;
   for (rt::EngineTier tier :
-       {rt::EngineTier::kInterp, rt::EngineTier::kBaseline,
-        rt::EngineTier::kLightOpt, rt::EngineTier::kOptimizing}) {
+       {rt::EngineTier::kInterp, rt::EngineTier::kOptimizing,
+        rt::EngineTier::kJit}) {
     rt::EngineConfig engine;
     engine.tier = tier;
     cfgs.push_back({rt::tier_name(tier), engine});
   }
   rt::EngineConfig tiered;
   tiered.tier = rt::EngineTier::kTiered;
-  tiered.tierup_baseline_threshold = 2;
-  tiered.tierup_opt_threshold = 8;
-  cfgs.push_back({"tiered(2,8)", tiered});
+  tiered.tierup_opt_threshold = 2;
+  cfgs.push_back({"tiered(2)", tiered});
 
   toolchain::IsParams is;
   is.keys_per_rank = 1 << 12;
@@ -155,7 +153,7 @@ void npb_crossover() {
   kernels.push_back({"NPB-DT", toolchain::build_dt_module(dt)});
 
   std::printf("%-8s %-14s %12s %12s %14s %14s\n", "kernel", "tier",
-              "compile ms", "wall s", "promoted b/o", "tierup ms");
+              "compile ms", "wall s", "promoted o/j", "tierup ms");
   for (const auto& kernel : kernels) {
     for (const auto& c : cfgs) {
       embed::EmbedderConfig ec;
@@ -169,8 +167,8 @@ void npb_crossover() {
       std::printf("%-8s %-14s %12.3f %12.4f %8llu/%-5llu %14.2f\n",
                   kernel.name, c.name.c_str(), result.compile_ms,
                   result.wall_seconds,
-                  (unsigned long long)result.tierup.promoted_baseline,
                   (unsigned long long)result.tierup.promoted_optimizing,
+                  (unsigned long long)result.tierup.promoted_jit,
                   result.tierup.tierup_compile_ms);
     }
   }
@@ -189,7 +187,6 @@ void cache_warm_start() {
   auto bytes = toolchain::build_is_module(is);
   rt::EngineConfig cfg;
   cfg.tier = rt::EngineTier::kTiered;
-  cfg.tierup_baseline_threshold = 1;
   cfg.tierup_opt_threshold = 1;
   cfg.enable_cache = true;
   cfg.cache_dir = dir;
@@ -205,8 +202,8 @@ void cache_warm_start() {
     std::printf(
         "  run %d: %llu promotions, %llu from cache, %.2fms tier-up compile\n",
         run + 1,
-        (unsigned long long)(result.tierup.promoted_baseline +
-                             result.tierup.promoted_optimizing),
+        (unsigned long long)(result.tierup.promoted_optimizing +
+                             result.tierup.promoted_jit),
         (unsigned long long)result.tierup.func_cache_hits,
         result.tierup.tierup_compile_ms);
   }

@@ -6,8 +6,10 @@
 2. Every MPIWASM_* identifier appearing in src/ is documented in
    docs/TUNING.md (substring match, so MPIWASM_COLL_ prefixes are covered
    by any fully spelled variable).
+3. Every *.md file a `//` comment in src/, bench/ or tests/ names exists,
+   resolved from the repository root (bare names also from docs/).
 
-Exit code 0 when both hold; prints every violation otherwise.
+Exit code 0 when all hold; prints every violation otherwise.
 """
 import os
 import re
@@ -57,9 +59,35 @@ def check_tuning_coverage():
         failures.append(f"docs/TUNING.md: undocumented variable {tok}")
 
 
+def check_comment_doc_refs():
+    md_re = re.compile(r"[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b")
+    for top in ("src", "bench", "tests"):
+        for dirpath, _dirnames, filenames in os.walk(os.path.join(ROOT, top)):
+            for fn in sorted(filenames):
+                if not fn.endswith((".h", ".cc", ".inc")):
+                    continue
+                path = os.path.join(dirpath, fn)
+                rel = os.path.relpath(path, ROOT)
+                with open(path, encoding="utf-8") as f:
+                    for lineno, line in enumerate(f, 1):
+                        start = line.find("//")
+                        if start < 0:
+                            continue
+                        for name in md_re.findall(line[start:]):
+                            candidates = [name]
+                            if "/" not in name:
+                                candidates.append(os.path.join("docs", name))
+                            if not any(os.path.exists(os.path.join(ROOT, c))
+                                       for c in candidates):
+                                failures.append(
+                                    f"{rel}:{lineno}: comment names missing "
+                                    f"file {name}")
+
+
 def main():
     check_links()
     check_tuning_coverage()
+    check_comment_doc_refs()
     if failures:
         for f in failures:
             print(f"FAIL: {f}")

@@ -20,8 +20,6 @@ namespace mpiwasm::rt {
 const char* tier_name(EngineTier tier) {
   switch (tier) {
     case EngineTier::kInterp: return "interp";
-    case EngineTier::kBaseline: return "baseline";
-    case EngineTier::kLightOpt: return "lightopt";
     case EngineTier::kOptimizing: return "optimizing";
     case EngineTier::kTiered: return "tiered";
     case EngineTier::kJit: return "jit";
@@ -72,32 +70,16 @@ std::string cache_tag(EngineTier tier, bool superinstructions,
 /// tier.
 constexpr u64 kCompileChunkBytes = 4 << 10;
 
-/// The full optimizing pipeline (kOptimizing, kJit) with the config's
-/// ablation flags applied.
-OptOptions full_opt_options(bool superinstructions, bool hoist_bounds,
-                            bool simd) {
-  OptOptions opt = OptOptions::full();
-  opt.fuse_super = superinstructions;
-  opt.hoist_bounds = hoist_bounds;
-  opt.simd = simd;
-  return opt;
-}
-
-/// Compiles defined function `index` at compiled tier `tier`: lowers it,
-/// optimizes it as the tier needs (kLightOpt runs OptOptions::light(),
-/// kOptimizing and kJit run `full`), and at kJit generates its native blob
-/// (null on a template gap). Reads only the module, so compile() runs it
-/// for many functions at once; tier_up() runs it for one.
+/// Compiles defined function `index` at compiled tier `tier` (kOptimizing
+/// or kJit): lowers and optimizes it, and at kJit generates its native blob
+/// (null on a template gap). kJit sits on top of the full optimizing
+/// pipeline: templates cover the fused superinstructions, so the native
+/// code keeps their wins. Reads only the module, so compile() runs it for
+/// many functions at once; tier_up() runs it for one.
 RFunc compile_function(const wasm::Module& m, u32 index, EngineTier tier,
-                       const OptOptions& full) {
+                       const OptOptions& opt) {
   RFunc rf = lower_function(m, index);
-  if (tier == EngineTier::kLightOpt) {
-    optimize_function(rf, OptOptions::light());
-  } else if (tier != EngineTier::kBaseline) {
-    // kJit sits on top of the full optimizing pipeline: templates cover the
-    // fused superinstructions, so the native code keeps their wins.
-    optimize_function(rf, full);
-  }
+  optimize_function(rf, opt);
   if (tier == EngineTier::kJit) rf.jit = jit_compile_function(rf);
   return rf;
 }
@@ -166,9 +148,9 @@ void compute_canonical_ids(CompiledModule& cm) {
 // ---------------------------------------------------------------------------
 // Tiered entry thunks.
 //
-// Steady: installed once the final-stage body is published (Optimizing, or
-// Jit when native promotion is on); calls go straight to the executor with
-// no counter traffic. A jit body carries its native entry; a body without
+// Steady: installed once the final-stage body is published (Jit when
+// native promotion is on, Optimizing otherwise); calls go straight to the
+// executor with no counter traffic. A jit body carries its native entry; a body without
 // one runs on the threaded interpreter.
 void tiered_steady_entry(Instance& inst, const CompiledModule& cm,
                          u32 defined_index, Slot* base) {
@@ -192,12 +174,8 @@ void tiered_counting_entry(Instance& inst, const CompiledModule& cm,
   const EngineTier cur = u.tier.load(std::memory_order_relaxed);
   if (ts.jit_enabled && cur != EngineTier::kJit && n >= ts.jit_threshold) {
     tier_up(cm, defined_index, EngineTier::kJit);
-  } else if (cur != EngineTier::kOptimizing && cur != EngineTier::kJit) {
-    if (n >= ts.opt_threshold) {
-      tier_up(cm, defined_index, EngineTier::kOptimizing);
-    } else if (cur == EngineTier::kInterp && n >= ts.baseline_threshold) {
-      tier_up(cm, defined_index, EngineTier::kBaseline);
-    }
+  } else if (cur == EngineTier::kInterp && n >= ts.opt_threshold) {
+    tier_up(cm, defined_index, EngineTier::kOptimizing);
   }
   if (const RFunc* rf = u.active.load(std::memory_order_acquire)) {
     if (rf->jit_entry != nullptr) {
@@ -213,9 +191,7 @@ void tiered_counting_entry(Instance& inst, const CompiledModule& cm,
 }  // namespace
 
 void tier_up(const CompiledModule& cm, u32 defined_index, EngineTier target) {
-  MW_CHECK(target == EngineTier::kBaseline ||
-               target == EngineTier::kOptimizing ||
-               target == EngineTier::kJit,
+  MW_CHECK(target == EngineTier::kOptimizing || target == EngineTier::kJit,
            "tier_up targets a compiled tier");
   TieredState& ts = cm.tiered;
   // Never stall a rank thread behind an in-progress promotion: if another
@@ -248,8 +224,9 @@ void tier_up(const CompiledModule& cm, u32 defined_index, EngineTier target) {
   if (!body) {
     body = std::make_unique<RFunc>(compile_function(
         cm.module, defined_index, target,
-        full_opt_options(ts.opt_superinstructions, ts.opt_hoist_bounds,
-                         ts.opt_simd)));
+        OptOptions{.fuse_super = ts.opt_superinstructions,
+                   .hoist_bounds = ts.opt_hoist_bounds,
+                   .simd = ts.opt_simd}));
   } else if (target == EngineTier::kJit) {
     refresh_jit_blob(*body);
   }
@@ -270,10 +247,8 @@ void tier_up(const CompiledModule& cm, u32 defined_index, EngineTier target) {
 
   // Publish. The superseded body (if any) stays alive: another thread may
   // still be executing it.
-  std::unique_ptr<RFunc>& slot = target == EngineTier::kJit ? u.jit_body
-                                 : target == EngineTier::kOptimizing
-                                     ? u.optimized_body
-                                     : u.baseline_body;
+  std::unique_ptr<RFunc>& slot =
+      target == EngineTier::kJit ? u.jit_body : u.optimized_body;
   slot = std::move(body);
   u.state.store(FuncState::kRegcode, std::memory_order_relaxed);
   u.active.store(slot.get(), std::memory_order_release);
@@ -287,10 +262,8 @@ void tier_up(const CompiledModule& cm, u32 defined_index, EngineTier target) {
 
   ts.stats.tierup_compile_ns.fetch_add(watch.elapsed_ns(),
                                        std::memory_order_relaxed);
-  auto& counter = jit_ok ? ts.stats.promoted_jit
-                  : publish_tier == EngineTier::kOptimizing
-                      ? ts.stats.promoted_optimizing
-                      : ts.stats.promoted_baseline;
+  auto& counter =
+      jit_ok ? ts.stats.promoted_jit : ts.stats.promoted_optimizing;
   counter.fetch_add(1, std::memory_order_relaxed);
   if (from_cache)
     ts.stats.func_cache_hits.fetch_add(1, std::memory_order_relaxed);
@@ -316,7 +289,6 @@ TierUpSnapshot tierup_snapshot(const CompiledModule& cm) {
   }
   for (u32 i = 0; i < ts.num_units; ++i)
     s.calls_counted += ts.units[i].calls.load(std::memory_order_relaxed);
-  s.promoted_baseline = ts.stats.promoted_baseline.load();
   s.promoted_optimizing = ts.stats.promoted_optimizing.load();
   s.promoted_jit = ts.stats.promoted_jit.load();
   s.func_cache_hits = ts.stats.func_cache_hits.load();
@@ -381,9 +353,7 @@ std::shared_ptr<const CompiledModule> compile(std::span<const u8> bytes,
     TieredState& ts = cm->tiered;
     ts.num_units = u32(cm->predecoded.funcs.size());
     ts.units = std::make_unique<FuncUnit[]>(ts.num_units);
-    ts.baseline_threshold = std::max<u64>(1, cfg.tierup_baseline_threshold);
-    ts.opt_threshold =
-        std::max<u64>(ts.baseline_threshold, cfg.tierup_opt_threshold);
+    ts.opt_threshold = std::max<u64>(1, cfg.tierup_opt_threshold);
     ts.jit_threshold = std::max<u64>(ts.opt_threshold, cfg.tierup_jit_threshold);
     ts.jit_enabled = cfg.jit;
     ts.cache_enabled = cfg.enable_cache;
@@ -432,15 +402,16 @@ std::shared_ptr<const CompiledModule> compile(std::span<const u8> bytes,
   // events and the cache store — happens afterwards on this thread in
   // function-index order, so arena layout and cache bytes do not depend on
   // scheduling.
-  const OptOptions full = full_opt_options(
-      cfg.opt_superinstructions, cfg.opt_hoist_bounds, cfg.opt_simd);
+  const OptOptions opt{.fuse_super = cfg.opt_superinstructions,
+                       .hoist_bounds = cfg.opt_hoist_bounds,
+                       .simd = cfg.opt_simd};
   std::vector<RFunc>& funcs = cm->regcode.funcs;
   funcs.resize(cm->module.bodies.size());
   parallel_for(
       u32(funcs.size()), kCompileChunkBytes,
       [&](u32 i) { return u64(cm->module.bodies[i].code.size()); },
       [&](u32 i) {
-        funcs[i] = compile_function(cm->module, i, tier, full);
+        funcs[i] = compile_function(cm->module, i, tier, opt);
         // Resolve direct-threading handler addresses once per body.
         prepare_rfunc(funcs[i]);
       });

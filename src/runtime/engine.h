@@ -1,18 +1,17 @@
 // Compilation engine: turns Wasm binaries into executable CompiledModules.
 //
-// Four static tiers; the three compiled ones reproduce the paper's
-// compiler-backend trade-off (Table 1):
-//   kInterp     — predecode + stack-machine execution (not in Table 1;
-//                 kept for differential testing and instant startup)
-//   kBaseline   — linear-time stack->register lowering, no optimization
-//                 (the Singlepass point of the trade-off curve)
-//   kLightOpt   — one cheap pass round: copy propagation, constant
-//                 folding, DCE (the Cranelift point)
-//   kOptimizing — fixpoint pass pipeline with compare/branch, immediate,
-//                 and mul-add fusion (the LLVM point: slowest compile,
-//                 fastest run)
+// Three static tiers, one per point of the paper's compiler-backend
+// trade-off (Table 1):
+//   kInterp     — predecode + stack-machine execution (instant startup;
+//                 the Singlepass point, and the differential reference)
+//   kOptimizing — stack->register lowering plus a fixpoint pass pipeline
+//                 with compare/branch, immediate, and mul-add fusion, run
+//                 on the threaded interpreter (the Cranelift point)
+//   kJit        — the optimizing pipeline's RegCode compiled to native
+//                 x86-64 (the LLVM point: slowest compile, fastest run;
+//                 the default)
 //
-// The static tiers compile every function through one per-function
+// The compiled tiers compile every function through one per-function
 // pipeline (lower -> optimize -> native blob), spread over the host's CPUs;
 // the results are installed in function-index order on the calling thread,
 // so the compiled module does not depend on scheduling.
@@ -20,11 +19,11 @@
 // kTiered dissolves the compile-time/run-time trade-off: the unit of
 // compilation becomes the *function*, not the module. compile() only
 // predecodes (instant startup, like kInterp); each function carries an
-// atomic call counter and is lazily lowered to Baseline regcode, then
-// re-lowered + fully optimized, as its counter crosses the configured
-// thresholds. Publication is thread-safe: CompiledModule is shared across
-// rank threads, so promoted bodies are handed off through atomic pointers
-// and never freed while the module lives.
+// atomic call counter and is lazily lowered + optimized, then compiled to
+// native code, as its counter crosses the configured thresholds.
+// Publication is thread-safe: CompiledModule is shared across rank
+// threads, so promoted bodies are handed off through atomic pointers and
+// never freed while the module lives.
 //
 // A FileSystemCache keyed by a SHA-256 module digest (paper §3.3 uses
 // BLAKE-3) lets repeated executions skip recompilation entirely; in tiered
@@ -54,17 +53,15 @@ struct CompiledModule;
 
 enum class EngineTier : u8 {
   kInterp = 0,
-  kBaseline = 1,
-  kLightOpt = 2,
-  kOptimizing = 3,
-  kTiered = 4,  // lazy per-function compile with dynamic tier-up
+  kOptimizing = 1,
+  kTiered = 2,  // lazy per-function compile with dynamic tier-up
   // Native x86-64 template codegen on top of the full optimizing pipeline
   // (jit_x64.h). Functions whose RegCode contains an op without a template
   // fall back to the threaded interpreter, so kJit is never worse than
   // kOptimizing. Note kTiered sits between kOptimizing and kJit numerically
   // but is a *mode*, not a code quality level; per-function tier fields
-  // only ever hold the compiled tiers, whose order is monotone.
-  kJit = 5,
+  // only ever hold kInterp, kOptimizing and kJit, whose order is monotone.
+  kJit = 3,
 };
 
 const char* tier_name(EngineTier tier);
@@ -83,15 +80,13 @@ bool simd_enabled_from_env();
 bool threads_enabled_from_env();
 
 struct EngineConfig {
-  EngineTier tier = EngineTier::kOptimizing;
+  EngineTier tier = EngineTier::kJit;
   bool enable_cache = false;
   std::string cache_dir;  // empty -> "<tmp>/mpiwasm-cache"
-  // kTiered promotion thresholds (call counts). A function is lowered to
-  // Baseline regcode once it has been entered `tierup_baseline_threshold`
-  // times and re-compiled at the full Optimizing tier at
-  // `tierup_opt_threshold`. Threshold 1 promotes on the first call.
-  u64 tierup_baseline_threshold = 8;
-  u64 tierup_opt_threshold = 512;
+  // kTiered promotion thresholds (call counts). A function is compiled at
+  // the Optimizing tier once it has been entered `tierup_opt_threshold`
+  // times. Threshold 1 promotes on the first call.
+  u64 tierup_opt_threshold = 8;
   // Third promotion stage: once a function has been entered this many times
   // it is recompiled to native code (only when `jit` is on; clamped to at
   // least tierup_opt_threshold).
@@ -101,8 +96,8 @@ struct EngineConfig {
   /// to kOptimizing and tiered promotion stops at the optimizing stage.
   bool jit = jit_enabled_from_env();
   // Optimizing-tier pass toggles (bench/test ablation; both on by default
-  // and applied wherever the full pipeline runs — kOptimizing and tiered
-  // promotions to it).
+  // and applied wherever the full pipeline runs — kOptimizing, kJit and
+  // tiered promotions to them).
   bool opt_superinstructions = true;  // load+op, op+store, select, indexed
   bool opt_hoist_bounds = true;       // kMemGuard loop versioning + raw ops
   /// SIMD-aware optimization (v128 const folding, v128 load+op / op+store
@@ -128,7 +123,7 @@ class CompileError : public std::runtime_error {
 enum class FuncState : u8 {
   kNone = 0,        // nothing derived from the body yet
   kPredecoded = 1,  // interpreter bytecode ready (module load)
-  kRegcode = 2,     // compiled regcode published (baseline or optimizing)
+  kRegcode = 2,     // compiled regcode published (optimizing or jit)
 };
 
 /// Entry thunk: how a call enters one function. Tiered dispatch swaps the
@@ -149,14 +144,12 @@ struct FuncUnit {
   std::atomic<const RFunc*> active{nullptr};  // best published body
   std::atomic<EntryThunk> entry{nullptr};
   // Writer-owned storage behind the published pointers.
-  std::unique_ptr<RFunc> baseline_body;
   std::unique_ptr<RFunc> optimized_body;
   std::unique_ptr<RFunc> jit_body;  // optimized body + native entry
 };
 
 /// Monotonic tier-up counters, aggregated across all rank threads.
 struct TierUpStats {
-  std::atomic<u64> promoted_baseline{0};
   std::atomic<u64> promoted_optimizing{0};
   std::atomic<u64> promoted_jit{0};
   std::atomic<u64> func_cache_hits{0};   // promotions served from cache
@@ -169,7 +162,6 @@ struct TierUpSnapshot {
   u64 funcs_total = 0;
   u64 funcs_predecoded = 0;  // still interpreter-only
   u64 funcs_regcode = 0;     // promoted to compiled code
-  u64 promoted_baseline = 0;
   u64 promoted_optimizing = 0;
   u64 promoted_jit = 0;
   u64 func_cache_hits = 0;
@@ -188,8 +180,7 @@ struct TierUpSnapshot {
 struct TieredState {
   std::unique_ptr<FuncUnit[]> units;  // parallel to Module::bodies
   u32 num_units = 0;
-  u64 baseline_threshold = 8;
-  u64 opt_threshold = 512;
+  u64 opt_threshold = 8;
   u64 jit_threshold = 4096;
   bool jit_enabled = false;
   bool cache_enabled = false;
@@ -206,8 +197,8 @@ struct TieredState {
 /// exception: code is born lazily but each published body is immutable.)
 struct CompiledModule {
   wasm::Module module;
-  EngineTier tier = EngineTier::kOptimizing;
-  RModule regcode;              // kBaseline / kLightOpt / kOptimizing
+  EngineTier tier = EngineTier::kJit;
+  RModule regcode;              // kOptimizing / kJit
   PreModule predecoded;         // kInterp / kTiered
   std::vector<u32> canon_type_ids;  // type index -> canonical sig id
   std::vector<u32> func_canon;      // func index (combined) -> canonical sig id
@@ -231,10 +222,9 @@ struct CompiledModule {
 std::shared_ptr<const CompiledModule> compile(std::span<const u8> bytes,
                                               const EngineConfig& cfg);
 
-/// Promotes defined function `defined_index` to `target` (kBaseline,
-/// kOptimizing, or kJit) and publishes the body; no-op if the function is
-/// already
-/// at or above `target`, or if another thread currently holds the
+/// Promotes defined function `defined_index` to `target` (kOptimizing or
+/// kJit) and publishes the body; no-op if the function is already at or
+/// above `target`, or if another thread currently holds the
 /// promotion lock (callers fall through to the published body and retry
 /// on a later call — promotion never stalls execution). Normally driven
 /// by the counting entry thunk, exposed for tests and warm-up hooks.

@@ -78,8 +78,7 @@ std::atomic<bool> g_force_switch{false};
   }
 
 // ---------------------------------------------------------------------------
-// Portable switch executor (always compiled; the only executor when
-// MPIWASM_SWITCH_DISPATCH is defined).
+// Portable switch executor.
 // ---------------------------------------------------------------------------
 
 void exec_switch(Instance& inst, const RFunc& f, Slot* r) {
@@ -120,8 +119,6 @@ void exec_switch(Instance& inst, const RFunc& f, Slot* r) {
 // g_handler_table; after that, prepared RFuncs carry one resolved handler
 // address per instruction and dispatch is a single indirect goto.
 // ---------------------------------------------------------------------------
-
-#if MPIWASM_DISPATCH_THREADED
 
 const void* g_handler_table[size_t(ROp::kCount)];
 
@@ -207,12 +204,9 @@ bool threadable(const RFunc& f) {
   return true;
 }
 
-#endif  // MPIWASM_DISPATCH_THREADED
-
 }  // namespace
 
 void prepare_rfunc(RFunc& f) {
-#if MPIWASM_DISPATCH_THREADED
   if (!threadable(f)) {
     f.handlers.clear();
     return;
@@ -221,25 +215,18 @@ void prepare_rfunc(RFunc& f) {
   f.handlers.resize(f.code.size());
   for (size_t i = 0; i < f.code.size(); ++i)
     f.handlers[i] = table[size_t(f.code[i].op)];
-#else
-  f.handlers.clear();
-#endif
 }
-
-bool threaded_dispatch_compiled() { return MPIWASM_DISPATCH_THREADED != 0; }
 
 void set_dispatch_force_switch(bool on) {
   g_force_switch.store(on, std::memory_order_relaxed);
 }
 
 void exec_regcode(Instance& inst, const RFunc& f, Slot* r) {
-#if MPIWASM_DISPATCH_THREADED
   if (!f.handlers.empty() &&
       !g_force_switch.load(std::memory_order_relaxed)) {
     exec_threaded(&inst, &f, r);
     return;
   }
-#endif
   exec_switch(inst, f, r);
 }
 

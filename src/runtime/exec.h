@@ -1,27 +1,23 @@
-// RegCode dispatch-loop executor shared by the Baseline and Optimizing
-// tiers (they differ only in the code they feed it).
+// RegCode dispatch-loop executor of the optimizing tier, and of kJit
+// functions that fall back from native code.
 //
 // Two dispatch strategies over the same handler bodies (exec_ops.inc):
 //   - direct threading: computed-goto, one indirect jump per instruction,
 //     with handler addresses resolved once per RFunc at publication time
-//     (prepare_rfunc) instead of per dispatch. Default on GCC/Clang.
-//   - portable switch loop: always compiled, used when a body has no
-//     resolved handlers, when forced via set_dispatch_force_switch(), or
-//     when the build defines MPIWASM_SWITCH_DISPATCH (CMake option
-//     MPIWASM_THREADED_DISPATCH=OFF), e.g. for compilers without
-//     labels-as-values.
+//     (prepare_rfunc) instead of per dispatch. The default.
+//   - portable switch loop: used when a body has no resolved handlers
+//     (prepare_rfunc's structural check failed) or when forced via
+//     set_dispatch_force_switch(); the reference the threaded loop is
+//     benchmarked and differentially tested against.
 #pragma once
 
 #include "runtime/regcode.h"
 #include "runtime/value.h"
 
-// MPIWASM_DISPATCH_THREADED: 1 when the computed-goto executor is compiled
-// in. Requires the GNU labels-as-values extension; opt out with
-// -DMPIWASM_SWITCH_DISPATCH.
-#if !defined(MPIWASM_SWITCH_DISPATCH) && (defined(__GNUC__) || defined(__clang__))
-#define MPIWASM_DISPATCH_THREADED 1
-#else
-#define MPIWASM_DISPATCH_THREADED 0
+// The threaded executor needs the GNU labels-as-values extension; GCC and
+// Clang, the supported compilers, both provide it.
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "the regcode executor requires labels-as-values (GCC or Clang)"
 #endif
 
 namespace mpiwasm::rt {
@@ -35,14 +31,11 @@ void exec_regcode(Instance& inst, const RFunc& f, Slot* regs);
 
 /// Resolves `f.handlers` (per-instruction direct-threading addresses).
 /// Called once per function at publication time — engine compile() for the
-/// static tiers, tier_up() for tiered promotions. No-op in switch-dispatch
-/// builds. Leaves `handlers` empty (switch fallback) if the code fails the
-/// structural sanity checks the goto loop relies on (terminator at the
-/// end, all branch targets in range).
+/// static tiers, tier_up() for tiered promotions. Leaves `handlers` empty
+/// (switch fallback) if the code fails the structural sanity checks the
+/// goto loop relies on (terminator at the end, all branch targets in
+/// range).
 void prepare_rfunc(RFunc& f);
-
-/// True when this build contains the computed-goto executor.
-bool threaded_dispatch_compiled();
 
 /// Bench/test hook: route every exec_regcode call through the portable
 /// switch loop even when threaded handlers are resolved. Global, sticky.

@@ -186,7 +186,7 @@ void Instance::call_function(u32 fidx, Slot* base) {
   switch (cm.tier) {
     case EngineTier::kTiered:
       // Per-function dispatch: the entry thunk reflects the unit's current
-      // tier (counting/interp, counting/baseline, or steady/optimizing).
+      // stage (counting/interp, counting/optimizing, or steady).
       cm.tiered.units[di].entry.load(std::memory_order_acquire)(*this, cm, di,
                                                                 base);
       return;
@@ -204,7 +204,7 @@ void Instance::call_function(u32 fidx, Slot* base) {
       }
       return;
     }
-    default:
+    case EngineTier::kOptimizing:
       run_regcode(cm.regcode.funcs[di], base);
       return;
   }

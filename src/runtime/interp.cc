@@ -47,7 +47,7 @@ PreFunc predecode_function(const wasm::Module& m, u32 defined_index) {
   out.br.assign(out.code.size(), PreBr{});
 
   // Second pass: resolve structured control to absolute targets, tracking
-  // operand stack heights exactly like the Baseline lowering does.
+  // operand stack heights exactly like RegCode lowering does.
   std::vector<PFrame> frames;
   frames.push_back(PFrame{PFrame::kBlock, out.has_result, true, 0, 0, {}, SIZE_MAX});
   u32 h = 0;

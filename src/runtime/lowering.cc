@@ -294,9 +294,8 @@ bool atomic_is_cmpxchg(Op op) {
 }
 
 /// Binops the lowerer can fuse with an immediately preceding constant into
-/// an *Imm form at emission time — one instruction instead of two on every
-/// tier, including Baseline (the optimizer would only recover this at the
-/// Optimizing tier).
+/// an *Imm form at emission time — one instruction instead of two even
+/// before the optimizer runs.
 ROp lowering_imm_fused(Op op) {
   switch (op) {
     case Op::kI32Add: return ROp::kI32AddImm;

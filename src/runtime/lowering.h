@@ -1,5 +1,5 @@
-// Baseline ("Singlepass"-analogue) compiler: one linear pass translating a
-// validated Wasm function's stack machine code into RegCode.
+// RegCode lowering: one linear pass translating a validated Wasm function's
+// stack machine code into RegCode, the input of the optimizer.
 #pragma once
 
 #include "runtime/regcode.h"

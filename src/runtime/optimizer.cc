@@ -11,6 +11,9 @@
 namespace mpiwasm::rt {
 namespace {
 
+/// Rounds of the pass pipeline before it stops short of a fixpoint.
+constexpr u32 kMaxRounds = 4;
+
 bool is_branch(ROp op) {
   switch (op) {
     case ROp::kBr: case ROp::kBrIf: case ROp::kBrIfNot: case ROp::kBrTable:
@@ -1433,16 +1436,14 @@ void compact(RFunc& f) {
 OptStats optimize_function(RFunc& f, const OptOptions& opts) {
   OptStats stats;
   stats.instrs_before = f.code.size();
-  for (u32 round = 0; round < opts.max_rounds; ++round) {
+  for (u32 round = 0; round < kMaxRounds; ++round) {
     ++stats.rounds;
     Cfg cfg = build_cfg(f);
     u32 changes = local_forward_pass(f, cfg, opts.simd);
     Liveness live = compute_liveness(f, cfg);
-    if (opts.fuse) {
-      changes += peephole_pass(f, cfg, live);
-      // Peephole invalidates liveness; recompute before the next pass.
-      live = compute_liveness(f, cfg);
-    }
+    changes += peephole_pass(f, cfg, live);
+    // Peephole invalidates liveness; recompute before the next pass.
+    live = compute_liveness(f, cfg);
     if (opts.fuse_super) {
       u32 fused = superinstruction_pass(f, cfg, live, opts.simd);
       changes += fused;

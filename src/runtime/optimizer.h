@@ -1,4 +1,5 @@
-// Optimizing ("LLVM"-analogue) tier: dataflow passes over Baseline RegCode.
+// Optimizing pipeline (kOptimizing, and kJit beneath its native codegen):
+// dataflow passes over freshly lowered RegCode.
 //
 // Passes, per function, iterated to a small fixpoint:
 //   1. block-local copy propagation
@@ -34,13 +35,10 @@ struct OptStats {
   u32 guards_hoisted = 0;  // loops versioned behind a kMemGuard
 };
 
-/// Pass configuration. The LightOpt tier (Cranelift analogue) runs one
-/// round without instruction fusion; the full Optimizing tier (LLVM
-/// analogue) iterates to a fixpoint with fusion, superinstructions, and
-/// bounds-check hoisting enabled.
+/// Pass configuration: the ablation switches of the optimizing pipeline
+/// (EngineConfig::opt_*). Compare/branch, immediate, and mul-add fusion
+/// always run.
 struct OptOptions {
-  u32 max_rounds = 4;
-  bool fuse = true;          // compare/branch, imm, and mul-add fusion
   bool fuse_super = true;    // load+op, op+store, cmp+select, indexed addr
   bool hoist_bounds = true;  // loop versioning behind kMemGuard + raw ops
   /// SIMD-specific work: v128 splat/binop constant folding, the v128
@@ -48,10 +46,8 @@ struct OptOptions {
   /// (kV128LoadIx/StoreIx). Plain v128 execution is unaffected — this only
   /// gates the optimizer's SIMD-aware rewrites (MPIWASM_SIMD ablation).
   bool simd = true;
-  static OptOptions light() { return {1, false, false, false, true}; }
-  static OptOptions full() { return {4, true, true, true, true}; }
 };
 
-OptStats optimize_function(RFunc& f, const OptOptions& opts = OptOptions::full());
+OptStats optimize_function(RFunc& f, const OptOptions& opts = {});
 
 }  // namespace mpiwasm::rt

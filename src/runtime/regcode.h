@@ -1,17 +1,17 @@
-// RegCode: the register-transfer IR both compiled tiers execute.
+// RegCode: the register-transfer IR both compiled tiers (optimizing, jit)
+// run.
 //
 // Wasm's operand stack is statically typed, so a stack slot at height h can
-// be assigned the fixed virtual register (num_locals + h). The Baseline
-// tier emits this mapping in a single linear pass (the Singlepass analogue
-// of paper Table 1); the Optimizing tier then runs real passes over it
-// (the Cranelift/LLVM analogue). See DESIGN.md §5.
+// be assigned the fixed virtual register (num_locals + h). Lowering emits
+// this mapping in a single linear pass; the optimizer then runs real passes
+// over it, and the jit tier compiles the result to native code
+// (docs/ARCHITECTURE.md, "src/runtime").
 //
 // The executor attacks the three interpreter costs Jangda et al. identify
 // as the Wasm-vs-native gap:
-//   - dispatch: computed-goto direct threading (MPIWASM_SWITCH_DISPATCH
-//     compile-time opt-out keeps the portable switch loop; see exec.h).
-//     Handler addresses live in RFunc::handlers, resolved once per function
-//     at publication time.
+//   - dispatch: computed-goto direct threading, with the portable switch
+//     loop as reference and fallback (see exec.h). Handler addresses live
+//     in RFunc::handlers, resolved once per function at publication time.
 //   - bounds checks: the hoist pass versions counted loops behind a single
 //     kMemGuard and runs the unchecked k*Raw ops on the fast path.
 //   - missed fusion: superinstructions collapse load+op, op+store,

@@ -1,9 +1,9 @@
 // simmpi core types: datatypes, reduction ops, status, error handling, and
 // the interconnect cost model.
 //
-// simmpi is the repository's "host MPI library" substitute (DESIGN.md §2):
-// an in-process, rank-per-thread MPI-2.2 subset with eager/rendezvous
-// point-to-point protocols, tag/source matching, collectives, communicator
+// simmpi is the repository's "host MPI library" substitute
+// (docs/ARCHITECTURE.md, "src/simmpi"): an in-process, rank-per-thread
+// MPI-2.2 subset with eager/rendezvous point-to-point protocols, tag/source matching, collectives, communicator
 // management, and a configurable interconnect cost model standing in for
 // OmniPath / Graviton interconnects. Both the native benchmark twins and
 // the MPIWasm embedder call into this same library, which is exactly the
@@ -160,7 +160,8 @@ struct CollTuning {
 };
 
 /// Interconnect cost model: deterministic spin-based per-message costs so
-/// benchmark *shapes* are stable on shared CI hardware (DESIGN.md §5).
+/// benchmark *shapes* are stable on shared CI hardware (docs/BENCHMARKS.md,
+/// "Machine assumptions").
 struct NetworkProfile {
   std::string name = "zero";
   u64 latency_ns = 0;          // per-message injection latency

@@ -485,7 +485,8 @@ void Rank::send_internal(const void* buf, size_t bytes, int dest, int tag,
   if (dest < 0 || dest >= int(c.world_ranks.size()))
     throw MpiError("send: destination rank out of range");
   const NetworkProfile& prof = world_->profile();
-  // Model wire time at injection (deterministic spin; DESIGN.md §5).
+  // Model wire time at injection (deterministic spin; docs/ARCHITECTURE.md,
+  // "src/simmpi").
   spin_for_ns(prof.message_cost_ns(bytes));
 
   detail::Mailbox& box = world_->box(c.world_ranks[dest]);

@@ -2,7 +2,8 @@
 //
 // MPIWasm keys its compiled-code FileSystemCache with a BLAKE-3 hash of the
 // Wasm module bytes (paper §3.3). We substitute SHA-256: any collision-
-// resistant content hash yields identical caching semantics (DESIGN.md §2).
+// resistant content hash yields identical caching semantics
+// (docs/ARCHITECTURE.md, "src/runtime").
 #pragma once
 
 #include <array>

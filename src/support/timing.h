@@ -1,7 +1,7 @@
 // Timing utilities: monotonic stopwatch and a calibrated spin-wait used by
-// the simmpi interconnect cost model (DESIGN.md §5). We spin instead of
-// sleeping because sleep granularity on a shared box is far coarser than
-// the sub-microsecond latencies being modeled.
+// the simmpi interconnect cost model (docs/ARCHITECTURE.md, "src/simmpi").
+// We spin instead of sleeping because sleep granularity on a shared box is
+// far coarser than the sub-microsecond latencies being modeled.
 #pragma once
 
 #include <chrono>

@@ -1,8 +1,8 @@
 // The kernel toolchain: every benchmark from the paper's evaluation (§4.2)
 // authored as a Wasm module against the ModuleBuilder — our WASI-SDK
-// substitute (DESIGN.md §2). Each builder returns validated .wasm bytes
-// that import env.MPI_* (and WASI where needed) and report results through
-// the bench.report host import.
+// substitute (docs/ARCHITECTURE.md, "src/toolchain + bench"). Each builder
+// returns validated .wasm bytes that import env.MPI_* (and WASI where
+// needed) and report results through the bench.report host import.
 #pragma once
 
 #include <string>

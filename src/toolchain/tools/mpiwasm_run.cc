@@ -29,11 +29,10 @@ struct FlagSpec {
 
 constexpr FlagSpec kFlags[] = {
     {"--np", "N", "number of MPI ranks (default 1)"},
-    {"--tier", "interp|baseline|lightopt|optimizing|tiered|jit",
-     "execution tier (default optimizing)"},
+    {"--tier", "interp|optimizing|tiered|jit", "execution tier (default jit)"},
     {"--jit", "on|off", "force native codegen on/off (overrides MPIWASM_JIT)"},
-    {"--tierup-threshold", "N", "calls before interp -> baseline (tiered)"},
-    {"--tierup-opt-threshold", "N", "calls before -> optimizing (tiered)"},
+    {"--tierup-opt-threshold", "N",
+     "calls before interp -> optimizing (tiered)"},
     {"--tierup-jit-threshold", "N", "calls before -> jit (tiered)"},
     {"--cache", nullptr, "enable the on-disk compilation cache"},
     {"--stats", nullptr, "print engine/tier-up counters to stderr"},
@@ -118,7 +117,7 @@ void write_stats_json(const std::string& path, const char* tier, int ranks,
   std::fprintf(f,
                "{\n"
                "  \"tool\": \"mpiwasm-run\",\n"
-               "  \"schema\": 1,\n"
+               "  \"schema\": 2,\n"
                "  \"tier\": \"%s\",\n"
                "  \"ranks\": %d,\n"
                "  \"exit_code\": %d,\n"
@@ -129,7 +128,6 @@ void write_stats_json(const std::string& path, const char* tier, int ranks,
                "    \"funcs_total\": %llu,\n"
                "    \"funcs_predecoded\": %llu,\n"
                "    \"funcs_regcode\": %llu,\n"
-               "    \"promoted_baseline\": %llu,\n"
                "    \"promoted_optimizing\": %llu,\n"
                "    \"promoted_jit\": %llu,\n"
                "    \"func_cache_hits\": %llu,\n"
@@ -145,7 +143,6 @@ void write_stats_json(const std::string& path, const char* tier, int ranks,
                (unsigned long long)t.funcs_total,
                (unsigned long long)t.funcs_predecoded,
                (unsigned long long)t.funcs_regcode,
-               (unsigned long long)t.promoted_baseline,
                (unsigned long long)t.promoted_optimizing,
                (unsigned long long)t.promoted_jit,
                (unsigned long long)t.func_cache_hits, t.tierup_compile_ms,
@@ -160,7 +157,6 @@ void write_stats_json(const std::string& path, const char* tier, int ranks,
 
 int main(int argc, char** argv) {
   embed::EmbedderConfig cfg;
-  cfg.engine.tier = rt::EngineTier::kOptimizing;
   int ranks = 1;
   bool print_stats = false;
   std::string stats_json_path;
@@ -181,8 +177,6 @@ int main(int argc, char** argv) {
       const char* v = cur.value();
       std::string t = v != nullptr ? v : "";
       if (t == "interp") cfg.engine.tier = rt::EngineTier::kInterp;
-      else if (t == "baseline") cfg.engine.tier = rt::EngineTier::kBaseline;
-      else if (t == "lightopt") cfg.engine.tier = rt::EngineTier::kLightOpt;
       else if (t == "optimizing") cfg.engine.tier = rt::EngineTier::kOptimizing;
       else if (t == "tiered") cfg.engine.tier = rt::EngineTier::kTiered;
       else if (t == "jit") cfg.engine.tier = rt::EngineTier::kJit;
@@ -194,13 +188,6 @@ int main(int argc, char** argv) {
       if (s == "on") cfg.engine.jit = true;
       else if (s == "off") cfg.engine.jit = false;
       else { usage(argv[0]); return 2; }
-    } else if (arg == "--tierup-threshold") {
-      const char* v = cur.value();
-      if (v == nullptr ||
-          !parse_threshold(v, cfg.engine.tierup_baseline_threshold)) {
-        usage(argv[0]);
-        return 2;
-      }
     } else if (arg == "--tierup-opt-threshold") {
       const char* v = cur.value();
       if (v == nullptr || !parse_threshold(v, cfg.engine.tierup_opt_threshold)) {
@@ -300,11 +287,10 @@ int main(int argc, char** argv) {
       const auto& t = result.tierup;
       std::fprintf(stderr,
                    "[mpiwasm] tier-up: %llu funcs (%llu compiled), "
-                   "%llu -> baseline, %llu -> optimizing, %llu -> jit, "
+                   "%llu -> optimizing, %llu -> jit, "
                    "%llu cache hits, %.2fms compiling\n",
                    (unsigned long long)t.funcs_total,
                    (unsigned long long)t.funcs_regcode,
-                   (unsigned long long)t.promoted_baseline,
                    (unsigned long long)t.promoted_optimizing,
                    (unsigned long long)t.promoted_jit,
                    (unsigned long long)t.func_cache_hits, t.tierup_compile_ms);
@@ -318,10 +304,8 @@ int main(int argc, char** argv) {
                    (unsigned long long)t.funcs_regcode,
                    (unsigned long long)t.calls_counted);
       std::fprintf(stderr,
-                   "[mpiwasm] stats: tier-up events: %llu -> baseline, "
-                   "%llu -> optimizing, %llu -> jit (%llu cache hits, "
-                   "%.2fms compiling)\n",
-                   (unsigned long long)t.promoted_baseline,
+                   "[mpiwasm] stats: tier-up events: %llu -> optimizing, "
+                   "%llu -> jit (%llu cache hits, %.2fms compiling)\n",
                    (unsigned long long)t.promoted_optimizing,
                    (unsigned long long)t.promoted_jit,
                    (unsigned long long)t.func_cache_hits, t.tierup_compile_ms);

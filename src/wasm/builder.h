@@ -1,9 +1,9 @@
 // Programmatic Wasm module construction: an assembler-level API that emits
 // spec-conformant binary modules.
 //
-// This is the foundation of our WASI-SDK substitute (DESIGN.md §2): the
-// paper compiles C/C++ MPI applications with a customized WASI-SDK; we
-// author the same benchmark kernels directly against this builder and emit
+// This is the foundation of our WASI-SDK substitute (docs/ARCHITECTURE.md,
+// "src/wasm"): the paper compiles C/C++ MPI applications with a customized
+// WASI-SDK; we author the same benchmark kernels directly against this builder and emit
 // real .wasm binaries, which then flow through the decoder/validator/
 // engines exactly as externally produced modules would.
 #pragma once

@@ -133,7 +133,7 @@ TEST(Cache, ZeroByteEntryIsTreatedAsCorruptAndRemoved) {
   auto dir = fresh_cache_dir();
   auto bytes = make_module(21);
   EngineConfig cfg;
-  cfg.tier = EngineTier::kBaseline;
+  cfg.tier = EngineTier::kOptimizing;
   cfg.enable_cache = true;
   cfg.cache_dir = dir;
   rt::compile({bytes.data(), bytes.size()}, cfg);
@@ -234,15 +234,15 @@ TEST(Cache, PerFunctionEntriesRoundTripAndKeySeparately) {
   auto cm = rt::compile({bytes.data(), bytes.size()}, cfg);
   const rt::RFunc& f = cm->regcode.funcs[0];
 
-  cache.store_func(cm->hash, 0, "baseline", f);
-  EXPECT_TRUE(cache.load_func(cm->hash, 0, "baseline").has_value());
+  cache.store_func(cm->hash, 0, "optimizing", f);
+  EXPECT_TRUE(cache.load_func(cm->hash, 0, "optimizing").has_value());
   // Different function index and tier are separate keys.
-  EXPECT_FALSE(cache.load_func(cm->hash, 1, "baseline").has_value());
-  EXPECT_FALSE(cache.load_func(cm->hash, 0, "optimizing").has_value());
+  EXPECT_FALSE(cache.load_func(cm->hash, 1, "optimizing").has_value());
+  EXPECT_FALSE(cache.load_func(cm->hash, 0, "jit").has_value());
   // The per-function entry does not satisfy a whole-module lookup.
-  EXPECT_FALSE(cache.load(cm->hash, "baseline").has_value());
+  EXPECT_FALSE(cache.load(cm->hash, "optimizing").has_value());
 
-  auto loaded = cache.load_func(cm->hash, 0, "baseline");
+  auto loaded = cache.load_func(cm->hash, 0, "optimizing");
   ASSERT_TRUE(loaded.has_value());
   ASSERT_EQ(loaded->code.size(), f.code.size());
   for (size_t i = 0; i < f.code.size(); ++i)
@@ -255,9 +255,9 @@ TEST(Cache, CorruptPerFunctionEntryIsIgnoredAndRemoved) {
   FileSystemCache cache(dir);
   auto bytes = make_module(13);
   EngineConfig cfg;
-  cfg.tier = EngineTier::kBaseline;
+  cfg.tier = EngineTier::kOptimizing;
   auto cm = rt::compile({bytes.data(), bytes.size()}, cfg);
-  cache.store_func(cm->hash, 0, "baseline", cm->regcode.funcs[0]);
+  cache.store_func(cm->hash, 0, "optimizing", cm->regcode.funcs[0]);
 
   size_t entries = 0;
   for (const auto& entry : fs::directory_iterator(dir)) {
@@ -266,7 +266,7 @@ TEST(Cache, CorruptPerFunctionEntryIsIgnoredAndRemoved) {
     ++entries;
   }
   ASSERT_EQ(entries, 1u);
-  EXPECT_FALSE(cache.load_func(cm->hash, 0, "baseline").has_value());
+  EXPECT_FALSE(cache.load_func(cm->hash, 0, "optimizing").has_value());
   // The corrupt file was removed from disk.
   entries = 0;
   for (const auto& e : fs::directory_iterator(dir))
@@ -280,8 +280,9 @@ TEST(Cache, TieredPromotionsWarmStartFromCache) {
   auto bytes = make_module(55);
   EngineConfig cfg;
   cfg.tier = EngineTier::kTiered;
-  cfg.tierup_baseline_threshold = 1;
-  cfg.tierup_opt_threshold = 2;
+  cfg.tierup_opt_threshold = 1;
+  cfg.tierup_jit_threshold = 2;
+  cfg.jit = true;  // independent of the MPIWASM_JIT ambient default
   cfg.enable_cache = true;
   cfg.cache_dir = dir;
 
@@ -289,19 +290,19 @@ TEST(Cache, TieredPromotionsWarmStartFromCache) {
     auto cm = rt::compile({bytes.data(), bytes.size()}, cfg);
     rt::ImportTable imports;
     rt::Instance inst(cm, imports);
-    EXPECT_EQ(inst.invoke("run").as_i32(), 55);  // promotes to baseline
     EXPECT_EQ(inst.invoke("run").as_i32(), 55);  // promotes to optimizing
+    EXPECT_EQ(inst.invoke("run").as_i32(), 55);  // promotes to jit
     return rt::tierup_snapshot(*cm);
   };
 
   auto cold = run_twice_and_snapshot();
-  EXPECT_EQ(cold.promoted_baseline, 1u);
   EXPECT_EQ(cold.promoted_optimizing, 1u);
+  EXPECT_EQ(cold.promoted_jit, 1u);
   EXPECT_EQ(cold.func_cache_hits, 0u);
 
   auto warm = run_twice_and_snapshot();
-  EXPECT_EQ(warm.promoted_baseline, 1u);
   EXPECT_EQ(warm.promoted_optimizing, 1u);
+  EXPECT_EQ(warm.promoted_jit, 1u);
   EXPECT_EQ(warm.func_cache_hits, 2u)
       << "second execution must warm-start both promotions from cache";
   fs::remove_all(dir);
@@ -330,7 +331,7 @@ TEST(Cache, SecondCompileHitsCache) {
 TEST(Cache, DifferentModulesGetDifferentEntries) {
   auto dir = fresh_cache_dir();
   EngineConfig cfg;
-  cfg.tier = EngineTier::kBaseline;
+  cfg.tier = EngineTier::kOptimizing;
   cfg.enable_cache = true;
   cfg.cache_dir = dir;
 
@@ -350,12 +351,13 @@ TEST(Cache, TiersAreCachedSeparately) {
   cfg.enable_cache = true;
   cfg.cache_dir = dir;
 
-  cfg.tier = EngineTier::kBaseline;
-  rt::compile({bytes.data(), bytes.size()}, cfg);
+  cfg.jit = true;  // kJit must not degrade to the optimizing tier's tag
   cfg.tier = EngineTier::kOptimizing;
-  auto opt = rt::compile({bytes.data(), bytes.size()}, cfg);
-  EXPECT_FALSE(opt->loaded_from_cache)
-      << "baseline cache entry must not satisfy optimizing tier";
+  rt::compile({bytes.data(), bytes.size()}, cfg);
+  cfg.tier = EngineTier::kJit;
+  auto jit = rt::compile({bytes.data(), bytes.size()}, cfg);
+  EXPECT_FALSE(jit->loaded_from_cache)
+      << "optimizing cache entry must not satisfy jit tier";
   fs::remove_all(dir);
 }
 
@@ -385,7 +387,7 @@ TEST(Cache, ClearRemovesEntries) {
   auto dir = fresh_cache_dir();
   auto bytes = make_module(11);
   EngineConfig cfg;
-  cfg.tier = EngineTier::kBaseline;
+  cfg.tier = EngineTier::kOptimizing;
   cfg.enable_cache = true;
   cfg.cache_dir = dir;
   rt::compile({bytes.data(), bytes.size()}, cfg);
@@ -473,9 +475,8 @@ std::shared_ptr<const rt::CompiledModule> compile_stress(EngineTier tier) {
   return rt::compile({bytes.data(), bytes.size()}, cfg);
 }
 
-const EngineTier kCompiledTiers[] = {EngineTier::kBaseline,
-                                     EngineTier::kLightOpt,
-                                     EngineTier::kOptimizing, EngineTier::kJit};
+const EngineTier kCompiledTiers[] = {EngineTier::kOptimizing,
+                                     EngineTier::kJit};
 
 TEST(ParallelCompile, EachFunctionMatchesTheSerialPipeline) {
   for (EngineTier tier : kCompiledTiers) {
@@ -484,10 +485,7 @@ TEST(ParallelCompile, EachFunctionMatchesTheSerialPipeline) {
     ASSERT_EQ(cm->regcode.funcs.size(), kParallelFuncs);
     for (u32 i = 0; i < kParallelFuncs; ++i) {
       rt::RFunc ref = rt::lower_function(cm->module, i);
-      if (tier == EngineTier::kLightOpt)
-        rt::optimize_function(ref, rt::OptOptions::light());
-      else if (tier != EngineTier::kBaseline)
-        rt::optimize_function(ref, rt::OptOptions::full());
+      rt::optimize_function(ref);
       if (tier == EngineTier::kJit) ref.jit = rt::jit_compile_function(ref);
       // The serialized record covers every non-derived field, native blob
       // included.

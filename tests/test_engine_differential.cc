@@ -1,6 +1,6 @@
 // Differential property tests: for a corpus of generated programs and
 // pseudo-random inputs, every execution configuration must agree
-// bit-exactly — the four static tiers *and* tiered mode with threshold 1,
+// bit-exactly — the three static tiers *and* tiered mode with threshold 1,
 // which forces a lazy promotion mid-run. This is the core correctness
 // argument for the compiled tiers and for tier-up publication — any
 // lowering, optimization, or promotion bug shows up as a divergence.
@@ -291,8 +291,6 @@ TEST(DifferentialTraps, AllConfigsAgreeOnTrapKind) {
 // ---------------------------------------------------------------------------
 
 TEST(DifferentialDispatch, SwitchAndThreadedExecutorsAgree) {
-  if (!rt::threaded_dispatch_compiled())
-    GTEST_SKIP() << "switch-dispatch build";
   struct ForceGuard {
     ~ForceGuard() { rt::set_dispatch_force_switch(false); }
   } guard;

@@ -4,6 +4,7 @@
 // recompile -> threaded fallback).
 #include "testlib.h"
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -60,6 +61,16 @@ TEST(Jit, CompilesAndRunsNativeCode) {
                                                   Value::from_i32(7)})
                 .as_i32(),
             47);
+}
+
+TEST(Jit, IsTheDefaultTier) {
+  auto bytes = arith_module();
+  EngineConfig cfg;
+  EXPECT_EQ(cfg.tier, EngineTier::kJit);
+  cfg.jit = true;
+  auto cm = rt::compile({bytes.data(), bytes.size()}, cfg);
+  EXPECT_EQ(cm->tier, EngineTier::kJit);
+  EXPECT_EQ(cm->jit_funcs.load(), 1u);
 }
 
 TEST(Jit, JitOffDegradesToOptimizing) {
@@ -469,24 +480,33 @@ TEST(Jit, TieredPromotionReachesNativeCode) {
   EngineConfig cfg;
   cfg.tier = EngineTier::kTiered;
   cfg.jit = true;
-  cfg.tierup_baseline_threshold = 1;
   cfg.tierup_opt_threshold = 2;
-  cfg.tierup_jit_threshold = 3;
+  cfg.tierup_jit_threshold = 4;
   auto cm = rt::compile({bytes.data(), bytes.size()}, cfg);
   rt::ImportTable imports;
   rt::Instance inst(cm, imports);
-  for (int k = 0; k < 6; ++k) {
+  for (u64 call = 1; call <= 8; ++call) {
+    const i32 k = i32(call);
     EXPECT_EQ(inst.invoke("run", std::vector<Value>{Value::from_i32(k),
                                                     Value::from_i32(2)})
                   .as_i32(),
               2 * k + 5)
-        << "call " << k;
+        << "call " << call;
+    const auto snap = rt::tierup_snapshot(*cm);
+    // Interp until the opt threshold, optimizing until the jit threshold,
+    // then native code behind the steady thunk, which stops counting.
+    const bool optimized = call >= cfg.tierup_opt_threshold;
+    const bool native = call >= cfg.tierup_jit_threshold;
+    EXPECT_EQ(snap.funcs_predecoded, optimized ? 0u : 1u) << "call " << call;
+    EXPECT_EQ(snap.funcs_regcode, optimized ? 1u : 0u) << "call " << call;
+    EXPECT_EQ(snap.promoted_optimizing, optimized ? 1u : 0u)
+        << "call " << call;
+    EXPECT_EQ(snap.promoted_jit, native ? 1u : 0u) << "call " << call;
+    EXPECT_EQ(snap.jit_funcs, native ? 1u : 0u) << "call " << call;
+    EXPECT_EQ(snap.calls_counted, std::min(call, cfg.tierup_jit_threshold))
+        << "call " << call;
   }
-  auto snap = rt::tierup_snapshot(*cm);
-  EXPECT_EQ(snap.promoted_jit, 1u);
-  EXPECT_EQ(snap.jit_funcs, 1u);
-  EXPECT_GT(snap.jit_code_bytes, 0u);
-  EXPECT_GE(snap.calls_counted, 3u);
+  EXPECT_GT(rt::tierup_snapshot(*cm).jit_code_bytes, 0u);
 }
 
 TEST(Jit, SnapshotCountsStaticJitModules) {

@@ -1,5 +1,6 @@
 // Optimizer pass tests: transformations fire where expected and never
-// change observable results (checked against the Baseline tier).
+// change observable results (checked against the interpreter and the
+// unoptimized lowering).
 #include "testlib.h"
 
 #include "runtime/lowering.h"
@@ -195,7 +196,7 @@ TEST(Optimizer, ReducesInstructionCountOnHotLoop) {
   EXPECT_LE(opt.code.size() * 4, base.code.size() * 3)
       << "base=" << base.code.size() << " opt=" << opt.code.size();
   // Semantics preserved.
-  auto ib = instantiate(bytes, EngineTier::kBaseline);
+  auto ib = instantiate(bytes, EngineTier::kInterp);
   auto io = instantiate(bytes, EngineTier::kOptimizing);
   auto in = std::vector<Value>{Value::from_i32(1000)};
   EXPECT_EQ(ib->invoke("run", in).as_i64(), io->invoke("run", in).as_i64());
@@ -352,7 +353,7 @@ TEST(Superinstructions, DisabledByOption) {
   auto decoded = wasm::decode_module({bytes.data(), bytes.size()});
   ASSERT_TRUE(decoded.ok());
   RFunc f = rt::lower_function(*decoded.module, 0);
-  rt::OptOptions opts = rt::OptOptions::full();
+  rt::OptOptions opts;
   opts.fuse_super = false;
   rt::optimize_function(f, opts);
   EXPECT_FALSE(contains_op(f, ROp::kSelectI32LtS));
@@ -429,7 +430,7 @@ TEST(SimdSuperinstructions, SimdFusionDisabledByOption) {
   auto decoded = wasm::decode_module({bytes.data(), bytes.size()});
   ASSERT_TRUE(decoded.ok());
   RFunc f = rt::lower_function(*decoded.module, 0);
-  rt::OptOptions opts = rt::OptOptions::full();
+  rt::OptOptions opts;
   opts.simd = false;
   rt::optimize_function(f, opts);
   // v128 ops stay un-fused; scalar superinstructions are unaffected.
@@ -533,7 +534,7 @@ TEST(BoundsHoisting, DisabledByOption) {
   auto decoded = wasm::decode_module({bytes.data(), bytes.size()});
   ASSERT_TRUE(decoded.ok());
   RFunc f = rt::lower_function(*decoded.module, 0);
-  rt::OptOptions opts = rt::OptOptions::full();
+  rt::OptOptions opts;
   opts.hoist_bounds = false;
   rt::optimize_function(f, opts);
   EXPECT_FALSE(contains_op(f, ROp::kMemGuard));
@@ -579,7 +580,7 @@ TEST(BoundsHoisting, GuardFailurePreservesTrapPointAndPartialStores) {
 }
 
 TEST(BoundsHoisting, LoweringFusesConstOperands) {
-  // The lowering-time const+binop fusion benefits the Baseline tier too.
+  // The lowering-time const+binop fusion applies before the optimizer runs.
   auto bytes = build_single_func({{I32}, {I32}}, [](auto& f) {
     f.local_get(0);
     f.i32_const(5);

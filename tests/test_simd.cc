@@ -2,7 +2,7 @@
 //
 // Every v128 instruction is checked against an independent scalar reference
 // evaluator (plain per-lane loops written here, not the runtime's arith.h
-// helpers), across every engine configuration (all four static tiers, the
+// helpers), across every engine configuration (all three static tiers, the
 // plain-optimizing ablation, tiered promotion-threshold-1/staged) and both
 // dispatch modes (computed-goto and forced switch). On top of the per-op
 // sweep: scalar-vs-SIMD micro-kernel twins (bit-exact for element-wise and
@@ -186,16 +186,14 @@ std::vector<EngineConfig> simd_configs() {
   return cfgs;
 }
 
-/// Runs `check` under every engine config and, when the build has the
-/// computed-goto executor, under the forced-switch loop as well.
+/// Runs `check` under every engine config, then again under the
+/// forced-switch loop.
 void for_each_mode(const std::function<void(const EngineConfig&)>& check) {
   for (const EngineConfig& cfg : simd_configs()) {
     check(cfg);
-    if (rt::threaded_dispatch_compiled()) {
-      rt::set_dispatch_force_switch(true);
-      check(cfg);
-      rt::set_dispatch_force_switch(false);
-    }
+    rt::set_dispatch_force_switch(true);
+    check(cfg);
+    rt::set_dispatch_force_switch(false);
   }
 }
 

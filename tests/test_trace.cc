@@ -242,8 +242,7 @@ TEST(TraceJson, TracedWorkloadEmitsWellFormedChromeJson) {
   bench::ReportCollector collector;
   EmbedderConfig cfg;
   cfg.engine.tier = EngineTier::kTiered;
-  cfg.engine.tierup_baseline_threshold = 2;
-  cfg.engine.tierup_opt_threshold = 4;
+  cfg.engine.tierup_opt_threshold = 2;
   cfg.engine.enable_cache = false;
   cfg.extra_imports = collector.hook();
   Embedder emb(cfg);

@@ -205,7 +205,7 @@ TEST(WasiEndToEnd, ArgsRoundTrip) {
   f.end();
   wasi::WasiConfig cfg;
   cfg.args = {"prog", "alpha", "beta"};
-  auto run = run_wasi_module(b.build(), cfg, EngineTier::kBaseline);
+  auto run = run_wasi_module(b.build(), cfg, EngineTier::kOptimizing);
   EXPECT_EQ(run.exit_code, 3);
 }
 

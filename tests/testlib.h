@@ -28,18 +28,17 @@ constexpr ValType F64 = ValType::kF64;
 constexpr ValType V128T = ValType::kV128;
 
 inline std::vector<EngineTier> all_tiers() {
-  return {EngineTier::kInterp, EngineTier::kBaseline, EngineTier::kLightOpt,
-          EngineTier::kOptimizing, EngineTier::kJit};
+  return {EngineTier::kInterp, EngineTier::kOptimizing, EngineTier::kJit};
 }
 
 /// Every engine configuration a module should behave identically under:
-/// the four static tiers (the optimizing tier runs with superinstruction
-/// fusion and bounds-check hoisting enabled — their defaults), an
-/// optimizing ablation with both disabled (isolates the fused/hoisted code
-/// paths against the plain pipeline), plus tiered mode with threshold 1,
-/// which forces a lazy promotion on the very first call of every function
-/// (maximum mid-run tier churn; promotions also compile fused+hoisted
-/// bodies).
+/// the three static tiers (the optimizing and jit tiers run with
+/// superinstruction fusion and bounds-check hoisting enabled — their
+/// defaults), an optimizing ablation with both disabled (isolates the
+/// fused/hoisted code paths against the plain pipeline), plus tiered mode
+/// with threshold 1, which forces a lazy promotion on the very first call
+/// of every function (maximum mid-run tier churn; promotions also compile
+/// fused+hoisted bodies).
 inline std::vector<EngineConfig> all_engine_configs() {
   std::vector<EngineConfig> cfgs;
   for (EngineTier tier : all_tiers()) {
@@ -54,28 +53,22 @@ inline std::vector<EngineConfig> all_engine_configs() {
   cfgs.push_back(plain_opt);
   EngineConfig tiered;
   tiered.tier = EngineTier::kTiered;
-  tiered.tierup_baseline_threshold = 1;
   tiered.tierup_opt_threshold = 1;
   cfgs.push_back(tiered);
-  // A staged variant: interp first, baseline on call 2, optimizing on
+  // A staged variant: interp first, optimizing on call 2, native code on
   // call 4 — promotions land mid-sweep in multi-input tests.
   EngineConfig staged;
   staged.tier = EngineTier::kTiered;
-  staged.tierup_baseline_threshold = 2;
-  staged.tierup_opt_threshold = 4;
+  staged.tierup_opt_threshold = 2;
+  staged.tierup_jit_threshold = 4;
   cfgs.push_back(staged);
-  // The jit tier with native codegen forced OFF (degrades to optimizing —
-  // pins the MPIWASM_JIT=0 escape hatch), and tiered mode promoting all the
-  // way to native code mid-run. The plain kJit entry comes from all_tiers().
-  EngineConfig jit_off;
-  jit_off.tier = EngineTier::kJit;
-  jit_off.jit = false;
-  cfgs.push_back(jit_off);
+  // Tiered mode promoting all the way to native code mid-run. The jit knob
+  // keeps its env default in every entry; Jit.JitOffDegradesToOptimizing
+  // pins that kJit with codegen off compiles the kOptimizing entry.
   EngineConfig tiered_jit;
   tiered_jit.tier = EngineTier::kTiered;
-  tiered_jit.tierup_baseline_threshold = 1;
-  tiered_jit.tierup_opt_threshold = 2;
-  tiered_jit.tierup_jit_threshold = 3;  // jit knob keeps its env default
+  tiered_jit.tierup_opt_threshold = 1;
+  tiered_jit.tierup_jit_threshold = 3;
   cfgs.push_back(tiered_jit);
   return cfgs;
 }
@@ -84,10 +77,8 @@ inline std::vector<EngineConfig> all_engine_configs() {
 inline std::string config_label(const EngineConfig& cfg) {
   std::string s = rt::tier_name(cfg.tier);
   if (cfg.tier == EngineTier::kTiered) {
-    s += "(" + std::to_string(cfg.tierup_baseline_threshold) + "," +
-         std::to_string(cfg.tierup_opt_threshold);
-    if (cfg.jit) s += "," + std::to_string(cfg.tierup_jit_threshold);
-    s += ")";
+    s += "(" + std::to_string(cfg.tierup_opt_threshold) + "," +
+         std::to_string(cfg.tierup_jit_threshold) + ")";
   }
   if (cfg.tier == EngineTier::kJit && !cfg.jit) s += "(off)";
   if (!cfg.opt_superinstructions || !cfg.opt_hoist_bounds) s += "(plain)";
