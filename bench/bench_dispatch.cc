@@ -29,6 +29,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -207,6 +208,8 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
   std::fprintf(out, "  \"bench\": \"bench_dispatch\",\n");
   std::fprintf(out, "  \"schema\": 2,\n");
   std::fprintf(out, "  \"smoke\": %s,\n", smoke ? "true" : "false");
+  std::fprintf(out, "  \"host_hw_concurrency\": %u,\n",
+               unsigned(std::thread::hardware_concurrency()));
   std::fprintf(out, "  \"tier\": \"optimizing (+jit column at tier jit)\",\n");
   std::fprintf(out,
                "  \"configs\": [\"prepr\", \"switch\", \"threaded\", "

@@ -62,8 +62,10 @@ int main() {
   write_csv("fig4_hpcg.csv", "ranks,native_gflops,wasm_gflops", rows);
   std::printf(
       "\nNote: the wasm side runs native code from the jit tier's templates,\n"
-      "which load every operand from and store every result to a frame in\n"
-      "memory (docs/ARCHITECTURE.md, \"src/runtime\"); the paper's\n"
-      "Wasmer/LLVM backend allocates registers.\n");
+      "which keep loop values in registers chosen by a linear-scan\n"
+      "allocator; values live across calls and operands of helper-calling\n"
+      "ops go through a frame in memory (docs/ARCHITECTURE.md,\n"
+      "\"src/runtime\"). The paper's Wasmer/LLVM backend allocates\n"
+      "registers across the whole function, calls included.\n");
   return 0;
 }

@@ -18,7 +18,7 @@ namespace {
 
 // Bump when any template's encoding or register assignment changes in a way
 // that would make a previously cached blob wrong (not just stale).
-constexpr u64 kJitCodegenVersion = 1;
+constexpr u64 kJitCodegenVersion = 2;
 
 /// One in-flight native activation per (possibly nested) jit_enter. The
 /// jmp_buf is the landing pad trap helpers longjmp to; `prev` restores the
@@ -507,6 +507,11 @@ const void* jit_helper_address(u32 id) {
   return g_helper_table[id];
 }
 
+// Arena code carries no function-type signature in front of its entry, which
+// clang's -fsanitize=function check reads at every indirect call.
+#if defined(__clang__)
+__attribute__((no_sanitize("function")))
+#endif
 void jit_enter(JitEntryFn fn, Instance& inst, Slot* regs) {
   JitEnv env;
   env.inst = &inst;

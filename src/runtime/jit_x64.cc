@@ -1,9 +1,15 @@
 #include "runtime/jit_x64.h"
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstring>
 #include <initializer_list>
+#include <optional>
+#include <span>
 
 #include "runtime/jit_support.h"
+#include "runtime/optimizer.h"
 
 namespace mpiwasm::rt {
 
@@ -14,7 +20,7 @@ using wasm::V128;
 // Register numbers (low 3 bits go in modrm/SIB; bit 3 goes in REX).
 enum Gpr : u8 {
   RAX = 0, RCX = 1, RDX = 2, RBX = 3, RSP = 4, RBP = 5, RSI = 6, RDI = 7,
-  R8 = 8, R12 = 12, R13 = 13, R14 = 14, R15 = 15,
+  R8 = 8, R9 = 9, R10 = 10, R11 = 11, R12 = 12, R13 = 13, R14 = 14, R15 = 15,
 };
 enum Xmm : u8 { X0 = 0, X1 = 1 };
 
@@ -24,14 +30,542 @@ enum Cc : u8 {
   CC_P = 0xA, CC_NP = 0xB, CC_L = 0xC, CC_GE = 0xD, CC_LE = 0xE, CC_G = 0xF,
 };
 
-/// One function's emission state. The templates use a fixed register
-/// discipline (see jit_x64.h): rax/rcx/rdx and xmm0/xmm1 are the only
-/// scratch registers, every value lives in the Slot frame between
-/// instructions, so each RegCode instruction maps to an independent
-/// template and there is no register allocator.
+// --- register allocation -------------------------------------------------------
+//
+// Each RegCode slot is split into webs (def-use live ranges: every def joined
+// with the uses it reaches, across branch joins and loop back edges). A web
+// gets one location for the whole function — a caller-saved register the
+// templates never use as scratch, or its home slot — so no join needs
+// reconciling. Linear scan over each web's live interval (the hull of the
+// points where it is live, read or written) assigns registers, evicting the
+// web with the least loop-depth-weighted use count when a file runs out.
+
+// Operand kinds of a template with register forms: an integer (GPR), a
+// scalar float or a vector (XMM), or an untyped whole-Slot copy that pins
+// neither file.
+enum Kind : u8 { kNo = 0, kInt, kFlt, kVec, kAny };
+
+/// What a converted template reads and writes: the kind of the r[a] it
+/// writes, then of the r[a], r[b], r[c], r[d] it reads (kNo: not read).
+struct Sig {
+  Kind dst = kNo;
+  Kind a = kNo, b = kNo, c = kNo, d = kNo;
+};
+
+/// The signature of `op`'s template when it has register forms; nullopt
+/// for ops that run their frame template under the fallback rule.
+std::optional<Sig> reg_sig(ROp op) {
+  using R = ROp;
+  switch (op) {
+    case R::kNop: case R::kBr: case R::kReturnVoid:
+      return Sig{};
+    case R::kMov: case R::kI32ReinterpretF32: case R::kI64ReinterpretF64:
+    case R::kF32ReinterpretI32: case R::kF64ReinterpretI64:
+      return Sig{kAny, kNo, kAny};
+    case R::kConst:
+      return Sig{kAny};
+    case R::kConstV128:
+      return Sig{kVec};
+    case R::kSelect:
+      return Sig{kAny, kAny, kAny, kInt};
+    case R::kBrIf: case R::kBrIfNot: case R::kBrTable:
+      return Sig{kNo, kInt};
+    case R::kReturn:
+      return Sig{kNo, kAny};
+    case R::kMemorySize:
+      return Sig{kInt};
+
+    case R::kI32Load: case R::kI64Load: case R::kI32Load8S: case R::kI32Load8U:
+    case R::kI32Load16S: case R::kI32Load16U: case R::kI64Load8S:
+    case R::kI64Load8U: case R::kI64Load16S: case R::kI64Load16U:
+    case R::kI64Load32S: case R::kI64Load32U: case R::kI32LoadRaw:
+    case R::kI64LoadRaw:
+      return Sig{kInt, kNo, kInt};
+    case R::kF32Load: case R::kF64Load: case R::kF32LoadRaw: case R::kF64LoadRaw:
+      return Sig{kFlt, kNo, kInt};
+    case R::kV128Load: case R::kV128Load32Splat: case R::kV128Load64Splat:
+    case R::kV128LoadRaw:
+      return Sig{kVec, kNo, kInt};
+    case R::kI32Store: case R::kI64Store: case R::kI32Store8:
+    case R::kI32Store16: case R::kI64Store8: case R::kI64Store16:
+    case R::kI64Store32: case R::kI32StoreRaw: case R::kI64StoreRaw:
+      return Sig{kNo, kInt, kInt};
+    case R::kF32Store: case R::kF64Store: case R::kF32StoreRaw:
+    case R::kF64StoreRaw:
+      return Sig{kNo, kInt, kFlt};
+    case R::kV128Store: case R::kV128StoreRaw:
+      return Sig{kNo, kInt, kVec};
+
+    case R::kI32Eqz: case R::kI64Eqz:
+    case R::kI32WrapI64: case R::kI64ExtendI32S: case R::kI64ExtendI32U:
+    case R::kI64Extend32S:
+    case R::kI32AddImm: case R::kI64AddImm: case R::kI32ShlImm:
+    case R::kI32ShrUImm: case R::kI32AndImm: case R::kI32MulImm:
+      return Sig{kInt, kNo, kInt};
+    case R::kI32Eq: case R::kI32Ne: case R::kI32LtS: case R::kI32LtU:
+    case R::kI32GtS: case R::kI32GtU: case R::kI32LeS: case R::kI32LeU:
+    case R::kI32GeS: case R::kI32GeU:
+    case R::kI64Eq: case R::kI64Ne: case R::kI64LtS: case R::kI64LtU:
+    case R::kI64GtS: case R::kI64GtU: case R::kI64LeS: case R::kI64LeU:
+    case R::kI64GeS: case R::kI64GeU:
+    case R::kI32Add: case R::kI32Sub: case R::kI32Mul: case R::kI32And:
+    case R::kI32Or: case R::kI32Xor: case R::kI32Shl: case R::kI32ShrS:
+    case R::kI32ShrU: case R::kI32Rotl: case R::kI32Rotr:
+    case R::kI64Add: case R::kI64Sub: case R::kI64Mul: case R::kI64And:
+    case R::kI64Or: case R::kI64Xor: case R::kI64Shl: case R::kI64ShrS:
+    case R::kI64ShrU: case R::kI64Rotl: case R::kI64Rotr:
+      return Sig{kInt, kNo, kInt, kInt};
+    case R::kF32Eq: case R::kF32Ne: case R::kF32Lt: case R::kF32Gt:
+    case R::kF32Le: case R::kF32Ge:
+    case R::kF64Eq: case R::kF64Ne: case R::kF64Lt: case R::kF64Gt:
+    case R::kF64Le: case R::kF64Ge:
+      return Sig{kInt, kNo, kFlt, kFlt};
+    case R::kF32Add: case R::kF32Sub: case R::kF32Mul: case R::kF32Div:
+    case R::kF64Add: case R::kF64Sub: case R::kF64Mul: case R::kF64Div:
+      return Sig{kFlt, kNo, kFlt, kFlt};
+    case R::kF32Sqrt: case R::kF64Sqrt: case R::kF32DemoteF64:
+    case R::kF64PromoteF32:
+      return Sig{kFlt, kNo, kFlt};
+    case R::kF32ConvertI32S: case R::kF32ConvertI32U: case R::kF32ConvertI64S:
+    case R::kF64ConvertI32S: case R::kF64ConvertI32U: case R::kF64ConvertI64S:
+      return Sig{kFlt, kNo, kInt};
+
+    case R::kI32x4Splat: case R::kI64x2Splat:
+      return Sig{kVec, kNo, kInt};
+    case R::kF32x4Splat: case R::kF64x2Splat:
+      return Sig{kVec, kNo, kFlt};
+    case R::kI32x4ExtractLane: case R::kI64x2ExtractLane:
+    case R::kV128AnyTrue: case R::kI8x16AllTrue: case R::kI16x8AllTrue:
+    case R::kI32x4AllTrue: case R::kI64x2AllTrue:
+      return Sig{kInt, kNo, kVec};
+    case R::kF32x4ExtractLane: case R::kF64x2ExtractLane:
+      return Sig{kFlt, kNo, kVec};
+    case R::kV128Not: case R::kI8x16Abs: case R::kI16x8Abs: case R::kI32x4Abs:
+    case R::kI8x16Neg: case R::kI16x8Neg: case R::kI32x4Neg: case R::kI64x2Neg:
+    case R::kF32x4Abs: case R::kF32x4Neg: case R::kF32x4Sqrt:
+    case R::kF64x2Abs: case R::kF64x2Neg: case R::kF64x2Sqrt:
+      return Sig{kVec, kNo, kVec};
+    case R::kI8x16Eq: case R::kI8x16Ne: case R::kI8x16LtS: case R::kI8x16GtS:
+    case R::kI16x8Eq: case R::kI16x8Ne: case R::kI16x8LtS: case R::kI16x8GtS:
+    case R::kI32x4Eq: case R::kI32x4Ne: case R::kI32x4LtS: case R::kI32x4GtS:
+    case R::kF32x4Eq: case R::kF32x4Ne: case R::kF32x4Lt: case R::kF32x4Le:
+    case R::kF32x4Gt: case R::kF32x4Ge:
+    case R::kF64x2Eq: case R::kF64x2Ne: case R::kF64x2Lt: case R::kF64x2Le:
+    case R::kF64x2Gt: case R::kF64x2Ge:
+    case R::kV128And: case R::kV128AndNot: case R::kV128Or: case R::kV128Xor:
+    case R::kI8x16Add: case R::kI8x16Sub: case R::kI16x8Add: case R::kI16x8Sub:
+    case R::kI16x8Mul: case R::kI32x4Add: case R::kI32x4Sub: case R::kI32x4Mul:
+    case R::kI32x4MinS: case R::kI32x4MinU: case R::kI32x4MaxS:
+    case R::kI32x4MaxU: case R::kI64x2Add: case R::kI64x2Sub:
+    case R::kF32x4Add: case R::kF32x4Sub: case R::kF32x4Mul: case R::kF32x4Div:
+    case R::kF32x4Pmin: case R::kF32x4Pmax:
+    case R::kF64x2Add: case R::kF64x2Sub: case R::kF64x2Mul: case R::kF64x2Div:
+    case R::kF64x2Pmin: case R::kF64x2Pmax:
+      return Sig{kVec, kNo, kVec, kVec};
+    case R::kI32x4Shl: case R::kI32x4ShrS: case R::kI32x4ShrU:
+    case R::kI64x2Shl: case R::kI64x2ShrU:
+      return Sig{kVec, kNo, kVec, kInt};
+    case R::kV128Bitselect:
+      return Sig{kVec, kVec, kVec, kVec};
+
+    case R::kBrIfI32Eq: case R::kBrIfI32Ne: case R::kBrIfI32LtS:
+    case R::kBrIfI32LtU: case R::kBrIfI32GtS: case R::kBrIfI32GtU:
+    case R::kBrIfI32LeS: case R::kBrIfI32LeU: case R::kBrIfI32GeS:
+    case R::kBrIfI32GeU:
+      return Sig{kNo, kInt, kInt};
+    case R::kF64MulAdd: case R::kF32MulAdd:
+      return Sig{kFlt, kNo, kFlt, kFlt, kFlt};
+    case R::kSelectI32Eq: case R::kSelectI32Ne: case R::kSelectI32LtS:
+    case R::kSelectI32LtU: case R::kSelectI32GtS: case R::kSelectI32GtU:
+      return Sig{kAny, kAny, kAny, kInt, kInt};
+    case R::kSelectF64Lt: case R::kSelectF64Gt:
+      return Sig{kAny, kAny, kAny, kFlt, kFlt};
+    case R::kI32LoadAdd: case R::kI64LoadAdd:
+    case R::kI32LoadIx: case R::kI64LoadIx:
+    case R::kI32LoadIxRaw: case R::kI64LoadIxRaw:
+      return Sig{kInt, kNo, kInt, kInt};
+    case R::kF32LoadAdd: case R::kF64LoadAdd: case R::kF32LoadMul:
+    case R::kF64LoadMul:
+      return Sig{kFlt, kNo, kInt, kFlt};
+    case R::kF32LoadIx: case R::kF64LoadIx:
+    case R::kF32LoadIxRaw: case R::kF64LoadIxRaw:
+      return Sig{kFlt, kNo, kInt, kInt};
+    case R::kI32x4LoadAdd: case R::kF32x4LoadAdd: case R::kF32x4LoadMul:
+    case R::kF64x2LoadAdd: case R::kF64x2LoadMul:
+      return Sig{kVec, kNo, kInt, kVec};
+    case R::kV128LoadIx: case R::kV128LoadIxRaw:
+      return Sig{kVec, kNo, kInt, kInt};
+    case R::kI32AddStore:
+    case R::kI32StoreIx: case R::kI64StoreIx:
+    case R::kI32StoreIxRaw: case R::kI64StoreIxRaw:
+      return Sig{kNo, kInt, kInt, kInt};
+    case R::kF32AddStore: case R::kF64AddStore: case R::kF64MulStore:
+      return Sig{kNo, kInt, kFlt, kFlt};
+    case R::kF32StoreIx: case R::kF64StoreIx:
+    case R::kF32StoreIxRaw: case R::kF64StoreIxRaw:
+      return Sig{kNo, kInt, kFlt, kInt};
+    case R::kI32x4AddStore: case R::kF32x4AddStore: case R::kF64x2AddStore:
+    case R::kF64x2MulStore:
+      return Sig{kNo, kInt, kVec, kVec};
+    case R::kV128StoreIx: case R::kV128StoreIxRaw:
+      return Sig{kNo, kInt, kVec, kInt};
+    default:
+      return std::nullopt;
+  }
+}
+
+/// Register reads for liveness: exact for converted templates, the
+/// optimizer's conservative set for the rest.
+void jit_reads(const RInstr& in, std::vector<u32>& out) {
+  const std::optional<Sig> s = reg_sig(in.op);
+  if (!s) {
+    collect_reads(in, out);
+    return;
+  }
+  out.clear();
+  if (s->a != kNo) out.push_back(in.a);
+  if (s->b != kNo) out.push_back(in.b);
+  if (s->c != kNo) out.push_back(in.c);
+  if (s->d != kNo) out.push_back(in.d);
+}
+
+/// Ops whose destination is the r[a] they read: one web, updated in place.
+bool select_shaped(ROp op) {
+  return op == ROp::kSelect || op == ROp::kV128Bitselect ||
+         (op >= ROp::kSelectI32Eq && op <= ROp::kSelectF64Gt);
+}
+
+/// Fallback templates that call a C++ helper, which clobbers every
+/// allocatable register (all are caller-saved).
+bool calls_helper(ROp op, u32 feats) {
+  using R = ROp;
+  switch (op) {
+    case R::kCall: case R::kCallIndirect: case R::kMemoryGrow:
+    case R::kMemoryCopy: case R::kMemoryFill: case R::kMemGuard:
+    case R::kI32DivS: case R::kI32DivU: case R::kI32RemS: case R::kI32RemU:
+    case R::kI64DivS: case R::kI64DivU: case R::kI64RemS: case R::kI64RemU:
+    case R::kF32Min: case R::kF32Max: case R::kF64Min: case R::kF64Max:
+    case R::kI32TruncF32S: case R::kI32TruncF32U: case R::kI32TruncF64S:
+    case R::kI32TruncF64U: case R::kI64TruncF32S: case R::kI64TruncF32U:
+    case R::kI64TruncF64S: case R::kI64TruncF64U:
+    case R::kF32ConvertI64U: case R::kF64ConvertI64U:
+      return true;
+    case R::kI32Clz: case R::kI64Clz:
+      return !(feats & kJitFeatLzcnt);
+    case R::kI32Ctz: case R::kI64Ctz:
+      return !(feats & kJitFeatBmi1);
+    case R::kI32Popcnt: case R::kI64Popcnt:
+      return !(feats & kJitFeatPopcnt);
+    case R::kF32Ceil: case R::kF32Floor: case R::kF32Trunc: case R::kF32Nearest:
+    case R::kF64Ceil: case R::kF64Floor: case R::kF64Trunc: case R::kF64Nearest:
+      return !(feats & kJitFeatSse41);
+    default:
+      return rop_is_atomic(op);
+  }
+}
+
+bool jit_is_branch(ROp op);
+
+constexpr u8 kFrame = 0xFF;  // the operand lives in its home slot
+constexpr u8 kNoLoc = 0xFE;  // the field is not an operand of the template
+constexpr u8 kXmm = 0x10;    // location bit: XMM register (low nibble: number)
+constexpr u32 kNoWeb = ~0u;
+
+// Allocatable registers: caller-saved, and never template scratch (rax, rcx,
+// rdx, xmm0, xmm1) or pinned (rbx, r12-r15).
+constexpr u8 kAllocGprs[] = {RSI, RDI, R8, R9, R10, R11};
+constexpr u8 kAllocXmms = 14;  // xmm2..xmm15
+
+/// Where every operand of every instruction lives, plus the moves the
+/// fallback rule makes around templates without register forms.
+struct RegAlloc {
+  struct Locs {
+    u8 a_in = kNoLoc, b = kNoLoc, c = kNoLoc, d = kNoLoc, a_out = kNoLoc;
+  };
+  struct Move {
+    u32 slot;
+    u8 loc;
+  };
+  std::vector<Locs> at;  // per instruction (converted templates)
+  // Fallback instruction i stores moves[save_at[i], restore_at[i]) to their
+  // home slots before its frame template and reloads
+  // moves[restore_at[i], save_at[i + 1]) after it.
+  std::vector<u32> save_at, restore_at;
+  std::vector<Move> moves;
+  std::vector<Move> entry;  // register webs live on entry (params, locals)
+
+  std::span<const Move> saves(size_t i) const {
+    return {moves.data() + save_at[i], moves.data() + restore_at[i]};
+  }
+  std::span<const Move> restores(size_t i) const {
+    return {moves.data() + restore_at[i], moves.data() + save_at[i + 1]};
+  }
+};
+
+RegAlloc allocate_registers(const RFunc& f, u32 feats) {
+  const size_t n = f.code.size();
+  const u32 nregs = f.num_regs;
+  const Cfg cfg = build_cfg(f);
+  const Liveness lv = compute_liveness(f, cfg, jit_reads);
+  const size_t nb = cfg.leaders.size();
+  const u32 words = lv.words;
+  auto each_live = [&](const u64* set, auto&& fn) {
+    for (u32 k = 0; k < words; ++k)
+      for (u64 m = set[k]; m != 0; m &= m - 1)
+        fn(k * 64 + u32(__builtin_ctzll(m)));
+  };
+
+  // Loop depth: each back edge j -> t (t <= j) nests [t, j] one level deeper.
+  std::vector<i32> depth(n + 1, 0);
+  auto back_edge = [&](size_t j, u32 t) {
+    if (t > j) return;
+    ++depth[t];
+    --depth[j + 1];
+  };
+  for (size_t j = 0; j < n; ++j) {
+    const RInstr& in = f.code[j];
+    if (in.op == ROp::kBrTable) {
+      for (u32 t : f.br_pool[in.imm]) back_edge(j, t);
+    } else if (jit_is_branch(in.op)) {
+      back_edge(j, u32(in.imm));
+    }
+  }
+  for (size_t j = 1; j <= n; ++j) depth[j] += depth[j - 1];
+
+  // Union-find over value nodes: one per def, one per (block, live-in slot).
+  struct Node {
+    u32 parent;
+    u32 first = ~0u, last = 0;  // live interval, in instruction order
+    f64 weight = 0;             // loop-depth-weighted reads + writes
+    u8 kinds = 0;               // 1 << Kind, over converted templates
+    bool frame = false;         // live across a wasm call or memory.grow
+  };
+  std::vector<Node> nodes;
+  nodes.reserve(2 * n + 8);
+  auto make = [&]() {
+    nodes.push_back(Node{u32(nodes.size())});
+    return u32(nodes.size() - 1);
+  };
+  auto find = [&](u32 x) {
+    while (nodes[x].parent != x) {
+      nodes[x].parent = nodes[nodes[x].parent].parent;
+      x = nodes[x].parent;
+    }
+    return x;
+  };
+  auto touch = [&](u32 x, u32 i) {
+    nodes[x].first = std::min(nodes[x].first, i);
+    nodes[x].last = std::max(nodes[x].last, i);
+  };
+
+  // Entry nodes: block b's live-in slots are entry_slot[entry_at[b] ...).
+  std::vector<u32> reads;
+  std::vector<u32> entry_at(nb + 1, 0), entry_slot, entry_node;
+  std::vector<u64> live_in(words);
+  for (size_t b = 0; b < nb; ++b) {
+    entry_at[b] = u32(entry_slot.size());
+    const size_t s = cfg.block_start(b);
+    std::copy(lv.live_out(s), lv.live_out(s) + words, live_in.begin());
+    if (writes_dest(f.code[s]))
+      live_in[f.code[s].a / 64] &= ~(u64(1) << (f.code[s].a % 64));
+    jit_reads(f.code[s], reads);
+    for (u32 r : reads) live_in[r / 64] |= u64(1) << (r % 64);
+    each_live(live_in.data(), [&](u32 r) {
+      entry_slot.push_back(r);
+      entry_node.push_back(make());
+    });
+  }
+  entry_at[nb] = u32(entry_slot.size());
+
+  // Operand nodes per instruction (a_in, b, c, d, a_out) and the fallback
+  // moves, as (slot, node) pairs laid out like RegAlloc::moves.
+  std::vector<std::array<u32, 5>> opnode(n, {kNoWeb, kNoWeb, kNoWeb, kNoWeb, kNoWeb});
+  std::vector<u32> save_at(n + 1, 0), restore_at(n, 0);
+  std::vector<std::pair<u32, u32>> moves, after;
+  auto add_move = [](std::vector<std::pair<u32, u32>>& v, size_t from,
+                     u32 r, u32 x) {
+    for (size_t k = from; k < v.size(); ++k)
+      if (v[k].first == r) return;
+    v.push_back({r, x});
+  };
+  std::vector<u32> cur(nregs, kNoWeb);
+  for (size_t b = 0; b < nb; ++b) {
+    std::fill(cur.begin(), cur.end(), kNoWeb);
+    for (u32 k = entry_at[b]; k < entry_at[b + 1]; ++k)
+      cur[entry_slot[k]] = entry_node[k];
+    for (size_t i = cfg.block_start(b); i < cfg.block_end(b, n); ++i) {
+      const RInstr& in = f.code[i];
+      const std::optional<Sig> sig = reg_sig(in.op);
+      const f64 w = std::ldexp(1.0, 3 * std::min(depth[i], 8));
+      save_at[i] = u32(moves.size());
+      after.clear();
+      jit_reads(in, reads);
+      for (u32 r : reads) {
+        if (cur[r] == kNoWeb) cur[r] = make();
+        touch(cur[r], u32(i));
+        nodes[cur[r]].weight += w;
+        if (!sig) add_move(moves, save_at[i], r, cur[r]);
+      }
+      if (sig) {
+        const Kind kinds[4] = {sig->a, sig->b, sig->c, sig->d};
+        const u32 slots[4] = {in.a, in.b, in.c, in.d};
+        for (int k = 0; k < 4; ++k) {
+          if (kinds[k] == kNo) continue;
+          opnode[i][k] = cur[slots[k]];
+          if (kinds[k] != kAny) nodes[cur[slots[k]]].kinds |= u8(1u << kinds[k]);
+        }
+      }
+      const bool writes = writes_dest(in);
+      MW_CHECK(!sig || writes == (sig->dst != kNo),
+               "jit: template signature disagrees with writes_dest");
+      if (writes) {
+        const u32 x = select_shaped(in.op) ? cur[in.a] : make();
+        touch(x, u32(i));
+        nodes[x].weight += w;
+        cur[in.a] = x;
+        if (sig) {
+          opnode[i][4] = x;
+          if (sig->dst != kAny) nodes[x].kinds |= u8(1u << sig->dst);
+        } else {
+          after.push_back({in.a, x});
+        }
+      }
+      const bool pins = in.op == ROp::kCall || in.op == ROp::kCallIndirect ||
+                        in.op == ROp::kMemoryGrow;
+      const bool clobbers = !sig && calls_helper(in.op, feats);
+      each_live(lv.live_out(i), [&](u32 r) {
+        if (cur[r] == kNoWeb) return;
+        touch(cur[r], u32(i));
+        if (writes && r == in.a) return;
+        if (pins) {
+          nodes[cur[r]].frame = true;
+        } else if (clobbers) {
+          add_move(moves, save_at[i], r, cur[r]);
+          after.push_back({r, cur[r]});
+        }
+      });
+      restore_at[i] = u32(moves.size());
+      moves.insert(moves.end(), after.begin(), after.end());
+    }
+    for (u32 s : cfg.successors[b])
+      for (u32 k = entry_at[s]; k < entry_at[s + 1]; ++k) {
+        const u32 r = entry_slot[k];
+        if (cur[r] == kNoWeb) continue;
+        const u32 p = find(cur[r]), q = find(entry_node[k]);
+        if (p != q) nodes[q].parent = p;
+      }
+  }
+  save_at[n] = u32(moves.size());
+
+  // Fold every node into its web (the union-find root).
+  struct Web {
+    u32 first = ~0u, last = 0;
+    f64 weight = 0;
+    u8 kinds = 0;
+    bool frame = false;
+    u8 loc = kFrame;
+  };
+  const u32 nn = u32(nodes.size());
+  std::vector<u32> root(nn);
+  std::vector<Web> web(nn);
+  for (u32 x = 0; x < nn; ++x) {
+    root[x] = find(x);
+    Web& wb = web[root[x]];
+    wb.first = std::min(wb.first, nodes[x].first);
+    wb.last = std::max(wb.last, nodes[x].last);
+    wb.weight += nodes[x].weight;
+    wb.kinds |= nodes[x].kinds;
+    wb.frame |= nodes[x].frame;
+  }
+
+  // Linear scan per register file. A web read as an integer somewhere and
+  // as a float or vector elsewhere stays in its slot.
+  constexpr u8 kIntBit = 1u << kInt;
+  std::vector<u32> order;
+  for (u32 x = 0; x < nn; ++x)
+    if (root[x] == x && !web[x].frame && web[x].first != ~0u &&
+        web[x].kinds != 0)
+      order.push_back(x);
+  std::sort(order.begin(), order.end(), [&](u32 p, u32 q) {
+    return web[p].first != web[q].first ? web[p].first < web[q].first : p < q;
+  });
+  for (bool xmm : {false, true}) {
+    std::vector<u8> free_regs;
+    if (xmm) {
+      for (u8 k = kAllocXmms; k-- > 0;) free_regs.push_back(u8(kXmm | (2 + k)));
+    } else {
+      for (size_t k = std::size(kAllocGprs); k-- > 0;)
+        free_regs.push_back(kAllocGprs[k]);
+    }
+    std::vector<u32> active;
+    for (u32 x : order) {
+      const bool is_int = web[x].kinds == kIntBit;
+      const bool is_fp = !(web[x].kinds & kIntBit);
+      if (xmm ? !is_fp : !is_int) continue;
+      for (size_t k = 0; k < active.size();) {
+        if (web[active[k]].last < web[x].first) {
+          free_regs.push_back(web[active[k]].loc);
+          active[k] = active.back();
+          active.pop_back();
+        } else {
+          ++k;
+        }
+      }
+      if (!free_regs.empty()) {
+        web[x].loc = free_regs.back();
+        free_regs.pop_back();
+        active.push_back(x);
+        continue;
+      }
+      size_t victim = 0;
+      for (size_t k = 1; k < active.size(); ++k)
+        if (web[active[k]].weight < web[active[victim]].weight) victim = k;
+      if (web[active[victim]].weight < web[x].weight) {
+        web[x].loc = web[active[victim]].loc;
+        web[active[victim]].loc = kFrame;
+        active[victim] = x;
+      }
+    }
+  }
+
+  // Resolve nodes to locations; fallback moves keep only register webs.
+  auto loc_of = [&](u32 x) { return x == kNoWeb ? kNoLoc : web[root[x]].loc; };
+  RegAlloc ra;
+  ra.at.resize(n);
+  ra.save_at.resize(n + 1);
+  ra.restore_at.resize(n);
+  auto keep = [&](u32 from, u32 to) {
+    for (u32 k = from; k < to; ++k)
+      if (loc_of(moves[k].second) != kFrame)
+        ra.moves.push_back({moves[k].first, loc_of(moves[k].second)});
+  };
+  for (size_t i = 0; i < n; ++i) {
+    const std::array<u32, 5>& on = opnode[i];
+    ra.at[i] = {loc_of(on[0]), loc_of(on[1]), loc_of(on[2]), loc_of(on[3]),
+                loc_of(on[4])};
+    ra.save_at[i] = u32(ra.moves.size());
+    keep(save_at[i], restore_at[i]);
+    ra.restore_at[i] = u32(ra.moves.size());
+    keep(restore_at[i], save_at[i + 1]);
+  }
+  ra.save_at[n] = u32(ra.moves.size());
+  if (nb > 0)
+    for (u32 k = entry_at[0]; k < entry_at[1]; ++k)
+      if (loc_of(entry_node[k]) != kFrame)
+        ra.entry.push_back({entry_slot[k], loc_of(entry_node[k])});
+  return ra;
+}
+
+/// One function's emission state. The templates use rax/rcx/rdx and
+/// xmm0/xmm1 as scratch; every other operand comes from the location the
+/// allocator gave its web (see jit_x64.h for the register convention and the
+/// fallback rule).
 struct Emitter {
   const RFunc& f;
   u32 feats;
+  const RegAlloc& ra;
+  size_t at = 0;            // index of the instruction being emitted
+  bool frame_only = false;  // emitting a fallback (frame-only) template
   std::vector<u8> code;
   std::vector<JitReloc> relocs;
   std::vector<u32> ioff;  // native offset of each RegCode instruction
@@ -47,8 +581,8 @@ struct Emitter {
   std::vector<TrapSite> ua_sites;  // rel32 to this site's unaligned stub
   std::vector<V128> pool;  // f.v128_pool + emitter-generated masks
 
-  Emitter(const RFunc& fn, u32 features)
-      : f(fn), feats(features), pool(fn.v128_pool) {}
+  Emitter(const RFunc& fn, u32 features, const RegAlloc& alloc)
+      : f(fn), feats(features), ra(alloc), pool(fn.v128_pool) {}
 
   // --- raw byte emission ---------------------------------------------------
 
@@ -153,26 +687,190 @@ struct Emitter {
     i64le(v);
   }
 
-  // --- Slot-frame access (rbx = Slot* frame; one slot = 16 bytes) -----------
+  /// reg = v, all 64 bits, in the shortest encoding.
+  void mov_imm(u8 reg, u64 v) {
+    if (v <= 0xFFFFFFFFull) {  // mov r32, imm32 zero-extends
+      rex_if(false, 0, reg);
+      b1(u8(0xB8 | (reg & 7)));
+      i32le(u32(v));
+    } else if (v == u64(i64(i32(u32(v))))) {  // mov r64, simm32
+      rex_if(true, 0, reg);
+      b1(0xC7);
+      b1(u8(0xC0 | (reg & 7)));
+      i32le(u32(v));
+    } else {
+      movabs(reg, v);
+    }
+  }
+
+  // --- operand locations ----------------------------------------------------
+  //
+  // A converted template reads each RegCode operand from wherever the
+  // allocator put its web: a register (mod=11 form) or its home slot
+  // [rbx + 16*slot] (memory form), from the same opcode bytes. Fallback
+  // templates run with frame_only set and see every operand in its slot.
 
   i64 slot(u32 r) const { return i64(r) * 16; }
 
-  void load32(u8 reg, u32 r) { op_rm(0, false, {0x8B}, reg, RBX, slot(r)); }
-  void load64(u8 reg, u32 r) { op_rm(0, true, {0x8B}, reg, RBX, slot(r)); }
-  void store32(u32 r, u8 reg) { op_rm(0, false, {0x89}, reg, RBX, slot(r)); }
-  void store64(u32 r, u8 reg) { op_rm(0, true, {0x89}, reg, RBX, slot(r)); }
-  void loadss(u8 x, u32 r) { op_rm(0xF3, false, {0x0F, 0x10}, x, RBX, slot(r)); }
-  void loadsd(u8 x, u32 r) { op_rm(0xF2, false, {0x0F, 0x10}, x, RBX, slot(r)); }
-  void storess(u32 r, u8 x) { op_rm(0xF3, false, {0x0F, 0x11}, x, RBX, slot(r)); }
-  void storesd(u32 r, u8 x) { op_rm(0xF2, false, {0x0F, 0x11}, x, RBX, slot(r)); }
-  void loadaps(u8 x, u32 r) { op_rm(0, false, {0x0F, 0x28}, x, RBX, slot(r)); }
-  void storeaps(u32 r, u8 x) { op_rm(0, false, {0x0F, 0x29}, x, RBX, slot(r)); }
+  u8 src_loc(u32 r) const {
+    if (frame_only) return kFrame;
+    const RInstr& in = f.code[at];
+    const RegAlloc::Locs& l = ra.at[at];
+    if (l.b != kNoLoc && r == in.b) return l.b;
+    if (l.c != kNoLoc && r == in.c) return l.c;
+    if (l.d != kNoLoc && r == in.d) return l.d;
+    if (l.a_in != kNoLoc && r == in.a) return l.a_in;
+    MW_CHECK(false, "jit: template reads a slot outside its signature");
+    return kFrame;
+  }
+  u8 dst_loc(u32 r) const {
+    if (frame_only) return kFrame;
+    MW_CHECK(r == f.code[at].a && ra.at[at].a_out != kNoLoc,
+             "jit: template writes a slot other than its destination");
+    return ra.at[at].a_out;
+  }
 
-  /// Full 16-byte Slot copy (kMov, reinterprets, replace-lane base copy).
+  /// op reg, <operand r>: the register form when r is register-resident.
+  void op_src(u8 pfx, bool w, std::initializer_list<u8> ops, u8 reg, u32 r) {
+    u8 l = src_loc(r);
+    if (l == kFrame)
+      op_rm(pfx, w, ops, reg, RBX, slot(r));
+    else
+      op_rr(pfx, w, ops, reg, l & 15);
+  }
+
+  // movd/movq between the register files (w: 64-bit).
+  void movq_to_xmm(bool w, u8 x, u8 g) { op_rr(0x66, w, {0x0F, 0x6E}, x, g); }
+  void movq_to_gpr(bool w, u8 g, u8 x) { op_rr(0x66, w, {0x0F, 0x7E}, x, g); }
+
+  void ld_gpr(u8 reg, bool w, u32 r) {
+    u8 l = src_loc(r);
+    if (l == kFrame)
+      op_rm(0, w, {0x8B}, reg, RBX, slot(r));
+    else if (l & kXmm)
+      movq_to_gpr(w, reg, l & 15);
+    else if (l != reg)
+      op_rr(0, w, {0x8B}, reg, l);
+  }
+  void st_gpr(u32 r, u8 reg, bool w) {
+    u8 l = dst_loc(r);
+    if (l == kFrame)
+      op_rm(0, w, {0x89}, reg, RBX, slot(r));
+    else if (l & kXmm)
+      movq_to_xmm(w, l & 15, reg);
+    else if (l != reg)
+      op_rr(0, w, {0x89}, reg, l);
+  }
+  /// width 4/8 (movss/movsd) or 16 (movaps) in the frame; any register form
+  /// moves the whole register.
+  void ld_xmm(u8 x, u32 r, u32 width) {
+    u8 l = src_loc(r);
+    if (l == kFrame) {
+      if (width == 16)
+        op_rm(0, false, {0x0F, 0x28}, x, RBX, slot(r));
+      else
+        op_rm(width == 8 ? 0xF2 : 0xF3, false, {0x0F, 0x10}, x, RBX, slot(r));
+    } else if (l & kXmm) {
+      if ((l & 15) != x) op_rr(0, false, {0x0F, 0x28}, x, l & 15);
+    } else {
+      MW_CHECK(width != 16, "jit: vector operand in a GPR");
+      movq_to_xmm(width == 8, x, l);
+    }
+  }
+  void st_xmm(u32 r, u8 x, u32 width) {
+    u8 l = dst_loc(r);
+    if (l == kFrame) {
+      if (width == 16)
+        op_rm(0, false, {0x0F, 0x29}, x, RBX, slot(r));
+      else
+        op_rm(width == 8 ? 0xF2 : 0xF3, false, {0x0F, 0x11}, x, RBX, slot(r));
+    } else if (l & kXmm) {
+      if ((l & 15) != x) op_rr(0, false, {0x0F, 0x28}, l & 15, x);
+    } else {
+      MW_CHECK(width != 16, "jit: vector result in a GPR");
+      movq_to_gpr(width == 8, l, x);
+    }
+  }
+
+  void load32(u8 reg, u32 r) { ld_gpr(reg, false, r); }
+  void load64(u8 reg, u32 r) { ld_gpr(reg, true, r); }
+  void store32(u32 r, u8 reg) { st_gpr(r, reg, false); }
+  void store64(u32 r, u8 reg) { st_gpr(r, reg, true); }
+  void loadss(u8 x, u32 r) { ld_xmm(x, r, 4); }
+  void loadsd(u8 x, u32 r) { ld_xmm(x, r, 8); }
+  void storess(u32 r, u8 x) { st_xmm(r, x, 4); }
+  void storesd(u32 r, u8 x) { st_xmm(r, x, 8); }
+  void loadaps(u8 x, u32 r) { ld_xmm(x, r, 16); }
+  void storeaps(u32 r, u8 x) { st_xmm(r, x, 16); }
+
+  /// The register already holding r's value, or `scratch` loaded with it.
+  u8 gpr_of(u32 r, u8 scratch, bool w) {
+    u8 l = src_loc(r);
+    if (l != kFrame && !(l & kXmm)) return l;
+    ld_gpr(scratch, w, r);
+    return scratch;
+  }
+  u8 xmm_of(u32 r, u8 scratch, u32 width) {
+    u8 l = src_loc(r);
+    if (l != kFrame && (l & kXmm)) return l & 15;
+    ld_xmm(scratch, r, width);
+    return scratch;
+  }
+  /// Where a template computes its result: straight into the destination's
+  /// register when it has one of the right file that none of `later` (slots
+  /// read after the first write) occupies, else `scratch`.
+  u8 gpr_work(u8 scratch, std::initializer_list<u32> later = {}) {
+    u8 d = dst_loc(f.code[at].a);
+    if (d == kFrame || (d & kXmm)) return scratch;
+    for (u32 r : later)
+      if (src_loc(r) == d) return scratch;
+    return d;
+  }
+  u8 xmm_work(u8 scratch, std::initializer_list<u32> later = {}) {
+    u8 d = dst_loc(f.code[at].a);
+    if (d == kFrame || !(d & kXmm)) return scratch;
+    for (u32 r : later)
+      if (src_loc(r) == d) return scratch;
+    return d & 15;
+  }
+
+  /// Writes register location `l` to its home slot (fallback save rule).
+  void spill(u32 r, u8 l) {
+    if (l & kXmm)
+      op_rm(0, false, {0x0F, 0x29}, l & 15, RBX, slot(r));
+    else
+      op_rm(0, true, {0x89}, l, RBX, slot(r));
+  }
+  /// Reloads register location `l` from its home slot.
+  void fill(u8 l, u32 r) {
+    if (l & kXmm)
+      op_rm(0, false, {0x0F, 0x28}, l & 15, RBX, slot(r));
+    else
+      op_rm(0, true, {0x8B}, l, RBX, slot(r));
+  }
+
+  /// r[a] = r[b] as a whole Slot (kMov, reinterprets, select arms).
   void slot_copy(u32 a, u32 b) {
-    if (a == b) return;
-    loadaps(X0, b);
-    storeaps(a, X0);
+    u8 s = src_loc(b), d = dst_loc(a);
+    if (s == kFrame && d == kFrame) {
+      if (a == b) return;
+      op_rm(0, false, {0x0F, 0x28}, X0, RBX, slot(b));
+      op_rm(0, false, {0x0F, 0x29}, X0, RBX, slot(a));
+    } else if (s == kFrame) {
+      fill(d, b);
+    } else if (d == kFrame) {
+      spill(a, s);
+    } else if (s != d) {
+      bool sx = s & kXmm, dx = d & kXmm;
+      if (sx && dx)
+        op_rr(0, false, {0x0F, 0x28}, d & 15, s & 15);  // movaps
+      else if (!sx && !dx)
+        op_rr(0, true, {0x8B}, d, s);  // mov
+      else if (dx)
+        movq_to_xmm(true, d & 15, s);
+      else
+        movq_to_gpr(true, d, s & 15);
+    }
   }
 
   // --- local control-flow helpers --------------------------------------------
@@ -227,7 +925,7 @@ struct Emitter {
   void ix_addr(u32 base_slot, u32 idx_slot, u32 shift, u64 imm) {
     load32(RAX, idx_slot);
     if (shift & 31) shift_imm(false, 4, RAX, u8(shift & 31));
-    op_rm(0, false, {0x03}, RAX, RBX, slot(base_slot));  // add eax, [base]
+    op_src(0, false, {0x03}, RAX, base_slot);  // add eax, base
     add_imm_rax(imm);
   }
 
@@ -309,6 +1007,7 @@ struct Emitter {
     op_rm(0, true, {0x8B}, R12, RDI, 16);  // globals
     op_rm(0, true, {0x8B}, R13, RDI, 24);  // mem base
     op_rm(0, true, {0x8B}, R15, RDI, 32);  // mem size
+    for (const RegAlloc::Move& m : ra.entry) fill(m.loc, m.slot);
   }
 
   void epilogue() {
@@ -363,10 +1062,27 @@ struct Emitter {
       patch32(br.at, u32(i32(ioff[br.target]) - i32(br.at + 4)));
   }
 
+  bool emit(size_t i);
   bool emit_instr(const RInstr& in);
   bool emit_simd_or_fused(const RInstr& in);
   bool emit_atomic(const RInstr& in);
 };
+
+/// Emits instruction i: its register-form template, or its frame template
+/// under the fallback rule — register operands it reads (and, around a
+/// helper call, every live register web) are stored to their home slots
+/// first, and its register result (and those webs) are reloaded after.
+bool Emitter::emit(size_t i) {
+  at = i;
+  const RInstr& in = f.code[i];
+  if (reg_sig(in.op)) return emit_instr(in);
+  for (const RegAlloc::Move& m : ra.saves(i)) spill(m.slot, m.loc);
+  frame_only = true;
+  const bool ok = emit_instr(in);
+  frame_only = false;
+  for (const RegAlloc::Move& m : ra.restores(i)) fill(m.loc, m.slot);
+  return ok;
+}
 
 bool Emitter::emit_instr(const RInstr& in) {
   if (rop_is_atomic(in.op)) return emit_atomic(in);
@@ -385,7 +1101,7 @@ bool Emitter::emit_instr(const RInstr& in) {
       load64(RAX, b);
     else
       load32(RAX, b);
-    op_rm(0, w, {0x3B}, RAX, RBX, slot(c));  // cmp (r)ax, [c]
+    op_src(0, w, {0x3B}, RAX, c);  // cmp (r)ax, [c]
     setcc_store(cc);
   };
   // Float eq/ne need the parity flag folded in (unordered => PF=1).
@@ -394,7 +1110,7 @@ bool Emitter::emit_instr(const RInstr& in) {
       loadsd(X0, b);
     else
       loadss(X0, b);
-    op_rm(f64v ? 0x66 : 0, false, {0x0F, 0x2E}, X0, RBX, slot(c));  // ucomis
+    op_src(f64v ? 0x66 : 0, false, {0x0F, 0x2E}, X0, c);  // ucomis
     if (ne) {
       bs({0x0F, 0x9A, 0xC0});  // setp al
       bs({0x0F, 0x95, 0xC1});  // setne cl
@@ -413,20 +1129,15 @@ bool Emitter::emit_instr(const RInstr& in) {
       loadsd(X0, xs);
     else
       loadss(X0, xs);
-    op_rm(f64v ? 0x66 : 0, false, {0x0F, 0x2E}, X0, RBX, slot(ys));
+    op_src(f64v ? 0x66 : 0, false, {0x0F, 0x2E}, X0, ys);
     setcc_store(cc);
   };
-  // Integer binop with a memory source: op (r)ax, [c]; store.
+  // Integer binop: t = r[b]; op t, r[c]; r[a] = t.
   auto int_bin = [&](bool w, std::initializer_list<u8> ops) {
-    if (w)
-      load64(RAX, b);
-    else
-      load32(RAX, b);
-    op_rm(0, w, ops, RAX, RBX, slot(c));
-    if (w)
-      store64(a, RAX);
-    else
-      store32(a, RAX);
+    const u8 t = gpr_work(RAX, {c});
+    ld_gpr(t, w, b);
+    op_src(0, w, ops, t, c);
+    st_gpr(a, t, w);
   };
   // Variable shift/rotate through cl (hardware masking == wasm masking).
   auto int_shift = [&](bool w, u8 ext) {
@@ -461,7 +1172,7 @@ bool Emitter::emit_instr(const RInstr& in) {
   // Bit-count: hardware op when the feature is present, else helper.
   auto bit_count = [&](bool w, u8 opc, u32 feat, JitHelperId id) {
     if (feats & feat) {
-      op_rm(0xF3, w, {0x0F, opc}, RAX, RBX, slot(b));
+      op_src(0xF3, w, {0x0F, opc}, RAX, b);
       if (w)
         store64(a, RAX);
       else
@@ -478,17 +1189,12 @@ bool Emitter::emit_instr(const RInstr& in) {
         store32(a, RAX);
     }
   };
-  // f32/f64 binop: op x0, [c]; store (pfx F3 = ss, F2 = sd).
+  // f32/f64 binop: x = r[b]; op x, r[c]; r[a] = x (pfx F3 = ss, F2 = sd).
   auto f_bin = [&](bool f64v, u8 opc) {
-    if (f64v) {
-      loadsd(X0, b);
-      op_rm(0xF2, false, {0x0F, opc}, X0, RBX, slot(c));
-      storesd(a, X0);
-    } else {
-      loadss(X0, b);
-      op_rm(0xF3, false, {0x0F, opc}, X0, RBX, slot(c));
-      storess(a, X0);
-    }
+    const u8 x = xmm_work(X0, {c});
+    ld_xmm(x, b, f64v ? 8 : 4);
+    op_src(f64v ? 0xF2 : 0xF3, false, {0x0F, opc}, x, c);
+    st_xmm(a, x, f64v ? 8 : 4);
   };
   // f32/f64 min/max/nearest/... via an (xmm0[, xmm1]) -> xmm0 helper.
   auto f_bin_helper = [&](bool f64v, JitHelperId id) {
@@ -540,21 +1246,16 @@ bool Emitter::emit_instr(const RInstr& in) {
   auto load_mem = [&](bool w, std::initializer_list<u8> ops, u32 len,
                       bool store_w) {
     checked_addr(b, imm, len);
-    op_mem(0, w, ops, RCX);
-    if (store_w)
-      store64(a, RCX);
-    else
-      store32(a, RCX);
+    const u8 t = gpr_work(RCX);
+    op_mem(0, w, ops, t);
+    st_gpr(a, t, store_w);
   };
-  // Checked scalar store of r[b]'s low bytes to [r13+rax].
+  // Checked scalar store of r[b]'s low bytes to [r13+rax]. op_mem always
+  // emits REX, so byte stores of sil/dil encode correctly.
   auto store_mem = [&](u8 pfx, bool w, std::initializer_list<u8> ops,
                        u32 len, bool load_w) {
     checked_addr(a, imm, len);
-    if (load_w)
-      load64(RCX, b);
-    else
-      load32(RCX, b);
-    op_mem(pfx, w, ops, RCX);
+    op_mem(pfx, w, ops, gpr_of(b, RCX, load_w));
   };
   switch (in.op) {
     case ROp::kNop:
@@ -566,23 +1267,29 @@ bool Emitter::emit_instr(const RInstr& in) {
     case ROp::kF64ReinterpretI64:
       slot_copy(a, b);
       return true;
-    case ROp::kConst:
-      if (imm == u64(i64(i32(u32(imm))))) {
+    case ROp::kConst: {
+      const u8 d = dst_loc(a);
+      if (d != kFrame && !(d & kXmm)) {
+        mov_imm(d, imm);
+      } else if (d != kFrame && imm == 0) {
+        op_rr(0, false, {0x0F, 0x57}, d & 15, d & 15);  // xorps d, d
+      } else if (d == kFrame && imm == u64(i64(i32(u32(imm))))) {
         // mov qword [slot], simm32 — writes exactly 8 bytes like the handler.
         op_rm(0, true, {0xC7}, 0, RBX, slot(a));
         i32le(u32(imm));
       } else {
-        movabs(RAX, imm);
+        mov_imm(RAX, imm);
         store64(a, RAX);
       }
       return true;
+    }
     case ROp::kConstV128:
-      load_pool(X0, u32(imm));
-      storeaps(a, X0);
+      load_pool(xmm_work(X0), u32(imm));
+      storeaps(a, xmm_work(X0));
       return true;
     case ROp::kSelect: {
       // if (r[c].i32 == 0) A = B
-      op_rm(0, false, {0x83}, 7, RBX, slot(c));  // cmp dword [c], 0
+      op_src(0, false, {0x83}, 7, c);  // cmp dword [c], 0
       b1(0);
       u32 skip = jcc8(CC_NE);
       slot_copy(a, b);
@@ -602,12 +1309,12 @@ bool Emitter::emit_instr(const RInstr& in) {
       jmp32(u32(imm));
       return true;
     case ROp::kBrIf:
-      op_rm(0, false, {0x83}, 7, RBX, slot(a));  // cmp dword [a], 0
+      op_src(0, false, {0x83}, 7, a);  // cmp dword [a], 0
       b1(0);
       jcc32(CC_NE, u32(imm));
       return true;
     case ROp::kBrIfNot:
-      op_rm(0, false, {0x83}, 7, RBX, slot(a));
+      op_src(0, false, {0x83}, 7, a);
       b1(0);
       jcc32(CC_E, u32(imm));
       return true;
@@ -631,10 +1338,18 @@ bool Emitter::emit_instr(const RInstr& in) {
       bs({0xFF, 0xE0});        // jmp rax
       return true;
     }
-    case ROp::kReturn:
-      slot_copy(0, a);
+    case ROp::kReturn: {
+      // The result goes to slot 0 of the frame, where the caller reads it.
+      const u8 l = src_loc(a);
+      if (l != kFrame) {
+        spill(0, l);
+      } else if (a != 0) {
+        op_rm(0, false, {0x0F, 0x28}, X0, RBX, slot(a));
+        op_rm(0, false, {0x0F, 0x29}, X0, RBX, slot(0));
+      }
       epilogue();
       return true;
+    }
     case ROp::kReturnVoid:
       epilogue();
       return true;
@@ -695,13 +1410,13 @@ bool Emitter::emit_instr(const RInstr& in) {
       return true;
     case ROp::kF32Load:
       checked_addr(b, imm, 4);
-      op_mem(0xF3, false, {0x0F, 0x10}, X0);
-      storess(a, X0);
+      op_mem(0xF3, false, {0x0F, 0x10}, xmm_work(X0));
+      storess(a, xmm_work(X0));
       return true;
     case ROp::kF64Load:
       checked_addr(b, imm, 8);
-      op_mem(0xF2, false, {0x0F, 0x10}, X0);
-      storesd(a, X0);
+      op_mem(0xF2, false, {0x0F, 0x10}, xmm_work(X0));
+      storesd(a, xmm_work(X0));
       return true;
     case ROp::kI32Load8S:
       load_mem(false, {0x0F, 0xBE}, 1, false);
@@ -735,8 +1450,8 @@ bool Emitter::emit_instr(const RInstr& in) {
       return true;
     case ROp::kV128Load:
       checked_addr(b, imm, 16);
-      op_mem(0, false, {0x0F, 0x10}, X0);  // movups
-      storeaps(a, X0);
+      op_mem(0, false, {0x0F, 0x10}, xmm_work(X0));  // movups
+      storeaps(a, xmm_work(X0));
       return true;
     case ROp::kV128Load32Splat:
       checked_addr(b, imm, 4);
@@ -760,13 +1475,11 @@ bool Emitter::emit_instr(const RInstr& in) {
       return true;
     case ROp::kF32Store:
       checked_addr(a, imm, 4);
-      loadss(X0, b);
-      op_mem(0xF3, false, {0x0F, 0x11}, X0);
+      op_mem(0xF3, false, {0x0F, 0x11}, xmm_of(b, X0, 4));
       return true;
     case ROp::kF64Store:
       checked_addr(a, imm, 8);
-      loadsd(X0, b);
-      op_mem(0xF2, false, {0x0F, 0x11}, X0);
+      op_mem(0xF2, false, {0x0F, 0x11}, xmm_of(b, X0, 8));
       return true;
     case ROp::kI32Store8:
     case ROp::kI64Store8:
@@ -781,14 +1494,13 @@ bool Emitter::emit_instr(const RInstr& in) {
       return true;
     case ROp::kV128Store:
       checked_addr(a, imm, 16);
-      loadaps(X0, b);
-      op_mem(0, false, {0x0F, 0x11}, X0);  // movups
+      op_mem(0, false, {0x0F, 0x11}, xmm_of(b, X0, 16));  // movups
       return true;
 
     // --- integer compares ---
     case ROp::kI32Eqz:
     case ROp::kI64Eqz:
-      op_rm(0, in.op == ROp::kI64Eqz, {0x83}, 7, RBX, slot(b));  // cmp [b], 0
+      op_src(0, in.op == ROp::kI64Eqz, {0x83}, 7, b);  // cmp [b], 0
       b1(0);
       setcc_store(CC_E);
       return true;
@@ -920,11 +1632,11 @@ bool Emitter::emit_instr(const RInstr& in) {
       store64(a, RAX);
       return true;
     case ROp::kF32Sqrt:
-      op_rm(0xF3, false, {0x0F, 0x51}, X0, RBX, slot(b));
+      op_src(0xF3, false, {0x0F, 0x51}, X0, b);
       storess(a, X0);
       return true;
     case ROp::kF64Sqrt:
-      op_rm(0xF2, false, {0x0F, 0x51}, X0, RBX, slot(b));
+      op_src(0xF2, false, {0x0F, 0x51}, X0, b);
       storesd(a, X0);
       return true;
     case ROp::kF32Ceil: f_round(false, 0x0A, JitHelperId::kF32Ceil); return true;
@@ -978,7 +1690,7 @@ bool Emitter::emit_instr(const RInstr& in) {
       trunc_helper(true, true, JitHelperId::kI64TruncF64U);
       return true;
     case ROp::kI64ExtendI32S:
-      op_rm(0, true, {0x63}, RAX, RBX, slot(b));  // movsxd
+      op_src(0, true, {0x63}, RAX, b);  // movsxd
       store64(a, RAX);
       return true;
     case ROp::kI64ExtendI32U:
@@ -986,7 +1698,7 @@ bool Emitter::emit_instr(const RInstr& in) {
       store64(a, RAX);
       return true;
     case ROp::kF32ConvertI32S:
-      op_rm(0xF3, false, {0x0F, 0x2A}, X0, RBX, slot(b));  // cvtsi2ss m32
+      op_src(0xF3, false, {0x0F, 0x2A}, X0, b);  // cvtsi2ss m32
       storess(a, X0);
       return true;
     case ROp::kF32ConvertI32U:
@@ -995,7 +1707,7 @@ bool Emitter::emit_instr(const RInstr& in) {
       storess(a, X0);
       return true;
     case ROp::kF32ConvertI64S:
-      op_rm(0xF3, true, {0x0F, 0x2A}, X0, RBX, slot(b));
+      op_src(0xF3, true, {0x0F, 0x2A}, X0, b);
       storess(a, X0);
       return true;
     case ROp::kF32ConvertI64U:
@@ -1004,11 +1716,11 @@ bool Emitter::emit_instr(const RInstr& in) {
       storess(a, X0);
       return true;
     case ROp::kF32DemoteF64:
-      op_rm(0xF2, false, {0x0F, 0x5A}, X0, RBX, slot(b));  // cvtsd2ss
+      op_src(0xF2, false, {0x0F, 0x5A}, X0, b);  // cvtsd2ss
       storess(a, X0);
       return true;
     case ROp::kF64ConvertI32S:
-      op_rm(0xF2, false, {0x0F, 0x2A}, X0, RBX, slot(b));  // cvtsi2sd m32
+      op_src(0xF2, false, {0x0F, 0x2A}, X0, b);  // cvtsi2sd m32
       storesd(a, X0);
       return true;
     case ROp::kF64ConvertI32U:
@@ -1017,7 +1729,7 @@ bool Emitter::emit_instr(const RInstr& in) {
       storesd(a, X0);
       return true;
     case ROp::kF64ConvertI64S:
-      op_rm(0xF2, true, {0x0F, 0x2A}, X0, RBX, slot(b));
+      op_src(0xF2, true, {0x0F, 0x2A}, X0, b);
       storesd(a, X0);
       return true;
     case ROp::kF64ConvertI64U:
@@ -1026,27 +1738,27 @@ bool Emitter::emit_instr(const RInstr& in) {
       storesd(a, X0);
       return true;
     case ROp::kF64PromoteF32:
-      op_rm(0xF3, false, {0x0F, 0x5A}, X0, RBX, slot(b));  // cvtss2sd
+      op_src(0xF3, false, {0x0F, 0x5A}, X0, b);  // cvtss2sd
       storesd(a, X0);
       return true;
     case ROp::kI32Extend8S:
-      op_rm(0, false, {0x0F, 0xBE}, RAX, RBX, slot(b));
+      op_src(0, false, {0x0F, 0xBE}, RAX, b);
       store32(a, RAX);
       return true;
     case ROp::kI32Extend16S:
-      op_rm(0, false, {0x0F, 0xBF}, RAX, RBX, slot(b));
+      op_src(0, false, {0x0F, 0xBF}, RAX, b);
       store32(a, RAX);
       return true;
     case ROp::kI64Extend8S:
-      op_rm(0, true, {0x0F, 0xBE}, RAX, RBX, slot(b));
+      op_src(0, true, {0x0F, 0xBE}, RAX, b);
       store64(a, RAX);
       return true;
     case ROp::kI64Extend16S:
-      op_rm(0, true, {0x0F, 0xBF}, RAX, RBX, slot(b));
+      op_src(0, true, {0x0F, 0xBF}, RAX, b);
       store64(a, RAX);
       return true;
     case ROp::kI64Extend32S:
-      op_rm(0, true, {0x63}, RAX, RBX, slot(b));
+      op_src(0, true, {0x63}, RAX, b);
       store64(a, RAX);
       return true;
 
@@ -1064,22 +1776,24 @@ bool Emitter::emit_simd_or_fused(const RInstr& in) {
     bs({0x0F, 0xB6, 0xC0});
     store32(a, RAX);
   };
-  // loadaps x0, [b]; op x0, [c]; store — the standard vector binop shape.
+  // x = r[b]; op x, r[c]; r[a] = x — the standard vector binop shape.
   auto v_bin = [&](u8 pfx, std::initializer_list<u8> ops) {
-    loadaps(X0, b);
-    op_rm(pfx, false, ops, X0, RBX, slot(c));
-    storeaps(a, X0);
+    const u8 x = xmm_work(X0, {c});
+    loadaps(x, b);
+    op_src(pfx, false, ops, x, c);
+    storeaps(a, x);
   };
   // Operand-swapped variant (pcmpgt-as-lt, pmin/pmax NaN order, pandn).
   auto v_bin_rev = [&](u8 pfx, std::initializer_list<u8> ops) {
-    loadaps(X0, c);
-    op_rm(pfx, false, ops, X0, RBX, slot(b));
-    storeaps(a, X0);
+    const u8 x = xmm_work(X0, {b});
+    loadaps(x, c);
+    op_src(pfx, false, ops, x, b);
+    storeaps(a, x);
   };
   // pcmpeq + full invert for the Ne forms.
   auto v_ne = [&](u8 eq_opc) {
     loadaps(X0, b);
-    op_rm(0x66, false, {0x0F, eq_opc}, X0, RBX, slot(c));
+    op_src(0x66, false, {0x0F, eq_opc}, X0, c);
     bs({0x66, 0x0F, 0x76, 0xC9});  // pcmpeqd x1, x1 (all ones)
     bs({0x66, 0x0F, 0xEF, 0xC1});  // pxor x0, x1
     storeaps(a, X0);
@@ -1087,14 +1801,14 @@ bool Emitter::emit_simd_or_fused(const RInstr& in) {
   // all_true: no lane may be zero <=> pcmpeq-with-zero mask is empty.
   auto v_all_true = [&](std::initializer_list<u8> cmp_ops) {
     op_rr(0x66, false, {0x0F, 0xEF}, X0, X0);  // pxor x0, x0
-    op_rm(0x66, false, cmp_ops, X0, RBX, slot(b));
+    op_src(0x66, false, cmp_ops, X0, b);
     op_rr(0x66, false, {0x0F, 0xD7}, RAX, X0);  // pmovmskb eax, x0
     bs({0x85, 0xC0});                           // test eax, eax
     setcc_store(CC_E);
   };
   auto v_neg = [&](u8 psub_opc) {  // 0 - r[b], lanewise
     op_rr(0x66, false, {0x0F, 0xEF}, X0, X0);
-    op_rm(0x66, false, {0x0F, psub_opc}, X0, RBX, slot(b));
+    op_src(0x66, false, {0x0F, psub_opc}, X0, b);
     storeaps(a, X0);
   };
   // Lane shift by r[c] & mask through xmm1 (hardware uses the full 64-bit
@@ -1111,7 +1825,7 @@ bool Emitter::emit_simd_or_fused(const RInstr& in) {
   // matches the C++ comparison in every case).
   auto v_cmpf = [&](bool pd, u32 xs, u32 ys, u8 pred) {
     loadaps(X0, xs);
-    op_rm(pd ? 0x66 : 0, false, {0x0F, 0xC2}, X0, RBX, slot(ys));
+    op_src(pd ? 0x66 : 0, false, {0x0F, 0xC2}, X0, ys);
     b1(pred);
     storeaps(a, X0);
   };
@@ -1134,48 +1848,39 @@ bool Emitter::emit_simd_or_fused(const RInstr& in) {
   auto load_val = [&](LK k) {
     switch (k) {
       case LK::i32:
-        op_mem(0, false, {0x8B}, RCX);
-        store32(a, RCX);
+      case LK::i64: {
+        const u8 t = gpr_work(RCX);
+        op_mem(0, k == LK::i64, {0x8B}, t);
+        st_gpr(a, t, k == LK::i64);
         return;
-      case LK::i64:
-        op_mem(0, true, {0x8B}, RCX);
-        store64(a, RCX);
-        return;
+      }
       case LK::f32:
-        op_mem(0xF3, false, {0x0F, 0x10}, X0);
-        storess(a, X0);
+      case LK::f64: {
+        const u8 x = xmm_work(X0);
+        op_mem(k == LK::f64 ? 0xF2 : 0xF3, false, {0x0F, 0x10}, x);
+        st_xmm(a, x, lk_len(k));
         return;
-      case LK::f64:
-        op_mem(0xF2, false, {0x0F, 0x10}, X0);
-        storesd(a, X0);
-        return;
+      }
       case LK::v128:
-        op_mem(0, false, {0x0F, 0x10}, X0);
-        storeaps(a, X0);
+        op_mem(0, false, {0x0F, 0x10}, xmm_work(X0));
+        storeaps(a, xmm_work(X0));
         return;
     }
   };
   auto store_val = [&](LK k) {  // value comes from r[b]
     switch (k) {
       case LK::i32:
-        load32(RCX, b);
-        op_mem(0, false, {0x89}, RCX);
-        return;
       case LK::i64:
-        load64(RCX, b);
-        op_mem(0, true, {0x89}, RCX);
+        op_mem(0, k == LK::i64, {0x89}, gpr_of(b, RCX, k == LK::i64));
         return;
       case LK::f32:
-        loadss(X0, b);
-        op_mem(0xF3, false, {0x0F, 0x11}, X0);
+        op_mem(0xF3, false, {0x0F, 0x11}, xmm_of(b, X0, 4));
         return;
       case LK::f64:
-        loadsd(X0, b);
-        op_mem(0xF2, false, {0x0F, 0x11}, X0);
+        op_mem(0xF2, false, {0x0F, 0x11}, xmm_of(b, X0, 8));
         return;
       case LK::v128:
-        loadaps(X0, b);
-        op_mem(0, false, {0x0F, 0x11}, X0);
+        op_mem(0, false, {0x0F, 0x11}, xmm_of(b, X0, 16));
         return;
     }
   };
@@ -1203,55 +1908,46 @@ bool Emitter::emit_simd_or_fused(const RInstr& in) {
   // op x0(=C), [r13+rax] — same operand order as the handler's C-then-mem.
   auto f_load_op = [&](bool f64v, u8 opc) {
     checked_addr(b, imm, f64v ? 8 : 4);
-    if (f64v) {
-      loadsd(X0, c);
-      op_mem(0xF2, false, {0x0F, opc}, X0);
-      storesd(a, X0);
-    } else {
-      loadss(X0, c);
-      op_mem(0xF3, false, {0x0F, opc}, X0);
-      storess(a, X0);
-    }
+    const u8 x = xmm_work(X0);
+    ld_xmm(x, c, f64v ? 8 : 4);
+    op_mem(f64v ? 0xF2 : 0xF3, false, {0x0F, opc}, x);
+    st_xmm(a, x, f64v ? 8 : 4);
   };
-  // Fused vector load+op: x0 = r[c], x1 = movups mem, op x0, x1.
+  // Fused vector load+op: x = r[c], x1 = movups mem, op x, x1.
   auto v_load_op = [&](u8 pfx, u8 opc) {
     checked_addr(b, imm, 16);
-    loadaps(X0, c);
+    const u8 x = xmm_work(X0);
+    loadaps(x, c);
     op_mem(0, false, {0x0F, 0x10}, X1);
-    op_rr(pfx, false, {0x0F, opc}, X0, X1);
-    storeaps(a, X0);
+    op_rr(pfx, false, {0x0F, opc}, x, X1);
+    storeaps(a, x);
   };
   // Fused scalar float op+store: mem[r[a]+imm] = r[b] op r[c].
   auto f_op_store = [&](bool f64v, u8 opc) {
     checked_addr(a, imm, f64v ? 8 : 4);
-    if (f64v) {
-      loadsd(X0, b);
-      op_rm(0xF2, false, {0x0F, opc}, X0, RBX, slot(c));
-      op_mem(0xF2, false, {0x0F, 0x11}, X0);
-    } else {
-      loadss(X0, b);
-      op_rm(0xF3, false, {0x0F, opc}, X0, RBX, slot(c));
-      op_mem(0xF3, false, {0x0F, 0x11}, X0);
-    }
+    const u8 pfx = f64v ? 0xF2 : 0xF3;
+    ld_xmm(X0, b, f64v ? 8 : 4);
+    op_src(pfx, false, {0x0F, opc}, X0, c);
+    op_mem(pfx, false, {0x0F, 0x11}, X0);
   };
   // Fused vector op+store (slot operands are 16-aligned, so the op can take
   // r[c] straight from memory).
   auto v_op_store = [&](u8 pfx, std::initializer_list<u8> ops) {
     checked_addr(a, imm, 16);
     loadaps(X0, b);
-    op_rm(pfx, false, ops, X0, RBX, slot(c));
+    op_src(pfx, false, ops, X0, c);
     op_mem(0, false, {0x0F, 0x11}, X0);
   };
   // BRCMP family: cmp r[a], r[b]; jcc target.
   auto br_cmp = [&](u8 cc) {
     load32(RAX, a);
-    op_rm(0, false, {0x3B}, RAX, RBX, slot(b));
+    op_src(0, false, {0x3B}, RAX, b);
     jcc32(cc, u32(imm));
   };
   // SELCMP family: keep A when cmp(r[c], r[d]) holds, else A = B.
   auto sel_cmp = [&](u8 cc_true) {
     load32(RAX, c);
-    op_rm(0, false, {0x3B}, RAX, RBX, slot(d));
+    op_src(0, false, {0x3B}, RAX, d);
     u32 skip = jcc8(cc_true);
     slot_copy(a, b);
     label8(skip);
@@ -1260,13 +1956,16 @@ bool Emitter::emit_simd_or_fused(const RInstr& in) {
   switch (in.op) {
     // --- splats / lanes ---
     case ROp::kI32x4Splat:
-      op_rm(0x66, false, {0x0F, 0x6E}, X0, RBX, slot(b));  // movd
+      op_src(0x66, false, {0x0F, 0x6E}, X0, b);  // movd
       bs({0x66, 0x0F, 0x70, 0xC0, 0x00});                  // pshufd x0,x0,0
       storeaps(a, X0);
       return true;
     case ROp::kI64x2Splat:
-      op_rm(0xF3, false, {0x0F, 0x7E}, X0, RBX, slot(b));  // movq
-      bs({0x66, 0x0F, 0x6C, 0xC0});                        // punpcklqdq
+      if (src_loc(b) == kFrame)
+        op_rm(0xF3, false, {0x0F, 0x7E}, X0, RBX, slot(b));  // movq x0, m64
+      else
+        movq_to_xmm(true, X0, src_loc(b));
+      bs({0x66, 0x0F, 0x6C, 0xC0});  // punpcklqdq
       storeaps(a, X0);
       return true;
     case ROp::kF32x4Splat:
@@ -1295,22 +1994,38 @@ bool Emitter::emit_simd_or_fused(const RInstr& in) {
       op_rm(0, false, {0x0F, 0xB7}, RAX, RBX, slot(b) + i64(imm) * 2);
       store32(a, RAX);
       return true;
+    // 32/64-bit lanes: from the frame, a load at the lane's offset; from a
+    // register, pshufd the lane down to element 0 of xmm0 first.
     case ROp::kI32x4ExtractLane:
-      op_rm(0, false, {0x8B}, RAX, RBX, slot(b) + i64(imm) * 4);
-      store32(a, RAX);
-      return true;
     case ROp::kI64x2ExtractLane:
-      op_rm(0, true, {0x8B}, RAX, RBX, slot(b) + i64(imm) * 8);
-      store64(a, RAX);
-      return true;
     case ROp::kF32x4ExtractLane:
-      op_rm(0xF3, false, {0x0F, 0x10}, X0, RBX, slot(b) + i64(imm) * 4);
-      storess(a, X0);
+    case ROp::kF64x2ExtractLane: {
+      const bool wide =
+          in.op == ROp::kI64x2ExtractLane || in.op == ROp::kF64x2ExtractLane;
+      const u32 width = wide ? 8 : 4;
+      const bool to_int =
+          in.op == ROp::kI32x4ExtractLane || in.op == ROp::kI64x2ExtractLane;
+      const u8 l = src_loc(b);
+      if (l == kFrame) {
+        if (to_int) {
+          op_rm(0, wide, {0x8B}, RAX, RBX, slot(b) + i64(imm) * width);
+          st_gpr(a, RAX, wide);
+        } else {
+          op_rm(wide ? 0xF2 : 0xF3, false, {0x0F, 0x10}, X0, RBX,
+                slot(b) + i64(imm) * width);
+          st_xmm(a, X0, width);
+        }
+        return true;
+      }
+      u8 x = l & 15;
+      if (imm != 0) {
+        op_rr(0x66, false, {0x0F, 0x70}, X0, x);  // pshufd x0, x, lane
+        b1(wide ? u8(0xEE) : u8(0x55 * imm));
+        x = X0;
+      }
+      st_xmm(a, x, width);  // movd/movq into a GPR destination
       return true;
-    case ROp::kF64x2ExtractLane:
-      op_rm(0xF2, false, {0x0F, 0x10}, X0, RBX, slot(b) + i64(imm) * 8);
-      storesd(a, X0);
-      return true;
+    }
     // Replace: the scalar is read before the base copy because a may alias c.
     case ROp::kI8x16ReplaceLane:
       load32(RCX, c);
@@ -1382,7 +2097,7 @@ bool Emitter::emit_simd_or_fused(const RInstr& in) {
     case ROp::kV128Xor: v_bin(0x66, {0x0F, 0xEF}); return true;
     case ROp::kV128AnyTrue:
       op_rr(0x66, false, {0x0F, 0xEF}, X0, X0);               // pxor x0, x0
-      op_rm(0x66, false, {0x0F, 0x74}, X0, RBX, slot(b));     // pcmpeqb
+      op_src(0x66, false, {0x0F, 0x74}, X0, b);     // pcmpeqb
       op_rr(0x66, false, {0x0F, 0xD7}, RAX, X0);              // pmovmskb
       b1(0x3D);                                               // cmp eax, 0xFFFF
       i32le(0xFFFFu);
@@ -1390,16 +2105,16 @@ bool Emitter::emit_simd_or_fused(const RInstr& in) {
       return true;
     case ROp::kV128Bitselect:
       loadaps(X0, a);
-      op_rm(0x66, false, {0x0F, 0xDB}, X0, RBX, slot(c));  // pand x0, mask
+      op_src(0x66, false, {0x0F, 0xDB}, X0, c);  // pand x0, mask
       loadaps(X1, c);
-      op_rm(0x66, false, {0x0F, 0xDF}, X1, RBX, slot(b));  // pandn: ~mask & B
+      op_src(0x66, false, {0x0F, 0xDF}, X1, b);  // pandn: ~mask & B
       op_rr(0x66, false, {0x0F, 0xEB}, X0, X1);            // por
       storeaps(a, X0);
       return true;
 
     // --- integer lanes ---
     case ROp::kI8x16Abs:
-      op_rm(0x66, false, {0x0F, 0x38, 0x1C}, X0, RBX, slot(b));
+      op_src(0x66, false, {0x0F, 0x38, 0x1C}, X0, b);
       storeaps(a, X0);
       return true;
     case ROp::kI8x16Neg: v_neg(0xF8); return true;
@@ -1407,7 +2122,7 @@ bool Emitter::emit_simd_or_fused(const RInstr& in) {
     case ROp::kI8x16Add: v_bin(0x66, {0x0F, 0xFC}); return true;
     case ROp::kI8x16Sub: v_bin(0x66, {0x0F, 0xF8}); return true;
     case ROp::kI16x8Abs:
-      op_rm(0x66, false, {0x0F, 0x38, 0x1D}, X0, RBX, slot(b));
+      op_src(0x66, false, {0x0F, 0x38, 0x1D}, X0, b);
       storeaps(a, X0);
       return true;
     case ROp::kI16x8Neg: v_neg(0xF9); return true;
@@ -1416,7 +2131,7 @@ bool Emitter::emit_simd_or_fused(const RInstr& in) {
     case ROp::kI16x8Sub: v_bin(0x66, {0x0F, 0xF9}); return true;
     case ROp::kI16x8Mul: v_bin(0x66, {0x0F, 0xD5}); return true;
     case ROp::kI32x4Abs:
-      op_rm(0x66, false, {0x0F, 0x38, 0x1E}, X0, RBX, slot(b));
+      op_src(0x66, false, {0x0F, 0x38, 0x1E}, X0, b);
       storeaps(a, X0);
       return true;
     case ROp::kI32x4Neg: v_neg(0xFA); return true;
@@ -1442,7 +2157,7 @@ bool Emitter::emit_simd_or_fused(const RInstr& in) {
     case ROp::kF32x4Abs: v_mask(0x54, splat_mask32(0x7FFFFFFFu)); return true;
     case ROp::kF32x4Neg: v_mask(0x57, splat_mask32(0x80000000u)); return true;
     case ROp::kF32x4Sqrt:
-      op_rm(0, false, {0x0F, 0x51}, X0, RBX, slot(b));
+      op_src(0, false, {0x0F, 0x51}, X0, b);
       storeaps(a, X0);
       return true;
     case ROp::kF32x4Add: v_bin(0, {0x0F, 0x58}); return true;
@@ -1458,7 +2173,7 @@ bool Emitter::emit_simd_or_fused(const RInstr& in) {
       v_mask(0x57, splat_mask64(0x8000000000000000ull));
       return true;
     case ROp::kF64x2Sqrt:
-      op_rm(0x66, false, {0x0F, 0x51}, X0, RBX, slot(b));
+      op_src(0x66, false, {0x0F, 0x51}, X0, b);
       storeaps(a, X0);
       return true;
     case ROp::kF64x2Add: v_bin(0x66, {0x0F, 0x58}); return true;
@@ -1469,46 +2184,53 @@ bool Emitter::emit_simd_or_fused(const RInstr& in) {
     case ROp::kF64x2Pmax: v_bin_rev(0x66, {0x0F, 0x5F}); return true;
 
     // --- fused immediates ---
-    case ROp::kI32AddImm:
-      load32(RAX, b);
-      alu_imm(false, 0, RAX, i64(i32(u32(imm))));
-      store32(a, RAX);
+    // t = r[b] op imm, computed in the destination register when it has one.
+    case ROp::kI32AddImm: {
+      const u8 t = gpr_work(RAX);
+      load32(t, b);
+      alu_imm(false, 0, t, i64(i32(u32(imm))));
+      store32(a, t);
       return true;
-    case ROp::kI64AddImm:
-      load64(RAX, b);
+    }
+    case ROp::kI64AddImm: {
+      const u8 t = gpr_work(RAX);
+      load64(t, b);
       if (i64(imm) >= INT32_MIN && i64(imm) <= INT32_MAX) {
-        alu_imm(true, 0, RAX, i64(imm));
+        alu_imm(true, 0, t, i64(imm));
       } else {
         movabs(RCX, imm);
-        op_rr(0, true, {0x01}, RCX, RAX);
+        op_rr(0, true, {0x01}, RCX, t);
       }
-      store64(a, RAX);
+      store64(a, t);
       return true;
+    }
     case ROp::kI32ShlImm:
-      load32(RAX, b);
-      shift_imm(false, 4, RAX, u8(imm & 31));
-      store32(a, RAX);
+    case ROp::kI32ShrUImm: {
+      const u8 t = gpr_work(RAX);
+      load32(t, b);
+      shift_imm(false, in.op == ROp::kI32ShlImm ? 4 : 5, t, u8(imm & 31));
+      store32(a, t);
       return true;
-    case ROp::kI32ShrUImm:
-      load32(RAX, b);
-      shift_imm(false, 5, RAX, u8(imm & 31));
-      store32(a, RAX);
+    }
+    case ROp::kI32AndImm: {
+      const u8 t = gpr_work(RAX);
+      load32(t, b);
+      alu_imm(false, 4, t, i64(i32(u32(imm))));
+      store32(a, t);
       return true;
-    case ROp::kI32AndImm:
-      load32(RAX, b);
-      alu_imm(false, 4, RAX, i64(i32(u32(imm))));
-      store32(a, RAX);
-      return true;
+    }
     case ROp::kI32MulImm: {
-      load32(RAX, b);
+      const u8 t = gpr_work(RAX);
+      const u8 s = gpr_of(b, t, false);
       i32 v = i32(u32(imm));
       if (v >= -128 && v <= 127) {
-        bs({0x6B, 0xC0, u8(i8(v))});  // imul eax, eax, imm8
+        op_rr(0, false, {0x6B}, t, s);  // imul t, s, imm8
+        b1(u8(i8(v)));
       } else {
-        bs({0x69, 0xC0});  // imul eax, eax, imm32
+        op_rr(0, false, {0x69}, t, s);  // imul t, s, imm32
         i32le(u32(v));
       }
-      store32(a, RAX);
+      store32(a, t);
       return true;
     }
 
@@ -1526,17 +2248,16 @@ bool Emitter::emit_simd_or_fused(const RInstr& in) {
 
     // --- fused multiply-add (two roundings, matching the C++ fallback) ---
     case ROp::kF64MulAdd:
-      loadsd(X0, b);
-      op_rm(0xF2, false, {0x0F, 0x59}, X0, RBX, slot(c));  // mulsd
-      op_rm(0xF2, false, {0x0F, 0x58}, X0, RBX, slot(d));  // addsd
-      storesd(a, X0);
+    case ROp::kF32MulAdd: {
+      const bool f64v = in.op == ROp::kF64MulAdd;
+      const u8 pfx = f64v ? 0xF2 : 0xF3;
+      const u8 x = xmm_work(X0, {c, d});
+      ld_xmm(x, b, f64v ? 8 : 4);
+      op_src(pfx, false, {0x0F, 0x59}, x, c);  // mulsd/mulss
+      op_src(pfx, false, {0x0F, 0x58}, x, d);  // addsd/addss
+      st_xmm(a, x, f64v ? 8 : 4);
       return true;
-    case ROp::kF32MulAdd:
-      loadss(X0, b);
-      op_rm(0xF3, false, {0x0F, 0x59}, X0, RBX, slot(c));
-      op_rm(0xF3, false, {0x0F, 0x58}, X0, RBX, slot(d));
-      storess(a, X0);
-      return true;
+    }
 
     // --- fused compare-and-select ---
     case ROp::kSelectI32Eq: sel_cmp(CC_E); return true;
@@ -1547,7 +2268,7 @@ bool Emitter::emit_simd_or_fused(const RInstr& in) {
     case ROp::kSelectI32GtU: sel_cmp(CC_A); return true;
     case ROp::kSelectF64Lt: {
       loadsd(X0, d);  // y
-      op_rm(0x66, false, {0x0F, 0x2E}, X0, RBX, slot(c));  // ucomisd y, x
+      op_src(0x66, false, {0x0F, 0x2E}, X0, c);  // ucomisd y, x
       u32 skip = jcc8(CC_A);  // y > x <=> x < y: keep A (unordered: copy)
       slot_copy(a, b);
       label8(skip);
@@ -1555,7 +2276,7 @@ bool Emitter::emit_simd_or_fused(const RInstr& in) {
     }
     case ROp::kSelectF64Gt: {
       loadsd(X0, c);  // x
-      op_rm(0x66, false, {0x0F, 0x2E}, X0, RBX, slot(d));  // ucomisd x, y
+      op_src(0x66, false, {0x0F, 0x2E}, X0, d);  // ucomisd x, y
       u32 skip = jcc8(CC_A);  // x > y: keep A
       slot_copy(a, b);
       label8(skip);
@@ -1589,7 +2310,7 @@ bool Emitter::emit_simd_or_fused(const RInstr& in) {
     case ROp::kI32AddStore:
       checked_addr(a, imm, 4);
       load32(RCX, b);
-      op_rm(0, false, {0x03}, RCX, RBX, slot(c));  // add ecx, [c]
+      op_src(0, false, {0x03}, RCX, c);  // add ecx, [c]
       op_mem(0, false, {0x89}, RCX);
       return true;
     case ROp::kF32AddStore: f_op_store(false, 0x58); return true;
@@ -2020,11 +2741,12 @@ std::shared_ptr<const JitBlob> jit_compile_function(const RFunc& f) {
       return nullptr;
   }
 
-  Emitter e(f, feats);
+  const RegAlloc ra = allocate_registers(f, feats);
+  Emitter e(f, feats, ra);
   e.prologue();
-  for (const RInstr& in : f.code) {
+  for (size_t i = 0; i < n; ++i) {
     e.ioff.push_back(u32(e.code.size()));
-    if (!e.emit_instr(in)) return nullptr;
+    if (!e.emit(i)) return nullptr;
   }
   e.finish();
 

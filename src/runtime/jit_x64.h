@@ -6,16 +6,39 @@
 // already register-based with explicit bounds checks (kMemGuard + raw twins)
 // and fused superinstructions.
 //
-// Fixed register assignment (System V callee-saved, so helper calls never
-// spill them):
-//   rbx  Slot*  register frame        r13  u8*  linear-memory base
-//   r12  Slot*  globals               r15  u64  linear-memory byte size
-//   r14  Instance*
+// Register convention:
+//   pinned (System V callee-saved, so helper calls never spill them):
+//     rbx  Slot*  register frame        r13  u8*  linear-memory base
+//     r12  Slot*  globals               r15  u64  linear-memory byte size
+//     r14  Instance*
+//   template scratch: rax, rcx, rdx, xmm0, xmm1
+//   allocated (caller-saved): rsi, rdi, r8-r11 for i32/i64 values,
+//     xmm2-xmm15 for f32/f64/v128 values
 // rax always holds the effective address at a bounds check, so every
 // out-of-line trap stub can pass it to the OOB helper unchanged. After any
 // kCall/kCallIndirect/kMemoryGrow the templates reload r13/r15 from the
 // helper's {base,size} return pair — exactly the points where memory can
 // move or grow.
+//
+// Register allocation: each RegCode slot splits into webs (def-use live
+// ranges, built on the optimizer's CFG and liveness). Linear scan over the
+// webs' live intervals, weighted by loop depth, gives each web one location
+// for the whole function — an allocated register or its home slot
+// [rbx + 16*slot] — so branch joins need no moves. Templates for the hot ops
+// (moves, constants, selects, integer and float arithmetic, compare-branches,
+// loads and stores of every addressing form, f64/v128 lanes and the fused
+// load+op / op+store forms) take each operand as a register or as its slot
+// and emit the mod=11 or the memory form of the same opcode bytes.
+//
+// Every other op runs its frame template under one fallback rule: register
+// operands it reads are stored to their home slots before it and a register
+// result is reloaded after it; when the template calls a C++ helper (div/rem,
+// min/max, trunc, atomics, mem.guard, memory.copy/fill, ...), every register
+// web live across it is stored before and reloaded after as well. Webs live
+// across a wasm call, call_indirect or memory.grow stay in their slots: the
+// callee's frame starts at the argument slot. Trap stubs are noreturn, so a
+// trap discards register values with the frame; partial stores are already
+// in linear memory, so trap points stay interpreter-exact.
 //
 // Functions containing any ROp without a template are not compiled at all
 // (per-function fallback to the threaded interpreter); there is no slow

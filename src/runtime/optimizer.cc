@@ -39,7 +39,8 @@ bool is_fused_select(ROp op) {
   return op >= ROp::kSelectI32Eq && op <= ROp::kSelectF64Gt;
 }
 
-/// Register reads of an instruction (calls handled by callers).
+}  // namespace
+
 void collect_reads(const RInstr& in, std::vector<u32>& out) {
   out.clear();
   // Atomics: loads read the address (b); rmw additionally the operand (c);
@@ -204,6 +205,8 @@ bool writes_dest(const RInstr& in) {
   }
 }
 
+namespace {
+
 /// Ops whose d field names a register (not a shift amount / flag word).
 bool reads_d_reg(ROp op) {
   return op == ROp::kF64MulAdd || op == ROp::kF32MulAdd ||
@@ -321,17 +324,6 @@ bool is_pure(ROp op) {
   }
 }
 
-struct Cfg {
-  std::vector<size_t> leaders;               // sorted block start indices
-  std::vector<size_t> block_of;              // instr -> block id
-  std::vector<std::vector<u32>> successors;  // block id -> block ids
-
-  size_t block_start(size_t b) const { return leaders[b]; }
-  size_t block_end(size_t b, size_t n) const {
-    return b + 1 < leaders.size() ? leaders[b + 1] : n;
-  }
-};
-
 std::vector<u32> branch_targets(const RFunc& f, const RInstr& in) {
   std::vector<u32> out;
   if (in.op == ROp::kBrTable) {
@@ -341,6 +333,8 @@ std::vector<u32> branch_targets(const RFunc& f, const RInstr& in) {
   }
   return out;
 }
+
+}  // namespace
 
 Cfg build_cfg(const RFunc& f) {
   const size_t n = f.code.size();
@@ -378,6 +372,8 @@ Cfg build_cfg(const RFunc& f) {
   }
   return cfg;
 }
+
+namespace {
 
 // ---- Pass 1+2: block-local copy propagation & constant folding -----------
 
@@ -447,11 +443,11 @@ std::optional<u64> fold_binop(ROp op, u64 x, u64 y) {
   using namespace arith;
   auto xi32 = i32(u32(x)); auto yi32 = i32(u32(y));
   auto xu32 = u32(x); auto yu32 = u32(y);
-  auto xi64 = i64(x); auto yi64 = i64(y);
   switch (op) {
-    case ROp::kI32Add: return u64(u32(xi32 + yi32));
-    case ROp::kI32Sub: return u64(u32(xi32 - yi32));
-    case ROp::kI32Mul: return u64(u32(xi32 * yi32));
+    // Wrapping arithmetic in unsigned types: signed overflow would be UB.
+    case ROp::kI32Add: return u64(u32(xu32 + yu32));
+    case ROp::kI32Sub: return u64(u32(xu32 - yu32));
+    case ROp::kI32Mul: return u64(u32(xu32 * yu32));
     case ROp::kI32And: return u64(xu32 & yu32);
     case ROp::kI32Or: return u64(xu32 | yu32);
     case ROp::kI32Xor: return u64(xu32 ^ yu32);
@@ -468,9 +464,9 @@ std::optional<u64> fold_binop(ROp op, u64 x, u64 y) {
     case ROp::kI32LeU: return u64(xu32 <= yu32);
     case ROp::kI32GeS: return u64(xi32 >= yi32);
     case ROp::kI32GeU: return u64(xu32 >= yu32);
-    case ROp::kI64Add: return u64(xi64 + yi64);
-    case ROp::kI64Sub: return u64(xi64 - yi64);
-    case ROp::kI64Mul: return u64(xi64 * yi64);
+    case ROp::kI64Add: return x + y;
+    case ROp::kI64Sub: return x - y;
+    case ROp::kI64Mul: return x * y;
     case ROp::kI64And: return x & y;
     case ROp::kI64Or: return x | y;
     case ROp::kI64Xor: return x ^ y;
@@ -671,58 +667,71 @@ std::optional<ROp> fused_brif(ROp cmp, bool negate) {
   }
 }
 
+}  // namespace
+
 // ---- Liveness ---------------------------------------------------------------
 
-/// Per-instruction live-out sets (reg live immediately after the instruction
-/// executes, considering all CFG paths). O(n_instr * n_regs) memory, which is
-/// fine at RegCode function sizes.
-struct Liveness {
-  std::vector<std::vector<bool>> out;  // [instr][reg]
-  bool live_after(size_t i, u32 reg) const { return out[i][reg]; }
-};
-
-Liveness compute_liveness(const RFunc& f, const Cfg& cfg) {
+Liveness compute_liveness(const RFunc& f, const Cfg& cfg, ReadsFn reads_of) {
   const size_t n = f.code.size();
   const size_t nb = cfg.leaders.size();
-  const u32 nregs = f.num_regs;
-  std::vector<std::vector<bool>> live_in(nb, std::vector<bool>(nregs, false));
-  std::vector<std::vector<bool>> block_out(nb, std::vector<bool>(nregs, false));
+  const u32 w = (f.num_regs + 63) / 64;
   std::vector<u32> reads;
+  auto bit = [](u32 r) { return u64(1) << (r % 64); };
 
+  // Each block's transfer function in = use | (out & ~def), composed
+  // backward from its instructions' (def, use) once; the fixpoint below
+  // then runs on whole-block bitsets.
+  std::vector<u64> use(nb * w, 0), def(nb * w, 0);
+  for (size_t b = 0; b < nb; ++b) {
+    u64* ub = &use[b * w];
+    u64* db = &def[b * w];
+    for (size_t i = cfg.block_end(b, n); i-- > cfg.block_start(b);) {
+      const RInstr& instr = f.code[i];
+      if (writes_dest(instr)) {
+        db[instr.a / 64] |= bit(instr.a);
+        ub[instr.a / 64] &= ~bit(instr.a);
+      }
+      reads_of(instr, reads);
+      for (u32 r : reads) ub[r / 64] |= bit(r);
+    }
+  }
+  std::vector<u64> live_in(nb * w, 0), block_out(nb * w, 0);
   bool changed = true;
   while (changed) {
     changed = false;
     for (size_t b = nb; b-- > 0;) {
-      std::vector<bool> out(nregs, false);
+      u64* out = &block_out[b * w];
+      std::fill(out, out + w, 0);
       for (u32 s : cfg.successors[b])
-        for (u32 r = 0; r < nregs; ++r)
-          if (live_in[s][r]) out[r] = true;
-      std::vector<bool> in = out;
-      for (size_t i = cfg.block_end(b, n); i-- > cfg.block_start(b);) {
-        const RInstr& instr = f.code[i];
-        if (writes_dest(instr)) in[instr.a] = false;
-        collect_reads(instr, reads);
-        for (u32 r : reads) in[r] = true;
+        for (u32 k = 0; k < w; ++k) out[k] |= live_in[s * w + k];
+      for (u32 k = 0; k < w; ++k) {
+        const u64 in = use[b * w + k] | (out[k] & ~def[b * w + k]);
+        if (in != live_in[b * w + k]) {
+          live_in[b * w + k] = in;
+          changed = true;
+        }
       }
-      if (in != live_in[b]) { live_in[b] = in; changed = true; }
-      block_out[b] = out;
     }
   }
 
   Liveness lv;
-  lv.out.assign(n, {});
+  lv.words = w;
+  lv.out.assign(n * w, 0);
+  std::vector<u64> live(w);
   for (size_t b = 0; b < nb; ++b) {
-    std::vector<bool> live = block_out[b];
+    std::copy(&block_out[b * w], &block_out[b * w] + w, live.begin());
     for (size_t i = cfg.block_end(b, n); i-- > cfg.block_start(b);) {
       const RInstr& instr = f.code[i];
-      lv.out[i] = live;
-      if (writes_dest(instr)) live[instr.a] = false;
-      collect_reads(instr, reads);
-      for (u32 r : reads) live[r] = true;
+      std::copy(live.begin(), live.end(), &lv.out[i * w]);
+      if (writes_dest(instr)) live[instr.a / 64] &= ~bit(instr.a);
+      reads_of(instr, reads);
+      for (u32 r : reads) live[r / 64] |= bit(r);
     }
   }
   return lv;
 }
+
+namespace {
 
 // ---- Pass 3: peephole fusion ----------------------------------------------
 

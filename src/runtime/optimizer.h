@@ -50,4 +50,45 @@ struct OptOptions {
 
 OptStats optimize_function(RFunc& f, const OptOptions& opts = {});
 
+// ---- Dataflow primitives shared with the jit tier's register allocator ----
+
+/// Register reads of an instruction into `out` (cleared first). Conservative:
+/// numeric unops report their unused c field too.
+void collect_reads(const RInstr& in, std::vector<u32>& out);
+using ReadsFn = void (*)(const RInstr&, std::vector<u32>&);
+
+/// Whether the instruction writes r[a].
+bool writes_dest(const RInstr& in);
+
+/// Basic blocks of a RegCode body.
+struct Cfg {
+  std::vector<size_t> leaders;               // sorted block start indices
+  std::vector<size_t> block_of;              // instr -> block id
+  std::vector<std::vector<u32>> successors;  // block id -> block ids
+
+  size_t block_start(size_t b) const { return leaders[b]; }
+  size_t block_end(size_t b, size_t n) const {
+    return b + 1 < leaders.size() ? leaders[b + 1] : n;
+  }
+};
+
+Cfg build_cfg(const RFunc& f);
+
+/// Per-instruction live-out sets (reg live immediately after the instruction
+/// executes, considering all CFG paths), as bitsets of `words` u64 each.
+/// O(n_instr * n_regs) bits, which is fine at RegCode function sizes.
+struct Liveness {
+  u32 words = 0;
+  std::vector<u64> out;  // instruction i's set: out[i * words, (i + 1) * words)
+  const u64* live_out(size_t i) const { return out.data() + i * words; }
+  bool live_after(size_t i, u32 reg) const {
+    return (live_out(i)[reg / 64] >> (reg % 64)) & 1;
+  }
+};
+
+/// Backward dataflow over `cfg` with `reads_of` as each instruction's use
+/// set (the jit allocator passes its exact per-template reads).
+Liveness compute_liveness(const RFunc& f, const Cfg& cfg,
+                          ReadsFn reads_of = collect_reads);
+
 }  // namespace mpiwasm::rt

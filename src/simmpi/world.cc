@@ -70,7 +70,7 @@ void deliver_now(detail::Mailbox& box, detail::RecvDesc& r, const void* buf,
                  size_t bytes, int src_comm_rank, int tag) {
   size_t n = std::min(bytes, r.capacity);
   if (bytes > r.capacity) r.truncated = true;
-  std::memcpy(r.dst, buf, n);
+  if (n > 0) std::memcpy(r.dst, buf, n);
   r.status = Status{src_comm_rank, tag, n};
   r.done = true;
   notify(box);
@@ -597,10 +597,12 @@ Status Rank::recv_internal(void* buf, size_t bytes, int source, int tag,
     }
     return desc->status;
   }
+  // A zero-length message may carry null buffers on both sides; memcpy
+  // requires valid pointers even for n == 0.
   if (s->eager) {
-    std::memcpy(buf, s->eager_buf.data(), n);
+    if (n > 0) std::memcpy(buf, s->eager_buf.data(), n);
   } else {
-    std::memcpy(buf, s->payload, n);
+    if (n > 0) std::memcpy(buf, s->payload, n);
     complete_send(*s);
     notify(box);  // wake a blocking rendezvous sender waiting on this box
   }
@@ -759,9 +761,9 @@ Request Rank::irecv_internal(void* buf, size_t bytes, int source, int tag,
     }
     const bool eager = s.eager;
     if (eager) {
-      std::memcpy(buf, s.eager_buf.data(), n);
+      if (n > 0) std::memcpy(buf, s.eager_buf.data(), n);
     } else {
-      std::memcpy(buf, s.payload, n);
+      if (n > 0) std::memcpy(buf, s.payload, n);
       complete_send(s);
     }
     desc->status = Status{s.src_comm_rank, s.tag, n};

@@ -243,5 +243,59 @@ TEST(SimMpiP2P, SelfSendViaNonblocking) {
   });
 }
 
+// Zero-count messages with null buffers on both sides, for a receive posted
+// before the send and for an unexpected message, blocking and nonblocking.
+// With a size_t eager limit a zero-byte message is always eager, so the
+// eager_limit = 0 profile (the smallest rendezvous boundary) exercises the
+// same delivery as the default one; both must complete with count 0.
+void zero_count_exchanges(NetworkProfile prof) {
+  World world(2, prof);
+  world.run([](Rank& r) {
+    for (bool posted_first : {true, false}) {
+      for (bool nonblocking : {false, true}) {
+        const int tag = (posted_first ? 10 : 20) + (nonblocking ? 1 : 0);
+        if (r.rank() == 0) {
+          if (posted_first) r.barrier();
+          if (nonblocking) {
+            Request s = r.isend(nullptr, 0, Datatype::kDouble, 1, tag);
+            r.wait(s);
+          } else {
+            r.send(nullptr, 0, Datatype::kDouble, 1, tag);
+          }
+          if (!posted_first) r.barrier();
+        } else {
+          Status st;
+          if (posted_first) {
+            Request q = r.irecv(nullptr, 0, Datatype::kDouble, 0, tag);
+            r.barrier();
+            st = r.wait(q);
+          } else {
+            r.barrier();
+            if (nonblocking) {
+              Request q = r.irecv(nullptr, 0, Datatype::kDouble, 0, tag);
+              st = r.wait(q);
+            } else {
+              st = r.recv(nullptr, 0, Datatype::kDouble, 0, tag);
+            }
+          }
+          EXPECT_EQ(st.source, 0);
+          EXPECT_EQ(st.tag, tag);
+          EXPECT_EQ(st.count(Datatype::kDouble), 0);
+        }
+      }
+    }
+  });
+}
+
+TEST(SimMpiP2P, ZeroCountNullBuffersEager) {
+  zero_count_exchanges(NetworkProfile::zero());
+}
+
+TEST(SimMpiP2P, ZeroCountNullBuffersAtRendezvousBoundary) {
+  NetworkProfile prof = NetworkProfile::zero();
+  prof.eager_limit = 0;
+  zero_count_exchanges(prof);
+}
+
 }  // namespace
 }  // namespace mpiwasm::simmpi
