@@ -18,7 +18,7 @@ namespace {
 
 // Bump when any template's encoding or register assignment changes in a way
 // that would make a previously cached blob wrong (not just stale).
-constexpr u64 kJitCodegenVersion = 2;
+constexpr u64 kJitCodegenVersion = 3;
 
 /// One in-flight native activation per (possibly nested) jit_enter. The
 /// jmp_buf is the landing pad trap helpers longjmp to; `prev` restores the

@@ -114,6 +114,8 @@ std::optional<Sig> reg_sig(ROp op) {
     case R::kI64Add: case R::kI64Sub: case R::kI64Mul: case R::kI64And:
     case R::kI64Or: case R::kI64Xor: case R::kI64Shl: case R::kI64ShrS:
     case R::kI64ShrU: case R::kI64Rotl: case R::kI64Rotr:
+    case R::kI32DivS: case R::kI32DivU: case R::kI32RemS: case R::kI32RemU:
+    case R::kI64DivS: case R::kI64DivU: case R::kI64RemS: case R::kI64RemU:
       return Sig{kInt, kNo, kInt, kInt};
     case R::kF32Eq: case R::kF32Ne: case R::kF32Lt: case R::kF32Gt:
     case R::kF32Le: case R::kF32Ge:
@@ -235,15 +237,15 @@ bool select_shaped(ROp op) {
          (op >= ROp::kSelectI32Eq && op <= ROp::kSelectF64Gt);
 }
 
-/// Fallback templates that call a C++ helper, which clobbers every
-/// allocatable register (all are caller-saved).
+/// Fallback templates that call a C++ helper on their normal path, which
+/// clobbers every allocatable register (all are caller-saved). Trap-only
+/// paths (integer div/rem by zero or overflow, out-of-bounds and unaligned
+/// accesses) call their helper from a noreturn stub, so they need no saves.
 bool calls_helper(ROp op, u32 feats) {
   using R = ROp;
   switch (op) {
     case R::kCall: case R::kCallIndirect: case R::kMemoryGrow:
     case R::kMemoryCopy: case R::kMemoryFill: case R::kMemGuard:
-    case R::kI32DivS: case R::kI32DivU: case R::kI32RemS: case R::kI32RemU:
-    case R::kI64DivS: case R::kI64DivU: case R::kI64RemS: case R::kI64RemU:
     case R::kF32Min: case R::kF32Max: case R::kF64Min: case R::kF64Max:
     case R::kI32TruncF32S: case R::kI32TruncF32U: case R::kI32TruncF64S:
     case R::kI32TruncF64U: case R::kI64TruncF32S: case R::kI64TruncF32U:
@@ -573,12 +575,15 @@ struct Emitter {
   struct BranchFix { u32 at; u32 target; };   // rel32 to instruction index
   struct PoolFix { u32 at; u32 index; };      // rip disp32 to pool entry
   struct TableFix { u32 at; u32 pool; };      // rip disp32 to a br table
-  struct TrapSite { u32 at; u32 len; };       // rel32 to this site's OOB stub
+  struct TrapSite {                           // rel32 to this site's stub
+    u32 at;
+    u32 len;  // access length (OOB and unaligned-atomic stubs)
+    JitHelperId helper;
+  };
   std::vector<BranchFix> branch_fixes;
   std::vector<PoolFix> pool_fixes;
   std::vector<TableFix> table_fixes;
   std::vector<TrapSite> trap_sites;
-  std::vector<TrapSite> ua_sites;  // rel32 to this site's unaligned stub
   std::vector<V128> pool;  // f.v128_pool + emitter-generated masks
 
   Emitter(const RFunc& fn, u32 features, const RegAlloc& alloc)
@@ -893,6 +898,14 @@ struct Emitter {
     i32le(0);
   }
 
+  /// jcc rel32 to an out-of-line stub that calls the trapping `helper` (see
+  /// finish()); len is the access length for the OOB and unaligned stubs.
+  void trap_jcc(u8 cc, JitHelperId helper, u32 len = 0) {
+    bs({0x0F, u8(0x80 | cc)});
+    trap_sites.push_back({u32(code.size()), len, helper});
+    i32le(0);
+  }
+
   // --- helper calls -----------------------------------------------------------
 
   /// movabs rax, &helper; call rax. The imm64 is recorded as a relocation;
@@ -945,9 +958,7 @@ struct Emitter {
   void bounds_check(u32 len) {
     op_rm(0, true, {0x8D}, RCX, RAX, i64(len));  // lea rcx, [rax + len]
     op_rr(0, true, {0x39}, R15, RCX);            // cmp rcx, r15
-    bs({0x0F, 0x87});                            // ja stub
-    trap_sites.push_back({u32(code.size()), len});
-    i32le(0);
+    trap_jcc(CC_A, JitHelperId::kTrapOob, len);
   }
 
   void checked_addr(u32 base_slot, u64 imm, u32 len) {
@@ -962,9 +973,7 @@ struct Emitter {
   void align_check(u32 len) {
     if (len == 1) return;
     bs({0xA8, u8(len - 1)});  // test al, len-1
-    bs({0x0F, 0x85});         // jnz stub
-    ua_sites.push_back({u32(code.size()), len});
-    i32le(0);
+    trap_jcc(CC_NE, JitHelperId::kTrapUnalignedAtomic, len);
   }
 
   // --- constant pool ---------------------------------------------------------
@@ -1024,21 +1033,23 @@ struct Emitter {
   // --- finalization ------------------------------------------------------------
 
   void finish() {
-    // Out-of-line OOB stubs (one per check so rax still holds the address).
+    // Out-of-line trap stubs, one per site so rax still holds the address
+    // (or the dividend, with the divisor in rcx). Each calls a helper that
+    // raises the interpreter's trap and longjmps out: stubs are noreturn and
+    // need no register writeback.
     for (const TrapSite& t : trap_sites) {
       patch32(t.at, u32(code.size()) - (t.at + 4));
-      op_rr(0, true, {0x89}, RAX, RDI);  // mov rdi, rax (address)
-      b1(0xBE);                          // mov esi, len
-      i32le(t.len);
-      op_rr(0, true, {0x89}, R15, RDX);  // mov rdx, r15 (size)
-      call_helper(JitHelperId::kTrapOob);
-    }
-    for (const TrapSite& t : ua_sites) {
-      patch32(t.at, u32(code.size()) - (t.at + 4));
-      op_rr(0, true, {0x89}, RAX, RDI);  // mov rdi, rax (address)
-      b1(0xBE);                          // mov esi, len
-      i32le(t.len);
-      call_helper(JitHelperId::kTrapUnalignedAtomic);
+      op_rr(0, true, {0x89}, RAX, RDI);  // mov rdi, rax
+      if (t.helper == JitHelperId::kTrapOob ||
+          t.helper == JitHelperId::kTrapUnalignedAtomic) {
+        b1(0xBE);  // mov esi, len
+        i32le(t.len);
+        if (t.helper == JitHelperId::kTrapOob)
+          op_rr(0, true, {0x89}, R15, RDX);  // mov rdx, r15 (size)
+      } else {
+        op_rr(0, true, {0x89}, RCX, RSI);  // mov rsi, rcx (divisor)
+      }
+      call_helper(t.helper);
     }
 
     // 16-aligned constant pool.
@@ -1154,20 +1165,42 @@ bool Emitter::emit_instr(const RInstr& in) {
     else
       store32(a, RAX);
   };
-  // Two-int-arg helper call (div/rem): args from r[b], r[c].
-  auto bin_helper = [&](bool w, JitHelperId id) {
-    if (w) {
-      load64(RDI, b);
-      load64(RSI, c);
-    } else {
-      load32(RDI, b);
-      load32(RSI, c);
+  // Hardware div/rem: dividend in rax, divisor in rcx. A zero divisor and
+  // div_s(MIN, -1) jump to a stub calling the op's helper, which raises the
+  // interpreter's trap; rem_s(x, -1) is 0 without dividing. No input reaches
+  // a #DE fault.
+  auto int_div = [&](bool w, bool sgn, bool rem, JitHelperId id) {
+    ld_gpr(RAX, w, b);
+    ld_gpr(RCX, w, c);
+    op_rr(0, w, {0x85}, RCX, RCX);  // test rcx, rcx
+    trap_jcc(CC_E, id);
+    u32 skip = 0;
+    if (sgn && rem) {
+      op_rr(0, false, {0x31}, RDX, RDX);  // xor edx, edx
+      alu_imm(w, 7, RCX, -1);             // cmp rcx, -1
+      skip = jcc8(CC_E);
+    } else if (sgn) {
+      alu_imm(w, 7, RCX, -1);  // cmp rcx, -1
+      const u32 ok = jcc8(CC_NE);
+      if (w) {
+        movabs(RDX, u64(1) << 63);
+        op_rr(0, true, {0x39}, RDX, RAX);  // cmp rax, rdx
+      } else {
+        alu_imm(false, 7, RAX, i64(i32(0x80000000u)));  // cmp eax, MIN
+      }
+      trap_jcc(CC_E, id);
+      label8(ok);
     }
-    call_helper(id);
-    if (w)
-      store64(a, RAX);
-    else
-      store32(a, RAX);
+    if (sgn) {
+      if (w) b1(0x48);
+      b1(0x99);                     // cdq / cqo
+      op_rr(0, w, {0xF7}, 7, RCX);  // idiv rcx
+    } else {
+      op_rr(0, false, {0x31}, RDX, RDX);  // xor edx, edx
+      op_rr(0, w, {0xF7}, 6, RCX);        // div rcx
+    }
+    if (sgn && rem) label8(skip);
+    st_gpr(a, rem ? RDX : RAX, w);
   };
   // Bit-count: hardware op when the feature is present, else helper.
   auto bit_count = [&](bool w, u8 opc, u32 feat, JitHelperId id) {
@@ -1570,14 +1603,30 @@ bool Emitter::emit_instr(const RInstr& in) {
     case ROp::kI64And: int_bin(true, {0x23}); return true;
     case ROp::kI64Or: int_bin(true, {0x0B}); return true;
     case ROp::kI64Xor: int_bin(true, {0x33}); return true;
-    case ROp::kI32DivS: bin_helper(false, JitHelperId::kI32DivS); return true;
-    case ROp::kI32DivU: bin_helper(false, JitHelperId::kI32DivU); return true;
-    case ROp::kI32RemS: bin_helper(false, JitHelperId::kI32RemS); return true;
-    case ROp::kI32RemU: bin_helper(false, JitHelperId::kI32RemU); return true;
-    case ROp::kI64DivS: bin_helper(true, JitHelperId::kI64DivS); return true;
-    case ROp::kI64DivU: bin_helper(true, JitHelperId::kI64DivU); return true;
-    case ROp::kI64RemS: bin_helper(true, JitHelperId::kI64RemS); return true;
-    case ROp::kI64RemU: bin_helper(true, JitHelperId::kI64RemU); return true;
+    case ROp::kI32DivS:
+      int_div(false, true, false, JitHelperId::kI32DivS);
+      return true;
+    case ROp::kI32DivU:
+      int_div(false, false, false, JitHelperId::kI32DivU);
+      return true;
+    case ROp::kI32RemS:
+      int_div(false, true, true, JitHelperId::kI32RemS);
+      return true;
+    case ROp::kI32RemU:
+      int_div(false, false, true, JitHelperId::kI32RemU);
+      return true;
+    case ROp::kI64DivS:
+      int_div(true, true, false, JitHelperId::kI64DivS);
+      return true;
+    case ROp::kI64DivU:
+      int_div(true, false, false, JitHelperId::kI64DivU);
+      return true;
+    case ROp::kI64RemS:
+      int_div(true, true, true, JitHelperId::kI64RemS);
+      return true;
+    case ROp::kI64RemU:
+      int_div(true, false, true, JitHelperId::kI64RemU);
+      return true;
     case ROp::kI32Shl: int_shift(false, 4); return true;
     case ROp::kI32ShrS: int_shift(false, 7); return true;
     case ROp::kI32ShrU: int_shift(false, 5); return true;

@@ -30,15 +30,23 @@
 // load+op / op+store forms) take each operand as a register or as its slot
 // and emit the mod=11 or the memory form of the same opcode bytes.
 //
+// Integer div/rem has a register form too: dividend in rax, divisor in rcx,
+// then the hardware div/idiv. A zero divisor and div_s(MIN, -1) branch to a
+// trap stub before the divide (rem_s(x, -1) is 0 without one), so no input
+// reaches a #DE fault.
+//
 // Every other op runs its frame template under one fallback rule: register
 // operands it reads are stored to their home slots before it and a register
-// result is reloaded after it; when the template calls a C++ helper (div/rem,
-// min/max, trunc, atomics, mem.guard, memory.copy/fill, ...), every register
-// web live across it is stored before and reloaded after as well. Webs live
-// across a wasm call, call_indirect or memory.grow stay in their slots: the
-// callee's frame starts at the argument slot. Trap stubs are noreturn, so a
-// trap discards register values with the frame; partial stores are already
-// in linear memory, so trap points stay interpreter-exact.
+// result is reloaded after it; when the template calls a C++ helper on its
+// normal path (min/max, trunc, atomics, mem.guard, memory.copy/fill, ...),
+// every register web live across it is stored before and reloaded after as
+// well. Webs live across a wasm call, call_indirect or memory.grow stay in
+// their slots: the callee's frame starts at the argument slot. Trap-only
+// paths (div/rem by zero or overflow, out-of-bounds and unaligned accesses)
+// call their helper from a noreturn out-of-line stub, which raises the
+// interpreter's trap and discards register values with the frame, so they
+// need no saves; partial stores are already in linear memory, so trap points
+// stay interpreter-exact.
 //
 // Functions containing any ROp without a template are not compiled at all
 // (per-function fallback to the threaded interpreter); there is no slow

@@ -260,33 +260,202 @@ TEST(Jit, OobTrapsAtTheSamePointAsInterp) {
   }
 }
 
-TEST(Jit, DivTrapsMatchInterp) {
-  auto bytes = build_single_func({{I32, I32}, {I32}}, [](auto& f) {
+// Integer div/rem edge table: every op at both widths, on the inputs where
+// hardware division and wasm part ways (zero divisor, MIN / -1, signs,
+// unsigned wrap), in each operand placement the register allocator makes.
+struct DivOp {
+  Op op;
+  bool wide;
+};
+constexpr DivOp kDivOps[] = {
+    {Op::kI32DivS, false}, {Op::kI32DivU, false}, {Op::kI32RemS, false},
+    {Op::kI32RemU, false}, {Op::kI64DivS, true},  {Op::kI64DivU, true},
+    {Op::kI64RemS, true},  {Op::kI64RemU, true},
+};
+
+enum class DivPlace {
+  kLoop,           // x, y and the result register-resident inside a loop
+  kFrame,          // x, y live across a wasm call, so read from the frame
+  kDstIsDividend,  // x = x op y in a loop: one web, one register
+  kDstIsDivisor,   // y = x op y in a loop
+  kLiveWebs,       // six more integer webs live across the division
+};
+constexpr DivPlace kDivPlaces[] = {DivPlace::kLoop, DivPlace::kFrame,
+                                   DivPlace::kDstIsDividend,
+                                   DivPlace::kDstIsDivisor,
+                                   DivPlace::kLiveWebs};
+
+/// Body of run(x, y) for one op and placement. Every placement but
+/// kLiveWebs returns x op y itself.
+void emit_div_body(wasm::FunctionBuilder& f, const DivOp& d, DivPlace place,
+                   u32 nop_func) {
+  const ValType t = d.wide ? I64 : I32;
+  auto konst = [&](i64 v) {
+    if (d.wide)
+      f.i64_const(v);
+    else
+      f.i32_const(i32(v));
+  };
+  auto div = [&](u32 dst) {
     f.local_get(0);
     f.local_get(1);
-    f.op(Op::kI32DivS);
-    f.end();
-  });
-  auto cm = rt::compile({bytes.data(), bytes.size()}, jit_config());
-  ASSERT_EQ(cm->jit_funcs.load(), 1u);
-  rt::ImportTable imports;
-  rt::Instance inst(cm, imports);
-  auto trap_kind = [&](i32 a, i32 b) {
-    try {
-      inst.invoke("run",
-                  std::vector<Value>{Value::from_i32(a), Value::from_i32(b)});
-    } catch (const Trap& t) {
-      return t.kind();
-    }
-    return TrapKind::kHostError;
+    f.op(d.op);
+    f.local_set(dst);
   };
-  EXPECT_EQ(trap_kind(1, 0), TrapKind::kIntegerDivByZero);
-  EXPECT_EQ(trap_kind(INT32_MIN, -1), TrapKind::kIntegerOverflow);
-  // The instance stays usable after a native-code trap unwind.
-  EXPECT_EQ(inst.invoke("run", std::vector<Value>{Value::from_i32(42),
-                                                  Value::from_i32(6)})
-                .as_i32(),
-            7);
+  const u32 i = f.add_local(I32), lim = f.add_local(I32), q = f.add_local(t);
+  auto loop = [&](i32 n, const std::function<void()>& body) {
+    f.i32_const(n);
+    f.local_set(lim);
+    f.for_loop_i32(i, 0, lim, 1, body);
+  };
+  switch (place) {
+    case DivPlace::kLoop:
+      loop(3, [&] { div(q); });
+      f.local_get(q);
+      break;
+    case DivPlace::kFrame:
+      f.call(nop_func);
+      div(q);
+      f.local_get(q);
+      break;
+    case DivPlace::kDstIsDividend:
+      loop(1, [&] { div(0); });
+      f.local_get(0);
+      break;
+    case DivPlace::kDstIsDivisor:
+      loop(1, [&] { div(1); });
+      f.local_get(1);
+      break;
+    case DivPlace::kLiveWebs: {
+      u32 k[6];
+      for (u32 j = 0; j < 6; ++j) {
+        k[j] = f.add_local(t);
+        f.local_get(0);
+        konst(0x1111 * (j + 1));
+        f.op(d.wide ? Op::kI64Add : Op::kI32Add);
+        f.local_set(k[j]);
+      }
+      // Each k is read and written after the division in every iteration,
+      // so all six outweigh x, y, q and the counter for the six GPRs.
+      loop(2, [&] {
+        div(q);
+        for (u32 j = 0; j < 6; ++j) {
+          f.local_get(k[j]);
+          konst(3);
+          f.op(d.wide ? Op::kI64Mul : Op::kI32Mul);
+          f.local_get(k[(j + 1) % 6]);
+          f.op(d.wide ? Op::kI64Add : Op::kI32Add);
+          f.local_set(k[j]);
+        }
+      });
+      f.local_get(q);
+      for (u32 j = 0; j < 6; ++j) {
+        konst(31);
+        f.op(d.wide ? Op::kI64Mul : Op::kI32Mul);
+        f.local_get(k[j]);
+        f.op(d.wide ? Op::kI64Xor : Op::kI32Xor);
+      }
+      break;
+    }
+  }
+  f.end();
+}
+
+struct DivOutcome {
+  bool trapped = false;
+  i64 value = 0;
+  TrapKind kind = TrapKind::kHostError;
+  std::string message;
+  bool operator==(const DivOutcome&) const = default;
+};
+
+DivOutcome run_div(rt::Instance& inst, const std::string& name, bool wide,
+                   i64 x, i64 y) {
+  DivOutcome o;
+  try {
+    if (wide) {
+      o.value = inst.invoke(name, std::vector<Value>{Value::from_i64(x),
+                                                     Value::from_i64(y)})
+                    .as_i64();
+    } else {
+      o.value = inst.invoke(name, std::vector<Value>{Value::from_i32(i32(x)),
+                                                     Value::from_i32(i32(y))})
+                    .as_i32();
+    }
+  } catch (const Trap& t) {
+    o.trapped = true;
+    o.kind = t.kind();
+    o.message = t.what();
+  }
+  return o;
+}
+
+TEST(Jit, DivTrapsMatchInterp) {
+  ModuleBuilder b;
+  auto& nop = b.begin_func({{}, {}});
+  nop.end();
+  std::vector<std::string> names;
+  for (const DivOp& d : kDivOps) {
+    const ValType t = d.wide ? I64 : I32;
+    for (DivPlace place : kDivPlaces) {
+      names.push_back(std::string(wasm::op_name(d.op)) + "/" +
+                      std::to_string(int(place)));
+      auto& f = b.begin_func({{t, t}, {t}}, names.back());
+      emit_div_body(f, d, place, nop.index());
+    }
+  }
+  const std::vector<u8> bytes = b.build();
+  auto cm = rt::compile({bytes.data(), bytes.size()}, jit_config());
+  ASSERT_EQ(cm->jit_funcs.load(), names.size() + 1);
+  rt::ImportTable imports;
+  rt::Instance jit(cm, imports);
+  auto ref = instantiate(bytes, EngineTier::kInterp);
+
+  for (bool wide : {false, true}) {
+    const i64 min = wide ? INT64_MIN : INT32_MIN;
+    const i64 umax = wide ? -1 : i64(u32(~0u));
+    const i64 x = wide ? 0x123456789ABCDEFll : 123456789;
+    const std::pair<i64, i64> pairs[] = {{7, 2},  {-7, 2},   {7, -2},
+                                         {x, -1}, {min, -1}, {x, 0},
+                                         {0, 0},  {umax, 3}};
+    for (size_t o = 0; o < std::size(kDivOps); ++o) {
+      const DivOp& d = kDivOps[o];
+      if (d.wide != wide) continue;
+      for (const auto& [dividend, divisor] : pairs) {
+        SCOPED_TRACE(std::string(wasm::op_name(d.op)) + "(" +
+                     std::to_string(dividend) + ", " +
+                     std::to_string(divisor) + ")");
+        DivOutcome first;
+        for (size_t p = 0; p < std::size(kDivPlaces); ++p) {
+          const std::string& name = names[o * std::size(kDivPlaces) + p];
+          const DivOutcome want = run_div(*ref, name, wide, dividend, divisor);
+          const DivOutcome got = run_div(jit, name, wide, dividend, divisor);
+          EXPECT_EQ(want.trapped, got.trapped) << name << ": " << got.message;
+          EXPECT_EQ(want.value, got.value) << name;
+          EXPECT_EQ(want.kind, got.kind) << name;
+          EXPECT_EQ(want.message, got.message) << name;
+          if (kDivPlaces[p] == DivPlace::kLiveWebs) continue;
+          // The placements that return x op y itself agree with each other.
+          if (p == 0)
+            first = got;
+          else
+            EXPECT_EQ(first, got) << name;
+          if (divisor == 0) {
+            EXPECT_EQ(got.kind, TrapKind::kIntegerDivByZero) << name;
+          } else if (dividend == min && divisor == -1) {
+            if (d.op == Op::kI32RemS || d.op == Op::kI64RemS) {
+              EXPECT_FALSE(got.trapped) << name;
+              EXPECT_EQ(got.value, 0) << name;
+            } else if (d.op == Op::kI32DivS || d.op == Op::kI64DivS) {
+              EXPECT_EQ(got.kind, TrapKind::kIntegerOverflow) << name;
+            }
+          }
+        }
+      }
+    }
+  }
+  // The instance stays usable after native-code trap unwinds.
+  EXPECT_EQ(run_div(jit, names[0], false, 42, 6).value, 7);
 }
 
 TEST(Jit, MemoryGrowReloadsBaseAndSize) {

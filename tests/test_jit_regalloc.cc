@@ -6,11 +6,13 @@
 // Each program keeps more values live across its loop than the allocator
 // has registers (10+ integers for 6 GPRs, 20 floats and vectors for 14
 // XMMs), carries i32/i64/f64/v128 values around the loop, and mixes
-// register-form templates with fallback ones: helper calls (div/rem,
-// f64.min/max, trunc), a wasm call with everything live across it, lane
-// extract/replace, select and br_table. Operand-stack slots are shared by
-// values of different types, and some programs store past the end of memory
-// partway through the loop.
+// register-form templates with fallback ones: helper calls (f64.min/max,
+// trunc), a wasm call with everything live across it, lane extract/replace,
+// select and br_table. Integer div/rem at both widths divides by -1, 0 and
+// MIN now and then, so its out-of-line trap stubs fire with register values
+// live around them. Operand-stack slots are shared by values of different
+// types, and some programs store past the end of memory partway through the
+// loop.
 #include "testlib.h"
 
 #include <cstring>
@@ -158,7 +160,7 @@ class ProgramGen {
         gen_v128(depth - 1);
         f_.lane_op(Op::kI32x4ExtractLane, u8(pick(4)));
         return;
-      case 7: {  // helper call: unsigned div/rem by an odd (nonzero) divisor
+      case 7: {  // unsigned div/rem by an odd (nonzero) divisor
         gen_i32(depth - 1);
         gen_i32(depth - 1);
         f_.i32_const(1);
@@ -183,13 +185,7 @@ class ProgramGen {
         gen_i32(depth - 1);
         f_.op(Op::kSelect);
         return;
-      case 11:  // may trap: signed division by anything
-        gen_i32(depth - 1);
-        if (pick(8) == 0) {
-          gen_i32(depth - 1);
-          f_.op(Op::kI32DivS);
-        }
-        return;
+      case 11: signed_div_rem(false, depth); return;
       case 12: {  // narrow loads (movsx/movzx into any register)
         static constexpr Op kLoads[] = {Op::kI32Load8S, Op::kI32Load8U,
                                         Op::kI32Load16S, Op::kI32Load16U};
@@ -227,7 +223,7 @@ class ProgramGen {
   }
 
   void gen_i64(int depth) {
-    switch (depth <= 0 ? pick(2) : pick(10)) {
+    switch (depth <= 0 ? pick(2) : pick(11)) {
       case 0: f_.local_get(any(i64s_)); return;
       case 1: f_.i64_const(i64(rng_())); return;
       case 2: case 3: {
@@ -261,14 +257,47 @@ class ProgramGen {
         gen_i64(depth - 1);
         f_.call(mix_);
         return;
-      default:
+      case 7:  // unsigned div/rem by an odd (nonzero) divisor
         gen_i64(depth - 1);
         gen_i64(depth - 1);
         f_.i64_const(1);
         f_.op(Op::kI64Or);
-        f_.op(Op::kI64RemU);
+        f_.op(pick(2) ? Op::kI64DivU : Op::kI64RemU);
         return;
+      default: signed_div_rem(true, depth); return;
     }
+  }
+
+  /// Signed div/rem, dividend sometimes MIN, divisor drawn from {-1, 0, MIN,
+  /// anything}: the zero and overflow trap stubs fire, and rem_s(MIN, -1)
+  /// takes its no-divide path.
+  void signed_div_rem(bool wide, int depth) {
+    const i64 min = wide ? INT64_MIN : INT32_MIN;
+    auto operand = [&] {
+      if (wide)
+        gen_i64(depth - 1);
+      else
+        gen_i32(depth - 1);
+    };
+    auto konst = [&](i64 v) {
+      if (wide)
+        f_.i64_const(v);
+      else
+        f_.i32_const(i32(v));
+    };
+    if (pick(3) == 0)
+      konst(min);
+    else
+      operand();
+    switch (pick(32)) {
+      case 0: konst(0); break;
+      case 1: case 2: case 3: case 4: case 5: case 6: konst(-1); break;
+      case 7: konst(min); break;
+      default: operand(); break;
+    }
+    static constexpr Op kOps[2][2] = {{Op::kI32DivS, Op::kI32RemS},
+                                      {Op::kI64DivS, Op::kI64RemS}};
+    f_.op(kOps[wide][pick(2)]);
   }
 
   void gen_f64(int depth) {
