@@ -1,7 +1,10 @@
 #include "runtime/cache.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -147,11 +150,26 @@ bool read_header(ByteReader& r) {
   return true;
 }
 
+/// Reads the whole file at `path` into a buffer sized from its stat;
+/// nullopt when it cannot be opened, stat'ed or fully read.
 std::optional<std::vector<u8>> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  return std::vector<u8>((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  std::optional<std::vector<u8>> out;
+  struct stat st;
+  if (::fstat(fd, &st) == 0) {
+    std::vector<u8> bytes(size_t(st.st_size));
+    size_t got = 0;
+    while (got < bytes.size()) {
+      const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) break;
+      got += size_t(n);
+    }
+    if (got == bytes.size()) out = std::move(bytes);
+  }
+  ::close(fd);
+  return out;
 }
 
 /// Atomically publishes `bytes` at `path`; concurrent writers race

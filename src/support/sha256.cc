@@ -2,6 +2,11 @@
 
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace mpiwasm {
 namespace {
 
@@ -20,38 +25,112 @@ constexpr std::array<u32, 64> kK = {
 
 inline u32 rotr(u32 x, int n) { return (x >> n) | (x << (32 - n)); }
 
+void blocks_portable(u32* state, const u8* p, size_t n) {
+  for (; n > 0; --n, p += 64) {
+    u32 w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (u32(p[4 * i]) << 24) | (u32(p[4 * i + 1]) << 16) |
+             (u32(p[4 * i + 2]) << 8) | u32(p[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      u32 s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      u32 s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    u32 a = state[0], b = state[1], c = state[2], d = state[3];
+    u32 e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      u32 s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      u32 ch = (e & f) ^ (~e & g);
+      u32 t1 = h + s1 + ch + kK[i] + w[i];
+      u32 s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      u32 maj = (a & b) ^ (a & c) ^ (b & c);
+      u32 t2 = s0 + maj;
+      h = g; g = f; f = e; e = d + t1;
+      d = c; c = b; b = a; a = t1 + t2;
+    }
+    state[0] += a; state[1] += b; state[2] += c; state[3] += d;
+    state[4] += e; state[5] += f; state[6] += g; state[7] += h;
+  }
+}
+
+#if defined(__x86_64__)
+/// The same compression with the SHA extensions. sha256rnds2 runs two
+/// rounds on the state split as ABEF/CDGH; sha256msg1/msg2 extend the
+/// message schedule four words at a time.
+__attribute__((target("sha,sse4.1"))) void blocks_sha_ni(u32* state,
+                                                         const u8* p,
+                                                         size_t n) {
+  // Big-endian words within each 16-byte lane.
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const __m128i dcba = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  __m128i abef = _mm_alignr_epi8(dcba, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, dcba, 0xF0);
+  for (; n > 0; --n, p += 64) {
+    const __m128i abef_in = abef, cdgh_in = cdgh;
+    // msg[g % 4] holds schedule words 4g..4g+3 of the current group g.
+    __m128i msg[4];
+    for (int i = 0; i < 4; ++i)
+      msg[i] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16 * i)), bswap);
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      if (g >= 4) {
+        __m128i w = _mm_sha256msg1_epu32(msg[g & 3], msg[(g + 1) & 3]);
+        w = _mm_add_epi32(w, _mm_alignr_epi8(msg[(g + 3) & 3],
+                                             msg[(g + 2) & 3], 4));
+        msg[g & 3] = _mm_sha256msg2_epu32(w, msg[(g + 3) & 3]);
+      }
+      const __m128i wk = _mm_add_epi32(
+          msg[g & 3],
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kK[4 * g])));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+#endif
+
+using BlockFn = void (*)(u32* state, const u8* blocks, size_t n);
+
+/// The SHA-extension block function when the CPU has SHA (cpuid leaf 7
+/// EBX bit 29) and SSE4.1 (leaf 1 ECX bit 19), the portable one otherwise;
+/// cpuid runs once per process.
+BlockFn selected_blocks() {
+  static const BlockFn selected = [] {
+#if defined(__x86_64__)
+    unsigned a = 0, b = 0, c = 0, d = 0;
+    const bool sse41 =
+        __get_cpuid(1, &a, &b, &c, &d) && (c & (1u << 19)) != 0;
+    const bool sha =
+        __get_cpuid_count(7, 0, &a, &b, &c, &d) && (b & (1u << 29)) != 0;
+    if (sse41 && sha) return BlockFn(&blocks_sha_ni);
+#endif
+    return BlockFn(&blocks_portable);
+  }();
+  return selected;
+}
+
 }  // namespace
 
-Sha256::Sha256()
-    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f,
-             0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
+Sha256::Sha256() : Sha256(selected_blocks()) {}
 
-void Sha256::process_block(const u8* p) {
-  u32 w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (u32(p[4 * i]) << 24) | (u32(p[4 * i + 1]) << 16) |
-           (u32(p[4 * i + 2]) << 8) | u32(p[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    u32 s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    u32 s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  u32 a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  u32 e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    u32 s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    u32 ch = (e & f) ^ (~e & g);
-    u32 t1 = h + s1 + ch + kK[i] + w[i];
-    u32 s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    u32 maj = (a & b) ^ (a & c) ^ (b & c);
-    u32 t2 = s0 + maj;
-    h = g; g = f; f = e; e = d + t1;
-    d = c; c = b; b = a; a = t1 + t2;
-  }
-  state_[0] += a; state_[1] += b; state_[2] += c; state_[3] += d;
-  state_[4] += e; state_[5] += f; state_[6] += g; state_[7] += h;
-}
+Sha256::Sha256(BlockFn blocks)
+    : blocks_(blocks),
+      state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f,
+             0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
 
 void Sha256::update(std::span<const u8> data) {
   total_len_ += data.size();
@@ -62,11 +141,15 @@ void Sha256::update(std::span<const u8> data) {
     buf_len_ += take;
     i += take;
     if (buf_len_ == 64) {
-      process_block(buf_.data());
+      blocks_(state_.data(), buf_.data(), 1);
       buf_len_ = 0;
     }
   }
-  for (; i + 64 <= data.size(); i += 64) process_block(data.data() + i);
+  const size_t whole = (data.size() - i) / 64;
+  if (whole > 0) {
+    blocks_(state_.data(), data.data() + i, whole);
+    i += 64 * whole;
+  }
   if (i < data.size()) {
     std::memcpy(buf_.data(), data.data() + i, data.size() - i);
     buf_len_ = data.size() - i;
@@ -94,6 +177,12 @@ Sha256Digest Sha256::finish() {
 
 Sha256Digest sha256(std::span<const u8> data) {
   Sha256 h;
+  h.update(data);
+  return h.finish();
+}
+
+Sha256Digest sha256_portable(std::span<const u8> data) {
+  Sha256 h(&blocks_portable);
   h.update(data);
   return h.finish();
 }

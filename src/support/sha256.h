@@ -21,8 +21,14 @@ struct Sha256Digest {
   std::string hex() const;
 };
 
-/// One-shot SHA-256 of `data`.
+/// One-shot SHA-256 of `data`. Uses the CPU's SHA extensions when it has
+/// them (selected once, through cpuid); the digest is the same either way.
 Sha256Digest sha256(std::span<const u8> data);
+
+/// One-shot SHA-256 through the portable block function only: the fallback
+/// on CPUs without SHA extensions, and the reference the tests compare the
+/// selected path with.
+Sha256Digest sha256_portable(std::span<const u8> data);
 
 /// Incremental hasher for streaming inputs (cache serializer).
 class Sha256 {
@@ -32,7 +38,11 @@ class Sha256 {
   Sha256Digest finish();
 
  private:
-  void process_block(const u8* block);
+  friend Sha256Digest sha256_portable(std::span<const u8> data);
+  /// Runs the compression function over `n` consecutive 64-byte blocks.
+  using BlockFn = void (*)(u32* state, const u8* blocks, size_t n);
+  explicit Sha256(BlockFn blocks);
+  BlockFn blocks_;
   std::array<u32, 8> state_;
   std::array<u8, 64> buf_{};
   size_t buf_len_ = 0;

@@ -7,7 +7,9 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <optional>
+#include <random>
 #include <thread>
 
 #include "runtime/cache.h"
@@ -101,22 +103,53 @@ TEST(Cache, EmptyPoolsRoundTrip) {
 }
 
 TEST(Cache, TruncatedBlobIsRejected) {
-  auto bytes = make_module(77);
+  // A whole-module entry of several functions: magic, version, a 1-byte
+  // count, then one record per function (a per-function entry minus its
+  // 8-byte header).
+  auto bytes = toolchain::build_compile_stress_module(4);
   EngineConfig cfg;
   cfg.tier = EngineTier::kOptimizing;
   auto cm = rt::compile({bytes.data(), bytes.size()}, cfg);
-  auto blob = rt::serialize_regcode(cm->regcode);
-  // Every strict prefix must be rejected, never crash or mis-parse.
-  for (size_t cut : {size_t(0), size_t(3), size_t(7), size_t(8),
-                     blob.size() / 2, blob.size() - 1}) {
-    EXPECT_FALSE(rt::deserialize_regcode({blob.data(), cut}).has_value())
-        << "prefix of " << cut << " bytes";
+  const auto& funcs = cm->regcode.funcs;
+  ASSERT_GE(funcs.size(), 3u);
+  const std::vector<u8> good = rt::serialize_regcode(cm->regcode);
+  ASSERT_EQ(good[8], funcs.size()) << "count must be a 1-byte LEB";
+  ASSERT_TRUE(rt::deserialize_regcode({good.data(), good.size()}));
+  // End offset of each record.
+  std::vector<size_t> ends;
+  size_t at = 9;
+  for (const auto& f : funcs)
+    ends.push_back(at += rt::serialize_rfunc(f).size() - 8);
+  ASSERT_EQ(ends.back(), good.size());
+
+  struct Case {
+    std::string what;
+    std::function<void(std::vector<u8>&)> mutate;
+  };
+  std::vector<Case> cases = {
+      {"empty", [](auto& b) { b.clear(); }},
+      {"cut inside the magic", [](auto& b) { b.resize(3); }},
+      {"cut inside the version", [](auto& b) { b.resize(7); }},
+      {"header only", [](auto& b) { b.resize(8); }},
+      {"count with no records behind it", [](auto& b) { b.resize(9); }},
+      {"cut inside the first record", [](auto& b) { b.resize(9 + 3); }},
+      {"cut in half", [](auto& b) { b.resize(b.size() / 2); }},
+      {"last byte missing", [](auto& b) { b.resize(b.size() - 1); }},
+      // The entry must parse exactly.
+      {"trailing junk", [](auto& b) { b.push_back(0); }},
+      {"count one higher than the records", [](auto& b) { ++b[8]; }},
+      {"count one lower than the records", [](auto& b) { --b[8]; }},
+  };
+  // A cut at a record boundary leaves whole records, but fewer than the
+  // count.
+  for (size_t i = 0; i + 1 < ends.size(); ++i)
+    cases.push_back({"cut after record " + std::to_string(i),
+                     [end = ends[i]](auto& b) { b.resize(end); }});
+  for (const Case& c : cases) {
+    std::vector<u8> blob = good;
+    c.mutate(blob);
+    EXPECT_FALSE(rt::deserialize_regcode({blob.data(), blob.size()})) << c.what;
   }
-  // Trailing junk is also rejected (entry must parse exactly).
-  auto extended = blob;
-  extended.push_back(0);
-  EXPECT_FALSE(
-      rt::deserialize_regcode({extended.data(), extended.size()}).has_value());
 }
 
 TEST(Cache, HugeFunctionCountIsRejectedNotAllocated) {
@@ -516,6 +549,59 @@ TEST(ParallelCompile, RepeatedCompilesAreByteIdentical) {
       EXPECT_EQ(a->jit_arena->code_bytes(), b->jit_arena->code_bytes());
     }
   }
+}
+
+TEST(ParallelCompile, WarmLoadMatchesTheColdCompile) {
+  // A warm load installs the same code as the parallel cold compile that
+  // stored the entry.
+  auto dir = fresh_cache_dir();
+  const auto& bytes = parallel_stress_module();
+  EngineConfig cfg;
+  cfg.tier = EngineTier::kJit;
+  cfg.jit = true;
+  cfg.enable_cache = true;
+  cfg.cache_dir = dir;
+  auto cold = rt::compile({bytes.data(), bytes.size()}, cfg);
+  ASSERT_FALSE(cold->loaded_from_cache);
+  auto warm = rt::compile({bytes.data(), bytes.size()}, cfg);
+  ASSERT_TRUE(warm->loaded_from_cache);
+  ASSERT_EQ(warm->regcode.funcs.size(), kParallelFuncs);
+  for (u32 i = 0; i < kParallelFuncs; ++i)
+    ASSERT_EQ(rt::serialize_rfunc(warm->regcode.funcs[i]),
+              rt::serialize_rfunc(cold->regcode.funcs[i]))
+        << "func " << i;
+  const rt::TierUpSnapshot s = rt::tierup_snapshot(*warm);
+  EXPECT_EQ(s.jit_funcs, kParallelFuncs);
+  EXPECT_EQ(s.jit_fallback_funcs, 0u);
+  ASSERT_NE(cold->jit_arena, nullptr);
+  ASSERT_NE(warm->jit_arena, nullptr);
+  EXPECT_EQ(warm->jit_arena->code_bytes(), cold->jit_arena->code_bytes());
+  const Value args[] = {Value::from_i32(1000)};
+  rt::Instance cold_inst(cold, rt::ImportTable{});
+  rt::Instance warm_inst(warm, rt::ImportTable{});
+  EXPECT_EQ(warm_inst.invoke("run", args).as_f64(),
+            cold_inst.invoke("run", args).as_f64());
+  fs::remove_all(dir);
+}
+
+TEST(ParallelCompile, MutatedEntriesAreRejectedOrDecodeCleanly) {
+  // Single-byte flips of the 1024-function entry are a clean miss or a
+  // clean decode; every strict prefix of it is a miss.
+  auto cm = compile_stress(EngineTier::kJit);
+  std::vector<u8> blob = rt::serialize_regcode(cm->regcode);
+  std::mt19937_64 rng(19);
+  for (int k = 0; k < 2000; ++k) {
+    const size_t at = rng() % blob.size();
+    const u8 mask = u8(1 + rng() % 255);
+    blob[at] ^= mask;
+    (void)rt::deserialize_regcode({blob.data(), blob.size()});
+    blob[at] ^= mask;
+  }
+  u32 truncations_rejected = 0;
+  for (int k = 0; k < 500; ++k)
+    if (!rt::deserialize_regcode({blob.data(), rng() % blob.size()}))
+      ++truncations_rejected;
+  EXPECT_EQ(truncations_rejected, 500u) << "every truncation is rejected";
 }
 
 TEST(ParallelCompile, EveryTierComputesTheSameResult) {

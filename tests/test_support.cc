@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <random>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -111,6 +112,58 @@ TEST(Sha256, MultiBlockBoundary) {
   std::vector<u8> data(64, 0x61);  // "aaaa..."
   EXPECT_EQ(sha256({data.data(), data.size()}).hex(),
             "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb");
+}
+
+// sha256() takes the SHA-extension path on CPUs that have it; each case
+// below also runs the portable reference, so both paths are checked on
+// such hosts.
+TEST(Sha256, Fips180Vectors) {
+  struct Case {
+    std::string msg;
+    const char* hex;
+  };
+  const Case cases[] = {
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno"
+       "ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+       "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"},
+      {std::string(1000000, 'a'),
+       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"},
+  };
+  for (const Case& c : cases) {
+    const std::span<const u8> msg{reinterpret_cast<const u8*>(c.msg.data()),
+                                  c.msg.size()};
+    EXPECT_EQ(sha256(msg).hex(), c.hex) << c.msg.size() << " bytes";
+    EXPECT_EQ(sha256_portable(msg).hex(), c.hex) << c.msg.size() << " bytes";
+  }
+}
+
+TEST(Sha256, EveryLengthUpTo4096MatchesThePortableReference) {
+  std::mt19937_64 rng(4096);
+  std::vector<u8> data(4096);
+  for (u8& b : data) b = u8(rng());
+  for (size_t len = 0; len <= data.size(); ++len) {
+    const std::span<const u8> msg{data.data(), len};
+    ASSERT_EQ(sha256(msg), sha256_portable(msg)) << len << " bytes";
+  }
+}
+
+TEST(Sha256, RandomIncrementalSplitsMatchThePortableReference) {
+  std::mt19937_64 rng(256);
+  std::vector<u8> data(4096);
+  for (u8& b : data) b = u8(rng());
+  for (int trial = 0; trial < 500; ++trial) {
+    const size_t len = rng() % (data.size() + 1);
+    Sha256 h;
+    for (size_t at = 0; at < len;) {
+      const size_t piece = std::min<size_t>(len - at, rng() % 200);
+      h.update({data.data() + at, piece});
+      at += piece;
+    }
+    ASSERT_EQ(h.finish(), sha256_portable({data.data(), len}))
+        << "trial " << trial << ", " << len << " bytes";
+  }
 }
 
 TEST(Stats, RunningStat) {
