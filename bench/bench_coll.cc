@@ -8,7 +8,7 @@
 // via --out). The headline number is the geomean small-message (<= 1 KiB)
 // speedup of the auto-selected algorithms over the naive linear ones for
 // allreduce/bcast/barrier at 8 ranks — the acceptance gate for the
-// shared-memory fan-in path.
+// shared-memory path.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -242,10 +242,6 @@ int main(int argc, char** argv) {
       for (size_t bytes : op_sizes) {
         std::printf("  r=%d %8zu B:", ranks, bytes);
         for (CollAlgo a : algos) {
-          // Above the slot capacity a forced kShm silently degrades to the
-          // auto table; skip instead of recording a mislabeled row.
-          if (a == CollAlgo::kShm && bytes > CollectiveContext::kSlotBytes)
-            continue;
           f64 us = time_coll(op, a, ranks, bytes, iters_for(bytes, smoke));
           entries.push_back({coll_name(op), coll::algo_name(a), ranks, bytes,
                              us});

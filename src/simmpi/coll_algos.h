@@ -7,13 +7,14 @@
 // selection table maps (tuning, comm size, message size) to a concrete
 // variant (select). Each p2p variant is implemented once, as a schedule
 // builder in coll_sched.h that blocking and nonblocking calls share, the
-// way MPICH's transport-based collectives and libNBC do. Small messages
-// additionally qualify for the shared-memory fan-in path (coll::Engine
-// over CollectiveContext in world.h) that bypasses the mailbox transport.
+// way MPICH's transport-based collectives and libNBC do. Blocking calls on
+// a communicator with a CollectiveContext (world.h) additionally have the
+// shared-memory variants (coll::Engine), which read peers' buffers in
+// place at any message size and bypass the mailbox transport.
 //
 // Cost-model honesty: p2p schedule steps of a blocking call are charged
 // per message at injection, like a p2p send; the shm variants charge one
-// NetworkProfile message cost per fan-in/fan-out phase (Engine::charge),
+// NetworkProfile message cost per publish/read phase (Engine::charge),
 // so Figure 3/4 simulations account for every algorithm step either way.
 #pragma once
 
@@ -23,7 +24,9 @@
 
 namespace mpiwasm::simmpi::coll {
 
-/// The collectives with pluggable algorithms (alltoallv stays pairwise).
+/// The collectives with pluggable algorithms. alltoallv is not one: its
+/// per-peer counts and displacements fit no selection key, so it stays a
+/// plain pairwise exchange (Rank::alltoallv).
 enum class CollOp : i32 {
   kBarrier = 0,
   kBcast,
@@ -57,27 +60,31 @@ CollAlgo forced_algo(const CollTuning& t, CollOp c);
 /// auto — the ablation/bench/test building block.
 CollTuning forced_tuning(CollOp c, CollAlgo algo);
 
-/// The size-adaptive selection table. `bytes` is the per-slot payload the
-/// shm path would have to hold (message size for bcast/reduce-style
-/// collectives, block size for gather-style, total size for
-/// reduce_scatter); `shm_ok` says whether the communicator has a
-/// CollectiveContext and the payload fits a slot. `hw_threads` is the
+/// The size-adaptive selection table. `bytes` is the per-rank payload
+/// (message size for bcast/reduce-style collectives, block size for
+/// gather-style and alltoall, total size for reduce_scatter); `shm_ok`
+/// says whether the communicator has a CollectiveContext, which makes kShm
+/// available at any size. `hw_threads` is the
 /// core count used for the oversubscription term (0 = query the host);
 /// tests pass it explicitly for machine-independent expectations. Never
 /// returns kAuto.
 CollAlgo select(CollOp c, const CollTuning& t, int nranks, size_t bytes,
                 bool shm_ok, int hw_threads = 0);
 
-/// The shared-memory fan-in variants of the blocking collectives (kShm),
-/// over the communicator's CollectiveContext. Every other algorithm exists
-/// once, as a schedule (coll_sched.h), which blocking and nonblocking calls
-/// share. All methods assume comm size > 1, a CollectiveContext and
-/// payloads that fit a slot.
+/// The shared-memory variants of the blocking collectives (kShm): each
+/// rank publishes its buffers in the communicator's CollectiveContext and
+/// reads its peers' buffers in place between barriers (the rules are in
+/// coll_algos.cc). Every other algorithm exists once, as a schedule
+/// (coll_sched.h), which blocking and nonblocking calls share. All methods
+/// assume comm size > 1 and a CollectiveContext; ranks that disagree on
+/// the payload size or the root all throw MpiError. A rank whose call
+/// fails after its peers may have started reading its buffers takes the
+/// call's remaining barriers before the error leaves it.
 class Engine {
  public:
   Engine() = delete;
 
-  /// Charges one interconnect message cost (shm algorithm steps).
+  /// Charges one interconnect message cost (one per shm phase).
   static void charge(Rank& r, size_t bytes);
 
   static void barrier_shm(Rank& r, const detail::CommData& c);
@@ -102,6 +109,10 @@ class Engine {
   static void allgather_shm(Rank& r, const detail::CommData& c,
                             const void* sendbuf, void* recvbuf, size_t block,
                             bool in_place);
+  /// Requires sblock <= rblock (the caller rejects truncation).
+  static void alltoall_shm(Rank& r, const detail::CommData& c,
+                           const void* sendbuf, void* recvbuf, size_t sblock,
+                           size_t rblock);
   /// sendbuf == nullptr means in-place: the full input sits in recvbuf and
   /// the result block lands at its front.
   static void reduce_scatter_shm(Rank& r, const detail::CommData& c,

@@ -11,7 +11,7 @@
 // every blocking MPI entry point, and returns its request. A blocking call
 // waits for it right away in the same collective-request wait loop, which
 // drives it without registering it (Schedule::run_blocking). Only the
-// shared-memory fan-in variants of blocking calls bypass schedules
+// shared-memory variants of blocking calls bypass schedules
 // (coll::Engine *_shm).
 //
 // Cost-model honesty: p2p steps charge the NetworkProfile per message in

@@ -72,7 +72,7 @@ CollAlgo Autotuner::choose(u64 key, u64 call_idx,
   // overlap successive calls and win on throughput while measuring even),
   // and on an oversubscribed host they carry scheduler noise besides. The
   // static prior stays locked unless a candidate measures a clear win —
-  // and a fallback that was never sampled (e.g. the shm fan-in, which is
+  // and a fallback that was never sampled (e.g. the shm path, which is
   // kept out of the candidate set) stays locked unconditionally: there is
   // no measured evidence against it.
   auto fb = e.ewma.find(fallback);

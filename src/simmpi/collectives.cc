@@ -4,14 +4,15 @@
 // overrides and, for blocking calls, the online autotuner. Every p2p
 // algorithm exists once, as a schedule (coll_sched.h): a nonblocking call
 // returns its schedule's request, a blocking call runs the same schedule to
-// completion (Schedule::run_blocking). Blocking calls that select kShm take
-// the shared-memory fan-in (coll::Engine *_shm) instead.
+// completion (Schedule::run_blocking). Blocking calls that select kShm read
+// their peers' buffers in place instead (coll::Engine *_shm).
 #include <cstring>
 #include <vector>
 
 #include "simmpi/coll_algos.h"
 #include "simmpi/coll_sched.h"
 #include "simmpi/coll_tune.h"
+#include "simmpi/reduce_ops.h"
 #include "simmpi/world.h"
 #include "support/timing.h"
 #include "support/trace.h"
@@ -24,14 +25,9 @@ using coll::CollOp;
 using coll::Engine;
 using coll::Schedule;
 
-/// True when this communicator's shared-memory fan-in path can carry
-/// `slot_need` bytes per slot.
-bool shm_ok(const detail::CommData& c, const World& w, size_t slot_need) {
-  if (c.coll == nullptr) return false;
-  size_t cap = std::min(w.coll_tuning().shm_max_bytes,
-                        CollectiveContext::kSlotBytes);
-  return slot_need <= cap;
-}
+/// True when this communicator has a CollectiveContext, which carries the
+/// shm path at any message size.
+bool shm_ok(const detail::CommData& c) { return c.coll != nullptr; }
 
 /// Collectives whose exit is synchronized across the communicator: every
 /// rank leaves only once the operation is complete everywhere, so a rank's
@@ -80,9 +76,9 @@ Choice pick_algo_impl(World& w, detail::CommData& c, CollOp op, size_t bytes,
   // blocking winner is often the most tightly synchronized algorithm,
   // exactly the one whose schedule pipelines worst under overlap. The static
   // table's per-size structure choices are pipeline-friendly by
-  // construction. The shm fan-in is excluded from auto selection too — a
+  // construction. The shm path is excluded from auto selection too — a
   // CPU-side barrier overlaps nothing, and the schedule machinery's fixed
-  // cost exceeds the fan-in's entire latency at the sizes where shm wins
+  // cost exceeds the direct reads' entire latency at the sizes where shm wins
   // — but an explicitly forced kShm still builds its schedule (the
   // differential tests force every algorithm).
   if (nonblocking) {
@@ -97,7 +93,7 @@ Choice pick_algo_impl(World& w, detail::CommData& c, CollOp op, size_t bytes,
   }
   std::span<const CollAlgo> cand = coll::algos_for(op);
   // kShm is by convention the last registry entry; it never enters the
-  // measured candidate set. The fan-in serializes the calling loop on its
+  // measured candidate set. The shm path serializes the calling loop on its
   // internal barrier — a cost per-call latency samples cannot see (the
   // same blind spot that keeps it out of nonblocking selection), so
   // measuring it hands it wins its loop throughput does not earn. Where
@@ -114,6 +110,10 @@ Choice pick_algo_impl(World& w, detail::CommData& c, CollOp op, size_t bytes,
   const u64 idx = c.tune_calls[r.key]++;
   r.algo = tuner->choose(r.key, idx, cand, coll::select(op, t, n, bytes, ok),
                          &r.exploring);
+  // A winner preloaded from a table saved by a world with the shm path on
+  // can be kShm; a communicator without a CollectiveContext cannot run it.
+  if (r.algo == CollAlgo::kShm && !ok)
+    r.algo = coll::select(op, t, n, bytes, ok);
   if (!r.exploring) c.tune_locked.emplace(r.key, r.algo);
   return r;
 }
@@ -166,7 +166,7 @@ void Rank::barrier(Comm comm) {
   maybe_icoll_progress();
   detail::CommData& c = comm_data_mut(comm);
   if (c.world_ranks.size() == 1) return;
-  Choice sel = pick_algo(*world_, c, CollOp::kBarrier, 0, c.coll != nullptr);
+  Choice sel = pick_algo(*world_, c, CollOp::kBarrier, 0, shm_ok(c));
   run_timed(*this, c, *world_, sel, [&] {
     if (sel.algo == CollAlgo::kShm) {
       Engine::barrier_shm(*this, c);
@@ -186,8 +186,7 @@ void Rank::bcast(void* buf, int count, Datatype type, int root, Comm comm) {
   if (count < 0) throw MpiError("bcast: negative count");
   if (n == 1) return;
   size_t bytes = size_t(count) * datatype_size(type);
-  Choice sel =
-      pick_algo(*world_, c, CollOp::kBcast, bytes, shm_ok(c, *world_, bytes));
+  Choice sel = pick_algo(*world_, c, CollOp::kBcast, bytes, shm_ok(c));
   run_timed(*this, c, *world_, sel, [&] {
     if (sel.algo == CollAlgo::kShm) {
       Engine::bcast_shm(*this, c, buf, bytes, root);
@@ -206,6 +205,7 @@ void Rank::reduce(const void* sendbuf, void* recvbuf, int count, Datatype type,
   int n = int(c.world_ranks.size());
   if (root < 0 || root >= n) throw MpiError("reduce: root out of range");
   if (count < 0) throw MpiError("reduce: negative count");
+  check_reduce(op, type, "reduce");
   bool is_root = c.my_comm_rank == root;
   if (is_in_place(sendbuf)) {
     if (!is_root) throw MpiError("reduce: MPI_IN_PLACE only valid at root");
@@ -218,8 +218,7 @@ void Rank::reduce(const void* sendbuf, void* recvbuf, int count, Datatype type,
     if (recvbuf != sendbuf) std::memmove(recvbuf, sendbuf, bytes);
     return;
   }
-  Choice sel =
-      pick_algo(*world_, c, CollOp::kReduce, bytes, shm_ok(c, *world_, bytes));
+  Choice sel = pick_algo(*world_, c, CollOp::kReduce, bytes, shm_ok(c));
   run_timed(*this, c, *world_, sel, [&] {
     if (sel.algo == CollAlgo::kShm) {
       Engine::reduce_shm(*this, c, sendbuf, recvbuf, count, type, op, root);
@@ -238,14 +237,14 @@ void Rank::allreduce(const void* sendbuf, void* recvbuf, int count,
   detail::CommData& c = comm_data_mut(comm);
   int n = int(c.world_ranks.size());
   if (count < 0) throw MpiError("allreduce: negative count");
+  check_reduce(op, type, "allreduce");
   if (is_in_place(sendbuf)) sendbuf = recvbuf;
   size_t bytes = size_t(count) * datatype_size(type);
   if (n == 1) {
     if (recvbuf != sendbuf) std::memmove(recvbuf, sendbuf, bytes);
     return;
   }
-  Choice sel = pick_algo(*world_, c, CollOp::kAllreduce, bytes,
-                         shm_ok(c, *world_, bytes));
+  Choice sel = pick_algo(*world_, c, CollOp::kAllreduce, bytes, shm_ok(c));
   run_timed(*this, c, *world_, sel, [&] {
     if (sel.algo == CollAlgo::kShm) {
       Engine::allreduce_shm(*this, c, sendbuf, recvbuf, count, type, op);
@@ -276,8 +275,7 @@ void Rank::gather(const void* sendbuf, int sendcount, void* recvbuf,
     if (!in_place) std::memcpy(recvbuf, sendbuf, block);
     return;
   }
-  Choice sel =
-      pick_algo(*world_, c, CollOp::kGather, block, shm_ok(c, *world_, block));
+  Choice sel = pick_algo(*world_, c, CollOp::kGather, block, shm_ok(c));
   run_timed(*this, c, *world_, sel, [&] {
     if (sel.algo == CollAlgo::kShm) {
       Engine::gather_shm(*this, c, sendbuf, recvbuf, block, root, in_place);
@@ -308,8 +306,7 @@ void Rank::scatter(const void* sendbuf, int sendcount, void* recvbuf,
     if (!in_place) std::memcpy(recvbuf, sendbuf, block);
     return;
   }
-  Choice sel =
-      pick_algo(*world_, c, CollOp::kScatter, block, shm_ok(c, *world_, block));
+  Choice sel = pick_algo(*world_, c, CollOp::kScatter, block, shm_ok(c));
   run_timed(*this, c, *world_, sel, [&] {
     if (sel.algo == CollAlgo::kShm) {
       Engine::scatter_shm(*this, c, sendbuf, recvbuf, block, root, in_place);
@@ -341,8 +338,7 @@ void Rank::allgather(const void* sendbuf, int sendcount, void* recvbuf,
     if (!in_place) std::memcpy(recvbuf, sendbuf, block);
     return;
   }
-  Choice sel = pick_algo(*world_, c, CollOp::kAllgather, block,
-                         shm_ok(c, *world_, block));
+  Choice sel = pick_algo(*world_, c, CollOp::kAllgather, block, shm_ok(c));
   run_timed(*this, c, *world_, sel, [&] {
     if (sel.algo == CollAlgo::kShm) {
       Engine::allgather_shm(*this, c, sendbuf, recvbuf, block, in_place);
@@ -365,16 +361,21 @@ void Rank::alltoall(const void* sendbuf, int sendcount, void* recvbuf,
     throw MpiError("alltoall: MPI_IN_PLACE not supported");
   size_t sblock = size_t(sendcount) * datatype_size(type);
   size_t rblock = size_t(recvcount) * datatype_size(type);
+  // Every path copies a whole send block into an rblock-byte receive block.
+  if (sblock > rblock) throw MpiError("alltoall: message truncated");
   if (n == 1) {
     std::memcpy(recvbuf, sendbuf, sblock);
     return;
   }
-  Choice sel =
-      pick_algo(*world_, c, CollOp::kAlltoall, sblock, /*ok=*/false);
+  Choice sel = pick_algo(*world_, c, CollOp::kAlltoall, sblock, shm_ok(c));
   run_timed(*this, c, *world_, sel, [&] {
-    auto s = Schedule::acquire(*this, c);
-    coll::build_ialltoall(*s, sel.algo, sendbuf, recvbuf, sblock, rblock);
-    s->run_blocking(*this);
+    if (sel.algo == CollAlgo::kShm) {
+      Engine::alltoall_shm(*this, c, sendbuf, recvbuf, sblock, rblock);
+    } else {
+      auto s = Schedule::acquire(*this, c);
+      coll::build_ialltoall(*s, sel.algo, sendbuf, recvbuf, sblock, rblock);
+      s->run_blocking(*this);
+    }
   });
 }
 
@@ -417,6 +418,7 @@ void Rank::reduce_scatter(const void* sendbuf, void* recvbuf,
     if (recvcounts[i] < 0) throw MpiError("reduce_scatter: negative count");
     total += size_t(recvcounts[i]);
   }
+  check_reduce(op, type, "reduce_scatter");
   // In-place input (full vector in recvbuf) is signalled to the algorithm
   // layer by a null sendbuf.
   const void* input = is_in_place(sendbuf) ? nullptr : sendbuf;
@@ -426,7 +428,7 @@ void Rank::reduce_scatter(const void* sendbuf, void* recvbuf,
     return;
   }
   Choice sel = pick_algo(*world_, c, CollOp::kReduceScatter, total * esize,
-                         shm_ok(c, *world_, total * esize));
+                         shm_ok(c));
   run_timed(*this, c, *world_, sel, [&] {
     if (sel.algo == CollAlgo::kShm) {
       Engine::reduce_scatter_shm(*this, c, input, recvbuf, recvcounts, type,
@@ -446,14 +448,14 @@ void Rank::scan(const void* sendbuf, void* recvbuf, int count, Datatype type,
   detail::CommData& c = comm_data_mut(comm);
   int n = int(c.world_ranks.size());
   if (count < 0) throw MpiError("scan: negative count");
+  check_reduce(op, type, "scan");
   if (is_in_place(sendbuf)) sendbuf = recvbuf;
   size_t bytes = size_t(count) * datatype_size(type);
   if (n == 1) {
     if (recvbuf != sendbuf) std::memmove(recvbuf, sendbuf, bytes);
     return;
   }
-  Choice sel =
-      pick_algo(*world_, c, CollOp::kScan, bytes, shm_ok(c, *world_, bytes));
+  Choice sel = pick_algo(*world_, c, CollOp::kScan, bytes, shm_ok(c));
   run_timed(*this, c, *world_, sel, [&] {
     if (sel.algo == CollAlgo::kShm) {
       Engine::scan_shm(*this, c, sendbuf, recvbuf, count, type, op);
@@ -471,11 +473,11 @@ void Rank::exscan(const void* sendbuf, void* recvbuf, int count, Datatype type,
   detail::CommData& c = comm_data_mut(comm);
   int n = int(c.world_ranks.size());
   if (count < 0) throw MpiError("exscan: negative count");
+  check_reduce(op, type, "exscan");
   if (is_in_place(sendbuf)) sendbuf = recvbuf;
   size_t bytes = size_t(count) * datatype_size(type);
   if (n == 1) return;  // recvbuf undefined on rank 0
-  Choice sel =
-      pick_algo(*world_, c, CollOp::kExscan, bytes, shm_ok(c, *world_, bytes));
+  Choice sel = pick_algo(*world_, c, CollOp::kExscan, bytes, shm_ok(c));
   run_timed(*this, c, *world_, sel, [&] {
     if (sel.algo == CollAlgo::kShm) {
       Engine::exscan_shm(*this, c, sendbuf, recvbuf, count, type, op);
@@ -497,8 +499,7 @@ Request Rank::ibarrier(Comm comm) {
   detail::CommData& c = comm_data_mut(comm);
   int n = int(c.world_ranks.size());
   if (n == 1) return Request{};
-  CollAlgo a = pick_algo(*world_, c, CollOp::kBarrier, 0,
-                         c.coll != nullptr,
+  CollAlgo a = pick_algo(*world_, c, CollOp::kBarrier, 0, shm_ok(c),
                          /*nonblocking=*/true).algo;
   auto s = Schedule::acquire(*this, c);
   coll::build_ibarrier(*s, a);
@@ -512,8 +513,7 @@ Request Rank::ibcast(void* buf, int count, Datatype type, int root, Comm comm) {
   if (count < 0) throw MpiError("ibcast: negative count");
   if (n == 1) return Request{};
   size_t bytes = size_t(count) * datatype_size(type);
-  CollAlgo a = pick_algo(*world_, c, CollOp::kBcast, bytes,
-                         shm_ok(c, *world_, bytes),
+  CollAlgo a = pick_algo(*world_, c, CollOp::kBcast, bytes, shm_ok(c),
                          /*nonblocking=*/true).algo;
   auto s = Schedule::acquire(*this, c);
   coll::build_ibcast(*s, a, buf, bytes, root);
@@ -526,6 +526,7 @@ Request Rank::ireduce(const void* sendbuf, void* recvbuf, int count,
   int n = int(c.world_ranks.size());
   if (root < 0 || root >= n) throw MpiError("ireduce: root out of range");
   if (count < 0) throw MpiError("ireduce: negative count");
+  check_reduce(op, type, "ireduce");
   bool is_root = c.my_comm_rank == root;
   if (is_in_place(sendbuf)) {
     if (!is_root) throw MpiError("ireduce: MPI_IN_PLACE only valid at root");
@@ -538,8 +539,7 @@ Request Rank::ireduce(const void* sendbuf, void* recvbuf, int count,
     if (recvbuf != sendbuf) std::memmove(recvbuf, sendbuf, bytes);
     return Request{};
   }
-  CollAlgo a = pick_algo(*world_, c, CollOp::kReduce, bytes,
-                         shm_ok(c, *world_, bytes),
+  CollAlgo a = pick_algo(*world_, c, CollOp::kReduce, bytes, shm_ok(c),
                          /*nonblocking=*/true).algo;
   auto s = Schedule::acquire(*this, c);
   coll::build_ireduce(*s, a, sendbuf, recvbuf, count, type, op, root);
@@ -551,14 +551,14 @@ Request Rank::iallreduce(const void* sendbuf, void* recvbuf, int count,
   detail::CommData& c = comm_data_mut(comm);
   int n = int(c.world_ranks.size());
   if (count < 0) throw MpiError("iallreduce: negative count");
+  check_reduce(op, type, "iallreduce");
   if (is_in_place(sendbuf)) sendbuf = recvbuf;
   size_t bytes = size_t(count) * datatype_size(type);
   if (n == 1) {
     if (recvbuf != sendbuf) std::memmove(recvbuf, sendbuf, bytes);
     return Request{};
   }
-  CollAlgo a = pick_algo(*world_, c, CollOp::kAllreduce, bytes,
-                         shm_ok(c, *world_, bytes),
+  CollAlgo a = pick_algo(*world_, c, CollOp::kAllreduce, bytes, shm_ok(c),
                          /*nonblocking=*/true).algo;
   auto s = Schedule::acquire(*this, c);
   coll::build_iallreduce(*s, a, sendbuf, recvbuf, count, type, op);
@@ -583,8 +583,7 @@ Request Rank::iallgather(const void* sendbuf, int sendcount, void* recvbuf,
     if (!in_place) std::memcpy(recvbuf, sendbuf, block);
     return Request{};
   }
-  CollAlgo a = pick_algo(*world_, c, CollOp::kAllgather, block,
-                         shm_ok(c, *world_, block),
+  CollAlgo a = pick_algo(*world_, c, CollOp::kAllgather, block, shm_ok(c),
                          /*nonblocking=*/true).algo;
   auto s = Schedule::acquire(*this, c);
   coll::build_iallgather(*s, a, sendbuf, recvbuf, block);
@@ -601,6 +600,7 @@ Request Rank::ialltoall(const void* sendbuf, int sendcount, void* recvbuf,
     throw MpiError("ialltoall: MPI_IN_PLACE not supported");
   size_t sblock = size_t(sendcount) * datatype_size(type);
   size_t rblock = size_t(recvcount) * datatype_size(type);
+  if (sblock > rblock) throw MpiError("ialltoall: message truncated");
   if (n == 1) {
     std::memcpy(recvbuf, sendbuf, sblock);
     return Request{};
@@ -624,6 +624,7 @@ Request Rank::ireduce_scatter(const void* sendbuf, void* recvbuf,
     if (recvcounts[i] < 0) throw MpiError("ireduce_scatter: negative count");
     total += size_t(recvcounts[i]);
   }
+  check_reduce(op, type, "ireduce_scatter");
   const void* input = is_in_place(sendbuf) ? nullptr : sendbuf;
   if (n == 1) {
     if (input != nullptr)
@@ -631,7 +632,7 @@ Request Rank::ireduce_scatter(const void* sendbuf, void* recvbuf,
     return Request{};
   }
   CollAlgo a = pick_algo(*world_, c, CollOp::kReduceScatter, total * esize,
-                         shm_ok(c, *world_, total * esize),
+                         shm_ok(c),
                          /*nonblocking=*/true).algo;
   auto s = Schedule::acquire(*this, c);
   coll::build_ireduce_scatter(*s, a, input, recvbuf, recvcounts, type, op);
@@ -643,14 +644,14 @@ Request Rank::iscan(const void* sendbuf, void* recvbuf, int count,
   detail::CommData& c = comm_data_mut(comm);
   int n = int(c.world_ranks.size());
   if (count < 0) throw MpiError("iscan: negative count");
+  check_reduce(op, type, "iscan");
   if (is_in_place(sendbuf)) sendbuf = recvbuf;
   size_t bytes = size_t(count) * datatype_size(type);
   if (n == 1) {
     if (recvbuf != sendbuf) std::memmove(recvbuf, sendbuf, bytes);
     return Request{};
   }
-  CollAlgo a = pick_algo(*world_, c, CollOp::kScan, bytes,
-                         shm_ok(c, *world_, bytes),
+  CollAlgo a = pick_algo(*world_, c, CollOp::kScan, bytes, shm_ok(c),
                          /*nonblocking=*/true).algo;
   auto s = Schedule::acquire(*this, c);
   coll::build_iscan(*s, a, sendbuf, recvbuf, count, type, op);
@@ -662,11 +663,11 @@ Request Rank::iexscan(const void* sendbuf, void* recvbuf, int count,
   detail::CommData& c = comm_data_mut(comm);
   int n = int(c.world_ranks.size());
   if (count < 0) throw MpiError("iexscan: negative count");
+  check_reduce(op, type, "iexscan");
   if (is_in_place(sendbuf)) sendbuf = recvbuf;
   size_t bytes = size_t(count) * datatype_size(type);
   if (n == 1) return Request{};  // recvbuf undefined on rank 0
-  CollAlgo a = pick_algo(*world_, c, CollOp::kExscan, bytes,
-                         shm_ok(c, *world_, bytes),
+  CollAlgo a = pick_algo(*world_, c, CollOp::kExscan, bytes, shm_ok(c),
                          /*nonblocking=*/true).algo;
   auto s = Schedule::acquire(*this, c);
   coll::build_iexscan(*s, a, sendbuf, recvbuf, count, type, op);

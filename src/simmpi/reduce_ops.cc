@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 
 namespace mpiwasm::simmpi {
 namespace {
@@ -50,6 +51,17 @@ void apply_bitwise(ReduceOp op, const T* in, T* inout, int count) {
 }
 
 }  // namespace
+
+void check_reduce(ReduceOp op, Datatype t, const char* what) {
+  if (i32(op) < 0 || i32(op) >= kNumReduceOps)
+    throw MpiError(std::string(what) + ": unknown reduction op " +
+                   std::to_string(i32(op)));
+  if ((op == ReduceOp::kBand || op == ReduceOp::kBor) &&
+      (t == Datatype::kFloat || t == Datatype::kDouble))
+    throw MpiError(std::string(what) +
+                   ": bitwise reduction on non-integer type " +
+                   datatype_name(t));
+}
 
 void apply_reduce(ReduceOp op, Datatype t, const void* in, void* inout,
                   int count) {

@@ -118,11 +118,11 @@ enum class CollAlgo : i32 {
   kRecursiveDoubling,  // hypercube exchange
   kRabenseifner,       // reduce-scatter + allgather allreduce
   kPairwise,           // rotated pairwise exchange
-  kShm,                // shared-memory fan-in/fan-out via CollectiveContext
+  kShm,                // direct reads of peers' buffers via CollectiveContext
 };
 
 /// Per-world collective tuning: a forced algorithm per collective (kAuto
-/// = size-adaptive selection) plus shared-memory fan-in knobs. Populated
+/// = size-adaptive selection) plus the shared-memory path's switch. Populated
 /// from MPIWASM_COLL_* environment variables by from_env() so ablations
 /// need no recompilation.
 struct CollTuning {
@@ -137,11 +137,10 @@ struct CollTuning {
   CollAlgo reduce_scatter = CollAlgo::kAuto;
   CollAlgo scan = CollAlgo::kAuto;
   CollAlgo exscan = CollAlgo::kAuto;
-  /// Master switch for the shared-memory fan-in path.
+  /// Master switch for the shared-memory path (kShm). When off,
+  /// communicators get no CollectiveContext and every collective runs over
+  /// p2p.
   bool enable_shm = true;
-  /// Largest per-slot payload eligible for the shm path (clamped to the
-  /// CollectiveContext slot size).
-  size_t shm_max_bytes = 8192;
 
   /// Online autotuning of the kAuto selection: per (collective, size-bin,
   /// comm-size) key the first calls rotate through the candidate algorithms,
@@ -152,9 +151,8 @@ struct CollTuning {
   /// the embedder points this next to the JIT code cache).
   std::string autotune_file;
 
-  /// Applies MPIWASM_COLL_<NAME>=<algo>, MPIWASM_COLL_SHM=0|1,
-  /// MPIWASM_COLL_SHM_MAX=<bytes> and MPIWASM_COLL_AUTOTUNE=0|1 on top of
-  /// `base` (defaults when omitted).
+  /// Applies MPIWASM_COLL_<NAME>=<algo>, MPIWASM_COLL_SHM=0|1 and
+  /// MPIWASM_COLL_AUTOTUNE=0|1 on top of `base` (defaults when omitted).
   static CollTuning from_env(CollTuning base);
   static CollTuning from_env() { return from_env(CollTuning{}); }
 };

@@ -1,5 +1,6 @@
 #include "simmpi/world.h"
 
+#include <cstdlib>
 #include <cstring>
 
 #include "simmpi/coll_sched.h"
@@ -117,20 +118,55 @@ void pump_pipelines(detail::Mailbox& box) {
 // ---------------------------------------------------------------------------
 
 CollectiveContext::CollectiveContext(int nranks)
-    : nranks_(nranks), slots_(size_t(nranks)) {}
+    : nranks_(nranks), entries_(size_t(nranks)) {}
+
+u8* CollectiveContext::scratch(int comm_rank, size_t bytes) {
+  Entry& e = entries_[size_t(comm_rank)];
+  if (e.scratch_bytes < bytes) {
+    e.scratch.reset(new u8[bytes]);
+    e.scratch_bytes = bytes;
+  }
+  return e.scratch.get();
+}
+
+void CollectiveContext::release_scratch(int comm_rank) {
+  Entry& e = entries_[size_t(comm_rank)];
+  if (e.scratch_bytes > kKeptScratch) {
+    e.scratch.reset();
+    e.scratch_bytes = 0;
+  }
+}
+
+// Central-counter barrier with the epoch acting as the reversed sense: the
+// last arriver resets the count and publishes a new epoch in one release
+// store. The acq_rel RMW chain on state_ plus the acquire load of the epoch
+// makes every pre-barrier write (a published entry, a reduced chunk)
+// happen-before every post-barrier read of it, and every pre-barrier read
+// happen-before every post-barrier overwrite.
+
+bool CollectiveContext::arrive(u32* epoch) {
+  const u64 s = state_.fetch_add(1, std::memory_order_acq_rel);
+  *epoch = u32(s >> 32);
+  if (u32(s) + 1 != u32(nranks_)) return false;
+  // Nothing else writes a full count: no rank withdraws from it, and the
+  // next epoch's arrivals wait for this store.
+  state_.store(u64(*epoch + 1) << 32, std::memory_order_release);
+  return true;
+}
+
+bool CollectiveContext::withdraw(u32 epoch) {
+  u64 s = state_.load(std::memory_order_acquire);
+  while (u32(s >> 32) == epoch && u32(s) < u32(nranks_)) {
+    if (state_.compare_exchange_weak(s, s - 1, std::memory_order_acq_rel,
+                                     std::memory_order_acquire))
+      return true;
+  }
+  return false;
+}
 
 void CollectiveContext::barrier_wait(World& world) {
-  // Central-counter barrier with an epoch acting as the reversed sense:
-  // the last arriver resets the counter, then publishes a new epoch with
-  // release ordering. The acq_rel RMW chain on arrived_ plus the acquire
-  // load of epoch_ makes every pre-barrier slot write happen-before every
-  // post-barrier slot read.
-  const u32 my_epoch = epoch_.load(std::memory_order_acquire);
-  if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == nranks_) {
-    arrived_.store(0, std::memory_order_relaxed);
-    epoch_.fetch_add(1, std::memory_order_release);
-    return;
-  }
+  u32 my_epoch;
+  if (arrive(&my_epoch)) return;
   const u64 deadline =
       now_ns() + u64(std::chrono::nanoseconds(kBlockTimeout).count());
   // Short bounded spin for the multicore fast path, then yield every
@@ -138,16 +174,40 @@ void CollectiveContext::barrier_wait(World& world) {
   // the other rank threads get scheduled, so burning a quantum is pure
   // loss.
   u32 spins = 0;
-  while (epoch_.load(std::memory_order_acquire) == my_epoch) {
-    if (++spins >= 256) {
+  while (epoch() == my_epoch) {
+    if (++spins < 256) continue;
+    Rank* r = World::current();
+    const bool timed_out = (spins & 0x3FF) == 0 && now_ns() > deadline;
+    // A peer may be unable to reach this barrier until our outstanding
+    // nonblocking-collective schedules advance.
+    if (world.aborting() || timed_out || (r != nullptr && r->icoll_pending())) {
+      // Withdrawn, this rank may leave or run arbitrary progress code: the
+      // barrier cannot complete without it, so no peer starts reading its
+      // entry. If it completed meanwhile, the call goes on.
+      if (!withdraw(my_epoch)) continue;
       if (world.aborting()) throw MpiAbort(-1);
-      if ((spins & 0x3FF) == 0 && now_ns() > deadline)
-        throw MpiError("shm barrier timed out (deadlock?)");
-      // A peer may be unable to reach this barrier until our outstanding
-      // nonblocking-collective schedules advance.
-      if (Rank* r = World::current()) r->progress();
-      std::this_thread::yield();
+      if (timed_out) throw MpiError("shm barrier timed out (deadlock?)");
+      r->progress();
+      if (arrive(&my_epoch)) return;
     }
+    std::this_thread::yield();
+  }
+}
+
+void CollectiveContext::barrier_hold() {
+  u32 my_epoch;
+  if (arrive(&my_epoch)) return;
+  const u64 deadline =
+      now_ns() + u64(std::chrono::nanoseconds(kBlockTimeout).count());
+  u32 spins = 0;
+  while (epoch() == my_epoch) {
+    if (++spins < 256) continue;
+    if ((spins & 0x3FF) == 0 && now_ns() > deadline) {
+      MW_ERROR("shm barrier inside a collective timed out: a rank left "
+               "the call while its peers could read its buffers");
+      std::abort();
+    }
+    std::this_thread::yield();
   }
 }
 
@@ -178,9 +238,10 @@ i32 World::alloc_comm_ids(i32 n) { return next_comm_id_.fetch_add(n); }
 
 std::shared_ptr<CollectiveContext> World::attach_coll(i32 comm_id,
                                                       int nranks) {
-  // No context when the shm path is off or sized out of existence — the
-  // slots (nranks x 8 KiB per communicator) would be pure waste.
-  if (!coll_.enable_shm || coll_.shm_max_bytes == 0) return nullptr;
+  // No context when the shm path is off, or when the profile models a
+  // messaging layer that copies every payload (force_copy): a direct read
+  // of a peer's buffer is exactly the zero-copy handoff it forbids.
+  if (!coll_.enable_shm || profile_.force_copy) return nullptr;
   std::lock_guard<std::mutex> lock(coll_mu_);
   CollEntry& e = coll_ctxs_[comm_id];
   if (e.ctx == nullptr) e.ctx = std::make_shared<CollectiveContext>(nranks);

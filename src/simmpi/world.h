@@ -95,7 +95,7 @@ struct CommData {
   i32 id = kCommNull;
   std::vector<int> world_ranks;  // comm rank -> world rank
   int my_comm_rank = -1;
-  /// Shared-memory fan-in segment for this communicator (null when the
+  /// Shared-memory collective state of this communicator (null when the
   /// shm collective path is disabled). All member ranks share one object.
   std::shared_ptr<CollectiveContext> coll;
   /// Nonblocking-collective sequence number: every rank initiates
@@ -124,36 +124,106 @@ struct CommData {
 
 }  // namespace detail
 
-/// Per-communicator shared-memory collective state: one fixed-size fan-in
-/// slot per comm rank plus a sense-reversing (epoch) barrier. Small-message
-/// collectives write/read the slots directly and synchronize through the
-/// barrier, bypassing the mailbox path entirely (coll_algos.cc kShm
-/// variants). The barrier is lock-free: a central arrival counter whose
-/// last arriver resets it and publishes a new epoch; release/acquire
-/// ordering on the counter/epoch chain is what makes the slot accesses
-/// data-race-free (the CI ThreadSanitizer job checks this).
+/// Per-communicator shared-memory collective state: a table of the buffers
+/// each comm rank exposes to its peers for the current call, plus a
+/// sense-reversing (epoch) barrier. All ranks of a World share one address
+/// space, so the kShm collectives (coll_algos.cc) read their peers' buffers
+/// in place, at any message size, bypassing the mailbox path entirely. This
+/// is the in-process form of the single-copy intra-node collectives that
+/// production MPIs build on XPMEM or CMA.
+///
+/// Protocol of one call: a rank writes its own entry (publish), then enters
+/// the opening barrier; peers read that entry, and the buffers it names,
+/// only after the barrier. A rank writes nothing a peer may still be
+/// reading, and leaves the call (handing its buffers back to the caller),
+/// reuses its entry or resizes its scratch only after the barrier that ends
+/// those reads. The barrier is lock-free: a central arrival counter whose
+/// last arriver resets it and publishes a new epoch, both in one word. The
+/// acq_rel RMW chain on that word plus the acquire load of the epoch orders
+/// every "publish before read" and every "read before reuse" (the CI
+/// ThreadSanitizer job checks this).
+///
+/// Leaving early: only the opening barrier may give up (on an abort, the
+/// deadlock watchdog or an error from nonblocking progress), and only after
+/// withdrawing its arrival, so that barrier cannot complete and no peer
+/// reads this rank's entry. Once it has completed every rank is in the call
+/// and reaches each later barrier, so those never give up (barrier_hold).
 class CollectiveContext {
  public:
-  /// Per-rank fan-in slot capacity; payloads above this take the p2p path.
-  static constexpr size_t kSlotBytes = 8192;
+  /// What one rank exposes for the current call.
+  struct Exposed {
+    /// The buffer peers read in the first phase, and its byte extent: no
+    /// direct read goes past data + bytes.
+    const u8* data = nullptr;
+    size_t bytes = 0;
+    /// A second-phase buffer (a reduction's chunk), read after the next
+    /// barrier, with its extent.
+    const u8* out = nullptr;
+    size_t out_bytes = 0;
+    /// What every rank must agree on for the reads to stay inside the
+    /// extents: the per-rank payload in bytes and the root (-1 = none).
+    size_t payload = 0;
+    int root = -1;
+    bool operator==(const Exposed&) const = default;
+  };
 
   explicit CollectiveContext(int nranks);
 
   int nranks() const { return nranks_; }
-  u8* slot(int comm_rank) { return slots_[size_t(comm_rank)].data; }
+  /// Leaves an unchanged entry unwritten, so that the peers' cached copies
+  /// of it stay valid across a loop of calls on the same buffers.
+  void publish(int comm_rank, const Exposed& e) {
+    Exposed& mine = entries_[size_t(comm_rank)].exposed;
+    if (!(mine == e)) mine = e;
+  }
+  const Exposed& exposed(int comm_rank) const {
+    return entries_[size_t(comm_rank)].exposed;
+  }
+  /// The owner's staging buffer of at least `bytes` bytes, reused across
+  /// calls. Only its owner calls this, before it publishes, so no peer is
+  /// reading it.
+  u8* scratch(int comm_rank, size_t bytes);
+  /// Frees the owner's scratch if it is larger than kKeptScratch, so a
+  /// large staged call holds its buffer for that call only. The owner calls
+  /// this after the barrier that ends the peers' reads of it.
+  void release_scratch(int comm_rank);
+  /// Covers the staging of a whole (unchunked) reduction, so that small
+  /// calls in a loop allocate nothing.
+  static constexpr size_t kKeptScratch = 8 * 1024;
 
-  /// Blocks until all nranks ranks arrive. Throws MpiAbort if the world
-  /// aborts while spinning and MpiError on the deadlock-watchdog timeout.
+  /// The opening barrier of a call, and the whole of a barrier: blocks
+  /// until all nranks ranks arrive. Throws MpiAbort if the world aborts,
+  /// MpiError on the deadlock-watchdog timeout, and whatever progressing
+  /// this rank's nonblocking collectives throws, each time after
+  /// withdrawing its arrival. If the barrier completes first it returns.
   void barrier_wait(World& world);
+  /// A barrier after a completed opening barrier of the same call: every
+  /// rank reaches it, so it waits without giving up and never throws. A
+  /// rank leaving here would hand back buffers peers may still be reading;
+  /// if the watchdog fires anyway, the process aborts.
+  void barrier_hold();
 
  private:
-  struct alignas(64) Slot {
-    u8 data[kSlotBytes];
+  /// Counts this rank in at `*epoch`; true when it completed the barrier.
+  bool arrive(u32* epoch);
+  /// Takes back this rank's arrival at `epoch`; false when the barrier has
+  /// completed or its last arriver is completing it.
+  bool withdraw(u32 epoch);
+  u32 epoch() const {
+    return u32(state_.load(std::memory_order_acquire) >> 32);
+  }
+
+  /// One cache line (at least) per rank: publishing writes only the
+  /// publisher's own line.
+  struct alignas(64) Entry {
+    Exposed exposed;
+    std::unique_ptr<u8[]> scratch;  // uninitialized: always written first
+    size_t scratch_bytes = 0;
   };
   int nranks_;
-  std::atomic<int> arrived_{0};
-  std::atomic<u32> epoch_{0};
-  std::vector<Slot> slots_;
+  /// epoch << 32 | ranks arrived in that epoch.
+  std::atomic<u64> state_{0};
+  std::vector<Entry> entries_;
 };
 
 /// One outstanding nonblocking-collective's shared-memory fan-in state:
@@ -320,6 +390,7 @@ class Rank {
  private:
   friend class World;
   friend class coll::Schedule;  // schedule steps use the internal p2p paths
+  friend class CollectiveContext;  // its barrier progresses icolls
   Rank(World* world, int world_rank);
 
   const detail::CommData& comm_data(Comm comm) const;
@@ -369,7 +440,10 @@ class Rank {
   bool icoll_progress();  // true when any schedule step completed
   /// Cheap entry-point hook: progress only when something is outstanding.
   void maybe_icoll_progress() {
-    if (icoll_count_.load(std::memory_order_relaxed) != 0) icoll_progress();
+    if (icoll_pending()) icoll_progress();
+  }
+  bool icoll_pending() const {
+    return icoll_count_.load(std::memory_order_relaxed) != 0;
   }
   /// cv wait that keeps outstanding schedules progressing while blocked —
   /// without this, a rank stuck in a blocking call could starve a peer
@@ -440,9 +514,10 @@ class World {
   void request_abort(int code);
 
   /// Attaches the calling rank to the shared CollectiveContext of comm
-  /// `comm_id` (first attacher creates it with `nranks` slots). Every
+  /// `comm_id` (first attacher creates it for `nranks` ranks). Every
   /// member rank of a communicator attaches exactly once. Returns null
-  /// when the shm path is disabled.
+  /// when the shm path is disabled or the profile forbids zero-copy
+  /// handoff (force_copy).
   std::shared_ptr<CollectiveContext> attach_coll(i32 comm_id, int nranks);
   /// Releases one attachment; the context is destroyed when the last
   /// member rank releases it (comm_free).

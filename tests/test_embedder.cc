@@ -312,6 +312,53 @@ TEST(EmbedderModes, InvalidDatatypeHandleTraps) {
   EXPECT_THROW(emb.run_world({bytes.data(), bytes.size()}, 1), rt::Trap);
 }
 
+// MPI_Alltoall whose send block (16 ints) is larger than its receive block
+// (8 ints), with the receive buffer ending at the last byte of linear
+// memory. The host validates the receive view for recvcount x size bytes
+// only, so copying a whole send block would write past the end of memory:
+// the call must trap instead.
+std::vector<u8> build_truncating_alltoall_module(int ranks) {
+  using wasm::Op;
+  constexpr i32 kSendCount = 16, kRecvCount = 8;
+  wasm::ModuleBuilder b;
+  MpiImportSet set;
+  set.alltoall = true;
+  MpiImports mpi = toolchain::declare_mpi_imports(b, set);
+  b.add_memory(1);
+  b.export_memory();
+  auto& f = b.begin_func({{}, {}}, "_start");
+  f.i32_const(0);
+  f.i32_const(0);
+  f.call(mpi.init);
+  f.op(Op::kDrop);
+  f.i32_const(1024);
+  f.i32_const(kSendCount);
+  f.i32_const(abi::MPI_INT);
+  f.i32_const(65536 - kRecvCount * 4 * ranks);
+  f.i32_const(kRecvCount);
+  f.i32_const(abi::MPI_INT);
+  f.i32_const(abi::MPI_COMM_WORLD);
+  f.call(mpi.alltoall);
+  f.op(Op::kDrop);
+  f.end();
+  return b.build();
+}
+
+TEST(EmbedderModes, TruncatingAlltoallAtEndOfMemoryTraps) {
+  for (int ranks : {1, 2}) {
+    auto bytes = build_truncating_alltoall_module(ranks);
+    Embedder emb(EmbedderConfig{});
+    try {
+      emb.run_world({bytes.data(), bytes.size()}, ranks);
+      ADD_FAILURE() << "no trap at ranks=" << ranks;
+    } catch (const rt::Trap& t) {
+      EXPECT_EQ(t.kind(), rt::TrapKind::kHostError) << t.what();
+      EXPECT_NE(std::string(t.what()).find("truncated"), std::string::npos)
+          << t.what();
+    }
+  }
+}
+
 TEST(EmbedderModes, NativeAndWasmHpcgResidualsAgree) {
   // The strongest embedder correctness check: the full CG solve must
   // produce bit-identical residuals through the Wasm + translation path

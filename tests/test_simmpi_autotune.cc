@@ -90,7 +90,7 @@ TEST(Autotune, NarrowWinDoesNotDisplaceFallback) {
 }
 
 TEST(Autotune, UnmeasuredFallbackIsNeverDisplaced) {
-  // The shm fan-in is kept out of the measured candidate set (its internal
+  // The shm path is kept out of the measured candidate set (its internal
   // barrier serializes the calling loop, which per-call samples miss), so
   // when the static table picks it, the fallback has no EWMA. No amount of
   // measured-candidate evidence may displace a pick that was never tested.
@@ -270,6 +270,34 @@ TEST(Autotune, WorldPersistsAndWarmStarts) {
     World world(2, NetworkProfile::zero(), t);
     EXPECT_EQ(world.tuner()->winner(key), CollAlgo::kAuto);
   }
+  std::remove(path.c_str());
+}
+
+// The persisted table does not record whether the shm path was on: a
+// world with MPIWASM_COLL_SHM=0 that preloads a kShm winner must run the
+// static table's p2p pick instead of the shm path it has no context for.
+TEST(Autotune, ShmWinnerFromTableIsNotRunWithoutContext) {
+  const std::string path = temp_table_path("shm-off");
+  std::remove(path.c_str());
+  CollTuning t;
+  t.autotune_file = path;
+  const u64 key = Autotuner::key(CollOp::kBarrier, 4, 0);
+  {
+    World world(4, NetworkProfile::zero(), t);
+    world.run([&](Rank& r) {
+      for (int it = 0; it < 40; ++it) r.barrier();
+    });
+    ASSERT_EQ(world.tuner()->winner(key), CollAlgo::kShm);
+  }  // dtor saves the table
+  t.enable_shm = false;
+  World world(4, NetworkProfile::zero(), t);
+  EXPECT_EQ(world.tuner()->winner(key), CollAlgo::kShm);
+  world.run([&](Rank& r) {
+    for (int it = 0; it < 3; ++it) r.barrier();
+    i64 v = 1, sum = 0;
+    r.allreduce(&v, &sum, 1, Datatype::kLong, ReduceOp::kSum);
+    EXPECT_EQ(sum, 4);
+  });
   std::remove(path.c_str());
 }
 

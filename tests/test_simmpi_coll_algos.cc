@@ -9,13 +9,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cmath>
 #include <cstring>
+#include <functional>
 #include <numeric>
+#include <random>
+#include <string>
+#include <thread>
 
 #include "simmpi/coll_algos.h"
 #include "simmpi/reduce_ops.h"
 #include "simmpi/world.h"
 #include "support/timing.h"
+#include "support/trace.h"
 
 namespace mpiwasm::simmpi {
 namespace {
@@ -26,6 +34,15 @@ using coll::CollOp;
 /// auto. The shm context stays enabled so kShm is honored.
 CollTuning forced(CollOp op, CollAlgo algo) {
   return coll::forced_tuning(op, algo);
+}
+
+/// Forces kShm for every collective that has a kShm variant.
+CollTuning all_shm() {
+  CollTuning t;
+  t.barrier = t.bcast = t.reduce = t.allreduce = t.gather = t.scatter =
+      t.allgather = t.alltoall = t.reduce_scatter = t.scan = t.exscan =
+          CollAlgo::kShm;
+  return t;
 }
 
 /// Deterministic exact-in-every-type element for (rank, index): small
@@ -131,22 +148,23 @@ TEST(CollAlgoDifferential, BcastEveryAlgorithmEveryRoot) {
 }
 
 TEST(CollAlgoDifferential, ReduceEveryAlgorithmEveryRoot) {
-  const i64 count = 515;
   for (const auto& [ranks, algo] : cases_for(CollOp::kReduce)) {
     World world(ranks, NetworkProfile::zero(), forced(CollOp::kReduce, algo));
-    auto expect =
-        reduce_reference<i64>(ranks, count, ReduceOp::kSum, Datatype::kLong);
-    world.run([&](Rank& r) {
-      for (int root = 0; root < r.size(); ++root) {
-        std::vector<i64> in(count), out(size_t(count), -1);
-        for (i64 i = 0; i < count; ++i) in[size_t(i)] = gen(r.rank(), i);
-        r.reduce(in.data(), r.rank() == root ? out.data() : nullptr,
-                 int(count), Datatype::kLong, ReduceOp::kSum, root);
-        if (r.rank() == root)
-          ASSERT_EQ(out, expect)
-              << "root=" << root << " algo=" << coll::algo_name(algo);
-      }
-    });
+    for (i64 count : {i64(515), i64(20011)}) {
+      auto expect =
+          reduce_reference<i64>(ranks, count, ReduceOp::kSum, Datatype::kLong);
+      world.run([&, count](Rank& r) {
+        for (int root = 0; root < r.size(); ++root) {
+          std::vector<i64> in(count), out(size_t(count), -1);
+          for (i64 i = 0; i < count; ++i) in[size_t(i)] = gen(r.rank(), i);
+          r.reduce(in.data(), r.rank() == root ? out.data() : nullptr,
+                   int(count), Datatype::kLong, ReduceOp::kSum, root);
+          if (r.rank() == root)
+            ASSERT_EQ(out, expect) << "root=" << root << " count=" << count
+                                   << " algo=" << coll::algo_name(algo);
+        }
+      });
+    }
   }
 }
 
@@ -211,25 +229,59 @@ TEST(CollAlgoDifferential, AllgatherEveryAlgorithm) {
 }
 
 TEST(CollAlgoDifferential, AlltoallEveryAlgorithm) {
-  const i64 count = 65;
   for (const auto& [ranks, algo] : cases_for(CollOp::kAlltoall)) {
     World world(ranks, NetworkProfile::zero(),
                 forced(CollOp::kAlltoall, algo));
-    world.run([&](Rank& r) {
-      int n = r.size();
-      std::vector<i32> send(size_t(count) * n), recv(size_t(count) * n, -1);
-      for (int dst = 0; dst < n; ++dst)
-        for (i64 i = 0; i < count; ++i)
-          send[size_t(dst) * count + size_t(i)] =
-              r.rank() * 10000 + dst * 100 + i32(i % 97);
-      r.alltoall(send.data(), int(count), recv.data(), int(count),
-                 Datatype::kInt);
-      for (int src = 0; src < n; ++src)
-        for (i64 i = 0; i < count; ++i)
-          ASSERT_EQ(recv[size_t(src) * count + size_t(i)],
-                    src * 10000 + r.rank() * 100 + i32(i % 97))
-              << "algo=" << coll::algo_name(algo);
-    });
+    for (i64 count : {i64(1), i64(65), i64(16411)}) {
+      world.run([&, count](Rank& r) {
+        int n = r.size();
+        std::vector<i32> send(size_t(count) * n), recv(size_t(count) * n, -1);
+        for (int dst = 0; dst < n; ++dst)
+          for (i64 i = 0; i < count; ++i)
+            send[size_t(dst) * count + size_t(i)] =
+                r.rank() * 10000 + dst * 100 + i32(i % 97);
+        r.alltoall(send.data(), int(count), recv.data(), int(count),
+                   Datatype::kInt);
+        for (int src = 0; src < n; ++src)
+          for (i64 i = 0; i < count; ++i)
+            ASSERT_EQ(recv[size_t(src) * count + size_t(i)],
+                      src * 10000 + r.rank() * 100 + i32(i % 97))
+                << "algo=" << coll::algo_name(algo) << " count=" << count;
+      });
+    }
+  }
+}
+
+// A send block larger than the receive block would overrun its slot: every
+// path rejects the call on every rank before copying anything.
+TEST(CollAlgoDifferential, AlltoallRejectsTruncationBeforeAnyCopy) {
+  const int scount = 16, rcount = 8;
+  const i32 kCanary = 0x5A5A5A5A;
+  for (int ranks : {1, 2, 3}) {
+    for (CollAlgo algo : coll::algos_for(CollOp::kAlltoall)) {
+      World world(ranks, NetworkProfile::zero(),
+                  forced(CollOp::kAlltoall, algo));
+      std::atomic<int> throws{0};
+      world.run([&](Rank& r) {
+        const int n = r.size();
+        std::vector<i32> send(size_t(scount) * n, 7);
+        // The receive view plus a canary run past its end.
+        std::vector<i32> recv(size_t(rcount) * n + 16, kCanary);
+        try {
+          r.alltoall(send.data(), scount, recv.data(), rcount,
+                     Datatype::kInt);
+        } catch (const MpiError&) {
+          ++throws;
+        }
+        EXPECT_THROW(r.ialltoall(send.data(), scount, recv.data(), rcount,
+                                 Datatype::kInt),
+                     MpiError);
+        for (size_t i = 0; i < recv.size(); ++i)
+          ASSERT_EQ(recv[i], kCanary)
+              << "i=" << i << " algo=" << coll::algo_name(algo);
+      });
+      EXPECT_EQ(throws.load(), ranks) << "algo=" << coll::algo_name(algo);
+    }
   }
 }
 
@@ -410,45 +462,53 @@ TEST(CollAlgoDifferential, DupCommunicatorRunsShmAndTreeCollectives) {
 // ---------------------------------------------------------------------------
 
 TEST(CollInPlace, AllreduceReduceScanMatchOutOfPlace) {
+  // Sizes on both sides of the shm path's whole/chunked reduction split.
+  const i64 kSizes[] = {333, 20011};
   for (CollAlgo algo : coll::algos_for(CollOp::kAllreduce)) {
     World world(6, NetworkProfile::zero(), forced(CollOp::kAllreduce, algo));
     world.run([&](Rank& r) {
-      const i64 count = 333;
-      auto expect = reduce_reference<i64>(r.size(), count, ReduceOp::kSum,
-                                          Datatype::kLong);
-      std::vector<i64> buf(count);
-      for (i64 i = 0; i < count; ++i) buf[size_t(i)] = gen(r.rank(), i);
-      r.allreduce(kInPlace, buf.data(), int(count), Datatype::kLong,
-                  ReduceOp::kSum);
-      ASSERT_EQ(buf, expect) << "algo=" << coll::algo_name(algo);
+      for (i64 count : kSizes) {
+        auto expect = reduce_reference<i64>(r.size(), count, ReduceOp::kSum,
+                                            Datatype::kLong);
+        std::vector<i64> buf(count);
+        for (i64 i = 0; i < count; ++i) buf[size_t(i)] = gen(r.rank(), i);
+        r.allreduce(kInPlace, buf.data(), int(count), Datatype::kLong,
+                    ReduceOp::kSum);
+        ASSERT_EQ(buf, expect)
+            << "algo=" << coll::algo_name(algo) << " count=" << count;
+      }
     });
   }
-  World world(6);
-  world.run([](Rank& r) {
-    const i64 count = 64;
-    // Reduce: IN_PLACE at root only; non-roots pass their send buffer.
-    auto expect =
-        reduce_reference<i64>(r.size(), count, ReduceOp::kMax, Datatype::kLong);
-    for (int root = 0; root < r.size(); ++root) {
-      std::vector<i64> buf(count);
-      for (i64 i = 0; i < count; ++i) buf[size_t(i)] = gen(r.rank(), i);
-      if (r.rank() == root) {
-        r.reduce(kInPlace, buf.data(), int(count), Datatype::kLong,
-                 ReduceOp::kMax, root);
-        ASSERT_EQ(buf, expect);
-      } else {
-        r.reduce(buf.data(), nullptr, int(count), Datatype::kLong,
-                 ReduceOp::kMax, root);
+  for (const CollTuning& t : {CollTuning{}, all_shm()}) {
+    World world(6, NetworkProfile::zero(), t);
+    world.run([&](Rank& r) {
+      for (i64 count : {i64(64), i64(20011)}) {
+        // Reduce: IN_PLACE at root only; non-roots pass their send buffer.
+        auto expect = reduce_reference<i64>(r.size(), count, ReduceOp::kMax,
+                                            Datatype::kLong);
+        for (int root = 0; root < r.size(); ++root) {
+          std::vector<i64> buf(count);
+          for (i64 i = 0; i < count; ++i) buf[size_t(i)] = gen(r.rank(), i);
+          if (r.rank() == root) {
+            r.reduce(kInPlace, buf.data(), int(count), Datatype::kLong,
+                     ReduceOp::kMax, root);
+            ASSERT_EQ(buf, expect) << "root=" << root << " count=" << count;
+          } else {
+            r.reduce(buf.data(), nullptr, int(count), Datatype::kLong,
+                     ReduceOp::kMax, root);
+          }
+        }
+        // Scan in place.
+        std::vector<i64> sbuf(count);
+        for (i64 i = 0; i < count; ++i) sbuf[size_t(i)] = gen(r.rank(), i);
+        r.scan(kInPlace, sbuf.data(), int(count), Datatype::kLong,
+               ReduceOp::kSum);
+        auto sexpect = reduce_reference<i64>(r.rank() + 1, count,
+                                             ReduceOp::kSum, Datatype::kLong);
+        ASSERT_EQ(sbuf, sexpect) << "count=" << count;
       }
-    }
-    // Scan in place.
-    std::vector<i64> sbuf(count);
-    for (i64 i = 0; i < count; ++i) sbuf[size_t(i)] = gen(r.rank(), i);
-    r.scan(kInPlace, sbuf.data(), int(count), Datatype::kLong, ReduceOp::kSum);
-    auto sexpect = reduce_reference<i64>(r.rank() + 1, count, ReduceOp::kSum,
-                                         Datatype::kLong);
-    ASSERT_EQ(sbuf, sexpect);
-  });
+    });
+  }
 }
 
 // In-place gather/scatter under every forced algorithm and root: the root's
@@ -588,13 +648,75 @@ TEST(CollSelect, AutoAdaptsToOversubscription) {
             CollAlgo::kShm);
 }
 
-TEST(CollSelect, ForcedShmDegradesWhenPayloadTooBig) {
+TEST(CollSelect, ShmServesEverySizeWithAContext) {
+  CollTuning t;
+  const int hw = 64;
+  EXPECT_EQ(coll::select(CollOp::kAllreduce, t, 8, 1 << 20, true, hw),
+            CollAlgo::kShm);
+  EXPECT_EQ(coll::select(CollOp::kBcast, t, 4, 1 << 20, true, hw),
+            CollAlgo::kShm);
+  // Alltoall reads its blocks in place; an oversubscribed world does so
+  // for small blocks only and runs the pairwise exchange for large ones.
+  EXPECT_EQ(coll::select(CollOp::kAlltoall, t, 4, 1024, true, hw),
+            CollAlgo::kShm);
+  EXPECT_EQ(coll::select(CollOp::kAlltoall, t, 4, 1 << 20, true, hw),
+            CollAlgo::kShm);
+  EXPECT_EQ(coll::select(CollOp::kAlltoall, t, 8, 8, true, 4),
+            CollAlgo::kShm);
+  EXPECT_EQ(coll::select(CollOp::kAlltoall, t, 8, 16 * 1024, true, 4),
+            CollAlgo::kShm);
+  EXPECT_EQ(coll::select(CollOp::kAlltoall, t, 8, 256 * 1024, true, 4),
+            CollAlgo::kPairwise);
+  EXPECT_EQ(coll::select(CollOp::kAlltoall, t, 4, 1024, false, hw),
+            CollAlgo::kPairwise);
+}
+
+TEST(CollSelect, ForcedShmHonouredAtOneMiBWithAContext) {
+  CollTuning t;
+  t.allreduce = CollAlgo::kShm;
+  EXPECT_EQ(coll::select(CollOp::kAllreduce, t, 8, 1 << 20, true, 64),
+            CollAlgo::kShm);
+#ifndef MPIWASM_TRACE_DISABLED
+  // End to end: every rank's 1 MiB allreduce runs the shm path.
+  trace::enable_profiling(true);
+  trace::reset();
+  const int ranks = 4, count = (1 << 20) / 8;
+  World world(ranks, NetworkProfile::zero(), t);
+  auto expect = reduce_reference<i64>(ranks, count, ReduceOp::kSum,
+                                      Datatype::kLong);
+  world.run([&](Rank& r) {
+    std::vector<i64> in(count), out(count);
+    for (i64 i = 0; i < count; ++i) in[size_t(i)] = gen(r.rank(), i);
+    r.allreduce(in.data(), out.data(), count, Datatype::kLong,
+                ReduceOp::kSum);
+    ASSERT_EQ(out, expect);
+  });
+  auto algos = trace::algo_histogram();
+  trace::enable_profiling(false);
+  trace::reset();
+  EXPECT_EQ(algos["allreduce/shm"], u64(ranks));
+#endif
+}
+
+TEST(CollSelect, ForcedShmDegradesWithoutAContext) {
   CollTuning t;
   t.allreduce = CollAlgo::kShm;
   EXPECT_EQ(coll::select(CollOp::kAllreduce, t, 8, 1 << 20, false, 64),
             CollAlgo::kRabenseifner);
-  EXPECT_EQ(coll::select(CollOp::kAllreduce, t, 8, 64, true, 64),
-            CollAlgo::kShm);
+  // A world with the shm path off gives its communicators no context; the
+  // forced choice then runs the table's pick instead of failing the call.
+  t.enable_shm = false;
+  const int ranks = 4, count = 4096;
+  World world(ranks, NetworkProfile::zero(), t);
+  auto expect = reduce_reference<i64>(ranks, count, ReduceOp::kSum,
+                                      Datatype::kLong);
+  world.run([&](Rank& r) {
+    std::vector<i64> in(count), out(count);
+    for (i64 i = 0; i < count; ++i) in[size_t(i)] = gen(r.rank(), i);
+    r.allreduce(in.data(), out.data(), count, Datatype::kLong,
+                ReduceOp::kSum);
+    ASSERT_EQ(out, expect);
+  });
 }
 
 TEST(CollSelect, ForcedUnsupportedAlgorithmThrows) {
@@ -639,6 +761,350 @@ TEST(CollShmStress, BackToBackShmCollectivesStayConsistent) {
       r.barrier();
     }
   });
+}
+
+/// Index of the first element of got[0, len) that differs from want(i),
+/// or len when all match (one gtest assertion per buffer, not per element).
+template <typename T, typename F>
+size_t first_mismatch(const T* got, size_t len, F want) {
+  for (size_t i = 0; i < len; ++i)
+    if (got[i] != want(i)) return i;
+  return len;
+}
+
+/// Large payloads read in place, back to back. Each rank copies its result
+/// aside and overwrites both its buffers the moment a call returns, so a
+/// rank that leaves while a peer is still reading one of its buffers shows
+/// up as wrong data at that peer (and as a race under TSan).
+TEST(CollShmStress, LargePayloadsReadInPlaceBackToBack) {
+  const size_t kBytes[] = {size_t(64) << 10, size_t(256) << 10,
+                           size_t(1) << 20};
+  constexpr u32 kPoison = 0xA5A5A5A5u;
+  for (int ranks : {4, 5}) {
+    World world(ranks, NetworkProfile::zero(), all_shm());
+    world.run([&](Rank& r) {
+      const int n = r.size(), me = r.rank();
+      std::vector<u32> send(kBytes[2] / 4), recv(kBytes[2] / 4), got;
+      std::vector<int> counts(static_cast<size_t>(n));
+      for (int it = 0; it < 100; ++it) {
+        const size_t count = kBytes[it % 3] / 4;
+        const size_t block = count / size_t(n);
+        // Element i of rank q's input in this iteration; u32 sums wrap.
+        auto val = [it](int q, size_t i) {
+          return u32(i) * 2654435761u + u32(q) * 977u + u32(it) * 131u;
+        };
+        auto sum = [&](size_t i) {
+          u32 acc = 0;
+          for (int q = 0; q < n; ++q) acc += val(q, i);
+          return acc;
+        };
+        auto fill = [&](int q, size_t len) {
+          for (size_t i = 0; i < len; ++i) send[i] = val(q, i);
+        };
+        // Keeps the first `len` elements of `result`, then poisons both
+        // buffers.
+        auto take = [&](const std::vector<u32>& result, size_t len) {
+          got.assign(result.begin(), result.begin() + ptrdiff_t(len));
+          std::fill(send.begin(), send.end(), kPoison);
+          std::fill(recv.begin(), recv.end(), kPoison);
+        };
+        const std::string at = "ranks=" + std::to_string(n) +
+                               " it=" + std::to_string(it);
+
+        fill(me, count);
+        r.allreduce(send.data(), recv.data(), int(count), Datatype::kUnsigned,
+                    ReduceOp::kSum);
+        take(recv, count);
+        ASSERT_EQ(first_mismatch(got.data(), count, sum), count)
+            << "allreduce " << at;
+
+        fill(me, count);
+        r.allreduce(kInPlace, send.data(), int(count), Datatype::kUnsigned,
+                    ReduceOp::kSum);
+        take(send, count);
+        ASSERT_EQ(first_mismatch(got.data(), count, sum), count)
+            << "allreduce in place " << at;
+
+        const int root = it % n;
+        if (me == root) fill(root, count);
+        r.bcast(send.data(), int(count), Datatype::kUnsigned, root);
+        take(send, count);
+        ASSERT_EQ(first_mismatch(got.data(), count,
+                                 [&](size_t i) { return val(root, i); }),
+                  count)
+            << "bcast " << at;
+
+        // Block d of the send buffer goes to rank d.
+        fill(me, block * size_t(n));
+        r.alltoall(send.data(), int(block), recv.data(), int(block),
+                   Datatype::kUnsigned);
+        take(recv, block * size_t(n));
+        ASSERT_EQ(first_mismatch(got.data(), block * size_t(n),
+                                 [&](size_t i) {
+                                   return val(int(i / block),
+                                              size_t(me) * block + i % block);
+                                 }),
+                  block * size_t(n))
+            << "alltoall " << at;
+
+        fill(me, block);
+        r.allgather(send.data(), int(block), recv.data(), int(block),
+                    Datatype::kUnsigned);
+        take(recv, block * size_t(n));
+        ASSERT_EQ(first_mismatch(got.data(), block * size_t(n),
+                                 [&](size_t i) {
+                                   return val(int(i / block), i % block);
+                                 }),
+                  block * size_t(n))
+            << "allgather " << at;
+
+        size_t my_off = 0;
+        for (int q = 0; q < n; ++q) {
+          counts[size_t(q)] = int(count / size_t(n)) +
+                              (size_t(q) < count % size_t(n) ? 1 : 0);
+          if (q < me) my_off += size_t(counts[size_t(q)]);
+        }
+        const size_t mine = size_t(counts[size_t(me)]);
+        fill(me, count);
+        r.reduce_scatter(send.data(), recv.data(), counts.data(),
+                         Datatype::kUnsigned, ReduceOp::kSum);
+        take(recv, mine);
+        ASSERT_EQ(first_mismatch(got.data(), mine,
+                                 [&](size_t i) { return sum(my_off + i); }),
+                  mine)
+            << "reduce_scatter " << at;
+      }
+    });
+  }
+}
+
+/// Rank-order reduction of inexact doubles: exactly one rank reduces each
+/// element (or all reduce it in the same order), so every rank holds the
+/// same bits, equal to the sequential comm-rank-order reference.
+TEST(CollShmStress, AllreduceOfInexactDoublesIsBitIdenticalEverywhere) {
+  for (int ranks : {3, 4, 5}) {
+    World world(ranks, NetworkProfile::zero(),
+                forced(CollOp::kAllreduce, CollAlgo::kShm));
+    // Whole-payload (<= 8 KiB) and reduce-scatter sizes.
+    for (int count : {7, 1000, 100003}) {
+      std::mt19937_64 rng(u64(ranks) * 1000003u + u64(count));
+      std::uniform_real_distribution<f64> mant(-1.0, 1.0);
+      std::uniform_int_distribution<int> expo(-20, 20);
+      std::vector<std::vector<f64>> in(
+          static_cast<size_t>(ranks),
+          std::vector<f64>(static_cast<size_t>(count)));
+      for (auto& v : in)
+        for (f64& x : v) x = std::ldexp(mant(rng), expo(rng));
+      std::vector<f64> expect = in[0];
+      for (int q = 1; q < ranks; ++q)
+        apply_reduce(ReduceOp::kSum, Datatype::kDouble, in[size_t(q)].data(),
+                     expect.data(), count);
+      for (bool in_place : {false, true}) {
+        std::vector<std::vector<f64>> out(static_cast<size_t>(ranks));
+        world.run([&](Rank& r) {
+          std::vector<f64>& mine = out[size_t(r.rank())];
+          if (in_place) {
+            mine = in[size_t(r.rank())];
+            r.allreduce(kInPlace, mine.data(), count, Datatype::kDouble,
+                        ReduceOp::kSum);
+          } else {
+            mine.assign(size_t(count), 0.0);
+            r.allreduce(in[size_t(r.rank())].data(), mine.data(), count,
+                        Datatype::kDouble, ReduceOp::kSum);
+          }
+        });
+        for (int q = 0; q < ranks; ++q)
+          EXPECT_EQ(std::memcmp(out[size_t(q)].data(), expect.data(),
+                                size_t(count) * sizeof(f64)),
+                    0)
+              << "ranks=" << ranks << " count=" << count << " rank=" << q
+              << " in_place=" << in_place;
+      }
+    }
+  }
+}
+
+/// Ranks that disagree on the payload size (or the root) of a forced kShm
+/// call all raise MpiError after the same barriers: nobody reads past the
+/// smaller buffer (each sized exactly, so ASan sees any over-read), nobody
+/// hangs, and the communicator stays usable.
+TEST(CollShmStress, MismatchedCountsThrowOnEveryRankWithoutOverRead) {
+  const int ranks = 4;
+  World world(ranks, NetworkProfile::zero(), all_shm());
+  std::atomic<int> throws{0};
+  world.run([&](Rank& r) {
+    const int n = r.size(), me = r.rank();
+    auto expect_error = [&](const char* what, const std::function<void()>& fn) {
+      try {
+        fn();
+        ADD_FAILURE() << what << " did not throw on rank " << me;
+      } catch (const MpiError&) {
+        ++throws;
+      }
+    };
+    // Rank 0 exposes less than its peers read; both allreduce paths.
+    for (int big : {100, 100000}) {
+      const int count = me == 0 ? big : 2 * big;
+      std::vector<i64> in(static_cast<size_t>(count), 1),
+          out(static_cast<size_t>(count));
+      expect_error("allreduce", [&] {
+        r.allreduce(in.data(), out.data(), count, Datatype::kLong,
+                    ReduceOp::kSum);
+      });
+    }
+    {
+      const int count = me == 0 ? 1000 : 3000;
+      std::vector<u8> buf(static_cast<size_t>(count), u8(me));
+      expect_error("bcast", [&] {
+        r.bcast(buf.data(), count, Datatype::kByte, 0);
+      });
+      // Equal counts, but rank 1 names itself the root.
+      expect_error("bcast root", [&] {
+        r.bcast(buf.data(), 1000, Datatype::kByte, me == 1 ? 1 : 0);
+      });
+      std::vector<u8> send(size_t(count) * size_t(n)),
+          recv(size_t(count) * size_t(n));
+      expect_error("alltoall", [&] {
+        r.alltoall(send.data(), count, recv.data(), count, Datatype::kByte);
+      });
+      expect_error("allgather", [&] {
+        r.allgather(send.data(), count, recv.data(), count, Datatype::kByte);
+      });
+      expect_error("gather", [&] {
+        r.gather(send.data(), count, recv.data(), count, Datatype::kByte, 0);
+      });
+      expect_error("scatter", [&] {
+        r.scatter(send.data(), count, recv.data(), count, Datatype::kByte, 1);
+      });
+      expect_error("scan", [&] {
+        r.scan(buf.data(), recv.data(), count, Datatype::kByte,
+               ReduceOp::kBor);
+      });
+      expect_error("exscan", [&] {
+        r.exscan(buf.data(), recv.data(), count, Datatype::kByte,
+                 ReduceOp::kBor);
+      });
+      expect_error("reduce", [&] {
+        r.reduce(buf.data(), recv.data(), count, Datatype::kByte,
+                 ReduceOp::kBor, 0);
+      });
+      std::vector<int> counts(size_t(n), count);
+      expect_error("reduce_scatter", [&] {
+        r.reduce_scatter(send.data(), recv.data(), counts.data(),
+                         Datatype::kByte, ReduceOp::kBor);
+      });
+    }
+    // The barrier epochs are still in step.
+    i64 v = 1, total = 0;
+    r.allreduce(&v, &total, 1, Datatype::kLong, ReduceOp::kSum);
+    EXPECT_EQ(total, n);
+  });
+  EXPECT_EQ(throws.load(), ranks * 12);
+}
+
+/// A reduction op that is not defined on the datatype (MPI_BAND on
+/// doubles) is rejected on every rank before anything is published: no
+/// rank leaves a call while its peers read its buffers, which each rank
+/// frees at once (ASan sees any read of them), and the barrier epochs stay
+/// in step.
+TEST(CollShmStress, UndefinedReductionThrowsOnEveryRankBeforePublishing) {
+  const int ranks = 4, count = 100000;
+  World world(ranks, NetworkProfile::zero(), all_shm());
+  std::atomic<int> throws{0};
+  world.run([&](Rank& r) {
+    const int n = r.size();
+    auto expect_error = [&](const char* what, auto&& fn) {
+      {
+        std::vector<f64> in(size_t(count) * size_t(n), 1.5),
+            out(size_t(count) * size_t(n));
+        try {
+          fn(in.data(), out.data());
+          ADD_FAILURE() << what << " did not throw on rank " << r.rank();
+        } catch (const MpiError&) {
+          ++throws;
+        }
+      }
+      // The freed buffers' memory is reused at once.
+      std::vector<f64> reuse(size_t(count) * size_t(n), -1.0);
+      ASSERT_EQ(reuse[0], -1.0);
+    };
+    for (ReduceOp op : {ReduceOp::kBand, ReduceOp::kBor}) {
+      expect_error("allreduce", [&](f64* in, f64* out) {
+        r.allreduce(in, out, count, Datatype::kDouble, op);
+      });
+      expect_error("allreduce in place", [&](f64*, f64* out) {
+        r.allreduce(kInPlace, out, count, Datatype::kDouble, op);
+      });
+      expect_error("reduce", [&](f64* in, f64* out) {
+        r.reduce(in, out, count, Datatype::kDouble, op, 1);
+      });
+      expect_error("scan", [&](f64* in, f64* out) {
+        r.scan(in, out, count, Datatype::kDouble, op);
+      });
+      expect_error("exscan", [&](f64* in, f64* out) {
+        r.exscan(in, out, count, Datatype::kDouble, op);
+      });
+      std::vector<int> counts(size_t(n), count);
+      expect_error("reduce_scatter", [&](f64* in, f64* out) {
+        r.reduce_scatter(in, out, counts.data(), Datatype::kDouble, op);
+      });
+      expect_error("iallreduce", [&](f64* in, f64* out) {
+        r.iallreduce(in, out, count, Datatype::kDouble, op);
+      });
+      expect_error("ireduce", [&](f64* in, f64* out) {
+        r.ireduce(in, out, count, Datatype::kDouble, op, 0);
+      });
+      expect_error("iscan", [&](f64* in, f64* out) {
+        r.iscan(in, out, count, Datatype::kFloat, op);
+      });
+      expect_error("iexscan", [&](f64* in, f64* out) {
+        r.iexscan(in, out, count, Datatype::kFloat, op);
+      });
+      expect_error("ireduce_scatter", [&](f64* in, f64* out) {
+        r.ireduce_scatter(in, out, counts.data(), Datatype::kDouble, op);
+      });
+    }
+    // The same ops are defined on integers.
+    std::vector<i64> in(size_t(count), i64(1) << r.rank()), out(static_cast<size_t>(count));
+    r.allreduce(in.data(), out.data(), count, Datatype::kLong, ReduceOp::kBor);
+    EXPECT_EQ(out[size_t(count) - 1], (i64(1) << n) - 1);
+  });
+  EXPECT_EQ(throws.load(), ranks * 22);
+}
+
+/// A world abort that lands while the ranks of a communicator loop over
+/// large kShm calls: a rank may give up only at a call's opening barrier,
+/// where no peer reads its buffers yet; a rank past it finishes the call
+/// first. The buffers are freed as the rank leaves, so under ASan a peer
+/// reading them after that is a use-after-free.
+TEST(CollShmStress, AbortLeavesNoPeerReadingFreedBuffers) {
+  const int ranks = 4, count = 1 << 16;
+  World world(ranks, NetworkProfile::zero(), all_shm());
+  std::atomic<int> aborted{0};
+  EXPECT_THROW(
+      world.run([&](Rank& r) {
+        const Comm sub =
+            r.comm_split(kCommWorld, r.rank() == 0 ? kUndefined : 0, 0);
+        if (r.rank() == 0) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          r.abort(7);
+        }
+        try {
+          std::vector<i64> in(size_t(count), 1),
+              out(static_cast<size_t>(count));
+          for (int it = 0; it < 100000; ++it) {
+            r.allreduce(in.data(), out.data(), count, Datatype::kLong,
+                        ReduceOp::kSum, sub);
+            r.bcast(in.data(), count, Datatype::kLong, it % 3, sub);
+          }
+        } catch (const MpiAbort&) {
+          ++aborted;
+          throw;
+        }
+        ADD_FAILURE() << "rank " << r.rank() << " never saw the abort";
+      }),
+      MpiError);
+  EXPECT_EQ(aborted.load(), ranks - 1);
 }
 
 // Blocking collectives charge each p2p message's wire time at injection,

@@ -411,7 +411,7 @@ TEST(IcollOutstanding, MixedKindsAcrossCollectives) {
 // Blocking and nonblocking collectives draw their schedule tags from one
 // per-communicator sequence: blocking calls issued while a nonblocking one
 // is outstanding on the same communicator must neither take its messages
-// nor wait on it. The shm fan-in is off so every call runs a schedule.
+// nor wait on it. The shm path is off so every call runs a schedule.
 TEST(IcollOutstanding, BlockingCollectivesWhileNonblockingOutstanding) {
   CollTuning tuning;
   tuning.enable_shm = false;
