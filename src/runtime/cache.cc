@@ -1,6 +1,7 @@
 #include "runtime/cache.h"
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -41,7 +42,13 @@ constexpr u32 kCacheMagic = 0x4357524D;  // "MRWC"
 // cmpxchg, wait/notify, fence), which renumbers ROp and extends the JIT
 // helper table; serialized RegCode and native blobs from v6 would decode
 // to the wrong opcodes.
-constexpr u32 kCacheVersion = 7;
+// v8: whole-module entries gain a fixed-width function count and a table of
+// (offset, length) per function, so a warm start maps the file and decodes
+// each record on its function's first call. Per-function entries keep a
+// single record after the header.
+constexpr u32 kCacheVersion = 8;
+// Whole-module entries: magic, version, function count.
+constexpr size_t kEntryHeaderBytes = 12;
 
 void write_rfunc(ByteWriter& w, const RFunc& f) {
   w.write_leb_u32(f.num_params);
@@ -150,8 +157,54 @@ bool read_header(ByteReader& r) {
   return true;
 }
 
-/// Reads the whole file at `path` into a buffer sized from its stat;
-/// nullopt when it cannot be opened, stat'ed or fully read.
+u32 load_u32_le(const u8* p) {
+  u32 v;
+  std::memcpy(&v, p, 4);
+  return v;
+}
+
+/// Checks a whole-module entry's header and offset table: the records must
+/// be non-empty, contiguous from the end of the table, in order, and end
+/// exactly at the end of `bytes`. Returns the function count, or nullopt.
+/// Reads only the header and the table.
+std::optional<u32> check_entry(std::span<const u8> bytes) {
+  if (bytes.size() < kEntryHeaderBytes) return std::nullopt;
+  const u8* p = bytes.data();
+  if (load_u32_le(p) != kCacheMagic || load_u32_le(p + 4) != kCacheVersion)
+    return std::nullopt;
+  const u32 count = load_u32_le(p + 8);
+  u64 next = kEntryHeaderBytes + u64(count) * 8;
+  if (next > bytes.size()) return std::nullopt;
+  for (u32 i = 0; i < count; ++i) {
+    const u8* slot = p + kEntryHeaderBytes + size_t(i) * 8;
+    const u32 length = load_u32_le(slot + 4);
+    if (load_u32_le(slot) != next || length == 0) return std::nullopt;
+    next += length;
+  }
+  if (next != bytes.size()) return std::nullopt;
+  return count;
+}
+
+/// Record `i` of an entry that passed check_entry.
+std::span<const u8> entry_record(std::span<const u8> bytes, u32 i) {
+  const u8* slot = bytes.data() + kEntryHeaderBytes + size_t(i) * 8;
+  return bytes.subspan(load_u32_le(slot), load_u32_le(slot + 4));
+}
+
+/// Decodes one record that must fill `rec` exactly.
+std::optional<RFunc> decode_record(std::span<const u8> rec) {
+  try {
+    ByteReader r(rec);
+    RFunc f;
+    if (!read_rfunc(r, f) || !r.done()) return std::nullopt;
+    return f;
+  } catch (const DecodeError&) {
+    return std::nullopt;
+  }
+}
+
+/// Reads the whole per-function entry at `path` into a buffer sized from
+/// its stat; nullopt when it cannot be opened, stat'ed or fully read.
 std::optional<std::vector<u8>> read_file(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) return std::nullopt;
@@ -176,6 +229,12 @@ std::optional<std::vector<u8>> read_file(const std::string& path) {
 /// benignly. Each writer fills its own temp file (pid + thread id), so two
 /// writers of one entry never truncate each other's bytes, and only a
 /// complete write is renamed into place.
+///
+/// Entries are only ever replaced by this rename, never rewritten in place:
+/// a MappedEntry keeps reading the file it mapped, which must therefore
+/// never shrink under it. A foreign process that truncates a mapped entry
+/// in place crosses the same trust line as one that plants a native blob
+/// in the cache directory.
 void write_entry(const std::string& path, std::span<const u8> bytes) {
   std::ostringstream tmp_name;
   tmp_name << path << ".tmp." << ::getpid() << "."
@@ -208,31 +267,34 @@ void remove_corrupt(const std::string& path) {
 }  // namespace
 
 std::vector<u8> serialize_regcode(const RModule& rm) {
+  // One pass: reserve the offset table, then patch each slot as its record
+  // is written.
+  const size_t n = rm.funcs.size();
   ByteWriter w;
   w.write_u32_le(kCacheMagic);
   w.write_u32_le(kCacheVersion);
-  w.write_leb_u32(u32(rm.funcs.size()));
-  for (const RFunc& f : rm.funcs) write_rfunc(w, f);
+  w.write_u32_le(u32(n));
+  for (size_t i = 0; i < n; ++i) w.write_u64_le(0);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t at = w.size();
+    write_rfunc(w, rm.funcs[i]);
+    w.patch_u32_le(kEntryHeaderBytes + i * 8, u32(at));
+    w.patch_u32_le(kEntryHeaderBytes + i * 8 + 4, u32(w.size() - at));
+  }
   return w.take();
 }
 
 std::optional<RModule> deserialize_regcode(std::span<const u8> bytes) {
-  try {
-    ByteReader r(bytes);
-    if (!read_header(r)) return std::nullopt;
-    RModule rm;
-    u32 nfuncs = r.read_leb_u32();
-    // Each record is several bytes; a count beyond the remaining input is
-    // corruption, not a module (guards the resize against huge LEBs).
-    if (nfuncs > r.remaining()) return std::nullopt;
-    rm.funcs.resize(nfuncs);
-    for (RFunc& f : rm.funcs)
-      if (!read_rfunc(r, f)) return std::nullopt;
-    if (!r.done()) return std::nullopt;
-    return rm;
-  } catch (const DecodeError&) {
-    return std::nullopt;
+  const std::optional<u32> count = check_entry(bytes);
+  if (!count) return std::nullopt;
+  RModule rm;
+  rm.funcs.resize(*count);  // bounded: the table fits in `bytes`
+  for (u32 i = 0; i < *count; ++i) {
+    std::optional<RFunc> f = decode_record(entry_record(bytes, i));
+    if (!f) return std::nullopt;
+    rm.funcs[i] = std::move(*f);
   }
+  return rm;
 }
 
 std::vector<u8> serialize_rfunc(const RFunc& f) {
@@ -282,14 +344,51 @@ std::string FileSystemCache::func_entry_path(const Sha256Digest& hash,
          tier_tag + ".rcache";
 }
 
-std::optional<RModule> FileSystemCache::load(const Sha256Digest& hash,
-                                             const std::string& tier_tag) const {
+MappedEntry::MappedEntry(std::string path, const u8* base, size_t size,
+                         u32 count)
+    : path_(std::move(path)), base_(base), size_(size), count_(count) {}
+
+MappedEntry::~MappedEntry() {
+  ::munmap(const_cast<u8*>(base_), size_);
+}
+
+std::optional<RFunc> MappedEntry::decode(u32 i) const {
+  MW_CHECK(i < count_, "cache record index out of range");
+  return decode_record(entry_record({base_, size_}, i));
+}
+
+void MappedEntry::remove() {
+  if (removed_) return;
+  removed_ = true;
+  remove_corrupt(path_);
+}
+
+std::unique_ptr<MappedEntry> FileSystemCache::map(
+    const Sha256Digest& hash, const std::string& tier_tag,
+    u32 num_funcs) const {
   const std::string path = entry_path(hash, tier_tag);
-  auto bytes = read_file(path);
-  if (!bytes.has_value()) return std::nullopt;
-  auto rm = deserialize_regcode(*bytes);
-  if (!rm.has_value()) remove_corrupt(path);
-  return rm;
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return nullptr;
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    return nullptr;
+  }
+  const size_t size = size_t(st.st_size);
+  // An empty file has nothing to map and is corrupt.
+  void* base = size == 0 ? nullptr
+                         : ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+  ::close(fd);
+  if (base == MAP_FAILED) return nullptr;  // cannot map: a miss
+  if (base != nullptr) {
+    const u8* p = static_cast<const u8*>(base);
+    const std::optional<u32> count = check_entry({p, size});
+    if (count == num_funcs)
+      return std::make_unique<MappedEntry>(path, p, size, num_funcs);
+    ::munmap(base, size);
+  }
+  remove_corrupt(path);
+  return nullptr;
 }
 
 void FileSystemCache::store(const Sha256Digest& hash,

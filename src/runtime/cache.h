@@ -6,13 +6,26 @@
 // a new hash and triggers recompilation; repeated executions of the same
 // application skip compilation entirely.
 //
-// The unit of serialization is a *function*: the static tiers store one
-// entry holding every function's record, while the tiered engine stores
+// The unit of serialization is a *function record*. The static tiers store
+// one whole-module entry (format v8):
+//
+//   magic u32 | version u32 | count u32 | count x (offset u32, length u32)
+//   | record 0 | record 1 | ...
+//
+// Offsets are from the start of the file; the records are non-empty, back
+// to back in function order, and the last one ends at end-of-file. A warm
+// start maps the entry read-only (MappedEntry), checks that table, and
+// decodes nothing more: the engine decodes, prepares and installs each
+// function's record on the function's first call. The tiered engine stores
 // and loads individual functions keyed by (module hash, function index,
-// tier) as they get promoted — a hot function compiled on one run
-// warm-starts on the next.
+// tier) as they get promoted, as magic | version | one record — a hot
+// function compiled on one run warm-starts on the next.
+//
+// Entries are only ever replaced by rename, never rewritten in place, so a
+// mapping stays a complete entry for as long as it lives.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -21,6 +34,31 @@
 
 namespace mpiwasm::rt {
 
+/// A whole-module entry mapped read-only (PROT_READ, MAP_PRIVATE) whose
+/// header and offset table have been checked against the file's size and
+/// the module's function count. Records are decoded on demand.
+class MappedEntry {
+ public:
+  MappedEntry(std::string path, const u8* base, size_t size, u32 count);
+  ~MappedEntry();
+  MappedEntry(const MappedEntry&) = delete;
+  MappedEntry& operator=(const MappedEntry&) = delete;
+
+  /// Decodes defined function `i`'s record; nullopt when it is malformed
+  /// or does not fill its table slot exactly.
+  std::optional<RFunc> decode(u32 i) const;
+  /// Removes the entry file once (a record in it failed to decode); the
+  /// mapping stays valid. Not thread-safe: callers serialize.
+  void remove();
+
+ private:
+  std::string path_;
+  const u8* base_;
+  size_t size_;
+  u32 count_;
+  bool removed_ = false;
+};
+
 class FileSystemCache {
  public:
   /// `dir` empty selects "<system temp>/mpiwasm-cache".
@@ -28,10 +66,12 @@ class FileSystemCache {
 
   const std::string& dir() const { return dir_; }
 
-  /// Loads a compiled module for (hash, tier_tag); nullopt on miss or on a
-  /// corrupt/incompatible entry (which is removed).
-  std::optional<RModule> load(const Sha256Digest& hash,
-                              const std::string& tier_tag) const;
+  /// Maps the whole-module entry for (hash, tier_tag) when its header and
+  /// offset table are sound and it holds `num_funcs` records; nullptr on a
+  /// miss or on a corrupt/incompatible entry (which is removed).
+  std::unique_ptr<MappedEntry> map(const Sha256Digest& hash,
+                                   const std::string& tier_tag,
+                                   u32 num_funcs) const;
 
   /// Stores `rm`; best-effort (failures are logged, not fatal).
   void store(const Sha256Digest& hash, const std::string& tier_tag,
@@ -63,6 +103,8 @@ class FileSystemCache {
 std::string autotune_table_path(const std::string& dir);
 
 /// Serialization used by the cache (exposed for round-trip tests).
+/// deserialize_regcode is the eager decoder of a whole-module entry: the
+/// same header and table checks as FileSystemCache::map, then every record.
 std::vector<u8> serialize_regcode(const RModule& rm);
 std::optional<RModule> deserialize_regcode(std::span<const u8> bytes);
 std::vector<u8> serialize_rfunc(const RFunc& f);

@@ -84,6 +84,28 @@ RFunc compile_function(const wasm::Module& m, u32 index, EngineTier tier,
   return rf;
 }
 
+/// The optimizing pipeline's options recorded in `ts`.
+OptOptions opt_options(const TieredState& ts) {
+  return OptOptions{.fuse_super = ts.opt_superinstructions,
+                    .hoist_bounds = ts.opt_hoist_bounds,
+                    .simd = ts.opt_simd};
+}
+
+/// Whether a cache-loaded body's frame header agrees with its function's
+/// type. The executors size, zero and fill the frame from these fields, so
+/// a wrong parameter count or a frame smaller than its locals would write
+/// outside it. Operand indices inside the code are not checked.
+bool header_matches(const RFunc& rf, const wasm::FuncType& ft) {
+  return rf.num_params == ft.params.size() &&
+         rf.has_result == !ft.results.empty() &&
+         rf.num_params <= rf.num_locals && rf.num_locals <= rf.num_regs;
+}
+
+/// Type of defined function `defined_index`.
+const wasm::FuncType& defined_type(const wasm::Module& m, u32 defined_index) {
+  return m.func_type(m.num_imported_funcs() + defined_index);
+}
+
 /// Codegen for a cache-loaded body: keeps its blob when the blob's CPU
 /// features are a subset of the host's and its layout hash matches this
 /// build, and compiles a fresh one otherwise.
@@ -188,7 +210,90 @@ void tiered_counting_entry(Instance& inst, const CompiledModule& cm,
   }
 }
 
+/// Builds defined function `di` of a static-tier module loaded from the
+/// cache and publishes it through its unit: decodes its record, prepares it
+/// and, at kJit, installs its native blob. A record that does not decode or
+/// whose header disagrees with the function's type is compiled from the
+/// module bytes instead (they were validated on this load), and the entry
+/// file is removed. Blocks on TieredState::mu: unlike a tier-up, there is
+/// no published body to run meanwhile.
+const RFunc& materialize(const CompiledModule& cm, u32 di) {
+  TieredState& ts = cm.tiered;
+  FuncUnit& u = ts.units[di];
+  std::lock_guard<std::mutex> lock(ts.mu);
+  if (const RFunc* rf = u.active.load(std::memory_order_relaxed))
+    return *rf;  // another thread materialized it first
+
+  trace::Scope span("engine", "cache.materialize");
+  const EngineTier tier = cm.tier;
+  std::unique_ptr<RFunc> body;
+  if (std::optional<RFunc> rf = ts.cache_entry->decode(di);
+      rf && header_matches(*rf, defined_type(cm.module, di))) {
+    body = std::make_unique<RFunc>(std::move(*rf));
+    if (tier == EngineTier::kJit) refresh_jit_blob(*body);
+  } else {
+    MW_DEBUG("cache record of function " << di << " is corrupt; recompiling");
+    ts.cache_entry->remove();
+    body = std::make_unique<RFunc>(
+        compile_function(cm.module, di, tier, opt_options(ts)));
+    ts.stats.cache_record_fallbacks.fetch_add(1, std::memory_order_relaxed);
+  }
+  // Helper addresses are process-specific, so every blob is installed anew;
+  // a function whose blob cannot be installed runs on the threaded
+  // interpreter.
+  if (tier == EngineTier::kJit) install_jit_entry(cm, *body);
+  prepare_rfunc(*body);
+
+  std::unique_ptr<RFunc>& slot =
+      tier == EngineTier::kJit ? u.jit_body : u.optimized_body;
+  slot = std::move(body);
+  u.state.store(FuncState::kRegcode, std::memory_order_relaxed);
+  u.tier.store(tier, std::memory_order_relaxed);
+  u.active.store(slot.get(), std::memory_order_release);
+  u.entry.store(&tiered_steady_entry, std::memory_order_release);
+  ts.stats.cache_materialized_funcs.fetch_add(1, std::memory_order_relaxed);
+  if (MW_TRACE_ACTIVE()) trace::note_arg("func", i64(di));
+  return *slot;
+}
+
+// Cache-loaded static tiers: the first call materializes the function,
+// which also swaps in the steady thunk for later calls.
+void cache_materialize_entry(Instance& inst, const CompiledModule& cm,
+                             u32 defined_index, Slot* base) {
+  materialize(cm, defined_index);
+  tiered_steady_entry(inst, cm, defined_index, base);
+}
+
+/// Gives `cm` one FuncUnit per defined function, entered through `entry`
+/// in `state`, and records the options later per-function compiles use.
+void init_units(CompiledModule& cm, const EngineConfig& cfg, EntryThunk entry,
+                FuncState state) {
+  TieredState& ts = cm.tiered;
+  ts.num_units = u32(cm.module.bodies.size());
+  ts.units = std::make_unique<FuncUnit[]>(ts.num_units);
+  ts.jit_enabled = cfg.jit;
+  ts.cache_enabled = cfg.enable_cache;
+  ts.cache_dir = cfg.cache_dir;
+  ts.opt_superinstructions = cfg.opt_superinstructions;
+  ts.opt_hoist_bounds = cfg.opt_hoist_bounds;
+  ts.opt_simd = cfg.opt_simd;
+  for (u32 i = 0; i < ts.num_units; ++i) {
+    ts.units[i].state.store(state, std::memory_order_relaxed);
+    ts.units[i].entry.store(entry, std::memory_order_relaxed);
+  }
+}
+
 }  // namespace
+
+const RFunc& compiled_body(const CompiledModule& cm, u32 defined_index) {
+  MW_CHECK(cm.tier == EngineTier::kOptimizing || cm.tier == EngineTier::kJit,
+           "compiled_body needs a static compiled tier");
+  if (cm.tiered.units == nullptr) return cm.regcode.funcs.at(defined_index);
+  MW_CHECK(defined_index < cm.tiered.num_units, "function index out of range");
+  const FuncUnit& u = cm.tiered.units[defined_index];
+  if (const RFunc* rf = u.active.load(std::memory_order_acquire)) return *rf;
+  return materialize(cm, defined_index);
+}
 
 void tier_up(const CompiledModule& cm, u32 defined_index, EngineTier target) {
   MW_CHECK(target == EngineTier::kOptimizing || target == EngineTier::kJit,
@@ -214,7 +319,11 @@ void tier_up(const CompiledModule& cm, u32 defined_index, EngineTier target) {
   std::optional<FileSystemCache> cache;
   if (ts.cache_enabled) cache.emplace(ts.cache_dir);
   if (cache) {
-    if (auto cached = cache->load_func(cm.hash, defined_index, tag)) {
+    // A body whose header disagrees with the function's type is not used;
+    // the store below then replaces its entry.
+    const wasm::FuncType& type = defined_type(cm.module, defined_index);
+    if (auto cached = cache->load_func(cm.hash, defined_index, tag);
+        cached && header_matches(*cached, type)) {
       body = std::make_unique<RFunc>(std::move(*cached));
       from_cache = true;
     }
@@ -222,11 +331,8 @@ void tier_up(const CompiledModule& cm, u32 defined_index, EngineTier target) {
                      i64(defined_index));
   }
   if (!body) {
-    body = std::make_unique<RFunc>(compile_function(
-        cm.module, defined_index, target,
-        OptOptions{.fuse_super = ts.opt_superinstructions,
-                   .hoist_bounds = ts.opt_hoist_bounds,
-                   .simd = ts.opt_simd}));
+    body = std::make_unique<RFunc>(
+        compile_function(cm.module, defined_index, target, opt_options(ts)));
   } else if (target == EngineTier::kJit) {
     refresh_jit_blob(*body);
   }
@@ -297,9 +403,12 @@ TierUpSnapshot tierup_snapshot(const CompiledModule& cm) {
   s.jit_funcs = cm.jit_funcs.load(std::memory_order_relaxed);
   s.jit_fallback_funcs = cm.jit_fallback_funcs.load(std::memory_order_relaxed);
   if (cm.jit_arena != nullptr) s.jit_code_bytes = cm.jit_arena->code_bytes();
-  // Statically compiled kJit modules have no tier units; every function was
-  // compiled to RegCode ahead of time, so report them all as such.
-  if (cm.tier == EngineTier::kJit) {
+  s.cache_materialized_funcs = ts.stats.cache_materialized_funcs.load();
+  s.cache_record_fallbacks = ts.stats.cache_record_fallbacks.load();
+  // Cold-compiled kJit modules have no tier units; every function was
+  // compiled to RegCode ahead of time, so report them all as such. (A
+  // cache-loaded one counts the functions materialized so far.)
+  if (cm.tier == EngineTier::kJit && ts.units == nullptr) {
     s.funcs_total = cm.regcode.funcs.size();
     s.funcs_regcode = s.funcs_total;
   }
@@ -350,23 +459,10 @@ std::shared_ptr<const CompiledModule> compile(std::span<const u8> bytes,
     // Instant startup: predecode every function (cheap, linear), defer all
     // lowering/optimization to the counting thunks.
     cm->predecoded = predecode_module(cm->module);
+    init_units(*cm, cfg, &tiered_counting_entry, FuncState::kPredecoded);
     TieredState& ts = cm->tiered;
-    ts.num_units = u32(cm->predecoded.funcs.size());
-    ts.units = std::make_unique<FuncUnit[]>(ts.num_units);
     ts.opt_threshold = std::max<u64>(1, cfg.tierup_opt_threshold);
     ts.jit_threshold = std::max<u64>(ts.opt_threshold, cfg.tierup_jit_threshold);
-    ts.jit_enabled = cfg.jit;
-    ts.cache_enabled = cfg.enable_cache;
-    ts.cache_dir = cfg.cache_dir;
-    ts.opt_superinstructions = cfg.opt_superinstructions;
-    ts.opt_hoist_bounds = cfg.opt_hoist_bounds;
-    ts.opt_simd = cfg.opt_simd;
-    for (u32 i = 0; i < ts.num_units; ++i) {
-      ts.units[i].state.store(FuncState::kPredecoded,
-                              std::memory_order_relaxed);
-      ts.units[i].entry.store(&tiered_counting_entry,
-                              std::memory_order_relaxed);
-    }
     cm->compile_ms = compile_watch.elapsed_ms();
     return cm;
   }
@@ -375,20 +471,12 @@ std::shared_ptr<const CompiledModule> compile(std::span<const u8> bytes,
                                     cfg.opt_hoist_bounds, cfg.opt_simd);
   if (cfg.enable_cache) {
     FileSystemCache cache(cfg.cache_dir);
-    if (auto rm = cache.load(cm->hash, tag)) {
-      cm->regcode = std::move(*rm);
+    if (auto entry = cache.map(cm->hash, tag, u32(cm->module.bodies.size()))) {
+      // A hit builds no function: each one materializes from the mapped
+      // entry on its first call.
+      init_units(*cm, cfg, &cache_materialize_entry, FuncState::kNone);
+      cm->tiered.cache_entry = std::move(entry);
       cm->loaded_from_cache = true;
-      for (auto& rf : cm->regcode.funcs) {
-        prepare_rfunc(rf);
-        // Re-validate and re-install every cached native blob (helper
-        // addresses are process-specific). Blobs from a different CPU or
-        // codegen layout are silently recompiled; functions that still
-        // can't be compiled run on the threaded interpreter.
-        if (tier == EngineTier::kJit) {
-          refresh_jit_blob(rf);
-          install_jit_entry(*cm, rf);
-        }
-      }
       cm->compile_ms = compile_watch.elapsed_ms();
       MW_TRACE_INSTANT("engine", "cache.hit", "module", 1);
       MW_DEBUG("cache hit for " << cm->hash.hex() << " (" << tag << ")");

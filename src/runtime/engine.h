@@ -26,8 +26,11 @@
 // never freed while the module lives.
 //
 // A FileSystemCache keyed by a SHA-256 module digest (paper §3.3 uses
-// BLAKE-3) lets repeated executions skip recompilation entirely; in tiered
-// mode the cache holds per-function entries keyed by
+// BLAKE-3) lets repeated executions skip recompilation entirely. A warm
+// start at a static compiled tier maps the module's entry and builds no
+// function: each one is decoded, prepared and installed on its first call,
+// through the same FuncUnit entry thunks tiered mode uses. In tiered mode
+// the cache holds per-function entries keyed by
 // (module hash, function index, tier) so hot functions warm-start.
 #pragma once
 
@@ -38,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "runtime/cache.h"
 #include "runtime/interp.h"
 #include "runtime/jit_arena.h"
 #include "runtime/jit_support.h"
@@ -154,6 +158,10 @@ struct TierUpStats {
   std::atomic<u64> promoted_jit{0};
   std::atomic<u64> func_cache_hits{0};   // promotions served from cache
   std::atomic<u64> tierup_compile_ns{0};  // wall time spent promoting
+  // Static tiers loaded from the cache: functions built on first call, and
+  // those among them whose record was corrupt and were compiled instead.
+  std::atomic<u64> cache_materialized_funcs{0};
+  std::atomic<u64> cache_record_fallbacks{0};
 };
 
 /// Plain-value copy of TierUpStats for reports, plus a census of the
@@ -173,10 +181,15 @@ struct TierUpSnapshot {
   u64 jit_funcs = 0;           // functions running native code
   u64 jit_fallback_funcs = 0;  // template gaps: fell back to threaded interp
   u64 jit_code_bytes = 0;      // machine code installed in the arena
+  // Cache-loaded static-tier modules (see TierUpStats).
+  u64 cache_materialized_funcs = 0;
+  u64 cache_record_fallbacks = 0;
 };
 
 /// Mutable tiered-execution state hanging off an otherwise immutable
-/// CompiledModule.
+/// CompiledModule. A static-tier module loaded from the cache uses it too:
+/// its units start out entered through a thunk that materializes the
+/// function from `cache_entry` on the first call.
 struct TieredState {
   std::unique_ptr<FuncUnit[]> units;  // parallel to Module::bodies
   u32 num_units = 0;
@@ -188,17 +201,19 @@ struct TieredState {
   bool opt_hoist_bounds = true;
   bool opt_simd = true;
   std::string cache_dir;
+  std::unique_ptr<MappedEntry> cache_entry;  // static tiers, warm start
   std::mutex mu;  // serializes promotion compilation/publication
   TierUpStats stats;
 };
 
 /// An immutable compiled module, shareable across rank instances. (In
-/// kTiered mode `tiered` is the one mutable, internally synchronized
-/// exception: code is born lazily but each published body is immutable.)
+/// kTiered mode, and for a static tier loaded from the cache, `tiered` is
+/// the one mutable, internally synchronized exception: code is born lazily
+/// but each published body is immutable.)
 struct CompiledModule {
   wasm::Module module;
   EngineTier tier = EngineTier::kJit;
-  RModule regcode;              // kOptimizing / kJit
+  RModule regcode;              // kOptimizing / kJit, cold compile only
   PreModule predecoded;         // kInterp / kTiered
   std::vector<u32> canon_type_ids;  // type index -> canonical sig id
   std::vector<u32> func_canon;      // func index (combined) -> canonical sig id
@@ -206,12 +221,12 @@ struct CompiledModule {
   f64 compile_ms = 0;           // excludes decode/validate
   f64 decode_ms = 0;
   bool loaded_from_cache = false;
-  mutable TieredState tiered;   // kTiered only
+  mutable TieredState tiered;   // kTiered, and static tiers from the cache
   // Native-code state (kJit, and kTiered promotions to the jit stage). The
   // arena owns the executable mappings for the module's lifetime; installs
   // are serialized (compile() installs on its calling thread after the
-  // parallel compile loop, tiered promotions hold TieredState::mu). The
-  // counters feed TierUpSnapshot.
+  // parallel compile loop, tiered promotions and cache materializations
+  // hold TieredState::mu). The counters feed TierUpSnapshot.
   mutable std::unique_ptr<JitArena> jit_arena;
   mutable std::atomic<u64> jit_funcs{0};
   mutable std::atomic<u64> jit_fallback_funcs{0};
@@ -229,6 +244,12 @@ std::shared_ptr<const CompiledModule> compile(std::span<const u8> bytes,
 /// on a later call — promotion never stalls execution). Normally driven
 /// by the counting entry thunk, exposed for tests and warm-up hooks.
 void tier_up(const CompiledModule& cm, u32 defined_index, EngineTier target);
+
+/// Returns the body of defined function `defined_index` of a module at a
+/// static compiled tier (kOptimizing or kJit), materializing it first when
+/// the module was loaded from the cache. For tests and benches; calls
+/// materialize through Instance::call_function.
+const RFunc& compiled_body(const CompiledModule& cm, u32 defined_index);
 
 /// Reads the module's tier-up counters (zeros for non-tiered modules).
 TierUpSnapshot tierup_snapshot(const CompiledModule& cm);

@@ -183,14 +183,17 @@ void Instance::call_function(u32 fidx, Slot* base) {
   }
 
   const u32 di = fidx - imported;
+  // Per-function dispatch, in tiered mode and for a static tier loaded from
+  // the cache: the entry thunk reflects the unit's current stage (counting/
+  // interp, counting/optimizing, steady, or not yet materialized).
+  if (cm.tiered.units != nullptr) {
+    cm.tiered.units[di].entry.load(std::memory_order_acquire)(*this, cm, di,
+                                                              base);
+    return;
+  }
   switch (cm.tier) {
-    case EngineTier::kTiered:
-      // Per-function dispatch: the entry thunk reflects the unit's current
-      // stage (counting/interp, counting/optimizing, or steady).
-      cm.tiered.units[di].entry.load(std::memory_order_acquire)(*this, cm, di,
-                                                                base);
-      return;
     case EngineTier::kInterp:
+    case EngineTier::kTiered:  // (always has units)
       run_predecoded(cm.predecoded.funcs[di], base);
       return;
     case EngineTier::kJit: {

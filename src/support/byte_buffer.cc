@@ -193,6 +193,11 @@ size_t ByteWriter::reserve_leb_u32() {
   return at;
 }
 
+void ByteWriter::patch_u32_le(size_t at, u32 v) {
+  MW_CHECK(at + 4 <= buf_.size(), "patch out of range");
+  std::memcpy(buf_.data() + at, &v, 4);
+}
+
 void ByteWriter::patch_leb_u32_fixed5(size_t at, u32 v) {
   MW_CHECK(at + 5 <= buf_.size(), "patch out of range");
   for (int i = 0; i < 4; ++i) {

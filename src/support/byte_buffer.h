@@ -73,6 +73,8 @@ class ByteWriter {
   void write_bytes(std::span<const u8> b);
   void write_name(const std::string& s);
 
+  /// Overwrites the 4 bytes at `at` (written earlier) with `v`.
+  void patch_u32_le(size_t at, u32 v);
   /// Patches a previously reserved fixed-width 32-bit LEB at `at`.
   void patch_leb_u32_fixed5(size_t at, u32 v);
   /// Reserves 5 bytes for a later patch_leb_u32_fixed5 and returns offset.

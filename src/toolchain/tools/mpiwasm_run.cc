@@ -135,7 +135,9 @@ void write_stats_json(const std::string& path, const char* tier, int ranks,
                "    \"calls_counted\": %llu,\n"
                "    \"jit_funcs\": %llu,\n"
                "    \"jit_fallback_funcs\": %llu,\n"
-               "    \"jit_code_bytes\": %llu\n"
+               "    \"jit_code_bytes\": %llu,\n"
+               "    \"cache_materialized_funcs\": %llu,\n"
+               "    \"cache_record_fallbacks\": %llu\n"
                "  }\n"
                "}\n",
                tier, ranks, r.exit_code, r.compile_ms, r.wall_seconds,
@@ -149,7 +151,9 @@ void write_stats_json(const std::string& path, const char* tier, int ranks,
                (unsigned long long)t.calls_counted,
                (unsigned long long)t.jit_funcs,
                (unsigned long long)t.jit_fallback_funcs,
-               (unsigned long long)t.jit_code_bytes);
+               (unsigned long long)t.jit_code_bytes,
+               (unsigned long long)t.cache_materialized_funcs,
+               (unsigned long long)t.cache_record_fallbacks);
   std::fclose(f);
 }
 

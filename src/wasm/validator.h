@@ -10,6 +10,11 @@
 //   - block types: empty or a single result value (no type-indexed blocks)
 //   - function results: at most one value
 //   - at most one table and one memory
+//
+// A rule change here must bump kCacheVersion (src/runtime/cache.cc). The
+// compilation cache serves code lowered from modules that passed these
+// rules, and a warm start mixes cached records with functions compiled on
+// demand from the module bytes; entries from an older rule set must miss.
 #pragma once
 
 #include <string>

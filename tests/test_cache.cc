@@ -1,10 +1,12 @@
 // FileSystemCache tests: serialization round-trip, hit/miss behaviour,
 // hash-keyed invalidation, corrupt-entry recovery (paper §3.3 semantics),
-// concurrent writers, and the parallel static compile whose output the
-// cache stores.
+// concurrent writers, the lazy warm start (a mapped entry whose functions
+// materialize on first call), and the parallel static compile whose output
+// the cache stores.
 #include "testlib.h"
 
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -32,6 +34,49 @@ std::string fresh_cache_dir() {
   fs::create_directories(dir);
   return dir.string();
 }
+
+// Whole-module entry files (format v8): magic, version and a u32 function
+// count, then one (offset u32, length u32) slot per function, then the
+// records.
+constexpr size_t kEntryHeader = 12;
+size_t offset_at(u32 i) { return kEntryHeader + 8 * size_t(i); }
+size_t length_at(u32 i) { return offset_at(i) + 4; }
+
+u32 get_u32(const std::vector<u8>& b, size_t at) {
+  u32 v;
+  std::memcpy(&v, b.data() + at, 4);
+  return v;
+}
+
+void put_u32(std::vector<u8>& b, size_t at, u32 v) {
+  std::memcpy(b.data() + at, &v, 4);
+}
+
+/// The one .rcache file in `dir` (empty path when there is none).
+fs::path only_entry(const std::string& dir) {
+  fs::path entry;
+  for (const auto& e : fs::directory_iterator(dir))
+    if (e.path().extension() == ".rcache") entry = e.path();
+  return entry;
+}
+
+std::vector<u8> read_file_bytes(const fs::path& p) {
+  std::ifstream in(p, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_file_bytes(const fs::path& p, const std::vector<u8>& b) {
+  std::ofstream out(p, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(b.data()), std::streamsize(b.size()));
+}
+
+/// The tier tag an entry is keyed by: its name is "<hash hex>-<tag>.rcache".
+std::string entry_tag(const fs::path& p) {
+  return p.stem().string().substr(2 * 32 + 1);
+}
+
+const EngineTier kCompiledTiers[] = {EngineTier::kOptimizing,
+                                     EngineTier::kJit};
 
 std::vector<u8> make_module(i32 magic) {
   return build_single_func({{}, {I32}}, [&](auto& f) {
@@ -103,24 +148,48 @@ TEST(Cache, EmptyPoolsRoundTrip) {
 }
 
 TEST(Cache, TruncatedBlobIsRejected) {
-  // A whole-module entry of several functions: magic, version, a 1-byte
-  // count, then one record per function (a per-function entry minus its
-  // 8-byte header).
+  // A whole-module entry of several functions: header, offset table, then
+  // one record per function (a per-function entry minus its 8-byte header)
+  // back to back. Every case runs through the eager decoder and through
+  // the mapped warm start.
+  auto dir = fresh_cache_dir();
   auto bytes = toolchain::build_compile_stress_module(4);
   EngineConfig cfg;
   cfg.tier = EngineTier::kOptimizing;
-  auto cm = rt::compile({bytes.data(), bytes.size()}, cfg);
-  const auto& funcs = cm->regcode.funcs;
-  ASSERT_GE(funcs.size(), 3u);
-  const std::vector<u8> good = rt::serialize_regcode(cm->regcode);
-  ASSERT_EQ(good[8], funcs.size()) << "count must be a 1-byte LEB";
+  cfg.enable_cache = true;
+  cfg.cache_dir = dir;
+  auto cold = rt::compile({bytes.data(), bytes.size()}, cfg);
+  ASSERT_FALSE(cold->loaded_from_cache);
+  const auto& funcs = cold->regcode.funcs;
+  const u32 n = u32(funcs.size());
+  ASSERT_EQ(n, 4u);
+  const fs::path entry = only_entry(dir);
+  const std::vector<u8> good = read_file_bytes(entry);
+  ASSERT_EQ(good, rt::serialize_regcode(cold->regcode));
   ASSERT_TRUE(rt::deserialize_regcode({good.data(), good.size()}));
+  ASSERT_EQ(get_u32(good, 8), n);
+  const size_t table_end = offset_at(n);
   // End offset of each record.
   std::vector<size_t> ends;
-  size_t at = 9;
-  for (const auto& f : funcs)
-    ends.push_back(at += rt::serialize_rfunc(f).size() - 8);
+  size_t at = table_end;
+  for (u32 i = 0; i < n; ++i) {
+    ASSERT_EQ(get_u32(good, offset_at(i)), at);
+    ASSERT_EQ(get_u32(good, length_at(i)),
+              rt::serialize_rfunc(funcs[i]).size() - 8);
+    ends.push_back(at += get_u32(good, length_at(i)));
+  }
   ASSERT_EQ(ends.back(), good.size());
+
+  // Moves record 1's end by `delta` bytes (drops its last byte, or appends
+  // a zero byte) and shifts the table behind it, so only the record is
+  // wrong.
+  auto resize_record_1 = [&](std::vector<u8>& b, int delta) {
+    if (delta < 0) b.erase(b.begin() + ptrdiff_t(ends[1]) - 1);
+    else b.insert(b.begin() + ptrdiff_t(ends[1]), u8(0));
+    put_u32(b, length_at(1), get_u32(b, length_at(1)) + u32(delta));
+    for (u32 j = 2; j < n; ++j)
+      put_u32(b, offset_at(j), get_u32(b, offset_at(j)) + u32(delta));
+  };
 
   struct Case {
     std::string what;
@@ -130,25 +199,138 @@ TEST(Cache, TruncatedBlobIsRejected) {
       {"empty", [](auto& b) { b.clear(); }},
       {"cut inside the magic", [](auto& b) { b.resize(3); }},
       {"cut inside the version", [](auto& b) { b.resize(7); }},
-      {"header only", [](auto& b) { b.resize(8); }},
-      {"count with no records behind it", [](auto& b) { b.resize(9); }},
-      {"cut inside the first record", [](auto& b) { b.resize(9 + 3); }},
+      {"header without a count", [](auto& b) { b.resize(8); }},
+      {"count with no table behind it",
+       [](auto& b) { b.resize(kEntryHeader); }},
+      {"table cut mid-way", [&](auto& b) { b.resize(offset_at(n / 2) + 3); }},
+      {"table with no records behind it",
+       [&](auto& b) { b.resize(table_end); }},
+      {"cut inside the first record",
+       [&](auto& b) { b.resize(table_end + 3); }},
       {"cut in half", [](auto& b) { b.resize(b.size() / 2); }},
       {"last byte missing", [](auto& b) { b.resize(b.size() - 1); }},
       // The entry must parse exactly.
       {"trailing junk", [](auto& b) { b.push_back(0); }},
-      {"count one higher than the records", [](auto& b) { ++b[8]; }},
-      {"count one lower than the records", [](auto& b) { --b[8]; }},
+      {"count one higher than the records",
+       [&](auto& b) { put_u32(b, 8, n + 1); }},
+      {"count one lower than the records",
+       [&](auto& b) { put_u32(b, 8, n - 1); }},
+      {"table claims more functions than fit",
+       [](auto& b) { put_u32(b, 8, 0x10000000); }},
+      {"a length one short",
+       [](auto& b) { put_u32(b, length_at(1), get_u32(b, length_at(1)) - 1); }},
+      {"a length one long",
+       [](auto& b) { put_u32(b, length_at(1), get_u32(b, length_at(1)) + 1); }},
+      {"a zero-length record",
+       [&](auto& b) {
+         // Drop record 1 and keep the rest of the table consistent.
+         const u32 len = get_u32(b, length_at(1));
+         b.erase(b.begin() + ptrdiff_t(ends[0]),
+                 b.begin() + ptrdiff_t(ends[1]));
+         put_u32(b, length_at(1), 0);
+         for (u32 j = 2; j < n; ++j)
+           put_u32(b, offset_at(j), get_u32(b, offset_at(j)) - len);
+       }},
+      {"overlapping offsets",
+       [](auto& b) { put_u32(b, offset_at(2), get_u32(b, offset_at(1))); }},
+      {"out-of-order offsets",
+       [](auto& b) {
+         std::swap_ranges(b.begin() + ptrdiff_t(offset_at(1)),
+                          b.begin() + ptrdiff_t(offset_at(2)),
+                          b.begin() + ptrdiff_t(offset_at(2)));
+       }},
+      // Sound tables around one bad record: caught when it materializes.
+      {"a record one byte short", [&](auto& b) { resize_record_1(b, -1); }},
+      {"a record one byte long", [&](auto& b) { resize_record_1(b, +1); }},
   };
   // A cut at a record boundary leaves whole records, but fewer than the
   // count.
   for (size_t i = 0; i + 1 < ends.size(); ++i)
     cases.push_back({"cut after record " + std::to_string(i),
                      [end = ends[i]](auto& b) { b.resize(end); }});
+
+  const Value args[] = {Value::from_i32(100)};
+  rt::Instance cold_inst(cold, rt::ImportTable{});
+  FileSystemCache cache(dir);
+  const std::string tag = entry_tag(entry);
+  u32 sound_tables = 0;
   for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
     std::vector<u8> blob = good;
     c.mutate(blob);
-    EXPECT_FALSE(rt::deserialize_regcode({blob.data(), blob.size()})) << c.what;
+    EXPECT_FALSE(rt::deserialize_regcode({blob.data(), blob.size()}));
+    write_file_bytes(entry, blob);
+    if (!cache.map(cold->hash, tag, n)) {
+      EXPECT_FALSE(fs::exists(entry)) << "a rejected entry is removed";
+      continue;
+    }
+    ++sound_tables;
+    auto warm = rt::compile({bytes.data(), bytes.size()}, cfg);
+    ASSERT_TRUE(warm->loaded_from_cache);
+    rt::Instance warm_inst(warm, rt::ImportTable{});
+    for (u32 i = 0; i < n; ++i)
+      EXPECT_EQ(warm_inst.invoke_index(i, args).as_f64(),
+                cold_inst.invoke_index(i, args).as_f64())
+          << "func " << i;
+    EXPECT_EQ(rt::tierup_snapshot(*warm).cache_record_fallbacks, 1u);
+    EXPECT_FALSE(fs::exists(entry)) << "an entry with a bad record is removed";
+  }
+  EXPECT_EQ(sound_tables, 2u);
+  fs::remove_all(dir);
+}
+
+TEST(Cache, RecordHeaderThatDisagreesWithItsTypeIsRecompiled) {
+  // The executors size, zero and fill a frame from a record's num_params,
+  // num_locals, num_regs and has_result; num_params 127 on an (i32) -> i32
+  // function used to underflow the zeroing length on the first call. Such
+  // a record compiles from the module bytes instead. (Operand indices in
+  // the RegCode itself are not checked against num_regs: that is a larger
+  // job than these header fields.)
+  auto bytes = build_single_func({{I32}, {I32}}, [](auto& f) {
+    f.local_get(0);
+    f.i32_const(3);
+    f.op(Op::kI32Mul);
+    f.end();
+  });
+  struct Case {
+    const char* what;
+    std::function<void(rt::RFunc&)> mutate;
+  };
+  const Case cases[] = {
+      {"num_params 127", [](auto& f) { f.num_params = 127; }},
+      {"num_params 0", [](auto& f) { f.num_params = 0; }},
+      {"num_params 2", [](auto& f) { f.num_params = 2; }},
+      {"no result", [](auto& f) { f.has_result = false; }},
+      {"num_locals below num_params", [](auto& f) { f.num_locals = 0; }},
+      {"num_regs below num_locals",
+       [](auto& f) { f.num_regs = f.num_locals - 1; }},
+  };
+  for (EngineTier tier : kCompiledTiers) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(rt::tier_name(tier)) + ": " + c.what);
+      auto dir = fresh_cache_dir();
+      EngineConfig cfg;
+      cfg.tier = tier;
+      cfg.jit = true;
+      cfg.enable_cache = true;
+      cfg.cache_dir = dir;
+      auto cold = rt::compile({bytes.data(), bytes.size()}, cfg);
+      ASSERT_FALSE(cold->loaded_from_cache);
+      const fs::path entry = only_entry(dir);
+      const std::vector<u8> good = read_file_bytes(entry);
+      auto rm = rt::deserialize_regcode({good.data(), good.size()});
+      ASSERT_TRUE(rm.has_value());
+      c.mutate(rm->funcs[0]);
+      write_file_bytes(entry, rt::serialize_regcode(*rm));
+
+      auto warm = rt::compile({bytes.data(), bytes.size()}, cfg);
+      EXPECT_TRUE(warm->loaded_from_cache);
+      rt::Instance inst(warm, rt::ImportTable{});
+      const Value args[] = {Value::from_i32(14)};
+      EXPECT_EQ(inst.invoke("run", args).as_i32(), 42);
+      EXPECT_EQ(rt::tierup_snapshot(*warm).cache_record_fallbacks, 1u);
+      fs::remove_all(dir);
+    }
   }
 }
 
@@ -156,9 +338,8 @@ TEST(Cache, HugeFunctionCountIsRejectedNotAllocated) {
   // A corrupt count must be a clean miss, not a multi-GB resize.
   rt::RModule empty_rm;
   auto blob = rt::serialize_regcode(empty_rm);
-  blob.resize(8);  // keep magic + version only
-  for (int k = 0; k < 5; ++k) blob.push_back(0xFF);  // LEB ~ 2^32
-  blob.back() = 0x0F;
+  ASSERT_EQ(blob.size(), kEntryHeader);
+  put_u32(blob, 8, 0xFFFFFFFF);
   EXPECT_FALSE(rt::deserialize_regcode({blob.data(), blob.size()}).has_value());
 }
 
@@ -218,11 +399,11 @@ TEST(Cache, OptimizingAblationFlagsKeySeparately) {
 TEST(Cache, StaleVersionEntriesAreRejectedCleanlyAndRecompiled) {
   // Every cache format bump renumbers the ROp space (v4: superinstructions
   // / raw ops / kMemGuard; v5: the full SIMD opcode space) or extends the
-  // record layout (v6: the optional native-code section). A pre-upgrade
-  // v3/v4/v5 entry must be treated as a clean miss — no crash, no
-  // misdecoded code, just a silent recompile that overwrites the stale
-  // entry.
-  for (char stale_version : {char(3), char(4), char(5)}) {
+  // record layout (v6: the optional native-code section) or the entry
+  // layout (v8: the offset table). A pre-upgrade v3/v4/v5/v7 entry must be
+  // treated as a clean miss — no crash, no misdecoded code, just a silent
+  // recompile that overwrites the stale entry.
+  for (char stale_version : {char(3), char(4), char(5), char(7)}) {
     auto dir = fresh_cache_dir();
     auto bytes = make_module(77);
     EngineConfig cfg;
@@ -273,7 +454,7 @@ TEST(Cache, PerFunctionEntriesRoundTripAndKeySeparately) {
   EXPECT_FALSE(cache.load_func(cm->hash, 1, "optimizing").has_value());
   EXPECT_FALSE(cache.load_func(cm->hash, 0, "jit").has_value());
   // The per-function entry does not satisfy a whole-module lookup.
-  EXPECT_FALSE(cache.load(cm->hash, "optimizing").has_value());
+  EXPECT_EQ(cache.map(cm->hash, "optimizing", 1), nullptr);
 
   auto loaded = cache.load_func(cm->hash, 0, "optimizing");
   ASSERT_TRUE(loaded.has_value());
@@ -462,9 +643,10 @@ TEST(Cache, ConcurrentWritersOfOneEntryLeaveOneLoadableEntry) {
   // publish by rename, never by rewriting the file in place.
   std::atomic<bool> writing{true};
   std::atomic<u32> misses{0};
+  const u32 n = u32(cm->regcode.funcs.size());
   std::thread reader([&] {
     while (writing.load())
-      if (!cache.load(cm->hash, tag)) misses.fetch_add(1);
+      if (!cache.map(cm->hash, tag, n)) misses.fetch_add(1);
   });
   std::vector<std::thread> writers;
   for (int t = 0; t < 2; ++t)
@@ -483,9 +665,14 @@ TEST(Cache, ConcurrentWritersOfOneEntryLeaveOneLoadableEntry) {
   }
   EXPECT_EQ(entries, 1u);
   EXPECT_EQ(temps, 0u) << "every writer renames or removes its temp file";
-  auto loaded = cache.load(cm->hash, tag);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(rt::serialize_regcode(*loaded), rt::serialize_regcode(cm->regcode));
+  auto mapped = cache.map(cm->hash, tag, n);
+  ASSERT_NE(mapped, nullptr);
+  for (u32 i = 0; i < n; ++i) {
+    auto f = mapped->decode(i);
+    ASSERT_TRUE(f.has_value()) << "func " << i;
+    EXPECT_EQ(rt::serialize_rfunc(*f),
+              rt::serialize_rfunc(cm->regcode.funcs[i]));
+  }
   fs::remove_all(dir);
 }
 
@@ -507,9 +694,6 @@ std::shared_ptr<const rt::CompiledModule> compile_stress(EngineTier tier) {
   cfg.jit = true;
   return rt::compile({bytes.data(), bytes.size()}, cfg);
 }
-
-const EngineTier kCompiledTiers[] = {EngineTier::kOptimizing,
-                                     EngineTier::kJit};
 
 TEST(ParallelCompile, EachFunctionMatchesTheSerialPipeline) {
   for (EngineTier tier : kCompiledTiers) {
@@ -551,28 +735,35 @@ TEST(ParallelCompile, RepeatedCompilesAreByteIdentical) {
   }
 }
 
-TEST(ParallelCompile, WarmLoadMatchesTheColdCompile) {
-  // A warm load installs the same code as the parallel cold compile that
-  // stored the entry.
-  auto dir = fresh_cache_dir();
-  const auto& bytes = parallel_stress_module();
+EngineConfig stress_cache_config(const std::string& dir) {
   EngineConfig cfg;
   cfg.tier = EngineTier::kJit;
   cfg.jit = true;
   cfg.enable_cache = true;
   cfg.cache_dir = dir;
+  return cfg;
+}
+
+TEST(ParallelCompile, WarmLoadMatchesTheColdCompile) {
+  // A warm load builds no function; materializing them all installs the
+  // same code as the parallel cold compile that stored the entry.
+  auto dir = fresh_cache_dir();
+  const auto& bytes = parallel_stress_module();
+  const EngineConfig cfg = stress_cache_config(dir);
   auto cold = rt::compile({bytes.data(), bytes.size()}, cfg);
   ASSERT_FALSE(cold->loaded_from_cache);
   auto warm = rt::compile({bytes.data(), bytes.size()}, cfg);
   ASSERT_TRUE(warm->loaded_from_cache);
-  ASSERT_EQ(warm->regcode.funcs.size(), kParallelFuncs);
+  EXPECT_EQ(rt::tierup_snapshot(*warm).jit_funcs, 0u);
   for (u32 i = 0; i < kParallelFuncs; ++i)
-    ASSERT_EQ(rt::serialize_rfunc(warm->regcode.funcs[i]),
+    ASSERT_EQ(rt::serialize_rfunc(rt::compiled_body(*warm, i)),
               rt::serialize_rfunc(cold->regcode.funcs[i]))
         << "func " << i;
   const rt::TierUpSnapshot s = rt::tierup_snapshot(*warm);
   EXPECT_EQ(s.jit_funcs, kParallelFuncs);
   EXPECT_EQ(s.jit_fallback_funcs, 0u);
+  EXPECT_EQ(s.cache_materialized_funcs, kParallelFuncs);
+  EXPECT_EQ(s.cache_record_fallbacks, 0u);
   ASSERT_NE(cold->jit_arena, nullptr);
   ASSERT_NE(warm->jit_arena, nullptr);
   EXPECT_EQ(warm->jit_arena->code_bytes(), cold->jit_arena->code_bytes());
@@ -584,24 +775,101 @@ TEST(ParallelCompile, WarmLoadMatchesTheColdCompile) {
   fs::remove_all(dir);
 }
 
+TEST(ParallelCompile, ConcurrentFirstCallsMaterializeEachFunctionOnce) {
+  // Four threads, each with its own instance of one warm-loaded module,
+  // first-call the same 64 functions at once. Each gets the cold result,
+  // and each function is materialized and installed exactly once.
+  constexpr u32 kFuncs = 64;
+  constexpr int kThreads = 4;
+  auto dir = fresh_cache_dir();
+  const auto& bytes = parallel_stress_module();
+  const EngineConfig cfg = stress_cache_config(dir);
+  auto cold = rt::compile({bytes.data(), bytes.size()}, cfg);
+  auto warm = rt::compile({bytes.data(), bytes.size()}, cfg);
+  ASSERT_TRUE(warm->loaded_from_cache);
+  const Value args[] = {Value::from_i32(100)};
+  std::vector<f64> expected(kFuncs);
+  {
+    rt::Instance inst(cold, rt::ImportTable{});
+    for (u32 i = 0; i < kFuncs; ++i)
+      expected[i] = inst.invoke_index(i, args).as_f64();
+  }
+  std::vector<std::vector<f64>> got(kThreads, std::vector<f64>(kFuncs));
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      rt::Instance inst(warm, rt::ImportTable{});
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (u32 i = 0; i < kFuncs; ++i)
+        got[t][i] = inst.invoke_index(i, args).as_f64();
+    });
+  for (auto& t : threads) t.join();
+  for (int t = 0; t < kThreads; ++t)
+    for (u32 i = 0; i < kFuncs; ++i)
+      EXPECT_EQ(got[t][i], expected[i]) << "thread " << t << " func " << i;
+  rt::TierUpSnapshot s = rt::tierup_snapshot(*warm);
+  EXPECT_EQ(s.cache_materialized_funcs, kFuncs);
+  EXPECT_EQ(s.jit_funcs, kFuncs);
+  for (u32 i = 0; i < kParallelFuncs; ++i) (void)rt::compiled_body(*warm, i);
+  s = rt::tierup_snapshot(*warm);
+  EXPECT_EQ(s.cache_materialized_funcs, kParallelFuncs);
+  EXPECT_EQ(s.jit_code_bytes, rt::tierup_snapshot(*cold).jit_code_bytes);
+  fs::remove_all(dir);
+}
+
 TEST(ParallelCompile, MutatedEntriesAreRejectedOrDecodeCleanly) {
-  // Single-byte flips of the 1024-function entry are a clean miss or a
-  // clean decode; every strict prefix of it is a miss.
-  auto cm = compile_stress(EngineTier::kJit);
-  std::vector<u8> blob = rt::serialize_regcode(cm->regcode);
+  // Single-byte flips of the 1024-function entry, anywhere and in its
+  // header and offset table in particular, are a clean miss or a clean
+  // decode; every strict prefix of it is a miss. Flipped entries also go
+  // through the mapped warm start: an entry that maps has every function
+  // materialized (decoded or recompiled, and installed), but none is run,
+  // since a flip that decodes may change what the code computes.
+  auto dir = fresh_cache_dir();
+  const auto& bytes = parallel_stress_module();
+  const EngineConfig cfg = stress_cache_config(dir);
+  auto cold = rt::compile({bytes.data(), bytes.size()}, cfg);
+  const fs::path entry = only_entry(dir);
+  std::vector<u8> blob = read_file_bytes(entry);
+  ASSERT_EQ(blob, rt::serialize_regcode(cold->regcode));
+  FileSystemCache cache(dir);
+  const std::string tag = entry_tag(entry);
   std::mt19937_64 rng(19);
-  for (int k = 0; k < 2000; ++k) {
-    const size_t at = rng() % blob.size();
+  // Flips the byte at `at`; returns whether the flipped entry mapped.
+  auto flip = [&](size_t at, bool through_map) {
     const u8 mask = u8(1 + rng() % 255);
     blob[at] ^= mask;
     (void)rt::deserialize_regcode({blob.data(), blob.size()});
+    bool mapped = false;
+    if (through_map) {
+      write_file_bytes(entry, blob);
+      mapped = cache.map(cold->hash, tag, kParallelFuncs) != nullptr;
+      if (mapped) {
+        auto warm = rt::compile({bytes.data(), bytes.size()}, cfg);
+        EXPECT_TRUE(warm->loaded_from_cache);
+        for (u32 i = 0; i < kParallelFuncs; ++i)
+          (void)rt::compiled_body(*warm, i);
+      }
+    }
     blob[at] ^= mask;
-  }
+    return mapped;
+  };
+  u32 mapped = 0;
+  for (int k = 0; k < 2000; ++k)
+    if (flip(rng() % blob.size(), k % 20 == 0)) ++mapped;
+  EXPECT_GT(mapped, 0u) << "flips inside records map and materialize";
+  u32 table_flips_mapped = 0;
+  for (int k = 0; k < 200; ++k)
+    if (flip(rng() % offset_at(kParallelFuncs), true)) ++table_flips_mapped;
+  EXPECT_EQ(table_flips_mapped, 0u)
+      << "every flip in the header or the table is rejected";
   u32 truncations_rejected = 0;
   for (int k = 0; k < 500; ++k)
     if (!rt::deserialize_regcode({blob.data(), rng() % blob.size()}))
       ++truncations_rejected;
   EXPECT_EQ(truncations_rejected, 500u) << "every truncation is rejected";
+  fs::remove_all(dir);
 }
 
 TEST(ParallelCompile, EveryTierComputesTheSameResult) {

@@ -518,15 +518,17 @@ TEST(Jit, CacheRoundTripsNativeBlob) {
 
   auto warm = rt::compile({bytes.data(), bytes.size()}, cfg);
   EXPECT_TRUE(warm->loaded_from_cache);
-  EXPECT_EQ(warm->jit_funcs.load(), 1u) << "blob must install from cache";
-  ASSERT_NE(warm->regcode.funcs[0].jit, nullptr);
-  EXPECT_EQ(warm->regcode.funcs[0].jit->layout_hash, rt::jit_layout_hash());
+  EXPECT_EQ(warm->jit_funcs.load(), 0u) << "installed on first call";
   rt::ImportTable imports;
   rt::Instance inst(warm, imports);
   EXPECT_EQ(inst.invoke("run", std::vector<Value>{Value::from_i32(6),
                                                   Value::from_i32(7)})
                 .as_i32(),
             47);
+  EXPECT_EQ(warm->jit_funcs.load(), 1u) << "blob must install from cache";
+  const rt::RFunc& body = rt::compiled_body(*warm, 0);
+  ASSERT_NE(body.jit, nullptr);
+  EXPECT_EQ(body.jit->layout_hash, rt::jit_layout_hash());
   fs::remove_all(dir);
 }
 
@@ -552,13 +554,14 @@ TEST(Jit, CacheBlobWithWrongLayoutHashIsRecompiledNotInstalled) {
 
   auto warm = rt::compile({bytes.data(), bytes.size()}, cfg);
   EXPECT_TRUE(warm->loaded_from_cache);  // RegCode part is still valid
-  EXPECT_EQ(warm->jit_funcs.load(), 1u) << "stale blob must be recompiled";
+  EXPECT_EQ(warm->jit_funcs.load(), 0u) << "installed on first call";
   rt::ImportTable imports;
   rt::Instance inst(warm, imports);
   EXPECT_EQ(inst.invoke("run", std::vector<Value>{Value::from_i32(6),
                                                   Value::from_i32(7)})
                 .as_i32(),
             47);
+  EXPECT_EQ(warm->jit_funcs.load(), 1u) << "stale blob must be recompiled";
   fs::remove_all(dir);
 }
 
@@ -583,13 +586,14 @@ TEST(Jit, CacheBlobWithUnknownCpuFeatureIsRecompiledNotInstalled) {
 
   auto warm = rt::compile({bytes.data(), bytes.size()}, cfg);
   EXPECT_TRUE(warm->loaded_from_cache);
-  EXPECT_EQ(warm->jit_funcs.load(), 1u);
+  EXPECT_EQ(warm->jit_funcs.load(), 0u) << "installed on first call";
   rt::ImportTable imports;
   rt::Instance inst(warm, imports);
   EXPECT_EQ(inst.invoke("run", std::vector<Value>{Value::from_i32(6),
                                                   Value::from_i32(7)})
                 .as_i32(),
             47);
+  EXPECT_EQ(warm->jit_funcs.load(), 1u);
   fs::remove_all(dir);
 }
 
@@ -621,13 +625,14 @@ TEST(Jit, InvalidBlobOnUncompilableFunctionFallsBackToThreaded) {
 
   auto warm = rt::compile({bytes.data(), bytes.size()}, cfg);
   EXPECT_TRUE(warm->loaded_from_cache);
-  EXPECT_EQ(warm->jit_funcs.load(), 0u);
-  EXPECT_EQ(warm->jit_fallback_funcs.load(), 1u);
+  EXPECT_EQ(warm->jit_fallback_funcs.load(), 0u) << "decided on first call";
   rt::ImportTable imports;
   rt::Instance inst(warm, imports);
   EXPECT_EQ(inst.invoke("run", std::vector<Value>{Value::from_i32(77)})
                 .as_i32(),
             77);
+  EXPECT_EQ(warm->jit_funcs.load(), 0u);
+  EXPECT_EQ(warm->jit_fallback_funcs.load(), 1u);
   fs::remove_all(dir);
 }
 
