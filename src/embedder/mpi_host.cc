@@ -760,7 +760,6 @@ void register_mpi_host_functions(rt::ImportTable& t, bool faasm_compat) {
             simmpi::ReduceOp op = env.translate_op(a[4].i32v);
             simmpi::Comm comm = env.translate_comm(a[5].i32v);
             LinearMemory& mem = ctx.memory();
-            bool in_place = a[0].u32v == u32(abi::MPI_IN_PLACE);
             const void* sbuf = coll_send_view(env, mem, a[0].u32v, bytes);
             // preload so rank 0's untouched recvbuf round-trips unchanged
             // through the staged commit.

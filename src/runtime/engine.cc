@@ -405,12 +405,14 @@ TierUpSnapshot tierup_snapshot(const CompiledModule& cm) {
   if (cm.jit_arena != nullptr) s.jit_code_bytes = cm.jit_arena->code_bytes();
   s.cache_materialized_funcs = ts.stats.cache_materialized_funcs.load();
   s.cache_record_fallbacks = ts.stats.cache_record_fallbacks.load();
-  // Cold-compiled kJit modules have no tier units; every function was
-  // compiled to RegCode ahead of time, so report them all as such. (A
-  // cache-loaded one counts the functions materialized so far.)
-  if (cm.tier == EngineTier::kJit && ts.units == nullptr) {
-    s.funcs_total = cm.regcode.funcs.size();
-    s.funcs_regcode = s.funcs_total;
+  // A cold static-tier module has no tier units: every function was
+  // predecoded (kInterp) or compiled to RegCode ahead of time, so report
+  // them all as such. (A cache-loaded one counts the functions
+  // materialized so far.)
+  if (ts.units == nullptr) {
+    s.funcs_total = cm.module.bodies.size();
+    (cm.tier == EngineTier::kInterp ? s.funcs_predecoded : s.funcs_regcode) =
+        s.funcs_total;
   }
   return s;
 }

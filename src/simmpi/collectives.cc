@@ -400,8 +400,10 @@ void Rank::alltoallv(const void* sendbuf, const int* sendcounts,
     Request r = irecv_internal(out + size_t(rdispls[from]) * esize,
                                size_t(recvcounts[from]) * esize, from,
                                kCollectiveTag, c);
-    send_internal(in + size_t(sdispls[to]) * esize,
-                  size_t(sendcounts[to]) * esize, to, kCollectiveTag, c);
+    Request sent = isend_internal(in + size_t(sdispls[to]) * esize,
+                                  size_t(sendcounts[to]) * esize, to,
+                                  kCollectiveTag, c, /*charge_wire=*/true);
+    wait(sent);
     wait(r);
   }
 }

@@ -1,5 +1,6 @@
 #include "simmpi/world.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -18,32 +19,55 @@ thread_local Rank* tl_current_rank = nullptr;
 /// Deadlock watchdog (types.h kDeadlockTimeout; shared with mpi_host.cc).
 constexpr auto kBlockTimeout = kDeadlockTimeout;
 
-bool key_matches(const detail::RecvDesc& r, const detail::SendDesc& s) {
-  return r.comm_id == s.comm_id &&
-         (r.src == kAnySource || r.src == s.src_comm_rank) &&
-         (r.tag == kAnyTag || r.tag == s.tag);
+/// MPI matching of a message (msg_comm, msg_src, msg_tag) against a
+/// receive's selector (comm, source, tag). kAnyTag matches user tags only:
+/// collective traffic shares the communicator under negative tags and must
+/// never land in a wildcard user receive.
+bool matches(i32 comm, int source, int tag, i32 msg_comm, int msg_src,
+             int msg_tag) {
+  return comm == msg_comm && (source == kAnySource || source == msg_src) &&
+         (tag == kAnyTag ? msg_tag >= 0 : tag == msg_tag);
 }
 
+/// The oldest queued message a receive (comm_id, source, tag) matches, or
+/// box.unexpected.end(). Caller holds box.mu.
+auto find_unexpected(detail::Mailbox& box, i32 comm_id, int source, int tag) {
+  return std::find_if(box.unexpected.begin(), box.unexpected.end(),
+                      [&](const auto& s) {
+                        return matches(comm_id, source, tag, s->comm_id,
+                                       s->src_comm_rank, s->tag);
+                      });
+}
 
-/// Finds and removes the first live posted receive matching
-/// (comm_id, src, tag); null when none is posted. Caller holds box.mu.
+/// Finds and removes the oldest posted receive that a message
+/// (comm_id, src_comm_rank, tag) matches; null when none is posted. Caller
+/// holds box.mu.
 std::shared_ptr<detail::RecvDesc> take_posted_match(detail::Mailbox& box,
                                                     i32 comm_id,
                                                     int src_comm_rank,
                                                     int tag) {
-  for (auto it = box.posted.begin(); it != box.posted.end(); ++it) {
-    detail::RecvDesc& r = **it;
-    if (r.done) continue;
-    detail::SendDesc probe;
-    probe.comm_id = comm_id;
-    probe.src_comm_rank = src_comm_rank;
-    probe.tag = tag;
-    if (!key_matches(r, probe)) continue;
-    auto found = *it;
-    box.posted.erase(it);
-    return found;
-  }
-  return nullptr;
+  auto it = std::find_if(box.posted.begin(), box.posted.end(),
+                         [&](const auto& r) {
+                           return matches(r->comm_id, r->src, r->tag, comm_id,
+                                          src_comm_rank, tag);
+                         });
+  if (it == box.posted.end()) return nullptr;
+  auto found = std::move(*it);
+  box.posted.erase(it);
+  return found;
+}
+
+/// Copies a `bytes`-byte message into a receive buffer of `capacity` bytes.
+/// The one truncation rule: the first min(bytes, capacity) bytes arrive,
+/// and the receive is truncated (an error when it completes) if the message
+/// is larger.
+detail::RecvResult deliver(u8* dst, size_t capacity, const u8* src,
+                           size_t bytes, int src_comm_rank, int tag) {
+  const size_t n = std::min(bytes, capacity);
+  // A zero-length message may carry null buffers on both sides; memcpy
+  // requires valid pointers even for n == 0.
+  if (n > 0) std::memcpy(dst, src, n);
+  return {Status{src_comm_rank, tag, n}, bytes > capacity};
 }
 
 /// Wakes everything waiting on `box`: its rank parked in poll_with_progress
@@ -65,14 +89,12 @@ void complete_send(detail::SendDesc& s) {
   s.sender_box->cv.notify_all();
 }
 
-/// Completes a matched receive with a single direct copy from the sender's
-/// buffer. Caller holds box.mu.
+/// Completes posted receive `r` with a single direct copy from the
+/// sender's buffer. Caller holds box.mu.
 void deliver_now(detail::Mailbox& box, detail::RecvDesc& r, const void* buf,
                  size_t bytes, int src_comm_rank, int tag) {
-  size_t n = std::min(bytes, r.capacity);
-  if (bytes > r.capacity) r.truncated = true;
-  if (n > 0) std::memcpy(r.dst, buf, n);
-  r.status = Status{src_comm_rank, tag, n};
+  r.result = deliver(r.dst, r.capacity, static_cast<const u8*>(buf), bytes,
+                     src_comm_rank, tag);
   r.done = true;
   notify(box);
 }
@@ -98,8 +120,7 @@ void pump_pipelines(detail::Mailbox& box) {
       s.copied = limit;
     }
     if (avail >= s.bytes) {
-      if (s.bytes > r.capacity) r.truncated = true;
-      r.status = Status{s.src_comm_rank, s.tag, std::min(s.bytes, r.capacity)};
+      r.result = {Status{s.src_comm_rank, s.tag, limit}, s.bytes > r.capacity};
       r.done = true;
       complete_send(s);
       it = box.draining.erase(it);
@@ -541,134 +562,9 @@ bool Rank::wait_with_progress(detail::Mailbox& box,
 // Point-to-point
 // ---------------------------------------------------------------------------
 
-void Rank::send_internal(const void* buf, size_t bytes, int dest, int tag,
-                         const detail::CommData& c) {
-  if (dest < 0 || dest >= int(c.world_ranks.size()))
-    throw MpiError("send: destination rank out of range");
-  const NetworkProfile& prof = world_->profile();
-  // Model wire time at injection (deterministic spin; docs/ARCHITECTURE.md,
-  // "src/simmpi").
-  spin_for_ns(prof.message_cost_ns(bytes));
-
-  detail::Mailbox& box = world_->box(c.world_ranks[dest]);
-  std::unique_lock<std::mutex> lock(box.mu);
-
-  // Try to match an already-posted receive (fast path: copy straight from
-  // the sender's buffer into the receiver's buffer — single copy).
-  if (auto r = take_posted_match(box, c.id, c.my_comm_rank, tag)) {
-    deliver_now(box, *r, buf, bytes, c.my_comm_rank, tag);
-    return;
-  }
-
-  auto desc = std::make_shared<detail::SendDesc>();
-  desc->comm_id = c.id;
-  desc->src_comm_rank = c.my_comm_rank;
-  desc->tag = tag;
-  desc->bytes = bytes;
-  if (bytes <= prof.eager_limit || prof.force_copy) {
-    desc->eager = true;
-    desc->eager_buf.assign(static_cast<const u8*>(buf),
-                           static_cast<const u8*>(buf) + bytes);
-    box.unexpected.push_back(std::move(desc));
-    notify(box);
-    return;  // eager send completes locally
-  }
-  // Rendezvous: park the sender's buffer pointer and wait for the receiver
-  // to complete the single copy.
-  desc->eager = false;
-  desc->payload = static_cast<const u8*>(buf);
-  box.unexpected.push_back(desc);
-  notify(box);
-  bool ok = wait_with_progress(box, lock, [&] {
-    return desc->completed || world_->aborting();
-  });
-  if (world_->aborting()) throw MpiAbort(-1);
-  if (!ok)
-    throw MpiError("send: rendezvous timed out (deadlock?) from rank " +
-                   std::to_string(c.my_comm_rank) + " tag " +
-                   std::to_string(tag));
-}
-
-Status Rank::recv_internal(void* buf, size_t bytes, int source, int tag,
-                           const detail::CommData& c) {
-  if (source != kAnySource &&
-      (source < 0 || source >= int(c.world_ranks.size())))
-    throw MpiError("recv: source rank out of range");
-  detail::Mailbox& box = world_->box(world_rank_);
-  std::unique_lock<std::mutex> lock(box.mu);
-
-  auto try_match = [&]() -> std::shared_ptr<detail::SendDesc> {
-    for (auto it = box.unexpected.begin(); it != box.unexpected.end(); ++it) {
-      detail::SendDesc& s = **it;
-      if (s.comm_id != c.id) continue;
-      if (source != kAnySource && s.src_comm_rank != source) continue;
-      if (tag != kAnyTag && s.tag != tag) continue;
-      auto found = *it;
-      box.unexpected.erase(it);
-      return found;
-    }
-    return nullptr;
-  };
-
-  std::shared_ptr<detail::SendDesc> s = try_match();
-  if (s == nullptr) {
-    // Post the receive and block until a sender completes it.
-    auto desc = std::make_shared<detail::RecvDesc>();
-    desc->comm_id = c.id;
-    desc->src = source;
-    desc->tag = tag;
-    desc->dst = static_cast<u8*>(buf);
-    desc->capacity = bytes;
-    box.posted.push_back(desc);
-    bool ok = wait_with_progress(box, lock, [&] {
-      return desc->done || world_->aborting();
-    });
-    if (world_->aborting()) throw MpiAbort(-1);
-    if (!ok)
-      throw MpiError("recv: timed out (deadlock?) at rank " +
-                     std::to_string(c.my_comm_rank) + " source " +
-                     std::to_string(source) + " tag " + std::to_string(tag));
-    if (desc->truncated)
-      throw MpiError("recv: message truncated (buffer too small)");
-    return desc->status;
-  }
-
-  // Matched an unexpected send.
-  size_t n = std::min(s->bytes, bytes);
-  if (s->bytes > bytes) throw MpiError("recv: message truncated");
-  if (s->seg_ns > 0) {
-    // Pipelined rendezvous: pair up and drain segments as their wire
-    // deadlines pass (all may already be visible if the send is old).
-    auto desc = std::make_shared<detail::RecvDesc>();
-    desc->comm_id = c.id;
-    desc->src = source;
-    desc->tag = tag;
-    desc->dst = static_cast<u8*>(buf);
-    desc->capacity = bytes;
-    s->sink = desc;
-    box.draining.push_back(s);
-    pump_pipelines(box);
-    if (!desc->done) {
-      bool ok = wait_with_progress(box, lock, [&] {
-        return desc->done || world_->aborting();
-      });
-      if (world_->aborting()) throw MpiAbort(-1);
-      if (!ok)
-        throw MpiError("recv: pipelined rendezvous timed out (deadlock?)");
-    }
-    return desc->status;
-  }
-  // A zero-length message may carry null buffers on both sides; memcpy
-  // requires valid pointers even for n == 0.
-  if (s->eager) {
-    if (n > 0) std::memcpy(buf, s->eager_buf.data(), n);
-  } else {
-    if (n > 0) std::memcpy(buf, s->payload, n);
-    complete_send(*s);
-    notify(box);  // wake a blocking rendezvous sender waiting on this box
-  }
-  return Status{s->src_comm_rank, s->tag, n};
-}
+// Blocking send and recv are their nonblocking twins run to completion:
+// every send posts through isend_internal and every receive through
+// match_or_post.
 
 void Rank::send(const void* buf, int count, Datatype type, int dest, int tag,
                 Comm comm) {
@@ -676,7 +572,11 @@ void Rank::send(const void* buf, int count, Datatype type, int dest, int tag,
   if (count < 0) throw MpiError("send: negative count");
   maybe_icoll_progress();
   const detail::CommData& c = comm_data(comm);
-  send_internal(buf, size_t(count) * datatype_size(type), dest, tag, c);
+  Request req = isend_internal(buf, size_t(count) * datatype_size(type), dest,
+                               tag, c, /*charge_wire=*/true);
+  if (!req.valid()) return;  // buffered or delivered: already complete
+  std::unique_lock<std::mutex> lock(req.box->mu);
+  await_p2p(req, lock, "send");
 }
 
 Status Rank::recv(void* buf, int count, Datatype type, int source, int tag,
@@ -685,12 +585,18 @@ Status Rank::recv(void* buf, int count, Datatype type, int source, int tag,
   if (count < 0) throw MpiError("recv: negative count");
   maybe_icoll_progress();
   const detail::CommData& c = comm_data(comm);
-  return recv_internal(buf, size_t(count) * datatype_size(type), source, tag, c);
+  detail::Mailbox& box = world_->box(world_rank_);
+  // A posted receive is waited on under the lock that posted it.
+  std::unique_lock<std::mutex> lock(box.mu);
+  Request req = match_or_post(box, buf, size_t(count) * datatype_size(type),
+                              source, tag, c);
+  return await_p2p(req, lock, "recv");
 }
 
 Request Rank::isend(const void* buf, int count, Datatype type, int dest,
                     int tag, Comm comm) {
   check_user_tag(tag);
+  if (count < 0) throw MpiError("isend: negative count");
   maybe_icoll_progress();
   const detail::CommData& c = comm_data(comm);
   return isend_internal(buf, size_t(count) * datatype_size(type), dest, tag, c,
@@ -710,8 +616,10 @@ bool Rank::sched_send_pipelined(size_t bytes) const {
 Request Rank::isend_internal(const void* buf, size_t bytes, int dest, int tag,
                              const detail::CommData& c, bool charge_wire) {
   if (dest < 0 || dest >= int(c.world_ranks.size()))
-    throw MpiError("isend: destination rank out of range");
+    throw MpiError("send: destination rank out of range");
   const NetworkProfile& prof = world_->profile();
+  // Model wire time at injection (deterministic spin; docs/ARCHITECTURE.md,
+  // "src/simmpi").
   if (charge_wire) spin_for_ns(prof.message_cost_ns(bytes));
   // Schedule sends (wire cost deferred to a deadline) above the eager
   // threshold stream straight from the sender's buffer in rendezvous_chunk
@@ -723,7 +631,8 @@ Request Rank::isend_internal(const void* buf, size_t bytes, int dest, int tag,
   detail::Mailbox& box = world_->box(c.world_ranks[dest]);
   std::unique_lock<std::mutex> lock(box.mu);
 
-  // Match a posted receive immediately if possible.
+  // A posted receive takes the payload straight from the sender's buffer
+  // (single copy).
   auto posted = take_posted_match(box, c.id, c.my_comm_rank, tag);
   if (posted != nullptr && !pipelined) {
     deliver_now(box, *posted, buf, bytes, c.my_comm_rank, tag);
@@ -771,6 +680,7 @@ Request Rank::isend_internal(const void* buf, size_t bytes, int dest, int tag,
     // schedule engine polls its send steps on every progress pass).
     return Request{};
   }
+  // Rendezvous: park the sender's buffer until a receive copies from it.
   desc->eager = false;
   desc->payload = static_cast<const u8*>(buf);
   box.unexpected.push_back(desc);
@@ -781,6 +691,7 @@ Request Rank::isend_internal(const void* buf, size_t bytes, int dest, int tag,
 Request Rank::irecv(void* buf, int count, Datatype type, int source, int tag,
                     Comm comm) {
   if (tag < 0 && tag != kAnyTag) throw MpiError("irecv: invalid tag");
+  if (count < 0) throw MpiError("irecv: negative count");
   maybe_icoll_progress();
   const detail::CommData& c = comm_data(comm);
   return irecv_internal(buf, size_t(count) * datatype_size(type), source, tag,
@@ -790,90 +701,116 @@ Request Rank::irecv(void* buf, int count, Datatype type, int source, int tag,
 Request Rank::irecv_internal(void* buf, size_t bytes, int source, int tag,
                              const detail::CommData& c) {
   detail::Mailbox& box = world_->box(world_rank_);
-  std::unique_lock<std::mutex> lock(box.mu);
+  std::lock_guard<std::mutex> lock(box.mu);
+  return match_or_post(box, buf, bytes, source, tag, c);
+}
 
-  auto desc = std::make_shared<detail::RecvDesc>();
-  desc->comm_id = c.id;
-  desc->src = source;
-  desc->tag = tag;
-  desc->dst = static_cast<u8*>(buf);
-  desc->capacity = bytes;
-
-  // Check the unexpected queue first (message may already be here).
-  bool paired = false;
-  for (auto it = box.unexpected.begin(); it != box.unexpected.end(); ++it) {
-    detail::SendDesc& s = **it;
-    if (s.comm_id != c.id) continue;
-    if (source != kAnySource && s.src_comm_rank != source) continue;
-    if (tag != kAnyTag && s.tag != tag) continue;
-    size_t n = std::min(s.bytes, bytes);
-    if (s.bytes > bytes) throw MpiError("irecv: message truncated");
-    if (s.seg_ns > 0) {
-      // Pipelined rendezvous: pair up; test/wait pump the remaining
-      // segments as their wire deadlines pass.
-      auto found = *it;
-      box.unexpected.erase(it);
-      found->sink = desc;
-      box.draining.push_back(std::move(found));
-      paired = true;
-      pump_pipelines(box);
-      notify(box);
-      break;
-    }
-    const bool eager = s.eager;
-    if (eager) {
-      if (n > 0) std::memcpy(buf, s.eager_buf.data(), n);
-    } else {
-      if (n > 0) std::memcpy(buf, s.payload, n);
-      complete_send(s);
-    }
-    desc->status = Status{s.src_comm_rank, s.tag, n};
-    desc->done = true;
-    box.unexpected.erase(it);
-    // A blocking rendezvous sender waits on this box's cv; an eager sender
-    // has nothing to wait for.
-    if (!eager) notify(box);
-    break;
-  }
-  if (!desc->done && !paired) box.posted.push_back(desc);
-
+Request Rank::match_or_post(detail::Mailbox& box, void* buf, size_t bytes,
+                            int source, int tag, const detail::CommData& c) {
+  if (source != kAnySource &&
+      (source < 0 || source >= int(c.world_ranks.size())))
+    throw MpiError("recv: source rank out of range");
   Request req;
   req.kind_ = Request::Kind::kRecv;
-  req.recv = desc;
   req.box = &box;
+  auto it = find_unexpected(box, c.id, source, tag);
+  if (it != box.unexpected.end() && (*it)->seg_ns == 0) {
+    // Consume the queued message now: its result travels in the request.
+    detail::SendDesc& s = **it;
+    req.result = deliver(static_cast<u8*>(buf), bytes,
+                         s.eager ? s.eager_buf.data() : s.payload, s.bytes,
+                         s.src_comm_rank, s.tag);
+    if (!s.eager) {
+      // A sender blocked in wait sleeps on this box's cv; one parked in
+      // poll_with_progress sleeps on its own box, which complete_send wakes.
+      complete_send(s);
+      notify(box);
+    }
+    box.unexpected.erase(it);
+    return req;
+  }
+  req.recv = std::make_shared<detail::RecvDesc>();
+  req.recv->comm_id = c.id;
+  req.recv->src = source;
+  req.recv->tag = tag;
+  req.recv->dst = static_cast<u8*>(buf);
+  req.recv->capacity = bytes;
+  if (it == box.unexpected.end()) {
+    box.posted.push_back(req.recv);
+    return req;
+  }
+  // A pipelined send: pair it with the descriptor and drain the segments
+  // already visible; p2p_done drains the rest as their deadlines pass.
+  (*it)->sink = req.recv;
+  box.draining.push_back(std::move(*it));
+  box.unexpected.erase(it);
+  pump_pipelines(box);
+  notify(box);
   return req;
 }
 
+bool Rank::p2p_done(const Request& req) {
+  if (req.kind_ == Request::Kind::kRecv && req.recv == nullptr) return true;
+  detail::Mailbox& box = *req.box;
+  if (!box.draining.empty()) pump_pipelines(box);
+  return req.kind_ == Request::Kind::kRecv
+             ? req.recv->done.load(std::memory_order_relaxed)
+             : req.send->completed;
+}
+
+bool Rank::test_p2p(const Request& req, bool try_lock) {
+  // A completed receive needs no lock: its result is written before done.
+  if (req.kind_ == Request::Kind::kRecv &&
+      (req.recv == nullptr || req.recv->done.load(std::memory_order_acquire)))
+    return true;
+  std::unique_lock<std::mutex> lock(req.box->mu, std::defer_lock);
+  if (!try_lock) {
+    lock.lock();
+  } else if (!lock.try_lock()) {
+    return false;  // contended: the holder is pumping
+  }
+  return p2p_done(req);
+}
+
+Status Rank::await_p2p(Request& req, std::unique_lock<std::mutex>& lock,
+                       const char* what) {
+  const bool ok = wait_with_progress(*req.box, lock, [&] {
+    return p2p_done(req) || world_->aborting();
+  });
+  if (world_->aborting()) throw MpiAbort(-1);
+  if (!ok)
+    throw MpiError(std::string(what) + ": timed out (deadlock?) at rank " +
+                   std::to_string(world_rank_));
+  return finish(req, what);
+}
+
+detail::RecvResult Rank::result_of(const Request& req) {
+  if (req.kind_ != Request::Kind::kRecv) return {};
+  return req.recv != nullptr ? req.recv->result : req.result;
+}
+
+Status Rank::finish(Request& req, const char* what) {
+  const detail::RecvResult res = result_of(req);
+  req = Request{};
+  if (res.truncated)
+    throw MpiError(std::string(what) +
+                   ": message truncated (receive buffer too small)");
+  return res.status;
+}
+
 Status Rank::wait(Request& req) {
-  Status status;
-  if (!req.valid()) return status;  // trivially complete request
+  if (!req.valid()) return Status{};  // trivially complete request
   if (req.kind_ == Request::Kind::kColl) {
     // Drive the progress engine (all outstanding schedules, not just this
     // one — peers may need our share of a sibling collective first).
     poll_with_progress([&] { return req.coll->done(); },
                        "wait: collective");
-    req = Request{};
-    return status;  // collective requests carry an empty status
+    return finish(req, "wait");  // collective requests carry an empty status
   }
-  detail::Mailbox& box = *req.box;
-  std::unique_lock<std::mutex> lock(box.mu);
-  if (req.kind_ == Request::Kind::kRecv) {
-    bool ok = wait_with_progress(box, lock, [&] {
-      return req.recv->done || world_->aborting();
-    });
-    if (world_->aborting()) throw MpiAbort(-1);
-    if (!ok) throw MpiError("wait: recv timed out (deadlock?)");
-    if (req.recv->truncated) throw MpiError("wait: message truncated");
-    status = req.recv->status;
-  } else {
-    bool ok = wait_with_progress(box, lock, [&] {
-      return req.send->completed || world_->aborting();
-    });
-    if (world_->aborting()) throw MpiAbort(-1);
-    if (!ok) throw MpiError("wait: send timed out (deadlock?)");
-  }
-  req = Request{};
-  return status;
+  if (req.recv == nullptr && req.kind_ == Request::Kind::kRecv)
+    return finish(req, "wait");  // matched when it was posted
+  std::unique_lock<std::mutex> lock(req.box->mu);
+  return await_p2p(req, lock, "wait");
 }
 
 bool Rank::test(Request& req, Status* status) {
@@ -882,40 +819,20 @@ bool Rank::test(Request& req, Status* status) {
   // any in-flight collective (no-op while already inside icoll_progress).
   maybe_icoll_progress();
   if (!req.valid()) return true;
-  if (req.kind_ == Request::Kind::kColl) {
-    if (!req.coll->done()) return false;
-    if (status != nullptr) *status = Status{};
-    req = Request{};
-    return true;
-  }
-  detail::Mailbox& box = *req.box;
-  std::lock_guard<std::mutex> lock(box.mu);
-  if (!box.draining.empty()) pump_pipelines(box);
-  bool done = req.kind_ == Request::Kind::kRecv ? req.recv->done.load()
-                                                : req.send->completed;
-  if (done) {
-    if (req.kind_ == Request::Kind::kRecv && status != nullptr)
-      *status = req.recv->status;
-    req = Request{};
-  }
-  return done;
+  const bool done = req.kind_ == Request::Kind::kColl
+                        ? req.coll->done()
+                        : test_p2p(req, /*try_lock=*/false);
+  if (!done) return false;
+  const Status st = finish(req, "test");
+  if (status != nullptr) *status = st;
+  return true;
 }
 
 bool Rank::test_nonblocking(Request& req) {
   if (!req.valid()) return true;
-  if (req.kind_ == Request::Kind::kRecv &&
-      req.recv->done.load(std::memory_order_acquire)) {
-    req = Request{};
-    return true;
-  }
-  detail::Mailbox& box = *req.box;
-  std::unique_lock<std::mutex> lock(box.mu, std::try_to_lock);
-  if (!lock.owns_lock()) return false;  // contended: the owner is pumping
-  if (!box.draining.empty()) pump_pipelines(box);
-  const bool done = req.kind_ == Request::Kind::kRecv ? req.recv->done.load()
-                                                      : req.send->completed;
-  if (done) req = Request{};
-  return done;
+  if (!test_p2p(req, /*try_lock=*/true)) return false;
+  finish(req, "test");
+  return true;
 }
 
 void Rank::waitall(std::span<Request> reqs) {
@@ -945,22 +862,11 @@ int Rank::waitany(std::span<Request> reqs, Status* status) {
 
 bool Rank::request_get_status(Request& req, Status* status) {
   maybe_icoll_progress();
-  if (!req.valid()) {
-    if (status != nullptr) *status = Status{};
-    return true;
-  }
-  if (req.kind_ == Request::Kind::kColl) {
-    if (!req.coll->done()) return false;
-    if (status != nullptr) *status = Status{};
-    return true;
-  }
-  detail::Mailbox& box = *req.box;
-  std::lock_guard<std::mutex> lock(box.mu);
-  if (!box.draining.empty()) pump_pipelines(box);
-  bool done = req.kind_ == Request::Kind::kRecv ? req.recv->done.load()
-                                                : req.send->completed;
-  if (done && req.kind_ == Request::Kind::kRecv && status != nullptr)
-    *status = req.recv->status;
+  const bool done = !req.valid() ||
+                    (req.kind_ == Request::Kind::kColl
+                         ? req.coll->done()
+                         : test_p2p(req, /*try_lock=*/false));
+  if (done && status != nullptr) *status = result_of(req).status;
   return done;
 }
 
@@ -990,14 +896,11 @@ bool Rank::iprobe(int source, int tag, Comm comm, Status* status) {
   const detail::CommData& c = comm_data(comm);
   detail::Mailbox& box = world_->box(world_rank_);
   std::lock_guard<std::mutex> lock(box.mu);
-  for (const auto& s : box.unexpected) {
-    if (s->comm_id != c.id) continue;
-    if (source != kAnySource && s->src_comm_rank != source) continue;
-    if (tag != kAnyTag && s->tag != tag) continue;
-    if (status != nullptr) *status = Status{s->src_comm_rank, s->tag, s->bytes};
-    return true;
-  }
-  return false;
+  auto it = find_unexpected(box, c.id, source, tag);
+  if (it == box.unexpected.end()) return false;
+  const detail::SendDesc& s = **it;
+  if (status != nullptr) *status = Status{s.src_comm_rank, s.tag, s.bytes};
+  return true;
 }
 
 }  // namespace mpiwasm::simmpi

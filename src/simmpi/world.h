@@ -63,16 +63,23 @@ struct SendDesc {
   std::shared_ptr<RecvDesc> sink;  // paired receive, set on match
 };
 
+/// What a completed receive got: a truncated one (the message was larger
+/// than the buffer) holds the first `capacity` bytes and is an error.
+struct RecvResult {
+  Status status;
+  bool truncated = false;
+};
+
 struct RecvDesc {
   i32 comm_id = 0;
   int src = kAnySource;
   int tag = kAnyTag;
   u8* dst = nullptr;
   size_t capacity = 0;
-  /// Set under the box lock; atomic so a poll can see it without the lock.
+  /// Set under the box lock, after `result`; atomic so a poll can see it
+  /// without the lock.
   std::atomic<bool> done{false};
-  bool truncated = false;
-  Status status;
+  RecvResult result;
 };
 
 /// One per world rank: incoming traffic addressed to that rank.
@@ -265,7 +272,10 @@ class Request {
   enum class Kind { kNone, kSend, kRecv, kColl };
   Kind kind_ = Kind::kNone;
   std::shared_ptr<detail::SendDesc> send;
+  /// Null for a receive that matched a queued message when it was posted:
+  /// it is complete, and `result` holds what it got.
   std::shared_ptr<detail::RecvDesc> recv;
+  detail::RecvResult result;
   /// Deferred collective schedule (coll_sched.h); wait/test drive the
   /// per-rank progress engine until it completes.
   std::shared_ptr<coll::Schedule> coll;
@@ -395,11 +405,6 @@ class Rank {
 
   const detail::CommData& comm_data(Comm comm) const;
   detail::CommData& comm_data_mut(Comm comm);
-  /// Internal p2p allowing reserved (negative) tags for collectives.
-  void send_internal(const void* buf, size_t bytes, int dest, int tag,
-                     const detail::CommData& c);
-  Status recv_internal(void* buf, size_t bytes, int source, int tag,
-                       const detail::CommData& c);
   /// Internal nonblocking send; `charge_wire` false defers the interconnect
   /// cost to the caller (schedule steps model it as a completion deadline
   /// instead of an injection spin).
@@ -409,6 +414,27 @@ class Rank {
   /// must never match concurrently in-flight user messages).
   Request irecv_internal(void* buf, size_t bytes, int source, int tag,
                          const detail::CommData& c);
+  /// The one receive routine; the caller holds box.mu (this rank's box).
+  /// Consumes the oldest matching queued message at once, without a
+  /// descriptor, or posts a RecvDesc (a pipelined match drains into one).
+  Request match_or_post(detail::Mailbox& box, void* buf, size_t bytes,
+                        int source, int tag, const detail::CommData& c);
+  /// The one completion check of a p2p request: drains the due segments
+  /// of its box's pipelined transfers, then reads whether it completed.
+  /// Caller holds req.box->mu.
+  static bool p2p_done(const Request& req);
+  /// p2p_done under the box lock, skipped for a completed receive. With
+  /// `try_lock` a contended lock reports "not done" instead of blocking.
+  static bool test_p2p(const Request& req, bool try_lock);
+  /// Blocks (driving progress) until p2p request `req` completes, then
+  /// finishes it. `lock` holds req.box->mu.
+  Status await_p2p(Request& req, std::unique_lock<std::mutex>& lock,
+                   const char* what);
+  /// What completed request `req` received (empty unless a receive).
+  static detail::RecvResult result_of(const Request& req);
+  /// Resets completed request `req` and returns its status; throws
+  /// MpiError("<what>: message truncated ...") for a truncated receive.
+  static Status finish(Request& req, const char* what);
   void check_user_tag(int tag) const;
   /// Whether a schedule send of `bytes` takes the segmented pipelined
   /// rendezvous path (single copy, per-segment deadlines) instead of the

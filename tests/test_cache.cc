@@ -5,6 +5,7 @@
 // the cache stores.
 #include "testlib.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
@@ -695,6 +696,48 @@ std::shared_ptr<const rt::CompiledModule> compile_stress(EngineTier tier) {
   return rt::compile({bytes.data(), bytes.size()}, cfg);
 }
 
+TEST(ParallelCompile, EveryStaticTierCountsItsFunctions) {
+  // A cold static-tier module counts every defined function, as predecoded
+  // (kInterp) or compiled (kOptimizing, kJit); a warm one counts the
+  // functions materialized from the mapped entry so far.
+  constexpr u32 kFuncs = 8;
+  const std::vector<u8> bytes = toolchain::build_compile_stress_module(kFuncs);
+  struct Row {
+    EngineTier tier;
+    bool warm;
+    u64 predecoded, regcode;
+  };
+  const Row rows[] = {{EngineTier::kInterp, false, kFuncs, 0},
+                      {EngineTier::kOptimizing, false, 0, kFuncs},
+                      {EngineTier::kJit, false, 0, kFuncs},
+                      {EngineTier::kOptimizing, true, 0, 0},
+                      {EngineTier::kJit, true, 0, 0}};
+  for (const Row& row : rows) {
+    SCOPED_TRACE(::testing::Message()
+                 << rt::tier_name(row.tier) << (row.warm ? " warm" : " cold"));
+    auto dir = fresh_cache_dir();
+    EngineConfig cfg;
+    cfg.tier = row.tier;
+    cfg.jit = true;
+    cfg.enable_cache = row.warm;
+    cfg.cache_dir = dir;
+    if (row.warm) (void)rt::compile({bytes.data(), bytes.size()}, cfg);
+    auto cm = rt::compile({bytes.data(), bytes.size()}, cfg);
+    ASSERT_EQ(cm->loaded_from_cache, row.warm);
+    rt::TierUpSnapshot s = rt::tierup_snapshot(*cm);
+    EXPECT_EQ(s.funcs_total, kFuncs);
+    EXPECT_EQ(s.funcs_predecoded, row.predecoded);
+    EXPECT_EQ(s.funcs_regcode, row.regcode);
+    if (row.warm) {
+      for (u32 i = 0; i < kFuncs; ++i) (void)rt::compiled_body(*cm, i);
+      s = rt::tierup_snapshot(*cm);
+      EXPECT_EQ(s.funcs_total, kFuncs);
+      EXPECT_EQ(s.funcs_regcode, kFuncs);
+    }
+    fs::remove_all(dir);
+  }
+}
+
 TEST(ParallelCompile, EachFunctionMatchesTheSerialPipeline) {
   for (EngineTier tier : kCompiledTiers) {
     SCOPED_TRACE(rt::tier_name(tier));
@@ -836,11 +879,34 @@ TEST(ParallelCompile, MutatedEntriesAreRejectedOrDecodeCleanly) {
   FileSystemCache cache(dir);
   const std::string tag = entry_tag(entry);
   std::mt19937_64 rng(19);
+  // A flip inside a record leaves the header, the table and every other
+  // record as in the cold entry, which decodes; so decoding the whole
+  // flipped entry amounts to decoding that record alone, wrapped in the
+  // per-function entry header (the same magic and version).
+  ASSERT_TRUE(rt::deserialize_regcode({blob.data(), blob.size()}));
+  const size_t records_at = offset_at(kParallelFuncs);
+  std::vector<size_t> record_end(kParallelFuncs);
+  for (u32 i = 0; i < kParallelFuncs; ++i)
+    record_end[i] = get_u32(blob, offset_at(i)) + get_u32(blob, length_at(i));
+  auto decode_flipped = [&](size_t at) {
+    if (at < records_at) {
+      (void)rt::deserialize_regcode({blob.data(), blob.size()});
+      return;
+    }
+    const u32 i = u32(std::upper_bound(record_end.begin(), record_end.end(),
+                                       at) -
+                      record_end.begin());
+    const size_t begin = get_u32(blob, offset_at(i));
+    std::vector<u8> one(blob.begin(), blob.begin() + 8);
+    one.insert(one.end(), blob.begin() + std::ptrdiff_t(begin),
+               blob.begin() + std::ptrdiff_t(record_end[i]));
+    (void)rt::deserialize_rfunc({one.data(), one.size()});
+  };
   // Flips the byte at `at`; returns whether the flipped entry mapped.
   auto flip = [&](size_t at, bool through_map) {
     const u8 mask = u8(1 + rng() % 255);
     blob[at] ^= mask;
-    (void)rt::deserialize_regcode({blob.data(), blob.size()});
+    decode_flipped(at);
     bool mapped = false;
     if (through_map) {
       write_file_bytes(entry, blob);

@@ -2,7 +2,17 @@
 // rules (tags, wildcards, FIFO), eager vs rendezvous protocols, errors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstring>
+#include <map>
+#include <mutex>
 #include <numeric>
+#include <random>
+#include <string>
+#include <thread>
+#include <tuple>
 
 #include "simmpi/api.h"
 #include "simmpi/world.h"
@@ -169,17 +179,370 @@ TEST(SimMpiP2P, IprobeSeesPendingMessage) {
   });
 }
 
-TEST(SimMpiP2P, TruncationIsAnError) {
-  World world(2);
+/// Yields until `rank`'s mailbox holds a posted receive (`posted`) or a
+/// queued message. Orders the two sides of an exchange where a barrier
+/// cannot: after a blocking recv or a rendezvous send the caller is blocked.
+void await_mailbox(World& world, int rank, bool posted) {
+  detail::Mailbox& box = world.box(rank);
+  while (true) {
+    {
+      std::lock_guard<std::mutex> lock(box.mu);
+      if (posted ? !box.posted.empty() : !box.unexpected.empty()) return;
+    }
+    std::this_thread::yield();
+  }
+}
+
+// A message larger than its receive, for every arrival order, protocol
+// (eager 64 B, rendezvous 200 KiB) and receive form: the message is
+// consumed, the first 16 bytes arrive, the receive throws MpiError
+// mentioning "truncated", and the sender's call returns.
+TEST(SimMpiP2P, TruncationFollowsOneRule) {
+  for (bool posted_first : {true, false}) {
+    for (size_t bytes : {size_t(64), size_t(200 * 1024)}) {
+      for (bool nonblocking : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "posted_first=" << posted_first << " bytes=" << bytes
+                     << " nonblocking=" << nonblocking);
+        World world(2);
+        std::vector<u8> msg(bytes);
+        for (size_t i = 0; i < bytes; ++i) msg[i] = u8(i * 7 + 3);
+        std::atomic<bool> sent{false};
+        world.run([&](Rank& r) {
+          if (r.rank() == 0) {
+            if (posted_first) await_mailbox(world, 1, /*posted=*/true);
+            r.send(msg.data(), int(bytes), Datatype::kByte, 1, 7);
+            sent = true;
+          } else {
+            if (!posted_first) await_mailbox(world, 1, /*posted=*/false);
+            u8 small[16] = {};
+            try {
+              if (nonblocking) {
+                Request q = r.irecv(small, 16, Datatype::kByte, 0, 7);
+                r.wait(q);
+              } else {
+                r.recv(small, 16, Datatype::kByte, 0, 7);
+              }
+              ADD_FAILURE() << "truncated receive reported no error";
+            } catch (const MpiError& e) {
+              EXPECT_NE(std::string(e.what()).find("truncated"),
+                        std::string::npos)
+                  << e.what();
+            }
+            EXPECT_EQ(std::memcmp(small, msg.data(), 16), 0);
+          }
+          r.barrier();
+        });
+        EXPECT_TRUE(sent);
+        EXPECT_TRUE(world.box(1).unexpected.empty());
+        EXPECT_TRUE(world.box(1).posted.empty());
+      }
+    }
+  }
+}
+
+// A wildcard user receive never takes collective traffic, which shares the
+// communicator under negative tags (under force_copy the barrier runs
+// through the mailboxes).
+TEST(SimMpiP2P, AnyTagReceiveSkipsCollectiveTraffic) {
+  NetworkProfile prof = NetworkProfile::zero();
+  prof.force_copy = true;
+  World world(2, prof);
   world.run([](Rank& r) {
-    if (r.rank() == 0) {
-      std::vector<int> big(16, 1);
-      r.send(big.data(), 16, Datatype::kInt, 1, 0);
+    int v = -1;
+    if (r.rank() == 1) {
+      Request q = r.irecv(&v, 1, Datatype::kInt, kAnySource, kAnyTag);
+      r.barrier();
+      EXPECT_FALSE(r.iprobe(kAnySource, kAnyTag, kCommWorld, nullptr));
+      r.barrier();
+      Status st = r.wait(q);
+      EXPECT_EQ(v, 42);
+      EXPECT_EQ(st.source, 0);
+      EXPECT_EQ(st.tag, 5);
     } else {
-      int small[2];
-      EXPECT_THROW(r.recv(small, 2, Datatype::kInt, 0, 0), MpiError);
+      r.barrier();
+      r.barrier();
+      v = 42;
+      r.send(&v, 1, Datatype::kInt, 1, 5);
     }
   });
+}
+
+// --- Seeded point-to-point mix ---------------------------------------------
+//
+// Rounds separated by barriers. Each round opens with a ring sendrecv on
+// some seeds, then runs a random message plan: every rank sends its
+// messages in plan order (send or isend at eager sizes, isend above) and
+// receives its own with one selector mode per round (exact, kAnySource,
+// kAnyTag or both), so every receive of a matching class has the same
+// selector and any matching outcome completes. Receives are posted in random
+// order and form: irecv before the sends, recv, irecv + wait, a deferred
+// irecv, or iprobe until a match and then recv. No rank blocks on a receive
+// before all its sends are posted, so the plan cannot deadlock.
+
+struct MixMsg {
+  int src = 0;
+  int dst = 0;
+  int tag = 0;
+  size_t bytes = 0;
+  u32 seq = 0;  // index among this round's messages src sends dst with tag
+};
+
+struct MixRound {
+  std::vector<MixMsg> msgs;
+  std::vector<int> mode;  // per receiving rank: 0 exact, 1 any source,
+                          // 2 any tag, 3 both
+  size_t ring_bytes = 0;  // 0: no ring sendrecv this round
+};
+
+constexpr int kMixTags = 3;
+constexpr int kRingTag = 100;
+
+/// Payload of `m`: its seq in the first four bytes, then a pattern.
+void fill_mix(u8* p, const MixMsg& m) {
+  std::memcpy(p, &m.seq, sizeof m.seq);
+  for (size_t i = sizeof m.seq; i < m.bytes; ++i)
+    p[i] = u8(i * 131 + size_t(m.src) * 17 + size_t(m.tag) * 29 + m.seq * 7 +
+              (i >> 9));
+}
+
+std::vector<MixRound> plan_mix(u64 seed, int nranks, size_t eager_limit) {
+  std::mt19937_64 rng(seed);
+  const size_t sizes[] = {4,           64,
+                          1000,        eager_limit,
+                          eager_limit + 1, 3 * eager_limit};
+  auto pick_size = [&] { return sizes[rng() % std::size(sizes)]; };
+  std::vector<MixRound> plan(12);
+  for (MixRound& round : plan) {
+    std::map<std::tuple<int, int, int>, u32> seqs;
+    const int n = nranks + int(rng() % u64(2 * nranks + 1));
+    for (int i = 0; i < n; ++i) {
+      MixMsg m;
+      m.src = int(rng() % u64(nranks));
+      m.dst = int(rng() % u64(nranks));
+      m.tag = int(rng() % kMixTags);
+      m.bytes = pick_size();
+      m.seq = seqs[{m.src, m.dst, m.tag}]++;
+      round.msgs.push_back(m);
+    }
+    for (int r = 0; r < nranks; ++r) round.mode.push_back(int(rng() % 4));
+    if (rng() % 2 == 0) round.ring_bytes = pick_size();
+  }
+  return plan;
+}
+
+/// Runs the plan of `seed` on `nranks` ranks; returns the first failure.
+std::string run_p2p_mix(u64 seed, int nranks, bool force_copy) {
+  NetworkProfile prof = NetworkProfile::zero();
+  prof.force_copy = force_copy;
+  const std::vector<MixRound> plan = plan_mix(seed, nranks, prof.eager_limit);
+  std::mutex mu;
+  std::string failure;
+  auto fail = [&](int rank, size_t round, const std::string& what) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (failure.empty())
+      failure = "rank " + std::to_string(rank) + " round " +
+                std::to_string(round) + ": " + what;
+  };
+  World world(nranks, prof);
+  try {
+    world.run([&](Rank& r) {
+      const int me = r.rank();
+      std::mt19937_64 rng(seed * 1000 + u64(me));
+      for (size_t ri = 0; ri < plan.size(); ++ri) {
+        const MixRound& round = plan[ri];
+        if (round.ring_bytes > 0) {
+          const int right = (me + 1) % nranks;
+          const int left = (me + nranks - 1) % nranks;
+          MixMsg out{me, right, kRingTag, round.ring_bytes, u32(ri)};
+          MixMsg in{left, me, kRingTag, round.ring_bytes, u32(ri)};
+          std::vector<u8> obuf(out.bytes), ibuf(in.bytes), want(in.bytes);
+          fill_mix(obuf.data(), out);
+          fill_mix(want.data(), in);
+          Status st = r.sendrecv(obuf.data(), int(out.bytes), Datatype::kByte,
+                                 right, kRingTag, ibuf.data(), int(in.bytes),
+                                 Datatype::kByte, left, kRingTag);
+          if (st.source != left || st.tag != kRingTag ||
+              st.bytes != in.bytes || ibuf != want)
+            fail(me, ri, "ring sendrecv delivered a wrong message");
+        }
+
+        // Receives of this rank, in a random posting order.
+        const int mode = round.mode[size_t(me)];
+        struct Rx {
+          int src, tag;  // selector
+          std::vector<u8> buf;
+          Request req;
+          Status st;
+          bool pending = false;
+          int posted_at = 0;  // position in this rank's posting order
+        };
+        std::vector<Rx> rxs;
+        size_t capacity = 0;
+        for (const MixMsg& m : round.msgs)
+          if (m.dst == me) capacity = std::max(capacity, m.bytes);
+        for (const MixMsg& m : round.msgs) {
+          if (m.dst != me) continue;
+          Rx rx;
+          rx.src = mode == 1 || mode == 3 ? kAnySource : m.src;
+          rx.tag = mode == 2 || mode == 3 ? kAnyTag : m.tag;
+          rx.buf.resize(capacity);
+          rxs.push_back(std::move(rx));
+        }
+        std::shuffle(rxs.begin(), rxs.end(), rng);
+        // Pick every receive's form up front; the pre-posted ones go first.
+        std::vector<int> form(rxs.size());
+        for (int& f : form) f = int(rng() % 5);
+        int posts = 0;
+        auto post = [&](Rx& rx) {
+          rx.posted_at = posts++;
+          rx.req = r.irecv(rx.buf.data(), int(capacity), Datatype::kByte,
+                           rx.src, rx.tag);
+          rx.pending = true;
+        };
+        for (size_t i = 0; i < rxs.size(); ++i)
+          if (form[i] == 0) post(rxs[i]);
+
+        std::vector<std::vector<u8>> sbufs;
+        std::vector<Request> sreqs;
+        for (const MixMsg& m : round.msgs) {
+          if (m.src != me) continue;
+          sbufs.emplace_back(m.bytes);
+          fill_mix(sbufs.back().data(), m);
+          const bool buffered = m.bytes <= prof.eager_limit || force_copy;
+          if (buffered && rng() % 2 == 0)
+            r.send(sbufs.back().data(), int(m.bytes), Datatype::kByte, m.dst,
+                   m.tag);
+          else
+            sreqs.push_back(r.isend(sbufs.back().data(), int(m.bytes),
+                                    Datatype::kByte, m.dst, m.tag));
+        }
+
+        for (size_t i = 0; i < rxs.size(); ++i) {
+          Rx& rx = rxs[i];
+          auto recv = [&] {
+            rx.posted_at = posts++;
+            rx.st = r.recv(rx.buf.data(), int(capacity), Datatype::kByte,
+                           rx.src, rx.tag);
+          };
+          switch (form[i]) {
+            case 1: recv(); break;
+            case 2:
+              post(rx);
+              rx.st = r.wait(rx.req);
+              rx.pending = false;
+              break;
+            case 3: post(rx); break;
+            case 4: {
+              Status probed;
+              const auto deadline =
+                  std::chrono::steady_clock::now() + std::chrono::seconds(30);
+              while (!r.iprobe(rx.src, rx.tag, kCommWorld, &probed)) {
+                if (std::chrono::steady_clock::now() > deadline)
+                  throw MpiError("iprobe found no message");
+                std::this_thread::yield();
+              }
+              recv();
+              if (probed.source != rx.st.source || probed.tag != rx.st.tag ||
+                  probed.bytes != rx.st.bytes)
+                fail(me, ri, "recv took another message than iprobe saw");
+              break;
+            }
+            default: break;  // posted before the sends
+          }
+        }
+
+        // Complete the deferred requests in one of four ways.
+        std::vector<Request> reqs;
+        std::vector<Rx*> owners;
+        for (Rx& rx : rxs)
+          if (rx.pending) {
+            reqs.push_back(rx.req);
+            owners.push_back(&rx);
+          }
+        switch (rng() % 4) {
+          case 0:
+            for (size_t i = 0; i < reqs.size(); ++i)
+              owners[i]->st = r.wait(reqs[i]);
+            break;
+          case 1:
+            for (size_t done = 0; done < reqs.size(); ++done) {
+              Status st;
+              const int i = r.waitany(reqs, &st);
+              owners[size_t(i)]->st = st;
+            }
+            break;
+          case 2:
+            for (size_t left = reqs.size(); left > 0;)
+              for (size_t i = 0; i < reqs.size(); ++i)
+                if (reqs[i].valid() && r.test(reqs[i], &owners[i]->st)) --left;
+            break;
+          default: {
+            std::vector<Status> sts(reqs.size());
+            while (!r.testall(reqs, sts.data())) std::this_thread::yield();
+            for (size_t i = 0; i < reqs.size(); ++i) owners[i]->st = sts[i];
+          }
+        }
+        r.waitall(sreqs);
+
+        // Every planned message arrived once, intact, and per (source, tag)
+        // in sending order with respect to receive posting order.
+        std::sort(rxs.begin(), rxs.end(), [](const Rx& a, const Rx& b) {
+          return a.posted_at < b.posted_at;
+        });
+        std::map<std::pair<int, int>, u32> next_seq;
+        for (const Rx& rx : rxs) {
+          const Status& st = rx.st;
+          if ((rx.src != kAnySource && st.source != rx.src) ||
+              (rx.tag != kAnyTag && st.tag != rx.tag) || st.bytes < 4) {
+            fail(me, ri, "status does not match the receive's selector");
+            continue;
+          }
+          u32 seq;
+          std::memcpy(&seq, rx.buf.data(), sizeof seq);
+          u32& next = next_seq[{st.source, st.tag}];
+          if (seq != next) {
+            fail(me, ri,
+                 "message " + std::to_string(seq) + " from " +
+                     std::to_string(st.source) + " tag " +
+                     std::to_string(st.tag) + " arrived where " +
+                     std::to_string(next) + " was due");
+            continue;
+          }
+          ++next;
+          const MixMsg* m = nullptr;
+          for (const MixMsg& c : round.msgs)
+            if (c.src == st.source && c.dst == me && c.tag == st.tag &&
+                c.seq == seq)
+              m = &c;
+          if (m == nullptr || m->bytes != st.bytes) {
+            fail(me, ri, "received a message of the wrong length");
+            continue;
+          }
+          std::vector<u8> want(m->bytes);
+          fill_mix(want.data(), *m);
+          if (std::memcmp(want.data(), rx.buf.data(), m->bytes) != 0)
+            fail(me, ri, "payload differs");
+        }
+        r.barrier();
+      }
+    });
+  } catch (const std::exception& e) {
+    if (failure.empty()) failure = e.what();
+  }
+  if (failure.empty()) return "";
+  return "reproduce: run_p2p_mix(seed=" + std::to_string(seed) +
+         ", nranks=" + std::to_string(nranks) +
+         ", force_copy=" + std::to_string(force_copy) + "): " + failure;
+}
+
+TEST(SimMpiP2P, SeededMixKeepsPayloadsAndOrder) {
+  for (bool force_copy : {false, true})
+    for (u64 seed = 1; seed <= 8; ++seed) {
+      const std::string failure =
+          run_p2p_mix(seed, 3 + int(seed % 2), force_copy);
+      EXPECT_TRUE(failure.empty()) << failure;
+    }
 }
 
 TEST(SimMpiP2P, InvalidArgumentsThrow) {
