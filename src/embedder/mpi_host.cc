@@ -1,10 +1,8 @@
 #include "embedder/mpi_host.h"
 
 #include <cstring>
-#include <thread>
 
 #include "simmpi/api.h"
-#include "support/timing.h"
 #include "support/trace.h"
 
 namespace mpiwasm::embed {
@@ -390,12 +388,8 @@ void register_mpi_host_functions(rt::ImportTable& t, bool faasm_compat) {
           guarded([&] {
             LinearMemory& mem = ctx.memory();
             const i32 count = a[0].i32v;
-            // Polling loop: test() drives the nonblocking-collective
-            // progress engine, so collective requests advance while we spin.
-            const u64 deadline =
-                now_ns() +
-                u64(std::chrono::nanoseconds(simmpi::kDeadlockTimeout).count());
-            while (true) {
+            // Scans the handles once per pass of the progress-driving wait.
+            auto scan = [&] {
               bool any_active = false;
               for (i32 i = 0; i < count; ++i) {
                 u32 req_ptr = a[1].u32v + u32(i) * 4;
@@ -411,18 +405,13 @@ void register_mpi_host_functions(rt::ImportTable& t, bool faasm_compat) {
                   mem.store<i32>(req_ptr, abi::MPI_REQUEST_NULL);
                   mem.store<i32>(a[2].u32v, i);
                   write_status(mem, a[3].u32v, st);
-                  return;
+                  return true;
                 }
               }
-              if (!any_active) {
-                mem.store<i32>(a[2].u32v, abi::MPI_UNDEFINED);
-                return;
-              }
-              if (env.rank().world().aborting()) throw simmpi::MpiAbort(-1);
-              if (now_ns() > deadline)
-                throw simmpi::MpiError("MPI_Waitany timed out (deadlock?)");
-              std::this_thread::yield();
-            }
+              if (!any_active) mem.store<i32>(a[2].u32v, abi::MPI_UNDEFINED);
+              return !any_active;
+            };
+            env.rank().poll_with_progress(scan, "MPI_Waitany");
           });
           r->i32v = abi::MPI_SUCCESS;
         });

@@ -9,6 +9,7 @@
 #include "simmpi/coll_tree.h"
 #include "simmpi/reduce_ops.h"
 #include "support/log.h"
+#include "support/parallel.h"
 #include "support/timing.h"
 
 namespace mpiwasm::simmpi {
@@ -192,7 +193,8 @@ CollAlgo select(CollOp c, const CollTuning& t, int nranks, size_t bytes,
   // costs a full scheduler round per epoch, while tree algorithms over
   // the mailbox path pipeline through blocked threads. Real MPIs make the
   // same intra-node/ppn distinction when picking collective algorithms.
-  static const int host_hw = int(std::thread::hardware_concurrency());
+  // The CPUs of the affinity mask, as for the wait policy (WaitPolicy).
+  static const int host_hw = int(affinity_cpus());
   const int hw = hw_threads > 0 ? hw_threads : host_hw;
   const bool oversubscribed = hw > 0 && nranks > hw;
   switch (c) {

@@ -65,7 +65,8 @@ CollTuning forced_tuning(CollOp c, CollAlgo algo);
 /// gather-style and alltoall, total size for reduce_scatter); `shm_ok`
 /// says whether the communicator has a CollectiveContext, which makes kShm
 /// available at any size. `hw_threads` is the
-/// core count used for the oversubscription term (0 = query the host);
+/// CPU count used for the oversubscription term (0 = the CPUs in the
+/// process's affinity mask, affinity_cpus());
 /// tests pass it explicitly for machine-independent expectations. Never
 /// returns kAuto.
 CollAlgo select(CollOp c, const CollTuning& t, int nranks, size_t bytes,

@@ -71,8 +71,8 @@ static_assert(i64(kIcollTagBase) - i64(kIcollSeqWindow) * kIcollRounds >
               "schedule tags must fit an int");
 
 /// Deadlock watchdog: a blocking MPI wait stuck this long aborts the run
-/// with a diagnostic instead of hanging CI forever. Shared by the simmpi
-/// internals and the embedder's request-wait loops.
+/// with a diagnostic instead of hanging CI forever. WaitPolicy (world.h)
+/// runs it for every blocking wait.
 constexpr std::chrono::seconds kDeadlockTimeout{120};
 
 struct Status {

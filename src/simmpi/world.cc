@@ -7,6 +7,7 @@
 #include "simmpi/coll_sched.h"
 #include "simmpi/coll_tune.h"
 #include "support/log.h"
+#include "support/parallel.h"
 #include "support/timing.h"
 #include "support/trace.h"
 
@@ -16,8 +17,13 @@ namespace {
 
 thread_local Rank* tl_current_rank = nullptr;
 
-/// Deadlock watchdog (types.h kDeadlockTimeout; shared with mpi_host.cc).
-constexpr auto kBlockTimeout = kDeadlockTimeout;
+constexpr u64 kBlockTimeoutNs =
+    u64(std::chrono::nanoseconds(kDeadlockTimeout).count());
+
+u32 host_cpus() {
+  static const u32 cpus = affinity_cpus();
+  return cpus;
+}
 
 /// MPI matching of a message (msg_comm, msg_src, msg_tag) against a
 /// receive's selector (comm, source, tag). kAnyTag matches user tags only:
@@ -70,8 +76,8 @@ detail::RecvResult deliver(u8* dst, size_t capacity, const u8* src,
   return {Status{src_comm_rank, tag, n}, bytes > capacity};
 }
 
-/// Wakes everything waiting on `box`: its rank parked in poll_with_progress
-/// and p2p waits on its cv. Caller holds box.mu.
+/// Wakes everything waiting on `box`: waits spinning on its wake count
+/// and waits parked on its cv. Caller holds box.mu.
 void notify(detail::Mailbox& box) {
   box.wakes.fetch_add(1, std::memory_order_relaxed);
   box.cv.notify_all();
@@ -135,6 +141,19 @@ void pump_pipelines(detail::Mailbox& box) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
+// WaitPolicy
+// ---------------------------------------------------------------------------
+
+WaitPolicy::WaitPolicy(bool spin) : spin_(spin) {
+  const u64 now = now_ns();
+  budget_end_ = now + kSpinBudgetNs;
+  deadline_ = now + kBlockTimeoutNs;
+}
+
+WaitPolicy::WaitPolicy(const World& world)
+    : WaitPolicy(spins(world.size(), host_cpus(), world.threaded())) {}
+
+// ---------------------------------------------------------------------------
 // CollectiveContext
 // ---------------------------------------------------------------------------
 
@@ -188,17 +207,12 @@ bool CollectiveContext::withdraw(u32 epoch) {
 void CollectiveContext::barrier_wait(World& world) {
   u32 my_epoch;
   if (arrive(&my_epoch)) return;
-  const u64 deadline =
-      now_ns() + u64(std::chrono::nanoseconds(kBlockTimeout).count());
-  // Short bounded spin for the multicore fast path, then yield every
-  // iteration: with more ranks than cores the epoch can only advance once
-  // the other rank threads get scheduled, so burning a quantum is pure
-  // loss.
-  u32 spins = 0;
-  while (epoch() == my_epoch) {
-    if (++spins < 256) continue;
+  WaitPolicy wait;  // nothing notifies a barrier: it only yields
+  const auto passed = [&] { return epoch() != my_epoch; };
+  while (!passed()) {
+    if (!wait.spin(passed)) std::this_thread::yield();
     Rank* r = World::current();
-    const bool timed_out = (spins & 0x3FF) == 0 && now_ns() > deadline;
+    const bool timed_out = wait.expired();
     // A peer may be unable to reach this barrier until our outstanding
     // nonblocking-collective schedules advance.
     if (world.aborting() || timed_out || (r != nullptr && r->icoll_pending())) {
@@ -211,24 +225,21 @@ void CollectiveContext::barrier_wait(World& world) {
       r->progress();
       if (arrive(&my_epoch)) return;
     }
-    std::this_thread::yield();
   }
 }
 
 void CollectiveContext::barrier_hold() {
   u32 my_epoch;
   if (arrive(&my_epoch)) return;
-  const u64 deadline =
-      now_ns() + u64(std::chrono::nanoseconds(kBlockTimeout).count());
-  u32 spins = 0;
-  while (epoch() == my_epoch) {
-    if (++spins < 256) continue;
-    if ((spins & 0x3FF) == 0 && now_ns() > deadline) {
+  WaitPolicy wait;
+  const auto passed = [&] { return epoch() != my_epoch; };
+  while (!passed()) {
+    if (!wait.spin(passed)) std::this_thread::yield();
+    if (wait.expired()) {
       MW_ERROR("shm barrier inside a collective timed out: a rank left "
                "the call while its peers could read its buffers");
       std::abort();
     }
-    std::this_thread::yield();
   }
 }
 
@@ -441,13 +452,11 @@ void Rank::progress() { icoll_progress(); }
 
 void Rank::poll_with_progress(const std::function<bool()>& pred,
                               const char* what, coll::Schedule* own) {
-  const u64 deadline =
-      now_ns() + u64(std::chrono::nanoseconds(kBlockTimeout).count());
+  WaitPolicy wait(*world_);
   detail::Mailbox& box = world_->box(world_rank_);
-  int idle = 0;
   while (true) {
     // Sampled before the pass, so a wake that lands during it ends the
-    // park below at once.
+    // spin or the park below at once.
     const u64 seen = box.wakes.load(std::memory_order_relaxed);
     bool advanced = icoll_progress();
     if (own != nullptr) {
@@ -455,27 +464,21 @@ void Rank::poll_with_progress(const std::function<bool()>& pred,
       advanced = own->progress(*this) || own->remaining() != before ||
                  advanced;
     }
-    if (advanced) idle = 0;
+    if (advanced) wait.progressed();
     if (pred()) return;
     if (world_->aborting()) throw MpiAbort(-1);
-    if (now_ns() > deadline)
+    if (wait.expired())
       throw MpiError(std::string(what) + " timed out (deadlock?)");
-    // When a pass makes no headway the missing ingredient is a peer
-    // thread getting CPU time. yield() is ~0.2us and actually runs the
-    // peer on an oversubscribed host, so stay in the yield phase for a
-    // while. A genuinely idle wait then parks on this rank's mailbox cv to
-    // cap CPU burn: deliveries into the box and completions of this
-    // rank's sends wake it at once. The timeout covers progress nothing
-    // notifies (wire-time deadlines, pipelined segments, shm arrivals).
-    if (++idle < 64) {
-      std::this_thread::yield();
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(box.mu);
-    box.cv.wait_for(lock, std::chrono::microseconds(50), [&] {
+    const auto woken = [&] {
       return box.wakes.load(std::memory_order_relaxed) != seen ||
              world_->aborting();
-    });
+    };
+    if (wait.spin(woken)) continue;
+    // Deliveries into the box and completions of this rank's sends wake
+    // the park at once. Its timeout covers progress that nothing notifies
+    // (wire-time deadlines, pipelined segments, shm arrivals).
+    std::unique_lock<std::mutex> lock(box.mu);
+    box.cv.wait_for(lock, std::chrono::microseconds(50), woken);
   }
 }
 
@@ -492,70 +495,6 @@ Request Rank::start_icoll(std::shared_ptr<coll::Schedule> sched) {
   // and the wire-time deadlines start running before the caller computes.
   icoll_progress();
   return req;
-}
-
-template <typename Pred>
-bool Rank::wait_with_progress(detail::Mailbox& box,
-                              std::unique_lock<std::mutex>& lock, Pred pred) {
-  const u64 deadline =
-      now_ns() + u64(std::chrono::nanoseconds(kBlockTimeout).count());
-  while (!pred()) {
-    if (now_ns() > deadline) return false;
-    if (icoll_count_.load(std::memory_order_relaxed) == 0 &&
-        box.draining.empty()) {
-      // Nothing to poll: a peer's notify is the only wake source. Pipelined
-      // sends matched while we sleep wake us via the draining clause so we
-      // fall through into the polling branch below. With multiple guest
-      // threads per rank a sibling may initiate a nonblocking collective
-      // while we sleep (its start does not notify our mailbox cv), so the
-      // wait is bounded to a ~1ms quantum to re-check icoll_count_.
-      box.cv.wait_for(lock,
-                      world_->threaded()
-                          ? std::chrono::nanoseconds(std::chrono::milliseconds(1))
-                          : std::chrono::nanoseconds(kBlockTimeout),
-                      [&] { return pred() || !box.draining.empty(); });
-      continue;
-    }
-    // Pipelined segments become visible by wire-time alone — poll them.
-    if (!box.draining.empty()) pump_pipelines(box);
-    if (pred()) return true;
-    // Drive outstanding schedules without holding our box lock (their
-    // steps lock mailboxes, including this one).
-    lock.unlock();
-    icoll_progress();
-    lock.lock();
-    if (pred()) return true;
-    // Segments become visible by wall-clock alone, so bound the sleep by
-    // the earliest pending segment deadline; a peer's notify still wakes
-    // us sooner.
-    auto quantum = std::chrono::microseconds(200);
-    if (!box.draining.empty()) {
-      u64 next = u64(-1);
-      for (const auto& d : box.draining)
-        if (d->seg_ns > 0 && d->chunk > 0)
-          next = std::min(
-              next, d->posted_ns + (d->copied / d->chunk + 1) * d->seg_ns);
-      const u64 t = now_ns();
-      if (next <= t) continue;  // a segment is already due: pump again
-      if (next != u64(-1)) {
-        // cv timed waits round up to the kernel timer slack (~50us+), so
-        // a near deadline is better met by a yielding spin: wake on time,
-        // pump, and let peers run meanwhile.
-        if (next - t < 150'000) {
-          lock.unlock();
-          spin_for_ns(next - t);
-          lock.lock();
-          continue;
-        }
-        quantum = std::min(
-            quantum, std::chrono::duration_cast<std::chrono::microseconds>(
-                         std::chrono::nanoseconds(next - t)) +
-                         std::chrono::microseconds(1));
-      }
-    }
-    box.cv.wait_for(lock, quantum, pred);
-  }
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -774,13 +713,44 @@ bool Rank::test_p2p(const Request& req, bool try_lock) {
 
 Status Rank::await_p2p(Request& req, std::unique_lock<std::mutex>& lock,
                        const char* what) {
-  const bool ok = wait_with_progress(*req.box, lock, [&] {
-    return p2p_done(req) || world_->aborting();
-  });
+  detail::Mailbox& box = *req.box;
+  WaitPolicy wait(*world_);
+  const auto done = [&] { return p2p_done(req) || world_->aborting(); };
+  while (!done()) {
+    if (wait.expired())
+      throw MpiError(std::string(what) + ": timed out (deadlock?) at rank " +
+                     std::to_string(world_rank_));
+    const u64 seen = box.wakes.load(std::memory_order_relaxed);
+    const auto woken = [&] {
+      return box.wakes.load(std::memory_order_relaxed) != seen;
+    };
+    // Pipelined segments become visible by wall-clock alone and nothing
+    // notifies them. A timed cv wait rounds up to the kernel timer slack
+    // (~50us+), so a segment due within 150us keeps the wait from parking.
+    u64 due = u64(-1);
+    for (const auto& d : box.draining)
+      if (d->seg_ns > 0 && d->chunk > 0)
+        due = std::min(due,
+                       d->posted_ns + (d->copied / d->chunk + 1) * d->seg_ns);
+    if (due != u64(-1) && due < now_ns() + 150'000) wait.progressed();
+    // Drive outstanding schedules without holding the box lock (their
+    // steps lock mailboxes, this one included).
+    lock.unlock();
+    if (icoll_progress()) wait.progressed();
+    const bool spun = wait.spin(woken);
+    lock.lock();
+    if (spun) continue;
+    // A farther segment bounds the park. With schedules outstanding a pass
+    // may be due without a wake, and with several guest threads per rank a
+    // sibling may start a nonblocking collective, which notifies nobody.
+    u64 park_ns = !box.draining.empty() || icoll_pending() ? 200'000
+                  : world_->threaded()                     ? 1'000'000
+                                                           : kBlockTimeoutNs;
+    if (due != u64(-1)) park_ns = std::min(park_ns, due - now_ns() + 1'000);
+    box.cv.wait_for(lock, std::chrono::nanoseconds(park_ns),
+                    [&] { return woken() || done(); });
+  }
   if (world_->aborting()) throw MpiAbort(-1);
-  if (!ok)
-    throw MpiError(std::string(what) + ": timed out (deadlock?) at rank " +
-                   std::to_string(world_rank_));
   return finish(req, what);
 }
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "simmpi/types.h"
+#include "support/timing.h"
 
 namespace mpiwasm::simmpi {
 
@@ -130,6 +131,80 @@ struct CommData {
 };
 
 }  // namespace detail
+
+/// The one wait policy of simmpi: spin, then yield, then park. A wait with
+/// a notifier (a p2p wait, a wait that drives schedules) calls spin() once
+/// per idle round. While the world's ranks fit the CPUs of the affinity
+/// mask and no rank runs more than one thread, spin() pause-spins on the
+/// mailbox's wake count, which one delivering peer bumps. Otherwise it
+/// yields: a spinner would hold the CPU of the very rank it waits for.
+/// Once kSpinBudgetNs pass without the count moving or the wait reporting
+/// progress, spin() returns false and the wait parks on the mailbox's cv.
+/// A shm barrier has no notifier and yields every round: its epoch shares
+/// one word with the arrival count that every arriving rank writes, and
+/// spinning readers of that word slow the writes. A 4-rank barrier on a
+/// 4-vCPU VM took 0.95 us with pause-spinning waiters and 0.66 us with
+/// yielding ones (2 ranks: 0.33 us either way). The policy also runs the
+/// deadlock watchdog (kDeadlockTimeout) from its start.
+class WaitPolicy {
+ public:
+  /// How long a wait spins or yields without progress before it parks. A
+  /// futex park and wake costs ~6 us a PingPong leg on a 4-vCPU VM (7.9 us
+  /// a leg parking at once, ~2.5 us spinning). perfbench hpcg small_lat_us
+  /// (medians of 4 runs) was 2.32, 2.34 and 2.39 us at 20, 50 and 200 us
+  /// budgets, against 3.62 us parking at once: any budget well above one
+  /// leg serves, and the middle one bounds the CPU a wait that ends up
+  /// parking burns. It is time, not a count of pauses, because `pause`
+  /// costs 10 to 140 cycles depending on the CPU generation.
+  static constexpr u64 kSpinBudgetNs = 50'000;
+
+  /// Whether waits in a world of `ranks` ranks on `cpus` CPUs pause-spin
+  /// (true) or yield. `threaded` worlds run more threads than ranks.
+  static bool spins(int ranks, u32 cpus, bool threaded) {
+    return !threaded && u32(ranks) <= cpus;
+  }
+
+  /// A wait with a notifier in `world`: spins or yields by spins().
+  explicit WaitPolicy(const World& world);
+  /// A wait that nothing notifies (a shm barrier): spin() only yields.
+  WaitPolicy() : WaitPolicy(false) {}
+  /// Starts the budget over: the wait's last pass made progress.
+  void progressed() { budget_end_ = now_ns() + kSpinBudgetNs; }
+  /// One idle round: false once the budget is spent (the caller parks).
+  /// Otherwise pause-spins until `moved()` holds or kPausesPerCheck
+  /// pauses pass, or yields once, and returns true; `moved()` holding
+  /// restarts the budget.
+  template <typename Moved>
+  bool spin(Moved moved) {
+    if (now_ns() >= budget_end_) return false;
+    if (spin_) {
+      for (int i = 0; i < kPausesPerCheck && !moved(); ++i) cpu_relax();
+    } else {
+      std::this_thread::yield();
+    }
+    if (moved()) progressed();
+    return true;
+  }
+  /// The deadlock watchdog: true once the wait has lasted kDeadlockTimeout.
+  bool expired() const { return now_ns() > deadline_; }
+
+ private:
+  explicit WaitPolicy(bool spin);
+  /// Pauses between two reads of the clock: 0.2-3 us, depending on what
+  /// `pause` costs on the CPU.
+  static constexpr int kPausesPerCheck = 64;
+  static void cpu_relax() {
+#if defined(__x86_64__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+  }
+
+  bool spin_;
+  u64 budget_end_;
+  u64 deadline_;
+};
 
 /// Per-communicator shared-memory collective state: a table of the buffers
 /// each comm rank exposes to its peers for the current call, plus a
@@ -323,6 +398,15 @@ class Rank {
   /// this (or test()) periodically; blocking MPI calls invoke it
   /// opportunistically.
   void progress();
+  /// Polls `pred` while driving the progress engine until it holds; throws
+  /// MpiAbort on world abort, MpiError("<what> ...") on watchdog timeout.
+  /// The shared body of every schedule-aware blocking wait (wait on a
+  /// collective request; a blocking p2p collective, whose unregistered
+  /// schedule `own` each pass also drives; waitany, the embedder's
+  /// MPI_Waitany included; the comm_free drain). It waits by the
+  /// WaitPolicy, watching this rank's mailbox: idle waits park on its cv.
+  void poll_with_progress(const std::function<bool()>& pred, const char* what,
+                          coll::Schedule* own = nullptr);
   Status sendrecv(const void* sendbuf, int sendcount, Datatype sendtype,
                   int dest, int sendtag, void* recvbuf, int recvcount,
                   Datatype recvtype, int source, int recvtag,
@@ -426,8 +510,11 @@ class Rank {
   /// p2p_done under the box lock, skipped for a completed receive. With
   /// `try_lock` a contended lock reports "not done" instead of blocking.
   static bool test_p2p(const Request& req, bool try_lock);
-  /// Blocks (driving progress) until p2p request `req` completes, then
-  /// finishes it. `lock` holds req.box->mu.
+  /// Blocks until p2p request `req` completes, then finishes it. `lock`
+  /// holds req.box->mu. Waits by the WaitPolicy on that box's wakes and
+  /// cv, and keeps outstanding schedules progressing meanwhile: without
+  /// that, a rank stuck in a blocking call could starve a peer waiting on
+  /// this rank's share of a nonblocking collective.
   Status await_p2p(Request& req, std::unique_lock<std::mutex>& lock,
                    const char* what);
   /// What completed request `req` received (empty unless a receive).
@@ -451,14 +538,6 @@ class Rank {
   /// Registers a freshly built schedule, kicks its first progress pass, and
   /// wraps it into a kColl request.
   Request start_icoll(std::shared_ptr<coll::Schedule> sched);
-  /// Polls `pred` while driving the progress engine until it holds; throws
-  /// MpiAbort on world abort, MpiError("<what> ...") on watchdog timeout.
-  /// The shared body of every schedule-aware blocking wait (wait on a
-  /// collective request; a blocking p2p collective, whose unregistered
-  /// schedule `own` each pass also drives; waitany; the comm_free drain).
-  /// Idle waits park on this rank's mailbox cv.
-  void poll_with_progress(const std::function<bool()>& pred, const char* what,
-                          coll::Schedule* own = nullptr);
   /// Advances every outstanding schedule once. Reentrancy-guarded (schedule
   /// steps call test() which hooks progress) and cross-thread safe: a second
   /// guest thread finding icoll_mu_ held skips the pass — the holder is
@@ -471,12 +550,6 @@ class Rank {
   bool icoll_pending() const {
     return icoll_count_.load(std::memory_order_relaxed) != 0;
   }
-  /// cv wait that keeps outstanding schedules progressing while blocked —
-  /// without this, a rank stuck in a blocking call could starve a peer
-  /// waiting on this rank's share of a nonblocking collective.
-  template <typename Pred>
-  bool wait_with_progress(detail::Mailbox& box,
-                          std::unique_lock<std::mutex>& lock, Pred pred);
 
   World* world_ = nullptr;
   int world_rank_ = 0;

@@ -11,18 +11,13 @@
 #include <vector>
 
 namespace mpiwasm {
-namespace {
 
-/// CPUs this process may run on (cgroup/taskset pinning shows up here,
-/// unlike in std::thread::hardware_concurrency).
 u32 affinity_cpus() {
   cpu_set_t set;
   CPU_ZERO(&set);
   if (sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
   return u32(std::max(1, CPU_COUNT(&set)));
 }
-
-}  // namespace
 
 void parallel_for(u32 n, u64 chunk_cost, const std::function<u64(u32)>& cost,
                   const std::function<void(u32)>& fn) {

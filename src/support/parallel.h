@@ -14,6 +14,10 @@
 
 namespace mpiwasm {
 
+/// CPUs this process may run on (cgroup/taskset pinning shows up here,
+/// unlike in std::thread::hardware_concurrency); at least 1.
+u32 affinity_cpus();
+
 /// Calls `fn(i)` exactly once for every i in [0, n), on the calling thread
 /// plus min(chunks, CPUs in the affinity mask) - 1 helper threads.
 /// `cost(i)` weighs item i (same unit as `chunk_cost`). Returns after every

@@ -170,10 +170,10 @@ std::vector<u8> build_compute_module(u32 inner_iters) {
 
 /// Host-side twin of build_compute_module, for exit-code assertions.
 i32 compute_module_expected(u32 inner_iters) {
-  i32 acc = 0;
-  for (u32 i = 0; i < inner_iters; ++i)
-    acc = i32((acc * 31 + i32(i)) ^ (u32(acc) >> 3));
-  return acc & 0x7F;
+  // u32 arithmetic wraps exactly as the module's i32.mul and i32.add do.
+  u32 acc = 0;
+  for (u32 i = 0; i < inner_iters; ++i) acc = (acc * 31 + i) ^ (acc >> 3);
+  return i32(acc & 0x7F);
 }
 
 std::vector<u8> build_allreduce_check_module() {

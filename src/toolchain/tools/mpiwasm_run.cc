@@ -78,7 +78,7 @@ struct ArgCursor {
   int i = 1;
 
   // Current token split at the first '=' (flag part / inline value part).
-  std::string flag;
+  std::string flag{};
   const char* inline_val = nullptr;
 
   bool next() {

@@ -222,8 +222,9 @@ TEST(Optimizer, BranchThreadingCollapsesBrChains) {
   RFunc opt = lower_one(bytes, true);
   // Every Br must point at a non-Br instruction (fully threaded).
   for (const auto& in : opt.code) {
-    if (in.op == ROp::kBr)
+    if (in.op == ROp::kBr) {
       EXPECT_NE(opt.code[in.imm].op, ROp::kBr) << opt.to_string();
+    }
   }
   for (EngineTier tier : all_tiers()) {
     auto inst = instantiate(bytes, tier);

@@ -159,9 +159,10 @@ TEST(CollAlgoDifferential, ReduceEveryAlgorithmEveryRoot) {
           for (i64 i = 0; i < count; ++i) in[size_t(i)] = gen(r.rank(), i);
           r.reduce(in.data(), r.rank() == root ? out.data() : nullptr,
                    int(count), Datatype::kLong, ReduceOp::kSum, root);
-          if (r.rank() == root)
+          if (r.rank() == root) {
             ASSERT_EQ(out, expect) << "root=" << root << " count=" << count
                                    << " algo=" << coll::algo_name(algo);
+          }
         }
       });
     }

@@ -307,8 +307,9 @@ TEST(IcollInPlace, IreduceScatterIscanIexscan) {
       req = r.iexscan(kInPlace, ebuf.data(), int(count), Datatype::kLong,
                       ReduceOp::kSum);
       r.wait(req);
-      if (r.rank() > 0)
+      if (r.rank() > 0) {
         ASSERT_TRUE(std::equal(eexp.begin(), eexp.end(), ebuf.begin()));
+      }
     });
   }
 }

@@ -14,8 +14,13 @@
 #include <thread>
 #include <tuple>
 
+#include "embedder/abi.h"
+#include "embedder/embedder.h"
 #include "simmpi/api.h"
 #include "simmpi/world.h"
+#include "support/parallel.h"
+#include "toolchain/mpi_imports.h"
+#include "wasm/builder.h"
 
 namespace mpiwasm::simmpi {
 namespace {
@@ -658,6 +663,172 @@ TEST(SimMpiP2P, ZeroCountNullBuffersAtRendezvousBoundary) {
   NetworkProfile prof = NetworkProfile::zero();
   prof.eager_limit = 0;
   zero_count_exchanges(prof);
+}
+
+// --- The wait policy ---------------------------------------------------------
+
+TEST(WaitPolicy, SpinsOnlyWhileTheRanksFitTheCpus) {
+  EXPECT_TRUE(WaitPolicy::spins(1, 1, false));
+  EXPECT_TRUE(WaitPolicy::spins(2, 4, false));
+  EXPECT_TRUE(WaitPolicy::spins(4, 4, false));
+  EXPECT_FALSE(WaitPolicy::spins(5, 4, false));
+  EXPECT_FALSE(WaitPolicy::spins(8, 4, false));
+  // More guest threads than ranks: the CPU count no longer bounds them.
+  EXPECT_FALSE(WaitPolicy::spins(2, 4, true));
+}
+
+// The sender sleeps well past the spin budget before each send, so every
+// receive spins, parks, and must still be woken by the delivery: a lost
+// wake would hold it until the deadlock watchdog. Even rounds wait in a
+// blocking recv, odd ones in waitany (the schedule-driving wait).
+TEST(WaitPolicy, SpinningReceiverParksAndIsWokenByALateSend) {
+  if (!WaitPolicy::spins(2, affinity_cpus(), false))
+    GTEST_SKIP() << "a 2-rank world yields on a 1-CPU affinity mask";
+  constexpr int kRounds = 20;
+  constexpr auto kSenderDelay = std::chrono::milliseconds(2);
+  static_assert(std::chrono::nanoseconds(kSenderDelay).count() >
+                i64(WaitPolicy::kSpinBudgetNs));
+  std::atomic<i64> sent_ns{0};
+  i64 worst_lag_ns = 0;
+  World world(2);
+  world.run([&](Rank& r) {
+    const auto now = [] {
+      return std::chrono::duration_cast<std::chrono::nanoseconds>(
+                 std::chrono::steady_clock::now().time_since_epoch())
+          .count();
+    };
+    for (int round = 0; round < kRounds; ++round) {
+      if (r.rank() == 0) {
+        std::this_thread::sleep_for(kSenderDelay);
+        sent_ns.store(now());
+        r.send(&round, 1, Datatype::kInt, 1, 0);
+        r.barrier();
+        continue;
+      }
+      int got = -1;
+      if (round % 2 == 0) {
+        r.recv(&got, 1, Datatype::kInt, 0, 0);
+      } else {
+        Request req = r.irecv(&got, 1, Datatype::kInt, 0, 0);
+        EXPECT_EQ(r.waitany({&req, 1}), 0);
+      }
+      worst_lag_ns = std::max(worst_lag_ns, now() - sent_ns.load());
+      EXPECT_EQ(got, round);
+      r.barrier();
+    }
+  });
+  // A woken park returns within scheduler latency; the watchdog is 120 s.
+  EXPECT_LT(worst_lag_ns, i64(1'000'000'000)) << "a wake was lost";
+}
+
+// Twice as many ranks as CPUs: every wait yields instead of spinning, so a
+// ring of blocking sends and receives must keep moving.
+TEST(WaitPolicy, OversubscribedRingFinishesWellInsideTheWatchdog) {
+  const int n = int(2 * affinity_cpus());
+  ASSERT_FALSE(WaitPolicy::spins(n, affinity_cpus(), false));
+  constexpr int kRounds = 500;
+  const auto start = std::chrono::steady_clock::now();
+  World world(n);
+  world.run([&](Rank& r) {
+    const int next = (r.rank() + 1) % n, prev = (r.rank() + n - 1) % n;
+    for (int round = 0; round < kRounds; ++round) {
+      const int out = round * n + r.rank();
+      int in = -1;
+      r.send(&out, 1, Datatype::kInt, next, round % 8);
+      r.recv(&in, 1, Datatype::kInt, prev, round % 8);
+      ASSERT_EQ(in, round * n + prev);
+    }
+  });
+  EXPECT_LT(std::chrono::steady_clock::now() - start, kDeadlockTimeout / 4);
+}
+
+// The guest's MPI_Waitany waits through the same policy: rank 0 posts a
+// receive nobody has sent to yet and waits on it; rank 1 sends after a
+// host-side sleep. Rank 0 exits with the received value plus penalties for
+// a wrong index (100s) or a request handle left set (1000).
+std::vector<u8> build_late_send_waitany_module() {
+  namespace abi = embed::abi;
+  using wasm::Op;
+  using wasm::ValType;
+  constexpr ValType I32 = ValType::kI32;
+  constexpr i32 kRankPtr = 1024, kBuf = 2048, kReq = 2064, kIndex = 2068;
+  wasm::ModuleBuilder b;
+  toolchain::MpiImportSet set;
+  set.p2p = true;
+  set.nonblocking = true;
+  toolchain::MpiImports mpi = toolchain::declare_mpi_imports(b, set);
+  u32 proc_exit = b.import_func("wasi_snapshot_preview1", "proc_exit",
+                                {{I32}, {}});
+  u32 pause = b.import_func("test", "pause", {{}, {}});
+  b.add_memory(1);
+  b.export_memory();
+  auto& f = b.begin_func({{}, {}}, "_start");
+  f.i32_const(0);
+  f.i32_const(0);
+  f.call(mpi.init);
+  f.op(Op::kDrop);
+  f.i32_const(abi::MPI_COMM_WORLD);
+  f.i32_const(kRankPtr);
+  f.call(mpi.comm_rank);
+  f.op(Op::kDrop);
+  f.i32_const(kRankPtr);
+  f.mem_op(Op::kI32Load);
+  f.op(Op::kI32Eqz);
+  f.if_();
+  {
+    // Irecv(kBuf, 1, INT, 1, 7) -> kReq; Waitany(1, kReq) -> kIndex.
+    for (i32 v : {kBuf, 1, abi::MPI_INT, 1, 7, abi::MPI_COMM_WORLD, kReq})
+      f.i32_const(v);
+    f.call(mpi.irecv);
+    f.op(Op::kDrop);
+    for (i32 v : {1, kReq, kIndex, abi::MPI_STATUS_IGNORE}) f.i32_const(v);
+    f.call(mpi.waitany);
+    f.op(Op::kDrop);
+    f.i32_const(kBuf);
+    f.mem_op(Op::kI32Load);
+    f.i32_const(kIndex);
+    f.mem_op(Op::kI32Load);
+    f.i32_const(100);
+    f.op(Op::kI32Mul);
+    f.op(Op::kI32Add);
+    f.i32_const(kReq);
+    f.mem_op(Op::kI32Load);
+    f.i32_const(abi::MPI_REQUEST_NULL);
+    f.op(Op::kI32Ne);
+    f.i32_const(1000);
+    f.op(Op::kI32Mul);
+    f.op(Op::kI32Add);
+    f.call(proc_exit);
+  }
+  f.else_();
+  {
+    f.call(pause);
+    f.i32_const(kBuf);
+    f.i32_const(42);
+    f.mem_op(Op::kI32Store);
+    for (i32 v : {kBuf, 1, abi::MPI_INT, 0, 7, abi::MPI_COMM_WORLD})
+      f.i32_const(v);
+    f.call(mpi.send);
+    f.op(Op::kDrop);
+    f.i32_const(0);
+    f.call(proc_exit);
+  }
+  f.end();
+  f.end();
+  return b.build();
+}
+
+TEST(WaitPolicy, GuestWaitanyOnAnUnmatchedReceiveCompletesWhenThePeerSends) {
+  const std::vector<u8> bytes = build_late_send_waitany_module();
+  embed::EmbedderConfig cfg;
+  cfg.extra_imports = [](rt::ImportTable& t, int) {
+    t.add("test", "pause", {{}, {}},
+          [](rt::HostContext&, const rt::Slot*, rt::Slot*) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          });
+  };
+  embed::Embedder emb(cfg);
+  EXPECT_EQ(emb.run_world({bytes.data(), bytes.size()}, 2).exit_code, 42);
 }
 
 }  // namespace

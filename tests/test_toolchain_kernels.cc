@@ -97,7 +97,9 @@ TEST(KernelIs, VerifiesAndMatchesNativeAcrossRankCounts) {
     simmpi::World world(ranks);
     world.run([&](simmpi::Rank& r) {
       auto res = native_is_run(r, p);
-      if (r.rank() == 0) EXPECT_TRUE(res.ok);
+      if (r.rank() == 0) {
+        EXPECT_TRUE(res.ok);
+      }
     });
   }
 }
