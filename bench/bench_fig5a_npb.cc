@@ -18,31 +18,54 @@ int main() {
   const auto profile = simmpi::NetworkProfile::omnipath();
 
   // --- IS: Mop/s across rank counts ----------------------------------------
-  print_subhead("IS total Mop/s vs ranks");
+  // 2^18 keys per rank keep each run long enough to time. Every rank count
+  // runs its native/wasm pair kPairs times, alternating which side goes
+  // first, and reports the medians: single runs of 2^14 keys swung from 26
+  // to 47 Mop/s between runs of one build.
+  constexpr int kPairs = 5;
+  print_subhead("IS total Mop/s vs ranks (medians of 5 interleaved pairs)");
   IsParams is;
-  is.keys_per_rank = 1 << 14;
+  is.keys_per_rank = 1 << 18;
   is.repetitions = 5;
+  const auto is_bytes = build_is_module(is);
+  ReportCollector collector;
+  embed::EmbedderConfig is_cfg;
+  is_cfg.net_profile = profile;
+  is_cfg.extra_imports = collector.hook();
+  embed::Embedder is_emb(is_cfg);
+  const auto is_module = is_emb.compile({is_bytes.data(), is_bytes.size()});
   std::vector<ComparisonRow> is_rows;
   for (int np : {2, 4, 8}) {
-    f64 native_mops = 0;
-    simmpi::World world(np, profile);
-    world.run([&](simmpi::Rank& r) {
-      auto res = native_is_run(r, is);
-      if (r.rank() == 0) {
-        MW_CHECK(res.ok, "native IS verification failed");
-        native_mops = res.mops;
+    std::vector<f64> native_mops;
+    std::vector<f64> wasm_mops;
+    auto run_native = [&] {
+      simmpi::World world(np, profile);
+      world.run([&](simmpi::Rank& r) {
+        auto res = native_is_run(r, is);
+        if (r.rank() == 0) {
+          MW_CHECK(res.ok, "native IS verification failed");
+          native_mops.push_back(res.mops);
+        }
+      });
+    };
+    auto run_wasm = [&] {
+      collector.clear();
+      is_emb.run_world(is_module, np);
+      auto rows = collector.rows_with_id(is.report_id);
+      MW_CHECK(!rows.empty() && rows[0].b == 1.0, "wasm IS verification failed");
+      wasm_mops.push_back(rows[0].a);
+    };
+    for (int pair = 0; pair < kPairs; ++pair) {
+      if (pair % 2 == 0) {
+        run_native();
+        run_wasm();
+      } else {
+        run_wasm();
+        run_native();
       }
-    });
-    auto bytes = build_is_module(is);
-    ReportCollector collector;
-    embed::EmbedderConfig cfg;
-    cfg.net_profile = profile;
-    cfg.extra_imports = collector.hook();
-    embed::Embedder emb(cfg);
-    emb.run_world({bytes.data(), bytes.size()}, np);
-    auto rows = collector.rows_with_id(is.report_id);
-    MW_CHECK(!rows.empty() && rows[0].b == 1.0, "wasm IS verification failed");
-    is_rows.push_back({f64(np), native_mops, rows[0].a});
+    }
+    is_rows.push_back({f64(np), percentile(native_mops, 50),
+                       percentile(wasm_mops, 50)});
   }
   print_comparison_table("Mop/s", is_rows, /*lower_is_better=*/false);
   write_csv("fig5a_is.csv", "ranks,native_mops,wasm_mops", is_rows);

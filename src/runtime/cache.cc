@@ -10,6 +10,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -318,18 +320,62 @@ std::optional<RFunc> deserialize_rfunc(std::span<const u8> bytes) {
   }
 }
 
-FileSystemCache::FileSystemCache(std::string dir) : dir_(std::move(dir)) {
-  if (dir_.empty())
-    dir_ = (fs::temp_directory_path() / "mpiwasm-cache").string();
-  std::error_code ec;
-  fs::create_directories(dir_, ec);
-  if (ec) MW_WARN("cannot create cache dir " << dir_ << ": " << ec.message());
+bool cache_dir_trusted(const struct stat& st, uid_t euid) {
+  return S_ISDIR(st.st_mode) && st.st_uid == euid;
 }
 
+namespace {
+
+fs::path cache_dir_or_default(const std::string& dir) {
+  return dir.empty() ? fs::temp_directory_path() / "mpiwasm-cache"
+                     : fs::path(dir);
+}
+
+/// Creates `dir` (mode 0700) when it is missing and checks it with
+/// cache_dir_trusted; a symlink must be owned by this user too. On failure
+/// warns once per directory and returns false.
+bool open_cache_dir(const fs::path& dir) {
+  const fs::path leaf = dir.has_filename() ? dir : dir.parent_path();
+  int made = ::mkdir(leaf.c_str(), 0700);
+  if (made != 0 && errno == ENOENT && leaf.has_parent_path()) {
+    std::error_code ec;  // missing parents get the default mode
+    fs::create_directories(leaf.parent_path(), ec);
+    made = ::mkdir(leaf.c_str(), 0700);
+  }
+  const uid_t euid = ::geteuid();
+  struct stat st;
+  std::string why;
+  if (made != 0 && errno != EEXIST) {
+    why = std::string("cannot create it: ") + std::strerror(errno);
+  } else if (::lstat(leaf.c_str(), &st) != 0 ||
+             (S_ISLNK(st.st_mode) && st.st_uid == euid &&
+              ::stat(leaf.c_str(), &st) != 0)) {
+    why = std::string("cannot stat it: ") + std::strerror(errno);
+  } else if (cache_dir_trusted(st, euid)) {
+    return true;
+  } else {
+    why = (S_ISDIR(st.st_mode) || S_ISLNK(st.st_mode) ? "owned by uid "
+                                                       : "not a directory, uid ") +
+          std::to_string(st.st_uid) + ", not " + std::to_string(euid);
+  }
+  static std::mutex warned_mu;
+  static std::set<std::string> warned;  // guarded by warned_mu
+  std::lock_guard<std::mutex> lock(warned_mu);
+  if (warned.insert(leaf.string()).second)
+    MW_WARN("cache dir " << leaf.string() << " not used (" << why
+                         << "); running with the cache off");
+  return false;
+}
+
+}  // namespace
+
+FileSystemCache::FileSystemCache(std::string dir)
+    : dir_(cache_dir_or_default(dir).string()),
+      enabled_(open_cache_dir(dir_)) {}
+
 std::string autotune_table_path(const std::string& dir) {
-  const fs::path base =
-      dir.empty() ? fs::temp_directory_path() / "mpiwasm-cache" : fs::path(dir);
-  return (base / "coll-tune.table").string();
+  const fs::path base = cache_dir_or_default(dir);
+  return open_cache_dir(base) ? (base / "coll-tune.table").string() : "";
 }
 
 std::string FileSystemCache::entry_path(const Sha256Digest& hash,
@@ -366,6 +412,7 @@ void MappedEntry::remove() {
 std::unique_ptr<MappedEntry> FileSystemCache::map(
     const Sha256Digest& hash, const std::string& tier_tag,
     u32 num_funcs) const {
+  if (!enabled_) return nullptr;
   const std::string path = entry_path(hash, tier_tag);
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) return nullptr;
@@ -394,12 +441,14 @@ std::unique_ptr<MappedEntry> FileSystemCache::map(
 void FileSystemCache::store(const Sha256Digest& hash,
                             const std::string& tier_tag,
                             const RModule& rm) const {
+  if (!enabled_) return;
   write_entry(entry_path(hash, tier_tag), serialize_regcode(rm));
 }
 
 std::optional<RFunc> FileSystemCache::load_func(
     const Sha256Digest& hash, u32 func_index,
     const std::string& tier_tag) const {
+  if (!enabled_) return std::nullopt;
   const std::string path = func_entry_path(hash, func_index, tier_tag);
   auto bytes = read_file(path);
   if (!bytes.has_value()) return std::nullopt;
@@ -411,11 +460,13 @@ std::optional<RFunc> FileSystemCache::load_func(
 void FileSystemCache::store_func(const Sha256Digest& hash, u32 func_index,
                                  const std::string& tier_tag,
                                  const RFunc& f) const {
+  if (!enabled_) return;
   write_entry(func_entry_path(hash, func_index, tier_tag),
               serialize_rfunc(f));
 }
 
 void FileSystemCache::clear() const {
+  if (!enabled_) return;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir_, ec)) {
     if (entry.path().extension() == ".rcache") fs::remove(entry.path(), ec);

@@ -25,6 +25,8 @@
 // mapping stays a complete entry for as long as it lives.
 #pragma once
 
+#include <sys/stat.h>
+
 #include <memory>
 #include <optional>
 #include <string>
@@ -59,12 +61,24 @@ class MappedEntry {
   bool removed_ = false;
 };
 
+/// Whether a directory whose stat(2) is `st` may hold the cache of a
+/// process whose effective uid is `euid`: it must be a directory that uid
+/// owns. Anyone who can write the cache directory can plant native code
+/// that map() runs, so a directory another user made (say a shared
+/// "<tmp>/mpiwasm-cache") is not used. The mode bits are not checked: a
+/// group-writable directory made under umask 002 stays usable.
+bool cache_dir_trusted(const struct stat& st, uid_t euid);
+
 class FileSystemCache {
  public:
-  /// `dir` empty selects "<system temp>/mpiwasm-cache".
+  /// `dir` empty selects "<system temp>/mpiwasm-cache". A missing directory
+  /// is created with mode 0700. When it cannot be created or fails
+  /// cache_dir_trusted, the cache is off (a warning is logged once per
+  /// directory): every lookup misses and every store is dropped.
   explicit FileSystemCache(std::string dir);
 
   const std::string& dir() const { return dir_; }
+  bool enabled() const { return enabled_; }
 
   /// Maps the whole-module entry for (hash, tier_tag) when its header and
   /// offset table are sound and it holds `num_funcs` records; nullptr on a
@@ -95,11 +109,14 @@ class FileSystemCache {
   std::string func_entry_path(const Sha256Digest& hash, u32 func_index,
                               const std::string& tier_tag) const;
   std::string dir_;
+  bool enabled_ = false;
 };
 
 /// Where the collective-autotuning table lives: next to the code cache, so
 /// both kinds of learned state share one directory. `dir` empty selects the
-/// same "<system temp>/mpiwasm-cache" default as FileSystemCache.
+/// same "<system temp>/mpiwasm-cache" default as FileSystemCache, and the
+/// directory passes the same checks; when it fails them the result is
+/// empty, and the table is neither loaded nor saved.
 std::string autotune_table_path(const std::string& dir);
 
 /// Serialization used by the cache (exposed for round-trip tests).

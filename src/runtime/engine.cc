@@ -65,9 +65,9 @@ std::string cache_tag(EngineTier tier, bool superinstructions,
   return tag;
 }
 
-/// Body bytes per parallel_for chunk in compile(): about 2 ms of lowering,
-/// optimization and codegen at the ~1.6 MB/s one Xeon vCPU compiles the jit
-/// tier.
+/// Body bytes per parallel_for chunk in compile(): about 1.5 ms of lowering,
+/// optimization and codegen at the ~2.7 MB/s one Xeon vCPU compiles the jit
+/// tier (the compile-stress module, RelWithDebInfo).
 constexpr u64 kCompileChunkBytes = 4 << 10;
 
 /// Compiles defined function `index` at compiled tier `tier` (kOptimizing

@@ -43,7 +43,11 @@ PreFunc predecode_function(const wasm::Module& m, u32 defined_index) {
   // First pass: decode every instruction (this is the tier's whole
   // "compile" step — it removes LEB decoding from the execution loop).
   wasm::InstrReader reader({body.code.data(), body.code.size()});
-  while (!reader.done()) out.code.push_back(reader.next());
+  InstrView view;
+  while (!reader.done()) {
+    reader.next(view);
+    out.code.push_back(view);
+  }
   out.br.assign(out.code.size(), PreBr{});
 
   // Second pass: resolve structured control to absolute targets, tracking

@@ -323,8 +323,9 @@ class FuncLowering {
   RFunc run() {
     push_frame(Frame::kBlock, out_.has_result, /*entered_live=*/true);
     wasm::InstrReader reader({body_.code.data(), body_.code.size()});
+    InstrView in;
     while (!reader.done()) {
-      InstrView in = reader.next();
+      reader.next(in);
       if (frames_.empty()) fatal("lowering: instructions after function end");
       step(in);
     }

@@ -12,15 +12,7 @@ void ByteReader::skip(size_t n) {
   pos_ += n;
 }
 
-u8 ByteReader::read_u8() {
-  if (pos_ >= data_.size()) throw DecodeError("unexpected end of input");
-  return data_[pos_++];
-}
-
-u8 ByteReader::peek_u8() const {
-  if (pos_ >= data_.size()) throw DecodeError("unexpected end of input");
-  return data_[pos_];
-}
+void ByteReader::fail_end() { throw DecodeError("unexpected end of input"); }
 
 u32 ByteReader::read_u32_le() {
   if (remaining() < 4) throw DecodeError("unexpected end of input (u32)");
@@ -41,7 +33,7 @@ u64 ByteReader::read_u64_le() {
 f32 ByteReader::read_f32_le() { return std::bit_cast<f32>(read_u32_le()); }
 f64 ByteReader::read_f64_le() { return std::bit_cast<f64>(read_u64_le()); }
 
-u32 ByteReader::read_leb_u32() {
+u32 ByteReader::read_leb_u32_slow() {
   u32 result = 0;
   int shift = 0;
   for (int i = 0; i < 5; ++i) {
@@ -56,7 +48,7 @@ u32 ByteReader::read_leb_u32() {
   throw DecodeError("LEB u32 too long");
 }
 
-u64 ByteReader::read_leb_u64() {
+u64 ByteReader::read_leb_u64_slow() {
   u64 result = 0;
   int shift = 0;
   for (int i = 0; i < 10; ++i) {
@@ -71,33 +63,38 @@ u64 ByteReader::read_leb_u64() {
   throw DecodeError("LEB u64 too long");
 }
 
-i32 ByteReader::read_leb_i32() {
-  i32 result = 0;
+i32 ByteReader::read_leb_i32_slow() {
+  u32 result = 0;
   int shift = 0;
-  u8 byte;
   for (int i = 0; i < 5; ++i) {
-    byte = read_u8();
-    result |= i32(byte & 0x7f) << shift;
+    u8 byte = read_u8();
+    result |= u32(byte & 0x7f) << shift;
     shift += 7;
     if ((byte & 0x80) == 0) {
-      if (shift < 32 && (byte & 0x40)) result |= i32(~0u << shift);
-      return result;
+      // The 5th byte carries bits 28-31; its bits 4-6 must repeat bit 3,
+      // the sign.
+      if (i == 4 && (byte & 0x70) != ((byte & 0x08) ? 0x70 : 0))
+        throw DecodeError("LEB i32 overflow");
+      if (shift < 32 && (byte & 0x40)) result |= ~0u << shift;
+      return i32(result);
     }
   }
   throw DecodeError("LEB i32 too long");
 }
 
-i64 ByteReader::read_leb_i64() {
-  i64 result = 0;
+i64 ByteReader::read_leb_i64_slow() {
+  u64 result = 0;
   int shift = 0;
-  u8 byte;
   for (int i = 0; i < 10; ++i) {
-    byte = read_u8();
-    result |= i64(byte & 0x7f) << shift;
+    u8 byte = read_u8();
+    result |= u64(byte & 0x7f) << shift;
     shift += 7;
     if ((byte & 0x80) == 0) {
-      if (shift < 64 && (byte & 0x40)) result |= i64(~0ull << shift);
-      return result;
+      // The 10th byte carries bit 63 only; bits 1-6 must repeat it.
+      if (i == 9 && byte != 0x00 && byte != 0x7f)
+        throw DecodeError("LEB i64 overflow");
+      if (shift < 64 && (byte & 0x40)) result |= ~0ull << shift;
+      return i64(result);
     }
   }
   throw DecodeError("LEB i64 too long");

@@ -33,23 +33,57 @@ class ByteReader {
   void seek(size_t pos);
   void skip(size_t n);
 
-  u8 read_u8();
-  u8 peek_u8() const;
+  // The byte and LEB128 readers are inline for the in-bounds, single-byte
+  // case (most of a function body); the rest is out of line.
+  u8 read_u8() {
+    if (pos_ >= data_.size()) [[unlikely]] fail_end();
+    return data_[pos_++];
+  }
+  u8 peek_u8() const {
+    if (pos_ >= data_.size()) [[unlikely]] fail_end();
+    return data_[pos_];
+  }
   u32 read_u32_le();
   u64 read_u64_le();
   f32 read_f32_le();
   f64 read_f64_le();
 
-  /// LEB128 readers (unsigned/signed, 32/64-bit), per the Wasm spec.
-  u32 read_leb_u32();
-  u64 read_leb_u64();
-  i32 read_leb_i32();
-  i64 read_leb_i64();
+  /// LEB128 readers (unsigned/signed, 32/64-bit), per the Wasm spec: an
+  /// encoding longer than the type's ceil(bits / 7) bytes, or whose last
+  /// byte has bits beyond the type's width that are not zero (unsigned) or
+  /// copies of its sign bit (signed), throws DecodeError.
+  u32 read_leb_u32() {
+    if (pos_ < data_.size() && data_[pos_] < 0x80) [[likely]]
+      return data_[pos_++];
+    return read_leb_u32_slow();
+  }
+  u64 read_leb_u64() {
+    if (pos_ < data_.size() && data_[pos_] < 0x80) [[likely]]
+      return data_[pos_++];
+    return read_leb_u64_slow();
+  }
+  i32 read_leb_i32() {
+    // One byte holds 7 bits; bit 6 is the sign.
+    if (pos_ < data_.size() && data_[pos_] < 0x80) [[likely]]
+      return i32(u32(data_[pos_++]) << 25) >> 25;
+    return read_leb_i32_slow();
+  }
+  i64 read_leb_i64() {
+    if (pos_ < data_.size() && data_[pos_] < 0x80) [[likely]]
+      return i64(u64(data_[pos_++]) << 57) >> 57;
+    return read_leb_i64_slow();
+  }
 
   std::span<const u8> read_bytes(size_t n);
   std::string read_name();  // LEB length-prefixed UTF-8 name
 
  private:
+  [[noreturn]] static void fail_end();
+  u32 read_leb_u32_slow();
+  u64 read_leb_u64_slow();
+  i32 read_leb_i32_slow();
+  i64 read_leb_i64_slow();
+
   std::span<const u8> data_;
   size_t pos_ = 0;
 };

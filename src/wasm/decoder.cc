@@ -268,9 +268,17 @@ DecodeResult decode_module(std::span<const u8> bytes) {
   return result;
 }
 
-InstrView InstrReader::next() {
-  InstrView v;
+void InstrReader::next(InstrView& v) {
   v.pc = r_.pos();
+  v.imm_i = 0;
+  v.imm_f32 = 0;
+  v.imm_f64 = 0;
+  v.mem_align = 0;
+  v.mem_offset = 0;
+  v.indirect_type_index = 0;
+  v.block_type = kBlockTypeEmpty;
+  v.br_targets.clear();
+  v.br_default = 0;
   u8 first = r_.read_u8();
   u16 code = first;
   if (first == 0xFC || first == 0xFD || first == 0xFE) {
@@ -278,10 +286,11 @@ InstrView InstrReader::next() {
     if (sub > 0xFF) throw DecodeError("prefixed opcode out of range");
     code = u16((first << 8) | sub);
   }
-  if (!op_is_known(code)) throw DecodeError("unknown opcode");
+  const OpInfo& info = op_info(code);
+  if (!info.known) throw DecodeError("unknown opcode");
   v.op = Op(code);
 
-  switch (op_imm_kind(v.op)) {
+  switch (info.imm) {
     case ImmKind::kNone:
       break;
     case ImmKind::kBlockType: {
@@ -354,7 +363,6 @@ InstrView InstrReader::next() {
       break;
   }
   v.next_pc = r_.pos();
-  return v;
 }
 
 }  // namespace mpiwasm::wasm

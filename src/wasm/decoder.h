@@ -26,7 +26,8 @@ struct DecodeResult {
 /// error string (tested by the failure-injection suite).
 DecodeResult decode_module(std::span<const u8> bytes);
 
-/// One decoded instruction with its immediates.
+/// One decoded instruction with its immediates. Callers keep one view and
+/// let InstrReader::next refill it for every instruction (see there).
 struct InstrView {
   Op op = Op::kNop;
   size_t pc = 0;       // byte offset of the opcode
@@ -53,7 +54,11 @@ class InstrReader {
   explicit InstrReader(std::span<const u8> code) : r_(code) {}
   bool done() const { return r_.done(); }
   size_t pos() const { return r_.pos(); }
-  InstrView next();
+  /// Decodes the next instruction into `v`. Every scalar field is reset
+  /// (an immediate the instruction lacks reads 0, `block_type` empty);
+  /// `br_targets` is cleared but keeps its capacity; `imm_v128` is written
+  /// only by v128.const and i8x16.shuffle and is stale after any other op.
+  void next(InstrView& v);
 
  private:
   ByteReader r_;

@@ -1,10 +1,11 @@
 // WebAssembly opcode definitions.
 //
 // Internal representation: a 16-bit code. Single-byte opcodes keep their
-// spec byte value; 0xFC-prefixed (bulk memory) and 0xFD-prefixed (SIMD)
-// opcodes are encoded as (prefix << 8) | sub-opcode.
+// spec byte value; 0xFC-prefixed (bulk memory), 0xFD-prefixed (SIMD) and
+// 0xFE-prefixed (atomics) opcodes are encoded as (prefix << 8) | sub-opcode.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "support/common.h"
@@ -440,10 +441,44 @@ enum class ImmKind : u8 {
   kAtomicFence,  // atomic.fence: single 0x00 ordering byte
 };
 
-/// Whether `op` is a recognized opcode; unknown opcodes fail decoding.
-bool op_is_known(u16 code);
-ImmKind op_imm_kind(Op op);
-const char* op_name(Op op);
+/// One slot of the opcode table.
+struct OpInfo {
+  const char* name = nullptr;
+  ImmKind imm = ImmKind::kNone;
+  bool known = false;  // false: no opcode has this code
+};
+
+/// Row of the opcode table for `code`: 0 for single-byte opcodes, 1-3 for
+/// the 0xFC/0xFD/0xFE-prefixed spaces, and kNoOpSpace, a row in which every
+/// slot is unknown, for any other high byte.
+constexpr u32 kNoOpSpace = 4;
+constexpr u32 op_space(u16 code) {
+  const u32 hi = code >> 8;
+  return hi == 0 ? 0 : hi >= 0xFC && hi <= 0xFE ? hi - 0xFB : kNoOpSpace;
+}
+
+/// The opcode table, dense over (opcode space, low byte) and built at
+/// compile time from the single opcode list in opcodes.cc.
+using OpTable = std::array<std::array<OpInfo, 256>, kNoOpSpace + 1>;
+extern const OpTable kOpTable;
+
+inline const OpInfo& op_info(u16 code) {
+  return kOpTable[op_space(code)][code & 0xFF];
+}
+
+/// Whether `code` is a recognized opcode; unknown opcodes fail decoding.
+inline bool op_is_known(u16 code) { return op_info(code).known; }
+
+inline ImmKind op_imm_kind(Op op) {
+  const OpInfo& info = op_info(u16(op));
+  MW_CHECK(info.known, "unknown opcode");
+  return info.imm;
+}
+
+inline const char* op_name(Op op) {
+  const OpInfo& info = op_info(u16(op));
+  return info.known ? info.name : "<unknown>";
+}
 
 /// Whether `op` lives in the 0xFE atomic opcode space (threads proposal).
 inline bool op_is_atomic(Op op) { return (u16(op) >> 8) == 0xFE; }

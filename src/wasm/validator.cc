@@ -1,6 +1,5 @@
 #include "wasm/validator.h"
 
-#include <algorithm>
 #include <optional>
 #include <sstream>
 #include <vector>
@@ -11,8 +10,9 @@
 namespace mpiwasm::wasm {
 namespace {
 
-// Body bytes per parallel_for chunk: about 2 ms of validation at the
-// ~35 MB/s one Xeon vCPU validates the compile-stress module.
+// Body bytes per parallel_for chunk: about 0.6 ms of validation at the
+// ~105 MB/s one Xeon vCPU validates the compile-stress module
+// (RelWithDebInfo), long enough that starting a helper thread pays off.
 constexpr u64 kValidateChunkBytes = 64 << 10;
 
 class ValidationError : public std::runtime_error {
@@ -32,29 +32,82 @@ struct ControlFrame {
   bool unreachable = false;
 };
 
+/// What the shell and the bodies of one module are checked against,
+/// computed once per validate_module. Type indices are not range-checked
+/// here; the shell checks them before any body is validated.
+struct ModuleFacts {
+  explicit ModuleFacts(const Module& m) {
+    for (const Import& imp : m.imports) {
+      switch (imp.kind) {
+        case ExternKind::kFunc: func_types.push_back(imp.type_index); break;
+        case ExternKind::kTable: has_table = true; break;
+        case ExternKind::kMemory:
+          has_memory = true;
+          has_shared_memory |= imp.limits.shared;
+          break;
+        case ExternKind::kGlobal: global_types.push_back(imp.global_type); break;
+      }
+    }
+    num_imported_funcs = u32(func_types.size());
+    num_imported_globals = u32(global_types.size());
+    func_types.insert(func_types.end(), m.functions.begin(), m.functions.end());
+    for (const GlobalDef& g : m.globals) global_types.push_back(g.type);
+    has_table |= !m.tables.empty();
+    has_memory |= !m.memories.empty();
+    has_shared_memory |= !m.memories.empty() && m.memories[0].shared;
+  }
+
+  std::vector<u32> func_types;        // type index, by function index
+  std::vector<ValType> global_types;  // by global index
+  u32 num_imported_funcs = 0;
+  u32 num_imported_globals = 0;
+  bool has_memory = false;
+  bool has_table = false;
+  bool has_shared_memory = false;
+};
+
+/// The stacks and instruction view of one body's validation. Each thread
+/// keeps one set and reuses it for every body it validates, so once they
+/// have grown to fit the module's bodies, a body allocates nothing.
+struct FuncScratch {
+  std::vector<ValType> locals;
+  std::vector<StackType> stack;
+  std::vector<ControlFrame> ctrl;
+  InstrView in;
+
+  /// Frees what a huge body grew, so that a thread keeps at most a few
+  /// hundred KiB once validate_module returns.
+  void trim() {
+    constexpr size_t kKeep = 16 << 10;  // entries per stack
+    if (locals.capacity() > kKeep) locals = {};
+    if (stack.capacity() > kKeep) stack = {};
+    if (ctrl.capacity() > kKeep) ctrl = {};
+    if (in.br_targets.capacity() > kKeep) in.br_targets = {};
+  }
+};
+
+FuncScratch& thread_scratch() {
+  thread_local FuncScratch scratch;
+  return scratch;
+}
+
 /// Function-body validator implementing the spec algorithm.
 class FuncValidator {
  public:
-  FuncValidator(const Module& m, u32 func_index)
+  FuncValidator(const Module& m, const ModuleFacts& facts, FuncScratch& scratch,
+                u32 func_index)
       : m_(m),
-        type_(m.func_type(m.num_imported_funcs() + func_index)),
-        body_(m.bodies.at(func_index)) {
-    locals_ = type_.params;
+        facts_(facts),
+        type_(m.types.at(facts.func_types.at(facts.num_imported_funcs + func_index))),
+        body_(m.bodies.at(func_index)),
+        locals_(scratch.locals),
+        stack_(scratch.stack),
+        ctrl_(scratch.ctrl),
+        in_(scratch.in) {
+    locals_.assign(type_.params.begin(), type_.params.end());
     locals_.insert(locals_.end(), body_.locals.begin(), body_.locals.end());
-    num_globals_ = m.num_imported_globals() + u32(m.globals.size());
-    has_memory_ = !m.memories.empty() ||
-                  std::any_of(m.imports.begin(), m.imports.end(), [](const Import& i) {
-                    return i.kind == ExternKind::kMemory;
-                  });
-    has_table_ = !m.tables.empty() ||
-                 std::any_of(m.imports.begin(), m.imports.end(), [](const Import& i) {
-                   return i.kind == ExternKind::kTable;
-                 });
-    has_shared_memory_ =
-        (!m.memories.empty() && m.memories[0].shared) ||
-        std::any_of(m.imports.begin(), m.imports.end(), [](const Import& i) {
-          return i.kind == ExternKind::kMemory && i.limits.shared;
-        });
+    stack_.clear();
+    ctrl_.clear();
   }
 
   void run() {
@@ -62,9 +115,9 @@ class FuncValidator {
     push_frame(Op::kBlock, result_type());
     InstrReader reader({body_.code.data(), body_.code.size()});
     while (!reader.done()) {
-      InstrView in = reader.next();
+      reader.next(in_);
       if (ctrl_.empty()) verr("instructions after function end");
-      step(in);
+      step(in_);
     }
     if (!ctrl_.empty()) verr("function body missing end");
     if (result_type().has_value()) {
@@ -139,7 +192,7 @@ class FuncValidator {
   }
 
   void require_memory() {
-    if (!has_memory_) verr("instruction requires a memory");
+    if (!facts_.has_memory) verr("instruction requires a memory");
   }
 
   void check_align(u32 align, u32 natural_bytes) {
@@ -165,7 +218,7 @@ class FuncValidator {
   /// Atomic accesses need a *shared* memory and exactly natural alignment
   /// (the threads proposal forbids under-aligned hints on atomics).
   void check_atomic(u32 align, u32 bytes) {
-    if (!has_shared_memory_) verr("atomic operation requires a shared memory");
+    if (!facts_.has_shared_memory) verr("atomic operation requires a shared memory");
     u32 natural_log2 = 0;
     while ((1u << natural_log2) < bytes) ++natural_log2;
     if (align != natural_log2)
@@ -224,15 +277,13 @@ class FuncValidator {
   void step(const InstrView& in);
 
   const Module& m_;
+  const ModuleFacts& facts_;
   const FuncType& type_;
   const FuncBody& body_;
-  std::vector<ValType> locals_;
-  u32 num_globals_ = 0;
-  bool has_memory_ = false;
-  bool has_table_ = false;
-  bool has_shared_memory_ = false;
-  std::vector<StackType> stack_;
-  std::vector<ControlFrame> ctrl_;
+  std::vector<ValType>& locals_;
+  std::vector<StackType>& stack_;
+  std::vector<ControlFrame>& ctrl_;
+  InstrView& in_;
 };
 
 void FuncValidator::step(const InstrView& in) {
@@ -297,14 +348,14 @@ void FuncValidator::step(const InstrView& in) {
     }
     case Op::kCall: {
       u32 fi = in.idx();
-      if (fi >= m_.total_funcs()) verr("call to out-of-range function index");
-      const FuncType& ft = m_.func_type(fi);
+      if (fi >= facts_.func_types.size()) verr("call to out-of-range function index");
+      const FuncType& ft = m_.types[facts_.func_types[fi]];
       for (auto it = ft.params.rbegin(); it != ft.params.rend(); ++it) pop_val(*it);
       for (ValType r : ft.results) push_val(r);
       break;
     }
     case Op::kCallIndirect: {
-      if (!has_table_) verr("call_indirect requires a table");
+      if (!facts_.has_table) verr("call_indirect requires a table");
       if (in.indirect_type_index >= m_.types.size())
         verr("call_indirect type index out of range");
       pop_val(ValType::kI32);
@@ -343,27 +394,14 @@ void FuncValidator::step(const InstrView& in) {
       break;
     case Op::kGlobalGet: {
       u32 gi = in.idx();
-      if (gi >= num_globals_) verr("global.get index out of range");
-      u32 imported = m_.num_imported_globals();
-      ValType t;
-      if (gi < imported) {
-        u32 seen = 0;
-        t = ValType::kI32;
-        for (const auto& imp : m_.imports) {
-          if (imp.kind != ExternKind::kGlobal) continue;
-          if (seen == gi) { t = imp.global_type; break; }
-          ++seen;
-        }
-      } else {
-        t = m_.globals[gi - imported].type;
-      }
-      push_val(t);
+      if (gi >= facts_.global_types.size()) verr("global.get index out of range");
+      push_val(facts_.global_types[gi]);
       break;
     }
     case Op::kGlobalSet: {
       u32 gi = in.idx();
-      if (gi >= num_globals_) verr("global.set index out of range");
-      u32 imported = m_.num_imported_globals();
+      if (gi >= facts_.global_types.size()) verr("global.set index out of range");
+      u32 imported = facts_.num_imported_globals;
       if (gi < imported) verr("global.set on imported global unsupported");
       const GlobalDef& g = m_.globals[gi - imported];
       if (!g.mutable_) verr("global.set on immutable global");
@@ -739,7 +777,7 @@ void check_const_expr(const Module& m, const ConstExpr& e, ValType expect,
   if (actual != expect) verr(std::string(what) + ": const expr type mismatch");
 }
 
-void validate_module_shell(const Module& m) {
+void validate_module_shell(const Module& m, const ModuleFacts& facts) {
   for (const auto& t : m.types) {
     if (t.results.size() > 1) verr("multi-value function types unsupported");
     for (ValType p : t.params)
@@ -756,19 +794,11 @@ void validate_module_shell(const Module& m) {
       verr("memory limits exceed 4GiB (65536 pages)");
     if (mem.shared && !mem.has_max) verr("shared memory requires a max");
   }
-  u32 nglobals = m.num_imported_globals() + u32(m.globals.size());
   for (const auto& g : m.globals)
     check_const_expr(m, g.init, g.type, "global init");
-  (void)nglobals;
-  u32 nfuncs = m.total_funcs();
-  bool has_table = !m.tables.empty() ||
-                   std::any_of(m.imports.begin(), m.imports.end(), [](const Import& i) {
-                     return i.kind == ExternKind::kTable;
-                   });
-  bool has_memory = !m.memories.empty() ||
-                    std::any_of(m.imports.begin(), m.imports.end(), [](const Import& i) {
-                      return i.kind == ExternKind::kMemory;
-                    });
+  const u32 nfuncs = u32(facts.func_types.size());
+  const bool has_table = facts.has_table;
+  const bool has_memory = facts.has_memory;
   for (const auto& e : m.exports) {
     switch (e.kind) {
       case ExternKind::kFunc:
@@ -781,7 +811,7 @@ void validate_module_shell(const Module& m) {
         if (!has_table || e.index != 0) verr("export table index out of range");
         break;
       case ExternKind::kGlobal:
-        if (e.index >= m.num_imported_globals() + m.globals.size())
+        if (e.index >= facts.global_types.size())
           verr("export global index out of range");
         break;
     }
@@ -809,7 +839,8 @@ void validate_module_shell(const Module& m) {
 ValidationResult validate_module(const Module& m) {
   ValidationResult result;
   try {
-    validate_module_shell(m);
+    const ModuleFacts facts(m);
+    validate_module_shell(m, facts);
     // Bodies validate independently; parallel_for rethrows the error of the
     // lowest failing index, so the message does not depend on scheduling.
     parallel_for(
@@ -818,11 +849,11 @@ ValidationResult validate_module(const Module& m) {
         [&](u32 i) {
           auto fail = [&](const char* what) {
             std::ostringstream os;
-            os << "func[" << (m.num_imported_funcs() + i) << "]: " << what;
+            os << "func[" << (facts.num_imported_funcs + i) << "]: " << what;
             verr(os.str());
           };
           try {
-            FuncValidator v(m, i);
+            FuncValidator v(m, facts, thread_scratch(), i);
             v.run();
           } catch (const ValidationError& e) {
             fail(e.what());
@@ -834,6 +865,8 @@ ValidationResult validate_module(const Module& m) {
   } catch (const ValidationError& e) {
     result.error = e.what();
   }
+  // Helper threads end with parallel_for; the calling thread's stacks stay.
+  thread_scratch().trim();
   return result;
 }
 

@@ -35,8 +35,9 @@ void print_body(std::ostringstream& os, const Module& m, const FuncBody& body,
   size_t lines = 0;
   int indent = 2;
   InstrReader reader({body.code.data(), body.code.size()});
+  InstrView in;
   while (!reader.done()) {
-    InstrView in = reader.next();
+    reader.next(in);
     if (in.op == Op::kEnd || in.op == Op::kElse) indent = std::max(1, indent - 1);
     if (opts.max_code_lines != 0 && lines >= opts.max_code_lines) {
       for (int i = 0; i < indent; ++i) os << "  ";

@@ -5,7 +5,11 @@
 // the cache stores.
 #include "testlib.h"
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
@@ -627,6 +631,64 @@ TEST(Cache, InterpTierSkipsCache) {
   for (const auto& e : fs::directory_iterator(dir))
     if (e.path().extension() == ".rcache") ++entries;
   EXPECT_EQ(entries, 0u);
+  fs::remove_all(dir);
+}
+
+TEST(CacheDir, TrustsOnlyADirectoryThisUserOwns) {
+  struct stat st {};
+  st.st_uid = 1000;
+  st.st_mode = S_IFDIR | 0700;
+  EXPECT_TRUE(rt::cache_dir_trusted(st, 1000));
+  // Mode bits are not checked: umask 002 makes a group-writable directory.
+  st.st_mode = S_IFDIR | 0775;
+  EXPECT_TRUE(rt::cache_dir_trusted(st, 1000));
+  st.st_mode = S_IFDIR | 0777;
+  EXPECT_TRUE(rt::cache_dir_trusted(st, 1000));
+  // Another user's directory, whatever its mode, is not trusted.
+  EXPECT_FALSE(rt::cache_dir_trusted(st, 1001));
+  st.st_mode = S_IFDIR | 0700;
+  EXPECT_FALSE(rt::cache_dir_trusted(st, 0));
+  // Neither is anything but a directory.
+  st.st_mode = S_IFREG | 0700;
+  EXPECT_FALSE(rt::cache_dir_trusted(st, 1000));
+  st.st_mode = S_IFLNK | 0777;
+  EXPECT_FALSE(rt::cache_dir_trusted(st, 1000));
+}
+
+TEST(CacheDir, AMissingDirectoryIsCreatedPrivate) {
+  const fs::path dir = fs::path(fresh_cache_dir()) / "sub";
+  FileSystemCache cache(dir.string());
+  EXPECT_TRUE(cache.enabled());
+  struct stat st {};
+  ASSERT_EQ(::stat(dir.c_str(), &st), 0);
+  EXPECT_EQ(st.st_mode & 0777, 0700u);
+  EXPECT_EQ(st.st_uid, ::geteuid());
+  EXPECT_EQ(rt::autotune_table_path(dir.string()),
+            (dir / "coll-tune.table").string());
+  fs::remove_all(dir.parent_path());
+}
+
+TEST(CacheDir, AnotherUsersDirectoryTurnsTheCacheOff) {
+  // Only root can give a directory to another user.
+  if (::geteuid() != 0) GTEST_SKIP() << "needs root to chown";
+  const std::string dir = fresh_cache_dir();
+  ASSERT_EQ(::chown(dir.c_str(), 4242, 4242), 0) << std::strerror(errno);
+  ::chmod(dir.c_str(), 0777);
+  FileSystemCache cache(dir);
+  EXPECT_FALSE(cache.enabled());
+  EXPECT_EQ(rt::autotune_table_path(dir), "");
+
+  auto bytes = make_module(7);
+  EngineConfig cfg;
+  cfg.enable_cache = true;
+  cfg.cache_dir = dir;
+  auto cold = rt::compile({bytes.data(), bytes.size()}, cfg);
+  auto again = rt::compile({bytes.data(), bytes.size()}, cfg);
+  EXPECT_FALSE(again->loaded_from_cache);
+  EXPECT_TRUE(only_entry(dir).empty()) << "an entry was written";
+  rt::ImportTable imports;
+  rt::Instance inst(again, imports);
+  EXPECT_EQ(inst.invoke("run").as_i32(), 7);
   fs::remove_all(dir);
 }
 

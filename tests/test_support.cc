@@ -68,6 +68,71 @@ TEST(Leb128, RejectsU32HighBitsSet) {
   EXPECT_THROW(r.read_leb_u32(), DecodeError);
 }
 
+// The last byte of a maximal signed LEB holds the top bits of the value;
+// its unused bits must repeat the sign bit (0 or all ones).
+TEST(Leb128, RejectsSignedLastByteThatDoesNotSignExtend) {
+  const std::vector<std::vector<u8>> bad_i32 = {
+      {0x80, 0x80, 0x80, 0x80, 0x4f},  // sign 1, bits 4-6 = 100
+      {0x80, 0x80, 0x80, 0x80, 0x1f},  // sign 1, bits 4-6 = 001
+      {0x80, 0x80, 0x80, 0x80, 0x70},  // sign 0, bits 4-6 = 111
+  };
+  for (const auto& bytes : bad_i32) {
+    ByteReader r({bytes.data(), bytes.size()});
+    EXPECT_THROW(r.read_leb_i32(), DecodeError);
+  }
+  std::vector<u8> bad_i64(9, 0x80);
+  bad_i64.push_back(0x02);  // sign 0, bit 1 set
+  ByteReader r({bad_i64.data(), bad_i64.size()});
+  EXPECT_THROW(r.read_leb_i64(), DecodeError);
+}
+
+TEST(Leb128, AcceptsSignedLastByteThatSignExtends) {
+  const std::vector<u8> i32_min{0x80, 0x80, 0x80, 0x80, 0x78};
+  ByteReader r32({i32_min.data(), i32_min.size()});
+  EXPECT_EQ(r32.read_leb_i32(), INT32_MIN);
+  EXPECT_TRUE(r32.done());
+  const std::vector<u8> i32_max{0xff, 0xff, 0xff, 0xff, 0x07};
+  ByteReader r32max({i32_max.data(), i32_max.size()});
+  EXPECT_EQ(r32max.read_leb_i32(), INT32_MAX);
+
+  std::vector<u8> i64_min(9, 0x80);
+  i64_min.push_back(0x7f);
+  ByteReader r64({i64_min.data(), i64_min.size()});
+  EXPECT_EQ(r64.read_leb_i64(), INT64_MIN);
+  EXPECT_TRUE(r64.done());
+  std::vector<u8> i64_zero(9, 0x80);
+  i64_zero.push_back(0x00);
+  ByteReader r64z({i64_zero.data(), i64_zero.size()});
+  EXPECT_EQ(r64z.read_leb_i64(), 0);
+}
+
+// The single-byte fast paths and the multi-byte slow paths agree, and a
+// truncated encoding fails with the same error from either.
+TEST(Leb128, SingleByteValuesAndTruncation) {
+  for (u8 b = 0; b < 0x80; ++b) {
+    const std::vector<u8> bytes{b};
+    ByteReader ru({bytes.data(), bytes.size()});
+    EXPECT_EQ(ru.read_leb_u32(), b);
+    ByteReader ru64({bytes.data(), bytes.size()});
+    EXPECT_EQ(ru64.read_leb_u64(), b);
+    const i32 s = b < 0x40 ? i32(b) : i32(b) - 0x80;
+    ByteReader ri({bytes.data(), bytes.size()});
+    EXPECT_EQ(ri.read_leb_i32(), s);
+    ByteReader ri64({bytes.data(), bytes.size()});
+    EXPECT_EQ(ri64.read_leb_i64(), s);
+  }
+  for (const std::vector<u8>& bytes :
+       {std::vector<u8>{}, std::vector<u8>{0x80}, std::vector<u8>{0xff, 0xff}}) {
+    ByteReader r({bytes.data(), bytes.size()});
+    try {
+      r.read_leb_i32();
+      ADD_FAILURE() << "truncated LEB accepted";
+    } catch (const DecodeError& e) {
+      EXPECT_STREQ(e.what(), "unexpected end of input");
+    }
+  }
+}
+
 TEST(ByteReader, BoundsChecked) {
   std::vector<u8> bytes{1, 2, 3};
   ByteReader r({bytes.data(), bytes.size()});

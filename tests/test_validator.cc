@@ -216,6 +216,79 @@ TEST(Validator, RejectsBrTableInconsistentLabels) {
   EXPECT_FALSE(validate_bytes(b.build()).ok);
 }
 
+// The reader refills one view per instruction. A typed block left behind
+// in it would make the empty block's end pop an i32 ("value stack
+// underflow").
+TEST(Validator, AcceptsAnEmptyBlockAfterATypedOne) {
+  ModuleBuilder b;
+  auto& f = b.begin_func({{}, {}}, "ok");
+  f.block(I32);
+  f.i32_const(7);
+  f.end();
+  f.op(Op::kDrop);
+  f.block();
+  f.end();
+  f.end();
+  const ValidationResult r = validate_bytes(b.build());
+  EXPECT_TRUE(r.ok) << r.error;
+}
+
+// br_table's targets with `short_targets` after a three-target br_table.
+// The second one sits where depth 1 is an i32 block, so a target left over
+// from the first table would mismatch.
+std::vector<u8> two_br_tables(const std::vector<u32>& short_targets) {
+  ModuleBuilder b;
+  auto& f = b.begin_func({{I32}, {}}, "f");
+  f.block(I32);
+  f.block();
+  f.block();
+  f.block();
+  f.local_get(0);
+  f.br_table({0, 1, 2}, 2);  // all three are empty blocks
+  f.end();
+  f.end();
+  f.local_get(0);
+  f.br_table(short_targets, 0);
+  f.end();
+  f.i32_const(1);
+  f.end();
+  f.op(Op::kDrop);
+  f.end();
+  return b.build();
+}
+
+TEST(Validator, AcceptsAShorterBrTableAfterALongerOne) {
+  const ValidationResult r = validate_bytes(two_br_tables({0}));
+  EXPECT_TRUE(r.ok) << r.error;
+  const ValidationResult none = validate_bytes(two_br_tables({}));
+  EXPECT_TRUE(none.ok) << none.error;
+  const ValidationResult bad = validate_bytes(two_br_tables({0, 1}));
+  EXPECT_FALSE(bad.ok);
+  EXPECT_EQ(bad.error, "func[0]: br_table targets have mismatched result types");
+}
+
+// Each thread reuses its stacks from one body to the next, also after a
+// body that failed with deep stacks.
+TEST(Validator, AFailedBodyLeavesNothingForTheNextModule) {
+  ModuleBuilder deep;
+  auto& f = deep.begin_func({{}, {}}, "bad");
+  for (int i = 0; i < 64; ++i) f.block();
+  for (int i = 0; i < 64; ++i) f.i32_const(i);
+  f.op(Op::kF64Add);  // fails with 64 frames and 64 values pushed
+  for (int i = 0; i < 64; ++i) f.end();
+  f.end();
+  const ValidationResult bad = validate_bytes(deep.build());
+  ASSERT_FALSE(bad.ok);
+  EXPECT_EQ(bad.error, "func[0]: type mismatch: expected f64, got i32");
+
+  ModuleBuilder ok;
+  auto& g = ok.begin_func({{I64}, {I64}}, "ok");
+  g.local_get(0);
+  g.end();
+  const ValidationResult r = validate_bytes(ok.build());
+  EXPECT_TRUE(r.ok) << r.error;
+}
+
 TEST(Validator, AcceptsDeadCodeAfterBranch) {
   // After br, stack-polymorphic code is legal per spec.
   ModuleBuilder b;

@@ -2,6 +2,11 @@
 // failure injection for the decoder.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstring>
+#include <set>
+#include <string>
+
 #include "wasm/builder.h"
 #include "wasm/decoder.h"
 #include "wasm/wat.h"
@@ -68,8 +73,9 @@ TEST(BuilderDecoder, InstrStreamRoundTrip) {
   InstrReader r({body.code.data(), body.code.size()});
   std::vector<Op> ops;
   std::vector<i64> imms;
+  InstrView v;
   while (!r.done()) {
-    InstrView v = r.next();
+    r.next(v);
     ops.push_back(v.op);
     imms.push_back(v.imm_i);
   }
@@ -100,14 +106,16 @@ TEST(BuilderDecoder, SimdAndPrefixedOpsRoundTrip) {
   ASSERT_TRUE(result.ok()) << result.error;
   InstrReader r({result.module->bodies[0].code.data(),
                  result.module->bodies[0].code.size()});
-  InstrView c1 = r.next();
-  EXPECT_EQ(c1.op, Op::kV128Const);
-  EXPECT_EQ((c1.imm_v128.lane<f64, 2>(1)), 2.5);
-  r.next();
-  EXPECT_EQ(r.next().op, Op::kF64x2Add);
-  InstrView lane = r.next();
-  EXPECT_EQ(lane.op, Op::kF64x2ExtractLane);
-  EXPECT_EQ(lane.imm_i, 1);
+  InstrView v;
+  r.next(v);
+  EXPECT_EQ(v.op, Op::kV128Const);
+  EXPECT_EQ((v.imm_v128.lane<f64, 2>(1)), 2.5);
+  r.next(v);
+  r.next(v);
+  EXPECT_EQ(v.op, Op::kF64x2Add);
+  r.next(v);
+  EXPECT_EQ(v.op, Op::kF64x2ExtractLane);
+  EXPECT_EQ(v.imm_i, 1);
 }
 
 TEST(DecoderFailure, BadMagic) {
@@ -175,7 +183,275 @@ TEST(DecoderFailure, UnknownOpcodeInBody) {
   FuncBody body = result.module->bodies[0];
   body.code.insert(body.code.begin(), 0xFE);
   InstrReader r({body.code.data(), body.code.size()});
-  EXPECT_THROW({ while (!r.done()) r.next(); }, DecodeError);
+  InstrView v;
+  EXPECT_THROW({ while (!r.done()) r.next(v); }, DecodeError);
+}
+
+// Every code of the four opcode spaces, in table order.
+std::vector<u16> all_codes() {
+  std::vector<u16> codes;
+  for (u32 space = 0; space < kNoOpSpace; ++space)
+    for (u32 lo = 0; lo < 256; ++lo)
+      codes.push_back(space == 0 ? u16(lo) : u16(((0xFB + space) << 8) | lo));
+  return codes;
+}
+
+void expect_same_view(const InstrView& got, const InstrView& want) {
+  SCOPED_TRACE(op_name(want.op));
+  EXPECT_EQ(got.op, want.op);
+  EXPECT_EQ(got.imm_i, want.imm_i);
+  EXPECT_EQ(std::bit_cast<u32>(got.imm_f32), std::bit_cast<u32>(want.imm_f32));
+  EXPECT_EQ(std::bit_cast<u64>(got.imm_f64), std::bit_cast<u64>(want.imm_f64));
+  EXPECT_EQ(got.mem_align, want.mem_align);
+  EXPECT_EQ(got.mem_offset, want.mem_offset);
+  EXPECT_EQ(got.indirect_type_index, want.indirect_type_index);
+  EXPECT_EQ(got.block_type, want.block_type);
+  EXPECT_EQ(got.br_targets, want.br_targets);
+  EXPECT_EQ(got.br_default, want.br_default);
+  const ImmKind k = op_imm_kind(want.op);
+  if (k == ImmKind::kV128Const || k == ImmKind::kShuffle16) {
+    EXPECT_EQ(std::memcmp(got.imm_v128.bytes, want.imm_v128.bytes, 16), 0);
+  }
+}
+
+TEST(OpTable, EveryKnownCodeHasANameAndEveryNameIsUnique) {
+  std::set<std::string> names;
+  u32 known = 0;
+  for (u16 code : all_codes()) {
+    if (!op_is_known(code)) {
+      EXPECT_STREQ(op_name(Op(code)), "<unknown>");
+      continue;
+    }
+    ++known;
+    ASSERT_NE(op_info(code).name, nullptr);
+    EXPECT_TRUE(names.insert(op_name(Op(code))).second) << op_name(Op(code));
+  }
+  EXPECT_GT(known, 300u);
+  // Any high byte other than 0 and the three prefixes maps to no opcode.
+  EXPECT_FALSE(op_is_known(0x0100));
+  EXPECT_FALSE(op_is_known(0xFB0A));
+  EXPECT_FALSE(op_is_known(0xFF00));
+}
+
+// Every opcode in the table goes through ModuleBuilder and back through one
+// InstrReader view with a distinct immediate, so a field the reader fails
+// to write or to reset shows as a mismatch on the next instruction.
+TEST(InstrReader, EveryTableOpcodeRoundTripsWithItsImmediates) {
+  ModuleBuilder b;
+  auto& f = b.begin_func({{}, {}}, "f");
+  std::vector<InstrView> want;
+  u32 n = 0;  // varies the immediates from one opcode to the next
+  for (u16 code : all_codes()) {
+    if (!op_is_known(code) || Op(code) == Op::kEnd) continue;  // end: below
+    const Op o = Op(code);
+    ++n;
+    InstrView w;
+    w.op = o;
+    switch (op_imm_kind(o)) {
+      case ImmKind::kNone:
+      case ImmKind::kMemIdx:
+      case ImmKind::kMemCopy:
+      case ImmKind::kAtomicFence:
+        f.op(o);  // the builder writes the reserved zero bytes
+        break;
+      case ImmKind::kBlockType: {
+        w.block_type = u8(n % 2 ? ValType::kF64 : ValType::kV128);
+        if (o == Op::kBlock) f.block(w.block_type);
+        if (o == Op::kLoop) f.loop(w.block_type);
+        if (o == Op::kIf) f.if_(w.block_type);
+        want.push_back(w);
+        w = InstrView{};
+        w.op = Op::kEnd;
+        f.end();
+        break;
+      }
+      case ImmKind::kLabel:
+        w.imm_i = 128 + n;
+        if (o == Op::kBr) f.br(w.idx());
+        if (o == Op::kBrIf) f.br_if(w.idx());
+        break;
+      case ImmKind::kBrTable:
+        w.br_targets = {n, 300, 0};
+        w.br_default = 70000;
+        f.br_table(w.br_targets, w.br_default);
+        break;
+      case ImmKind::kFuncIdx:
+        w.imm_i = (1 << 20) + n;
+        f.call(w.idx());
+        break;
+      case ImmKind::kCallIndirect:
+        w.indirect_type_index = 200 + n;
+        f.call_indirect(w.indirect_type_index);
+        break;
+      case ImmKind::kLocalIdx:
+        w.imm_i = 1000 + n;
+        if (o == Op::kLocalGet) f.local_get(w.idx());
+        if (o == Op::kLocalSet) f.local_set(w.idx());
+        if (o == Op::kLocalTee) f.local_tee(w.idx());
+        break;
+      case ImmKind::kGlobalIdx:
+        w.imm_i = 60 + n;
+        if (o == Op::kGlobalGet) f.global_get(w.idx());
+        if (o == Op::kGlobalSet) f.global_set(w.idx());
+        break;
+      case ImmKind::kMemArg:
+        w.mem_align = n % 5;
+        w.mem_offset = 0xFFFF0000u + n;
+        f.mem_op(o, w.mem_offset, i32(w.mem_align));
+        break;
+      case ImmKind::kI32Const:
+        w.imm_i = INT32_MIN;
+        f.i32_const(INT32_MIN);
+        break;
+      case ImmKind::kI64Const:
+        w.imm_i = INT64_MIN + 1;
+        f.i64_const(INT64_MIN + 1);
+        break;
+      case ImmKind::kF32Const:
+        w.imm_f32 = -1.25f;
+        f.f32_const(w.imm_f32);
+        break;
+      case ImmKind::kF64Const:
+        w.imm_f64 = 6.02e23;
+        f.f64_const(w.imm_f64);
+        break;
+      case ImmKind::kV128Const:
+        for (int k = 0; k < 16; ++k) w.imm_v128.bytes[k] = u8(n + k);
+        f.v128_const(w.imm_v128);
+        break;
+      case ImmKind::kLaneIdx:
+        w.imm_i = n % 16;
+        f.lane_op(o, u8(w.imm_i));
+        break;
+      case ImmKind::kShuffle16: {
+        u8 lanes[16];
+        for (int k = 0; k < 16; ++k) lanes[k] = u8(31 - k);
+        std::memcpy(w.imm_v128.bytes, lanes, 16);
+        f.i8x16_shuffle(lanes);
+        break;
+      }
+      case ImmKind::kMemArgLane:
+        ADD_FAILURE() << op_name(o) << ": no opcode should use kMemArgLane";
+        break;
+    }
+    want.push_back(w);
+  }
+  f.end();
+  want.push_back(InstrView{});
+  want.back().op = Op::kEnd;
+
+  auto bytes = b.build();
+  auto result = decode_module({bytes.data(), bytes.size()});
+  ASSERT_TRUE(result.ok()) << result.error;
+  const FuncBody& body = result.module->bodies[0];
+  InstrReader r({body.code.data(), body.code.size()});
+  InstrView got;  // one view for the whole body
+  size_t i = 0;
+  for (; !r.done() && i < want.size(); ++i) {
+    const size_t pc = r.pos();
+    r.next(got);
+    EXPECT_EQ(got.pc, pc);
+    EXPECT_EQ(got.next_pc, r.pos());
+    expect_same_view(got, want[i]);
+  }
+  EXPECT_EQ(i, want.size());
+  EXPECT_TRUE(r.done());
+}
+
+TEST(InstrReader, RejectsEveryCodeOutsideTheTable) {
+  u32 rejected = 0;
+  for (u16 code : all_codes()) {
+    if (op_is_known(code)) continue;
+    const u8 hi = u8(code >> 8);
+    const u8 lo = u8(code);
+    ByteWriter w;
+    if (hi != 0) w.write_u8(hi);
+    if (hi != 0) w.write_leb_u32(lo);
+    if (hi == 0) w.write_u8(lo);
+    const std::vector<u8> bytes = w.take();
+    InstrReader r({bytes.data(), bytes.size()});
+    InstrView v;
+    try {
+      r.next(v);
+      ADD_FAILURE() << "code 0x" << std::hex << code << " accepted";
+    } catch (const DecodeError& e) {
+      // A lone prefix byte is read as a prefix whose sub-opcode is missing.
+      const bool prefix = hi == 0 && lo >= 0xFC && lo <= 0xFE;
+      EXPECT_STREQ(e.what(), prefix ? "unexpected end of input" : "unknown opcode")
+          << "code 0x" << std::hex << code;
+    }
+    ++rejected;
+  }
+  EXPECT_GT(rejected, 500u);
+  // A sub-opcode past one byte is out of every opcode space.
+  const std::vector<u8> wide{0xFD, 0x80, 0x02};
+  InstrReader r({wide.data(), wide.size()});
+  InstrView v;
+  try {
+    r.next(v);
+    ADD_FAILURE() << "sub-opcode 0x100 accepted";
+  } catch (const DecodeError& e) {
+    EXPECT_STREQ(e.what(), "prefixed opcode out of range");
+  }
+}
+
+// One view read over instructions that carry an immediate and then over
+// ones that lack it: nothing of the earlier instruction shows.
+TEST(InstrReader, AReusedViewCarriesNothingOver) {
+  ModuleBuilder b;
+  b.add_memory(1);
+  auto& f = b.begin_func({{ValType::kI32}, {}}, "f");
+  f.block(ValType::kI32);  // typed block ...
+  f.i32_const(-5);
+  f.end();
+  f.op(Op::kDrop);
+  f.block();  // ... then an empty one
+  f.end();
+  f.block();
+  f.local_get(0);
+  f.br_table({0, 0, 0}, 0);  // three targets ...
+  f.end();
+  f.block();
+  f.local_get(0);
+  f.br_table({0}, 0);  // ... then one ...
+  f.end();
+  f.block();
+  f.local_get(0);
+  f.br_table({}, 0);  // ... then none
+  f.end();
+  f.i32_const(0);
+  f.mem_op(Op::kI32Load, 64);
+  f.op(Op::kDrop);
+  f.f64_const(2.5);
+  f.op(Op::kDrop);
+  f.end();
+  auto bytes = b.build();
+  auto result = decode_module({bytes.data(), bytes.size()});
+  ASSERT_TRUE(result.ok()) << result.error;
+  const FuncBody& body = result.module->bodies[0];
+  InstrReader r({body.code.data(), body.code.size()});
+  InstrView v;
+  std::vector<u8> block_types;
+  std::vector<std::vector<u32>> tables;
+  while (!r.done()) {
+    r.next(v);
+    SCOPED_TRACE(op_name(v.op));
+    if (v.op == Op::kBlock) block_types.push_back(v.block_type);
+    if (v.op == Op::kBrTable) tables.push_back(v.br_targets);
+    if (op_imm_kind(v.op) != ImmKind::kNone) continue;
+    // An instruction without immediates reads as all zero.
+    EXPECT_EQ(v.imm_i, 0);
+    EXPECT_EQ(v.imm_f64, 0.0);
+    EXPECT_EQ(v.mem_align, 0u);
+    EXPECT_EQ(v.mem_offset, 0u);
+    EXPECT_EQ(v.block_type, kBlockTypeEmpty);
+    EXPECT_TRUE(v.br_targets.empty());
+    EXPECT_EQ(v.br_default, 0u);
+  }
+  EXPECT_EQ(block_types, (std::vector<u8>{u8(ValType::kI32), kBlockTypeEmpty,
+                                          kBlockTypeEmpty, kBlockTypeEmpty,
+                                          kBlockTypeEmpty}));
+  EXPECT_EQ(tables, (std::vector<std::vector<u32>>{{0, 0, 0}, {0}, {}}));
 }
 
 TEST(Wat, PrintsPaperStyleListing) {
