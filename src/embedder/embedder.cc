@@ -41,6 +41,9 @@ RunResult Embedder::run_world(std::shared_ptr<const rt::CompiledModule> cm,
                               int ranks) {
   RunResult result;
   result.compile_ms = cm->compile_ms;
+  result.decode_ms = cm->decode_ms;
+  result.validate_ms = cm->validate_ms;
+  result.funcs_validated = cm->funcs_validated;
   result.loaded_from_cache = cm->loaded_from_cache;
 
   auto shared_state = std::make_shared<SharedHandleState>();

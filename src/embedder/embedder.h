@@ -49,6 +49,9 @@ struct EmbedderConfig {
 struct RunResult {
   int exit_code = 0;
   f64 compile_ms = 0;
+  f64 decode_ms = 0;
+  f64 validate_ms = 0;
+  u32 funcs_validated = 0;  // bodies the compile validated; 0 on a cache hit
   f64 wall_seconds = 0;
   bool loaded_from_cache = false;
   /// Per-tier execution stats, taken after the world finishes: tier-up

@@ -48,7 +48,11 @@ constexpr u32 kCacheMagic = 0x4357524D;  // "MRWC"
 // (offset, length) per function, so a warm start maps the file and decodes
 // each record on its function's first call. Per-function entries keep a
 // single record after the header.
-constexpr u32 kCacheVersion = 8;
+// v9: signed LEB128 reads reject a last byte that does not sign-extend.
+// A hit skips body validation, so an entry must never serve bytes that the
+// current decoder or validator rejects: any change that rejects bytes they
+// used to accept bumps the version (see wasm/validator.h).
+constexpr u32 kCacheVersion = 9;
 // Whole-module entries: magic, version, function count.
 constexpr size_t kEntryHeaderBytes = 12;
 

@@ -7,7 +7,7 @@
 // application skip compilation entirely.
 //
 // The unit of serialization is a *function record*. The static tiers store
-// one whole-module entry (format v8):
+// one whole-module entry (format v9; the layout dates from v8):
 //
 //   magic u32 | version u32 | count u32 | count x (offset u32, length u32)
 //   | record 0 | record 1 | ...

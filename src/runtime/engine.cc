@@ -1,6 +1,8 @@
 #include "runtime/engine.h"
 
 #include <cstdlib>
+#include <optional>
+#include <unordered_map>
 
 #include "runtime/cache.h"
 #include "runtime/exec.h"
@@ -143,28 +145,36 @@ bool install_jit_entry(const CompiledModule& cm, RFunc& rf) {
 
 /// Canonicalizes structurally equal function types so call_indirect
 /// signature checks are integer comparisons (MPI libraries lean on
-/// call_indirect-heavy code for reduction op tables).
+/// call_indirect-heavy code for reduction op tables). A type's id is the
+/// index of its first structurally equal type; one hash lookup per type
+/// keeps this linear, since it runs on every compile, warm ones included.
 void compute_canonical_ids(CompiledModule& cm) {
-  const auto& types = cm.module.types;
-  cm.canon_type_ids.resize(types.size());
-  for (u32 i = 0; i < types.size(); ++i) {
-    u32 canon = i;
-    for (u32 j = 0; j < i; ++j) {
-      if (types[j] == types[i]) {
-        canon = j;
-        break;
-      }
+  const wasm::Module& m = cm.module;
+  struct TypeHash {
+    size_t operator()(const wasm::FuncType* t) const {
+      size_t h = t->params.size();
+      for (wasm::ValType v : t->params) h = h * 131 + size_t(v);
+      h = h * 131 + 0xFF;  // between params and results
+      for (wasm::ValType v : t->results) h = h * 131 + size_t(v);
+      return h;
     }
-    cm.canon_type_ids[i] = canon;
-  }
-  const u32 nfuncs = cm.module.total_funcs();
-  cm.func_canon.resize(nfuncs);
-  for (u32 f = 0; f < nfuncs; ++f) {
-    // func_type returns a reference into types; find its index.
-    const wasm::FuncType& ft = cm.module.func_type(f);
-    u32 ti = u32(&ft - types.data());
-    cm.func_canon[f] = cm.canon_type_ids.at(ti);
-  }
+  };
+  struct TypeEq {
+    bool operator()(const wasm::FuncType* a, const wasm::FuncType* b) const {
+      return *a == *b;
+    }
+  };
+  std::unordered_map<const wasm::FuncType*, u32, TypeHash, TypeEq> first;
+  first.reserve(m.types.size());
+  cm.canon_type_ids.resize(m.types.size());
+  for (u32 i = 0; i < m.types.size(); ++i)
+    cm.canon_type_ids[i] = first.try_emplace(&m.types[i], i).first->second;
+  cm.func_canon.clear();
+  cm.func_canon.reserve(m.total_funcs());
+  for (const wasm::Import& imp : m.imports)
+    if (imp.kind == wasm::ExternKind::kFunc)
+      cm.func_canon.push_back(cm.canon_type_ids.at(imp.type_index));
+  for (u32 ti : m.functions) cm.func_canon.push_back(cm.canon_type_ids.at(ti));
 }
 
 // ---------------------------------------------------------------------------
@@ -214,9 +224,11 @@ void tiered_counting_entry(Instance& inst, const CompiledModule& cm,
 /// cache and publishes it through its unit: decodes its record, prepares it
 /// and, at kJit, installs its native blob. A record that does not decode or
 /// whose header disagrees with the function's type is compiled from the
-/// module bytes instead (they were validated on this load), and the entry
-/// file is removed. Blocks on TieredState::mu: unlike a tier-up, there is
-/// no published body to run meanwhile.
+/// module bytes instead, and the entry file is removed. A warm load
+/// validated only the module shell, so that body is validated first:
+/// lowering only sees bodies validated in this process. Blocks on
+/// TieredState::mu: unlike a tier-up, there is no published body to run
+/// meanwhile.
 const RFunc& materialize(const CompiledModule& cm, u32 di) {
   TieredState& ts = cm.tiered;
   FuncUnit& u = ts.units[di];
@@ -234,6 +246,9 @@ const RFunc& materialize(const CompiledModule& cm, u32 di) {
   } else {
     MW_DEBUG("cache record of function " << di << " is corrupt; recompiling");
     ts.cache_entry->remove();
+    if (const wasm::ValidationResult vr = wasm::validate_bodies(cm.module, di, 1);
+        !vr.ok)
+      throw CompileError("validation error: " + vr.error);
     body = std::make_unique<RFunc>(
         compile_function(cm.module, di, tier, opt_options(ts)));
     ts.stats.cache_record_fallbacks.fetch_add(1, std::memory_order_relaxed);
@@ -431,9 +446,35 @@ std::shared_ptr<const CompiledModule> compile(std::span<const u8> bytes,
   wasm::DecodeResult decoded = wasm::decode_module(bytes);
   if (!decoded.ok()) throw CompileError("decode error: " + decoded.error);
   cm->module = std::move(*decoded.module);
-  wasm::ValidationResult vr = wasm::validate_module(cm->module);
-  if (!vr.ok) throw CompileError("validation error: " + vr.error);
   cm->decode_ms = decode_watch.elapsed_ms();
+  cm->hash = sha256(bytes);
+
+  const u32 num_bodies = u32(cm->module.bodies.size());
+  const bool static_tier =
+      tier == EngineTier::kOptimizing || tier == EngineTier::kJit;
+  const std::string tag = cache_tag(tier, cfg.opt_superinstructions,
+                                    cfg.opt_hoist_bounds, cfg.opt_simd);
+  std::optional<FileSystemCache> cache;
+  std::unique_ptr<MappedEntry> entry;
+  f64 map_ms = 0;  // part of compile_ms
+  if (static_tier && cfg.enable_cache) {
+    Stopwatch map_watch;
+    cache.emplace(cfg.cache_dir);
+    entry = cache->map(cm->hash, tag, num_bodies);
+    map_ms = map_watch.elapsed_ms();
+    MW_TRACE_INSTANT("engine", entry ? "cache.hit" : "cache.miss", "module", 1);
+  }
+
+  // A hit validates the shell only: the entry was written, under this
+  // kCacheVersion, for these exact bytes after every body passed, and
+  // whoever can write the (owner-only) cache directory can already plant
+  // native code there, so re-validating the bodies adds no trust.
+  Stopwatch validate_watch;
+  const wasm::ValidationResult vr = entry ? wasm::validate_shell(cm->module)
+                                          : wasm::validate_module(cm->module);
+  if (!vr.ok) throw CompileError("validation error: " + vr.error);
+  cm->validate_ms = validate_watch.elapsed_ms();
+  cm->funcs_validated = entry ? 0 : num_bodies;
 
   // Threads ablation: with the proposal switched off (config or
   // MPIWASM_THREADS=0), shared memories are rejected outright. Atomics
@@ -447,7 +488,6 @@ std::shared_ptr<const CompiledModule> compile(std::span<const u8> bytes,
             "disabled (MPIWASM_THREADS=0)");
   }
 
-  cm->hash = sha256(bytes);
   compute_canonical_ids(*cm);
 
   Stopwatch compile_watch;
@@ -469,22 +509,15 @@ std::shared_ptr<const CompiledModule> compile(std::span<const u8> bytes,
     return cm;
   }
 
-  const std::string tag = cache_tag(tier, cfg.opt_superinstructions,
-                                    cfg.opt_hoist_bounds, cfg.opt_simd);
-  if (cfg.enable_cache) {
-    FileSystemCache cache(cfg.cache_dir);
-    if (auto entry = cache.map(cm->hash, tag, u32(cm->module.bodies.size()))) {
-      // A hit builds no function: each one materializes from the mapped
-      // entry on its first call.
-      init_units(*cm, cfg, &cache_materialize_entry, FuncState::kNone);
-      cm->tiered.cache_entry = std::move(entry);
-      cm->loaded_from_cache = true;
-      cm->compile_ms = compile_watch.elapsed_ms();
-      MW_TRACE_INSTANT("engine", "cache.hit", "module", 1);
-      MW_DEBUG("cache hit for " << cm->hash.hex() << " (" << tag << ")");
-      return cm;
-    }
-    MW_TRACE_INSTANT("engine", "cache.miss", "module", 1);
+  if (entry) {
+    // A hit builds no function: each one materializes from the mapped
+    // entry on its first call.
+    init_units(*cm, cfg, &cache_materialize_entry, FuncState::kNone);
+    cm->tiered.cache_entry = std::move(entry);
+    cm->loaded_from_cache = true;
+    cm->compile_ms = map_ms + compile_watch.elapsed_ms();
+    MW_DEBUG("cache hit for " << cm->hash.hex() << " (" << tag << ")");
+    return cm;
   }
 
   // Functions compile independently, in parallel. Everything that touches
@@ -496,10 +529,10 @@ std::shared_ptr<const CompiledModule> compile(std::span<const u8> bytes,
                        .hoist_bounds = cfg.opt_hoist_bounds,
                        .simd = cfg.opt_simd};
   std::vector<RFunc>& funcs = cm->regcode.funcs;
-  funcs.resize(cm->module.bodies.size());
+  funcs.resize(num_bodies);
   parallel_for(
       u32(funcs.size()), kCompileChunkBytes,
-      [&](u32 i) { return u64(cm->module.bodies[i].code.size()); },
+      [&](u32 i) { return u64(cm->module.bodies[i].length); },
       [&](u32 i) {
         funcs[i] = compile_function(cm->module, i, tier, opt);
         // Resolve direct-threading handler addresses once per body.
@@ -516,14 +549,11 @@ std::shared_ptr<const CompiledModule> compile(std::span<const u8> bytes,
                      << (cm->jit_arena ? cm->jit_arena->code_bytes() : 0)
                      << " code bytes");
   }
-  cm->compile_ms = compile_watch.elapsed_ms();
+  cm->compile_ms = map_ms + compile_watch.elapsed_ms();
 
-  if (cfg.enable_cache) {
-    // For kJit this runs after codegen so the native blobs land in the
-    // cache entry alongside the RegCode.
-    FileSystemCache cache(cfg.cache_dir);
-    cache.store(cm->hash, tag, cm->regcode);
-  }
+  // For kJit this runs after codegen so the native blobs land in the
+  // cache entry alongside the RegCode.
+  if (cache) cache->store(cm->hash, tag, cm->regcode);
   return cm;
 }
 

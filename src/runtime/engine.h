@@ -220,6 +220,8 @@ struct CompiledModule {
   Sha256Digest hash;
   f64 compile_ms = 0;           // excludes decode/validate
   f64 decode_ms = 0;
+  f64 validate_ms = 0;
+  u32 funcs_validated = 0;      // bodies compile() validated; 0 on a cache hit
   bool loaded_from_cache = false;
   mutable TieredState tiered;   // kTiered, and static tiers from the cache
   // Native-code state (kJit, and kTiered promotions to the jit stage). The

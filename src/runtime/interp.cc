@@ -32,17 +32,16 @@ struct PFrame {
 }  // namespace
 
 PreFunc predecode_function(const wasm::Module& m, u32 defined_index) {
-  const wasm::FuncBody& body = m.bodies.at(defined_index);
   const wasm::FuncType& ft = m.func_type(m.num_imported_funcs() + defined_index);
 
   PreFunc out;
   out.num_params = u32(ft.params.size());
-  out.num_locals = out.num_params + u32(body.locals.size());
+  out.num_locals = out.num_params + m.bodies.at(defined_index).num_locals;
   out.has_result = !ft.results.empty();
 
   // First pass: decode every instruction (this is the tier's whole
   // "compile" step — it removes LEB decoding from the execution loop).
-  wasm::InstrReader reader({body.code.data(), body.code.size()});
+  wasm::InstrReader reader(m.code(defined_index));
   InstrView view;
   while (!reader.done()) {
     reader.next(view);
@@ -354,7 +353,7 @@ PreModule predecode_module(const wasm::Module& m) {
   pm.funcs.resize(m.bodies.size());
   parallel_for(
       u32(m.bodies.size()), kPredecodeChunkBytes,
-      [&](u32 i) { return u64(m.bodies[i].code.size()); },
+      [&](u32 i) { return u64(m.bodies[i].length); },
       [&](u32 i) { pm.funcs[i] = predecode_function(m, i); });
   return pm;
 }

@@ -311,18 +311,18 @@ ROp lowering_imm_fused(Op op) {
 class FuncLowering {
  public:
   FuncLowering(const wasm::Module& m, u32 defined_index)
-      : m_(m), body_(m.bodies.at(defined_index)) {
+      : m_(m), code_(m.code(defined_index)) {
     const wasm::FuncType& ft =
         m.func_type(m.num_imported_funcs() + defined_index);
     out_.num_params = u32(ft.params.size());
-    out_.num_locals = out_.num_params + u32(body_.locals.size());
+    out_.num_locals = out_.num_params + m.bodies[defined_index].num_locals;
     out_.has_result = !ft.results.empty();
     L_ = out_.num_locals;
   }
 
   RFunc run() {
     push_frame(Frame::kBlock, out_.has_result, /*entered_live=*/true);
-    wasm::InstrReader reader({body_.code.data(), body_.code.size()});
+    wasm::InstrReader reader(code_);
     InstrView in;
     while (!reader.done()) {
       reader.next(in);
@@ -401,7 +401,7 @@ class FuncLowering {
   void step(const InstrView& in);
 
   const wasm::Module& m_;
-  const wasm::FuncBody& body_;
+  std::span<const u8> code_;
   RFunc out_;
   u32 L_ = 0;
   u32 h_ = 0;

@@ -122,6 +122,9 @@ void write_stats_json(const std::string& path, const char* tier, int ranks,
                "  \"ranks\": %d,\n"
                "  \"exit_code\": %d,\n"
                "  \"compile_ms\": %.3f,\n"
+               "  \"decode_ms\": %.3f,\n"
+               "  \"validate_ms\": %.3f,\n"
+               "  \"funcs_validated\": %u,\n"
                "  \"wall_seconds\": %.6f,\n"
                "  \"loaded_from_cache\": %s,\n"
                "  \"tierup\": {\n"
@@ -140,7 +143,8 @@ void write_stats_json(const std::string& path, const char* tier, int ranks,
                "    \"cache_record_fallbacks\": %llu\n"
                "  }\n"
                "}\n",
-               tier, ranks, r.exit_code, r.compile_ms, r.wall_seconds,
+               tier, ranks, r.exit_code, r.compile_ms, r.decode_ms,
+               r.validate_ms, r.funcs_validated, r.wall_seconds,
                r.loaded_from_cache ? "true" : "false",
                (unsigned long long)t.funcs_total,
                (unsigned long long)t.funcs_predecoded,

@@ -1,5 +1,6 @@
 #include "wasm/decoder.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace mpiwasm::wasm {
@@ -15,6 +16,12 @@ ValType decode_val_type(u8 b) {
     case 0x70: return ValType::kFuncRef;
     default: throw DecodeError("invalid value type byte");
   }
+}
+
+/// A reservation for `count` entries still to be read from `r`: each takes
+/// a byte at least, so a larger count is not trusted (the reads fail).
+size_t bounded(u32 count, const ByteReader& r) {
+  return std::min<size_t>(count, r.remaining());
 }
 
 Limits decode_limits(ByteReader& r) {
@@ -67,7 +74,7 @@ ConstExpr decode_const_expr(ByteReader& r) {
 
 void decode_type_section(ByteReader& r, Module& m) {
   u32 count = r.read_leb_u32();
-  m.types.reserve(count);
+  m.types.reserve(bounded(count, r));
   for (u32 i = 0; i < count; ++i) {
     if (r.read_u8() != 0x60) throw DecodeError("expected func type (0x60)");
     FuncType ft;
@@ -116,7 +123,7 @@ void decode_import_section(ByteReader& r, Module& m) {
 
 void decode_function_section(ByteReader& r, Module& m) {
   u32 count = r.read_leb_u32();
-  m.functions.reserve(count);
+  m.functions.reserve(bounded(count, r));
   for (u32 i = 0; i < count; ++i) m.functions.push_back(r.read_leb_u32());
 }
 
@@ -171,36 +178,40 @@ void decode_element_section(ByteReader& r, Module& m) {
     seg.table_index = 0;
     seg.offset = decode_const_expr(r);
     u32 n = r.read_leb_u32();
-    seg.func_indices.reserve(n);
+    seg.func_indices.reserve(bounded(n, r));
     for (u32 j = 0; j < n; ++j) seg.func_indices.push_back(r.read_leb_u32());
     m.elems.push_back(std::move(seg));
   }
 }
 
-void decode_code_section(ByteReader& r, Module& m) {
+/// Records where each body lies in the module (the section starts at `base`).
+void decode_code_section(ByteReader& r, size_t base, Module& m) {
   u32 count = r.read_leb_u32();
   if (count != m.functions.size())
     throw DecodeError("code section count mismatch with function section");
-  m.bodies.reserve(count);
+  m.bodies.reserve(bounded(count, r));
   for (u32 i = 0; i < count; ++i) {
     u32 body_size = r.read_leb_u32();
     size_t body_end = r.pos() + body_size;
     if (body_end > r.size()) throw DecodeError("code body exceeds section");
     FuncBody body;
+    body.first_run = u32(m.local_runs.size());
     u32 local_groups = r.read_leb_u32();
     for (u32 g = 0; g < local_groups; ++g) {
       u32 n = r.read_leb_u32();
       ValType t = decode_val_type(r.read_u8());
-      if (body.locals.size() + n > 50000) throw DecodeError("too many locals");
-      for (u32 k = 0; k < n; ++k) body.locals.push_back(t);
+      if (size_t(body.num_locals) + n > 50000) throw DecodeError("too many locals");
+      body.num_locals += n;
+      m.local_runs.push_back({n, t});
     }
+    body.num_runs = u32(m.local_runs.size()) - body.first_run;
     if (r.pos() > body_end) throw DecodeError("locals overrun body");
-    size_t code_len = body_end - r.pos();
-    auto code = r.read_bytes(code_len);
-    body.code.assign(code.begin(), code.end());
-    if (body.code.empty() || body.code.back() != u8(Op::kEnd))
+    body.offset = base + r.pos();
+    body.length = u32(body_end - r.pos());
+    auto code = r.read_bytes(body.length);
+    if (code.empty() || code.back() != u8(Op::kEnd))
       throw DecodeError("function body must end with end opcode");
-    m.bodies.push_back(std::move(body));
+    m.bodies.push_back(body);
   }
 }
 
@@ -251,7 +262,7 @@ DecodeResult decode_module(std::span<const u8> bytes) {
         case SectionId::kExport: decode_export_section(section, m); break;
         case SectionId::kStart: m.start = section.read_leb_u32(); break;
         case SectionId::kElement: decode_element_section(section, m); break;
-        case SectionId::kCode: decode_code_section(section, m); break;
+        case SectionId::kCode: decode_code_section(section, r.pos(), m); break;
         case SectionId::kData: decode_data_section(section, m); break;
         default: throw DecodeError("unknown section id");
       }
@@ -261,6 +272,7 @@ DecodeResult decode_module(std::span<const u8> bytes) {
     }
     if (m.bodies.size() != m.functions.size())
       throw DecodeError("function/code section mismatch");
+    m.bytes.assign(bytes.begin(), bytes.end());
     result.module = std::move(m);
   } catch (const DecodeError& e) {
     result.error = e.what();

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,11 +45,21 @@ struct GlobalDef {
   ConstExpr init;
 };
 
+/// `count` locals of one type, as a body's locals prelude declares them.
+struct LocalRun {
+  u32 count = 0;
+  ValType type = ValType::kI32;
+};
+
+/// A defined function's body as offsets into its Module, so that copying or
+/// moving the Module keeps it valid: instructions (after the locals
+/// prelude, ending with End) and locals in declaration order.
 struct FuncBody {
-  // Locals in declaration order, expanded (one entry per local).
-  std::vector<ValType> locals;
-  // Raw instruction bytes (without the locals prelude), ending with End.
-  std::vector<u8> code;
+  size_t offset = 0;  // into Module::bytes
+  u32 length = 0;
+  u32 num_locals = 0;  // the runs' counts summed
+  u32 first_run = 0;   // into Module::local_runs
+  u32 num_runs = 0;
 };
 
 struct ElemSegment {
@@ -77,6 +88,18 @@ struct Module {
   std::vector<ElemSegment> elems;
   std::vector<DataSegment> datas;
   std::vector<FuncBody> bodies;  // parallel to `functions`
+  std::vector<LocalRun> local_runs;  // every body's, back to back
+  std::vector<u8> bytes;  // the binary the bodies point into
+
+  /// Instructions and locals of defined function `i`.
+  std::span<const u8> code(u32 i) const {
+    const FuncBody& b = bodies.at(i);
+    return std::span(bytes).subspan(b.offset, b.length);
+  }
+  std::span<const LocalRun> locals(u32 i) const {
+    const FuncBody& b = bodies.at(i);
+    return std::span(local_runs).subspan(b.first_run, b.num_runs);
+  }
 
   u32 num_imported_funcs() const;
   u32 num_imported_globals() const;

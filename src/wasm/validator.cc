@@ -32,9 +32,8 @@ struct ControlFrame {
   bool unreachable = false;
 };
 
-/// What the shell and the bodies of one module are checked against,
-/// computed once per validate_module. Type indices are not range-checked
-/// here; the shell checks them before any body is validated.
+/// What the shell and the bodies of one module are checked against. Type
+/// indices are not range-checked here; the shell checks them first.
 struct ModuleFacts {
   explicit ModuleFacts(const Module& m) {
     for (const Import& imp : m.imports) {
@@ -45,7 +44,10 @@ struct ModuleFacts {
           has_memory = true;
           has_shared_memory |= imp.limits.shared;
           break;
-        case ExternKind::kGlobal: global_types.push_back(imp.global_type); break;
+        case ExternKind::kGlobal:
+          global_types.push_back(imp.global_type);
+          imported_global_mutable.push_back(imp.global_mutable);
+          break;
       }
     }
     num_imported_funcs = u32(func_types.size());
@@ -59,6 +61,7 @@ struct ModuleFacts {
 
   std::vector<u32> func_types;        // type index, by function index
   std::vector<ValType> global_types;  // by global index
+  std::vector<bool> imported_global_mutable;
   u32 num_imported_funcs = 0;
   u32 num_imported_globals = 0;
   bool has_memory = false;
@@ -76,7 +79,7 @@ struct FuncScratch {
   InstrView in;
 
   /// Frees what a huge body grew, so that a thread keeps at most a few
-  /// hundred KiB once validate_module returns.
+  /// hundred KiB once validation returns.
   void trim() {
     constexpr size_t kKeep = 16 << 10;  // entries per stack
     if (locals.capacity() > kKeep) locals = {};
@@ -99,13 +102,14 @@ class FuncValidator {
       : m_(m),
         facts_(facts),
         type_(m.types.at(facts.func_types.at(facts.num_imported_funcs + func_index))),
-        body_(m.bodies.at(func_index)),
+        code_(m.code(func_index)),
         locals_(scratch.locals),
         stack_(scratch.stack),
         ctrl_(scratch.ctrl),
         in_(scratch.in) {
     locals_.assign(type_.params.begin(), type_.params.end());
-    locals_.insert(locals_.end(), body_.locals.begin(), body_.locals.end());
+    for (const LocalRun& run : m.locals(func_index))
+      locals_.insert(locals_.end(), run.count, run.type);
     stack_.clear();
     ctrl_.clear();
   }
@@ -113,7 +117,7 @@ class FuncValidator {
   void run() {
     if (type_.results.size() > 1) verr("multi-value function results unsupported");
     push_frame(Op::kBlock, result_type());
-    InstrReader reader({body_.code.data(), body_.code.size()});
+    InstrReader reader(code_);
     while (!reader.done()) {
       reader.next(in_);
       if (ctrl_.empty()) verr("instructions after function end");
@@ -279,7 +283,7 @@ class FuncValidator {
   const Module& m_;
   const ModuleFacts& facts_;
   const FuncType& type_;
-  const FuncBody& body_;
+  std::span<const u8> code_;
   std::vector<ValType>& locals_;
   std::vector<StackType>& stack_;
   std::vector<ControlFrame>& ctrl_;
@@ -747,31 +751,21 @@ void FuncValidator::step(const InstrView& in) {
   }
 }
 
-void check_const_expr(const Module& m, const ConstExpr& e, ValType expect,
-                      const char* what) {
+void check_const_expr(const ModuleFacts& facts, const ConstExpr& e,
+                      ValType expect, const char* what) {
   ValType actual;
   switch (e.kind) {
     case ConstExpr::Kind::kI32: actual = ValType::kI32; break;
     case ConstExpr::Kind::kI64: actual = ValType::kI64; break;
     case ConstExpr::Kind::kF32: actual = ValType::kF32; break;
     case ConstExpr::Kind::kF64: actual = ValType::kF64; break;
-    case ConstExpr::Kind::kGlobalGet: {
-      if (e.global_index >= m.num_imported_globals())
+    case ConstExpr::Kind::kGlobalGet:
+      if (e.global_index >= facts.num_imported_globals)
         verr(std::string(what) + ": global.get init must reference imported global");
-      u32 seen = 0;
-      actual = ValType::kI32;
-      for (const auto& imp : m.imports) {
-        if (imp.kind != ExternKind::kGlobal) continue;
-        if (seen == e.global_index) {
-          if (imp.global_mutable)
-            verr(std::string(what) + ": init from mutable global");
-          actual = imp.global_type;
-          break;
-        }
-        ++seen;
-      }
+      if (facts.imported_global_mutable[e.global_index])
+        verr(std::string(what) + ": init from mutable global");
+      actual = facts.global_types[e.global_index];
       break;
-    }
     default: verr(std::string(what) + ": bad const expr");
   }
   if (actual != expect) verr(std::string(what) + ": const expr type mismatch");
@@ -795,7 +789,7 @@ void validate_module_shell(const Module& m, const ModuleFacts& facts) {
     if (mem.shared && !mem.has_max) verr("shared memory requires a max");
   }
   for (const auto& g : m.globals)
-    check_const_expr(m, g.init, g.type, "global init");
+    check_const_expr(facts, g.init, g.type, "global init");
   const u32 nfuncs = u32(facts.func_types.size());
   const bool has_table = facts.has_table;
   const bool has_memory = facts.has_memory;
@@ -818,13 +812,13 @@ void validate_module_shell(const Module& m, const ModuleFacts& facts) {
   }
   for (const auto& seg : m.elems) {
     if (!has_table) verr("element segment without table");
-    check_const_expr(m, seg.offset, ValType::kI32, "elem offset");
+    check_const_expr(facts, seg.offset, ValType::kI32, "elem offset");
     for (u32 fi : seg.func_indices)
       if (fi >= nfuncs) verr("element function index out of range");
   }
   for (const auto& seg : m.datas) {
     if (!has_memory) verr("data segment without memory");
-    check_const_expr(m, seg.offset, ValType::kI32, "data offset");
+    check_const_expr(facts, seg.offset, ValType::kI32, "data offset");
   }
   if (m.start.has_value()) {
     if (*m.start >= nfuncs) verr("start function index out of range");
@@ -836,17 +830,30 @@ void validate_module_shell(const Module& m, const ModuleFacts& facts) {
 
 }  // namespace
 
-ValidationResult validate_module(const Module& m) {
+ValidationResult validate_shell(const Module& m) {
   ValidationResult result;
   try {
+    validate_module_shell(m, ModuleFacts(m));
+    result.ok = true;
+  } catch (const ValidationError& e) {
+    result.error = e.what();
+  }
+  return result;
+}
+
+ValidationResult validate_bodies(const Module& m, u32 first, u32 count) {
+  ValidationResult result;
+  try {
+    if (first > m.bodies.size() || count > m.bodies.size() - first)
+      verr("function index out of range");
     const ModuleFacts facts(m);
-    validate_module_shell(m, facts);
     // Bodies validate independently; parallel_for rethrows the error of the
     // lowest failing index, so the message does not depend on scheduling.
     parallel_for(
-        u32(m.bodies.size()), kValidateChunkBytes,
-        [&](u32 i) { return u64(m.bodies[i].code.size()); },
-        [&](u32 i) {
+        count, kValidateChunkBytes,
+        [&](u32 k) { return u64(m.bodies[first + k].length); },
+        [&](u32 k) {
+          const u32 i = first + k;
           auto fail = [&](const char* what) {
             std::ostringstream os;
             os << "func[" << (facts.num_imported_funcs + i) << "]: " << what;
@@ -868,6 +875,11 @@ ValidationResult validate_module(const Module& m) {
   // Helper threads end with parallel_for; the calling thread's stacks stay.
   thread_scratch().trim();
   return result;
+}
+
+ValidationResult validate_module(const Module& m) {
+  ValidationResult shell = validate_shell(m);
+  return shell.ok ? validate_bodies(m, 0, u32(m.bodies.size())) : shell;
 }
 
 }  // namespace mpiwasm::wasm

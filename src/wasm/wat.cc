@@ -30,11 +30,11 @@ const char* kind_name(ExternKind k) {
   return "?";
 }
 
-void print_body(std::ostringstream& os, const Module& m, const FuncBody& body,
+void print_body(std::ostringstream& os, const Module& m, u32 defined_index,
                 const WatOptions& opts) {
   size_t lines = 0;
   int indent = 2;
-  InstrReader reader({body.code.data(), body.code.size()});
+  InstrReader reader(m.code(defined_index));
   InstrView in;
   while (!reader.done()) {
     reader.next(in);
@@ -138,14 +138,14 @@ std::string to_wat(const Module& m, const WatOptions& opts) {
     u32 fi = imported + u32(i);
     os << "  (func (;" << fi << ";) (type " << m.functions[i] << ")";
     print_func_type(os, m.types[m.functions[i]]);
-    const FuncBody& body = m.bodies[i];
-    if (!body.locals.empty()) {
+    if (m.bodies[i].num_locals != 0) {
       os << " (local";
-      for (ValType t : body.locals) os << " " << val_type_name(t);
+      for (const LocalRun& run : m.locals(u32(i)))
+        for (u32 k = 0; k < run.count; ++k) os << " " << val_type_name(run.type);
       os << ")";
     }
     os << "\n";
-    if (opts.print_code) print_body(os, m, body, opts);
+    if (opts.print_code) print_body(os, m, u32(i), opts);
     os << "  )\n";
   }
   for (const auto& e : m.exports) {

@@ -1,8 +1,8 @@
 // FileSystemCache tests: serialization round-trip, hit/miss behaviour,
 // hash-keyed invalidation, corrupt-entry recovery (paper §3.3 semantics),
 // concurrent writers, the lazy warm start (a mapped entry whose functions
-// materialize on first call), and the parallel static compile whose output
-// the cache stores.
+// materialize on first call, with only the module shell validated), and
+// the parallel static compile whose output the cache stores.
 #include "testlib.h"
 
 #include <sys/stat.h>
@@ -40,7 +40,7 @@ std::string fresh_cache_dir() {
   return dir.string();
 }
 
-// Whole-module entry files (format v8): magic, version and a u32 function
+// Whole-module entry files (format v8 on): magic, version and a u32 function
 // count, then one (offset u32, length u32) slot per function, then the
 // records.
 constexpr size_t kEntryHeader = 12;
@@ -405,10 +405,12 @@ TEST(Cache, StaleVersionEntriesAreRejectedCleanlyAndRecompiled) {
   // Every cache format bump renumbers the ROp space (v4: superinstructions
   // / raw ops / kMemGuard; v5: the full SIMD opcode space) or extends the
   // record layout (v6: the optional native-code section) or the entry
-  // layout (v8: the offset table). A pre-upgrade v3/v4/v5/v7 entry must be
-  // treated as a clean miss — no crash, no misdecoded code, just a silent
-  // recompile that overwrites the stale entry.
-  for (char stale_version : {char(3), char(4), char(5), char(7)}) {
+  // layout (v8: the offset table) or tightens the decoder (v9: signed
+  // LEB128 sign bits; a hit skips body validation, so a v8 entry could
+  // serve bytes the decoder now rejects). A pre-upgrade v3/v4/v5/v7/v8
+  // entry must be treated as a clean miss — no crash, no misdecoded code,
+  // just a silent recompile that overwrites the stale entry.
+  for (char stale_version : {char(3), char(4), char(5), char(7), char(8)}) {
     auto dir = fresh_cache_dir();
     auto bytes = make_module(77);
     EngineConfig cfg;
@@ -1009,6 +1011,207 @@ TEST(ParallelCompile, EveryTierComputesTheSameResult) {
     const f64 got = inst.invoke("run", args).as_f64();
     if (!expected) expected = got;
     EXPECT_EQ(got, *expected);
+  }
+}
+
+// A warm start (a hit at a static tier) validates the module shell only;
+// a cold compile, a miss, kInterp and kTiered validate every body.
+
+TEST(WarmStart, OnlyAHitSkipsBodyValidation) {
+  constexpr u32 kFuncs = 8;
+  const std::vector<u8> bytes = toolchain::build_compile_stress_module(kFuncs);
+  struct Row {
+    EngineTier tier;
+    bool cache;
+  };
+  const Row rows[] = {{EngineTier::kInterp, false},  {EngineTier::kInterp, true},
+                      {EngineTier::kTiered, false},  {EngineTier::kTiered, true},
+                      {EngineTier::kOptimizing, false}, {EngineTier::kJit, false}};
+  for (const Row& row : rows) {
+    SCOPED_TRACE(::testing::Message() << rt::tier_name(row.tier)
+                                      << (row.cache ? " cache" : ""));
+    auto dir = fresh_cache_dir();
+    EngineConfig cfg;
+    cfg.tier = row.tier;
+    cfg.jit = true;
+    cfg.enable_cache = row.cache;
+    cfg.cache_dir = dir;
+    for (int rep = 0; rep < 2; ++rep) {
+      auto cm = rt::compile({bytes.data(), bytes.size()}, cfg);
+      EXPECT_FALSE(cm->loaded_from_cache);
+      EXPECT_EQ(cm->funcs_validated, kFuncs);
+    }
+    fs::remove_all(dir);
+  }
+  for (EngineTier tier : kCompiledTiers) {
+    SCOPED_TRACE(rt::tier_name(tier));
+    auto dir = fresh_cache_dir();
+    EngineConfig cfg;
+    cfg.tier = tier;
+    cfg.jit = true;
+    cfg.enable_cache = true;
+    cfg.cache_dir = dir;
+    auto miss = rt::compile({bytes.data(), bytes.size()}, cfg);
+    ASSERT_FALSE(miss->loaded_from_cache);
+    EXPECT_EQ(miss->funcs_validated, kFuncs);
+    auto hit = rt::compile({bytes.data(), bytes.size()}, cfg);
+    ASSERT_TRUE(hit->loaded_from_cache);
+    EXPECT_EQ(hit->funcs_validated, 0u);
+    EXPECT_GE(hit->decode_ms, 0);
+    EXPECT_GE(hit->validate_ms, 0);
+    fs::remove_all(dir);
+  }
+}
+
+TEST(WarmStart, EveryFunctionMatchesTheColdCompile) {
+  // A 64-copy stress module, warm-started at each static tier with every
+  // function called.
+  constexpr u32 kFuncs = 64;
+  const std::vector<u8> bytes = toolchain::build_compile_stress_module(kFuncs);
+  const Value args[] = {Value::from_i32(300)};
+  for (EngineTier tier : kCompiledTiers) {
+    SCOPED_TRACE(rt::tier_name(tier));
+    auto dir = fresh_cache_dir();
+    EngineConfig cfg = stress_cache_config(dir);
+    cfg.tier = tier;
+    auto cold = rt::compile({bytes.data(), bytes.size()}, cfg);
+    ASSERT_FALSE(cold->loaded_from_cache);
+    auto warm = rt::compile({bytes.data(), bytes.size()}, cfg);
+    ASSERT_TRUE(warm->loaded_from_cache);
+    EXPECT_EQ(warm->funcs_validated, 0u);
+    rt::Instance cold_inst(cold, rt::ImportTable{});
+    rt::Instance warm_inst(warm, rt::ImportTable{});
+    for (u32 i = 0; i < kFuncs; ++i)
+      EXPECT_EQ(warm_inst.invoke_index(i, args).as_f64(),
+                cold_inst.invoke_index(i, args).as_f64())
+          << "func " << i;
+    const rt::TierUpSnapshot s = rt::tierup_snapshot(*warm);
+    EXPECT_EQ(s.cache_materialized_funcs, kFuncs);
+    EXPECT_EQ(s.cache_record_fallbacks, 0u);
+    fs::remove_all(dir);
+  }
+}
+
+// `n` functions of ~250 body bytes each; the bodies at `bad_add` (i32 + i64)
+// and `bad_underflow` (i32.add on an empty stack) are invalid.
+std::vector<u8> build_many_funcs(u32 n, u32 bad_add, u32 bad_underflow) {
+  ModuleBuilder b;
+  for (u32 i = 0; i < n; ++i) {
+    auto& f = b.begin_func({{I32, I64}, {I32}}, i == 0 ? "run" : "");
+    for (int k = 0; k < 40; ++k) {
+      f.i32_const(1 << 20);
+      f.op(Op::kDrop);
+    }
+    if (i == bad_underflow) f.op(Op::kI32Add);
+    f.local_get(0);
+    if (i == bad_add) {
+      f.local_get(1);
+      f.op(Op::kI32Add);
+    }
+    f.end();
+  }
+  return b.build();
+}
+
+/// The CompileError message of compiling `bytes` under `cfg` ("" if none).
+std::string compile_error(const std::vector<u8>& bytes, const EngineConfig& cfg) {
+  try {
+    (void)rt::compile({bytes.data(), bytes.size()}, cfg);
+  } catch (const rt::CompileError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(WarmStart, AMissReportsTheColdValidationError) {
+  // Big enough to validate in parallel chunks; the lower of func[3] and
+  // func[900] is reported, as on a cold compile.
+  const std::vector<u8> bytes = build_many_funcs(1024, 900, 3);
+  EngineConfig cold;
+  cold.tier = EngineTier::kJit;
+  cold.jit = true;
+  const std::string expected = compile_error(bytes, cold);
+  EXPECT_EQ(expected.rfind("validation error: func[3]: ", 0), 0u) << expected;
+  for (EngineTier tier : kCompiledTiers) {
+    SCOPED_TRACE(rt::tier_name(tier));
+    auto dir = fresh_cache_dir();
+    EngineConfig cfg = stress_cache_config(dir);
+    cfg.tier = tier;
+    for (int rep = 0; rep < 3; ++rep)
+      EXPECT_EQ(compile_error(bytes, cfg), expected);
+    EXPECT_TRUE(only_entry(dir).empty()) << "nothing is stored";
+    fs::remove_all(dir);
+  }
+}
+
+TEST(WarmStart, ACorruptRecordIsRecompiledFromTheModule) {
+  constexpr u32 kFuncs = 8;
+  const std::vector<u8> bytes = toolchain::build_compile_stress_module(kFuncs);
+  const Value args[] = {Value::from_i32(50)};
+  for (EngineTier tier : kCompiledTiers) {
+    SCOPED_TRACE(rt::tier_name(tier));
+    auto dir = fresh_cache_dir();
+    EngineConfig cfg = stress_cache_config(dir);
+    cfg.tier = tier;
+    auto cold = rt::compile({bytes.data(), bytes.size()}, cfg);
+    const fs::path entry = only_entry(dir);
+    const std::vector<u8> good = read_file_bytes(entry);
+    auto rm = rt::deserialize_regcode({good.data(), good.size()});
+    ASSERT_TRUE(rm.has_value());
+    rm->funcs[5].num_params = 127;
+    write_file_bytes(entry, rt::serialize_regcode(*rm));
+
+    auto warm = rt::compile({bytes.data(), bytes.size()}, cfg);
+    ASSERT_TRUE(warm->loaded_from_cache);
+    EXPECT_EQ(warm->funcs_validated, 0u);
+    rt::Instance cold_inst(cold, rt::ImportTable{});
+    rt::Instance warm_inst(warm, rt::ImportTable{});
+    for (u32 i = 0; i < kFuncs; ++i)
+      EXPECT_EQ(warm_inst.invoke_index(i, args).as_f64(),
+                cold_inst.invoke_index(i, args).as_f64())
+          << "func " << i;
+    EXPECT_EQ(rt::tierup_snapshot(*warm).cache_record_fallbacks, 1u);
+    fs::remove_all(dir);
+  }
+}
+
+TEST(WarmStart, AFallbackValidatesTheBodyItCompiles) {
+  // An entry planted for a module whose func[2] is invalid: the shell
+  // passes, so the load is a hit, and the functions with sound records
+  // run. Func[2]'s record is corrupt, so it would be compiled from the
+  // module bytes; its body is validated first and fails as on a cold
+  // compile instead of reaching lowering.
+  const std::vector<u8> valid = build_many_funcs(4, ~0u, ~0u);
+  const std::vector<u8> invalid = build_many_funcs(4, 2, ~0u);
+  for (EngineTier tier : kCompiledTiers) {
+    SCOPED_TRACE(rt::tier_name(tier));
+    auto dir = fresh_cache_dir();
+    EngineConfig cfg = stress_cache_config(dir);
+    cfg.tier = tier;
+    (void)rt::compile({valid.data(), valid.size()}, cfg);
+    const fs::path entry = only_entry(dir);
+    const std::vector<u8> good = read_file_bytes(entry);
+    auto rm = rt::deserialize_regcode({good.data(), good.size()});
+    ASSERT_TRUE(rm.has_value());
+    rm->funcs[2].num_params = 127;
+    fs::remove(entry);
+    write_file_bytes(fs::path(dir) / (sha256({invalid.data(), invalid.size()}).hex() +
+                                      "-" + entry_tag(entry) + ".rcache"),
+                     rt::serialize_regcode(*rm));
+
+    auto warm = rt::compile({invalid.data(), invalid.size()}, cfg);
+    ASSERT_TRUE(warm->loaded_from_cache);
+    EXPECT_EQ(warm->funcs_validated, 0u);
+    rt::Instance inst(warm, rt::ImportTable{});
+    const Value args[] = {Value::from_i32(7), Value::from_i64(1)};
+    EXPECT_EQ(inst.invoke("run", args).as_i32(), 7);
+    try {
+      (void)rt::compiled_body(*warm, 2);
+      ADD_FAILURE() << "an invalid body was compiled";
+    } catch (const rt::CompileError& e) {
+      EXPECT_EQ(std::string(e.what()), compile_error(invalid, EngineConfig{}));
+    }
+    fs::remove_all(dir);
   }
 }
 

@@ -439,5 +439,62 @@ TEST_P(RuntimeCoreTest, StartFunctionRunsAtInstantiation) {
   EXPECT_EQ(inst->invoke("read").as_i32(), 77);
 }
 
+/// Appends `v` as an unsigned LEB128.
+void put_leb(std::vector<u8>& out, u32 v) {
+  do {
+    u8 b = v & 0x7F;
+    v >>= 7;
+    out.push_back(v != 0 ? u8(b | 0x80) : b);
+  } while (v != 0);
+}
+
+TEST(CanonicalIds, StructurallyEqualTypesShareTheFirstIndex) {
+  // The builder deduplicates types, so the type section is written by
+  // hand: types () -> (), (i32) -> (), () -> (), (i32) -> (), (i32) -> (i32);
+  // imports m.a of type 2 and m.b of type 3; one function of type 4.
+  const std::vector<u8> bytes = {
+      0x00, 0x61, 0x73, 0x6D, 1, 0, 0, 0,
+      0x01, 0x14, 0x05, 0x60, 0x00, 0x00, 0x60, 0x01, 0x7F, 0x00, 0x60, 0x00,
+      0x00, 0x60, 0x01, 0x7F, 0x00, 0x60, 0x01, 0x7F, 0x01, 0x7F,
+      0x02, 0x0D, 0x02, 0x01, 0x6D, 0x01, 0x61, 0x00, 0x02, 0x01, 0x6D, 0x01,
+      0x62, 0x00, 0x03,
+      0x03, 0x02, 0x01, 0x04,
+      0x0A, 0x06, 0x01, 0x04, 0x00, 0x20, 0x00, 0x0B};
+  EngineConfig cfg;
+  cfg.tier = EngineTier::kInterp;
+  auto cm = rt::compile({bytes.data(), bytes.size()}, cfg);
+  EXPECT_EQ(cm->canon_type_ids, (std::vector<u32>{0, 1, 0, 1, 4}));
+  EXPECT_EQ(cm->func_canon, (std::vector<u32>{0, 1, 4}));
+}
+
+TEST(CanonicalIds, ManyRepeatedTypes) {
+  // 6,000 types cycling through 100 shapes, (i32 x k) -> () and
+  // (i32 x k) -> (i64) for k < 50: type i's id is i % 100.
+  constexpr u32 kTypes = 6000;
+  std::vector<u8> section;
+  put_leb(section, kTypes);
+  for (u32 i = 0; i < kTypes; ++i) {
+    const u32 shape = i % 100;
+    section.push_back(0x60);
+    put_leb(section, shape % 50);
+    section.insert(section.end(), shape % 50, 0x7F);
+    if (shape < 50) {
+      section.push_back(0x00);
+    } else {
+      section.push_back(0x01);
+      section.push_back(0x7E);
+    }
+  }
+  std::vector<u8> bytes = {0x00, 0x61, 0x73, 0x6D, 1, 0, 0, 0, 0x01};
+  put_leb(bytes, u32(section.size()));
+  bytes.insert(bytes.end(), section.begin(), section.end());
+  EngineConfig cfg;
+  cfg.tier = EngineTier::kInterp;
+  auto cm = rt::compile({bytes.data(), bytes.size()}, cfg);
+  ASSERT_EQ(cm->canon_type_ids.size(), kTypes);
+  for (u32 i = 0; i < kTypes; ++i)
+    ASSERT_EQ(cm->canon_type_ids[i], i % 100) << "type " << i;
+}
+
 }  // namespace
 }  // namespace mpiwasm::test

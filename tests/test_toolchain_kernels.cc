@@ -204,5 +204,51 @@ TEST(KernelTiers, HpcgIdenticalAcrossTiers) {
   EXPECT_EQ(residuals[0], residuals[2]);
 }
 
+TEST(KernelCanonicalIds, MatchTheFirstStructurallyEqualType) {
+  // call_indirect compares canonical signature ids: each type's id is the
+  // index of the first structurally equal type, and each function's is its
+  // type's. Checked against the pairwise definition on every kernel.
+  const std::vector<std::pair<const char*, std::vector<u8>>> kernels = {
+      {"imb", build_imb_module(ImbParams{})},
+      {"hpcg", build_hpcg_module(HpcgParams{})},
+      {"is", build_is_module(IsParams{})},
+      {"dt", build_dt_module(DtParams{})},
+      {"ior", build_ior_module(IorParams{})},
+      {"datatype", build_datatype_pingpong_module(DatatypePingPongParams{})},
+      {"overlap", build_overlap_module(OverlapParams{})},
+      {"micro", build_micro_kernel_module(MicroKernelParams{})},
+      {"threaded micro",
+       build_threaded_micro_kernel_module(ThreadedKernelParams{})},
+      {"threaded cg", build_threaded_cg_module(ThreadedCgParams{})},
+      {"threads check", build_threads_check_module()},
+      {"hello", build_hello_module()},
+      {"compile stress", build_compile_stress_module(16)},
+      {"allreduce check", build_allreduce_check_module()},
+      {"icoll check", build_icoll_check_module()},
+  };
+  for (const auto& [name, bytes] : kernels) {
+    SCOPED_TRACE(name);
+    EngineConfig cfg;
+    cfg.tier = EngineTier::kInterp;
+    cfg.threads = true;
+    auto cm = rt::compile({bytes.data(), bytes.size()}, cfg);
+    const wasm::Module& m = cm->module;
+    std::vector<u32> canon(m.types.size());
+    for (u32 i = 0; i < m.types.size(); ++i) {
+      canon[i] = i;
+      for (u32 j = 0; j < i; ++j)
+        if (m.types[j] == m.types[i]) {
+          canon[i] = j;
+          break;
+        }
+    }
+    EXPECT_EQ(cm->canon_type_ids, canon);
+    ASSERT_EQ(cm->func_canon.size(), m.total_funcs());
+    for (u32 f = 0; f < m.total_funcs(); ++f)
+      EXPECT_EQ(cm->func_canon[f], canon[&m.func_type(f) - m.types.data()])
+          << "func " << f;
+  }
+}
+
 }  // namespace
 }  // namespace mpiwasm::test

@@ -416,5 +416,41 @@ TEST(Validator, ParallelValidationReportsTheLowestFailingFunction) {
   EXPECT_EQ(later.error.rfind("func[900]: ", 0), 0u) << later.error;
 }
 
+TEST(Validator, ShellAndBodiesSplitTheModuleRules) {
+  // validate_module is validate_shell then validate_bodies over every body;
+  // a range of bodies reports its own lowest failure.
+  const auto bytes = build_many_funcs(1024, 900, 3);
+  auto decoded = decode_module({bytes.data(), bytes.size()});
+  ASSERT_TRUE(decoded.ok()) << decoded.error;
+  const Module& m = *decoded.module;
+  EXPECT_TRUE(validate_shell(m).ok);
+  const ValidationResult all = validate_module(m);
+  ASSERT_FALSE(all.ok);
+  EXPECT_EQ(validate_bodies(m, 0, 1024).error, all.error);
+  EXPECT_EQ(validate_bodies(m, 3, 1).error, all.error);
+  EXPECT_TRUE(validate_bodies(m, 0, 3).ok);
+  EXPECT_TRUE(validate_bodies(m, 4, 896).ok);
+  const ValidationResult later = validate_bodies(m, 4, 1020);
+  ASSERT_FALSE(later.ok);
+  EXPECT_EQ(later.error.rfind("func[900]: ", 0), 0u) << later.error;
+  EXPECT_TRUE(validate_bodies(m, 1024, 0).ok);
+  EXPECT_FALSE(validate_bodies(m, 1024, 1).ok);
+  EXPECT_FALSE(validate_bodies(m, 1, ~0u).ok);
+
+  // A shell error is the shell's alone.
+  ModuleBuilder b;
+  b.add_memory(70000);  // > 65536 pages
+  auto& f = b.begin_func({{}, {}}, "f");
+  f.i32_const(1);  // and an invalid body
+  f.end();
+  const auto bad_shell = b.build();
+  auto d = decode_module({bad_shell.data(), bad_shell.size()});
+  ASSERT_TRUE(d.ok()) << d.error;
+  const ValidationResult shell = validate_shell(*d.module);
+  ASSERT_FALSE(shell.ok);
+  EXPECT_EQ(validate_module(*d.module).error, shell.error);
+  EXPECT_EQ(validate_bodies(*d.module, 0, 1).error.rfind("func[0]: ", 0), 0u);
+}
+
 }  // namespace
 }  // namespace mpiwasm::wasm

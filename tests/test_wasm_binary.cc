@@ -2,8 +2,11 @@
 // failure injection for the decoder.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <set>
 #include <string>
 
@@ -11,8 +14,47 @@
 #include "wasm/decoder.h"
 #include "wasm/wat.h"
 
+// While set, an allocation above kAllocCap fails with std::bad_alloc, as
+// it would under an address-space limit: a count a hostile module claims
+// must not become a reservation.
+std::atomic<bool> g_cap_allocations{false};
+constexpr size_t kAllocCap = size_t(1) << 20;
+
+void* operator new(size_t n) {
+  if (g_cap_allocations.load(std::memory_order_relaxed) && n > kAllocCap)
+    throw std::bad_alloc();
+  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so that the compiler does not pair a free() it inlined
+// with the operator new of the caller.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept {
+  std::free(p);
+}
+
 namespace mpiwasm::wasm {
 namespace {
+
+/// A module made of the header and `sections` (raw section bytes).
+std::vector<u8> raw_module(std::vector<u8> sections) {
+  std::vector<u8> bytes{0x00, 0x61, 0x73, 0x6D, 1, 0, 0, 0};
+  bytes.insert(bytes.end(), sections.begin(), sections.end());
+  return bytes;
+}
+
+/// decode_module under the allocation cap; fails the test if it throws.
+DecodeResult decode_capped(const std::vector<u8>& bytes) {
+  DecodeResult r;
+  g_cap_allocations = true;
+  try {
+    r = decode_module({bytes.data(), bytes.size()});
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "decode_module threw " << e.what();
+  }
+  g_cap_allocations = false;
+  return r;
+}
 
 std::vector<u8> simple_module() {
   ModuleBuilder b;
@@ -69,8 +111,7 @@ TEST(BuilderDecoder, InstrStreamRoundTrip) {
   auto bytes = b.build();
   auto result = decode_module({bytes.data(), bytes.size()});
   ASSERT_TRUE(result.ok()) << result.error;
-  const FuncBody& body = result.module->bodies[0];
-  InstrReader r({body.code.data(), body.code.size()});
+  InstrReader r(result.module->code(0));
   std::vector<Op> ops;
   std::vector<i64> imms;
   InstrView v;
@@ -104,8 +145,7 @@ TEST(BuilderDecoder, SimdAndPrefixedOpsRoundTrip) {
   auto bytes = b.build();
   auto result = decode_module({bytes.data(), bytes.size()});
   ASSERT_TRUE(result.ok()) << result.error;
-  InstrReader r({result.module->bodies[0].code.data(),
-                 result.module->bodies[0].code.size()});
+  InstrReader r(result.module->code(0));
   InstrView v;
   r.next(v);
   EXPECT_EQ(v.op, Op::kV128Const);
@@ -172,6 +212,120 @@ TEST(DecoderFailure, CodeCountMismatch) {
   EXPECT_FALSE(r.ok());
 }
 
+TEST(DecoderFailure, HostileCountsAreErrorsNotReservations) {
+  // Each section claims 0x0FFFFFFF entries (LEB FF FF FF 7F) and holds a
+  // byte or two; reserving that many entries would ask for gigabytes.
+  const u8 kHuge[] = {0xFF, 0xFF, 0xFF, 0x7F};
+  auto with_count = [&](std::vector<u8> before, std::vector<u8> after) {
+    before.insert(before.end(), std::begin(kHuge), std::end(kHuge));
+    before.insert(before.end(), after.begin(), after.end());
+    return before;
+  };
+  struct Case {
+    const char* what;
+    std::vector<u8> bytes;
+  };
+  const Case cases[] = {
+      {"types", raw_module(with_count({0x01, 0x05}, {0x60}))},
+      {"functions", raw_module(with_count({0x03, 0x05}, {0x00}))},
+      {"element function indices",
+       raw_module({0x01, 0x04, 0x01, 0x60, 0x00, 0x00,  // () -> ()
+                   0x03, 0x02, 0x01, 0x00,              // one function
+                   0x04, 0x04, 0x01, 0x70, 0x00, 0x01,  // table, min 1
+                   0x09, 0x0A, 0x01, 0x00, 0x41, 0x00, 0x0B, 0xFF, 0xFF,
+                   0xFF, 0x7F, 0x00})},
+      {"bodies", raw_module(with_count({0x0A, 0x05}, {0x00}))},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    const DecodeResult r = decode_capped(c.bytes);
+    EXPECT_FALSE(r.ok());
+    EXPECT_FALSE(r.error.empty());
+  }
+}
+
+TEST(DecoderFailure, BodyChecksAtDecodeTime) {
+  // One () -> () function; the code section varies.
+  auto with_code = [](std::vector<u8> code_section) {
+    std::vector<u8> s{0x01, 0x04, 0x01, 0x60, 0x00, 0x00,  // () -> ()
+                      0x03, 0x02, 0x01, 0x00};             // one function
+    s.insert(s.end(), code_section.begin(), code_section.end());
+    return raw_module(s);
+  };
+  struct Case {
+    const char* error;
+    std::vector<u8> code_section;
+  };
+  const Case cases[] = {
+      // 50,001 i32 locals (LEB D1 86 03).
+      {"too many locals",
+       {0x0A, 0x08, 0x01, 0x06, 0x01, 0xD1, 0x86, 0x03, 0x7F, 0x0B}},
+      // Two runs of 25,000 and 25,001.
+      {"too many locals",
+       {0x0A, 0x0C, 0x01, 0x0A, 0x02, 0xA8, 0xC3, 0x01, 0x7F, 0xA9, 0xC3,
+        0x01, 0x7E, 0x0B}},
+      // A 2-byte body whose prelude takes 3.
+      {"locals overrun body", {0x0A, 0x05, 0x01, 0x02, 0x01, 0x05, 0x7F}},
+      {"function body must end with end opcode",
+       {0x0A, 0x04, 0x01, 0x02, 0x00, 0x01}},
+      {"function body must end with end opcode", {0x0A, 0x03, 0x01, 0x01, 0x00}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.error);
+    const std::vector<u8> bytes = with_code(c.code_section);
+    const DecodeResult r = decode_module({bytes.data(), bytes.size()});
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error, c.error);
+  }
+  // 50,000 locals is the cap, not past it.
+  const std::vector<u8> at_cap = with_code(
+      {0x0A, 0x08, 0x01, 0x06, 0x01, 0xD0, 0x86, 0x03, 0x7F, 0x0B});
+  const DecodeResult r = decode_module({at_cap.data(), at_cap.size()});
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_EQ(r.module->bodies[0].num_locals, 50000u);
+}
+
+TEST(BuilderDecoder, BodiesBorrowTheModuleBytes) {
+  ModuleBuilder b;
+  auto& f = b.begin_func({{ValType::kI32}, {ValType::kI32}}, "f");
+  const u32 x = f.add_local(ValType::kI64);
+  f.add_local(ValType::kI64);
+  f.add_local(ValType::kF64);
+  f.local_get(0);
+  f.op(Op::kI64ExtendI32S);
+  f.local_set(x);
+  f.local_get(0);
+  f.end();
+  auto& g = b.begin_func({{}, {}}, "g");
+  g.end();
+  const std::vector<u8> bytes = b.build();
+  auto result = decode_module({bytes.data(), bytes.size()});
+  ASSERT_TRUE(result.ok()) << result.error;
+  std::optional<Module> m = std::move(result.module);
+  EXPECT_EQ(m->bytes, bytes);
+  // Locals as runs, in declaration order.
+  ASSERT_EQ(m->locals(0).size(), 2u);
+  EXPECT_EQ(m->locals(0)[0].count, 2u);
+  EXPECT_EQ(m->locals(0)[0].type, ValType::kI64);
+  EXPECT_EQ(m->locals(0)[1].count, 1u);
+  EXPECT_EQ(m->locals(0)[1].type, ValType::kF64);
+  EXPECT_EQ(m->bodies[0].num_locals, 3u);
+  EXPECT_TRUE(m->locals(1).empty());
+  EXPECT_EQ(m->bodies[1].num_locals, 0u);
+  // Each body is its slice of the binary: the instructions without the
+  // prelude, ending with End.
+  const std::vector<u8> g_code(m->code(1).begin(), m->code(1).end());
+  EXPECT_EQ(g_code, std::vector<u8>{u8(Op::kEnd)});
+  EXPECT_EQ(m->code(0).back(), u8(Op::kEnd));
+  EXPECT_EQ(m->code(0).data(), m->bytes.data() + m->bodies[0].offset);
+  // A copy reads its own bytes once the original is gone.
+  const std::vector<u8> f_code(m->code(0).begin(), m->code(0).end());
+  const Module copy = *m;
+  m.reset();
+  EXPECT_EQ(std::vector<u8>(copy.code(0).begin(), copy.code(0).end()), f_code);
+  EXPECT_EQ(copy.code(0).data(), copy.bytes.data() + copy.bodies[0].offset);
+}
+
 TEST(DecoderFailure, UnknownOpcodeInBody) {
   ModuleBuilder b;
   auto& f = b.begin_func({{}, {}}, "f");
@@ -180,9 +334,10 @@ TEST(DecoderFailure, UnknownOpcodeInBody) {
   auto result = decode_module({bytes.data(), bytes.size()});
   ASSERT_TRUE(result.ok());
   // Inject an unknown opcode directly into the decoded body and re-walk it.
-  FuncBody body = result.module->bodies[0];
-  body.code.insert(body.code.begin(), 0xFE);
-  InstrReader r({body.code.data(), body.code.size()});
+  std::span<const u8> body = result.module->code(0);
+  std::vector<u8> code(body.begin(), body.end());
+  code.insert(code.begin(), 0xFE);
+  InstrReader r(code);
   InstrView v;
   EXPECT_THROW({ while (!r.done()) r.next(v); }, DecodeError);
 }
@@ -343,8 +498,7 @@ TEST(InstrReader, EveryTableOpcodeRoundTripsWithItsImmediates) {
   auto bytes = b.build();
   auto result = decode_module({bytes.data(), bytes.size()});
   ASSERT_TRUE(result.ok()) << result.error;
-  const FuncBody& body = result.module->bodies[0];
-  InstrReader r({body.code.data(), body.code.size()});
+  InstrReader r(result.module->code(0));
   InstrView got;  // one view for the whole body
   size_t i = 0;
   for (; !r.done() && i < want.size(); ++i) {
@@ -428,8 +582,7 @@ TEST(InstrReader, AReusedViewCarriesNothingOver) {
   auto bytes = b.build();
   auto result = decode_module({bytes.data(), bytes.size()});
   ASSERT_TRUE(result.ok()) << result.error;
-  const FuncBody& body = result.module->bodies[0];
-  InstrReader r({body.code.data(), body.code.size()});
+  InstrReader r(result.module->code(0));
   InstrView v;
   std::vector<u8> block_types;
   std::vector<std::vector<u32>> tables;
@@ -463,6 +616,20 @@ TEST(Wat, PrintsPaperStyleListing) {
   EXPECT_NE(wat.find("(export \"_start\" (func"), std::string::npos);
   EXPECT_NE(wat.find("(memory (;0;) 2 10)"), std::string::npos);
   EXPECT_NE(wat.find("i32.const"), std::string::npos);
+}
+
+TEST(Wat, ExpandsLocalRuns) {
+  ModuleBuilder b;
+  auto& f = b.begin_func({{ValType::kI32}, {}}, "f");
+  f.add_local(ValType::kI64);
+  f.add_local(ValType::kI64);
+  f.add_local(ValType::kF32);
+  f.end();
+  auto bytes = b.build();
+  auto result = decode_module({bytes.data(), bytes.size()});
+  ASSERT_TRUE(result.ok()) << result.error;
+  EXPECT_NE(to_wat(*result.module).find("(local i64 i64 f32)"),
+            std::string::npos);
 }
 
 TEST(Wat, TruncatesLongBodies) {
