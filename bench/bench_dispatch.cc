@@ -1,18 +1,20 @@
 // bench_dispatch: the execution-core perf trajectory.
 //
 // Measures the executor optimizations separately and combined, per kernel:
-//   prepr    — portable switch dispatch, no superinstructions, no
-//              bounds-check hoisting: the closest in-tree proxy for the
-//              pre-optimization executor (the always-on core-pipeline
-//              improvements — lowering-time imm fusion, FMA, cmp+branch,
-//              dest sinking — remain active, so it under-reports the
-//              true vs-history gain)
-//   switch   — switch dispatch + superinstructions + hoisting
+//   prepr    — portable switch dispatch, no superinstructions: the
+//              closest in-tree proxy for the pre-optimization executor
+//              (the always-on core-pipeline improvements — lowering-time
+//              imm fusion, FMA, cmp+branch, dest sinking — remain active,
+//              so it under-reports the true vs-history gain)
+//   switch   — switch dispatch + superinstructions
 //   threaded — computed-goto dispatch, plain pipeline
-//   full     — computed-goto + superinstructions + hoisting (the
-//              optimizing-tier default)
+//   full     — computed-goto + superinstructions (the optimizing-tier
+//              default)
 //   jit      — native x86-64 template codegen over the full pipeline
 //              (EngineTier::kJit)
+//
+// The executor columns check every memory access; the jit column checks
+// none and leaves out-of-bounds accesses to the guard region.
 //
 // Output: a table on stdout and a machine-readable BENCH_exec.json (path
 // via --out), so the perf trajectory of the executor is tracked in-repo.
@@ -47,7 +49,7 @@ namespace {
 struct ExecConfig {
   const char* name;
   bool force_switch;
-  bool fused;  // superinstructions + bounds-check hoisting
+  bool fused;  // superinstructions
   bool jit;    // native codegen (EngineTier::kJit)
 };
 
@@ -65,7 +67,6 @@ rt::EngineConfig engine_for(const ExecConfig& c) {
   cfg.tier = c.jit ? rt::EngineTier::kJit : rt::EngineTier::kOptimizing;
   cfg.jit = c.jit;
   cfg.opt_superinstructions = c.fused;
-  cfg.opt_hoist_bounds = c.fused;
   return cfg;
 }
 

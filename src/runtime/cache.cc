@@ -26,10 +26,10 @@ namespace {
 constexpr u32 kCacheMagic = 0x4357524D;  // "MRWC"
 // v3: per-function records (shared by whole-module entries and the tiered
 // engine's per-function entries).
-// v4: the superinstruction/hoisting opcode space (fused select/load-op/
-// op-store/indexed forms, kMemGuard, raw ops).
+// v4: the superinstruction opcode space (fused select/load-op/op-store/
+// indexed forms, and the loop-versioning ops since removed).
 // v5: the full SIMD opcode space (lane ops, comparisons, shifts, shuffle,
-// bitselect, v128 fused/indexed/raw forms), which renumbers ROp again.
+// bitselect, v128 fused/indexed forms), which renumbers ROp again.
 // v6: an optional per-function native-code section (JitBlob: CPU feature
 // word, codegen layout hash, machine code, helper relocations). The section
 // is validated separately at load time — the *engine* rejects a blob whose
@@ -52,7 +52,12 @@ constexpr u32 kCacheMagic = 0x4357524D;  // "MRWC"
 // A hit skips body validation, so an entry must never serve bytes that the
 // current decoder or validator rejects: any change that rejects bytes they
 // used to accept bumps the version (see wasm/validator.h).
-constexpr u32 kCacheVersion = 9;
+// v10: the loop-versioning ops are gone (ROp renumbered), and the native
+// section carries each blob's fault-site count (JitBlob::fault_sites; the
+// table is the tail of the code bytes): native loads and stores have no
+// inline bounds check, so a blob without its table could not turn a
+// guard-region fault into a trap.
+constexpr u32 kCacheVersion = 10;
 // Whole-module entries: magic, version, function count.
 constexpr size_t kEntryHeaderBytes = 12;
 
@@ -82,6 +87,7 @@ void write_rfunc(ByteWriter& w, const RFunc& f) {
   if (f.jit != nullptr) {
     w.write_u8(1);
     w.write_u32_le(f.jit->cpu_features);
+    w.write_u32_le(f.jit->fault_sites);
     w.write_u64_le(f.jit->layout_hash);
     w.write_leb_u32(u32(f.jit->code.size()));
     w.write_bytes({f.jit->code.data(), f.jit->code.size()});
@@ -136,6 +142,7 @@ bool read_rfunc(ByteReader& r, RFunc& f) {
   if (has_native != 0) {
     auto blob = std::make_shared<JitBlob>();
     blob->cpu_features = r.read_u32_le();
+    blob->fault_sites = r.read_u32_le();
     blob->layout_hash = r.read_u64_le();
     u32 code_size = r.read_leb_u32();
     if (code_size > r.remaining()) return false;
@@ -150,6 +157,18 @@ bool read_rfunc(ByteReader& r, RFunc& f) {
       // Reloc sanity: each patch site must lie inside the code bytes (the
       // helper ordinal is validated against the running build at install).
       if (u64(rel.offset) + 8 > blob->code.size()) return false;
+    }
+    // The fault handler binary-searches the table by pc and jumps to the
+    // stub, so it must fit the code, ascend, and point before itself.
+    if (u64(blob->fault_sites) * 8 > blob->code.size()) return false;
+    const size_t table = blob->fault_table();
+    for (u32 i = 0, prev_pc = 0; i < blob->fault_sites; ++i) {
+      u32 site[2];  // pc, stub
+      std::memcpy(site, blob->code.data() + table + size_t(i) * 8, 8);
+      if ((i > 0 && site[0] <= prev_pc) || site[0] >= table ||
+          site[1] == 0 || site[1] >= table)
+        return false;
+      prev_pc = site[0];
     }
     f.jit = std::move(blob);
   }

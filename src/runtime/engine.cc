@@ -53,14 +53,12 @@ namespace {
 
 /// Cache tag for a compiled artifact. The optimizing tier's ablation flags
 /// change the generated code, so they are part of the key — a warm cache
-/// must never serve fused/hoisted code to a run that disabled those passes
-/// (or vice versa). Default flags keep the plain tier name.
-std::string cache_tag(EngineTier tier, bool superinstructions,
-                      bool hoist_bounds, bool simd) {
+/// must never serve fused code to a run that disabled those passes (or
+/// vice versa). Default flags keep the plain tier name.
+std::string cache_tag(EngineTier tier, bool superinstructions, bool simd) {
   std::string tag = tier_name(tier);
   if (tier == EngineTier::kOptimizing || tier == EngineTier::kJit) {
     if (!superinstructions) tag += "-nosuper";
-    if (!hoist_bounds) tag += "-nohoist";
     if (!simd) tag += "-nosimd";
   }
   if (!threads_enabled_from_env()) tag += "-nothreads";
@@ -89,7 +87,6 @@ RFunc compile_function(const wasm::Module& m, u32 index, EngineTier tier,
 /// The optimizing pipeline's options recorded in `ts`.
 OptOptions opt_options(const TieredState& ts) {
   return OptOptions{.fuse_super = ts.opt_superinstructions,
-                    .hoist_bounds = ts.opt_hoist_bounds,
                     .simd = ts.opt_simd};
 }
 
@@ -290,7 +287,6 @@ void init_units(CompiledModule& cm, const EngineConfig& cfg, EntryThunk entry,
   ts.cache_enabled = cfg.enable_cache;
   ts.cache_dir = cfg.cache_dir;
   ts.opt_superinstructions = cfg.opt_superinstructions;
-  ts.opt_hoist_bounds = cfg.opt_hoist_bounds;
   ts.opt_simd = cfg.opt_simd;
   for (u32 i = 0; i < ts.num_units; ++i) {
     ts.units[i].state.store(state, std::memory_order_relaxed);
@@ -327,8 +323,8 @@ void tier_up(const CompiledModule& cm, u32 defined_index, EngineTier target) {
 
   trace::Scope span("engine", "tier_up");
   Stopwatch watch;
-  const std::string tag = cache_tag(target, ts.opt_superinstructions,
-                                    ts.opt_hoist_bounds, ts.opt_simd);
+  const std::string tag =
+      cache_tag(target, ts.opt_superinstructions, ts.opt_simd);
   std::unique_ptr<RFunc> body;
   bool from_cache = false;
   std::optional<FileSystemCache> cache;
@@ -417,6 +413,7 @@ TierUpSnapshot tierup_snapshot(const CompiledModule& cm) {
   // Native-code census covers static kJit modules too (num_units == 0).
   s.jit_funcs = cm.jit_funcs.load(std::memory_order_relaxed);
   s.jit_fallback_funcs = cm.jit_fallback_funcs.load(std::memory_order_relaxed);
+  s.guard_fallbacks = cm.guard_fallbacks.load(std::memory_order_relaxed);
   if (cm.jit_arena != nullptr) s.jit_code_bytes = cm.jit_arena->code_bytes();
   s.cache_materialized_funcs = ts.stats.cache_materialized_funcs.load();
   s.cache_record_fallbacks = ts.stats.cache_record_fallbacks.load();
@@ -452,8 +449,8 @@ std::shared_ptr<const CompiledModule> compile(std::span<const u8> bytes,
   const u32 num_bodies = u32(cm->module.bodies.size());
   const bool static_tier =
       tier == EngineTier::kOptimizing || tier == EngineTier::kJit;
-  const std::string tag = cache_tag(tier, cfg.opt_superinstructions,
-                                    cfg.opt_hoist_bounds, cfg.opt_simd);
+  const std::string tag =
+      cache_tag(tier, cfg.opt_superinstructions, cfg.opt_simd);
   std::optional<FileSystemCache> cache;
   std::unique_ptr<MappedEntry> entry;
   f64 map_ms = 0;  // part of compile_ms
@@ -526,7 +523,6 @@ std::shared_ptr<const CompiledModule> compile(std::span<const u8> bytes,
   // function-index order, so arena layout and cache bytes do not depend on
   // scheduling.
   const OptOptions opt{.fuse_super = cfg.opt_superinstructions,
-                       .hoist_bounds = cfg.opt_hoist_bounds,
                        .simd = cfg.opt_simd};
   std::vector<RFunc>& funcs = cm->regcode.funcs;
   funcs.resize(num_bodies);

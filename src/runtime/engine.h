@@ -99,11 +99,10 @@ struct EngineConfig {
   /// environment variable (docs/TUNING.md). Off: EngineTier::kJit degrades
   /// to kOptimizing and tiered promotion stops at the optimizing stage.
   bool jit = jit_enabled_from_env();
-  // Optimizing-tier pass toggles (bench/test ablation; both on by default
-  // and applied wherever the full pipeline runs — kOptimizing, kJit and
-  // tiered promotions to them).
+  // Optimizing-tier pass toggle (bench/test ablation; on by default and
+  // applied wherever the full pipeline runs — kOptimizing, kJit and tiered
+  // promotions to them).
   bool opt_superinstructions = true;  // load+op, op+store, select, indexed
-  bool opt_hoist_bounds = true;       // kMemGuard loop versioning + raw ops
   /// SIMD-aware optimization (v128 const folding, v128 load+op / op+store
   /// superinstructions, v128 indexed addressing). Defaults to the
   /// MPIWASM_SIMD environment variable so the whole test/bench suite can be
@@ -181,6 +180,9 @@ struct TierUpSnapshot {
   u64 jit_funcs = 0;           // functions running native code
   u64 jit_fallback_funcs = 0;  // template gaps: fell back to threaded interp
   u64 jit_code_bytes = 0;      // machine code installed in the arena
+  // Instances whose linear memory got no guard region (memory.h): their
+  // native bodies run as RegCode in the executor instead.
+  u64 guard_fallbacks = 0;
   // Cache-loaded static-tier modules (see TierUpStats).
   u64 cache_materialized_funcs = 0;
   u64 cache_record_fallbacks = 0;
@@ -198,7 +200,6 @@ struct TieredState {
   bool jit_enabled = false;
   bool cache_enabled = false;
   bool opt_superinstructions = true;
-  bool opt_hoist_bounds = true;
   bool opt_simd = true;
   std::string cache_dir;
   std::unique_ptr<MappedEntry> cache_entry;  // static tiers, warm start
@@ -232,6 +233,7 @@ struct CompiledModule {
   mutable std::unique_ptr<JitArena> jit_arena;
   mutable std::atomic<u64> jit_funcs{0};
   mutable std::atomic<u64> jit_fallback_funcs{0};
+  mutable std::atomic<u64> guard_fallbacks{0};  // see TierUpSnapshot
 };
 
 /// Compiles `bytes` under `cfg`. Throws CompileError on malformed or

@@ -70,6 +70,12 @@ Instance::Instance(std::shared_ptr<const CompiledModule> cm,
   if (!m.memories.empty()) {
     const wasm::Limits& lim = m.memories[0];
     memory_ = LinearMemory(lim.min, lim.has_max ? lim.max : 0, lim.shared);
+    if (memory_.guarded()) {
+      install_guard_fault_handler();
+    } else {
+      run_native_ = false;
+      cm_->guard_fallbacks.fetch_add(1, std::memory_order_relaxed);
+    }
   }
 
   // Globals (module-defined only).
@@ -111,8 +117,9 @@ void Instance::apply_segments() {
   const wasm::Module& m = cm_->module;
   for (const auto& seg : m.datas) {
     u32 off = eval_const(seg.offset).u32v;
-    memory_.check(off, seg.bytes.size());
-    std::memcpy(memory_.base() + off, seg.bytes.data(), seg.bytes.size());
+    const std::span<const u8> init = m.data(seg);
+    memory_.check(off, init.size());
+    std::memcpy(memory_.base() + off, init.data(), init.size());
   }
   for (const auto& seg : m.elems) {
     u32 off = eval_const(seg.offset).u32v;
@@ -244,6 +251,7 @@ void Instance::run_regcode(const RFunc& f, Slot* base) {
 }
 
 void Instance::run_jit(const RFunc& f, Slot* base) {
+  if (!run_native_) return run_regcode(f, base);
   Slot* frame = alloc_frame(f.num_regs);
   struct FrameGuard {
     Instance& inst;
@@ -253,7 +261,7 @@ void Instance::run_jit(const RFunc& f, Slot* base) {
   std::memset(frame + f.num_params, 0,
               (f.num_regs - f.num_params) * sizeof(Slot));
   if (f.num_params > 0) std::memcpy(frame, base, f.num_params * sizeof(Slot));
-  jit_enter(f.jit_entry, *this, frame);
+  jit_enter(f, *this, frame);
   if (f.has_result) base[0] = frame[0];
 }
 

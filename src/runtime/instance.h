@@ -104,7 +104,9 @@ class Instance {
   /// Same, for a lowered RegCode body (any compiled tier).
   void run_regcode(const RFunc& f, Slot* base);
   /// Same, for a body with a native entry point (f.jit_entry != nullptr);
-  /// enters the code through a trap activation (jit_enter).
+  /// enters the code through a trap activation (jit_enter). Native code has
+  /// no bounds checks, so an instance whose memory has no guard region
+  /// runs the body's RegCode instead (run_regcode).
   void run_jit(const RFunc& f, Slot* base);
   Slot* globals() { return globals_.data(); }
   std::vector<u32>& table() { return table_; }
@@ -136,6 +138,7 @@ class Instance {
   std::vector<const ImportTable::Entry*> resolved_;  // by import ordinal
   void* user_data_ = nullptr;
   u64 instance_id_ = 0;  // process-unique, assigned at construction
+  bool run_native_ = true;  // false: the memory has no guard region
   std::mutex exec_mu_;
   std::map<std::thread::id, std::unique_ptr<ExecState>> exec_states_;
   static constexpr int kMaxCallDepth = 1000;

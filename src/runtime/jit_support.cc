@@ -1,9 +1,12 @@
 #include "runtime/jit_support.h"
 
 #include <cpuid.h>
+#include <signal.h>
+#include <ucontext.h>
 
 #include <csetjmp>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <string>
 
@@ -18,17 +21,25 @@ namespace {
 
 // Bump when any template's encoding or register assignment changes in a way
 // that would make a previously cached blob wrong (not just stale).
-constexpr u64 kJitCodegenVersion = 3;
+constexpr u64 kJitCodegenVersion = 4;
 
 /// One in-flight native activation per (possibly nested) jit_enter. The
 /// jmp_buf is the landing pad trap helpers longjmp to; `prev` restores the
-/// outer activation when a nested wasm->wasm JIT call returns.
+/// outer activation when a nested wasm->wasm JIT call returns. Native code
+/// calls other functions only through C++ helpers, which enter a new
+/// activation, so the native code running on a thread is always the body
+/// its innermost activation entered: `code`, with its fault sites in
+/// `blob`.
 struct JitActivation {
   std::jmp_buf jb;
   JitActivation* prev;
+  const u8* code;
+  const JitBlob* blob;
 };
 
-thread_local JitActivation* g_act = nullptr;
+// The fault handler reads g_act; initial-exec TLS is a plain load there.
+[[gnu::tls_model("initial-exec")]] thread_local JitActivation* g_act =
+    nullptr;
 thread_local std::exception_ptr g_pending;
 
 /// Discards the native frames between the failing helper and the innermost
@@ -129,25 +140,6 @@ void h_memory_fill(Instance* inst, u32 d, u32 val, u32 n) {
     mem.check(d, n);
     std::memset(mem.base() + d, int(val & 0xFF), size_t(n));
   });
-}
-
-u32 h_mem_guard(u32 bval, u32 cval, u32 d, u64 imm, u64 mem_size) {
-  // Mirrors the kMemGuard handler in exec_ops.inc exactly.
-  const bool uns = (d >> 31) != 0;
-  const u64 coef = d & 0x7FFFFFFFu;
-  const u64 step = imm >> 48;
-  const u64 kmax = imm & 0xFFFFFFFFFFFFull;
-  bool ok;
-  if (uns) {
-    u32 iu = cval, nu = bval;
-    ok = iu >= nu || coef * (u64(nu) - 1 + step) + kmax <= mem_size;
-  } else {
-    i32 iv = i32(cval), nv = i32(bval);
-    ok = iv >= nv ||
-         (iv >= 0 && u64(u32(nv - 1)) + step <= 0x7FFFFFFFull &&
-          coef * (u64(u32(nv - 1)) + step) + kmax <= mem_size);
-  }
-  return ok ? 1u : 0u;
 }
 
 // --- Trapping arithmetic -----------------------------------------------------
@@ -388,7 +380,6 @@ const void* const g_helper_table[u32(JitHelperId::kCount)] = {
     reinterpret_cast<const void*>(&h_memory_grow),
     reinterpret_cast<const void*>(&h_memory_copy),
     reinterpret_cast<const void*>(&h_memory_fill),
-    reinterpret_cast<const void*>(&h_mem_guard),
     reinterpret_cast<const void*>(&h_i32_div_s),
     reinterpret_cast<const void*>(&h_i32_div_u),
     reinterpret_cast<const void*>(&h_i32_rem_s),
@@ -507,12 +498,80 @@ const void* jit_helper_address(u32 id) {
   return g_helper_table[id];
 }
 
+namespace {
+
+struct sigaction g_prev_segv;
+
+/// Stub offset for a fault at blob.code[pc], or 0 when pc is not one of its
+/// fault sites: a binary search of the table (JitBlob::fault_sites).
+u32 fault_stub(const JitBlob& blob, uintptr_t pc) {
+  const u8* table = blob.code.data() + blob.fault_table();
+  u32 lo = 0, hi = blob.fault_sites;
+  while (lo < hi) {
+    const u32 mid = lo + (hi - lo) / 2;
+    u32 site[2];  // pc, stub
+    std::memcpy(site, table + size_t(mid) * 8, 8);
+    if (site[0] == pc) return site[1];
+    if (site[0] < pc)
+      lo = mid + 1;
+    else
+      hi = mid;
+  }
+  return 0;
+}
+
+/// SIGSEGV handler. Async-signal-safe: it reads only the faulting thread's
+/// activation and the blob that activation points at, both alive while the
+/// native code runs. A fault at one of that body's fault sites is a guest
+/// access in the guard region: the handler resumes the thread at the
+/// site's out-of-line stub, which raises the out-of-bounds trap through the
+/// usual park-and-longjmp once the handler has returned. Any other fault
+/// goes to the disposition this handler replaced.
+void on_guard_fault(int sig, siginfo_t* info, void* uctx) {
+  greg_t& rip = static_cast<ucontext_t*>(uctx)->uc_mcontext.gregs[REG_RIP];
+  if (const JitActivation* a = g_act) {
+    const uintptr_t off = uintptr_t(rip) - uintptr_t(a->code);
+    if (off < a->blob->fault_table()) {
+      if (const u32 stub = fault_stub(*a->blob, off); stub != 0) {
+        rip = greg_t(uintptr_t(a->code) + stub);
+        return;
+      }
+    }
+  }
+  if (g_prev_segv.sa_flags & SA_SIGINFO) {
+    g_prev_segv.sa_sigaction(sig, info, uctx);
+  } else if (g_prev_segv.sa_handler != SIG_DFL &&
+             g_prev_segv.sa_handler != SIG_IGN) {
+    g_prev_segv.sa_handler(sig);
+  } else {
+    // Default action: the signal, pending until this handler returns, ends
+    // the process as if the handler had never been installed.
+    struct sigaction dfl {};
+    dfl.sa_handler = SIG_DFL;
+    sigaction(SIGSEGV, &dfl, nullptr);
+    raise(sig);
+  }
+}
+
+}  // namespace
+
+void install_guard_fault_handler() {
+  static const bool installed = [] {
+    struct sigaction sa {};
+    sa.sa_sigaction = &on_guard_fault;
+    sigemptyset(&sa.sa_mask);
+    sa.sa_flags = SA_SIGINFO | SA_ONSTACK;
+    return sigaction(SIGSEGV, &sa, &g_prev_segv) == 0;
+  }();
+  MW_CHECK(installed, "cannot install the linear-memory fault handler");
+}
+
 // Arena code carries no function-type signature in front of its entry, which
 // clang's -fsanitize=function check reads at every indirect call.
 #if defined(__clang__)
 __attribute__((no_sanitize("function")))
 #endif
-void jit_enter(JitEntryFn fn, Instance& inst, Slot* regs) {
+void jit_enter(const RFunc& f, Instance& inst, Slot* regs) {
   JitEnv env;
   env.inst = &inst;
   env.regs = regs;
@@ -523,9 +582,11 @@ void jit_enter(JitEntryFn fn, Instance& inst, Slot* regs) {
 
   JitActivation act;
   act.prev = g_act;
+  act.code = reinterpret_cast<const u8*>(f.jit_entry);
+  act.blob = f.jit.get();
   g_act = &act;
   if (setjmp(act.jb) == 0) {
-    fn(&env);
+    f.jit_entry(&env);
     g_act = act.prev;
     return;
   }

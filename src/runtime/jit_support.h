@@ -7,6 +7,10 @@
 //     exception, parks it in a thread-local std::exception_ptr, and
 //     longjmps to the innermost jit_enter(), which rethrows it on the C++
 //     side. JIT frames hold no destructors, so the longjmp is safe.
+//   - Native loads and stores carry no bounds check. An out-of-bounds one
+//     faults in the linear memory's guard region (memory.h), and the
+//     SIGSEGV handler resumes the thread at the access's out-of-line stub
+//     (JitBlob::fault_sites), which raises the trap like any other helper.
 //   - Helper addresses are process-specific (ASLR + rebuilds), so blobs
 //     reference helpers by JitHelperId; JitArena::install patches the
 //     movabs sites recorded in JitBlob::relocs.
@@ -59,13 +63,18 @@ struct JitEnv {
   u64 mem_size;    // offset 32
 };
 
-using JitEntryFn = void (*)(void*);  // void(JitEnv*)
+/// Runs `f`'s native entry under a fresh trap activation: builds the
+/// JitEnv, setjmps, calls the native code, and rethrows any parked
+/// exception after the native frames have been discarded by longjmp.
+/// Nested (wasm->wasm) JIT calls stack activations. The memory must be
+/// guarded (LinearMemory::guarded()).
+void jit_enter(const RFunc& f, Instance& inst, Slot* regs);
 
-/// Runs `fn` under a fresh trap activation: builds the JitEnv, setjmps,
-/// calls the native code, and rethrows any parked exception after the
-/// native frames have been discarded by longjmp. Nested (wasm->wasm) JIT
-/// calls stack activations.
-void jit_enter(JitEntryFn fn, Instance& inst, Slot* regs);
+/// Installs the process-wide SIGSEGV handler that turns a fault at a fault
+/// site of the running native body into that site's out-of-bounds trap;
+/// every other fault goes to the disposition it replaced (the default, or
+/// a sanitizer's). Idempotent and thread-safe.
+void install_guard_fault_handler();
 
 /// Helpers callable from JIT code, identified by stable ordinal (the
 /// ordinal order is part of jit_layout_hash()). Arguments follow the SysV
@@ -79,7 +88,6 @@ enum class JitHelperId : u32 {
   kMemoryGrow,           // (Instance*, Slot* inout) -> {base,size}
   kMemoryCopy,           // (Instance*, d, s, n)
   kMemoryFill,           // (Instance*, d, val, n)
-  kMemGuard,             // (b, c, d, imm, mem_size) -> u32
   kI32DivS, kI32DivU, kI32RemS, kI32RemU,
   kI64DivS, kI64DivU, kI64RemS, kI64RemU,
   kI32Clz, kI32Ctz, kI32Popcnt, kI64Clz, kI64Ctz, kI64Popcnt,

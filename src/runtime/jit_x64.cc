@@ -78,22 +78,19 @@ std::optional<Sig> reg_sig(ROp op) {
     case R::kI32Load: case R::kI64Load: case R::kI32Load8S: case R::kI32Load8U:
     case R::kI32Load16S: case R::kI32Load16U: case R::kI64Load8S:
     case R::kI64Load8U: case R::kI64Load16S: case R::kI64Load16U:
-    case R::kI64Load32S: case R::kI64Load32U: case R::kI32LoadRaw:
-    case R::kI64LoadRaw:
+    case R::kI64Load32S: case R::kI64Load32U:
       return Sig{kInt, kNo, kInt};
-    case R::kF32Load: case R::kF64Load: case R::kF32LoadRaw: case R::kF64LoadRaw:
+    case R::kF32Load: case R::kF64Load:
       return Sig{kFlt, kNo, kInt};
     case R::kV128Load: case R::kV128Load32Splat: case R::kV128Load64Splat:
-    case R::kV128LoadRaw:
       return Sig{kVec, kNo, kInt};
     case R::kI32Store: case R::kI64Store: case R::kI32Store8:
     case R::kI32Store16: case R::kI64Store8: case R::kI64Store16:
-    case R::kI64Store32: case R::kI32StoreRaw: case R::kI64StoreRaw:
+    case R::kI64Store32:
       return Sig{kNo, kInt, kInt};
-    case R::kF32Store: case R::kF64Store: case R::kF32StoreRaw:
-    case R::kF64StoreRaw:
+    case R::kF32Store: case R::kF64Store:
       return Sig{kNo, kInt, kFlt};
-    case R::kV128Store: case R::kV128StoreRaw:
+    case R::kV128Store:
       return Sig{kNo, kInt, kVec};
 
     case R::kI32Eqz: case R::kI64Eqz:
@@ -184,32 +181,28 @@ std::optional<Sig> reg_sig(ROp op) {
       return Sig{kAny, kAny, kAny, kFlt, kFlt};
     case R::kI32LoadAdd: case R::kI64LoadAdd:
     case R::kI32LoadIx: case R::kI64LoadIx:
-    case R::kI32LoadIxRaw: case R::kI64LoadIxRaw:
       return Sig{kInt, kNo, kInt, kInt};
     case R::kF32LoadAdd: case R::kF64LoadAdd: case R::kF32LoadMul:
     case R::kF64LoadMul:
       return Sig{kFlt, kNo, kInt, kFlt};
     case R::kF32LoadIx: case R::kF64LoadIx:
-    case R::kF32LoadIxRaw: case R::kF64LoadIxRaw:
       return Sig{kFlt, kNo, kInt, kInt};
     case R::kI32x4LoadAdd: case R::kF32x4LoadAdd: case R::kF32x4LoadMul:
     case R::kF64x2LoadAdd: case R::kF64x2LoadMul:
       return Sig{kVec, kNo, kInt, kVec};
-    case R::kV128LoadIx: case R::kV128LoadIxRaw:
+    case R::kV128LoadIx:
       return Sig{kVec, kNo, kInt, kInt};
     case R::kI32AddStore:
     case R::kI32StoreIx: case R::kI64StoreIx:
-    case R::kI32StoreIxRaw: case R::kI64StoreIxRaw:
       return Sig{kNo, kInt, kInt, kInt};
     case R::kF32AddStore: case R::kF64AddStore: case R::kF64MulStore:
       return Sig{kNo, kInt, kFlt, kFlt};
     case R::kF32StoreIx: case R::kF64StoreIx:
-    case R::kF32StoreIxRaw: case R::kF64StoreIxRaw:
       return Sig{kNo, kInt, kFlt, kInt};
     case R::kI32x4AddStore: case R::kF32x4AddStore: case R::kF64x2AddStore:
     case R::kF64x2MulStore:
       return Sig{kNo, kInt, kVec, kVec};
-    case R::kV128StoreIx: case R::kV128StoreIxRaw:
+    case R::kV128StoreIx:
       return Sig{kNo, kInt, kVec, kInt};
     default:
       return std::nullopt;
@@ -245,7 +238,7 @@ bool calls_helper(ROp op, u32 feats) {
   using R = ROp;
   switch (op) {
     case R::kCall: case R::kCallIndirect: case R::kMemoryGrow:
-    case R::kMemoryCopy: case R::kMemoryFill: case R::kMemGuard:
+    case R::kMemoryCopy: case R::kMemoryFill:
     case R::kF32Min: case R::kF32Max: case R::kF64Min: case R::kF64Max:
     case R::kI32TruncF32S: case R::kI32TruncF32U: case R::kI32TruncF64S:
     case R::kI32TruncF64U: case R::kI64TruncF32S: case R::kI64TruncF32U:
@@ -580,10 +573,17 @@ struct Emitter {
     u32 len;  // access length (OOB and unaligned-atomic stubs)
     JitHelperId helper;
   };
+  struct FaultSite {  // unchecked guest access at code[at]
+    u32 at;
+    u32 len;
+    u32 stub = 0;  // its OOB stub, set by finish()
+  };
   std::vector<BranchFix> branch_fixes;
   std::vector<PoolFix> pool_fixes;
   std::vector<TableFix> table_fixes;
   std::vector<TrapSite> trap_sites;
+  std::vector<FaultSite> fault_sites;
+  u32 fault_len = 0;  // width of the guest access the next op_mem makes
   std::vector<V128> pool;  // f.v128_pool + emitter-generated masks
 
   Emitter(const RFunc& fn, u32 features, const RegAlloc& alloc)
@@ -645,6 +645,10 @@ struct Emitter {
   /// op reg, [r13 + rax] — the linear-memory access form. r13&7 == 5 forces
   /// a disp8 even at zero; index rax never needs REX.X.
   void op_mem(u8 pfx, bool w, std::initializer_list<u8> ops, u8 reg) {
+    if (fault_len != 0) {
+      fault_sites.push_back({u32(code.size()), fault_len});
+      fault_len = 0;
+    }
     if (pfx) b1(pfx);
     b1(u8(0x40 | (w ? 8 : 0) | ((reg >> 3) << 2) | 1));  // REX.B = r13
     for (u8 o : ops) b1(o);
@@ -952,18 +956,25 @@ struct Emitter {
     }
   }
 
-  /// Bounds check: ja to an out-of-line stub when rax + len > r15. rax is
-  /// the u64 effective address (< 2^33, so rax + len cannot wrap). The stub
-  /// calls h_trap_oob(rax, len, r15) for a byte-identical check() message.
+  /// Bounds check for atomics: ja to an out-of-line stub when rax + len >
+  /// r15. rax is the u64 effective address (< 2^33, so rax + len cannot
+  /// wrap). The stub calls h_trap_oob(rax, len, r15) for a byte-identical
+  /// check() message.
   void bounds_check(u32 len) {
     op_rm(0, true, {0x8D}, RCX, RAX, i64(len));  // lea rcx, [rax + len]
     op_rr(0, true, {0x39}, R15, RCX);            // cmp rcx, r15
     trap_jcc(CC_A, JitHelperId::kTrapOob, len);
   }
 
-  void checked_addr(u32 base_slot, u64 imm, u32 len) {
+  /// Makes the next op_mem an unchecked guest access of `len` bytes at
+  /// [r13+rax]: it is recorded as a fault site, so an out-of-bounds address
+  /// faults in the guard region and resumes at an OOB stub, which finds the
+  /// address still in rax.
+  void guest_access(u32 len) { fault_len = len; }
+
+  void guest_addr(u32 base_slot, u64 imm, u32 len) {
     lin_addr(base_slot, imm);
-    bounds_check(len);
+    guest_access(len);
   }
 
   /// Natural-alignment check for atomics: jnz to an out-of-line stub when
@@ -1032,24 +1043,38 @@ struct Emitter {
 
   // --- finalization ------------------------------------------------------------
 
+  /// Out-of-line stub: calls trapping `helper` on the address in rax (or
+  /// the dividend, with the divisor in rcx). The helper raises the
+  /// interpreter's trap and longjmps out: stubs are noreturn and need no
+  /// register writeback.
+  void trap_stub(JitHelperId helper, u32 len) {
+    op_rr(0, true, {0x89}, RAX, RDI);  // mov rdi, rax
+    if (helper == JitHelperId::kTrapOob ||
+        helper == JitHelperId::kTrapUnalignedAtomic) {
+      b1(0xBE);  // mov esi, len
+      i32le(len);
+      if (helper == JitHelperId::kTrapOob)
+        op_rr(0, true, {0x89}, R15, RDX);  // mov rdx, r15 (size)
+    } else {
+      op_rr(0, true, {0x89}, RCX, RSI);  // mov rsi, rcx (divisor)
+    }
+    call_helper(helper);
+  }
+
   void finish() {
-    // Out-of-line trap stubs, one per site so rax still holds the address
-    // (or the dividend, with the divisor in rcx). Each calls a helper that
-    // raises the interpreter's trap and longjmps out: stubs are noreturn and
-    // need no register writeback.
+    // One stub per jcc site; fault sites share one per access width, since
+    // only rax varies and the fault handler resumes with it intact.
     for (const TrapSite& t : trap_sites) {
       patch32(t.at, u32(code.size()) - (t.at + 4));
-      op_rr(0, true, {0x89}, RAX, RDI);  // mov rdi, rax
-      if (t.helper == JitHelperId::kTrapOob ||
-          t.helper == JitHelperId::kTrapUnalignedAtomic) {
-        b1(0xBE);  // mov esi, len
-        i32le(t.len);
-        if (t.helper == JitHelperId::kTrapOob)
-          op_rr(0, true, {0x89}, R15, RDX);  // mov rdx, r15 (size)
-      } else {
-        op_rr(0, true, {0x89}, RCX, RSI);  // mov rsi, rcx (divisor)
+      trap_stub(t.helper, t.len);
+    }
+    u32 oob_stub[17] = {};  // by access width; code offset 0 is the prologue
+    for (FaultSite& fs : fault_sites) {
+      if (oob_stub[fs.len] == 0) {
+        oob_stub[fs.len] = u32(code.size());
+        trap_stub(JitHelperId::kTrapOob, fs.len);
       }
-      call_helper(t.helper);
+      fs.stub = oob_stub[fs.len];
     }
 
     // 16-aligned constant pool.
@@ -1071,6 +1096,12 @@ struct Emitter {
 
     for (const BranchFix& br : branch_fixes)
       patch32(br.at, u32(i32(ioff[br.target]) - i32(br.at + 4)));
+
+    // The fault-site table closes the blob (JitBlob::fault_sites).
+    for (const FaultSite& fs : fault_sites) {
+      i32le(fs.at);
+      i32le(fs.stub);
+    }
   }
 
   bool emit(size_t i);
@@ -1275,19 +1306,19 @@ bool Emitter::emit_instr(const RInstr& in) {
     else
       store32(a, RAX);
   };
-  // Checked scalar load from [r13+rax] into r[a] (opcode list + width).
+  // Scalar guest load from [r13+rax] into r[a] (opcode list + width).
   auto load_mem = [&](bool w, std::initializer_list<u8> ops, u32 len,
                       bool store_w) {
-    checked_addr(b, imm, len);
+    guest_addr(b, imm, len);
     const u8 t = gpr_work(RCX);
     op_mem(0, w, ops, t);
     st_gpr(a, t, store_w);
   };
-  // Checked scalar store of r[b]'s low bytes to [r13+rax]. op_mem always
+  // Scalar guest store of r[b]'s low bytes to [r13+rax]. op_mem always
   // emits REX, so byte stores of sil/dil encode correctly.
   auto store_mem = [&](u8 pfx, bool w, std::initializer_list<u8> ops,
                        u32 len, bool load_w) {
-    checked_addr(a, imm, len);
+    guest_addr(a, imm, len);
     op_mem(pfx, w, ops, gpr_of(b, RCX, load_w));
   };
   switch (in.op) {
@@ -1434,7 +1465,7 @@ bool Emitter::emit_instr(const RInstr& in) {
       call_helper(JitHelperId::kMemoryFill);
       return true;
 
-    // --- checked loads ---
+    // --- loads ---
     case ROp::kI32Load:
       load_mem(false, {0x8B}, 4, false);
       return true;
@@ -1442,12 +1473,12 @@ bool Emitter::emit_instr(const RInstr& in) {
       load_mem(true, {0x8B}, 8, true);
       return true;
     case ROp::kF32Load:
-      checked_addr(b, imm, 4);
+      guest_addr(b, imm, 4);
       op_mem(0xF3, false, {0x0F, 0x10}, xmm_work(X0));
       storess(a, xmm_work(X0));
       return true;
     case ROp::kF64Load:
-      checked_addr(b, imm, 8);
+      guest_addr(b, imm, 8);
       op_mem(0xF2, false, {0x0F, 0x10}, xmm_work(X0));
       storesd(a, xmm_work(X0));
       return true;
@@ -1482,24 +1513,24 @@ bool Emitter::emit_instr(const RInstr& in) {
       load_mem(false, {0x8B}, 4, true);
       return true;
     case ROp::kV128Load:
-      checked_addr(b, imm, 16);
+      guest_addr(b, imm, 16);
       op_mem(0, false, {0x0F, 0x10}, xmm_work(X0));  // movups
       storeaps(a, xmm_work(X0));
       return true;
     case ROp::kV128Load32Splat:
-      checked_addr(b, imm, 4);
+      guest_addr(b, imm, 4);
       op_mem(0x66, false, {0x0F, 0x6E}, X0);  // movd
       bs({0x66, 0x0F, 0x70, 0xC0, 0x00});     // pshufd x0, x0, 0
       storeaps(a, X0);
       return true;
     case ROp::kV128Load64Splat:
-      checked_addr(b, imm, 8);
+      guest_addr(b, imm, 8);
       op_mem(0xF3, false, {0x0F, 0x7E}, X0);  // movq
       bs({0x66, 0x0F, 0x6C, 0xC0});           // punpcklqdq x0, x0
       storeaps(a, X0);
       return true;
 
-    // --- checked stores ---
+    // --- stores ---
     case ROp::kI32Store:
       store_mem(0, false, {0x89}, 4, false);
       return true;
@@ -1507,11 +1538,11 @@ bool Emitter::emit_instr(const RInstr& in) {
       store_mem(0, true, {0x89}, 8, true);
       return true;
     case ROp::kF32Store:
-      checked_addr(a, imm, 4);
+      guest_addr(a, imm, 4);
       op_mem(0xF3, false, {0x0F, 0x11}, xmm_of(b, X0, 4));
       return true;
     case ROp::kF64Store:
-      checked_addr(a, imm, 8);
+      guest_addr(a, imm, 8);
       op_mem(0xF2, false, {0x0F, 0x11}, xmm_of(b, X0, 8));
       return true;
     case ROp::kI32Store8:
@@ -1526,7 +1557,7 @@ bool Emitter::emit_instr(const RInstr& in) {
       store_mem(0, false, {0x89}, 4, false);
       return true;
     case ROp::kV128Store:
-      checked_addr(a, imm, 16);
+      guest_addr(a, imm, 16);
       op_mem(0, false, {0x0F, 0x11}, xmm_of(b, X0, 16));  // movups
       return true;
 
@@ -1885,7 +1916,7 @@ bool Emitter::emit_simd_or_fused(const RInstr& in) {
     pool_fixes.push_back({at, pool_idx});
     storeaps(a, X0);
   };
-  // Value load/store at [r13+rax] for the indexed/raw memory families.
+  // Value load/store at [r13+rax] for the indexed memory family.
   enum class LK { i32, i64, f32, f64, v128 };
   auto lk_len = [](LK k) -> u32 {
     switch (k) {
@@ -1933,30 +1964,20 @@ bool Emitter::emit_simd_or_fused(const RInstr& in) {
         return;
     }
   };
-  auto load_plain = [&](LK k, bool checked) {  // addr = r[b].u32 + imm
-    lin_addr(b, imm);
-    if (checked) bounds_check(lk_len(k));
-    load_val(k);
-  };
-  auto store_plain = [&](LK k, bool checked) {  // addr = r[a].u32 + imm
-    lin_addr(a, imm);
-    if (checked) bounds_check(lk_len(k));
-    store_val(k);
-  };
-  auto load_ix = [&](LK k, bool checked) {  // addr = IXADDR(r[b])
+  auto load_ix = [&](LK k) {  // addr = IXADDR(r[b])
     ix_addr(b, c, d, imm);
-    if (checked) bounds_check(lk_len(k));
+    guest_access(lk_len(k));
     load_val(k);
   };
-  auto store_ix = [&](LK k, bool checked) {  // addr = IXADDR(r[a])
+  auto store_ix = [&](LK k) {  // addr = IXADDR(r[a])
     ix_addr(a, c, d, imm);
-    if (checked) bounds_check(lk_len(k));
+    guest_access(lk_len(k));
     store_val(k);
   };
-  // Fused r[a] = r[c] op mem (scalar float): checked address, then
+  // Fused r[a] = r[c] op mem (scalar float): guest address, then
   // op x0(=C), [r13+rax] — same operand order as the handler's C-then-mem.
   auto f_load_op = [&](bool f64v, u8 opc) {
-    checked_addr(b, imm, f64v ? 8 : 4);
+    guest_addr(b, imm, f64v ? 8 : 4);
     const u8 x = xmm_work(X0);
     ld_xmm(x, c, f64v ? 8 : 4);
     op_mem(f64v ? 0xF2 : 0xF3, false, {0x0F, opc}, x);
@@ -1964,7 +1985,7 @@ bool Emitter::emit_simd_or_fused(const RInstr& in) {
   };
   // Fused vector load+op: x = r[c], x1 = movups mem, op x, x1.
   auto v_load_op = [&](u8 pfx, u8 opc) {
-    checked_addr(b, imm, 16);
+    guest_addr(b, imm, 16);
     const u8 x = xmm_work(X0);
     loadaps(x, c);
     op_mem(0, false, {0x0F, 0x10}, X1);
@@ -1973,7 +1994,7 @@ bool Emitter::emit_simd_or_fused(const RInstr& in) {
   };
   // Fused scalar float op+store: mem[r[a]+imm] = r[b] op r[c].
   auto f_op_store = [&](bool f64v, u8 opc) {
-    checked_addr(a, imm, f64v ? 8 : 4);
+    guest_addr(a, imm, f64v ? 8 : 4);
     const u8 pfx = f64v ? 0xF2 : 0xF3;
     ld_xmm(X0, b, f64v ? 8 : 4);
     op_src(pfx, false, {0x0F, opc}, X0, c);
@@ -1982,7 +2003,7 @@ bool Emitter::emit_simd_or_fused(const RInstr& in) {
   // Fused vector op+store (slot operands are 16-aligned, so the op can take
   // r[c] straight from memory).
   auto v_op_store = [&](u8 pfx, std::initializer_list<u8> ops) {
-    checked_addr(a, imm, 16);
+    guest_addr(a, imm, 16);
     loadaps(X0, b);
     op_src(pfx, false, ops, X0, c);
     op_mem(0, false, {0x0F, 0x11}, X0);
@@ -2334,13 +2355,13 @@ bool Emitter::emit_simd_or_fused(const RInstr& in) {
 
     // --- fused load+op ---
     case ROp::kI32LoadAdd:
-      checked_addr(b, imm, 4);
+      guest_addr(b, imm, 4);
       load32(RCX, c);
       op_mem(0, false, {0x03}, RCX);  // add ecx, [r13+rax]
       store32(a, RCX);
       return true;
     case ROp::kI64LoadAdd:
-      checked_addr(b, imm, 8);
+      guest_addr(b, imm, 8);
       load64(RCX, c);
       op_mem(0, true, {0x03}, RCX);
       store64(a, RCX);
@@ -2357,7 +2378,7 @@ bool Emitter::emit_simd_or_fused(const RInstr& in) {
 
     // --- fused op+store ---
     case ROp::kI32AddStore:
-      checked_addr(a, imm, 4);
+      guest_addr(a, imm, 4);
       load32(RCX, b);
       op_src(0, false, {0x03}, RCX, c);  // add ecx, [c]
       op_mem(0, false, {0x89}, RCX);
@@ -2371,53 +2392,16 @@ bool Emitter::emit_simd_or_fused(const RInstr& in) {
     case ROp::kF64x2MulStore: v_op_store(0x66, {0x0F, 0x59}); return true;
 
     // --- indexed addressing ---
-    case ROp::kI32LoadIx: load_ix(LK::i32, true); return true;
-    case ROp::kI64LoadIx: load_ix(LK::i64, true); return true;
-    case ROp::kF32LoadIx: load_ix(LK::f32, true); return true;
-    case ROp::kF64LoadIx: load_ix(LK::f64, true); return true;
-    case ROp::kV128LoadIx: load_ix(LK::v128, true); return true;
-    case ROp::kI32StoreIx: store_ix(LK::i32, true); return true;
-    case ROp::kI64StoreIx: store_ix(LK::i64, true); return true;
-    case ROp::kF32StoreIx: store_ix(LK::f32, true); return true;
-    case ROp::kF64StoreIx: store_ix(LK::f64, true); return true;
-    case ROp::kV128StoreIx: store_ix(LK::v128, true); return true;
-
-    // --- bounds-check hoisting ---
-    case ROp::kMemGuard:
-      load32(RDI, b);
-      load32(RSI, c);
-      b1(0xBA);  // mov edx, in.d
-      i32le(d);
-      if (imm <= 0xFFFFFFFFull) {
-        b1(0xB9);  // mov ecx, imm32 (zero-extends)
-        i32le(u32(imm));
-      } else {
-        movabs(RCX, imm);
-      }
-      op_rr(0, true, {0x89}, R15, R8);  // mov r8, r15
-      call_helper(JitHelperId::kMemGuard);
-      store32(a, RAX);
-      return true;
-    case ROp::kI32LoadRaw: load_plain(LK::i32, false); return true;
-    case ROp::kI64LoadRaw: load_plain(LK::i64, false); return true;
-    case ROp::kF32LoadRaw: load_plain(LK::f32, false); return true;
-    case ROp::kF64LoadRaw: load_plain(LK::f64, false); return true;
-    case ROp::kV128LoadRaw: load_plain(LK::v128, false); return true;
-    case ROp::kI32StoreRaw: store_plain(LK::i32, false); return true;
-    case ROp::kI64StoreRaw: store_plain(LK::i64, false); return true;
-    case ROp::kF32StoreRaw: store_plain(LK::f32, false); return true;
-    case ROp::kF64StoreRaw: store_plain(LK::f64, false); return true;
-    case ROp::kV128StoreRaw: store_plain(LK::v128, false); return true;
-    case ROp::kI32LoadIxRaw: load_ix(LK::i32, false); return true;
-    case ROp::kI64LoadIxRaw: load_ix(LK::i64, false); return true;
-    case ROp::kF32LoadIxRaw: load_ix(LK::f32, false); return true;
-    case ROp::kF64LoadIxRaw: load_ix(LK::f64, false); return true;
-    case ROp::kV128LoadIxRaw: load_ix(LK::v128, false); return true;
-    case ROp::kI32StoreIxRaw: store_ix(LK::i32, false); return true;
-    case ROp::kI64StoreIxRaw: store_ix(LK::i64, false); return true;
-    case ROp::kF32StoreIxRaw: store_ix(LK::f32, false); return true;
-    case ROp::kF64StoreIxRaw: store_ix(LK::f64, false); return true;
-    case ROp::kV128StoreIxRaw: store_ix(LK::v128, false); return true;
+    case ROp::kI32LoadIx: load_ix(LK::i32); return true;
+    case ROp::kI64LoadIx: load_ix(LK::i64); return true;
+    case ROp::kF32LoadIx: load_ix(LK::f32); return true;
+    case ROp::kF64LoadIx: load_ix(LK::f64); return true;
+    case ROp::kV128LoadIx: load_ix(LK::v128); return true;
+    case ROp::kI32StoreIx: store_ix(LK::i32); return true;
+    case ROp::kI64StoreIx: store_ix(LK::i64); return true;
+    case ROp::kF32StoreIx: store_ix(LK::f32); return true;
+    case ROp::kF64StoreIx: store_ix(LK::f64); return true;
+    case ROp::kV128StoreIx: store_ix(LK::v128); return true;
 
     default:
       return false;  // no template (jit_op_covered should have caught this)
@@ -2804,6 +2788,7 @@ std::shared_ptr<const JitBlob> jit_compile_function(const RFunc& f) {
   blob->layout_hash = jit_layout_hash();
   blob->code = std::move(e.code);
   blob->relocs = std::move(e.relocs);
+  blob->fault_sites = u32(e.fault_sites.size());
   return blob;
 }
 

@@ -3,8 +3,7 @@
 // Each ROp maps onto a fixed instruction template with patched register
 // numbers, Slot-frame displacements, and immediates — the copy-and-patch
 // idea applied at RegCode granularity, which works because RegCode is
-// already register-based with explicit bounds checks (kMemGuard + raw twins)
-// and fused superinstructions.
+// already register-based with fused superinstructions.
 //
 // Register convention:
 //   pinned (System V callee-saved, so helper calls never spill them):
@@ -14,11 +13,17 @@
 //   template scratch: rax, rcx, rdx, xmm0, xmm1
 //   allocated (caller-saved): rsi, rdi, r8-r11 for i32/i64 values,
 //     xmm2-xmm15 for f32/f64/v128 values
-// rax always holds the effective address at a bounds check, so every
-// out-of-line trap stub can pass it to the OOB helper unchanged. After any
-// kCall/kCallIndirect/kMemoryGrow the templates reload r13/r15 from the
-// helper's {base,size} return pair — exactly the points where memory can
-// move or grow.
+// Loads and stores have no bounds check. Each forms its u64 effective
+// address in rax and accesses [r13 + rax] with one instruction, listed in
+// the blob's fault-site table (JitBlob::fault_sites): an out-of-bounds
+// access faults in the memory's guard region (memory.h), and the fault
+// handler resumes at an out-of-line stub that passes rax and r15 to the
+// OOB helper, which raises the trap with the interpreter's message. x86 commits no part of a faulting store, so a
+// store straddling the end of memory writes nothing, as in the
+// interpreter. Atomics keep an inline check against r15 ahead of their
+// alignment check. After any kCall/kCallIndirect/kMemoryGrow the templates
+// reload r13/r15 from the helper's {base,size} return pair — exactly the
+// points where memory can move or grow.
 //
 // Register allocation: each RegCode slot splits into webs (def-use live
 // ranges, built on the optimizer's CFG and liveness). Linear scan over the
@@ -38,15 +43,15 @@
 // Every other op runs its frame template under one fallback rule: register
 // operands it reads are stored to their home slots before it and a register
 // result is reloaded after it; when the template calls a C++ helper on its
-// normal path (min/max, trunc, atomics, mem.guard, memory.copy/fill, ...),
-// every register web live across it is stored before and reloaded after as
-// well. Webs live across a wasm call, call_indirect or memory.grow stay in
-// their slots: the callee's frame starts at the argument slot. Trap-only
-// paths (div/rem by zero or overflow, out-of-bounds and unaligned accesses)
-// call their helper from a noreturn out-of-line stub, which raises the
-// interpreter's trap and discards register values with the frame, so they
-// need no saves; partial stores are already in linear memory, so trap points
-// stay interpreter-exact.
+// normal path (min/max, trunc, atomics, memory.copy/fill, ...), every
+// register web live across it is stored before and reloaded after as well.
+// Webs live across a wasm call, call_indirect or memory.grow stay in their
+// slots: the callee's frame starts at the argument slot. Trap-only paths
+// (div/rem by zero or overflow, out-of-bounds and unaligned accesses) reach
+// a noreturn out-of-line stub, by a branch or from the fault handler. Its
+// helper raises the interpreter's trap and discards register values with
+// the frame, so they need no saves; partial stores are already in linear
+// memory, so trap points stay interpreter-exact.
 //
 // Functions containing any ROp without a template are not compiled at all
 // (per-function fallback to the threaded interpreter); there is no slow

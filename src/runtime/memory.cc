@@ -16,6 +16,9 @@ namespace {
 // space is free with MAP_NORESERVE; physical pages are committed only when
 // touched, so this does not inflate RSS with many rank instances.
 constexpr u32 kDefaultMaxPages = 16384;  // 1 GiB virtual per module
+// A guarded reservation: every effective address native code forms (below
+// 2^33, plus at most 16 bytes of access width) lands inside it.
+constexpr u64 kGuardedReserveBytes = (u64(1) << 33) + wasm::kPageSize;
 }  // namespace
 
 /// Growth lock plus the futex-style parking table for wait/notify. The map
@@ -51,10 +54,21 @@ LinearMemory::LinearMemory(u32 min_pages, u32 max_pages, bool shared)
   max_pages_ = max_pages == 0 ? std::max(min_pages, kDefaultMaxPages)
                               : std::min(max_pages, wasm::kMaxPages);
   max_pages_ = std::max(max_pages_, min_pages);
-  reserved_bytes_ = u64(max_pages_) * wasm::kPageSize;
-  void* p = ::mmap(nullptr, reserved_bytes_, PROT_READ | PROT_WRITE,
+  void* p = ::mmap(nullptr, kGuardedReserveBytes, PROT_NONE,
                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-  if (p == MAP_FAILED) fatal("mmap failed reserving linear memory");
+  if (p != MAP_FAILED &&
+      ::mprotect(p, u64(min_pages) * wasm::kPageSize,
+                 PROT_READ | PROT_WRITE) == 0) {
+    reserved_bytes_ = kGuardedReserveBytes;
+    guarded_ = true;
+  } else {
+    // No room for the guard region: reserve the maximum size only.
+    if (p != MAP_FAILED) ::munmap(p, kGuardedReserveBytes);
+    reserved_bytes_ = u64(max_pages_) * wasm::kPageSize;
+    p = ::mmap(nullptr, reserved_bytes_, PROT_READ | PROT_WRITE,
+               MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (p == MAP_FAILED) fatal("mmap failed reserving linear memory");
+  }
   base_ = static_cast<u8*>(p);
 }
 
@@ -72,11 +86,10 @@ LinearMemory::LinearMemory(LinearMemory&& o) noexcept
       reserved_bytes_(o.reserved_bytes_),
       max_pages_(o.max_pages_),
       shared_(o.shared_),
+      guarded_(o.guarded_),
       sync_(std::move(o.sync_)) {
   pages_.store(o.pages_.load(std::memory_order_relaxed),
                std::memory_order_relaxed);
-  generation_.store(o.generation_.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
   o.base_ = nullptr;
   o.reserved_bytes_ = 0;
   o.pages_.store(0, std::memory_order_relaxed);
@@ -89,11 +102,10 @@ LinearMemory& LinearMemory::operator=(LinearMemory&& o) noexcept {
     reserved_bytes_ = o.reserved_bytes_;
     max_pages_ = o.max_pages_;
     shared_ = o.shared_;
+    guarded_ = o.guarded_;
     sync_ = std::move(o.sync_);
     pages_.store(o.pages_.load(std::memory_order_relaxed),
                  std::memory_order_relaxed);
-    generation_.store(o.generation_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
     o.base_ = nullptr;
     o.reserved_bytes_ = 0;
     o.pages_.store(0, std::memory_order_relaxed);
@@ -106,8 +118,11 @@ i32 LinearMemory::grow(u32 delta_pages) {
   u32 prev = pages_.load(std::memory_order_relaxed);
   u64 target = u64(prev) + delta_pages;
   if (target > max_pages_) return -1;
+  if (guarded_ && ::mprotect(base_ + u64(prev) * wasm::kPageSize,
+                             u64(delta_pages) * wasm::kPageSize,
+                             PROT_READ | PROT_WRITE) != 0)
+    return -1;
   pages_.store(u32(target), std::memory_order_release);
-  generation_.fetch_add(1, std::memory_order_acq_rel);
   return i32(prev);
 }
 

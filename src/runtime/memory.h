@@ -3,10 +3,22 @@
 // MPIWasm reserves a contiguous range of the embedder's 64-bit address
 // space for the module, records the base address at instantiation, and
 // translates 32-bit module pointers by adding the base (paper §3.5,
-// Figure 2). Like the paper (§2.2), we reserve the full range virtually and
-// let the kernel map physical pages lazily; `base()` is therefore stable
-// across memory.grow. Guest accesses are bounds-checked against the
-// *logical* size (pages_), so growth semantics are exact.
+// Figure 2). Like the paper (§2.2), we reserve the range virtually and let
+// the kernel map physical pages lazily; `base()` is therefore stable across
+// memory.grow.
+//
+// The reservation covers every address native code can form: a u32 base
+// plus a u32 offset is below 2^33, plus at most 16 bytes of access width.
+// Only the current size is readable and writable; the rest is PROT_NONE,
+// and grow() opens pages with mprotect. So a native load or store needs no
+// check: an out-of-bounds one faults in the guard region and the JIT's
+// fault handler turns the fault into the trap (jit_support.h). The
+// executor tiers, the embedder's spans, bulk memory and atomics still check
+// against the logical size (pages_), so growth semantics are exact.
+//
+// Where the guarded reservation cannot be had (an address-space limit),
+// the memory reserves only max_pages, read-write, and guarded() is false:
+// its instance then runs every body in the checking executor.
 #pragma once
 
 #include <atomic>
@@ -42,9 +54,14 @@ class LinearMemory {
   /// Threads-proposal shared memory: growable concurrently, never moves.
   bool is_shared() const { return shared_; }
 
+  /// Whether the reservation has its guard region (see the file comment).
+  bool guarded() const { return guarded_; }
+
   /// memory.grow semantics: returns previous page count, or -1 on failure.
   /// Thread-safe: the reservation covers max_pages up front, so growth only
-  /// publishes a larger logical size — the base address never relocates.
+  /// opens pages and publishes a larger logical size — the base address
+  /// never relocates. The new pages are accessible before the size is
+  /// published.
   i32 grow(u32 delta_pages);
 
   /// Bounds check used by every guest memory access and by the embedder's
@@ -79,30 +96,6 @@ class LinearMemory {
   void store(u64 addr, T v) {
     check(addr, sizeof(T));
     std::memcpy(base_ + addr, &v, sizeof(T));
-  }
-
-  // --- Raw-base fast path -------------------------------------------------
-  // Unchecked accesses used by the k*Raw executor ops. Every raw access is
-  // dominated by a passing kMemGuard that proved the whole iteration space
-  // in-bounds against byte_size(), so no per-access check is needed. The
-  // executor may cache base() for a whole frame: the reservation never
-  // moves, and memory.grow only ever *extends* the valid range, so a guard
-  // proved against a smaller byte_size() stays sufficient. grow() still
-  // bumps generation() so callers holding a derived raw window (e.g. the
-  // embedder's zero-copy spans) can detect growth and re-derive.
-  template <typename T>
-  T load_raw(u64 addr) const {
-    T v;
-    std::memcpy(&v, base_ + addr, sizeof(T));
-    return v;
-  }
-  template <typename T>
-  void store_raw(u64 addr, T v) {
-    std::memcpy(base_ + addr, &v, sizeof(T));
-  }
-  /// Monotonic counter bumped by every successful memory.grow.
-  u64 generation() const {
-    return generation_.load(std::memory_order_acquire);
   }
 
   // --- 0xFE atomics (threads proposal) ------------------------------------
@@ -193,7 +186,7 @@ class LinearMemory {
   std::atomic<u32> pages_{0};
   u32 max_pages_ = 0;
   bool shared_ = false;
-  std::atomic<u64> generation_{0};
+  bool guarded_ = false;
   std::unique_ptr<MemSync> sync_;
 };
 

@@ -115,9 +115,6 @@ void collect_reads(const RInstr& in, std::vector<u32>& out) {
     case ROp::kI32ShrUImm: case ROp::kI32AndImm: case ROp::kI32MulImm:
       out.push_back(in.b);
       break;
-    case ROp::kMemGuard:
-      out.push_back(in.b); out.push_back(in.c);
-      break;
     // Loads read the address in b; load+op additionally reads c; indexed
     // loads read base (b) and index (c), d is the shift amount.
     case ROp::kI32Load: case ROp::kI64Load: case ROp::kF32Load:
@@ -126,8 +123,6 @@ void collect_reads(const RInstr& in, std::vector<u32>& out) {
     case ROp::kI64Load8U: case ROp::kI64Load16S: case ROp::kI64Load16U:
     case ROp::kI64Load32S: case ROp::kI64Load32U: case ROp::kV128Load:
     case ROp::kV128Load32Splat: case ROp::kV128Load64Splat:
-    case ROp::kI32LoadRaw: case ROp::kI64LoadRaw: case ROp::kF32LoadRaw:
-    case ROp::kF64LoadRaw: case ROp::kV128LoadRaw:
       out.push_back(in.b);
       break;
     case ROp::kI32LoadAdd: case ROp::kI64LoadAdd: case ROp::kF32LoadAdd:
@@ -136,8 +131,6 @@ void collect_reads(const RInstr& in, std::vector<u32>& out) {
     case ROp::kF64x2LoadAdd: case ROp::kF64x2LoadMul:
     case ROp::kI32LoadIx: case ROp::kI64LoadIx: case ROp::kF32LoadIx:
     case ROp::kF64LoadIx: case ROp::kV128LoadIx:
-    case ROp::kI32LoadIxRaw: case ROp::kI64LoadIxRaw: case ROp::kF32LoadIxRaw:
-    case ROp::kF64LoadIxRaw: case ROp::kV128LoadIxRaw:
       out.push_back(in.b); out.push_back(in.c);
       break;
     // Stores read address (a) and value (b); op+store and indexed stores
@@ -146,8 +139,6 @@ void collect_reads(const RInstr& in, std::vector<u32>& out) {
     case ROp::kF64Store: case ROp::kI32Store8: case ROp::kI32Store16:
     case ROp::kI64Store8: case ROp::kI64Store16: case ROp::kI64Store32:
     case ROp::kV128Store:
-    case ROp::kI32StoreRaw: case ROp::kI64StoreRaw: case ROp::kF32StoreRaw:
-    case ROp::kF64StoreRaw: case ROp::kV128StoreRaw:
       out.push_back(in.a); out.push_back(in.b);
       break;
     case ROp::kI32AddStore: case ROp::kF32AddStore: case ROp::kF64AddStore:
@@ -156,8 +147,6 @@ void collect_reads(const RInstr& in, std::vector<u32>& out) {
     case ROp::kF64x2AddStore: case ROp::kF64x2MulStore:
     case ROp::kI32StoreIx: case ROp::kI64StoreIx: case ROp::kF32StoreIx:
     case ROp::kF64StoreIx: case ROp::kV128StoreIx:
-    case ROp::kI32StoreIxRaw: case ROp::kI64StoreIxRaw: case ROp::kF32StoreIxRaw:
-    case ROp::kF64StoreIxRaw: case ROp::kV128StoreIxRaw:
       out.push_back(in.a); out.push_back(in.b); out.push_back(in.c);
       break;
     default:
@@ -185,16 +174,12 @@ bool writes_dest(const RInstr& in) {
     case ROp::kF64Store: case ROp::kI32Store8: case ROp::kI32Store16:
     case ROp::kI64Store8: case ROp::kI64Store16: case ROp::kI64Store32:
     case ROp::kV128Store:
-    case ROp::kI32StoreRaw: case ROp::kI64StoreRaw: case ROp::kF32StoreRaw:
-    case ROp::kF64StoreRaw: case ROp::kV128StoreRaw:
     case ROp::kI32AddStore: case ROp::kF32AddStore: case ROp::kF64AddStore:
     case ROp::kF64MulStore:
     case ROp::kI32x4AddStore: case ROp::kF32x4AddStore:
     case ROp::kF64x2AddStore: case ROp::kF64x2MulStore:
     case ROp::kI32StoreIx: case ROp::kI64StoreIx: case ROp::kF32StoreIx:
     case ROp::kF64StoreIx: case ROp::kV128StoreIx:
-    case ROp::kI32StoreIxRaw: case ROp::kI64StoreIxRaw: case ROp::kF32StoreIxRaw:
-    case ROp::kF64StoreIxRaw: case ROp::kV128StoreIxRaw:
     case ROp::kBrIfI32Eq: case ROp::kBrIfI32Ne: case ROp::kBrIfI32LtS:
     case ROp::kBrIfI32LtU: case ROp::kBrIfI32GtS: case ROp::kBrIfI32GtU:
     case ROp::kBrIfI32LeS: case ROp::kBrIfI32LeU: case ROp::kBrIfI32GeS:
@@ -312,12 +297,6 @@ bool is_pure(ROp op) {
     case ROp::kI32AddImm: case ROp::kI64AddImm: case ROp::kI32ShlImm:
     case ROp::kI32ShrUImm: case ROp::kI32AndImm: case ROp::kI32MulImm:
     case ROp::kF64MulAdd: case ROp::kF32MulAdd:
-    // Raw loads sit behind a passing kMemGuard and cannot trap, so a dead
-    // one is removable.
-    case ROp::kI32LoadRaw: case ROp::kI64LoadRaw: case ROp::kF32LoadRaw:
-    case ROp::kF64LoadRaw: case ROp::kV128LoadRaw:
-    case ROp::kI32LoadIxRaw: case ROp::kI64LoadIxRaw: case ROp::kF32LoadIxRaw:
-    case ROp::kF64LoadIxRaw: case ROp::kV128LoadIxRaw:
       return true;
     default:
       return false;  // div/rem/trunc trap; loads trap; calls/stores effect
@@ -1054,371 +1033,6 @@ void thread_branches(RFunc& f) {
     for (u32& t : pool) t = final_target(t);
 }
 
-// ---- Pass 7: bounds-check hoisting (loop versioning) -----------------------
-//
-// For a counted loop of the canonical shape
-//     t:   br_if.i32.ge_s  i, n -> j+1     (loop exit, signed or unsigned)
-//     ...  straight-line body (no other branches)
-//     j:   br -> t                          (back edge)
-// whose memory accesses are affine in the induction variable with
-// compile-time coefficients (i, i<<s, base_const + i*c + k, ...), the loop
-// is duplicated ("versioned"):
-//
-//     t:   mem.guard g = all iterations provably in bounds?
-//          br_if_not g -> SLOW
-//     FAST: the body with affine accesses rewritten to unchecked raw ops
-//     SLOW: the original body, every access still checked
-//
-// The guard proves 0 <= i and coef*(n-1+step) + K <= byte_size() at loop
-// entry; i only grows by positive steps and n is loop-invariant, so the
-// bound covers every iteration, and memory.grow can only extend the valid
-// range mid-loop. When the proof fails at runtime the original loop runs
-// and an out-of-bounds access traps at exactly the original instruction —
-// hoisting never moves a trap, it only removes checks that cannot fire.
-
-struct HoistAccess {
-  size_t index;   // instruction index within the body
-  ROp raw_op;     // unchecked twin
-  u64 coef;       // address = coef * i + kterm (u64, exact upper bound)
-  u64 kterm;      // constant term + static offset + access size
-};
-
-struct HoistLoop {
-  size_t head;       // index of the exit branch
-  size_t backedge;   // index of the back-edge kBr
-  bool head_unsigned;
-  u32 counter, limit;
-  u64 total_step;    // sum of positive counter increments per iteration
-  u64 max_coef, max_k;
-  std::vector<HoistAccess> accesses;
-};
-
-/// Symbolic value of a register inside one loop iteration.
-struct AffineExpr {
-  enum Kind { kUnknown, kConst, kAffine } kind = kUnknown;
-  u64 coef = 0;  // multiple of the induction variable (kAffine)
-  u64 off = 0;   // constant term
-};
-
-u32 access_size(ROp raw) {
-  switch (raw) {
-    case ROp::kI32LoadRaw: case ROp::kI32StoreRaw: case ROp::kF32LoadRaw:
-    case ROp::kF32StoreRaw: case ROp::kI32LoadIxRaw: case ROp::kI32StoreIxRaw:
-    case ROp::kF32LoadIxRaw: case ROp::kF32StoreIxRaw:
-      return 4;
-    case ROp::kV128LoadRaw: case ROp::kV128StoreRaw:
-    case ROp::kV128LoadIxRaw: case ROp::kV128StoreIxRaw:
-      return 16;
-    default:
-      return 8;
-  }
-}
-
-std::optional<ROp> raw_load_twin(ROp op) {
-  switch (op) {
-    case ROp::kI32Load: return ROp::kI32LoadRaw;
-    case ROp::kI64Load: return ROp::kI64LoadRaw;
-    case ROp::kF32Load: return ROp::kF32LoadRaw;
-    case ROp::kF64Load: return ROp::kF64LoadRaw;
-    case ROp::kV128Load: return ROp::kV128LoadRaw;
-    case ROp::kI32LoadIx: return ROp::kI32LoadIxRaw;
-    case ROp::kI64LoadIx: return ROp::kI64LoadIxRaw;
-    case ROp::kF32LoadIx: return ROp::kF32LoadIxRaw;
-    case ROp::kF64LoadIx: return ROp::kF64LoadIxRaw;
-    case ROp::kV128LoadIx: return ROp::kV128LoadIxRaw;
-    default: return std::nullopt;
-  }
-}
-
-std::optional<ROp> raw_store_twin(ROp op) {
-  switch (op) {
-    case ROp::kI32Store: return ROp::kI32StoreRaw;
-    case ROp::kI64Store: return ROp::kI64StoreRaw;
-    case ROp::kF32Store: return ROp::kF32StoreRaw;
-    case ROp::kF64Store: return ROp::kF64StoreRaw;
-    case ROp::kV128Store: return ROp::kV128StoreRaw;
-    case ROp::kI32StoreIx: return ROp::kI32StoreIxRaw;
-    case ROp::kI64StoreIx: return ROp::kI64StoreIxRaw;
-    case ROp::kF32StoreIx: return ROp::kF32StoreIxRaw;
-    case ROp::kF64StoreIx: return ROp::kF64StoreIxRaw;
-    case ROp::kV128StoreIx: return ROp::kV128StoreIxRaw;
-    default: return std::nullopt;
-  }
-}
-
-constexpr u64 kHoistCoefCap = u64(1) << 31;
-constexpr u64 kHoistKCap = u64(1) << 47;
-
-/// Analyzes the body of a candidate loop; false to reject.
-bool analyze_loop_body(const RFunc& f, HoistLoop& loop) {
-  const u32 i_reg = loop.counter, n_reg = loop.limit;
-  std::vector<AffineExpr> expr(f.num_regs);
-  expr[i_reg] = {AffineExpr::kAffine, 1, 0};
-  loop.total_step = 0;
-  std::vector<u32> reads;
-
-  auto eval_addr = [&](const RInstr& in, u32 base_reg,
-                       bool indexed) -> std::optional<std::pair<u64, u64>> {
-    AffineExpr e = base_reg == i_reg
-                       ? AffineExpr{AffineExpr::kAffine, 1, 0}
-                       : expr[base_reg];
-    if (e.kind == AffineExpr::kUnknown) return std::nullopt;
-    u64 coef = e.kind == AffineExpr::kAffine ? e.coef : 0;
-    u64 off = e.off;
-    if (indexed) {
-      AffineExpr idx = in.c == i_reg ? AffineExpr{AffineExpr::kAffine, 1, 0}
-                                     : expr[in.c];
-      if (idx.kind == AffineExpr::kUnknown) return std::nullopt;
-      u64 s = in.d;
-      coef += (idx.kind == AffineExpr::kAffine ? idx.coef : 0) << s;
-      off += idx.off << s;
-    }
-    if (coef >= kHoistCoefCap || off >= kHoistKCap || in.imm >= kHoistKCap)
-      return std::nullopt;
-    return std::make_pair(coef, off + in.imm);
-  };
-
-  for (size_t k = loop.head + 1; k < loop.backedge; ++k) {
-    const RInstr& in = f.code[k];
-    // Loops containing atomics are never versioned: the guarded fast copy
-    // must not change how concurrent accesses interleave with checks.
-    if (rop_is_atomic(in.op)) return false;
-    // The induction increment: i += positive constant.
-    if (in.op == ROp::kI32AddImm && in.a == i_reg) {
-      if (in.b != i_reg) return false;  // i redefined from something else
-      i32 step = i32(u32(in.imm));
-      if (step <= 0) return false;
-      loop.total_step += u64(u32(step));
-      if (loop.total_step >= (u64(1) << 15)) return false;
-      expr[i_reg] = {AffineExpr::kAffine, 1, expr[i_reg].off + u64(u32(step))};
-      continue;
-    }
-    // Raw-able accesses: record the affine bound (or leave checked).
-    std::optional<ROp> raw;
-    u32 addr_reg = 0;
-    bool indexed = false;
-    if (auto lr = raw_load_twin(in.op)) {
-      raw = lr;
-      addr_reg = in.b;
-      indexed = in.op == ROp::kI32LoadIx || in.op == ROp::kI64LoadIx ||
-                in.op == ROp::kF32LoadIx || in.op == ROp::kF64LoadIx ||
-                in.op == ROp::kV128LoadIx;
-    } else if (auto sr = raw_store_twin(in.op)) {
-      raw = sr;
-      addr_reg = in.a;
-      indexed = in.op == ROp::kI32StoreIx || in.op == ROp::kI64StoreIx ||
-                in.op == ROp::kF32StoreIx || in.op == ROp::kF64StoreIx ||
-                in.op == ROp::kV128StoreIx;
-    }
-    if (raw) {
-      if (auto bound = eval_addr(in, addr_reg, indexed)) {
-        u64 kterm = bound->second + access_size(*raw);
-        if (kterm < kHoistKCap) {
-          loop.accesses.push_back({k, *raw, bound->first, kterm});
-          loop.max_coef = std::max(loop.max_coef, bound->first);
-          loop.max_k = std::max(loop.max_k, kterm);
-        }
-      }
-      // fall through to the register-kill handling below (loads write a)
-    }
-    // Track the symbolic state.
-    if (writes_dest(in)) {
-      if (in.a == i_reg) return false;  // non-increment write to i
-      if (in.a == n_reg) return false;  // limit must be invariant
-      switch (in.op) {
-        case ROp::kMov:
-          expr[in.a] = in.b == i_reg ? AffineExpr{AffineExpr::kAffine, 1, 0}
-                                     : expr[in.b];
-          break;
-        case ROp::kConst:
-          expr[in.a] = in.imm < kHoistKCap
-                           ? AffineExpr{AffineExpr::kConst, 0, in.imm}
-                           : AffineExpr{};
-          break;
-        case ROp::kI32AddImm: {
-          AffineExpr s = in.b == i_reg ? AffineExpr{AffineExpr::kAffine, 1, 0}
-                                       : expr[in.b];
-          if (s.kind != AffineExpr::kUnknown && u32(in.imm) == in.imm &&
-              s.off + in.imm < kHoistKCap)
-            expr[in.a] = {s.kind, s.coef, s.off + in.imm};
-          else
-            expr[in.a] = {};
-          break;
-        }
-        case ROp::kI32ShlImm: {
-          AffineExpr s = in.b == i_reg ? AffineExpr{AffineExpr::kAffine, 1, 0}
-                                       : expr[in.b];
-          u64 sh = in.imm & 31;
-          if (s.kind != AffineExpr::kUnknown && sh <= 16 &&
-              (s.coef << sh) < kHoistCoefCap && (s.off << sh) < kHoistKCap)
-            expr[in.a] = {s.kind, s.coef << sh, s.off << sh};
-          else
-            expr[in.a] = {};
-          break;
-        }
-        case ROp::kI32MulImm: {
-          AffineExpr s = in.b == i_reg ? AffineExpr{AffineExpr::kAffine, 1, 0}
-                                       : expr[in.b];
-          u64 m = u32(in.imm);
-          if (s.kind != AffineExpr::kUnknown && m < (u64(1) << 16) &&
-              s.coef * m < kHoistCoefCap && s.off * m < kHoistKCap)
-            expr[in.a] = {s.kind, s.coef * m, s.off * m};
-          else
-            expr[in.a] = {};
-          break;
-        }
-        case ROp::kI32Add: {
-          AffineExpr x = in.b == i_reg ? AffineExpr{AffineExpr::kAffine, 1, 0}
-                                       : expr[in.b];
-          AffineExpr y = in.c == i_reg ? AffineExpr{AffineExpr::kAffine, 1, 0}
-                                       : expr[in.c];
-          if (x.kind != AffineExpr::kUnknown && y.kind != AffineExpr::kUnknown &&
-              x.coef + y.coef < kHoistCoefCap && x.off + y.off < kHoistKCap) {
-            bool affine =
-                x.kind == AffineExpr::kAffine || y.kind == AffineExpr::kAffine;
-            expr[in.a] = {affine ? AffineExpr::kAffine : AffineExpr::kConst,
-                          x.coef + y.coef, x.off + y.off};
-          } else {
-            expr[in.a] = {};
-          }
-          break;
-        }
-        default:
-          expr[in.a] = {};  // any other def: unknown
-          break;
-      }
-    } else if (in.op == ROp::kCall || in.op == ROp::kCallIndirect) {
-      if (in.a == i_reg || in.a == n_reg) return false;
-      expr[in.a] = {};  // call result lands in r[a]
-    }
-  }
-  if (loop.total_step == 0) return false;  // no induction step found
-  return !loop.accesses.empty();
-}
-
-/// Finds candidate loops (canonical counted shape, straight-line body).
-std::vector<HoistLoop> find_hoistable_loops(const RFunc& f) {
-  std::vector<HoistLoop> out;
-  const size_t n = f.code.size();
-  // Every branch edge (source -> target), gathered once; each candidate's
-  // external-entry check scans this list instead of re-walking the code.
-  std::vector<std::pair<size_t, u32>> edges;
-  for (size_t k = 0; k < n; ++k)
-    for (u32 tgt : branch_targets(f, f.code[k])) edges.emplace_back(k, tgt);
-  for (size_t t = 0; t < n; ++t) {
-    const RInstr& head = f.code[t];
-    if (head.op != ROp::kBrIfI32GeS && head.op != ROp::kBrIfI32GeU) continue;
-    // Find the back edge: an unconditional br targeting t, with nothing but
-    // straight-line code in between.
-    size_t j = SIZE_MAX;
-    for (size_t k = t + 1; k < n; ++k) {
-      const RInstr& in = f.code[k];
-      if (in.op == ROp::kBr && in.imm == t) {
-        j = k;
-        break;
-      }
-      if (is_branch(in.op) || is_terminator(in.op)) break;
-    }
-    if (j == SIZE_MAX) continue;
-    // The exit target must lie outside the loop (branch threading may have
-    // forwarded it past j + 1; that is fine — it gets remapped like any
-    // other external target).
-    if (head.imm > t && head.imm <= j) continue;
-    // No branch from outside may enter (t, j]; entry is fallthrough-only.
-    bool entered = false;
-    for (const auto& [src, tgt] : edges) {
-      if (src > t && src <= j) continue;  // in-loop (head/backedge branch)
-      if (tgt > t && tgt <= j) {
-        entered = true;
-        break;
-      }
-    }
-    if (entered) continue;
-    HoistLoop loop;
-    loop.head = t;
-    loop.backedge = j;
-    loop.head_unsigned = head.op == ROp::kBrIfI32GeU;
-    loop.counter = head.a;
-    loop.limit = head.b;
-    loop.max_coef = 0;
-    loop.max_k = 0;
-    if (analyze_loop_body(f, loop)) {
-      out.push_back(std::move(loop));
-      t = j;  // candidates are disjoint (bodies are branch-free)
-    }
-  }
-  return out;
-}
-
-u32 hoist_pass(RFunc& f) {
-  std::vector<HoistLoop> loops = find_hoistable_loops(f);
-  if (loops.empty()) return 0;
-  const size_t n = f.code.size();
-  const u32 guard_reg = f.num_regs;
-  f.num_regs += 1;
-
-  // new_plain(y): new index of old instruction y for code outside the
-  // loops (guard + br_if_not + fast copy shift everything behind them).
-  auto new_plain = [&](u64 y) {
-    u64 shift = 0;
-    for (const HoistLoop& lp : loops)
-      if (lp.backedge < y) shift += (lp.backedge - lp.head + 1) + 2;
-    return y + shift;
-  };
-
-  std::vector<RInstr> out;
-  out.reserve(n + loops.size() * 16);
-  size_t li = 0;
-  for (size_t y = 0; y < n; ++y) {
-    if (li < loops.size() && loops[li].head == y) {
-      const HoistLoop& lp = loops[li];
-      const size_t len = lp.backedge - lp.head + 1;
-      const size_t guard_pos = out.size();
-      const size_t fast_head = guard_pos + 2;
-      const size_t slow_head = fast_head + len;
-      const size_t exit_pos = new_plain(f.code[lp.head].imm);
-      u32 dword = u32(lp.max_coef) | (lp.head_unsigned ? 0x80000000u : 0);
-      u64 imm = (lp.total_step << 48) | lp.max_k;
-      out.push_back(RInstr{ROp::kMemGuard, guard_reg, lp.limit, lp.counter,
-                           dword, imm});
-      out.push_back(RInstr{ROp::kBrIfNot, guard_reg, 0, 0, 0, u64(slow_head)});
-      // Fast copy: affine accesses unchecked, branches retargeted.
-      size_t acc = 0;
-      for (size_t k = lp.head; k <= lp.backedge; ++k) {
-        RInstr in = f.code[k];
-        if (k == lp.head) {
-          in.imm = exit_pos;
-        } else if (k == lp.backedge) {
-          in.imm = fast_head;
-        } else {
-          while (acc < lp.accesses.size() && lp.accesses[acc].index < k) ++acc;
-          if (acc < lp.accesses.size() && lp.accesses[acc].index == k)
-            in.op = lp.accesses[acc].raw_op;
-        }
-        out.push_back(in);
-      }
-      // Slow copy: the original body, checks intact.
-      for (size_t k = lp.head; k <= lp.backedge; ++k) {
-        RInstr in = f.code[k];
-        if (k == lp.head) in.imm = exit_pos;
-        else if (k == lp.backedge) in.imm = slow_head;
-        out.push_back(in);
-      }
-      y = lp.backedge;  // consumed
-      ++li;
-      continue;
-    }
-    RInstr in = f.code[y];
-    if (is_branch(in.op) && in.op != ROp::kBrTable)
-      in.imm = new_plain(in.imm);
-    out.push_back(in);
-  }
-  for (auto& pool : f.br_pool)
-    for (u32& tgt : pool) tgt = u32(new_plain(tgt));
-  f.code = std::move(out);
-  return u32(loops.size());
-}
-
 void compact(RFunc& f) {
   const size_t n = f.code.size();
   std::vector<u32> remap(n + 1, 0);
@@ -1464,10 +1078,6 @@ OptStats optimize_function(RFunc& f, const OptOptions& opts) {
     compact(f);
     if (changes == 0) break;
   }
-  // Bounds-check hoisting runs once, after the code shape has settled: it
-  // relies on the fused loop form (imm increments, compare-and-branch
-  // heads) and emits the guarded fast/slow loop copies verbatim.
-  if (opts.hoist_bounds) stats.guards_hoisted = hoist_pass(f);
   stats.instrs_after = f.code.size();
   return stats;
 }

@@ -10,17 +10,12 @@
 //      indexed-address (base + (index << scale) + imm) forms
 //   5. liveness-based dead code elimination (global dataflow)
 //   6. branch threading + Nop compaction with target remapping
-// then, once, after the fixpoint:
-//   7. bounds-check hoisting: counted loops with provably affine access
-//      patterns are versioned behind a single kMemGuard; the fast copy runs
-//      unchecked k*Raw memory ops, the slow copy keeps the original
-//      per-access checks so out-of-bounds traps still fire at exactly the
-//      original point.
 //
 // This is what buys the Optimizing tier its runtime edge in Table 1: the
 // dispatch-loop executor's cost is proportional to executed instructions,
-// and these passes remove 30-60% of them in hot loops — and, with hoisting,
-// the per-access bounds checks Jangda et al. single out.
+// and these passes remove 30-60% of them in hot loops. Bounds checks are
+// not the optimizer's business: the executor checks every access, and
+// native code leaves them to the linear memory's guard region (memory.h).
 #pragma once
 
 #include "runtime/regcode.h"
@@ -31,16 +26,14 @@ struct OptStats {
   u64 instrs_before = 0;
   u64 instrs_after = 0;
   u32 rounds = 0;
-  u32 fused_super = 0;     // superinstructions formed (load+op, select, ...)
-  u32 guards_hoisted = 0;  // loops versioned behind a kMemGuard
+  u32 fused_super = 0;  // superinstructions formed (load+op, select, ...)
 };
 
 /// Pass configuration: the ablation switches of the optimizing pipeline
 /// (EngineConfig::opt_*). Compare/branch, immediate, and mul-add fusion
 /// always run.
 struct OptOptions {
-  bool fuse_super = true;    // load+op, op+store, cmp+select, indexed addr
-  bool hoist_bounds = true;  // loop versioning behind kMemGuard + raw ops
+  bool fuse_super = true;  // load+op, op+store, cmp+select, indexed addr
   /// SIMD-specific work: v128 splat/binop constant folding, the v128
   /// load+op / op+store superinstruction rows, and v128 indexed addressing
   /// (kV128LoadIx/StoreIx). Plain v128 execution is unaffected — this only

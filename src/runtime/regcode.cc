@@ -81,27 +81,6 @@ const char* rop_name(ROp op) {
     case ROp::kF32StoreIx: return "f32.store_ix";
     case ROp::kF64StoreIx: return "f64.store_ix";
     case ROp::kV128StoreIx: return "v128.store_ix";
-    case ROp::kMemGuard: return "mem.guard";
-    case ROp::kI32LoadRaw: return "i32.load_raw";
-    case ROp::kI64LoadRaw: return "i64.load_raw";
-    case ROp::kF32LoadRaw: return "f32.load_raw";
-    case ROp::kF64LoadRaw: return "f64.load_raw";
-    case ROp::kV128LoadRaw: return "v128.load_raw";
-    case ROp::kI32StoreRaw: return "i32.store_raw";
-    case ROp::kI64StoreRaw: return "i64.store_raw";
-    case ROp::kF32StoreRaw: return "f32.store_raw";
-    case ROp::kF64StoreRaw: return "f64.store_raw";
-    case ROp::kV128StoreRaw: return "v128.store_raw";
-    case ROp::kI32LoadIxRaw: return "i32.load_ix_raw";
-    case ROp::kI64LoadIxRaw: return "i64.load_ix_raw";
-    case ROp::kF32LoadIxRaw: return "f32.load_ix_raw";
-    case ROp::kF64LoadIxRaw: return "f64.load_ix_raw";
-    case ROp::kV128LoadIxRaw: return "v128.load_ix_raw";
-    case ROp::kI32StoreIxRaw: return "i32.store_ix_raw";
-    case ROp::kI64StoreIxRaw: return "i64.store_ix_raw";
-    case ROp::kF32StoreIxRaw: return "f32.store_ix_raw";
-    case ROp::kF64StoreIxRaw: return "f64.store_ix_raw";
-    case ROp::kV128StoreIxRaw: return "v128.store_ix_raw";
     case ROp::kAtomicNotify: return "memory.atomic.notify";
     case ROp::kAtomicWait32: return "memory.atomic.wait32";
     case ROp::kAtomicWait64: return "memory.atomic.wait64";

@@ -12,8 +12,9 @@
 //   - dispatch: computed-goto direct threading, with the portable switch
 //     loop as reference and fallback (see exec.h). Handler addresses live
 //     in RFunc::handlers, resolved once per function at publication time.
-//   - bounds checks: the hoist pass versions counted loops behind a single
-//     kMemGuard and runs the unchecked k*Raw ops on the fast path.
+//   - bounds checks: the executor checks every access against the current
+//     size; native code has none and lets the guard region fault instead
+//     (memory.h, jit_support.h).
 //   - missed fusion: superinstructions collapse load+op, op+store,
 //     cmp+select, cmp+branch, indexed-address (base + (idx << s) + imm) and
 //     f32/f64 multiply-add chains into one dispatch each.
@@ -156,23 +157,10 @@ enum class ROp : u16 {
   kI32LoadIx, kI64LoadIx, kF32LoadIx, kF64LoadIx, kV128LoadIx,
   // Indexed stores, checked: mem[u32(r[a] + (r[c] << d)) + imm] = r[b].
   kI32StoreIx, kI64StoreIx, kF32StoreIx, kF64StoreIx, kV128StoreIx,
-  // ---- Bounds-check hoisting (emitted only by the hoist pass) ----
-  // Loop-entry guard for a versioned counted loop: r[a] = 1 iff every raw
-  // access of the fast copy is provably in-bounds for all iterations.
-  // b = limit reg, c = counter reg, d = max coefficient (bit 31: the loop
-  // head compares unsigned), imm = (step << 48) | max constant term.
-  kMemGuard,
-  // Unchecked twins of the checked memory ops; only reachable behind a
-  // passing kMemGuard, so they can never fault.
-  kI32LoadRaw, kI64LoadRaw, kF32LoadRaw, kF64LoadRaw, kV128LoadRaw,
-  kI32StoreRaw, kI64StoreRaw, kF32StoreRaw, kF64StoreRaw, kV128StoreRaw,
-  kI32LoadIxRaw, kI64LoadIxRaw, kF32LoadIxRaw, kF64LoadIxRaw, kV128LoadIxRaw,
-  kI32StoreIxRaw, kI64StoreIxRaw, kF32StoreIxRaw, kF64StoreIxRaw,
-  kV128StoreIxRaw,
   // ---- 0xFE atomics (threads proposal; cache v7) ----
   // All atomic accesses are seq-cst, bounds-checked, and trap on effective
   // addresses that are not naturally aligned. Optimizer passes must treat
-  // every atomic op as a full optimization barrier: no fusion, hoisting, or
+  // every atomic op as a full optimization barrier: no fusion or
   // superinstruction formation across or into them.
   // Wait/notify: r[a] = result. notify: addr r[b], count r[c].
   // wait32/wait64: addr r[b], expected r[c], timeout_ns (i64) r[d].
@@ -250,11 +238,23 @@ struct JitReloc {
 /// ROp / helper-table layouts the templates hard-code. A blob whose features
 /// are not a subset of the host's, or whose layout hash disagrees, is
 /// silently dropped and the function runs threaded RegCode instead.
+///
+/// Guest loads and stores in `code` carry no bounds check: each is one
+/// instruction, which faults in the linear memory's guard region when the
+/// access is out of bounds. The last `fault_sites` * 8 bytes of `code` list
+/// them as little-endian (u32 pc, u32 stub) pairs in ascending pc; the fault
+/// handler resumes a fault at code[pc] at code[stub], an out-of-line stub
+/// that raises the out-of-bounds trap. The table lives in the code bytes,
+/// like the constant pool, so it costs no allocation of its own.
 struct JitBlob {
   u32 cpu_features = 0;
+  u32 fault_sites = 0;
   u64 layout_hash = 0;
   std::vector<u8> code;
   std::vector<JitReloc> relocs;
+
+  /// Offset of the fault-site table in `code` (its end when empty).
+  size_t fault_table() const { return code.size() - size_t(fault_sites) * 8; }
 };
 
 /// One lowered function.

@@ -478,7 +478,7 @@ MkLayout mk_layout(const MicroKernelParams& p) {
 using wasm::FunctionBuilder;
 
 /// addr = base + i  (i is a byte-offset local; lowering fuses the constant
-/// into a single add-immediate, which the hoist pass recognizes as affine).
+/// into a single add-immediate).
 void mk_addr(FunctionBuilder& f, u32 base, u32 i_local) {
   f.i32_const(i32(base));
   f.local_get(i_local);

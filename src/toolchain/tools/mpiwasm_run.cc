@@ -139,6 +139,7 @@ void write_stats_json(const std::string& path, const char* tier, int ranks,
                "    \"jit_funcs\": %llu,\n"
                "    \"jit_fallback_funcs\": %llu,\n"
                "    \"jit_code_bytes\": %llu,\n"
+               "    \"guard_fallbacks\": %llu,\n"
                "    \"cache_materialized_funcs\": %llu,\n"
                "    \"cache_record_fallbacks\": %llu\n"
                "  }\n"
@@ -156,6 +157,7 @@ void write_stats_json(const std::string& path, const char* tier, int ranks,
                (unsigned long long)t.jit_funcs,
                (unsigned long long)t.jit_fallback_funcs,
                (unsigned long long)t.jit_code_bytes,
+               (unsigned long long)t.guard_fallbacks,
                (unsigned long long)t.cache_materialized_funcs,
                (unsigned long long)t.cache_record_fallbacks);
   std::fclose(f);

@@ -33,7 +33,7 @@ class FunctionBuilder {
   u32 add_local(ValType t);
   u32 num_params() const { return num_params_; }
 
-  // --- Raw instruction emission -----------------------------------------
+  // --- Instruction emission ---------------------------------------------
   void op(Op o);
   void i32_const(i32 v);
   void i64_const(i64 v);

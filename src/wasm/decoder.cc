@@ -215,7 +215,7 @@ void decode_code_section(ByteReader& r, size_t base, Module& m) {
   }
 }
 
-void decode_data_section(ByteReader& r, Module& m) {
+void decode_data_section(ByteReader& r, size_t base, Module& m) {
   u32 count = r.read_leb_u32();
   for (u32 i = 0; i < count; ++i) {
     DataSegment seg;
@@ -223,10 +223,10 @@ void decode_data_section(ByteReader& r, Module& m) {
     if (flags != 0) throw DecodeError("only active data segments supported");
     seg.memory_index = 0;
     seg.offset = decode_const_expr(r);
-    u32 n = r.read_leb_u32();
-    auto bytes = r.read_bytes(n);
-    seg.bytes.assign(bytes.begin(), bytes.end());
-    m.datas.push_back(std::move(seg));
+    seg.length = r.read_leb_u32();
+    seg.init_offset = base + r.pos();
+    r.read_bytes(seg.length);
+    m.datas.push_back(seg);
   }
 }
 
@@ -263,7 +263,7 @@ DecodeResult decode_module(std::span<const u8> bytes) {
         case SectionId::kStart: m.start = section.read_leb_u32(); break;
         case SectionId::kElement: decode_element_section(section, m); break;
         case SectionId::kCode: decode_code_section(section, r.pos(), m); break;
-        case SectionId::kData: decode_data_section(section, m); break;
+        case SectionId::kData: decode_data_section(section, r.pos(), m); break;
         default: throw DecodeError("unknown section id");
       }
       if (id != u8(SectionId::kCustom) && !section.done())

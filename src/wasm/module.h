@@ -68,10 +68,13 @@ struct ElemSegment {
   std::vector<u32> func_indices;
 };
 
+/// An active data segment: `offset` is where it lands in linear memory; its
+/// bytes stay in Module::bytes (read through Module::data).
 struct DataSegment {
   u32 memory_index = 0;
   ConstExpr offset;
-  std::vector<u8> bytes;
+  size_t init_offset = 0;  // into Module::bytes
+  u32 length = 0;
 };
 
 struct Module {
@@ -99,6 +102,10 @@ struct Module {
   std::span<const LocalRun> locals(u32 i) const {
     const FuncBody& b = bodies.at(i);
     return std::span(local_runs).subspan(b.first_run, b.num_runs);
+  }
+  /// Initial contents of data segment `s`.
+  std::span<const u8> data(const DataSegment& s) const {
+    return std::span(bytes).subspan(s.init_offset, s.length);
   }
 
   u32 num_imported_funcs() const;

@@ -155,7 +155,7 @@ std::string to_wat(const Module& m, const WatOptions& opts) {
   if (m.start.has_value()) os << "  (start " << *m.start << ")\n";
   for (const auto& d : m.datas) {
     os << "  (data (;0;) (i32.const " << d.offset.i << ") \""
-       << d.bytes.size() << " bytes\")\n";
+       << d.length << " bytes\")\n";
   }
   os << ")\n";
   return os.str();

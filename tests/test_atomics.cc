@@ -534,6 +534,117 @@ std::string validate_error(ModuleBuilder& b) {
   return vr.ok ? "" : vr.error;
 }
 
+/// Shared memory of 1..64 pages with cell 0 holding the published page
+/// count. "grow"(rounds) grows by one page `rounds` times, atomically
+/// storing the new count after each grow returns. "touch"(limit) sets cell
+/// 4 to announce it is running, polls the count until it reaches `limit`
+/// and, for every page below it, writes and reads back the page's first
+/// and last word with plain (non-atomic) accesses; it returns the number
+/// of read-backs that disagreed.
+std::vector<u8> build_grow_under_load_module() {
+  ModuleBuilder b;
+  b.add_memory(1, 64, /*has_max=*/true, /*shared=*/true);
+  {
+    auto& f = b.begin_func({{I32}, {}}, "grow");
+    u32 i = f.add_local(I32);
+    f.for_loop_i32(i, 0, 0, 1, [&] {
+      f.i32_const(0);
+      f.i32_const(1);
+      f.op(Op::kMemoryGrow);
+      f.i32_const(1);
+      f.op(Op::kI32Add);
+      f.mem_op(Op::kI32AtomicStore);
+    });
+    f.end();
+  }
+  {
+    auto& f = b.begin_func({{I32}, {I32}}, "touch");
+    const u32 limit = 0;
+    const u32 seen = f.add_local(I32), pages = f.add_local(I32);
+    const u32 addr = f.add_local(I32), errors = f.add_local(I32);
+    f.i32_const(4);
+    f.i32_const(1);
+    f.mem_op(Op::kI32AtomicStore);
+    f.i32_const(1);
+    f.local_set(seen);
+    f.loop();  // poll
+    f.i32_const(0);
+    f.mem_op(Op::kI32AtomicLoad);
+    f.local_set(pages);
+    f.block();
+    f.loop();  // every page in [seen, pages)
+    f.local_get(seen);
+    f.local_get(pages);
+    f.op(Op::kI32GeU);
+    f.br_if(1);
+    f.local_get(seen);
+    f.i32_const(16);
+    f.op(Op::kI32Shl);
+    f.local_set(addr);
+    f.local_get(addr);
+    f.local_get(seen);
+    f.mem_op(Op::kI32Store);
+    f.local_get(addr);
+    f.local_get(seen);
+    f.mem_op(Op::kI32Store, 65532);
+    f.local_get(errors);
+    f.local_get(addr);
+    f.mem_op(Op::kI32Load, 65532);
+    f.local_get(seen);
+    f.op(Op::kI32Ne);
+    f.op(Op::kI32Add);
+    f.local_set(errors);
+    f.local_get(seen);
+    f.i32_const(1);
+    f.op(Op::kI32Add);
+    f.local_set(seen);
+    f.br(0);
+    f.end();
+    f.end();
+    f.local_get(seen);
+    f.local_get(limit);
+    f.op(Op::kI32LtU);
+    f.br_if(0);
+    f.end();
+    f.local_get(errors);
+    f.end();
+  }
+  return b.build();
+}
+
+TEST_P(AtomicsHammerTest, SharedMemoryGrowsUnderLoad) {
+  // One guest thread grows the shared memory while another writes and
+  // reads the new pages. Once grow has returned, no access below the new
+  // size may trap; at kJit the accesses are native code with no bounds
+  // check, relying on grow to open the pages before it returns. The
+  // growing starts only once "touch" runs, so it entered at one page.
+  auto inst = instantiate_cfg(build_grow_under_load_module(), GetParam());
+  const rt::CompiledModule& cm = inst->compiled();
+  if (cm.tier == EngineTier::kJit) {
+    ASSERT_NE(rt::compiled_body(cm, *inst->exported_func("touch")).jit,
+              nullptr);
+  }
+  constexpr i32 kRounds = 32;
+  inst->memory().store<u32>(0, 1);
+  std::atomic<int> errors{-1};
+  std::thread toucher([&] {
+    Value limit = Value::from_i32(1 + kRounds);
+    try {
+      errors = inst->invoke("touch", {&limit, 1}).as_i32();
+    } catch (const Trap& t) {
+      ADD_FAILURE() << "touch trapped: " << t.what();
+    }
+  });
+  while (inst->memory().atomic_load<u32>(4) == 0) std::this_thread::yield();
+  Value rounds = Value::from_i32(kRounds);
+  inst->invoke("grow", {&rounds, 1});
+  toucher.join();
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_EQ(inst->memory().pages(), u32(1 + kRounds));
+  EXPECT_EQ(inst->memory().load<u32>(u64(kRounds) * 65536 + 65532),
+            u32(kRounds));
+}
+
 TEST(AtomicsValidation, AtomicOpNeedsSharedMemory) {
   ModuleBuilder b;
   b.add_memory(1);  // unshared

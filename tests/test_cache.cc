@@ -379,7 +379,7 @@ TEST(Cache, WrongVersionIsRejected) {
 
 TEST(Cache, OptimizingAblationFlagsKeySeparately) {
   // A cache warmed with the full optimizing pipeline must not serve its
-  // fused/hoisted code to a run that disabled those passes.
+  // fused code to a run that disabled those passes.
   auto dir = fresh_cache_dir();
   auto bytes = make_module(9);
   EngineConfig full;
@@ -391,7 +391,6 @@ TEST(Cache, OptimizingAblationFlagsKeySeparately) {
 
   EngineConfig plain = full;
   plain.opt_superinstructions = false;
-  plain.opt_hoist_bounds = false;
   auto cm2 = rt::compile({bytes.data(), bytes.size()}, plain);
   EXPECT_FALSE(cm2->loaded_from_cache);  // different key, not a hit
   auto cm3 = rt::compile({bytes.data(), bytes.size()}, plain);
@@ -402,15 +401,17 @@ TEST(Cache, OptimizingAblationFlagsKeySeparately) {
 }
 
 TEST(Cache, StaleVersionEntriesAreRejectedCleanlyAndRecompiled) {
-  // Every cache format bump renumbers the ROp space (v4: superinstructions
-  // / raw ops / kMemGuard; v5: the full SIMD opcode space) or extends the
-  // record layout (v6: the optional native-code section) or the entry
-  // layout (v8: the offset table) or tightens the decoder (v9: signed
-  // LEB128 sign bits; a hit skips body validation, so a v8 entry could
-  // serve bytes the decoder now rejects). A pre-upgrade v3/v4/v5/v7/v8
-  // entry must be treated as a clean miss — no crash, no misdecoded code,
-  // just a silent recompile that overwrites the stale entry.
-  for (char stale_version : {char(3), char(4), char(5), char(7), char(8)}) {
+  // Every cache format bump renumbers the ROp space (v4: superinstructions;
+  // v5: the full SIMD opcode space) or extends the record layout (v6: the
+  // optional native-code section) or the entry layout (v8: the offset
+  // table) or tightens the decoder (v9: signed LEB128 sign bits; a hit
+  // skips body validation, so a v8 entry could serve bytes the decoder now
+  // rejects) or both (v10: loop-versioning ops removed, and native blobs
+  // carry their fault sites). A pre-upgrade v3/v4/v5/v7/v8/v9 entry must be
+  // treated as a clean miss — no crash, no misdecoded code, just a silent
+  // recompile that overwrites the stale entry.
+  for (char stale_version :
+       {char(3), char(4), char(5), char(7), char(8), char(9)}) {
     auto dir = fresh_cache_dir();
     auto bytes = make_module(77);
     EngineConfig cfg;

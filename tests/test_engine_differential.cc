@@ -7,6 +7,7 @@
 #include "testlib.h"
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <mutex>
 #include <sstream>
@@ -309,11 +310,163 @@ TEST(DifferentialDispatch, SwitchAndThreadedExecutorsAgree) {
 }
 
 // ---------------------------------------------------------------------------
-// Hoisted-guard trap differential: a loop whose guard fails at runtime must
-// fall back to the checked loop and trap at exactly the original access —
-// same trap kind AND the same prefix of observable stores — under every
-// engine configuration (including tiered promotions of the hoisted body).
+// Out-of-bounds trap differential: a loop that runs off the end of memory
+// must trap at exactly the original access — same trap kind, message and
+// prefix of observable stores — under every engine configuration. The
+// executor checks each access; native code checks none, so there the trap
+// comes from a fault in the guard region.
+//
+// The boundary sweep has one counted loop per access width (i32, i64, f32,
+// f64, v128), load and store, plain and indexed address form. Each walks
+// toward the end of memory in steps of its width from `k` bytes past an
+// aligned start, so its first failing access straddles the end by k bytes
+// (k = 0: it lies wholly past the end). With grow = 1 the loop first grows
+// the memory by a page and walks toward the new end. Iteration i writes i
+// to cell 0 before its access, and stores write values with no zero byte,
+// so a partial store would show in the memory image.
 // ---------------------------------------------------------------------------
+
+struct SweepAccess {
+  const char* name;
+  ValType type;
+  u32 width_log2;
+  Op load, store;
+};
+
+constexpr SweepAccess kSweepAccesses[] = {
+    {"i32", I32, 2, Op::kI32Load, Op::kI32Store},
+    {"i64", I64, 3, Op::kI64Load, Op::kI64Store},
+    {"f32", F32, 2, Op::kF32Load, Op::kF32Store},
+    {"f64", F64, 3, Op::kF64Load, Op::kF64Store},
+    {"v128", V128T, 4, Op::kV128Load, Op::kV128Store},
+};
+
+constexpr i32 kSweepIters = 8;     // the 4th or 5th access fails
+constexpr i32 kSweepLoadCell = 64;  // loads copy their value here
+
+std::string sweep_export(const SweepAccess& acc, bool store, bool indexed) {
+  return std::string(acc.name) + (store ? ".store" : ".load") +
+         (indexed ? ".ix" : ".plain");
+}
+
+/// Pushes the value iteration `i` stores: no zero byte in any lane.
+void push_sweep_value(wasm::FunctionBuilder& f, const SweepAccess& acc,
+                      u32 i) {
+  if (acc.type == I64 || acc.type == F64) {
+    f.i64_const(i64(0xA1B2C3D4E5F60710ull));
+    f.local_get(i);
+    f.op(Op::kI64ExtendI32U);
+    f.op(Op::kI64Add);
+    if (acc.type == F64) f.op(Op::kF64ReinterpretI64);
+    return;
+  }
+  f.i32_const(i32(0xA1B2C3D0u));
+  f.local_get(i);
+  f.op(Op::kI32Add);
+  if (acc.type == F32) f.op(Op::kF32ReinterpretI32);
+  if (acc.type == V128T) f.op(Op::kI32x4Splat);
+}
+
+/// Exports one `(k, grow) -> ()` sweep loop per access, direction and form.
+std::vector<u8> boundary_sweep_module() {
+  ModuleBuilder b;
+  b.add_memory(1, 4, true);
+  for (const SweepAccess& acc : kSweepAccesses) {
+    const i32 width = 1 << acc.width_log2;
+    for (bool store : {false, true}) {
+      for (bool indexed : {false, true}) {
+        auto& f =
+            b.begin_func({{I32, I32}, {}}, sweep_export(acc, store, indexed));
+        const u32 k = 0, grow = 1;
+        const u32 i = f.add_local(I32), n = f.add_local(I32);
+        const u32 base = f.add_local(I32), addr = f.add_local(I32);
+        const u32 v = f.add_local(acc.type);
+        f.local_get(grow);
+        f.if_();
+        f.i32_const(1);
+        f.op(Op::kMemoryGrow);
+        f.op(Op::kDrop);
+        f.end();
+        // base = addr = size - 4 * width + k
+        f.op(Op::kMemorySize);
+        f.i32_const(16);
+        f.op(Op::kI32Shl);
+        f.i32_const(-4 * width);
+        f.op(Op::kI32Add);
+        f.local_get(k);
+        f.op(Op::kI32Add);
+        f.local_tee(base);
+        f.local_set(addr);
+        f.i32_const(kSweepIters);
+        f.local_set(n);
+        f.for_loop_i32(i, 0, n, 1, [&] {
+          f.i32_const(0);
+          f.local_get(i);
+          f.mem_op(Op::kI32Store);
+          if (store) {
+            push_sweep_value(f, acc, i);
+            f.local_set(v);
+          } else {
+            f.i32_const(kSweepLoadCell);
+          }
+          if (indexed) {  // base + (i << width_log2)
+            f.local_get(base);
+            f.local_get(i);
+            f.i32_const(i32(acc.width_log2));
+            f.op(Op::kI32Shl);
+            f.op(Op::kI32Add);
+          } else {
+            f.local_get(addr);
+          }
+          if (store) {
+            f.local_get(v);
+            f.mem_op(acc.store);
+          } else {
+            f.mem_op(acc.load);
+            f.mem_op(acc.store);
+          }
+          f.local_get(addr);
+          f.i32_const(width);
+          f.op(Op::kI32Add);
+          f.local_set(addr);
+        });
+        f.end();
+      }
+    }
+  }
+  return b.build();
+}
+
+struct SweepOutcome {
+  bool trapped = false;
+  rt::TrapKind kind = rt::TrapKind::kHostError;
+  std::string what;
+  std::vector<u8> image;  // the whole linear memory afterwards
+};
+
+SweepOutcome run_sweep(const std::shared_ptr<const rt::CompiledModule>& cm,
+                       const std::string& name, i32 k, i32 grow) {
+  rt::Instance inst(cm, rt::ImportTable{});
+  SweepOutcome out;
+  try {
+    inst.invoke(name, std::vector<Value>{Value::from_i32(k),
+                                         Value::from_i32(grow)});
+  } catch (const rt::Trap& t) {
+    out.trapped = true;
+    out.kind = t.kind();
+    out.what = t.what();
+  }
+  const u8* mem = inst.memory().base();
+  out.image.assign(mem, mem + inst.memory().byte_size());
+  return out;
+}
+
+bool has_indexed_access(const rt::RFunc& f) {
+  for (const rt::RInstr& in : f.code)
+    if (in.op >= rt::ROp::kI32LoadIx && in.op <= rt::ROp::kV128StoreIx)
+      return true;
+  return false;
+}
 
 TEST(DifferentialTraps, OobUnderHoistedGuardsMatchesInterp) {
   auto bytes = build_single_func({{I32}, {I32}}, [](auto& f) {
@@ -339,7 +492,7 @@ TEST(DifferentialTraps, OobUnderHoistedGuardsMatchesInterp) {
                rt::Trap);
   for (const EngineConfig& cfg : all_engine_configs()) {
     auto inst = instantiate_cfg(bytes, cfg);
-    // Warm calls first so tiered configs promote to the hoisted body.
+    // Warm calls first so tiered configs promote mid-run.
     for (int w = 0; w < 5; ++w) {
       inst->invoke("run", std::vector<Value>{Value::from_i32(64)});
     }
@@ -354,13 +507,75 @@ TEST(DifferentialTraps, OobUnderHoistedGuardsMatchesInterp) {
           << config_label(cfg) << " at byte " << off;
     }
   }
+
+  // Boundary sweep: every (access, k, grow) against the interpreter.
+  auto sweep = boundary_sweep_module();
+  struct Case {
+    std::string name;
+    i32 k, grow;
+    bool indexed, v128;
+  };
+  std::vector<Case> cases;
+  for (const SweepAccess& acc : kSweepAccesses)
+    for (bool store : {false, true})
+      for (bool indexed : {false, true})
+        for (i32 k = 0; k < (1 << acc.width_log2); ++k)
+          for (i32 grow : {0, 1})
+            cases.push_back({sweep_export(acc, store, indexed), k, grow,
+                             indexed, acc.type == V128T});
+  std::vector<SweepOutcome> want;
+  {
+    EngineConfig interp;
+    interp.tier = EngineTier::kInterp;
+    auto cm = rt::compile({sweep.data(), sweep.size()}, interp);
+    for (const Case& c : cases) {
+      want.push_back(run_sweep(cm, c.name, c.k, c.grow));
+      const SweepOutcome& w = want.back();
+      ASSERT_TRUE(w.trapped) << c.name;
+      ASSERT_EQ(w.kind, rt::TrapKind::kMemoryOutOfBounds) << c.name;
+      u32 iter = 0;
+      std::memcpy(&iter, w.image.data(), 4);
+      EXPECT_EQ(iter, c.k == 0 ? 4u : 3u) << c.name << " k=" << c.k;
+    }
+  }
+  for (const EngineConfig& cfg : all_engine_configs()) {
+    auto cm = rt::compile({sweep.data(), sweep.size()}, cfg);
+    for (size_t ci = 0; ci < cases.size(); ++ci) {
+      const Case& c = cases[ci];
+      const std::string label = config_label(cfg) + " " + c.name +
+                                " k=" + std::to_string(c.k) +
+                                " grow=" + std::to_string(c.grow);
+      if (cm->tier == EngineTier::kJit && c.k == 0 && c.grow == 0) {
+        // The sweep must exercise both address forms in native code.
+        rt::Instance probe(cm, rt::ImportTable{});
+        const rt::RFunc& body =
+            rt::compiled_body(*cm, *probe.exported_func(c.name));
+        ASSERT_NE(body.jit, nullptr) << label;
+        EXPECT_GT(body.jit->fault_sites, 0u) << label;
+        if (!c.v128 || cfg.opt_simd) {
+          EXPECT_EQ(has_indexed_access(body), c.indexed) << label;
+        }
+      }
+      const SweepOutcome got = run_sweep(cm, c.name, c.k, c.grow);
+      const SweepOutcome& w = want[ci];
+      EXPECT_TRUE(got.trapped) << label;
+      EXPECT_EQ(got.kind, w.kind) << label;
+      EXPECT_EQ(got.what, w.what) << label;
+      ASSERT_EQ(got.image.size(), w.image.size()) << label;
+      auto diff = std::mismatch(got.image.begin(), got.image.end(),
+                                w.image.begin());
+      EXPECT_TRUE(diff.first == got.image.end())
+          << label << ": memory differs at byte "
+          << (diff.first - got.image.begin());
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Toolchain-kernel differential: every generated benchmark kernel runs
 // through the embedder under all static tiers (the optimizing tier with
-// superinstruction fusion + bounds-check hoisting force-enabled, plus a
-// plain ablation with both off) and tiered(threshold=1), and must produce
+// superinstruction fusion force-enabled, plus a plain ablation with it
+// off) and tiered(threshold=1), and must produce
 // identical correctness-relevant outputs (exit codes, report row counts,
 // checksums/residuals/verification flags — not timings).
 // ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 // Native x86-64 JIT tier: correctness, per-function interpreter fallback,
 // trap-point identity with the interpreter, memory.grow base/size reload,
-// and the cache v6 native-blob validation chain (feature/layout mismatch ->
-// recompile -> threaded fallback).
+// the cache v6 native-blob validation chain (feature/layout mismatch ->
+// recompile -> threaded fallback), and the edges of the guard-region fault
+// handler (host faults still kill; no guard region -> executor fallback).
 #include "testlib.h"
 
+#include <sys/resource.h>
+
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -692,6 +697,112 @@ TEST(Jit, SnapshotCountsStaticJitModules) {
   EXPECT_EQ(snap.jit_funcs, 1u);
   EXPECT_EQ(snap.jit_fallback_funcs, 0u);
   EXPECT_GT(snap.jit_code_bytes, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Guard-region fault handler edges
+// ---------------------------------------------------------------------------
+
+/// load(addr) = i32 at addr; host() calls the import "env.poke".
+std::vector<u8> guard_edge_module() {
+  ModuleBuilder b;
+  const u32 poke = b.import_func("env", "poke", {{}, {}});
+  b.add_memory(1, 2, /*has_max=*/true);
+  {
+    auto& f = b.begin_func({{I32}, {I32}}, "load");
+    f.local_get(0);
+    f.mem_op(Op::kI32Load);
+    f.end();
+  }
+  {
+    auto& f = b.begin_func({{}, {}}, "host");
+    f.call(poke);
+    f.end();
+  }
+  return b.build();
+}
+
+/// Death-test child: a host function called from native code writes one
+/// byte past the end of memory, into the guard region.
+void fault_in_host_code(const std::vector<u8>& bytes) {
+  rt::ImportTable imports;
+  imports.add("env", "poke", {{}, {}},
+              [](rt::HostContext& ctx, const rt::Slot*, rt::Slot*) {
+                rt::LinearMemory& mem = ctx.memory();
+                volatile u8* past_end = mem.base() + mem.byte_size();
+                *past_end = 1;
+              });
+  auto inst = instantiate_cfg(bytes, jit_config(), imports);
+  if (!inst->memory().guarded()) std::_Exit(0);  // nothing to test
+  inst->invoke("host");
+}
+
+TEST(GuardFault, HostSegvStillKillsTheProcess) {
+  // A fault in host code is not a guest trap, even when the host code runs
+  // under native guest code and touches the guard region itself: the
+  // handler passes it on and the process dies.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto bytes = guard_edge_module();
+  EXPECT_DEATH(fault_in_host_code(bytes), "");
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define MPIWASM_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define MPIWASM_SANITIZED 1
+#endif
+#endif
+
+/// Exit-test child: caps its address space below the guarded reservation,
+/// then runs the kJit module. Returns 0 when every check holds, else the
+/// number of the first failed one.
+int run_without_guard_region(const std::vector<u8>& bytes) {
+  rt::ImportTable imports;
+  imports.add("env", "poke", {{}, {}},
+              [](rt::HostContext&, const rt::Slot*, rt::Slot*) {});
+  auto cm = rt::compile({bytes.data(), bytes.size()}, jit_config());
+  if (cm->jit_funcs.load() != 2) return 1;
+  long pages = 0;
+  if (std::FILE* f = std::fopen("/proc/self/statm", "r")) {
+    if (std::fscanf(f, "%ld", &pages) != 1) pages = 0;
+    std::fclose(f);
+  }
+  if (pages == 0) return 2;
+  const rlim_t cap = rlim_t(pages) * 4096 + (rlim_t(1) << 30);
+  const rlimit lim{cap, cap};
+  if (setrlimit(RLIMIT_AS, &lim) != 0) return 3;
+  rt::Instance inst(cm, imports);
+  if (inst.memory().guarded()) return 4;
+  if (rt::tierup_snapshot(*cm).guard_fallbacks != 1) return 5;
+  inst.memory().store<u32>(64, 0xC0FFEEu);
+  Value at = Value::from_i32(64);
+  if (inst.invoke("load", {&at, 1}).as_i32() != i32(0xC0FFEEu)) return 6;
+  Value past = Value::from_i32(65534);
+  try {
+    inst.invoke("load", {&past, 1});
+    return 7;
+  } catch (const Trap& t) {
+    if (t.kind() != TrapKind::kMemoryOutOfBounds ||
+        std::string(t.what()).find(
+            "access at 65534+4 exceeds memory size 65536") ==
+            std::string::npos)
+      return 8;
+  }
+  return 0;
+}
+
+TEST(GuardFault, NoGuardRegionRunsNativeBodiesInTheExecutor) {
+#ifdef MPIWASM_SANITIZED
+  GTEST_SKIP() << "sanitizer shadow memory cannot live under RLIMIT_AS";
+#endif
+  // Without its guard region the memory reserves max_pages only, the
+  // instance counts one fallback, and the kJit functions' RegCode runs in
+  // the checking executor: same results, same traps.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto bytes = guard_edge_module();
+  EXPECT_EXIT(std::_Exit(run_without_guard_region(bytes)),
+              ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

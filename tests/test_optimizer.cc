@@ -471,29 +471,10 @@ TEST(SimdFolding, FoldsV128BinopOfTwoConstants) {
   EXPECT_EQ(count_op(opt, ROp::kConstV128), 1u) << opt.to_string();
 }
 
-TEST(SimdBoundsHoisting, HoistsV128StoreLoop) {
-  // for (i = 0; i < n; i += 16) mem[i] = splat(i): the v128 store gets a
-  // raw twin behind the guard; the slow copy keeps the checked op.
-  auto bytes = build_single_func({{I32}, {}}, [](auto& f) {
-    u32 i = f.add_local(I32);
-    f.for_loop_i32(i, 0, 0, 16, [&] {
-      f.local_get(i);
-      f.local_get(i);
-      f.op(Op::kI8x16Splat);
-      f.mem_op(Op::kV128Store);
-    });
-    f.end();
-  });
-  RFunc opt = lower_one(bytes, true);
-  EXPECT_TRUE(contains_op(opt, ROp::kMemGuard)) << opt.to_string();
-  EXPECT_TRUE(contains_op(opt, ROp::kV128StoreRaw)) << opt.to_string();
-  EXPECT_TRUE(contains_op(opt, ROp::kV128Store)) << opt.to_string();
-}
-
 // ---------------------------------------------------------------------------
-// Bounds-check hoisting: counted loops with affine accesses are versioned
-// behind a kMemGuard; the fast copy runs unchecked raw ops, the slow copy
-// keeps every check, and traps fire at the original point.
+// Bounds checks in counted loops: the executor tiers check every access;
+// native code checks none, and an out-of-bounds access faults in the
+// memory's guard region. Either way a trap fires at the original point.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -522,26 +503,6 @@ std::vector<u8> store_loop_module() {
 
 }  // namespace
 
-TEST(BoundsHoisting, EmitsGuardAndRawOpsForAffineLoop) {
-  RFunc opt = lower_one(store_loop_module(), true);
-  EXPECT_TRUE(contains_op(opt, ROp::kMemGuard)) << opt.to_string();
-  EXPECT_TRUE(contains_op(opt, ROp::kI32StoreRaw)) << opt.to_string();
-  // The slow copy keeps the checked op.
-  EXPECT_TRUE(contains_op(opt, ROp::kI32Store)) << opt.to_string();
-}
-
-TEST(BoundsHoisting, DisabledByOption) {
-  auto bytes = store_loop_module();
-  auto decoded = wasm::decode_module({bytes.data(), bytes.size()});
-  ASSERT_TRUE(decoded.ok());
-  RFunc f = rt::lower_function(*decoded.module, 0);
-  rt::OptOptions opts;
-  opts.hoist_bounds = false;
-  rt::optimize_function(f, opts);
-  EXPECT_FALSE(contains_op(f, ROp::kMemGuard));
-  EXPECT_FALSE(contains_op(f, ROp::kI32StoreRaw));
-}
-
 TEST(BoundsHoisting, GuardedLoopComputesSameResults) {
   auto bytes = store_loop_module();
   auto ref = instantiate(bytes, EngineTier::kInterp);
@@ -558,18 +519,28 @@ TEST(BoundsHoisting, GuardedLoopComputesSameResults) {
 TEST(BoundsHoisting, GuardFailurePreservesTrapPointAndPartialStores) {
   // One page holds 16384 i32 slots; run(16394) must perform stores
   // 0..16383, then trap kMemoryOutOfBounds on i = 16384 — under every
-  // engine configuration, including the hoisted-guard fast/slow split
-  // (the guard fails, the slow loop runs, the trap fires at the original
-  // access).
+  // engine configuration. At kJit the store has no check: it faults in the
+  // guard region and the fault handler raises the trap, with the
+  // interpreter's message.
   auto bytes = store_loop_module();
   const i32 fits = 16384;
+  const std::string want =
+      "access at 65536+4 exceeds memory size 65536";
   for (const EngineConfig& cfg : all_engine_configs()) {
     auto inst = instantiate_cfg(bytes, cfg);
+    const rt::CompiledModule& cm = inst->compiled();
+    if (cm.tier == EngineTier::kJit) {
+      ASSERT_TRUE(inst->memory().guarded());
+      ASSERT_NE(rt::compiled_body(cm, 0).jit, nullptr);
+      EXPECT_GT(rt::compiled_body(cm, 0).jit->fault_sites, 0u);
+    }
     try {
       inst->invoke("run", std::vector<Value>{Value::from_i32(fits + 10)});
       FAIL() << "expected trap under " << config_label(cfg);
     } catch (const rt::Trap& t) {
       EXPECT_EQ(t.kind(), rt::TrapKind::kMemoryOutOfBounds) << config_label(cfg);
+      EXPECT_NE(std::string(t.what()).find(want), std::string::npos)
+          << config_label(cfg) << ": " << t.what();
     }
     // Every in-bounds iteration must have executed before the trap.
     rt::LinearMemory& mem = inst->memory();

@@ -7,8 +7,8 @@
 // dispatch modes (computed-goto and forced switch). On top of the per-op
 // sweep: scalar-vs-SIMD micro-kernel twins (bit-exact for element-wise and
 // integer kernels, ULP-bounded for reassociated float reductions), the
-// opt_simd ablation, and OOB-trap-point equivalence for v128 accesses under
-// hoisted bounds checks.
+// opt_simd ablation, and OOB-trap-point equivalence for v128 accesses,
+// which native code leaves to the memory's guard region.
 #include "testlib.h"
 
 #include <cmath>
@@ -801,11 +801,14 @@ TEST(SimdKernels, HpcgSimdResidualMatchesMirroredNative) {
 }
 
 // ---------------------------------------------------------------------------
-// OOB trap-point equivalence for v128 accesses under hoisted guards
+// OOB trap-point equivalence for v128 accesses: checked in the executor,
+// faulting in the guard region in native code
 // ---------------------------------------------------------------------------
 
 std::vector<u8> v128_store_loop_module(u32 base) {
-  // run(n): for (i = 0; i < n; i += 16) mem[base + i] = i8x16.splat(i)
+  // run(n): for (i = 0; i < n; i += 16) mem[base + i] = i8x16.splat(i),
+  // spelled i32x4.splat((i & 0xFF) * 0x01010101), which the jit has a
+  // template for, so the loop runs as native code at kJit.
   return build_single_func({{I32}, {}}, [&](auto& f) {
     u32 i = f.add_local(I32);
     f.for_loop_i32(i, 0, 0 /*limit = param*/, 16, [&] {
@@ -813,7 +816,11 @@ std::vector<u8> v128_store_loop_module(u32 base) {
       f.local_get(i);
       f.op(Op::kI32Add);
       f.local_get(i);
-      f.op(Op::kI8x16Splat);
+      f.i32_const(0xFF);
+      f.op(Op::kI32And);
+      f.i32_const(0x01010101);
+      f.op(Op::kI32Mul);
+      f.op(Op::kI32x4Splat);
       f.mem_op(Op::kV128Store);
     });
     f.end();
@@ -822,13 +829,20 @@ std::vector<u8> v128_store_loop_module(u32 base) {
 
 TEST(SimdHoist, OobV128StoreTrapsAtSamePointWithIdenticalPartialStores) {
   // One page of memory; the loop starts 256 bytes below the end and runs
-  // 512 bytes, so the guard fails, the slow (checked) copy runs, and the
-  // trap must fire at exactly the first out-of-bounds vector — with every
-  // preceding store visible — in every configuration.
+  // 512 bytes, so the trap must fire at exactly the first out-of-bounds
+  // vector — with every preceding store visible — in every configuration.
+  // At kJit the v128 store has no check: it faults in the guard region and
+  // the fault handler raises the trap.
   const u32 base = 64 * 1024 - 256;
   auto bytes = v128_store_loop_module(base);
-  auto run_one = [&](const EngineConfig& cfg, std::vector<u8>& tail) {
+  auto run_one = [&](const EngineConfig& cfg, std::vector<u8>& tail,
+                     std::string& what) {
     auto inst = instantiate_cfg(bytes, cfg);
+    if (inst->compiled().tier == EngineTier::kJit) {
+      EXPECT_TRUE(inst->memory().guarded());
+      const rt::RFunc& body = rt::compiled_body(inst->compiled(), 0);
+      EXPECT_TRUE(body.jit != nullptr && body.jit->fault_sites > 0);
+    }
     auto n = rt::Value::from_i32(512);
     TrapKind kind = TrapKind::kHostError;
     try {
@@ -836,19 +850,23 @@ TEST(SimdHoist, OobV128StoreTrapsAtSamePointWithIdenticalPartialStores) {
       ADD_FAILURE() << "expected OOB trap under " << config_label(cfg);
     } catch (const Trap& t) {
       kind = t.kind();
+      what = t.what();
     }
     tail.assign(inst->memory().base() + base, inst->memory().base() + 64 * 1024);
     return kind;
   };
   std::vector<u8> want_tail;
+  std::string want_what;
   EngineConfig interp;
   interp.tier = EngineTier::kInterp;
-  TrapKind want_kind = run_one(interp, want_tail);
+  TrapKind want_kind = run_one(interp, want_tail, want_what);
   EXPECT_EQ(want_kind, TrapKind::kMemoryOutOfBounds);
   for_each_mode([&](const EngineConfig& cfg) {
     std::vector<u8> tail;
-    TrapKind kind = run_one(cfg, tail);
+    std::string what;
+    TrapKind kind = run_one(cfg, tail, what);
     EXPECT_EQ(kind, want_kind) << config_label(cfg);
+    EXPECT_EQ(what, want_what) << config_label(cfg);
     EXPECT_EQ(tail, want_tail) << "partial stores differ under "
                                << config_label(cfg);
   });

@@ -88,7 +88,9 @@ TEST(BuilderDecoder, RoundTripStructure) {
   EXPECT_NE(m.find_export("_start", ExternKind::kFunc), nullptr);
   EXPECT_NE(m.find_export("memory", ExternKind::kMemory), nullptr);
   ASSERT_EQ(m.datas.size(), 1u);
-  EXPECT_EQ(m.datas[0].bytes.size(), 5u);
+  EXPECT_EQ(m.datas[0].length, 5u);
+  const std::span<const u8> init = m.data(m.datas[0]);
+  EXPECT_EQ(std::string(init.begin(), init.end()), "hello");
   EXPECT_EQ(m.num_imported_funcs(), 1u);
   EXPECT_EQ(m.total_funcs(), 2u);
 }

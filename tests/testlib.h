@@ -33,12 +33,11 @@ inline std::vector<EngineTier> all_tiers() {
 
 /// Every engine configuration a module should behave identically under:
 /// the three static tiers (the optimizing and jit tiers run with
-/// superinstruction fusion and bounds-check hoisting enabled — their
-/// defaults), an optimizing ablation with both disabled (isolates the
-/// fused/hoisted code paths against the plain pipeline), plus tiered mode
-/// with threshold 1, which forces a lazy promotion on the very first call
-/// of every function (maximum mid-run tier churn; promotions also compile
-/// fused+hoisted bodies).
+/// superinstruction fusion enabled — their default), an optimizing ablation
+/// with it disabled (isolates the fused code paths against the plain
+/// pipeline), plus tiered mode with threshold 1, which forces a lazy
+/// promotion on the very first call of every function (maximum mid-run tier
+/// churn; promotions also compile fused bodies).
 inline std::vector<EngineConfig> all_engine_configs() {
   std::vector<EngineConfig> cfgs;
   for (EngineTier tier : all_tiers()) {
@@ -49,7 +48,6 @@ inline std::vector<EngineConfig> all_engine_configs() {
   EngineConfig plain_opt;
   plain_opt.tier = EngineTier::kOptimizing;
   plain_opt.opt_superinstructions = false;
-  plain_opt.opt_hoist_bounds = false;
   cfgs.push_back(plain_opt);
   EngineConfig tiered;
   tiered.tier = EngineTier::kTiered;
@@ -81,7 +79,7 @@ inline std::string config_label(const EngineConfig& cfg) {
          std::to_string(cfg.tierup_jit_threshold) + ")";
   }
   if (cfg.tier == EngineTier::kJit && !cfg.jit) s += "(off)";
-  if (!cfg.opt_superinstructions || !cfg.opt_hoist_bounds) s += "(plain)";
+  if (!cfg.opt_superinstructions) s += "(plain)";
   return s;
 }
 
