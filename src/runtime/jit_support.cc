@@ -21,7 +21,7 @@ namespace {
 
 // Bump when any template's encoding or register assignment changes in a way
 // that would make a previously cached blob wrong (not just stale).
-constexpr u64 kJitCodegenVersion = 4;
+constexpr u64 kJitCodegenVersion = 5;
 
 /// One in-flight native activation per (possibly nested) jit_enter. The
 /// jmp_buf is the landing pad trap helpers longjmp to; `prev` restores the
@@ -58,28 +58,18 @@ thread_local std::exception_ptr g_pending;
   }                                           \
   if (trapped) unwind_pending();
 
-/// Pair returned in rax:rdx so templates can reload the memory base/size
-/// registers after any operation that may have grown or re-entered memory.
-struct JitMemPair {
-  u8* base;
-  u64 size;
-};
-static_assert(sizeof(JitMemPair) == 16);
-
-JitMemPair mem_pair(Instance* inst) {
-  LinearMemory& m = inst->memory();
-  return {m.base(), m.byte_size()};
-}
-
 // --- Trap helpers (noreturn: park + unwind) --------------------------------
 
-[[noreturn]] void h_trap_oob(u64 addr, u64 len, u64 size) {
+[[noreturn]] void h_trap_oob(Instance* inst, u64 addr, u64 len) {
   // Message must match LinearMemory::check byte-for-byte so trap points and
-  // texts are indistinguishable across tiers.
+  // texts are indistinguishable across tiers; the size is the live one. It
+  // is built here, not by check(): another thread's grow may have opened
+  // the page since the access faulted, and the access still traps.
   try {
     throw Trap(TrapKind::kMemoryOutOfBounds,
                "access at " + std::to_string(addr) + "+" + std::to_string(len) +
-                   " exceeds memory size " + std::to_string(size));
+                   " exceeds memory size " +
+                   std::to_string(inst->memory().byte_size()));
   } catch (...) {
     g_pending = std::current_exception();
   }
@@ -95,15 +85,13 @@ JitMemPair mem_pair(Instance* inst) {
   unwind_pending();
 }
 
-// --- Call / memory-state helpers -------------------------------------------
+// --- Call / memory helpers -------------------------------------------------
 
-JitMemPair h_call(Instance* inst, u32 fidx, Slot* argbase) {
+void h_call(Instance* inst, u32 fidx, Slot* argbase) {
   MW_JIT_GUARDED(inst->call_function(fidx, argbase));
-  return mem_pair(inst);
 }
 
-JitMemPair h_call_indirect(Instance* inst, u32 type_imm, Slot* argbase,
-                           u32 argc) {
+void h_call_indirect(Instance* inst, u32 type_imm, Slot* argbase, u32 argc) {
   MW_JIT_GUARDED({
     u32 idx = argbase[argc].u32v;
     const auto& tbl = inst->table();
@@ -117,12 +105,12 @@ JitMemPair h_call_indirect(Instance* inst, u32 type_imm, Slot* argbase,
                  "signature mismatch at table index " + std::to_string(idx));
     inst->call_function(fidx, argbase);
   });
-  return mem_pair(inst);
 }
 
-JitMemPair h_memory_grow(Instance* inst, Slot* slot) {
+u32 h_memory_size(Instance* inst) { return inst->memory().pages(); }
+
+void h_memory_grow(Instance* inst, Slot* slot) {
   slot->i32v = inst->memory().grow(slot->u32v);
-  return mem_pair(inst);
 }
 
 void h_memory_copy(Instance* inst, u32 d, u32 s, u32 n) {
@@ -257,102 +245,31 @@ f64 h_f64_convert_i64_u(u64 x) { return f64(x); }
 
 // --- Threads/atomics ----------------------------------------------------------
 
-[[noreturn]] void h_trap_unaligned_atomic(u64 addr, u64 len) {
-  // Message must match LinearMemory::check_atomic byte-for-byte.
-  try {
-    throw Trap(TrapKind::kUnalignedAtomic,
-               "atomic access at " + std::to_string(addr) + " not aligned to " +
-                   std::to_string(len) + " bytes");
-  } catch (...) {
-    g_pending = std::current_exception();
-  }
-  unwind_pending();
+[[noreturn]] void h_trap_unaligned_atomic(Instance* inst, u64 addr, u64 len) {
+  // Reached only for an unaligned address. check_atomic tests bounds first,
+  // so an access that is also out of bounds traps as one, as in the
+  // interpreter.
+  MW_JIT_GUARDED(inst->memory().check_atomic(addr, len));
+  fatal("jit: unaligned-atomic stub reached by an aligned access");
 }
 
-// The rmw pointer helpers receive a host address the template has already
-// bounds- and alignment-checked, so the atomic_ref cast is well-formed.
-template <typename T, typename F>
-u64 atomic_rmw_ptr(u8* p, u64 v, F f) {
-  return u64(f(std::atomic_ref<T>(*reinterpret_cast<T*>(p)), T(v)));
-}
-
-u64 h_atomic_and8(u8* p, u64 v) {
-  return atomic_rmw_ptr<u8>(p, v, [](auto r, u8 x) {
-    return r.fetch_and(x, std::memory_order_seq_cst);
-  });
-}
-u64 h_atomic_and16(u8* p, u64 v) {
-  return atomic_rmw_ptr<u16>(p, v, [](auto r, u16 x) {
-    return r.fetch_and(x, std::memory_order_seq_cst);
-  });
-}
-u64 h_atomic_and32(u8* p, u64 v) {
-  return atomic_rmw_ptr<u32>(p, v, [](auto r, u32 x) {
-    return r.fetch_and(x, std::memory_order_seq_cst);
-  });
-}
-u64 h_atomic_and64(u8* p, u64 v) {
-  return atomic_rmw_ptr<u64>(p, v, [](auto r, u64 x) {
-    return r.fetch_and(x, std::memory_order_seq_cst);
-  });
-}
-u64 h_atomic_or8(u8* p, u64 v) {
-  return atomic_rmw_ptr<u8>(p, v, [](auto r, u8 x) {
-    return r.fetch_or(x, std::memory_order_seq_cst);
-  });
-}
-u64 h_atomic_or16(u8* p, u64 v) {
-  return atomic_rmw_ptr<u16>(p, v, [](auto r, u16 x) {
-    return r.fetch_or(x, std::memory_order_seq_cst);
-  });
-}
-u64 h_atomic_or32(u8* p, u64 v) {
-  return atomic_rmw_ptr<u32>(p, v, [](auto r, u32 x) {
-    return r.fetch_or(x, std::memory_order_seq_cst);
-  });
-}
-u64 h_atomic_or64(u8* p, u64 v) {
-  return atomic_rmw_ptr<u64>(p, v, [](auto r, u64 x) {
-    return r.fetch_or(x, std::memory_order_seq_cst);
-  });
-}
-u64 h_atomic_xor8(u8* p, u64 v) {
-  return atomic_rmw_ptr<u8>(p, v, [](auto r, u8 x) {
-    return r.fetch_xor(x, std::memory_order_seq_cst);
-  });
-}
-u64 h_atomic_xor16(u8* p, u64 v) {
-  return atomic_rmw_ptr<u16>(p, v, [](auto r, u16 x) {
-    return r.fetch_xor(x, std::memory_order_seq_cst);
-  });
-}
-u64 h_atomic_xor32(u8* p, u64 v) {
-  return atomic_rmw_ptr<u32>(p, v, [](auto r, u32 x) {
-    return r.fetch_xor(x, std::memory_order_seq_cst);
-  });
-}
-u64 h_atomic_xor64(u8* p, u64 v) {
-  return atomic_rmw_ptr<u64>(p, v, [](auto r, u64 x) {
-    return r.fetch_xor(x, std::memory_order_seq_cst);
-  });
+// The and/or/xor/cmpxchg helpers run LinearMemory's checked members.
+template <typename T, T (LinearMemory::*Rmw)(u64, T)>
+u64 h_atomic_rmw(Instance* inst, u64 addr, u64 v) {
+  u64 r = 0;
+  MW_JIT_GUARDED(r = u64((inst->memory().*Rmw)(addr, T(v))));
+  return r;
 }
 
 template <typename T>
-u64 atomic_cmpxchg_ptr(u8* p, u64 expected, u64 repl) {
-  T e = T(expected);
-  std::atomic_ref<T>(*reinterpret_cast<T*>(p))
-      .compare_exchange_strong(e, T(repl), std::memory_order_seq_cst);
-  return u64(e);  // old value on success and failure alike
+u64 h_atomic_cmpxchg(Instance* inst, u64 addr, u64 expected, u64 repl) {
+  u64 r = 0;
+  LinearMemory& m = inst->memory();
+  MW_JIT_GUARDED(r = u64(m.atomic_rmw_cmpxchg<T>(addr, T(expected), T(repl))));
+  return r;
 }
 
-u64 h_atomic_cmpxchg8(u8* p, u64 e, u64 r) { return atomic_cmpxchg_ptr<u8>(p, e, r); }
-u64 h_atomic_cmpxchg16(u8* p, u64 e, u64 r) { return atomic_cmpxchg_ptr<u16>(p, e, r); }
-u64 h_atomic_cmpxchg32(u8* p, u64 e, u64 r) { return atomic_cmpxchg_ptr<u32>(p, e, r); }
-u64 h_atomic_cmpxchg64(u8* p, u64 e, u64 r) { return atomic_cmpxchg_ptr<u64>(p, e, r); }
-
-// wait/notify go through the Instance so LinearMemory can do its own
-// checking (bounds + alignment trap inside the guarded region) and reach
-// the parking table.
+// wait/notify also reach the memory's parking table.
 u32 h_atomic_wait32(Instance* inst, u64 addr, u32 expected, i64 timeout_ns) {
   u32 r = 0;
   MW_JIT_GUARDED(r = inst->memory().atomic_wait32(addr, expected, timeout_ns));
@@ -377,6 +294,7 @@ const void* const g_helper_table[u32(JitHelperId::kCount)] = {
     reinterpret_cast<const void*>(&h_trap_unreachable),
     reinterpret_cast<const void*>(&h_call),
     reinterpret_cast<const void*>(&h_call_indirect),
+    reinterpret_cast<const void*>(&h_memory_size),
     reinterpret_cast<const void*>(&h_memory_grow),
     reinterpret_cast<const void*>(&h_memory_copy),
     reinterpret_cast<const void*>(&h_memory_fill),
@@ -417,22 +335,34 @@ const void* const g_helper_table[u32(JitHelperId::kCount)] = {
     reinterpret_cast<const void*>(&h_f32_convert_i64_u),
     reinterpret_cast<const void*>(&h_f64_convert_i64_u),
     reinterpret_cast<const void*>(&h_trap_unaligned_atomic),
-    reinterpret_cast<const void*>(&h_atomic_and8),
-    reinterpret_cast<const void*>(&h_atomic_and16),
-    reinterpret_cast<const void*>(&h_atomic_and32),
-    reinterpret_cast<const void*>(&h_atomic_and64),
-    reinterpret_cast<const void*>(&h_atomic_or8),
-    reinterpret_cast<const void*>(&h_atomic_or16),
-    reinterpret_cast<const void*>(&h_atomic_or32),
-    reinterpret_cast<const void*>(&h_atomic_or64),
-    reinterpret_cast<const void*>(&h_atomic_xor8),
-    reinterpret_cast<const void*>(&h_atomic_xor16),
-    reinterpret_cast<const void*>(&h_atomic_xor32),
-    reinterpret_cast<const void*>(&h_atomic_xor64),
-    reinterpret_cast<const void*>(&h_atomic_cmpxchg8),
-    reinterpret_cast<const void*>(&h_atomic_cmpxchg16),
-    reinterpret_cast<const void*>(&h_atomic_cmpxchg32),
-    reinterpret_cast<const void*>(&h_atomic_cmpxchg64),
+    reinterpret_cast<const void*>(
+        &h_atomic_rmw<u8, &LinearMemory::atomic_rmw_and<u8>>),
+    reinterpret_cast<const void*>(
+        &h_atomic_rmw<u16, &LinearMemory::atomic_rmw_and<u16>>),
+    reinterpret_cast<const void*>(
+        &h_atomic_rmw<u32, &LinearMemory::atomic_rmw_and<u32>>),
+    reinterpret_cast<const void*>(
+        &h_atomic_rmw<u64, &LinearMemory::atomic_rmw_and<u64>>),
+    reinterpret_cast<const void*>(
+        &h_atomic_rmw<u8, &LinearMemory::atomic_rmw_or<u8>>),
+    reinterpret_cast<const void*>(
+        &h_atomic_rmw<u16, &LinearMemory::atomic_rmw_or<u16>>),
+    reinterpret_cast<const void*>(
+        &h_atomic_rmw<u32, &LinearMemory::atomic_rmw_or<u32>>),
+    reinterpret_cast<const void*>(
+        &h_atomic_rmw<u64, &LinearMemory::atomic_rmw_or<u64>>),
+    reinterpret_cast<const void*>(
+        &h_atomic_rmw<u8, &LinearMemory::atomic_rmw_xor<u8>>),
+    reinterpret_cast<const void*>(
+        &h_atomic_rmw<u16, &LinearMemory::atomic_rmw_xor<u16>>),
+    reinterpret_cast<const void*>(
+        &h_atomic_rmw<u32, &LinearMemory::atomic_rmw_xor<u32>>),
+    reinterpret_cast<const void*>(
+        &h_atomic_rmw<u64, &LinearMemory::atomic_rmw_xor<u64>>),
+    reinterpret_cast<const void*>(&h_atomic_cmpxchg<u8>),
+    reinterpret_cast<const void*>(&h_atomic_cmpxchg<u16>),
+    reinterpret_cast<const void*>(&h_atomic_cmpxchg<u32>),
+    reinterpret_cast<const void*>(&h_atomic_cmpxchg<u64>),
     reinterpret_cast<const void*>(&h_atomic_wait32),
     reinterpret_cast<const void*>(&h_atomic_wait64),
     reinterpret_cast<const void*>(&h_atomic_notify),
@@ -478,7 +408,6 @@ u64 jit_layout_hash() {
   mix(offsetof(JitEnv, regs));
   mix(offsetof(JitEnv, globals));
   mix(offsetof(JitEnv, mem_base));
-  mix(offsetof(JitEnv, mem_size));
   mix(u64(JitHelperId::kCount));
   return h;
 }
@@ -576,9 +505,7 @@ void jit_enter(const RFunc& f, Instance& inst, Slot* regs) {
   env.inst = &inst;
   env.regs = regs;
   env.globals = inst.globals();
-  LinearMemory& m = inst.memory();
-  env.mem_base = m.base();
-  env.mem_size = m.byte_size();
+  env.mem_base = inst.memory().base();
 
   JitActivation act;
   act.prev = g_act;

@@ -7,10 +7,11 @@
 //     exception, parks it in a thread-local std::exception_ptr, and
 //     longjmps to the innermost jit_enter(), which rethrows it on the C++
 //     side. JIT frames hold no destructors, so the longjmp is safe.
-//   - Native loads and stores carry no bounds check. An out-of-bounds one
-//     faults in the linear memory's guard region (memory.h), and the
-//     SIGSEGV handler resumes the thread at the access's out-of-line stub
-//     (JitBlob::fault_sites), which raises the trap like any other helper.
+//   - Native loads, stores and inline atomics carry no bounds check. An
+//     out-of-bounds one faults in the linear memory's guard region
+//     (memory.h), and the SIGSEGV handler resumes the thread at the
+//     access's out-of-line stub (JitBlob::fault_sites), which raises the
+//     trap like any other helper.
 //   - Helper addresses are process-specific (ASLR + rebuilds), so blobs
 //     reference helpers by JitHelperId; JitArena::install patches the
 //     movabs sites recorded in JitBlob::relocs.
@@ -53,14 +54,15 @@ bool jit_enabled_from_env();
 /// The block of state a JIT entry receives in %rdi. The prologue loads the
 /// fields into fixed callee-saved registers (offsets are part of
 /// jit_layout_hash()):
-///   inst -> r14, regs -> rbx, globals -> r12, mem_base -> r13,
-///   mem_size -> r15.
+///   inst -> r14, regs -> rbx, globals -> r12, mem_base -> r13.
+/// The base never moves (memory.h), so r13 holds for the activation's
+/// lifetime; no size lives in a register: native loads and stores rely on
+/// the guard region, and everything else asks the LinearMemory.
 struct JitEnv {
   Instance* inst;  // offset 0
   Slot* regs;      // offset 8
   Slot* globals;   // offset 16
   u8* mem_base;    // offset 24
-  u64 mem_size;    // offset 32
 };
 
 /// Runs `f`'s native entry under a fresh trap activation: builds the
@@ -78,14 +80,16 @@ void install_guard_fault_handler();
 
 /// Helpers callable from JIT code, identified by stable ordinal (the
 /// ordinal order is part of jit_layout_hash()). Arguments follow the SysV
-/// C ABI; memory-state-returning helpers hand back {base,size} in rax:rdx
-/// so templates can reload r13/r15 after any call or grow.
+/// C ABI. Every helper that touches memory takes the Instance* and checks
+/// the access against the memory's live size itself, so a page another
+/// thread's grow opened is visible at once.
 enum class JitHelperId : u32 {
-  kTrapOob = 0,          // (addr, len, mem_size) noreturn
+  kTrapOob = 0,          // (Instance*, addr, len) noreturn
   kTrapUnreachable,      // () noreturn
-  kCall,                 // (Instance*, fidx, Slot* argbase) -> {base,size}
-  kCallIndirect,         // (Instance*, type_imm, Slot* argbase, argc) -> {base,size}
-  kMemoryGrow,           // (Instance*, Slot* inout) -> {base,size}
+  kCall,                 // (Instance*, fidx, Slot* argbase)
+  kCallIndirect,         // (Instance*, type_imm, Slot* argbase, argc)
+  kMemorySize,           // (Instance*) -> pages
+  kMemoryGrow,           // (Instance*, Slot* inout)
   kMemoryCopy,           // (Instance*, d, s, n)
   kMemoryFill,           // (Instance*, d, val, n)
   kI32DivS, kI32DivU, kI32RemS, kI32RemU,
@@ -97,15 +101,16 @@ enum class JitHelperId : u32 {
   kI32TruncF32S, kI32TruncF32U, kI32TruncF64S, kI32TruncF64U,
   kI64TruncF32S, kI64TruncF32U, kI64TruncF64S, kI64TruncF64U,
   kF32ConvertI64U, kF64ConvertI64U,
-  // Threads/atomics (v7). The pointer-taking rmw helpers receive the
-  // already-bounds-and-alignment-checked host address; wait/notify go
-  // through the Instance so they can reach the memory's parking table.
-  kTrapUnalignedAtomic,  // (addr, len) noreturn
-  kAtomicAnd8, kAtomicAnd16, kAtomicAnd32, kAtomicAnd64,    // (u8* p, u64 v) -> old
-  kAtomicOr8, kAtomicOr16, kAtomicOr32, kAtomicOr64,        // (u8* p, u64 v) -> old
-  kAtomicXor8, kAtomicXor16, kAtomicXor32, kAtomicXor64,    // (u8* p, u64 v) -> old
-  kAtomicCmpxchg8, kAtomicCmpxchg16,                        // (u8* p, u64 expected,
-  kAtomicCmpxchg32, kAtomicCmpxchg64,                       //  u64 repl) -> old
+  // Threads/atomics. Inline atomics test alignment and fault in the guard
+  // region like plain accesses; their unaligned stub runs check_atomic, so
+  // an access both unaligned and out of bounds reports out-of-bounds. The
+  // rest run LinearMemory's own checked members.
+  kTrapUnalignedAtomic,  // (Instance*, addr, len) noreturn
+  kAtomicAnd8, kAtomicAnd16, kAtomicAnd32, kAtomicAnd64,  // (Instance*,
+  kAtomicOr8, kAtomicOr16, kAtomicOr32, kAtomicOr64,      //  addr, v)
+  kAtomicXor8, kAtomicXor16, kAtomicXor32, kAtomicXor64,  //  -> old
+  kAtomicCmpxchg8, kAtomicCmpxchg16,  // (Instance*, addr, expected, repl)
+  kAtomicCmpxchg32, kAtomicCmpxchg64,  //  -> old
   kAtomicWait32,  // (Instance*, u64 addr, u32 expected, i64 timeout_ns) -> u32
   kAtomicWait64,  // (Instance*, u64 addr, u64 expected, i64 timeout_ns) -> u32
   kAtomicNotify,  // (Instance*, u64 addr, u32 count) -> u32

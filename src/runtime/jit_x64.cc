@@ -72,8 +72,6 @@ std::optional<Sig> reg_sig(ROp op) {
       return Sig{kNo, kInt};
     case R::kReturn:
       return Sig{kNo, kAny};
-    case R::kMemorySize:
-      return Sig{kInt};
 
     case R::kI32Load: case R::kI64Load: case R::kI32Load8S: case R::kI32Load8U:
     case R::kI32Load16S: case R::kI32Load16U: case R::kI64Load8S:
@@ -129,7 +127,8 @@ std::optional<Sig> reg_sig(ROp op) {
     case R::kF64ConvertI32S: case R::kF64ConvertI32U: case R::kF64ConvertI64S:
       return Sig{kFlt, kNo, kInt};
 
-    case R::kI32x4Splat: case R::kI64x2Splat:
+    case R::kI8x16Splat: case R::kI16x8Splat: case R::kI32x4Splat:
+    case R::kI64x2Splat:
       return Sig{kVec, kNo, kInt};
     case R::kF32x4Splat: case R::kF64x2Splat:
       return Sig{kVec, kNo, kFlt};
@@ -237,8 +236,8 @@ bool select_shaped(ROp op) {
 bool calls_helper(ROp op, u32 feats) {
   using R = ROp;
   switch (op) {
-    case R::kCall: case R::kCallIndirect: case R::kMemoryGrow:
-    case R::kMemoryCopy: case R::kMemoryFill:
+    case R::kCall: case R::kCallIndirect: case R::kMemorySize:
+    case R::kMemoryGrow: case R::kMemoryCopy: case R::kMemoryFill:
     case R::kF32Min: case R::kF32Max: case R::kF64Min: case R::kF64Max:
     case R::kI32TruncF32S: case R::kI32TruncF32U: case R::kI32TruncF64S:
     case R::kI32TruncF64U: case R::kI64TruncF32S: case R::kI64TruncF32U:
@@ -267,7 +266,7 @@ constexpr u8 kXmm = 0x10;    // location bit: XMM register (low nibble: number)
 constexpr u32 kNoWeb = ~0u;
 
 // Allocatable registers: caller-saved, and never template scratch (rax, rcx,
-// rdx, xmm0, xmm1) or pinned (rbx, r12-r15).
+// rdx, xmm0, xmm1) or pinned (rbx, r12-r14). r15 is free and unused.
 constexpr u8 kAllocGprs[] = {RSI, RDI, R8, R9, R10, R11};
 constexpr u8 kAllocXmms = 14;  // xmm2..xmm15
 
@@ -642,13 +641,19 @@ struct Emitter {
     b1(u8(0xC0 | ((reg & 7) << 3) | (rm & 7)));
   }
 
-  /// op reg, [r13 + rax] — the linear-memory access form. r13&7 == 5 forces
-  /// a disp8 even at zero; index rax never needs REX.X.
-  void op_mem(u8 pfx, bool w, std::initializer_list<u8> ops, u8 reg) {
+  /// Records the instruction that starts here as the fault site of the
+  /// pending guest access (see guest_access), if any.
+  void fault_site_here() {
     if (fault_len != 0) {
       fault_sites.push_back({u32(code.size()), fault_len});
       fault_len = 0;
     }
+  }
+
+  /// op reg, [r13 + rax] — the linear-memory access form. r13&7 == 5 forces
+  /// a disp8 even at zero; index rax never needs REX.X.
+  void op_mem(u8 pfx, bool w, std::initializer_list<u8> ops, u8 reg) {
+    fault_site_here();
     if (pfx) b1(pfx);
     b1(u8(0x40 | (w ? 8 : 0) | ((reg >> 3) << 2) | 1));  // REX.B = r13
     for (u8 o : ops) b1(o);
@@ -922,13 +927,6 @@ struct Emitter {
     bs({0xFF, 0xD0});
   }
 
-  /// Reload r13/r15 from the {base,size} pair a memory-state helper returned
-  /// in rax:rdx (memory may have grown or been touched by a callee).
-  void reload_mem() {
-    op_rr(0, true, {0x89}, RAX, R13);  // mov r13, rax
-    op_rr(0, true, {0x89}, RDX, R15);  // mov r15, rdx
-  }
-
   // --- effective addresses ------------------------------------------------------
 
   /// rax = u64(r[base_slot].u32) + imm. rcx is clobbered for 64-bit imms.
@@ -956,16 +954,6 @@ struct Emitter {
     }
   }
 
-  /// Bounds check for atomics: ja to an out-of-line stub when rax + len >
-  /// r15. rax is the u64 effective address (< 2^33, so rax + len cannot
-  /// wrap). The stub calls h_trap_oob(rax, len, r15) for a byte-identical
-  /// check() message.
-  void bounds_check(u32 len) {
-    op_rm(0, true, {0x8D}, RCX, RAX, i64(len));  // lea rcx, [rax + len]
-    op_rr(0, true, {0x39}, R15, RCX);            // cmp rcx, r15
-    trap_jcc(CC_A, JitHelperId::kTrapOob, len);
-  }
-
   /// Makes the next op_mem an unchecked guest access of `len` bytes at
   /// [r13+rax]: it is recorded as a fault site, so an out-of-bounds address
   /// faults in the guard region and resumes at an OOB stub, which finds the
@@ -979,8 +967,8 @@ struct Emitter {
 
   /// Natural-alignment check for atomics: jnz to an out-of-line stub when
   /// the effective address in rax is not a multiple of len. The stub calls
-  /// h_trap_unaligned_atomic(rax, len) for a byte-identical check_atomic
-  /// message.
+  /// h_trap_unaligned_atomic(r14, rax, len), which runs check_atomic, so
+  /// the trap and its message are the interpreter's.
   void align_check(u32 len) {
     if (len == 1) return;
     bs({0xA8, u8(len - 1)});  // test al, len-1
@@ -1019,20 +1007,15 @@ struct Emitter {
     bs({0x53});                    // push rbx
     bs({0x41, 0x54});              // push r12
     bs({0x41, 0x55});              // push r13
-    bs({0x41, 0x56});              // push r14
-    bs({0x41, 0x57});              // push r15
-    bs({0x48, 0x83, 0xEC, 0x08});  // sub rsp, 8 (16-align call sites)
+    bs({0x41, 0x56});              // push r14 (rsp is now 16-aligned)
     op_rm(0, true, {0x8B}, R14, RDI, 0);   // inst
     op_rm(0, true, {0x8B}, RBX, RDI, 8);   // regs
     op_rm(0, true, {0x8B}, R12, RDI, 16);  // globals
     op_rm(0, true, {0x8B}, R13, RDI, 24);  // mem base
-    op_rm(0, true, {0x8B}, R15, RDI, 32);  // mem size
     for (const RegAlloc::Move& m : ra.entry) fill(m.loc, m.slot);
   }
 
   void epilogue() {
-    bs({0x48, 0x83, 0xC4, 0x08});  // add rsp, 8
-    bs({0x41, 0x5F});              // pop r15
     bs({0x41, 0x5E});              // pop r14
     bs({0x41, 0x5D});              // pop r13
     bs({0x41, 0x5C});              // pop r12
@@ -1043,19 +1026,19 @@ struct Emitter {
 
   // --- finalization ------------------------------------------------------------
 
-  /// Out-of-line stub: calls trapping `helper` on the address in rax (or
-  /// the dividend, with the divisor in rcx). The helper raises the
-  /// interpreter's trap and longjmps out: stubs are noreturn and need no
-  /// register writeback.
+  /// Out-of-line stub: calls trapping `helper` on the Instance and the
+  /// address in rax (or on the dividend in rax and the divisor in rcx). The
+  /// helper raises the interpreter's trap and longjmps out: stubs are
+  /// noreturn and need no register writeback.
   void trap_stub(JitHelperId helper, u32 len) {
-    op_rr(0, true, {0x89}, RAX, RDI);  // mov rdi, rax
     if (helper == JitHelperId::kTrapOob ||
         helper == JitHelperId::kTrapUnalignedAtomic) {
-      b1(0xBE);  // mov esi, len
+      op_rr(0, true, {0x89}, R14, RDI);  // mov rdi, r14
+      op_rr(0, true, {0x89}, RAX, RSI);  // mov rsi, rax
+      b1(0xBA);                          // mov edx, len
       i32le(len);
-      if (helper == JitHelperId::kTrapOob)
-        op_rr(0, true, {0x89}, R15, RDX);  // mov rdx, r15 (size)
     } else {
+      op_rr(0, true, {0x89}, RAX, RDI);  // mov rdi, rax
       op_rr(0, true, {0x89}, RCX, RSI);  // mov rsi, rcx (divisor)
     }
     call_helper(helper);
@@ -1423,7 +1406,6 @@ bool Emitter::emit_instr(const RInstr& in) {
       i32le(u32(imm));
       op_rm(0, true, {0x8D}, RDX, RBX, slot(a));  // lea rdx, [argbase]
       call_helper(JitHelperId::kCall);
-      reload_mem();
       return true;
     case ROp::kCallIndirect:
       op_rr(0, true, {0x89}, R14, RDI);
@@ -1433,22 +1415,20 @@ bool Emitter::emit_instr(const RInstr& in) {
       b1(0xB9);  // mov ecx, argc
       i32le(b);
       call_helper(JitHelperId::kCallIndirect);
-      reload_mem();
       return true;
     case ROp::kUnreachable:
       call_helper(JitHelperId::kTrapUnreachable);
       return true;
 
-    case ROp::kMemorySize:
-      op_rr(0, true, {0x89}, R15, RAX);  // mov rax, r15
-      shift_imm(true, 5, RAX, 16);       // shr rax, 16 (bytes -> pages)
+    case ROp::kMemorySize:  // the live size: another thread may have grown it
+      op_rr(0, true, {0x89}, R14, RDI);
+      call_helper(JitHelperId::kMemorySize);
       store32(a, RAX);
       return true;
     case ROp::kMemoryGrow:
       op_rr(0, true, {0x89}, R14, RDI);
       op_rm(0, true, {0x8D}, RSI, RBX, slot(a));  // lea rsi, [slot a]
       call_helper(JitHelperId::kMemoryGrow);
-      reload_mem();
       return true;
     case ROp::kMemoryCopy:
       op_rr(0, true, {0x89}, R14, RDI);
@@ -2025,9 +2005,15 @@ bool Emitter::emit_simd_or_fused(const RInstr& in) {
 
   switch (in.op) {
     // --- splats / lanes ---
+    case ROp::kI8x16Splat:
+    case ROp::kI16x8Splat:
     case ROp::kI32x4Splat:
       op_src(0x66, false, {0x0F, 0x6E}, X0, b);  // movd
-      bs({0x66, 0x0F, 0x70, 0xC0, 0x00});                  // pshufd x0,x0,0
+      if (in.op == ROp::kI8x16Splat)
+        bs({0x66, 0x0F, 0x60, 0xC0});  // punpcklbw x0, x0: byte -> word
+      if (in.op != ROp::kI32x4Splat)
+        bs({0xF2, 0x0F, 0x70, 0xC0, 0x00});  // pshuflw x0,x0,0: word -> dword
+      bs({0x66, 0x0F, 0x70, 0xC0, 0x00});    // pshufd x0,x0,0
       storeaps(a, X0);
       return true;
     case ROp::kI64x2Splat:
@@ -2412,11 +2398,20 @@ bool Emitter::emit_atomic(const RInstr& in) {
   const u32 a = in.a, b = in.b, c = in.c, d = in.d;
   const u64 imm = in.imm;
 
-  // rax = bounds- and alignment-checked effective address.
+  // rax = the alignment-checked effective address. The access that follows
+  // is a fault site like a plain load or store: out of bounds, it faults in
+  // the guard region.
   auto aaddr = [&](u32 base_slot, u32 len) {
     lin_addr(base_slot, imm);
-    bounds_check(len);
     align_check(len);
+    guest_access(len);
+  };
+  // rdi = Instance*, rsi = the effective address, for helpers that run
+  // LinearMemory's checked members.
+  auto helper_addr = [&] {
+    lin_addr(b, imm);
+    op_rr(0, true, {0x89}, RAX, RSI);  // mov rsi, rax
+    op_rr(0, true, {0x89}, R14, RDI);  // mov rdi, r14
   };
   // Narrow old values come back in rcx's low bytes; zero-extend in place.
   auto zext_cl = [&](u32 len) {
@@ -2424,18 +2419,6 @@ bool Emitter::emit_atomic(const RInstr& in) {
       bs({0x0F, 0xB6, 0xC9});  // movzx ecx, cl
     else if (len == 2)
       bs({0x0F, 0xB7, 0xC9});  // movzx ecx, cx
-  };
-  auto store_rcx = [&](bool w) {
-    if (w)
-      store64(a, RCX);
-    else
-      store32(a, RCX);
-  };
-  auto store_rax = [&](bool w) {
-    if (w)
-      store64(a, RAX);
-    else
-      store32(a, RAX);
   };
   // Seq-cst atomic load: on x86 an aligned plain load (narrow: movzx).
   auto a_load = [&](u32 len, bool w) {
@@ -2446,7 +2429,7 @@ bool Emitter::emit_atomic(const RInstr& in) {
       op_mem(0, false, {0x0F, 0xB7}, RCX);
     else
       op_mem(0, len == 8, {0x8B}, RCX);
-    store_rcx(w);
+    st_gpr(a, RCX, w);
   };
   // Seq-cst atomic store: xchg (implicitly locked) supplies the trailing
   // full barrier a plain mov would lack.
@@ -2460,24 +2443,19 @@ bool Emitter::emit_atomic(const RInstr& in) {
   };
   auto a_store = [&](u32 len) {
     aaddr(a, len);
-    if (len == 8)
-      load64(RCX, b);
-    else
-      load32(RCX, b);
+    ld_gpr(RCX, len == 8, b);
     a_xchg_mem(len);
   };
   // rmw add/sub: lock xadd (negate the operand first for sub); the old
-  // value lands in rcx.
+  // value lands in rcx. The fault site starts at the lock prefix.
   auto a_xadd = [&](u32 len, bool w, bool negate) {
     aaddr(b, len);
-    if (len == 8)
-      load64(RCX, c);
-    else
-      load32(RCX, c);
+    ld_gpr(RCX, len == 8, c);
     if (negate) {
       rex_if(len == 8, 0, RCX);
       bs({0xF7, 0xD9});  // neg (r|e)cx
     }
+    fault_site_here();
     b1(0xF0);  // lock
     if (len == 1)
       op_mem(0, false, {0x0F, 0xC0}, RCX);
@@ -2486,65 +2464,37 @@ bool Emitter::emit_atomic(const RInstr& in) {
     else
       op_mem(0, len == 8, {0x0F, 0xC1}, RCX);
     zext_cl(len);
-    store_rcx(w);
+    st_gpr(a, RCX, w);
   };
   auto a_xchg = [&](u32 len, bool w) {
     aaddr(b, len);
-    if (len == 8)
-      load64(RCX, c);
-    else
-      load32(RCX, c);
+    ld_gpr(RCX, len == 8, c);
     a_xchg_mem(len);
     zext_cl(len);
-    store_rcx(w);
+    st_gpr(a, RCX, w);
   };
-  // and/or/xor go through pointer helpers: the template proves the access
-  // in-bounds and aligned, then hands the host address to a cmpxchg loop.
-  auto a_helper_rmw = [&](u32 len, bool w, JitHelperId id) {
-    aaddr(b, len);
-    op_mem(0, true, {0x8D}, RDI);  // lea rdi, [r13 + rax]
-    if (len == 8)
-      load64(RSI, c);
-    else
-      load32(RSI, c);
+  // and/or/xor: (Instance*, addr, v) -> old; cmpxchg passes the
+  // replacement too.
+  auto a_rmw = [&](bool w, JitHelperId id, bool cmpxchg = false) {
+    helper_addr();
+    ld_gpr(RDX, w, c);
+    if (cmpxchg) ld_gpr(RCX, w, d);
     call_helper(id);
-    store_rax(w);
+    st_gpr(a, RAX, w);
   };
-  auto a_cmpxchg = [&](u32 len, bool w, JitHelperId id) {
-    aaddr(b, len);
-    op_mem(0, true, {0x8D}, RDI);
-    if (len == 8) {
-      load64(RSI, c);
-      load64(RDX, d);
-    } else {
-      load32(RSI, c);
-      load32(RDX, d);
-    }
-    call_helper(id);
-    store_rax(w);
-  };
+  auto a_cmpxchg = [&](bool w, JitHelperId id) { a_rmw(w, id, true); };
 
   switch (in.op) {
-    // wait/notify: the helper re-checks bounds/alignment inside the guarded
-    // region (it must hold the parking lock anyway), so the template only
-    // computes the effective address.
     case ROp::kAtomicNotify:
-      lin_addr(b, imm);
-      op_rr(0, true, {0x89}, RAX, RSI);  // mov rsi, rax
-      op_rr(0, true, {0x89}, R14, RDI);  // mov rdi, r14
+      helper_addr();
       load32(RDX, c);
       call_helper(JitHelperId::kAtomicNotify);
       store32(a, RAX);
       return true;
     case ROp::kAtomicWait32:
     case ROp::kAtomicWait64:
-      lin_addr(b, imm);
-      op_rr(0, true, {0x89}, RAX, RSI);
-      op_rr(0, true, {0x89}, R14, RDI);
-      if (in.op == ROp::kAtomicWait64)
-        load64(RDX, c);
-      else
-        load32(RDX, c);
+      helper_addr();
+      ld_gpr(RDX, in.op == ROp::kAtomicWait64, c);
       load64(RCX, d);  // timeout_ns
       call_helper(in.op == ROp::kAtomicWait64 ? JitHelperId::kAtomicWait64
                                               : JitHelperId::kAtomicWait32);
@@ -2586,29 +2536,29 @@ bool Emitter::emit_atomic(const RInstr& in) {
     case ROp::kI64AtomicRmw16SubU: a_xadd(2, true, true); return true;
     case ROp::kI64AtomicRmw32SubU: a_xadd(4, true, true); return true;
 
-    case ROp::kI32AtomicRmwAnd: a_helper_rmw(4, false, JitHelperId::kAtomicAnd32); return true;
-    case ROp::kI64AtomicRmwAnd: a_helper_rmw(8, true, JitHelperId::kAtomicAnd64); return true;
-    case ROp::kI32AtomicRmw8AndU: a_helper_rmw(1, false, JitHelperId::kAtomicAnd8); return true;
-    case ROp::kI32AtomicRmw16AndU: a_helper_rmw(2, false, JitHelperId::kAtomicAnd16); return true;
-    case ROp::kI64AtomicRmw8AndU: a_helper_rmw(1, true, JitHelperId::kAtomicAnd8); return true;
-    case ROp::kI64AtomicRmw16AndU: a_helper_rmw(2, true, JitHelperId::kAtomicAnd16); return true;
-    case ROp::kI64AtomicRmw32AndU: a_helper_rmw(4, true, JitHelperId::kAtomicAnd32); return true;
+    case ROp::kI32AtomicRmwAnd: a_rmw(false, JitHelperId::kAtomicAnd32); return true;
+    case ROp::kI64AtomicRmwAnd: a_rmw(true, JitHelperId::kAtomicAnd64); return true;
+    case ROp::kI32AtomicRmw8AndU: a_rmw(false, JitHelperId::kAtomicAnd8); return true;
+    case ROp::kI32AtomicRmw16AndU: a_rmw(false, JitHelperId::kAtomicAnd16); return true;
+    case ROp::kI64AtomicRmw8AndU: a_rmw(true, JitHelperId::kAtomicAnd8); return true;
+    case ROp::kI64AtomicRmw16AndU: a_rmw(true, JitHelperId::kAtomicAnd16); return true;
+    case ROp::kI64AtomicRmw32AndU: a_rmw(true, JitHelperId::kAtomicAnd32); return true;
 
-    case ROp::kI32AtomicRmwOr: a_helper_rmw(4, false, JitHelperId::kAtomicOr32); return true;
-    case ROp::kI64AtomicRmwOr: a_helper_rmw(8, true, JitHelperId::kAtomicOr64); return true;
-    case ROp::kI32AtomicRmw8OrU: a_helper_rmw(1, false, JitHelperId::kAtomicOr8); return true;
-    case ROp::kI32AtomicRmw16OrU: a_helper_rmw(2, false, JitHelperId::kAtomicOr16); return true;
-    case ROp::kI64AtomicRmw8OrU: a_helper_rmw(1, true, JitHelperId::kAtomicOr8); return true;
-    case ROp::kI64AtomicRmw16OrU: a_helper_rmw(2, true, JitHelperId::kAtomicOr16); return true;
-    case ROp::kI64AtomicRmw32OrU: a_helper_rmw(4, true, JitHelperId::kAtomicOr32); return true;
+    case ROp::kI32AtomicRmwOr: a_rmw(false, JitHelperId::kAtomicOr32); return true;
+    case ROp::kI64AtomicRmwOr: a_rmw(true, JitHelperId::kAtomicOr64); return true;
+    case ROp::kI32AtomicRmw8OrU: a_rmw(false, JitHelperId::kAtomicOr8); return true;
+    case ROp::kI32AtomicRmw16OrU: a_rmw(false, JitHelperId::kAtomicOr16); return true;
+    case ROp::kI64AtomicRmw8OrU: a_rmw(true, JitHelperId::kAtomicOr8); return true;
+    case ROp::kI64AtomicRmw16OrU: a_rmw(true, JitHelperId::kAtomicOr16); return true;
+    case ROp::kI64AtomicRmw32OrU: a_rmw(true, JitHelperId::kAtomicOr32); return true;
 
-    case ROp::kI32AtomicRmwXor: a_helper_rmw(4, false, JitHelperId::kAtomicXor32); return true;
-    case ROp::kI64AtomicRmwXor: a_helper_rmw(8, true, JitHelperId::kAtomicXor64); return true;
-    case ROp::kI32AtomicRmw8XorU: a_helper_rmw(1, false, JitHelperId::kAtomicXor8); return true;
-    case ROp::kI32AtomicRmw16XorU: a_helper_rmw(2, false, JitHelperId::kAtomicXor16); return true;
-    case ROp::kI64AtomicRmw8XorU: a_helper_rmw(1, true, JitHelperId::kAtomicXor8); return true;
-    case ROp::kI64AtomicRmw16XorU: a_helper_rmw(2, true, JitHelperId::kAtomicXor16); return true;
-    case ROp::kI64AtomicRmw32XorU: a_helper_rmw(4, true, JitHelperId::kAtomicXor32); return true;
+    case ROp::kI32AtomicRmwXor: a_rmw(false, JitHelperId::kAtomicXor32); return true;
+    case ROp::kI64AtomicRmwXor: a_rmw(true, JitHelperId::kAtomicXor64); return true;
+    case ROp::kI32AtomicRmw8XorU: a_rmw(false, JitHelperId::kAtomicXor8); return true;
+    case ROp::kI32AtomicRmw16XorU: a_rmw(false, JitHelperId::kAtomicXor16); return true;
+    case ROp::kI64AtomicRmw8XorU: a_rmw(true, JitHelperId::kAtomicXor8); return true;
+    case ROp::kI64AtomicRmw16XorU: a_rmw(true, JitHelperId::kAtomicXor16); return true;
+    case ROp::kI64AtomicRmw32XorU: a_rmw(true, JitHelperId::kAtomicXor32); return true;
 
     case ROp::kI32AtomicRmwXchg: a_xchg(4, false); return true;
     case ROp::kI64AtomicRmwXchg: a_xchg(8, true); return true;
@@ -2618,13 +2568,13 @@ bool Emitter::emit_atomic(const RInstr& in) {
     case ROp::kI64AtomicRmw16XchgU: a_xchg(2, true); return true;
     case ROp::kI64AtomicRmw32XchgU: a_xchg(4, true); return true;
 
-    case ROp::kI32AtomicRmwCmpxchg: a_cmpxchg(4, false, JitHelperId::kAtomicCmpxchg32); return true;
-    case ROp::kI64AtomicRmwCmpxchg: a_cmpxchg(8, true, JitHelperId::kAtomicCmpxchg64); return true;
-    case ROp::kI32AtomicRmw8CmpxchgU: a_cmpxchg(1, false, JitHelperId::kAtomicCmpxchg8); return true;
-    case ROp::kI32AtomicRmw16CmpxchgU: a_cmpxchg(2, false, JitHelperId::kAtomicCmpxchg16); return true;
-    case ROp::kI64AtomicRmw8CmpxchgU: a_cmpxchg(1, true, JitHelperId::kAtomicCmpxchg8); return true;
-    case ROp::kI64AtomicRmw16CmpxchgU: a_cmpxchg(2, true, JitHelperId::kAtomicCmpxchg16); return true;
-    case ROp::kI64AtomicRmw32CmpxchgU: a_cmpxchg(4, true, JitHelperId::kAtomicCmpxchg32); return true;
+    case ROp::kI32AtomicRmwCmpxchg: a_cmpxchg(false, JitHelperId::kAtomicCmpxchg32); return true;
+    case ROp::kI64AtomicRmwCmpxchg: a_cmpxchg(true, JitHelperId::kAtomicCmpxchg64); return true;
+    case ROp::kI32AtomicRmw8CmpxchgU: a_cmpxchg(false, JitHelperId::kAtomicCmpxchg8); return true;
+    case ROp::kI32AtomicRmw16CmpxchgU: a_cmpxchg(false, JitHelperId::kAtomicCmpxchg16); return true;
+    case ROp::kI64AtomicRmw8CmpxchgU: a_cmpxchg(true, JitHelperId::kAtomicCmpxchg8); return true;
+    case ROp::kI64AtomicRmw16CmpxchgU: a_cmpxchg(true, JitHelperId::kAtomicCmpxchg16); return true;
+    case ROp::kI64AtomicRmw32CmpxchgU: a_cmpxchg(true, JitHelperId::kAtomicCmpxchg32); return true;
 
     default:
       return false;
@@ -2635,10 +2585,8 @@ bool Emitter::emit_atomic(const RInstr& in) {
 
 bool jit_op_covered(ROp op, u32 cpu_features) {
   switch (op) {
-    // Byte/word splats and the shuffle family need pshufb-style sequences
-    // that aren't worth templating for the HPC kernels this tier targets.
-    case ROp::kI8x16Splat:
-    case ROp::kI16x8Splat:
+    // The shuffle family needs pshufb-style sequences that aren't worth
+    // templating for the HPC kernels this tier targets.
     case ROp::kI8x16Shuffle:
     case ROp::kI8x16Swizzle:
     // Unsigned / non-strict lane compares need bias or min+eq sequences.

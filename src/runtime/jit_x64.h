@@ -8,22 +8,25 @@
 // Register convention:
 //   pinned (System V callee-saved, so helper calls never spill them):
 //     rbx  Slot*  register frame        r13  u8*  linear-memory base
-//     r12  Slot*  globals               r15  u64  linear-memory byte size
-//     r14  Instance*
+//     r12  Slot*  globals               r14  Instance*
 //   template scratch: rax, rcx, rdx, xmm0, xmm1
 //   allocated (caller-saved): rsi, rdi, r8-r11 for i32/i64 values,
 //     xmm2-xmm15 for f32/f64/v128 values
-// Loads and stores have no bounds check. Each forms its u64 effective
-// address in rax and accesses [r13 + rax] with one instruction, listed in
-// the blob's fault-site table (JitBlob::fault_sites): an out-of-bounds
-// access faults in the memory's guard region (memory.h), and the fault
-// handler resumes at an out-of-line stub that passes rax and r15 to the
-// OOB helper, which raises the trap with the interpreter's message. x86 commits no part of a faulting store, so a
-// store straddling the end of memory writes nothing, as in the
-// interpreter. Atomics keep an inline check against r15 ahead of their
-// alignment check. After any kCall/kCallIndirect/kMemoryGrow the templates
-// reload r13/r15 from the helper's {base,size} return pair — exactly the
-// points where memory can move or grow.
+//   r15 is not used.
+// The base never moves (memory.h), so r13 is loaded once in the prologue;
+// no memory size lives in a register. Loads, stores and the inline atomics
+// (load, store, xchg, add/sub) have no bounds check. Each forms its u64
+// effective address in rax and accesses [r13 + rax] with one instruction,
+// listed in the blob's fault-site table (JitBlob::fault_sites): an
+// out-of-bounds access faults in the memory's guard region (memory.h), and
+// the fault handler resumes at an out-of-line stub that passes r14 and rax
+// to the OOB helper, which raises the trap with the interpreter's message
+// and the memory's live size. x86 commits no part of a faulting store, so
+// a store straddling the end of memory writes nothing, as in the
+// interpreter. Inline atomics test alignment first; their stub runs
+// LinearMemory::check_atomic, which reports out-of-bounds before
+// misalignment. memory.size and the other atomics call helpers that ask
+// the LinearMemory, so a page another thread's grow opened is seen at once.
 //
 // Register allocation: each RegCode slot splits into webs (def-use live
 // ranges, built on the optimizer's CFG and liveness). Linear scan over the

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -356,9 +357,24 @@ TEST_P(AtomicsCfgTest, UnalignedAndOutOfBoundsTrapsAgree) {
             TrapKind::kMemoryOutOfBounds);
   EXPECT_EQ(expect_trap([&] { call2(Op::kI64AtomicRmwXchg, 65536, true); }),
             TrapKind::kMemoryOutOfBounds);
+  EXPECT_EQ(expect_trap([&] { call2(Op::kI32AtomicRmwAdd, 65536, false); }),
+            TrapKind::kMemoryOutOfBounds);  // lock-prefixed fault site
+  EXPECT_EQ(
+      expect_trap([&] { call2(Op::kI32AtomicRmw16SubU, 65536, false); }),
+      TrapKind::kMemoryOutOfBounds);
   EXPECT_EQ(expect_trap([&] { call1(Op::kI32AtomicLoad, 65534); }),
             TrapKind::kMemoryOutOfBounds)
       << "4-byte access straddling the memory end";
+  // Both unaligned and out of bounds: bounds are reported first, for
+  // inline and helper-backed atomics alike.
+  EXPECT_EQ(expect_trap([&] { call1(Op::kI32AtomicLoad, 65538); }),
+            TrapKind::kMemoryOutOfBounds);
+  EXPECT_EQ(expect_trap([&] { call2(Op::kI64AtomicStore, 65540, true); }),
+            TrapKind::kMemoryOutOfBounds);
+  EXPECT_EQ(expect_trap([&] { call2(Op::kI32AtomicRmwOr, 65538, false); }),
+            TrapKind::kMemoryOutOfBounds);
+  EXPECT_EQ(expect_trap([&] { call2(Op::kI32AtomicRmwOr, 6, false); }),
+            TrapKind::kUnalignedAtomic);
 }
 
 // ---------------------------------------------------------------------------
@@ -539,8 +555,13 @@ std::string validate_error(ModuleBuilder& b) {
 /// storing the new count after each grow returns. "touch"(limit) sets cell
 /// 4 to announce it is running, polls the count until it reaches `limit`
 /// and, for every page below it, writes and reads back the page's first
-/// and last word with plain (non-atomic) accesses; it returns the number
-/// of read-backs that disagreed.
+/// and last word with plain (non-atomic) accesses, stores the last word
+/// again with i32.atomic.store, reads the first word back with
+/// i32.atomic.rmw.or (a helper-backed op in native code) and reads
+/// memory.size; it returns the number of read-backs that disagreed plus
+/// the number of memory.size reads not above the page. "probe"(addr) sets
+/// cell 12 to announce it is running, waits until cell 8 is nonzero, then
+/// loads from addr.
 std::vector<u8> build_grow_under_load_module() {
   ModuleBuilder b;
   b.add_memory(1, 64, /*has_max=*/true, /*shared=*/true);
@@ -587,11 +608,24 @@ std::vector<u8> build_grow_under_load_module() {
     f.local_get(addr);
     f.local_get(seen);
     f.mem_op(Op::kI32Store, 65532);
+    f.local_get(addr);
+    f.local_get(seen);
+    f.mem_op(Op::kI32AtomicStore, 65532);
     f.local_get(errors);
     f.local_get(addr);
     f.mem_op(Op::kI32Load, 65532);
     f.local_get(seen);
     f.op(Op::kI32Ne);
+    f.op(Op::kI32Add);
+    f.local_get(addr);
+    f.i32_const(0);
+    f.mem_op(Op::kI32AtomicRmwOr);  // the first word's old value
+    f.local_get(seen);
+    f.op(Op::kI32Ne);
+    f.op(Op::kI32Add);
+    f.op(Op::kMemorySize);
+    f.local_get(seen);
+    f.op(Op::kI32LeU);
     f.op(Op::kI32Add);
     f.local_set(errors);
     f.local_get(seen);
@@ -609,15 +643,32 @@ std::vector<u8> build_grow_under_load_module() {
     f.local_get(errors);
     f.end();
   }
+  {
+    auto& f = b.begin_func({{I32}, {I32}}, "probe");
+    f.i32_const(12);
+    f.i32_const(1);
+    f.mem_op(Op::kI32AtomicStore);
+    f.loop();
+    f.i32_const(8);
+    f.mem_op(Op::kI32AtomicLoad);
+    f.op(Op::kI32Eqz);
+    f.br_if(0);
+    f.end();
+    f.local_get(0);
+    f.mem_op(Op::kI32Load);
+    f.end();
+  }
   return b.build();
 }
 
 TEST_P(AtomicsHammerTest, SharedMemoryGrowsUnderLoad) {
   // One guest thread grows the shared memory while another writes and
   // reads the new pages. Once grow has returned, no access below the new
-  // size may trap; at kJit the accesses are native code with no bounds
-  // check, relying on grow to open the pages before it returns. The
-  // growing starts only once "touch" runs, so it entered at one page.
+  // size may trap and memory.size must count the page; at kJit the plain
+  // and inline atomic accesses are native code with no bounds check,
+  // relying on grow to open the pages before it returns, and the rmw and
+  // memory.size ask the memory for its live size. The growing starts only
+  // once "touch" runs, so it entered at one page.
   auto inst = instantiate_cfg(build_grow_under_load_module(), GetParam());
   const rt::CompiledModule& cm = inst->compiled();
   if (cm.tier == EngineTier::kJit) {
@@ -643,6 +694,45 @@ TEST_P(AtomicsHammerTest, SharedMemoryGrowsUnderLoad) {
   EXPECT_EQ(inst->memory().pages(), u32(1 + kRounds));
   EXPECT_EQ(inst->memory().load<u32>(u64(kRounds) * 65536 + 65532),
             u32(kRounds));
+}
+
+TEST_P(AtomicsHammerTest, OobTrapNamesTheLiveSize) {
+  // "probe" enters at one page and waits while the host grows the memory
+  // to two, then loads just past the new end. The trap must name the size
+  // at the time of the access, exactly as the interpreter's check does.
+  auto inst = instantiate_cfg(build_grow_under_load_module(), GetParam());
+  const rt::CompiledModule& cm = inst->compiled();
+  if (cm.tier == EngineTier::kJit) {
+    const rt::RFunc& body =
+        rt::compiled_body(cm, *inst->exported_func("probe"));
+    ASSERT_TRUE(body.jit != nullptr && body.jit->fault_sites > 0);
+  }
+  TrapKind kind = TrapKind::kHostError;
+  std::string what;
+  std::thread prober([&] {
+    Value addr = Value::from_i32(2 * 65536);
+    try {
+      inst->invoke("probe", {&addr, 1});
+    } catch (const Trap& t) {
+      kind = t.kind();
+      what = t.what();
+    }
+  });
+  while (inst->memory().atomic_load<u32>(12) == 0) std::this_thread::yield();
+  EXPECT_EQ(inst->memory().grow(1), 1);
+  inst->memory().atomic_store<u32>(8, 1);
+  prober.join();
+
+  rt::LinearMemory two_pages(2, 2);
+  std::string want;
+  try {
+    two_pages.check(2 * 65536, 4);
+  } catch (const Trap& t) {
+    want = t.what();
+  }
+  EXPECT_EQ(kind, TrapKind::kMemoryOutOfBounds);
+  EXPECT_EQ(what, want);
+  EXPECT_NE(want.find("exceeds memory size 131072"), std::string::npos);
 }
 
 TEST(AtomicsValidation, AtomicOpNeedsSharedMemory) {

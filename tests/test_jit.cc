@@ -1,8 +1,9 @@
 // Native x86-64 JIT tier: correctness, per-function interpreter fallback,
-// trap-point identity with the interpreter, memory.grow base/size reload,
-// the cache v6 native-blob validation chain (feature/layout mismatch ->
-// recompile -> threaded fallback), and the edges of the guard-region fault
-// handler (host faults still kill; no guard region -> executor fallback).
+// trap-point identity with the interpreter, accesses to pages memory.grow
+// opened, the cache v6 native-blob validation chain (feature/layout
+// mismatch -> recompile -> threaded fallback), and the edges of the
+// guard-region fault handler (host faults still kill; no guard region ->
+// executor fallback).
 #include "testlib.h"
 
 #include <sys/resource.h>
@@ -94,11 +95,15 @@ TEST(Jit, JitOffDegradesToOptimizing) {
 }
 
 TEST(Jit, UncoveredOpFallsBackPerFunction) {
-  // i8x16.splat has no template; the function must run through the threaded
-  // interpreter and still produce the right answer, counted as a fallback.
+  // i8x16.swizzle has no template; the function must run through the
+  // threaded interpreter and still produce the right answer, counted as a
+  // fallback.
   auto bytes = build_single_func({{I32}, {I32}}, [](auto& f) {
     f.local_get(0);
     f.op(Op::kI8x16Splat);
+    f.i32_const(0);
+    f.op(Op::kI8x16Splat);
+    f.op(Op::kI8x16Swizzle);  // every lane picks lane 0
     f.lane_op(Op::kI8x16ExtractLaneU, 3);
     f.end();
   });
@@ -120,6 +125,9 @@ TEST(Jit, MixedModuleCompilesCoveredKeepsRest) {
   auto& g = b.begin_func({{I32}, {I32}}, "splat3");
   g.local_get(0);
   g.op(Op::kI8x16Splat);
+  g.i32_const(0);
+  g.op(Op::kI8x16Splat);
+  g.op(Op::kI8x16Swizzle);  // no template
   g.lane_op(Op::kI8x16ExtractLaneU, 3);
   g.end();
   auto& f = b.begin_func({{I32, I32}, {I32}}, "run");
@@ -463,9 +471,10 @@ TEST(Jit, DivTrapsMatchInterp) {
   EXPECT_EQ(run_div(jit, names[0], false, 42, 6).value, 7);
 }
 
-TEST(Jit, MemoryGrowReloadsBaseAndSize) {
+TEST(Jit, MemoryGrowOpensPagesForNativeAccesses) {
   // grow(+1), then store/load at an address that was OOB before the grow:
-  // the native code must pick up the new base and size from the helper.
+  // the base never moves and native code holds no size, so the accesses
+  // land in the pages grow opened with nothing reloaded.
   auto bytes = build_single_func({{}, {I32}}, [](auto& f) {
     u32 old_pages = f.add_local(ValType::kI32);
     f.i32_const(1);
@@ -538,36 +547,44 @@ TEST(Jit, CacheRoundTripsNativeBlob) {
 }
 
 TEST(Jit, CacheBlobWithWrongLayoutHashIsRecompiledNotInstalled) {
-  auto dir = fresh_cache_dir();
-  auto bytes = arith_module();
-  EngineConfig cfg = jit_config();
-  cfg.enable_cache = true;
-  cfg.cache_dir = dir;
-  rt::compile({bytes.data(), bytes.size()}, cfg);
+  // Stale hashes: one bit off the current one, and the hash every blob of
+  // codegen v4 carries (r15 pinned to the memory size, JitEnv::mem_size,
+  // 63 helpers returning {base,size}); its code would run wrong here.
+  const u64 kCodegenV4Hash = 0x39eba986742a0c14;
+  for (const u64 stale : {rt::jit_layout_hash() ^ 0x1, kCodegenV4Hash}) {
+    SCOPED_TRACE(stale);
+    auto dir = fresh_cache_dir();
+    auto bytes = arith_module();
+    EngineConfig cfg = jit_config();
+    cfg.enable_cache = true;
+    cfg.cache_dir = dir;
+    rt::compile({bytes.data(), bytes.size()}, cfg);
 
-  // Flip the layout hash AND poison the machine code: if the engine ever
-  // installed this blob instead of rejecting it, `run` would return without
-  // computing the result (0xC3 = ret) and the assertion below would fail.
-  mutate_cache_entry(dir, [](rt::RModule& rm) {
-    ASSERT_NE(rm.funcs[0].jit, nullptr);
-    auto blob = std::make_shared<rt::JitBlob>(*rm.funcs[0].jit);
-    blob->layout_hash ^= 0x1;
-    std::fill(blob->code.begin(), blob->code.end(), u8(0xC3));
-    blob->relocs.clear();
-    rm.funcs[0].jit = std::move(blob);
-  });
+    // Stamp the stale hash AND poison the machine code: if the engine ever
+    // installed this blob instead of rejecting it, `run` would return
+    // without computing the result (0xC3 = ret) and the assertion below
+    // would fail.
+    mutate_cache_entry(dir, [stale](rt::RModule& rm) {
+      ASSERT_NE(rm.funcs[0].jit, nullptr);
+      auto blob = std::make_shared<rt::JitBlob>(*rm.funcs[0].jit);
+      blob->layout_hash = stale;
+      std::fill(blob->code.begin(), blob->code.end(), u8(0xC3));
+      blob->relocs.clear();
+      rm.funcs[0].jit = std::move(blob);
+    });
 
-  auto warm = rt::compile({bytes.data(), bytes.size()}, cfg);
-  EXPECT_TRUE(warm->loaded_from_cache);  // RegCode part is still valid
-  EXPECT_EQ(warm->jit_funcs.load(), 0u) << "installed on first call";
-  rt::ImportTable imports;
-  rt::Instance inst(warm, imports);
-  EXPECT_EQ(inst.invoke("run", std::vector<Value>{Value::from_i32(6),
-                                                  Value::from_i32(7)})
-                .as_i32(),
-            47);
-  EXPECT_EQ(warm->jit_funcs.load(), 1u) << "stale blob must be recompiled";
-  fs::remove_all(dir);
+    auto warm = rt::compile({bytes.data(), bytes.size()}, cfg);
+    EXPECT_TRUE(warm->loaded_from_cache);  // RegCode part is still valid
+    EXPECT_EQ(warm->jit_funcs.load(), 0u) << "installed on first call";
+    rt::ImportTable imports;
+    rt::Instance inst(warm, imports);
+    EXPECT_EQ(inst.invoke("run", std::vector<Value>{Value::from_i32(6),
+                                                    Value::from_i32(7)})
+                  .as_i32(),
+              47);
+    EXPECT_EQ(warm->jit_funcs.load(), 1u) << "stale blob must be recompiled";
+    fs::remove_all(dir);
+  }
 }
 
 TEST(Jit, CacheBlobWithUnknownCpuFeatureIsRecompiledNotInstalled) {
@@ -605,12 +622,15 @@ TEST(Jit, CacheBlobWithUnknownCpuFeatureIsRecompiledNotInstalled) {
 TEST(Jit, InvalidBlobOnUncompilableFunctionFallsBackToThreaded) {
   // An uncovered-op function never gets a blob; graft a stale one onto its
   // cache entry. The engine must reject it (layout mismatch), fail the
-  // recompile (no template for i8x16.splat), and silently run the function
-  // through the threaded interpreter.
+  // recompile (no template for i8x16.swizzle), and silently run the
+  // function through the threaded interpreter.
   auto dir = fresh_cache_dir();
   auto bytes = build_single_func({{I32}, {I32}}, [](auto& f) {
     f.local_get(0);
     f.op(Op::kI8x16Splat);
+    f.i32_const(0);
+    f.op(Op::kI8x16Splat);
+    f.op(Op::kI8x16Swizzle);
     f.lane_op(Op::kI8x16ExtractLaneU, 0);
     f.end();
   });

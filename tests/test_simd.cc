@@ -548,8 +548,26 @@ TEST(SimdDifferential, ShuffleSwizzleBitselect) {
 }
 
 TEST(SimdDifferential, SplatsExtractReplace) {
-  // i16x8.splat + both extract widths (s/u) + replace on every shape.
+  // i8x16/i16x8.splat of a value with junk above the lane, every lane
+  // checked; i16x8.splat + both extract widths (s/u) + replace on every
+  // shape.
   for_each_mode([&](const EngineConfig& cfg) {
+    for (Op op : {Op::kI8x16Splat, Op::kI16x8Splat}) {
+      auto bytes = build_single_func({{I32}, {}}, [&](auto& f) {
+        f.i32_const(i32(kOut));
+        f.local_get(0);
+        f.op(op);
+        f.mem_op(Op::kV128Store);
+        f.end();
+      });
+      V128 got = run_v128(bytes, cfg, V128{}, V128{}, V128{},
+                          {Value::from_i32(i32(0xDEADBEEF))});
+      for (int i = 0; i < 16; ++i)
+        EXPECT_EQ(got.bytes[i], op == Op::kI8x16Splat ? 0xEF
+                                : i % 2 == 0          ? 0xEF
+                                                      : 0xBE)
+            << "byte " << i << " under " << config_label(cfg);
+    }
     {
       auto bytes = build_single_func({{I32}, {I32}}, [&](auto& f) {
         f.local_get(0);
@@ -806,9 +824,7 @@ TEST(SimdKernels, HpcgSimdResidualMatchesMirroredNative) {
 // ---------------------------------------------------------------------------
 
 std::vector<u8> v128_store_loop_module(u32 base) {
-  // run(n): for (i = 0; i < n; i += 16) mem[base + i] = i8x16.splat(i),
-  // spelled i32x4.splat((i & 0xFF) * 0x01010101), which the jit has a
-  // template for, so the loop runs as native code at kJit.
+  // run(n): for (i = 0; i < n; i += 16) mem[base + i] = i8x16.splat(i).
   return build_single_func({{I32}, {}}, [&](auto& f) {
     u32 i = f.add_local(I32);
     f.for_loop_i32(i, 0, 0 /*limit = param*/, 16, [&] {
@@ -816,11 +832,7 @@ std::vector<u8> v128_store_loop_module(u32 base) {
       f.local_get(i);
       f.op(Op::kI32Add);
       f.local_get(i);
-      f.i32_const(0xFF);
-      f.op(Op::kI32And);
-      f.i32_const(0x01010101);
-      f.op(Op::kI32Mul);
-      f.op(Op::kI32x4Splat);
+      f.op(Op::kI8x16Splat);
       f.mem_op(Op::kV128Store);
     });
     f.end();
