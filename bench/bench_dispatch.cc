@@ -1,41 +1,43 @@
 // bench_dispatch: the execution-core perf trajectory.
 //
-// Measures the executor optimizations separately and combined, per kernel:
-//   prepr    — portable switch dispatch, no superinstructions: the
-//              closest in-tree proxy for the pre-optimization executor
-//              (the always-on core-pipeline improvements — lowering-time
-//              imm fusion, FMA, cmp+branch, dest sinking — remain active,
-//              so it under-reports the true vs-history gain)
-//   switch   — switch dispatch + superinstructions
-//   threaded — computed-goto dispatch, plain pipeline
-//   full     — computed-goto + superinstructions (the optimizing-tier
-//              default)
-//   jit      — native x86-64 template codegen over the full pipeline
-//              (EngineTier::kJit)
+// Measures dispatch and native codegen separately, per kernel, all over the
+// optimizing pipeline's RegCode:
+//   switch   — the portable switch loop (set_dispatch_force_switch): the
+//              reference dispatch
+//   threaded — computed-goto dispatch (the kOptimizing default)
+//   jit      — native x86-64 template codegen (EngineTier::kJit)
 //
 // The executor columns check every memory access; the jit column checks
 // none and leaves out-of-bounds accesses to the guard region.
 //
+// Each cell is the median over rounds, with its interquartile range. A round
+// samples every config once, in an order rotated by one per round, so slow
+// drift of the host (frequency, neighbours) lands on all columns alike. A
+// micro-kernel sample is the mean of a few calls; a toolchain-kernel sample
+// is one 2-rank embedder run.
+//
 // Output: a table on stdout and a machine-readable BENCH_exec.json (path
 // via --out), so the perf trajectory of the executor is tracked in-repo.
-// --smoke shrinks problem sizes for CI (keeps the perf code compiling and
-// running, not a measurement) and additionally asserts that the jit column
-// actually ran native code.
+// --smoke shrinks problem sizes and rounds for CI (keeps the perf code
+// compiling and running, not a measurement) and additionally asserts that
+// the jit column actually ran native code.
 //
-// Acceptance targets (enforced on non-smoke runs, exit 1 on miss):
-//   geomean(full / prepr) >= 1.3x
-//   geomean(jit / full)   >= 3.0x
-// Soft check (warns, never fails): full >= threaded per kernel — fusion
-// must not lose to the plain pipeline anywhere.
+// Acceptance targets (enforced on non-smoke runs, exit 1 on miss), over the
+// per-kernel medians:
+//   geomean(threaded / switch) >= 1.3x
+//   geomean(jit / threaded)    >= 3.0x
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "runtime/exec.h"
+#include "support/stats.h"
 #include "support/timing.h"
 #include "wasm/builder.h"
 
@@ -49,24 +51,21 @@ namespace {
 struct ExecConfig {
   const char* name;
   bool force_switch;
-  bool fused;  // superinstructions
-  bool jit;    // native codegen (EngineTier::kJit)
+  bool jit;  // native codegen (EngineTier::kJit)
 };
 
-constexpr size_t kNumConfigs = 5;
+constexpr size_t kNumConfigs = 3;
+constexpr size_t kSwitch = 0, kThreaded = 1, kJitCol = 2;
 const ExecConfig kConfigs[kNumConfigs] = {
-    {"prepr", true, false, false},
-    {"switch", true, true, false},
-    {"threaded", false, false, false},
-    {"full", false, true, false},
-    {"jit", false, true, true},
+    {"switch", true, false},
+    {"threaded", false, false},
+    {"jit", false, true},
 };
 
 rt::EngineConfig engine_for(const ExecConfig& c) {
   rt::EngineConfig cfg;
   cfg.tier = c.jit ? rt::EngineTier::kJit : rt::EngineTier::kOptimizing;
   cfg.jit = c.jit;
-  cfg.opt_superinstructions = c.fused;
   return cfg;
 }
 
@@ -148,58 +147,90 @@ std::vector<u8> daxpy_module() {
   return b.build();
 }
 
-/// Steady-state seconds per call for a single-function micro module.
-/// `jit_funcs_out` (optional) receives the module's native-function count.
-f64 time_micro(const std::vector<u8>& bytes, const rt::EngineConfig& engine,
-               i32 n, int warm, int timed, u64* jit_funcs_out = nullptr) {
+/// Takes one timing sample of one kernel under one config, in seconds.
+using Sampler = std::function<f64()>;
+
+/// Compiles a single-function micro module, warms it up, and returns a
+/// sampler timing the mean of `calls` steady-state calls. `jit_funcs_out`
+/// (optional) receives the module's native-function count.
+Sampler micro_sampler(const std::vector<u8>& bytes,
+                      const rt::EngineConfig& engine, i32 n, int warm,
+                      int calls, u64* jit_funcs_out = nullptr) {
   auto cm = rt::compile({bytes.data(), bytes.size()}, engine);
   if (jit_funcs_out != nullptr) *jit_funcs_out = cm->jit_funcs.load();
-  rt::ImportTable imports;
-  rt::Instance inst(cm, imports);
+  auto inst = std::make_shared<rt::Instance>(cm, rt::ImportTable{});
   auto arg = rt::Value::from_i32(n);
-  for (int k = 0; k < warm; ++k) inst.invoke("run", {&arg, 1});
-  Stopwatch watch;
-  for (int k = 0; k < timed; ++k) inst.invoke("run", {&arg, 1});
-  return watch.elapsed_s() / timed;
+  for (int k = 0; k < warm; ++k) inst->invoke("run", {&arg, 1});
+  return [inst, arg, calls]() mutable {
+    Stopwatch watch;
+    for (int k = 0; k < calls; ++k) inst->invoke("run", {&arg, 1});
+    return watch.elapsed_s() / calls;
+  };
 }
 
-/// Wall seconds for a toolchain kernel through the embedder. The embedder
-/// run is a multi-rank threaded world, so a single wall measurement is at
-/// the mercy of the scheduler; take the min over `reps` runs (after one
-/// unmeasured warmup that also populates the in-process page cache and the
-/// tier pipeline) so config-vs-config comparisons reflect execution cost,
-/// not thread-placement luck.
-f64 time_kernel(const std::vector<u8>& bytes, const rt::EngineConfig& engine,
-                int ranks, int reps, u64* jit_funcs_out = nullptr) {
+/// Compiles a toolchain kernel once and returns a sampler timing one
+/// `ranks`-rank embedder run (wall seconds). One unmeasured run first warms
+/// the page cache and the tier pipeline.
+Sampler kernel_sampler(const std::vector<u8>& bytes,
+                       const rt::EngineConfig& engine, int ranks,
+                       u64* jit_funcs_out = nullptr) {
+  auto collector = std::make_shared<ReportCollector>();
   embed::EmbedderConfig ec;
   ec.engine = engine;
-  ReportCollector collector;
-  ec.extra_imports = collector.hook();
-  embed::Embedder emb(ec);
-  auto cm = emb.compile({bytes.data(), bytes.size()});
-  f64 best = 0;
-  for (int k = 0; k <= reps; ++k) {  // k==0 is the warmup
-    auto result = emb.run_world(cm, ranks);
+  ec.extra_imports = collector->hook();
+  auto emb = std::make_shared<embed::Embedder>(ec);
+  auto cm = emb->compile({bytes.data(), bytes.size()});
+  Sampler run = [collector, emb, cm, ranks, jit_funcs_out] {
+    auto result = emb->run_world(cm, ranks);
     MW_CHECK(result.exit_code == 0, "kernel failed");
     if (jit_funcs_out != nullptr) *jit_funcs_out = result.tierup.jit_funcs;
-    if (k > 0 && (best == 0 || result.wall_seconds < best))
-      best = result.wall_seconds;
-  }
-  return best;
+    return result.wall_seconds;
+  };
+  run();
+  return run;
 }
+
+/// Median and quartiles of one config's samples.
+struct Cell {
+  f64 median = 0, q1 = 0, q3 = 0;
+};
 
 struct Row {
   std::string name;
-  f64 seconds[kNumConfigs] = {0, 0, 0, 0, 0};  // parallel to kConfigs
+  Cell cells[kNumConfigs];  // parallel to kConfigs
   u64 jit_funcs = 0;  // native functions in the jit-config module
-  f64 speedup() const { return seconds[3] > 0 ? seconds[0] / seconds[3] : 0; }
+  f64 speedup() const {
+    return cells[kThreaded].median > 0
+               ? cells[kSwitch].median / cells[kThreaded].median
+               : 0;
+  }
   f64 jit_speedup() const {
-    return seconds[4] > 0 ? seconds[3] / seconds[4] : 0;
+    return cells[kJitCol].median > 0
+               ? cells[kThreaded].median / cells[kJitCol].median
+               : 0;
   }
 };
 
+/// Samples every config once per round, starting each round one config
+/// later than the last, and reduces each config's samples to a Cell.
+void measure(Row& row, const Sampler (&samplers)[kNumConfigs], int rounds) {
+  std::vector<f64> samples[kNumConfigs];
+  for (int r = 0; r < rounds; ++r) {
+    for (size_t k = 0; k < kNumConfigs; ++k) {
+      const size_t c = (size_t(r) + k) % kNumConfigs;
+      rt::set_dispatch_force_switch(kConfigs[c].force_switch);
+      samples[c].push_back(samplers[c]());
+    }
+  }
+  rt::set_dispatch_force_switch(false);
+  for (size_t c = 0; c < kNumConfigs; ++c)
+    row.cells[c] = {percentile(samples[c], 50), percentile(samples[c], 25),
+                    percentile(samples[c], 75)};
+}
+
 void write_json(const std::string& path, const std::vector<Row>& rows,
-                f64 geomean, f64 jit_geomean, bool smoke) {
+                f64 geomean, f64 jit_geomean, bool smoke, int micro_rounds,
+                int micro_calls, int kernel_rounds) {
   FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -207,33 +238,39 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
   }
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"bench\": \"bench_dispatch\",\n");
-  std::fprintf(out, "  \"schema\": 2,\n");
+  std::fprintf(out, "  \"schema\": 3,\n");
   std::fprintf(out, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(out, "  \"host_hw_concurrency\": %u,\n",
                unsigned(std::thread::hardware_concurrency()));
   std::fprintf(out, "  \"tier\": \"optimizing (+jit column at tier jit)\",\n");
   std::fprintf(out,
-               "  \"configs\": [\"prepr\", \"switch\", \"threaded\", "
-               "\"full\", \"jit\"],\n");
+               "  \"configs\": [\"switch\", \"threaded\", \"jit\"],\n");
+  std::fprintf(out,
+               "  \"sampling\": {\"micro_rounds\": %d, "
+               "\"micro_calls_per_sample\": %d, \"kernel_rounds\": %d},\n",
+               micro_rounds, micro_calls, kernel_rounds);
   std::fprintf(out, "  \"kernels\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
+    std::fprintf(out, "    {\"name\": \"%s\", \"seconds\": {", r.name.c_str());
+    for (size_t c = 0; c < kNumConfigs; ++c) {
+      const Cell& cell = r.cells[c];
+      std::fprintf(out, "%s\"%s\": {\"median\": %.9f, \"iqr\": [%.9f, %.9f]}",
+                   c > 0 ? ", " : "", kConfigs[c].name, cell.median, cell.q1,
+                   cell.q3);
+    }
     std::fprintf(out,
-                 "    {\"name\": \"%s\", \"seconds\": {\"prepr\": %.9f, "
-                 "\"switch\": %.9f, \"threaded\": %.9f, \"full\": %.9f, "
-                 "\"jit\": %.9f}, \"jit_funcs\": %llu, "
-                 "\"speedup_full_vs_prepr\": %.3f, "
-                 "\"speedup_jit_vs_full\": %.3f, "
-                 "\"full_not_slower_than_threaded\": %s}%s\n",
-                 r.name.c_str(), r.seconds[0], r.seconds[1], r.seconds[2],
-                 r.seconds[3], r.seconds[4], (unsigned long long)r.jit_funcs,
-                 r.speedup(), r.jit_speedup(),
-                 r.seconds[3] <= r.seconds[2] * 1.02 ? "true" : "false",
+                 "}, \"jit_funcs\": %llu, "
+                 "\"speedup_threaded_vs_switch\": %.3f, "
+                 "\"speedup_jit_vs_threaded\": %.3f}%s\n",
+                 (unsigned long long)r.jit_funcs, r.speedup(), r.jit_speedup(),
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
-  std::fprintf(out, "  \"geomean_speedup_full_vs_prepr\": %.3f,\n", geomean);
-  std::fprintf(out, "  \"geomean_speedup_jit_vs_full\": %.3f\n", jit_geomean);
+  std::fprintf(out, "  \"geomean_speedup_threaded_vs_switch\": %.3f,\n",
+               geomean);
+  std::fprintf(out, "  \"geomean_speedup_jit_vs_threaded\": %.3f\n",
+               jit_geomean);
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("\nwrote %s\n", path.c_str());
@@ -250,7 +287,7 @@ int main(int argc, char** argv) {
       out_path = argv[++i];
   }
 
-  print_banner("Executor dispatch / bounds-check / fusion trajectory");
+  print_banner("Executor dispatch / native codegen trajectory");
 
   struct Micro {
     const char* name;
@@ -263,7 +300,9 @@ int main(int argc, char** argv) {
   micros.push_back({"micro_stream_scale", stream_scale_module(),
                     smoke ? 5000 : 200000});
   micros.push_back({"micro_daxpy", daxpy_module(), smoke ? 5000 : 200000});
-  const int warm = smoke ? 2 : 8, timed = smoke ? 3 : 32;
+  const int warm = smoke ? 2 : 8;
+  const int micro_rounds = smoke ? 3 : 21, micro_calls = smoke ? 1 : 8;
+  const int kernel_rounds = smoke ? 2 : 15;
 
   toolchain::HpcgParams hpcg;
   hpcg.n_per_rank = smoke ? 64 : 4096;
@@ -287,57 +326,46 @@ int main(int argc, char** argv) {
   for (const auto& m : micros) {
     Row row;
     row.name = m.name;
-    for (size_t c = 0; c < kNumConfigs; ++c) {
-      rt::set_dispatch_force_switch(kConfigs[c].force_switch);
-      row.seconds[c] =
-          time_micro(m.bytes, engine_for(kConfigs[c]), m.n, warm, timed,
-                     kConfigs[c].jit ? &row.jit_funcs : nullptr);
-    }
-    rt::set_dispatch_force_switch(false);
+    Sampler samplers[kNumConfigs];
+    for (size_t c = 0; c < kNumConfigs; ++c)
+      samplers[c] = micro_sampler(m.bytes, engine_for(kConfigs[c]), m.n, warm,
+                                  micro_calls,
+                                  kConfigs[c].jit ? &row.jit_funcs : nullptr);
+    measure(row, samplers, micro_rounds);
     rows.push_back(std::move(row));
   }
   for (const auto& k : kernels) {
     Row row;
     row.name = k.name;
-    for (size_t c = 0; c < kNumConfigs; ++c) {
-      rt::set_dispatch_force_switch(kConfigs[c].force_switch);
-      row.seconds[c] =
-          time_kernel(k.bytes, engine_for(kConfigs[c]), 2, smoke ? 1 : 3,
-                      kConfigs[c].jit ? &row.jit_funcs : nullptr);
-    }
-    rt::set_dispatch_force_switch(false);
+    Sampler samplers[kNumConfigs];
+    for (size_t c = 0; c < kNumConfigs; ++c)
+      samplers[c] = kernel_sampler(k.bytes, engine_for(kConfigs[c]), 2,
+                                   kConfigs[c].jit ? &row.jit_funcs : nullptr);
+    measure(row, samplers, kernel_rounds);
     rows.push_back(std::move(row));
   }
 
-  print_subhead("seconds per run (optimizing tier + jit)");
-  std::printf("%-20s %12s %12s %12s %12s %12s %9s %9s\n", "kernel", "prepr",
-              "switch", "threaded", "full", "jit", "full/pre", "jit/full");
+  print_subhead("seconds per run: median [q1, q3] (optimizing tier + jit)");
+  std::printf("%-19s %-28s %-28s %-28s %8s %8s\n", "kernel", "switch",
+              "threaded", "jit", "thr/sw", "jit/thr");
   f64 log_sum = 0, jit_log_sum = 0;
   for (const Row& r : rows) {
-    std::printf("%-20s %12.6f %12.6f %12.6f %12.6f %12.6f %8.2fx %8.2fx\n",
-                r.name.c_str(), r.seconds[0], r.seconds[1], r.seconds[2],
-                r.seconds[3], r.seconds[4], r.speedup(), r.jit_speedup());
+    std::printf("%-19s", r.name.c_str());
+    for (const Cell& cell : r.cells)
+      std::printf(" %.6f [%.6f,%.6f]", cell.median, cell.q1, cell.q3);
+    std::printf(" %7.2fx %7.2fx\n", r.speedup(), r.jit_speedup());
     log_sum += std::log(r.speedup());
     jit_log_sum += std::log(r.jit_speedup());
   }
   f64 geomean = std::exp(log_sum / f64(rows.size()));
   f64 jit_geomean = std::exp(jit_log_sum / f64(rows.size()));
-  std::printf("\n  => geomean speedup full vs plain-switch executor: %.2fx "
+  std::printf("\n  => geomean speedup threaded vs switch: %.2fx "
               "(target >= 1.30x)\n", geomean);
-  std::printf("  => geomean speedup jit vs full: %.2fx (target >= 3.00x)\n",
+  std::printf("  => geomean speedup jit vs threaded: %.2fx (target >= 3.00x)\n",
               jit_geomean);
 
-  // Soft check: fusion must not lose to the plain threaded pipeline on any
-  // kernel (2% noise allowance). Warns only — timing jitter on shared CI
-  // boxes must not flake the build.
-  for (const Row& r : rows) {
-    if (r.seconds[3] > r.seconds[2] * 1.02)
-      std::printf("  !! soft check: full (%.6fs) slower than threaded "
-                  "(%.6fs) on %s\n",
-                  r.seconds[3], r.seconds[2], r.name.c_str());
-  }
-
-  write_json(out_path, rows, geomean, jit_geomean, smoke);
+  write_json(out_path, rows, geomean, jit_geomean, smoke, micro_rounds,
+             micro_calls, kernel_rounds);
 
   if (smoke) {
     // Smoke mode asserts the jit column genuinely ran native code.
@@ -353,12 +381,12 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (geomean < 1.30) {
-    std::fprintf(stderr, "FAIL: full-vs-prepr geomean %.2fx below 1.30x\n",
+    std::fprintf(stderr, "FAIL: threaded-vs-switch geomean %.2fx below 1.30x\n",
                  geomean);
     return 1;
   }
   if (jit_geomean < 3.0) {
-    std::fprintf(stderr, "FAIL: jit-vs-full geomean %.2fx below 3.00x\n",
+    std::fprintf(stderr, "FAIL: jit-vs-threaded geomean %.2fx below 3.00x\n",
                  jit_geomean);
     return 1;
   }

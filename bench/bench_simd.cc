@@ -6,7 +6,7 @@
 //   scalar      — the scalar inner loop
 //   simd_plain  — the v128 inner loop with SIMD-aware optimization off
 //                 (EngineConfig::opt_simd = false): v128 ops execute, but
-//                 no v128 fusion / folding / indexed addressing
+//                 no v128 folding / indexed addressing
 //   simd        — the v128 inner loop with the full SIMD pipeline (default)
 //
 // Jangda et al. ("Not So Fast") single out missing vectorization as one of

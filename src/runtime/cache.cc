@@ -57,7 +57,9 @@ constexpr u32 kCacheMagic = 0x4357524D;  // "MRWC"
 // table is the tail of the code bytes): native loads and stores have no
 // inline bounds check, so a blob without its table could not turn a
 // guard-region fault into a trap.
-constexpr u32 kCacheVersion = 10;
+// v11: the load+op, op+store and compare+select forms are gone (ROp
+// renumbered); indexed addressing is the only memory fusion left.
+constexpr u32 kCacheVersion = 11;
 // Whole-module entries: magic, version, function count.
 constexpr size_t kEntryHeaderBytes = 12;
 

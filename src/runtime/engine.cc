@@ -51,16 +51,14 @@ bool threads_enabled_from_env() {
 
 namespace {
 
-/// Cache tag for a compiled artifact. The optimizing tier's ablation flags
-/// change the generated code, so they are part of the key — a warm cache
-/// must never serve fused code to a run that disabled those passes (or
-/// vice versa). Default flags keep the plain tier name.
-std::string cache_tag(EngineTier tier, bool superinstructions, bool simd) {
+/// Cache tag for a compiled artifact. The optimizing tier's SIMD ablation
+/// flag changes the generated code, so it is part of the key — a warm cache
+/// must never serve SIMD-folded code to a run that disabled those rewrites
+/// (or vice versa). The default flag keeps the plain tier name.
+std::string cache_tag(EngineTier tier, bool simd) {
   std::string tag = tier_name(tier);
-  if (tier == EngineTier::kOptimizing || tier == EngineTier::kJit) {
-    if (!superinstructions) tag += "-nosuper";
-    if (!simd) tag += "-nosimd";
-  }
+  if ((tier == EngineTier::kOptimizing || tier == EngineTier::kJit) && !simd)
+    tag += "-nosimd";
   if (!threads_enabled_from_env()) tag += "-nothreads";
   return tag;
 }
@@ -73,9 +71,9 @@ constexpr u64 kCompileChunkBytes = 4 << 10;
 /// Compiles defined function `index` at compiled tier `tier` (kOptimizing
 /// or kJit): lowers and optimizes it, and at kJit generates its native blob
 /// (null on a template gap). kJit sits on top of the full optimizing
-/// pipeline: templates cover the fused superinstructions, so the native
-/// code keeps their wins. Reads only the module, so compile() runs it for
-/// many functions at once; tier_up() runs it for one.
+/// pipeline: templates cover the indexed loads and stores, so the native
+/// code keeps their addressing modes. Reads only the module, so compile()
+/// runs it for many functions at once; tier_up() runs it for one.
 RFunc compile_function(const wasm::Module& m, u32 index, EngineTier tier,
                        const OptOptions& opt) {
   RFunc rf = lower_function(m, index);
@@ -86,8 +84,7 @@ RFunc compile_function(const wasm::Module& m, u32 index, EngineTier tier,
 
 /// The optimizing pipeline's options recorded in `ts`.
 OptOptions opt_options(const TieredState& ts) {
-  return OptOptions{.fuse_super = ts.opt_superinstructions,
-                    .simd = ts.opt_simd};
+  return OptOptions{.simd = ts.opt_simd};
 }
 
 /// Whether a cache-loaded body's frame header agrees with its function's
@@ -286,7 +283,6 @@ void init_units(CompiledModule& cm, const EngineConfig& cfg, EntryThunk entry,
   ts.jit_enabled = cfg.jit;
   ts.cache_enabled = cfg.enable_cache;
   ts.cache_dir = cfg.cache_dir;
-  ts.opt_superinstructions = cfg.opt_superinstructions;
   ts.opt_simd = cfg.opt_simd;
   for (u32 i = 0; i < ts.num_units; ++i) {
     ts.units[i].state.store(state, std::memory_order_relaxed);
@@ -323,8 +319,7 @@ void tier_up(const CompiledModule& cm, u32 defined_index, EngineTier target) {
 
   trace::Scope span("engine", "tier_up");
   Stopwatch watch;
-  const std::string tag =
-      cache_tag(target, ts.opt_superinstructions, ts.opt_simd);
+  const std::string tag = cache_tag(target, ts.opt_simd);
   std::unique_ptr<RFunc> body;
   bool from_cache = false;
   std::optional<FileSystemCache> cache;
@@ -449,8 +444,7 @@ std::shared_ptr<const CompiledModule> compile(std::span<const u8> bytes,
   const u32 num_bodies = u32(cm->module.bodies.size());
   const bool static_tier =
       tier == EngineTier::kOptimizing || tier == EngineTier::kJit;
-  const std::string tag =
-      cache_tag(tier, cfg.opt_superinstructions, cfg.opt_simd);
+  const std::string tag = cache_tag(tier, cfg.opt_simd);
   std::optional<FileSystemCache> cache;
   std::unique_ptr<MappedEntry> entry;
   f64 map_ms = 0;  // part of compile_ms
@@ -522,8 +516,7 @@ std::shared_ptr<const CompiledModule> compile(std::span<const u8> bytes,
   // events and the cache store — happens afterwards on this thread in
   // function-index order, so arena layout and cache bytes do not depend on
   // scheduling.
-  const OptOptions opt{.fuse_super = cfg.opt_superinstructions,
-                       .simd = cfg.opt_simd};
+  const OptOptions opt{.simd = cfg.opt_simd};
   std::vector<RFunc>& funcs = cm->regcode.funcs;
   funcs.resize(num_bodies);
   parallel_for(

@@ -99,15 +99,12 @@ struct EngineConfig {
   /// environment variable (docs/TUNING.md). Off: EngineTier::kJit degrades
   /// to kOptimizing and tiered promotion stops at the optimizing stage.
   bool jit = jit_enabled_from_env();
-  // Optimizing-tier pass toggle (bench/test ablation; on by default and
-  // applied wherever the full pipeline runs — kOptimizing, kJit and tiered
-  // promotions to them).
-  bool opt_superinstructions = true;  // load+op, op+store, select, indexed
-  /// SIMD-aware optimization (v128 const folding, v128 load+op / op+store
-  /// superinstructions, v128 indexed addressing). Defaults to the
-  /// MPIWASM_SIMD environment variable so the whole test/bench suite can be
-  /// ablated without recompiling; v128 code still *executes* when this is
-  /// off — it just runs through the generic pipeline.
+  /// SIMD-aware optimization (v128 const folding, v128 indexed addressing),
+  /// applied wherever the full pipeline runs — kOptimizing, kJit and tiered
+  /// promotions to them. Defaults to the MPIWASM_SIMD environment variable
+  /// so the whole test/bench suite can be ablated without recompiling; v128
+  /// code still *executes* when this is off — it just runs through the
+  /// generic pipeline.
   bool opt_simd = simd_enabled_from_env();
   /// Threads-proposal master switch, defaulting to the MPIWASM_THREADS
   /// environment variable. Off: compile() rejects modules that declare a
@@ -199,7 +196,6 @@ struct TieredState {
   u64 jit_threshold = 4096;
   bool jit_enabled = false;
   bool cache_enabled = false;
-  bool opt_superinstructions = true;
   bool opt_simd = true;
   std::string cache_dir;
   std::unique_ptr<MappedEntry> cache_entry;  // static tiers, warm start

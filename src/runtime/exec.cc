@@ -70,12 +70,6 @@ std::atomic<bool> g_force_switch{false};
     auto y = B.field;      \
     if (expr) JUMP(in.imm); \
   }
-#define SELCMP(field, expr) \
-  {                         \
-    auto x = C.field;       \
-    auto y = D.field;       \
-    if (!(expr)) A = B;     \
-  }
 
 // ---------------------------------------------------------------------------
 // Portable switch executor.
@@ -245,6 +239,5 @@ void exec_regcode(Instance& inst, const RFunc& f, Slot* r) {
 #undef VCMP
 #undef VREPLACE
 #undef BRCMP
-#undef SELCMP
 
 }  // namespace mpiwasm::rt

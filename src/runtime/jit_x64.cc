@@ -173,34 +173,16 @@ std::optional<Sig> reg_sig(ROp op) {
       return Sig{kNo, kInt, kInt};
     case R::kF64MulAdd: case R::kF32MulAdd:
       return Sig{kFlt, kNo, kFlt, kFlt, kFlt};
-    case R::kSelectI32Eq: case R::kSelectI32Ne: case R::kSelectI32LtS:
-    case R::kSelectI32LtU: case R::kSelectI32GtS: case R::kSelectI32GtU:
-      return Sig{kAny, kAny, kAny, kInt, kInt};
-    case R::kSelectF64Lt: case R::kSelectF64Gt:
-      return Sig{kAny, kAny, kAny, kFlt, kFlt};
-    case R::kI32LoadAdd: case R::kI64LoadAdd:
     case R::kI32LoadIx: case R::kI64LoadIx:
       return Sig{kInt, kNo, kInt, kInt};
-    case R::kF32LoadAdd: case R::kF64LoadAdd: case R::kF32LoadMul:
-    case R::kF64LoadMul:
-      return Sig{kFlt, kNo, kInt, kFlt};
     case R::kF32LoadIx: case R::kF64LoadIx:
       return Sig{kFlt, kNo, kInt, kInt};
-    case R::kI32x4LoadAdd: case R::kF32x4LoadAdd: case R::kF32x4LoadMul:
-    case R::kF64x2LoadAdd: case R::kF64x2LoadMul:
-      return Sig{kVec, kNo, kInt, kVec};
     case R::kV128LoadIx:
       return Sig{kVec, kNo, kInt, kInt};
-    case R::kI32AddStore:
     case R::kI32StoreIx: case R::kI64StoreIx:
       return Sig{kNo, kInt, kInt, kInt};
-    case R::kF32AddStore: case R::kF64AddStore: case R::kF64MulStore:
-      return Sig{kNo, kInt, kFlt, kFlt};
     case R::kF32StoreIx: case R::kF64StoreIx:
       return Sig{kNo, kInt, kFlt, kInt};
-    case R::kI32x4AddStore: case R::kF32x4AddStore: case R::kF64x2AddStore:
-    case R::kF64x2MulStore:
-      return Sig{kNo, kInt, kVec, kVec};
     case R::kV128StoreIx:
       return Sig{kNo, kInt, kVec, kInt};
     default:
@@ -225,8 +207,7 @@ void jit_reads(const RInstr& in, std::vector<u32>& out) {
 
 /// Ops whose destination is the r[a] they read: one web, updated in place.
 bool select_shaped(ROp op) {
-  return op == ROp::kSelect || op == ROp::kV128Bitselect ||
-         (op >= ROp::kSelectI32Eq && op <= ROp::kSelectF64Gt);
+  return op == ROp::kSelect || op == ROp::kV128Bitselect;
 }
 
 /// Fallback templates that call a C++ helper on their normal path, which
@@ -253,8 +234,15 @@ bool calls_helper(ROp op, u32 feats) {
     case R::kF32Ceil: case R::kF32Floor: case R::kF32Trunc: case R::kF32Nearest:
     case R::kF64Ceil: case R::kF64Floor: case R::kF64Trunc: case R::kF64Nearest:
       return !(feats & kJitFeatSse41);
+    // Atomics that run LinearMemory's members through a helper. Loads,
+    // stores, xchg, add/sub and the fence are inline; their unaligned and
+    // out-of-bounds paths are noreturn stubs.
+    case R::kAtomicNotify: case R::kAtomicWait32: case R::kAtomicWait64:
+      return true;
     default:
-      return rop_is_atomic(op);
+      return (op >= R::kI32AtomicRmwAnd && op <= R::kI64AtomicRmw32XorU) ||
+             (op >= R::kI32AtomicRmwCmpxchg &&
+              op <= R::kI64AtomicRmw32CmpxchgU);
   }
 }
 
@@ -1954,53 +1942,11 @@ bool Emitter::emit_simd_or_fused(const RInstr& in) {
     guest_access(lk_len(k));
     store_val(k);
   };
-  // Fused r[a] = r[c] op mem (scalar float): guest address, then
-  // op x0(=C), [r13+rax] — same operand order as the handler's C-then-mem.
-  auto f_load_op = [&](bool f64v, u8 opc) {
-    guest_addr(b, imm, f64v ? 8 : 4);
-    const u8 x = xmm_work(X0);
-    ld_xmm(x, c, f64v ? 8 : 4);
-    op_mem(f64v ? 0xF2 : 0xF3, false, {0x0F, opc}, x);
-    st_xmm(a, x, f64v ? 8 : 4);
-  };
-  // Fused vector load+op: x = r[c], x1 = movups mem, op x, x1.
-  auto v_load_op = [&](u8 pfx, u8 opc) {
-    guest_addr(b, imm, 16);
-    const u8 x = xmm_work(X0);
-    loadaps(x, c);
-    op_mem(0, false, {0x0F, 0x10}, X1);
-    op_rr(pfx, false, {0x0F, opc}, x, X1);
-    storeaps(a, x);
-  };
-  // Fused scalar float op+store: mem[r[a]+imm] = r[b] op r[c].
-  auto f_op_store = [&](bool f64v, u8 opc) {
-    guest_addr(a, imm, f64v ? 8 : 4);
-    const u8 pfx = f64v ? 0xF2 : 0xF3;
-    ld_xmm(X0, b, f64v ? 8 : 4);
-    op_src(pfx, false, {0x0F, opc}, X0, c);
-    op_mem(pfx, false, {0x0F, 0x11}, X0);
-  };
-  // Fused vector op+store (slot operands are 16-aligned, so the op can take
-  // r[c] straight from memory).
-  auto v_op_store = [&](u8 pfx, std::initializer_list<u8> ops) {
-    guest_addr(a, imm, 16);
-    loadaps(X0, b);
-    op_src(pfx, false, ops, X0, c);
-    op_mem(0, false, {0x0F, 0x11}, X0);
-  };
   // BRCMP family: cmp r[a], r[b]; jcc target.
   auto br_cmp = [&](u8 cc) {
     load32(RAX, a);
     op_src(0, false, {0x3B}, RAX, b);
     jcc32(cc, u32(imm));
-  };
-  // SELCMP family: keep A when cmp(r[c], r[d]) holds, else A = B.
-  auto sel_cmp = [&](u8 cc_true) {
-    load32(RAX, c);
-    op_src(0, false, {0x3B}, RAX, d);
-    u32 skip = jcc8(cc_true);
-    slot_copy(a, b);
-    label8(skip);
   };
 
   switch (in.op) {
@@ -2314,68 +2260,6 @@ bool Emitter::emit_simd_or_fused(const RInstr& in) {
       st_xmm(a, x, f64v ? 8 : 4);
       return true;
     }
-
-    // --- fused compare-and-select ---
-    case ROp::kSelectI32Eq: sel_cmp(CC_E); return true;
-    case ROp::kSelectI32Ne: sel_cmp(CC_NE); return true;
-    case ROp::kSelectI32LtS: sel_cmp(CC_L); return true;
-    case ROp::kSelectI32LtU: sel_cmp(CC_B); return true;
-    case ROp::kSelectI32GtS: sel_cmp(CC_G); return true;
-    case ROp::kSelectI32GtU: sel_cmp(CC_A); return true;
-    case ROp::kSelectF64Lt: {
-      loadsd(X0, d);  // y
-      op_src(0x66, false, {0x0F, 0x2E}, X0, c);  // ucomisd y, x
-      u32 skip = jcc8(CC_A);  // y > x <=> x < y: keep A (unordered: copy)
-      slot_copy(a, b);
-      label8(skip);
-      return true;
-    }
-    case ROp::kSelectF64Gt: {
-      loadsd(X0, c);  // x
-      op_src(0x66, false, {0x0F, 0x2E}, X0, d);  // ucomisd x, y
-      u32 skip = jcc8(CC_A);  // x > y: keep A
-      slot_copy(a, b);
-      label8(skip);
-      return true;
-    }
-
-    // --- fused load+op ---
-    case ROp::kI32LoadAdd:
-      guest_addr(b, imm, 4);
-      load32(RCX, c);
-      op_mem(0, false, {0x03}, RCX);  // add ecx, [r13+rax]
-      store32(a, RCX);
-      return true;
-    case ROp::kI64LoadAdd:
-      guest_addr(b, imm, 8);
-      load64(RCX, c);
-      op_mem(0, true, {0x03}, RCX);
-      store64(a, RCX);
-      return true;
-    case ROp::kF32LoadAdd: f_load_op(false, 0x58); return true;
-    case ROp::kF64LoadAdd: f_load_op(true, 0x58); return true;
-    case ROp::kF32LoadMul: f_load_op(false, 0x59); return true;
-    case ROp::kF64LoadMul: f_load_op(true, 0x59); return true;
-    case ROp::kI32x4LoadAdd: v_load_op(0x66, 0xFE); return true;
-    case ROp::kF32x4LoadAdd: v_load_op(0, 0x58); return true;
-    case ROp::kF32x4LoadMul: v_load_op(0, 0x59); return true;
-    case ROp::kF64x2LoadAdd: v_load_op(0x66, 0x58); return true;
-    case ROp::kF64x2LoadMul: v_load_op(0x66, 0x59); return true;
-
-    // --- fused op+store ---
-    case ROp::kI32AddStore:
-      guest_addr(a, imm, 4);
-      load32(RCX, b);
-      op_src(0, false, {0x03}, RCX, c);  // add ecx, [c]
-      op_mem(0, false, {0x89}, RCX);
-      return true;
-    case ROp::kF32AddStore: f_op_store(false, 0x58); return true;
-    case ROp::kF64AddStore: f_op_store(true, 0x58); return true;
-    case ROp::kF64MulStore: f_op_store(true, 0x59); return true;
-    case ROp::kI32x4AddStore: v_op_store(0x66, {0x0F, 0xFE}); return true;
-    case ROp::kF32x4AddStore: v_op_store(0, {0x0F, 0x58}); return true;
-    case ROp::kF64x2AddStore: v_op_store(0x66, {0x0F, 0x58}); return true;
-    case ROp::kF64x2MulStore: v_op_store(0x66, {0x0F, 0x59}); return true;
 
     // --- indexed addressing ---
     case ROp::kI32LoadIx: load_ix(LK::i32); return true;

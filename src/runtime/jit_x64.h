@@ -3,7 +3,8 @@
 // Each ROp maps onto a fixed instruction template with patched register
 // numbers, Slot-frame displacements, and immediates — the copy-and-patch
 // idea applied at RegCode granularity, which works because RegCode is
-// already register-based with fused superinstructions.
+// already register-based with fused indexed addressing, compare-branches
+// and immediates.
 //
 // Register convention:
 //   pinned (System V callee-saved, so helper calls never spill them):
@@ -34,9 +35,9 @@
 // for the whole function — an allocated register or its home slot
 // [rbx + 16*slot] — so branch joins need no moves. Templates for the hot ops
 // (moves, constants, selects, integer and float arithmetic, compare-branches,
-// loads and stores of every addressing form, f64/v128 lanes and the fused
-// load+op / op+store forms) take each operand as a register or as its slot
-// and emit the mod=11 or the memory form of the same opcode bytes.
+// loads and stores of every addressing form and f64/v128 lanes) take each
+// operand as a register or as its slot and emit the mod=11 or the memory
+// form of the same opcode bytes.
 //
 // Integer div/rem has a register form too: dividend in rax, divisor in rcx,
 // then the hardware div/idiv. A zero divisor and div_s(MIN, -1) branch to a
@@ -46,8 +47,9 @@
 // Every other op runs its frame template under one fallback rule: register
 // operands it reads are stored to their home slots before it and a register
 // result is reloaded after it; when the template calls a C++ helper on its
-// normal path (min/max, trunc, atomics, memory.copy/fill, ...), every
-// register web live across it is stored before and reloaded after as well.
+// normal path (min/max, trunc, wait/notify and the and/or/xor/cmpxchg
+// atomics, memory.copy/fill, ...), every register web live across it is
+// stored before and reloaded after as well.
 // Webs live across a wasm call, call_indirect or memory.grow stay in their
 // slots: the callee's frame starts at the argument slot. Trap-only paths
 // (div/rem by zero or overflow, out-of-bounds and unaligned accesses) reach

@@ -32,13 +32,6 @@ bool is_terminator(ROp op) {
          op == ROp::kReturnVoid || op == ROp::kUnreachable;
 }
 
-/// The fused compare-and-select family (contiguous in the enum). These ops
-/// read a/b/c/d and write a (a is both the "true" value and the dest), so
-/// several predicates below special-case them as a group.
-bool is_fused_select(ROp op) {
-  return op >= ROp::kSelectI32Eq && op <= ROp::kSelectF64Gt;
-}
-
 }  // namespace
 
 void collect_reads(const RInstr& in, std::vector<u32>& out) {
@@ -68,13 +61,6 @@ void collect_reads(const RInstr& in, std::vector<u32>& out) {
         }
         break;
     }
-    return;
-  }
-  // Fused selects read the destination (the "true" value), the "false"
-  // value, and both compare operands.
-  if (is_fused_select(in.op)) {
-    out.push_back(in.a); out.push_back(in.b);
-    out.push_back(in.c); out.push_back(in.d);
     return;
   }
   switch (in.op) {
@@ -115,8 +101,8 @@ void collect_reads(const RInstr& in, std::vector<u32>& out) {
     case ROp::kI32ShrUImm: case ROp::kI32AndImm: case ROp::kI32MulImm:
       out.push_back(in.b);
       break;
-    // Loads read the address in b; load+op additionally reads c; indexed
-    // loads read base (b) and index (c), d is the shift amount.
+    // Loads read the address in b; indexed loads read base (b) and index
+    // (c), d is the shift amount.
     case ROp::kI32Load: case ROp::kI64Load: case ROp::kF32Load:
     case ROp::kF64Load: case ROp::kI32Load8S: case ROp::kI32Load8U:
     case ROp::kI32Load16S: case ROp::kI32Load16U: case ROp::kI64Load8S:
@@ -125,26 +111,18 @@ void collect_reads(const RInstr& in, std::vector<u32>& out) {
     case ROp::kV128Load32Splat: case ROp::kV128Load64Splat:
       out.push_back(in.b);
       break;
-    case ROp::kI32LoadAdd: case ROp::kI64LoadAdd: case ROp::kF32LoadAdd:
-    case ROp::kF64LoadAdd: case ROp::kF32LoadMul: case ROp::kF64LoadMul:
-    case ROp::kI32x4LoadAdd: case ROp::kF32x4LoadAdd: case ROp::kF32x4LoadMul:
-    case ROp::kF64x2LoadAdd: case ROp::kF64x2LoadMul:
     case ROp::kI32LoadIx: case ROp::kI64LoadIx: case ROp::kF32LoadIx:
     case ROp::kF64LoadIx: case ROp::kV128LoadIx:
       out.push_back(in.b); out.push_back(in.c);
       break;
-    // Stores read address (a) and value (b); op+store and indexed stores
-    // additionally read c.
+    // Stores read address (a) and value (b); indexed stores additionally
+    // read the index (c).
     case ROp::kI32Store: case ROp::kI64Store: case ROp::kF32Store:
     case ROp::kF64Store: case ROp::kI32Store8: case ROp::kI32Store16:
     case ROp::kI64Store8: case ROp::kI64Store16: case ROp::kI64Store32:
     case ROp::kV128Store:
       out.push_back(in.a); out.push_back(in.b);
       break;
-    case ROp::kI32AddStore: case ROp::kF32AddStore: case ROp::kF64AddStore:
-    case ROp::kF64MulStore:
-    case ROp::kI32x4AddStore: case ROp::kF32x4AddStore:
-    case ROp::kF64x2AddStore: case ROp::kF64x2MulStore:
     case ROp::kI32StoreIx: case ROp::kI64StoreIx: case ROp::kF32StoreIx:
     case ROp::kF64StoreIx: case ROp::kV128StoreIx:
       out.push_back(in.a); out.push_back(in.b); out.push_back(in.c);
@@ -174,10 +152,6 @@ bool writes_dest(const RInstr& in) {
     case ROp::kF64Store: case ROp::kI32Store8: case ROp::kI32Store16:
     case ROp::kI64Store8: case ROp::kI64Store16: case ROp::kI64Store32:
     case ROp::kV128Store:
-    case ROp::kI32AddStore: case ROp::kF32AddStore: case ROp::kF64AddStore:
-    case ROp::kF64MulStore:
-    case ROp::kI32x4AddStore: case ROp::kF32x4AddStore:
-    case ROp::kF64x2AddStore: case ROp::kF64x2MulStore:
     case ROp::kI32StoreIx: case ROp::kI64StoreIx: case ROp::kF32StoreIx:
     case ROp::kF64StoreIx: case ROp::kV128StoreIx:
     case ROp::kBrIfI32Eq: case ROp::kBrIfI32Ne: case ROp::kBrIfI32LtS:
@@ -195,7 +169,6 @@ namespace {
 /// Ops whose d field names a register (not a shift amount / flag word).
 bool reads_d_reg(ROp op) {
   return op == ROp::kF64MulAdd || op == ROp::kF32MulAdd ||
-         is_fused_select(op) ||
          op == ROp::kAtomicWait32 || op == ROp::kAtomicWait64 ||
          (op >= ROp::kI32AtomicRmwCmpxchg &&
           op <= ROp::kI64AtomicRmw32CmpxchgU);
@@ -204,7 +177,6 @@ bool reads_d_reg(ROp op) {
 /// Instructions that may be removed when their destination is dead: no
 /// traps, no control flow, no stores/calls/global writes.
 bool is_pure(ROp op) {
-  if (is_fused_select(op)) return true;
   switch (op) {
     case ROp::kMov: case ROp::kConst: case ROp::kConstV128: case ROp::kSelect:
     case ROp::kGlobalGet:
@@ -524,14 +496,6 @@ u32 local_forward_pass(RFunc& f, const Cfg& cfg, bool simd_fold) {
           if (resolve(in.c) != in.c) { in.c = resolve(in.c); ++changes; }
           break;
         default: {
-          // Like kSelect, fused selects have a as both source and dest;
-          // only b/c/d are rewritable.
-          if (is_fused_select(in.op)) {
-            if (resolve(in.b) != in.b) { in.b = resolve(in.b); ++changes; }
-            if (resolve(in.c) != in.c) { in.c = resolve(in.c); ++changes; }
-            if (resolve(in.d) != in.d) { in.d = resolve(in.d); ++changes; }
-            break;
-          }
           collect_reads(in, reads);
           bool dest_written = writes_dest(in);
           for (u32 r : reads) {
@@ -721,7 +685,7 @@ bool dest_retargetable(ROp op) {
   // Atomics are optimization barriers: leave them untouched by every
   // rewrite, including destination renaming.
   if (rop_is_atomic(op)) return false;
-  if (!writes_dest(RInstr{op}) || is_fused_select(op)) return false;
+  if (!writes_dest(RInstr{op})) return false;
   switch (op) {
     case ROp::kSelect: case ROp::kV128Bitselect: case ROp::kMemoryGrow:
     case ROp::kCall: case ROp::kCallIndirect:
@@ -789,65 +753,14 @@ u32 peephole_pass(RFunc& f, const Cfg& cfg, const Liveness& lv) {
   return changes;
 }
 
-// ---- Pass 4: superinstruction fusion ---------------------------------------
+// ---- Pass 4: indexed-address fusion ---------------------------------------
 //
-// Collapses common adjacent def-use chains into a single dispatch each.
-// Every rewrite deletes the producing instruction(s) entirely, so the fused
-// instruction reads its register operands with exactly the values the
-// deleted producers saw; the liveness preconditions guarantee nothing else
-// observed the deleted temporaries.
-
-std::optional<ROp> fused_select(ROp cmp) {
-  switch (cmp) {
-    case ROp::kI32Eq: return ROp::kSelectI32Eq;
-    case ROp::kI32Ne: return ROp::kSelectI32Ne;
-    case ROp::kI32LtS: return ROp::kSelectI32LtS;
-    case ROp::kI32LtU: return ROp::kSelectI32LtU;
-    case ROp::kI32GtS: return ROp::kSelectI32GtS;
-    case ROp::kI32GtU: return ROp::kSelectI32GtU;
-    case ROp::kF64Lt: return ROp::kSelectF64Lt;
-    case ROp::kF64Gt: return ROp::kSelectF64Gt;
-    default: return std::nullopt;
-  }
-}
-
-/// load t <- [addr]; op d <- x, t  -->  load_op d <- [addr], x
-/// The v128 rows fuse only when OptOptions::simd is on (they are the hot
-/// dispatches of the vectorized kernels, and the ablation flag must be able
-/// to isolate them).
-struct LoadOpFusion {
-  ROp load, op, fused;
-  bool simd;
-};
-constexpr LoadOpFusion kLoadOpTable[] = {
-    {ROp::kI32Load, ROp::kI32Add, ROp::kI32LoadAdd, false},
-    {ROp::kI64Load, ROp::kI64Add, ROp::kI64LoadAdd, false},
-    {ROp::kF32Load, ROp::kF32Add, ROp::kF32LoadAdd, false},
-    {ROp::kF64Load, ROp::kF64Add, ROp::kF64LoadAdd, false},
-    {ROp::kF32Load, ROp::kF32Mul, ROp::kF32LoadMul, false},
-    {ROp::kF64Load, ROp::kF64Mul, ROp::kF64LoadMul, false},
-    {ROp::kV128Load, ROp::kI32x4Add, ROp::kI32x4LoadAdd, true},
-    {ROp::kV128Load, ROp::kF32x4Add, ROp::kF32x4LoadAdd, true},
-    {ROp::kV128Load, ROp::kF32x4Mul, ROp::kF32x4LoadMul, true},
-    {ROp::kV128Load, ROp::kF64x2Add, ROp::kF64x2LoadAdd, true},
-    {ROp::kV128Load, ROp::kF64x2Mul, ROp::kF64x2LoadMul, true},
-};
-
-/// op t <- x, y; store [addr] <- t  -->  op_store [addr] <- x, y
-struct OpStoreFusion {
-  ROp op, store, fused;
-  bool simd;
-};
-constexpr OpStoreFusion kOpStoreTable[] = {
-    {ROp::kI32Add, ROp::kI32Store, ROp::kI32AddStore, false},
-    {ROp::kF32Add, ROp::kF32Store, ROp::kF32AddStore, false},
-    {ROp::kF64Add, ROp::kF64Store, ROp::kF64AddStore, false},
-    {ROp::kF64Mul, ROp::kF64Store, ROp::kF64MulStore, false},
-    {ROp::kI32x4Add, ROp::kV128Store, ROp::kI32x4AddStore, true},
-    {ROp::kF32x4Add, ROp::kV128Store, ROp::kF32x4AddStore, true},
-    {ROp::kF64x2Add, ROp::kV128Store, ROp::kF64x2AddStore, true},
-    {ROp::kF64x2Mul, ROp::kV128Store, ROp::kF64x2MulStore, true},
-};
+// Folds the address arithmetic of a scalar or v128 load/store into the
+// access: base + (index << scale) + imm, which native code emits as one x86
+// addressing mode. Every rewrite deletes the producing instruction(s)
+// entirely, so the access reads its register operands with exactly the
+// values the deleted producers saw; the liveness preconditions guarantee
+// nothing else observed the deleted temporaries.
 
 std::optional<ROp> indexed_load(ROp op, bool simd) {
   switch (op) {
@@ -875,8 +788,8 @@ std::optional<ROp> indexed_store(ROp op, bool simd) {
   }
 }
 
-u32 superinstruction_pass(RFunc& f, const Cfg& cfg, const Liveness& lv,
-                          bool simd) {
+u32 indexed_address_pass(RFunc& f, const Cfg& cfg, const Liveness& lv,
+                         bool simd) {
   u32 changes = 0;
   const size_t n = f.code.size();
   for (size_t b = 0; b < cfg.leaders.size(); ++b) {
@@ -915,87 +828,34 @@ u32 superinstruction_pass(RFunc& f, const Cfg& cfg, const Liveness& lv,
         continue;
       }
     }
-    // --- 2-instruction windows ---
+    // --- 2-instruction window: add t2 <- x, y ; mem[t2 + imm]  -->
+    // indexed access with shift 0 ---
     for (size_t i = cfg.block_start(b); i + 1 < bend; ++i) {
       RInstr& a = f.code[i];
       RInstr& next = f.code[i + 1];
-      if (a.op == ROp::kNop) continue;
-      // add t2 <- x, y ; mem[t2 + imm]  -->  indexed access with shift 0.
-      if (a.op == ROp::kI32Add) {
-        u32 t2 = a.a;
-        if (auto lop = indexed_load(next.op, simd);
-            lop && next.b == t2 &&
-            (next.a == t2 || !lv.live_after(i + 1, t2))) {
-          next = RInstr{*lop, next.a, a.b, a.c, 0, next.imm};
-          a = RInstr{ROp::kNop};
-          ++changes;
-          continue;
-        }
-        if (auto sop = indexed_store(next.op, simd);
-            sop && next.a == t2 && next.b != t2 &&
-            !lv.live_after(i + 1, t2)) {
-          next = RInstr{*sop, a.b, next.b, a.c, 0, next.imm};
-          a = RInstr{ROp::kNop};
-          ++changes;
-          continue;
-        }
-      }
-      // load t <- [addr+imm] ; op d <- x, t  -->  load_op d <- [addr], x.
-      // Skipped when the op is a float mul feeding an adjacent add: the
-      // mul-add fusion (one dispatch, no memory operand on the critical
-      // path) is the better form there.
-      for (const auto& lo : kLoadOpTable) {
-        if (a.op != lo.load || next.op != lo.op) continue;
-        if (lo.simd && !simd) continue;
-        u32 t = a.a;
-        bool feeds_fma =
-            (lo.op == ROp::kF64Mul || lo.op == ROp::kF32Mul) && i + 2 < bend &&
-            f.code[i + 2].op ==
-                (lo.op == ROp::kF64Mul ? ROp::kF64Add : ROp::kF32Add) &&
-            (f.code[i + 2].b == next.a || f.code[i + 2].c == next.a);
-        if (feeds_fma) break;
-        // The op's destination may legally overwrite the loaded temp.
-        if (next.a != t && lv.live_after(i + 1, t)) break;
-        if (next.c == t && next.b != t) {
-          next = RInstr{lo.fused, next.a, a.b, next.b, 0, a.imm};
-          a = RInstr{ROp::kNop};
-          ++changes;
-        } else if (next.b == t && next.c != t) {
-          next = RInstr{lo.fused, next.a, a.b, next.c, 0, a.imm};
-          a = RInstr{ROp::kNop};
-          ++changes;
-        }
-        break;
-      }
-      if (a.op == ROp::kNop) continue;
-      // op t <- x, y ; store [addr+imm] <- t  -->  op_store.
-      for (const auto& os : kOpStoreTable) {
-        if (a.op != os.op || next.op != os.store) continue;
-        if (os.simd && !simd) continue;
-        u32 t = a.a;
-        if (next.b != t || next.a == t) break;  // value must be t, addr not
-        if (lv.live_after(i + 1, t)) break;
-        next = RInstr{os.fused, next.a, a.b, a.c, 0, next.imm};
+      if (a.op != ROp::kI32Add) continue;
+      u32 t2 = a.a;
+      if (auto lop = indexed_load(next.op, simd);
+          lop && next.b == t2 &&
+          (next.a == t2 || !lv.live_after(i + 1, t2))) {
+        next = RInstr{*lop, next.a, a.b, a.c, 0, next.imm};
         a = RInstr{ROp::kNop};
         ++changes;
-        break;
+        continue;
       }
-      if (a.op == ROp::kNop) continue;
-      // cmp t <- x, y ; select d, v, t  -->  select_cmp d, v, x, y.
-      if (next.op == ROp::kSelect && next.c == a.a && writes_dest(a) &&
-          next.a != a.a && next.b != a.a && !lv.live_after(i + 1, a.a)) {
-        if (auto sel = fused_select(a.op)) {
-          next = RInstr{*sel, next.a, next.b, a.b, a.c, 0};
-          a = RInstr{ROp::kNop};
-          ++changes;
-        }
+      if (auto sop = indexed_store(next.op, simd);
+          sop && next.a == t2 && next.b != t2 &&
+          !lv.live_after(i + 1, t2)) {
+        next = RInstr{*sop, a.b, next.b, a.c, 0, next.imm};
+        a = RInstr{ROp::kNop};
+        ++changes;
       }
     }
   }
   return changes;
 }
 
-// ---- Pass 4: DCE ------------------------------------------------------------
+// ---- Pass 5: DCE ------------------------------------------------------------
 
 u32 dce_pass(RFunc& f, const Liveness& lv) {
   u32 changes = 0;
@@ -1014,7 +874,7 @@ u32 dce_pass(RFunc& f, const Liveness& lv) {
   return changes;
 }
 
-// ---- Pass 5: branch threading + compaction --------------------------------
+// ---- Pass 6: branch threading + compaction --------------------------------
 
 void thread_branches(RFunc& f) {
   auto final_target = [&](u32 t) {
@@ -1067,12 +927,10 @@ OptStats optimize_function(RFunc& f, const OptOptions& opts) {
     changes += peephole_pass(f, cfg, live);
     // Peephole invalidates liveness; recompute before the next pass.
     live = compute_liveness(f, cfg);
-    if (opts.fuse_super) {
-      u32 fused = superinstruction_pass(f, cfg, live, opts.simd);
-      changes += fused;
-      stats.fused_super += fused;
-      if (fused != 0) live = compute_liveness(f, cfg);
-    }
+    const u32 fused = indexed_address_pass(f, cfg, live, opts.simd);
+    changes += fused;
+    stats.fused_indexed += fused;
+    if (fused != 0) live = compute_liveness(f, cfg);
     changes += dce_pass(f, live);
     thread_branches(f);
     compact(f);

@@ -6,8 +6,8 @@
 //   2. block-local constant folding + immediate fusion (AddImm/ShlImm/...)
 //      + mul-by-power-of-two strength reduction
 //   3. compare-and-branch fusion (BrIfI32LtS etc.) and f32/f64 multiply-add
-//   4. superinstruction fusion: load+op, op+store, cmp+select, and
-//      indexed-address (base + (index << scale) + imm) forms
+//   4. indexed-address fusion: base + (index << scale) + imm folded into
+//      the load/store (one x86 addressing mode in native code)
 //   5. liveness-based dead code elimination (global dataflow)
 //   6. branch threading + Nop compaction with target remapping
 //
@@ -26,18 +26,16 @@ struct OptStats {
   u64 instrs_before = 0;
   u64 instrs_after = 0;
   u32 rounds = 0;
-  u32 fused_super = 0;  // superinstructions formed (load+op, select, ...)
+  u32 fused_indexed = 0;  // indexed loads/stores formed
 };
 
-/// Pass configuration: the ablation switches of the optimizing pipeline
-/// (EngineConfig::opt_*). Compare/branch, immediate, and mul-add fusion
-/// always run.
+/// Pass configuration: the ablation switch of the optimizing pipeline
+/// (EngineConfig::opt_simd). Every other pass always runs.
 struct OptOptions {
-  bool fuse_super = true;  // load+op, op+store, cmp+select, indexed addr
-  /// SIMD-specific work: v128 splat/binop constant folding, the v128
-  /// load+op / op+store superinstruction rows, and v128 indexed addressing
-  /// (kV128LoadIx/StoreIx). Plain v128 execution is unaffected — this only
-  /// gates the optimizer's SIMD-aware rewrites (MPIWASM_SIMD ablation).
+  /// SIMD-specific work: v128 splat/binop constant folding and v128
+  /// indexed addressing (kV128LoadIx/StoreIx). Plain v128 execution is
+  /// unaffected — this only gates the optimizer's SIMD-aware rewrites
+  /// (MPIWASM_SIMD ablation).
   bool simd = true;
 };
 

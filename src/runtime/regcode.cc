@@ -44,33 +44,6 @@ const char* rop_name(ROp op) {
     case ROp::kBrIfI32GeU: return "br_if.i32.ge_u";
     case ROp::kF64MulAdd: return "f64.mul_add";
     case ROp::kF32MulAdd: return "f32.mul_add";
-    case ROp::kSelectI32Eq: return "select.i32.eq";
-    case ROp::kSelectI32Ne: return "select.i32.ne";
-    case ROp::kSelectI32LtS: return "select.i32.lt_s";
-    case ROp::kSelectI32LtU: return "select.i32.lt_u";
-    case ROp::kSelectI32GtS: return "select.i32.gt_s";
-    case ROp::kSelectI32GtU: return "select.i32.gt_u";
-    case ROp::kSelectF64Lt: return "select.f64.lt";
-    case ROp::kSelectF64Gt: return "select.f64.gt";
-    case ROp::kI32LoadAdd: return "i32.load_add";
-    case ROp::kI64LoadAdd: return "i64.load_add";
-    case ROp::kF32LoadAdd: return "f32.load_add";
-    case ROp::kF64LoadAdd: return "f64.load_add";
-    case ROp::kF32LoadMul: return "f32.load_mul";
-    case ROp::kF64LoadMul: return "f64.load_mul";
-    case ROp::kI32x4LoadAdd: return "i32x4.load_add";
-    case ROp::kF32x4LoadAdd: return "f32x4.load_add";
-    case ROp::kF32x4LoadMul: return "f32x4.load_mul";
-    case ROp::kF64x2LoadAdd: return "f64x2.load_add";
-    case ROp::kF64x2LoadMul: return "f64x2.load_mul";
-    case ROp::kI32AddStore: return "i32.add_store";
-    case ROp::kF32AddStore: return "f32.add_store";
-    case ROp::kF64AddStore: return "f64.add_store";
-    case ROp::kF64MulStore: return "f64.mul_store";
-    case ROp::kI32x4AddStore: return "i32x4.add_store";
-    case ROp::kF32x4AddStore: return "f32x4.add_store";
-    case ROp::kF64x2AddStore: return "f64x2.add_store";
-    case ROp::kF64x2MulStore: return "f64x2.mul_store";
     case ROp::kI32LoadIx: return "i32.load_ix";
     case ROp::kI64LoadIx: return "i64.load_ix";
     case ROp::kF32LoadIx: return "f32.load_ix";

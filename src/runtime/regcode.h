@@ -15,9 +15,9 @@
 //   - bounds checks: the executor checks every access against the current
 //     size; native code has none and lets the guard region fault instead
 //     (memory.h, jit_support.h).
-//   - missed fusion: superinstructions collapse load+op, op+store,
-//     cmp+select, cmp+branch, indexed-address (base + (idx << s) + imm) and
-//     f32/f64 multiply-add chains into one dispatch each.
+//   - missed fusion: fused forms collapse cmp+branch, indexed-address
+//     (base + (idx << s) + imm) and f32/f64 multiply-add chains into one
+//     dispatch each.
 // bench_dispatch measures each axis and writes BENCH_exec.json (see
 // README "Execution-core benchmarks" for the schema).
 #pragma once
@@ -134,7 +134,8 @@ enum class ROp : u16 {
   kF64x2Abs, kF64x2Neg, kF64x2Sqrt,
   kF64x2Add, kF64x2Sub, kF64x2Mul, kF64x2Div,
   kF64x2Min, kF64x2Max, kF64x2Pmin, kF64x2Pmax,
-  // ---- Fused forms emitted only by the Optimizing tier ----
+  // ---- Fused forms emitted only by the optimizing pipeline (kOptimizing
+  // and kJit) ----
   kI32AddImm,    // r[a] = r[b] + i32(imm)
   kI64AddImm,    // r[a] = r[b] + i64(imm)
   kI32ShlImm, kI32ShrUImm, kI32AndImm, kI32MulImm,
@@ -143,25 +144,15 @@ enum class ROp : u16 {
   kBrIfI32LeS, kBrIfI32LeU, kBrIfI32GeS, kBrIfI32GeU,
   kF64MulAdd,    // r[a] = r[b] * r[c] + r[d]
   kF32MulAdd,    // r[a] = r[b] * r[c] + r[d] (f32; two roundings, not fma())
-  // Fused compare-and-select: r[a] = cmp(r[c], r[d]) ? r[a] : r[b].
-  kSelectI32Eq, kSelectI32Ne, kSelectI32LtS, kSelectI32LtU,
-  kSelectI32GtS, kSelectI32GtU, kSelectF64Lt, kSelectF64Gt,
-  // Fused load+op: r[a] = r[c] op mem[r[b].u32 + imm] (bounds-checked).
-  // The v128 forms are emitted only when EngineConfig::opt_simd is on.
-  kI32LoadAdd, kI64LoadAdd, kF32LoadAdd, kF64LoadAdd, kF32LoadMul, kF64LoadMul,
-  kI32x4LoadAdd, kF32x4LoadAdd, kF32x4LoadMul, kF64x2LoadAdd, kF64x2LoadMul,
-  // Fused op+store: mem[r[a].u32 + imm] = r[b] op r[c] (bounds-checked).
-  kI32AddStore, kF32AddStore, kF64AddStore, kF64MulStore,
-  kI32x4AddStore, kF32x4AddStore, kF64x2AddStore, kF64x2MulStore,
-  // Indexed addressing, checked: addr = u32(r[b] + (r[c] << d)) + imm.
+  // Indexed loads: r[a] = mem[u32(r[b] + (r[c] << d)) + imm].
   kI32LoadIx, kI64LoadIx, kF32LoadIx, kF64LoadIx, kV128LoadIx,
-  // Indexed stores, checked: mem[u32(r[a] + (r[c] << d)) + imm] = r[b].
+  // Indexed stores: mem[u32(r[a] + (r[c] << d)) + imm] = r[b].
   kI32StoreIx, kI64StoreIx, kF32StoreIx, kF64StoreIx, kV128StoreIx,
   // ---- 0xFE atomics (threads proposal; cache v7) ----
   // All atomic accesses are seq-cst, bounds-checked, and trap on effective
   // addresses that are not naturally aligned. Optimizer passes must treat
-  // every atomic op as a full optimization barrier: no fusion or
-  // superinstruction formation across or into them.
+  // every atomic op as a full optimization barrier: no fusion across or
+  // into them.
   // Wait/notify: r[a] = result. notify: addr r[b], count r[c].
   // wait32/wait64: addr r[b], expected r[c], timeout_ns (i64) r[d].
   kAtomicNotify, kAtomicWait32, kAtomicWait64,

@@ -1,10 +1,10 @@
 // Differential suite for the threads-proposal 0xFE atomic opcode space.
 //
 // One module exports a tiny wrapper per atomic opcode; every engine
-// configuration (static tiers, optimizer ablation, tiered promotion
-// schedules, jit on/off) must agree with a host-side std::atomic-style
-// reference on result values and memory effects — including sub-word
-// zero-extension and the untouched neighbouring bytes. On top of the
+// configuration (static tiers, tiered promotion schedules, jit on/off) must
+// agree with a host-side std::atomic-style reference on result values and
+// memory effects — including sub-word zero-extension and the untouched
+// neighbouring bytes. On top of the
 // single-threaded semantics: host-thread hammer tests for RMW atomicity,
 // a cmpxchg retry-loop (ABA-shaped) counter, wait/notify handshakes
 // including the FIFO no-wake-stealing regression, trap equivalence for
@@ -733,6 +733,76 @@ TEST_P(AtomicsHammerTest, OobTrapNamesTheLiveSize) {
   EXPECT_EQ(kind, TrapKind::kMemoryOutOfBounds);
   EXPECT_EQ(what, want);
   EXPECT_NE(want.find("exceeds memory size 131072"), std::string::npos);
+}
+
+/// Two copies of one loop that keeps four values (i, x, y, z) live across a
+/// load of address 0: "plain" loads with i32.load, "atomic" with
+/// i32.atomic.load.
+std::vector<u8> build_live_across_load_module() {
+  ModuleBuilder b;
+  b.add_memory(1, 1, /*has_max=*/true, /*shared=*/true);
+  for (Op load : {Op::kI32Load, Op::kI32AtomicLoad}) {
+    auto& f = b.begin_func({{I32}, {I32}},
+                           load == Op::kI32Load ? "plain" : "atomic");
+    const u32 i = f.add_local(I32), x = f.add_local(I32);
+    const u32 y = f.add_local(I32), z = f.add_local(I32);
+    f.for_loop_i32(i, 0, 0, 1, [&] {
+      f.local_get(x);
+      f.local_get(i);
+      f.op(Op::kI32Add);
+      f.local_set(x);
+      f.local_get(y);
+      f.local_get(x);
+      f.op(Op::kI32Xor);
+      f.local_set(y);
+      f.local_get(z);
+      f.local_get(y);
+      f.op(Op::kI32Add);
+      f.local_set(z);
+      f.i32_const(0);
+      f.mem_op(load);
+      f.local_get(x);
+      f.op(Op::kI32Add);
+      f.local_set(x);
+    });
+    f.local_get(x);
+    f.local_get(y);
+    f.op(Op::kI32Add);
+    f.local_get(z);
+    f.op(Op::kI32Add);
+    f.end();
+  }
+  return b.build();
+}
+
+TEST(AtomicsJit, InlineAtomicLoadKeepsLiveValuesInRegisters) {
+  // An inline atomic calls no helper, so the register allocator must not
+  // store the values live across it before the access and reload them
+  // after. The atomic loop may exceed the plain one only by its alignment
+  // check (test al, imm8; jnz rel32), the out-of-line unaligned-trap stub
+  // and the frame moves of its own operands: 32 bytes on x86-64. Saving and
+  // reloading the four live values as well makes it 64 bytes larger.
+  constexpr size_t kInlineAtomicMargin = 48;
+  if (!rt::threads_enabled_from_env()) GTEST_SKIP() << "MPIWASM_THREADS=0";
+  if (!rt::jit_enabled_from_env()) GTEST_SKIP() << "MPIWASM_JIT=0";
+  EngineConfig cfg;
+  cfg.tier = EngineTier::kJit;
+  auto inst = instantiate_cfg(build_live_across_load_module(), cfg);
+  auto native_bytes = [&](const char* name) -> size_t {
+    const rt::RFunc& body =
+        rt::compiled_body(inst->compiled(), *inst->exported_func(name));
+    EXPECT_TRUE(body.jit != nullptr) << name;
+    return body.jit != nullptr ? body.jit->fault_table() : 0;
+  };
+  const size_t plain = native_bytes("plain");
+  const size_t atomic = native_bytes("atomic");
+  EXPECT_LE(atomic, plain + kInlineAtomicMargin)
+      << "plain " << plain << " B, atomic " << atomic << " B";
+
+  inst->memory().store<u32>(0, 7);
+  Value n = Value::from_i32(1000);
+  EXPECT_EQ(inst->invoke("atomic", {&n, 1}).as_i32(),
+            inst->invoke("plain", {&n, 1}).as_i32());
 }
 
 TEST(AtomicsValidation, AtomicOpNeedsSharedMemory) {

@@ -379,18 +379,21 @@ TEST(Cache, WrongVersionIsRejected) {
 
 TEST(Cache, OptimizingAblationFlagsKeySeparately) {
   // A cache warmed with the full optimizing pipeline must not serve its
-  // fused code to a run that disabled those passes.
+  // SIMD-folded code to a run that disabled those rewrites (key suffix
+  // "-nosimd"). The full run sets opt_simd itself, so the test holds under
+  // MPIWASM_SIMD=0 too.
   auto dir = fresh_cache_dir();
   auto bytes = make_module(9);
   EngineConfig full;
   full.tier = EngineTier::kOptimizing;
   full.enable_cache = true;
   full.cache_dir = dir;
+  full.opt_simd = true;
   auto cm1 = rt::compile({bytes.data(), bytes.size()}, full);
   ASSERT_FALSE(cm1->loaded_from_cache);
 
   EngineConfig plain = full;
-  plain.opt_superinstructions = false;
+  plain.opt_simd = false;
   auto cm2 = rt::compile({bytes.data(), bytes.size()}, plain);
   EXPECT_FALSE(cm2->loaded_from_cache);  // different key, not a hit
   auto cm3 = rt::compile({bytes.data(), bytes.size()}, plain);
@@ -407,11 +410,12 @@ TEST(Cache, StaleVersionEntriesAreRejectedCleanlyAndRecompiled) {
   // table) or tightens the decoder (v9: signed LEB128 sign bits; a hit
   // skips body validation, so a v8 entry could serve bytes the decoder now
   // rejects) or both (v10: loop-versioning ops removed, and native blobs
-  // carry their fault sites). A pre-upgrade v3/v4/v5/v7/v8/v9 entry must be
+  // carry their fault sites; v11: load+op, op+store and compare+select
+  // forms removed). A pre-upgrade v3/v4/v5/v7/v8/v9/v10 entry must be
   // treated as a clean miss — no crash, no misdecoded code, just a silent
   // recompile that overwrites the stale entry.
   for (char stale_version :
-       {char(3), char(4), char(5), char(7), char(8), char(9)}) {
+       {char(3), char(4), char(5), char(7), char(8), char(9), char(10)}) {
     auto dir = fresh_cache_dir();
     auto bytes = make_module(77);
     EngineConfig cfg;

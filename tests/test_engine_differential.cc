@@ -573,11 +573,9 @@ TEST(DifferentialTraps, OobUnderHoistedGuardsMatchesInterp) {
 
 // ---------------------------------------------------------------------------
 // Toolchain-kernel differential: every generated benchmark kernel runs
-// through the embedder under all static tiers (the optimizing tier with
-// superinstruction fusion force-enabled, plus a plain ablation with it
-// off) and tiered(threshold=1), and must produce
-// identical correctness-relevant outputs (exit codes, report row counts,
-// checksums/residuals/verification flags — not timings).
+// through the embedder under all static tiers and tiered(threshold=1), and
+// must produce identical correctness-relevant outputs (exit codes, report
+// row counts, checksums/residuals/verification flags — not timings).
 // ---------------------------------------------------------------------------
 
 struct KernelRun {

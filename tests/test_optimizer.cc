@@ -3,6 +3,8 @@
 // unoptimized lowering).
 #include "testlib.h"
 
+#include <bit>
+
 #include "runtime/lowering.h"
 #include "runtime/optimizer.h"
 #include "wasm/decoder.h"
@@ -234,8 +236,8 @@ TEST(Optimizer, BranchThreadingCollapsesBrChains) {
 }
 
 // ---------------------------------------------------------------------------
-// Superinstruction fusion (load+op, op+store, cmp+select, indexed address,
-// f32 FMA) and mul->shl strength reduction.
+// Fused forms (indexed address, f32 multiply-add; compare+select stays
+// unfused) and mul->shl strength reduction.
 // ---------------------------------------------------------------------------
 
 TEST(Superinstructions, StrengthReducesMulByPowerOfTwo) {
@@ -255,41 +257,9 @@ TEST(Superinstructions, StrengthReducesMulByPowerOfTwo) {
   }
 }
 
-TEST(Superinstructions, FusesLoadAdd) {
-  auto bytes = build_single_func({{}, {I32}}, [](auto& f) {
-    f.i32_const(0);
-    f.mem_op(Op::kI32Load);
-    f.i32_const(4);
-    f.mem_op(Op::kI32Load);
-    f.op(Op::kI32Add);
-    f.end();
-  });
-  RFunc opt = lower_one(bytes, true);
-  EXPECT_TRUE(contains_op(opt, ROp::kI32LoadAdd)) << opt.to_string();
-}
-
-TEST(Superinstructions, FusesAddStore) {
-  auto bytes = build_single_func({{I32, I32}, {I32}}, [](auto& f) {
-    f.i32_const(0);
-    f.local_get(0);
-    f.local_get(1);
-    f.op(Op::kI32Add);
-    f.mem_op(Op::kI32Store);
-    f.i32_const(0);
-    f.mem_op(Op::kI32Load);
-    f.end();
-  });
-  RFunc opt = lower_one(bytes, true);
-  EXPECT_TRUE(contains_op(opt, ROp::kI32AddStore)) << opt.to_string();
-  for (EngineTier tier : all_tiers()) {
-    auto inst = instantiate(bytes, tier);
-    auto in = std::vector<Value>{Value::from_i32(30), Value::from_i32(12)};
-    EXPECT_EQ(inst->invoke("run", in).as_i32(), 42);
-  }
-}
-
-TEST(Superinstructions, FusesCmpSelect) {
-  // min(x, y) = select(x, y, x < y)
+TEST(Superinstructions, CmpSelectStaysCompareThenSelect) {
+  // min(x, y) = select(x, y, x < y): no fused compare-and-select form; the
+  // compare writes a register the plain select reads.
   auto bytes = build_single_func({{I32, I32}, {I32}}, [](auto& f) {
     f.local_get(0);
     f.local_get(1);
@@ -300,8 +270,8 @@ TEST(Superinstructions, FusesCmpSelect) {
     f.end();
   }, 0);
   RFunc opt = lower_one(bytes, true);
-  EXPECT_TRUE(contains_op(opt, ROp::kSelectI32LtS)) << opt.to_string();
-  EXPECT_FALSE(contains_op(opt, ROp::kSelect)) << opt.to_string();
+  EXPECT_TRUE(contains_op(opt, ROp::kI32LtS)) << opt.to_string();
+  EXPECT_TRUE(contains_op(opt, ROp::kSelect)) << opt.to_string();
   for (EngineTier tier : all_tiers()) {
     auto inst = instantiate(bytes, tier);
     auto lo = std::vector<Value>{Value::from_i32(-3), Value::from_i32(9)};
@@ -327,6 +297,43 @@ TEST(Superinstructions, FusesIndexedAddress) {
   EXPECT_FALSE(contains_op(opt, ROp::kI32Load)) << opt.to_string();
 }
 
+TEST(Superinstructions, FusesIndexedStoreAndUnscaledLoad) {
+  // mem[base + i*8] = f64(v), then return mem[base + i] as i32: the store
+  // takes the scaled window, the load the unscaled (shift 0) one.
+  auto bytes = build_single_func({{I32, I32, F64}, {I32}}, [](auto& f) {
+    f.local_get(0);
+    f.local_get(1);
+    f.i32_const(8);
+    f.op(Op::kI32Mul);
+    f.op(Op::kI32Add);
+    f.local_get(2);
+    f.mem_op(Op::kF64Store);
+    f.local_get(0);
+    f.local_get(1);
+    f.op(Op::kI32Add);
+    f.mem_op(Op::kI32Load);
+    f.end();
+  });
+  RFunc opt = lower_one(bytes, true);
+  EXPECT_TRUE(contains_op(opt, ROp::kF64StoreIx)) << opt.to_string();
+  EXPECT_TRUE(contains_op(opt, ROp::kI32LoadIx)) << opt.to_string();
+  EXPECT_FALSE(contains_op(opt, ROp::kI32Add)) << opt.to_string();
+  for (EngineTier tier : all_tiers()) {
+    auto inst = instantiate(bytes, tier);
+    // base 64, i 2: the f64 lands at 80; bytes 66..69 are still zero.
+    auto in = std::vector<Value>{Value::from_i32(64), Value::from_i32(2),
+                                 Value::from_f64(1.0)};
+    EXPECT_EQ(inst->invoke("run", in).as_i32(), 0) << rt::tier_name(tier);
+    EXPECT_EQ(inst->memory().load<f64>(80), 1.0) << rt::tier_name(tier);
+    // i 0: the f64 at 64 is read back by its low word.
+    in[1] = Value::from_i32(0);
+    in[2] = Value::from_f64(0.1);
+    EXPECT_EQ(u32(inst->invoke("run", in).as_i32()),
+              u32(std::bit_cast<u64>(0.1)))
+        << rt::tier_name(tier);
+  }
+}
+
 TEST(Superinstructions, FusesF32MulAdd) {
   auto bytes = build_single_func({{F32, F32, F32}, {F32}}, [](auto& f) {
     f.local_get(0);
@@ -341,65 +348,9 @@ TEST(Superinstructions, FusesF32MulAdd) {
   EXPECT_FALSE(contains_op(opt, ROp::kF32Mul)) << opt.to_string();
 }
 
-TEST(Superinstructions, DisabledByOption) {
-  auto bytes = build_single_func({{I32, I32}, {I32}}, [](auto& f) {
-    f.local_get(0);
-    f.local_get(1);
-    f.local_get(0);
-    f.local_get(1);
-    f.op(Op::kI32LtS);
-    f.op(Op::kSelect);
-    f.end();
-  }, 0);
-  auto decoded = wasm::decode_module({bytes.data(), bytes.size()});
-  ASSERT_TRUE(decoded.ok());
-  RFunc f = rt::lower_function(*decoded.module, 0);
-  rt::OptOptions opts;
-  opts.fuse_super = false;
-  rt::optimize_function(f, opts);
-  EXPECT_FALSE(contains_op(f, ROp::kSelectI32LtS));
-  EXPECT_TRUE(contains_op(f, ROp::kSelect));
-}
-
 // ---------------------------------------------------------------------------
 // SIMD-aware optimizer additions (gated by OptOptions::simd).
 // ---------------------------------------------------------------------------
-
-TEST(SimdSuperinstructions, FusesV128LoadAdd) {
-  auto bytes = build_single_func({{}, {}}, [](auto& f) {
-    f.i32_const(0);
-    f.i32_const(16);
-    f.mem_op(Op::kV128Load);
-    f.i32_const(32);
-    f.mem_op(Op::kV128Load);
-    f.op(Op::kF64x2Add);
-    f.mem_op(Op::kV128Store);
-    f.end();
-  });
-  RFunc opt = lower_one(bytes, true);
-  EXPECT_TRUE(contains_op(opt, ROp::kF64x2LoadAdd)) << opt.to_string();
-}
-
-TEST(SimdSuperinstructions, FusesV128AddStore) {
-  auto bytes = build_single_func({{}, {}}, [](auto& f) {
-    u32 a = f.add_local(V128T);
-    u32 b = f.add_local(V128T);
-    f.i32_const(16);
-    f.mem_op(Op::kV128Load);
-    f.local_set(a);
-    f.i32_const(32);
-    f.mem_op(Op::kV128Load);
-    f.local_set(b);
-    f.i32_const(0);
-    f.local_get(a);
-    f.local_get(b);
-    f.op(Op::kF64x2Add);
-    f.mem_op(Op::kV128Store);
-    f.end();
-  });
-  RFunc opt = lower_one(bytes, true);
-  EXPECT_TRUE(contains_op(opt, ROp::kF64x2AddStore)) << opt.to_string();
-}
 
 TEST(SimdSuperinstructions, FusesV128IndexedAddress) {
   auto bytes = build_single_func({{I32, I32}, {F64}}, [](auto& f) {
@@ -418,14 +369,24 @@ TEST(SimdSuperinstructions, FusesV128IndexedAddress) {
 }
 
 TEST(SimdSuperinstructions, SimdFusionDisabledByOption) {
-  auto bytes = build_single_func({{}, {}}, [](auto& f) {
-    f.i32_const(0);
+  // v128 and scalar loads off the same scaled index: with the SIMD rewrites
+  // off the v128 load keeps its address arithmetic, the scalar one still
+  // folds it.
+  auto bytes = build_single_func({{I32, I32}, {F64}}, [](auto& f) {
+    f.local_get(0);
+    f.local_get(1);
     f.i32_const(16);
+    f.op(Op::kI32Mul);
+    f.op(Op::kI32Add);
     f.mem_op(Op::kV128Load);
-    f.i32_const(32);
-    f.mem_op(Op::kV128Load);
-    f.op(Op::kF64x2Add);
-    f.mem_op(Op::kV128Store);
+    f.lane_op(Op::kF64x2ExtractLane, 0);
+    f.local_get(0);
+    f.local_get(1);
+    f.i32_const(8);
+    f.op(Op::kI32Mul);
+    f.op(Op::kI32Add);
+    f.mem_op(Op::kF64Load);
+    f.op(Op::kF64Add);
     f.end();
   });
   auto decoded = wasm::decode_module({bytes.data(), bytes.size()});
@@ -434,11 +395,9 @@ TEST(SimdSuperinstructions, SimdFusionDisabledByOption) {
   rt::OptOptions opts;
   opts.simd = false;
   rt::optimize_function(f, opts);
-  // v128 ops stay un-fused; scalar superinstructions are unaffected.
-  EXPECT_FALSE(contains_op(f, ROp::kF64x2LoadAdd)) << f.to_string();
-  EXPECT_FALSE(contains_op(f, ROp::kF64x2AddStore)) << f.to_string();
+  EXPECT_FALSE(contains_op(f, ROp::kV128LoadIx)) << f.to_string();
   EXPECT_TRUE(contains_op(f, ROp::kV128Load)) << f.to_string();
-  EXPECT_TRUE(contains_op(f, ROp::kF64x2Add)) << f.to_string();
+  EXPECT_TRUE(contains_op(f, ROp::kF64LoadIx)) << f.to_string();
 }
 
 TEST(SimdFolding, SplatOfConstantBecomesPooledV128Const) {

@@ -2,9 +2,9 @@
 //
 // Every v128 instruction is checked against an independent scalar reference
 // evaluator (plain per-lane loops written here, not the runtime's arith.h
-// helpers), across every engine configuration (all three static tiers, the
-// plain-optimizing ablation, tiered promotion-threshold-1/staged) and both
-// dispatch modes (computed-goto and forced switch). On top of the per-op
+// helpers), across every engine configuration (all three static tiers,
+// tiered promotion-threshold-1/staged) and both dispatch modes
+// (computed-goto and forced switch). On top of the per-op
 // sweep: scalar-vs-SIMD micro-kernel twins (bit-exact for element-wise and
 // integer kernels, ULP-bounded for reassociated float reductions), the
 // opt_simd ablation, and OOB-trap-point equivalence for v128 accesses,

@@ -32,12 +32,9 @@ inline std::vector<EngineTier> all_tiers() {
 }
 
 /// Every engine configuration a module should behave identically under:
-/// the three static tiers (the optimizing and jit tiers run with
-/// superinstruction fusion enabled — their default), an optimizing ablation
-/// with it disabled (isolates the fused code paths against the plain
-/// pipeline), plus tiered mode with threshold 1, which forces a lazy
-/// promotion on the very first call of every function (maximum mid-run tier
-/// churn; promotions also compile fused bodies).
+/// the three static tiers, plus tiered mode with threshold 1, which forces a
+/// lazy promotion on the very first call of every function (maximum mid-run
+/// tier churn; promotions also compile fused bodies).
 inline std::vector<EngineConfig> all_engine_configs() {
   std::vector<EngineConfig> cfgs;
   for (EngineTier tier : all_tiers()) {
@@ -45,10 +42,6 @@ inline std::vector<EngineConfig> all_engine_configs() {
     c.tier = tier;
     cfgs.push_back(c);
   }
-  EngineConfig plain_opt;
-  plain_opt.tier = EngineTier::kOptimizing;
-  plain_opt.opt_superinstructions = false;
-  cfgs.push_back(plain_opt);
   EngineConfig tiered;
   tiered.tier = EngineTier::kTiered;
   tiered.tierup_opt_threshold = 1;
@@ -79,7 +72,6 @@ inline std::string config_label(const EngineConfig& cfg) {
          std::to_string(cfg.tierup_jit_threshold) + ")";
   }
   if (cfg.tier == EngineTier::kJit && !cfg.jit) s += "(off)";
-  if (!cfg.opt_superinstructions) s += "(plain)";
   return s;
 }
 
