@@ -1,14 +1,12 @@
 // bench_dispatch: the execution-core perf trajectory.
 //
-// Measures dispatch and native codegen separately, per kernel, all over the
+// Measures the executor against native codegen, per kernel, both over the
 // optimizing pipeline's RegCode:
-//   switch   — the portable switch loop (set_dispatch_force_switch): the
-//              reference dispatch
-//   threaded — computed-goto dispatch (the kOptimizing default)
+//   threaded — the computed-goto executor (EngineTier::kOptimizing)
 //   jit      — native x86-64 template codegen (EngineTier::kJit)
 //
-// The executor columns check every memory access; the jit column checks
-// none and leaves out-of-bounds accesses to the guard region.
+// The executor checks every memory access; native code checks none and
+// leaves out-of-bounds accesses to the guard region.
 //
 // Each cell is the median over rounds, with its interquartile range. A round
 // samples every config once, in an order rotated by one per round, so slow
@@ -22,10 +20,8 @@
 // compiling and running, not a measurement) and additionally asserts that
 // the jit column actually ran native code.
 //
-// Acceptance targets (enforced on non-smoke runs, exit 1 on miss), over the
-// per-kernel medians:
-//   geomean(threaded / switch) >= 1.3x
-//   geomean(jit / threaded)    >= 3.0x
+// Acceptance target (enforced on non-smoke runs, exit 1 on miss), over the
+// per-kernel medians: geomean(jit / threaded) >= 3.0x.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -36,7 +32,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "runtime/exec.h"
 #include "support/stats.h"
 #include "support/timing.h"
 #include "wasm/builder.h"
@@ -50,16 +45,14 @@ namespace {
 
 struct ExecConfig {
   const char* name;
-  bool force_switch;
   bool jit;  // native codegen (EngineTier::kJit)
 };
 
-constexpr size_t kNumConfigs = 3;
-constexpr size_t kSwitch = 0, kThreaded = 1, kJitCol = 2;
+constexpr size_t kNumConfigs = 2;
+constexpr size_t kThreaded = 0, kJitCol = 1;
 const ExecConfig kConfigs[kNumConfigs] = {
-    {"switch", true, false},
-    {"threaded", false, false},
-    {"jit", false, true},
+    {"threaded", false},
+    {"jit", true},
 };
 
 rt::EngineConfig engine_for(const ExecConfig& c) {
@@ -199,11 +192,6 @@ struct Row {
   std::string name;
   Cell cells[kNumConfigs];  // parallel to kConfigs
   u64 jit_funcs = 0;  // native functions in the jit-config module
-  f64 speedup() const {
-    return cells[kThreaded].median > 0
-               ? cells[kSwitch].median / cells[kThreaded].median
-               : 0;
-  }
   f64 jit_speedup() const {
     return cells[kJitCol].median > 0
                ? cells[kThreaded].median / cells[kJitCol].median
@@ -218,18 +206,16 @@ void measure(Row& row, const Sampler (&samplers)[kNumConfigs], int rounds) {
   for (int r = 0; r < rounds; ++r) {
     for (size_t k = 0; k < kNumConfigs; ++k) {
       const size_t c = (size_t(r) + k) % kNumConfigs;
-      rt::set_dispatch_force_switch(kConfigs[c].force_switch);
       samples[c].push_back(samplers[c]());
     }
   }
-  rt::set_dispatch_force_switch(false);
   for (size_t c = 0; c < kNumConfigs; ++c)
     row.cells[c] = {percentile(samples[c], 50), percentile(samples[c], 25),
                     percentile(samples[c], 75)};
 }
 
 void write_json(const std::string& path, const std::vector<Row>& rows,
-                f64 geomean, f64 jit_geomean, bool smoke, int micro_rounds,
+                f64 jit_geomean, bool smoke, int micro_rounds,
                 int micro_calls, int kernel_rounds) {
   FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
@@ -238,13 +224,12 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
   }
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"bench\": \"bench_dispatch\",\n");
-  std::fprintf(out, "  \"schema\": 3,\n");
+  std::fprintf(out, "  \"schema\": 4,\n");
   std::fprintf(out, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(out, "  \"host_hw_concurrency\": %u,\n",
                unsigned(std::thread::hardware_concurrency()));
   std::fprintf(out, "  \"tier\": \"optimizing (+jit column at tier jit)\",\n");
-  std::fprintf(out,
-               "  \"configs\": [\"switch\", \"threaded\", \"jit\"],\n");
+  std::fprintf(out, "  \"configs\": [\"threaded\", \"jit\"],\n");
   std::fprintf(out,
                "  \"sampling\": {\"micro_rounds\": %d, "
                "\"micro_calls_per_sample\": %d, \"kernel_rounds\": %d},\n",
@@ -261,14 +246,11 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
     }
     std::fprintf(out,
                  "}, \"jit_funcs\": %llu, "
-                 "\"speedup_threaded_vs_switch\": %.3f, "
                  "\"speedup_jit_vs_threaded\": %.3f}%s\n",
-                 (unsigned long long)r.jit_funcs, r.speedup(), r.jit_speedup(),
+                 (unsigned long long)r.jit_funcs, r.jit_speedup(),
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
-  std::fprintf(out, "  \"geomean_speedup_threaded_vs_switch\": %.3f,\n",
-               geomean);
   std::fprintf(out, "  \"geomean_speedup_jit_vs_threaded\": %.3f\n",
                jit_geomean);
   std::fprintf(out, "}\n");
@@ -346,25 +328,21 @@ int main(int argc, char** argv) {
   }
 
   print_subhead("seconds per run: median [q1, q3] (optimizing tier + jit)");
-  std::printf("%-19s %-28s %-28s %-28s %8s %8s\n", "kernel", "switch",
-              "threaded", "jit", "thr/sw", "jit/thr");
-  f64 log_sum = 0, jit_log_sum = 0;
+  std::printf("%-19s %-28s %-28s %8s\n", "kernel", "threaded", "jit",
+              "jit/thr");
+  f64 jit_log_sum = 0;
   for (const Row& r : rows) {
     std::printf("%-19s", r.name.c_str());
     for (const Cell& cell : r.cells)
       std::printf(" %.6f [%.6f,%.6f]", cell.median, cell.q1, cell.q3);
-    std::printf(" %7.2fx %7.2fx\n", r.speedup(), r.jit_speedup());
-    log_sum += std::log(r.speedup());
+    std::printf(" %7.2fx\n", r.jit_speedup());
     jit_log_sum += std::log(r.jit_speedup());
   }
-  f64 geomean = std::exp(log_sum / f64(rows.size()));
   f64 jit_geomean = std::exp(jit_log_sum / f64(rows.size()));
-  std::printf("\n  => geomean speedup threaded vs switch: %.2fx "
-              "(target >= 1.30x)\n", geomean);
-  std::printf("  => geomean speedup jit vs threaded: %.2fx (target >= 3.00x)\n",
-              jit_geomean);
+  std::printf("\n  => geomean speedup jit vs threaded: %.2fx "
+              "(target >= 3.00x)\n", jit_geomean);
 
-  write_json(out_path, rows, geomean, jit_geomean, smoke, micro_rounds,
+  write_json(out_path, rows, jit_geomean, smoke, micro_rounds,
              micro_calls, kernel_rounds);
 
   if (smoke) {
@@ -379,11 +357,6 @@ int main(int argc, char** argv) {
     std::printf("  smoke: jit column ran native code on all %zu kernels\n",
                 rows.size());
     return 0;
-  }
-  if (geomean < 1.30) {
-    std::fprintf(stderr, "FAIL: threaded-vs-switch geomean %.2fx below 1.30x\n",
-                 geomean);
-    return 1;
   }
   if (jit_geomean < 3.0) {
     std::fprintf(stderr, "FAIL: jit-vs-threaded geomean %.2fx below 3.00x\n",

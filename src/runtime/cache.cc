@@ -103,8 +103,9 @@ void write_rfunc(ByteWriter& w, const RFunc& f) {
   }
 }
 
-/// Reads one function record; false on a malformed record (the caller
-/// treats the whole entry as corrupt).
+/// Reads one function record; false on a malformed record, including a
+/// body that fails rfunc_well_formed() (the caller treats the whole entry as
+/// corrupt).
 bool read_rfunc(ByteReader& r, RFunc& f) {
   f.num_params = r.read_leb_u32();
   f.num_locals = r.read_leb_u32();
@@ -139,6 +140,8 @@ bool read_rfunc(ByteReader& r, RFunc& f) {
     pool.resize(n);
     for (u32& t : pool) t = r.read_leb_u32();
   }
+  // The executor and the JIT trust a body's control and pool references.
+  if (!rfunc_well_formed(f)) return false;
   u8 has_native = r.read_u8();
   if (has_native > 1) return false;
   if (has_native != 0) {

@@ -175,18 +175,12 @@ void compute_canonical_ids(CompiledModule& cm) {
 // Tiered entry thunks.
 //
 // Steady: installed once the final-stage body is published (Jit when
-// native promotion is on, Optimizing otherwise); calls go straight to the
-// executor with no counter traffic. A jit body carries its native entry; a body without
-// one runs on the threaded interpreter.
+// native promotion is on, Optimizing otherwise); calls go straight to
+// Instance::run_compiled with no counter traffic.
 void tiered_steady_entry(Instance& inst, const CompiledModule& cm,
                          u32 defined_index, Slot* base) {
   const FuncUnit& u = cm.tiered.units[defined_index];
-  const RFunc& rf = *u.active.load(std::memory_order_acquire);
-  if (rf.jit_entry != nullptr) {
-    inst.run_jit(rf, base);
-  } else {
-    inst.run_regcode(rf, base);
-  }
+  inst.run_compiled(*u.active.load(std::memory_order_acquire), base);
 }
 
 // Counting: bumps the call counter, requests promotion when a threshold
@@ -204,11 +198,7 @@ void tiered_counting_entry(Instance& inst, const CompiledModule& cm,
     tier_up(cm, defined_index, EngineTier::kOptimizing);
   }
   if (const RFunc* rf = u.active.load(std::memory_order_acquire)) {
-    if (rf->jit_entry != nullptr) {
-      inst.run_jit(*rf, base);
-    } else {
-      inst.run_regcode(*rf, base);
-    }
+    inst.run_compiled(*rf, base);
   } else {
     inst.run_predecoded(cm.predecoded.funcs[defined_index], base);
   }

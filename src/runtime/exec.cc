@@ -1,6 +1,5 @@
 #include "runtime/exec.h"
 
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -15,8 +14,6 @@ namespace mpiwasm::rt {
 using namespace arith;
 
 namespace {
-
-std::atomic<bool> g_force_switch{false};
 
 // Operand access helpers shared by every HANDLER body (exec_ops.inc).
 #define A r[in.a]
@@ -70,42 +67,6 @@ std::atomic<bool> g_force_switch{false};
     auto y = B.field;      \
     if (expr) JUMP(in.imm); \
   }
-
-// ---------------------------------------------------------------------------
-// Portable switch executor.
-// ---------------------------------------------------------------------------
-
-void exec_switch(Instance& inst, const RFunc& f, Slot* r) {
-  LinearMemory& mem = inst.memory();
-  const RInstr* code = f.code.data();
-  const size_t n = f.code.size();
-  size_t pc = 0;
-
-  while (pc < n) {
-    const RInstr& in = code[pc];
-    switch (in.op) {
-#define HANDLER(name, ...) \
-  case ROp::k##name: {     \
-    __VA_ARGS__            \
-  } break;
-#define JUMP(t)        \
-  {                    \
-    pc = size_t(t);    \
-    continue;          \
-  }
-#include "runtime/exec_ops.inc"
-#undef HANDLER
-#undef JUMP
-      case ROp::kCount:
-        fatal("invalid ROp in executor");
-    }
-    ++pc;
-  }
-  // Fell off the end: only possible for a void function whose last
-  // instruction was not a Return (lowering always emits one, so this is an
-  // internal error).
-  fatal("regcode executor fell off function end");
-}
 
 // ---------------------------------------------------------------------------
 // Direct-threaded executor (computed goto). The same translation unit is
@@ -165,63 +126,19 @@ const void* const* handler_table() {
   return g_handler_table;
 }
 
-/// The goto loop has no pc bound check, so only accept code where control
-/// can never leave [0, n): a terminator at the end and every branch target
-/// in range. The optimizer and lowering always satisfy this; hand-built
-/// test bodies that do not simply keep using the switch loop.
-bool threadable(const RFunc& f) {
-  const size_t n = f.code.size();
-  if (n == 0) return false;
-  ROp last = f.code[n - 1].op;
-  if (last != ROp::kBr && last != ROp::kReturn && last != ROp::kReturnVoid &&
-      last != ROp::kUnreachable && last != ROp::kBrTable)
-    return false;
-  if (last == ROp::kBrTable && f.br_pool.empty()) return false;
-  for (const RInstr& in : f.code) {
-    switch (in.op) {
-      case ROp::kBr: case ROp::kBrIf: case ROp::kBrIfNot:
-      case ROp::kBrIfI32Eq: case ROp::kBrIfI32Ne: case ROp::kBrIfI32LtS:
-      case ROp::kBrIfI32LtU: case ROp::kBrIfI32GtS: case ROp::kBrIfI32GtU:
-      case ROp::kBrIfI32LeS: case ROp::kBrIfI32LeU: case ROp::kBrIfI32GeS:
-      case ROp::kBrIfI32GeU:
-        if (in.imm >= n) return false;
-        break;
-      case ROp::kBrTable:
-        if (in.imm >= f.br_pool.size()) return false;
-        for (u32 t : f.br_pool[in.imm])
-          if (t >= n) return false;
-        break;
-      default:
-        break;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 void prepare_rfunc(RFunc& f) {
-  if (!threadable(f)) {
-    f.handlers.clear();
-    return;
-  }
+  // The goto loop has no pc bound: control must never leave the body.
+  MW_CHECK(rfunc_well_formed(f), "prepare_rfunc: malformed RegCode body");
   const void* const* table = handler_table();
   f.handlers.resize(f.code.size());
   for (size_t i = 0; i < f.code.size(); ++i)
     f.handlers[i] = table[size_t(f.code[i].op)];
 }
 
-void set_dispatch_force_switch(bool on) {
-  g_force_switch.store(on, std::memory_order_relaxed);
-}
-
 void exec_regcode(Instance& inst, const RFunc& f, Slot* r) {
-  if (!f.handlers.empty() &&
-      !g_force_switch.load(std::memory_order_relaxed)) {
-    exec_threaded(&inst, &f, r);
-    return;
-  }
-  exec_switch(inst, f, r);
+  exec_threaded(&inst, &f, r);
 }
 
 #undef A

@@ -59,6 +59,25 @@ constexpr size_t kArenaSlots = 1 << 17;  // 2 MiB of Slot frames per thread
 
 std::atomic<u64> g_next_instance_id{1};
 
+/// Runs `exec(frame)` in a fresh frame of `slots` slots from the calling
+/// thread's arena: the args are copied in from `base`, the other slots
+/// zeroed (spec: locals start zeroed), and the result, if any, is copied
+/// back to base[0].
+template <class Exec>
+void run_in_frame(Instance& inst, u32 slots, u32 params, bool has_result,
+                  Slot* base, Exec&& exec) {
+  Slot* frame = inst.alloc_frame(slots);
+  struct FrameGuard {
+    Instance& inst;
+    u32 n;
+    ~FrameGuard() { inst.release_frame(n); }
+  } frame_guard{inst, slots};
+  std::memset(frame + params, 0, (slots - params) * sizeof(Slot));
+  if (params > 0) std::memcpy(frame, base, params * sizeof(Slot));
+  exec(frame);
+  if (has_result) base[0] = frame[0];
+}
+
 }  // namespace
 
 Instance::Instance(std::shared_ptr<const CompiledModule> cm,
@@ -203,66 +222,27 @@ void Instance::call_function(u32 fidx, Slot* base) {
     case EngineTier::kTiered:  // (always has units)
       run_predecoded(cm.predecoded.funcs[di], base);
       return;
-    case EngineTier::kJit: {
-      // Per-function fallback: bodies without a native entry (template gap
-      // or arena failure) run on the threaded interpreter.
-      const RFunc& rf = cm.regcode.funcs[di];
-      if (rf.jit_entry != nullptr) {
-        run_jit(rf, base);
-      } else {
-        run_regcode(rf, base);
-      }
-      return;
-    }
     case EngineTier::kOptimizing:
-      run_regcode(cm.regcode.funcs[di], base);
+    case EngineTier::kJit:
+      run_compiled(cm.regcode.funcs[di], base);
       return;
   }
 }
 
 void Instance::run_predecoded(const PreFunc& f, Slot* base) {
-  const u32 frame_slots = f.num_locals + f.max_stack;
-  Slot* frame = alloc_frame(frame_slots);
-  struct FrameGuard {
-    Instance& inst;
-    u32 n;
-    ~FrameGuard() { inst.release_frame(n); }
-  } frame_guard{*this, frame_slots};
-  // Zero locals beyond params (spec: locals start zeroed), copy args.
-  std::memset(frame + f.num_params, 0,
-              (frame_slots - f.num_params) * sizeof(Slot));
-  if (f.num_params > 0) std::memcpy(frame, base, f.num_params * sizeof(Slot));
-  interp_exec(*this, f, frame);
-  if (f.has_result) base[0] = frame[0];
+  run_in_frame(*this, f.num_locals + f.max_stack, f.num_params, f.has_result,
+               base, [&](Slot* frame) { interp_exec(*this, f, frame); });
 }
 
-void Instance::run_regcode(const RFunc& f, Slot* base) {
-  Slot* frame = alloc_frame(f.num_regs);
-  struct FrameGuard {
-    Instance& inst;
-    u32 n;
-    ~FrameGuard() { inst.release_frame(n); }
-  } frame_guard{*this, f.num_regs};
-  std::memset(frame + f.num_params, 0,
-              (f.num_regs - f.num_params) * sizeof(Slot));
-  if (f.num_params > 0) std::memcpy(frame, base, f.num_params * sizeof(Slot));
-  exec_regcode(*this, f, frame);
-  if (f.has_result) base[0] = frame[0];
-}
-
-void Instance::run_jit(const RFunc& f, Slot* base) {
-  if (!run_native_) return run_regcode(f, base);
-  Slot* frame = alloc_frame(f.num_regs);
-  struct FrameGuard {
-    Instance& inst;
-    u32 n;
-    ~FrameGuard() { inst.release_frame(n); }
-  } frame_guard{*this, f.num_regs};
-  std::memset(frame + f.num_params, 0,
-              (f.num_regs - f.num_params) * sizeof(Slot));
-  if (f.num_params > 0) std::memcpy(frame, base, f.num_params * sizeof(Slot));
-  jit_enter(f, *this, frame);
-  if (f.has_result) base[0] = frame[0];
+void Instance::run_compiled(const RFunc& f, Slot* base) {
+  run_in_frame(*this, f.num_regs, f.num_params, f.has_result, base,
+               [&](Slot* frame) {
+                 if (f.jit_entry != nullptr && run_native_) {
+                   jit_enter(f, *this, frame);
+                 } else {
+                   exec_regcode(*this, f, frame);
+                 }
+               });
 }
 
 Value Instance::invoke_index(u32 func_index, std::span<const Value> args) {

@@ -101,13 +101,12 @@ class Instance {
   /// Runs a predecoded body: allocates the frame, zeroes locals, copies the
   /// args from `base`, executes, and writes the result back to `base[0]`.
   void run_predecoded(const PreFunc& f, Slot* base);
-  /// Same, for a lowered RegCode body (any compiled tier).
-  void run_regcode(const RFunc& f, Slot* base);
-  /// Same, for a body with a native entry point (f.jit_entry != nullptr);
-  /// enters the code through a trap activation (jit_enter). Native code has
-  /// no bounds checks, so an instance whose memory has no guard region
-  /// runs the body's RegCode instead (run_regcode).
-  void run_jit(const RFunc& f, Slot* base);
+  /// Same, for a lowered RegCode body (any compiled tier). A body with a
+  /// native entry point (f.jit_entry) is entered through a trap activation
+  /// (jit_enter); one without, a kJit template gap included, runs on the
+  /// executor (exec_regcode). Native code has no bounds checks, so an
+  /// instance whose memory has no guard region always runs the executor.
+  void run_compiled(const RFunc& f, Slot* base);
   Slot* globals() { return globals_.data(); }
   std::vector<u32>& table() { return table_; }
 

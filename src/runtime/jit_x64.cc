@@ -246,8 +246,6 @@ bool calls_helper(ROp op, u32 feats) {
   }
 }
 
-bool jit_is_branch(ROp op);
-
 constexpr u8 kFrame = 0xFF;  // the operand lives in its home slot
 constexpr u8 kNoLoc = 0xFE;  // the field is not an operand of the template
 constexpr u8 kXmm = 0x10;    // location bit: XMM register (low nibble: number)
@@ -308,7 +306,7 @@ RegAlloc allocate_registers(const RFunc& f, u32 feats) {
     const RInstr& in = f.code[j];
     if (in.op == ROp::kBrTable) {
       for (u32 t : f.br_pool[in.imm]) back_edge(j, t);
-    } else if (jit_is_branch(in.op)) {
+    } else if (rop_is_jump(in.op)) {
       back_edge(j, u32(in.imm));
     }
   }
@@ -2519,90 +2517,19 @@ bool jit_op_covered(ROp op, u32 cpu_features) {
   }
 }
 
-namespace {
-
-bool jit_is_branch(ROp op) {
-  switch (op) {
-    case ROp::kBr:
-    case ROp::kBrIf:
-    case ROp::kBrIfNot:
-    case ROp::kBrIfI32Eq:
-    case ROp::kBrIfI32Ne:
-    case ROp::kBrIfI32LtS:
-    case ROp::kBrIfI32LtU:
-    case ROp::kBrIfI32GtS:
-    case ROp::kBrIfI32GtU:
-    case ROp::kBrIfI32LeS:
-    case ROp::kBrIfI32LeU:
-    case ROp::kBrIfI32GeS:
-    case ROp::kBrIfI32GeU:
-      return true;
-    default:
-      return false;
-  }
-}
-
-// Lane count when `op` is an extract/replace with an immediate lane index,
-// else 0 (no lane validation needed).
-u32 jit_lane_count(ROp op) {
-  switch (op) {
-    case ROp::kI8x16ExtractLaneS:
-    case ROp::kI8x16ExtractLaneU:
-    case ROp::kI8x16ReplaceLane:
-      return 16;
-    case ROp::kI16x8ExtractLaneS:
-    case ROp::kI16x8ExtractLaneU:
-    case ROp::kI16x8ReplaceLane:
-      return 8;
-    case ROp::kI32x4ExtractLane:
-    case ROp::kF32x4ExtractLane:
-    case ROp::kI32x4ReplaceLane:
-    case ROp::kF32x4ReplaceLane:
-      return 4;
-    case ROp::kI64x2ExtractLane:
-    case ROp::kF64x2ExtractLane:
-    case ROp::kI64x2ReplaceLane:
-    case ROp::kF64x2ReplaceLane:
-      return 2;
-    default:
-      return 0;
-  }
-}
-
-bool jit_is_terminator(ROp op) {
-  return op == ROp::kBr || op == ROp::kReturn || op == ROp::kReturnVoid ||
-         op == ROp::kUnreachable || op == ROp::kBrTable;
-}
-
-}  // namespace
-
 std::shared_ptr<const JitBlob> jit_compile_function(const RFunc& f) {
   const size_t n = f.code.size();
-  if (n == 0 || n > 1'000'000) return nullptr;
-  if (!jit_is_terminator(f.code.back().op)) return nullptr;
+  // emit_instr assumes every branch target, pool index and lane immediate
+  // is in range.
+  if (n > 1'000'000 || !rfunc_well_formed(f)) return nullptr;
   // Slot displacements must fit the disp32 addressing the templates use.
   if (u64(f.num_regs) * 16 > 0x7FFF0000ull) return nullptr;
 
   const u32 feats = jit_cpu_features();
-
-  // Structural validation up front (mirrors threadable()): emit_instr
-  // assumes every branch target, pool index, and lane immediate is in range.
   for (const RInstr& in : f.code) {
     if (!jit_op_covered(in.op, feats)) return nullptr;
-    if (jit_is_branch(in.op) && in.imm >= n) return nullptr;
-    if (in.op == ROp::kBrTable) {
-      if (in.imm >= f.br_pool.size()) return nullptr;
-      const auto& targets = f.br_pool[in.imm];
-      if (targets.empty()) return nullptr;
-      for (u32 t : targets)
-        if (t >= n) return nullptr;
-    }
-    if (in.op == ROp::kConstV128 && in.imm >= f.v128_pool.size())
-      return nullptr;
     if ((in.op == ROp::kGlobalGet || in.op == ROp::kGlobalSet) &&
         in.imm > 0x07FFFFFFull)
-      return nullptr;
-    if (u32 lanes = jit_lane_count(in.op); lanes != 0 && in.imm >= lanes)
       return nullptr;
   }
 

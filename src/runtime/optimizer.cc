@@ -14,24 +14,6 @@ namespace {
 /// Rounds of the pass pipeline before it stops short of a fixpoint.
 constexpr u32 kMaxRounds = 4;
 
-bool is_branch(ROp op) {
-  switch (op) {
-    case ROp::kBr: case ROp::kBrIf: case ROp::kBrIfNot: case ROp::kBrTable:
-    case ROp::kBrIfI32Eq: case ROp::kBrIfI32Ne: case ROp::kBrIfI32LtS:
-    case ROp::kBrIfI32LtU: case ROp::kBrIfI32GtS: case ROp::kBrIfI32GtU:
-    case ROp::kBrIfI32LeS: case ROp::kBrIfI32LeU: case ROp::kBrIfI32GeS:
-    case ROp::kBrIfI32GeU:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_terminator(ROp op) {
-  return op == ROp::kBr || op == ROp::kBrTable || op == ROp::kReturn ||
-         op == ROp::kReturnVoid || op == ROp::kUnreachable;
-}
-
 }  // namespace
 
 void collect_reads(const RInstr& in, std::vector<u32>& out) {
@@ -279,7 +261,7 @@ std::vector<u32> branch_targets(const RFunc& f, const RInstr& in) {
   std::vector<u32> out;
   if (in.op == ROp::kBrTable) {
     for (u32 t : f.br_pool[in.imm]) out.push_back(t);
-  } else if (is_branch(in.op)) {
+  } else if (rop_is_jump(in.op)) {
     out.push_back(u32(in.imm));
   }
   return out;
@@ -293,7 +275,7 @@ Cfg build_cfg(const RFunc& f) {
   leader[0] = true;
   for (size_t i = 0; i < n; ++i) {
     const RInstr& in = f.code[i];
-    if (is_branch(in.op) || is_terminator(in.op)) {
+    if (rop_is_jump(in.op) || rop_is_terminator(in.op)) {
       for (u32 t : branch_targets(f, in)) {
         MW_CHECK(t <= n, "branch target out of range");
         if (t < n) leader[t] = true;
@@ -311,11 +293,11 @@ Cfg build_cfg(const RFunc& f) {
   for (size_t b = 0; b < cfg.leaders.size(); ++b) {
     size_t last = cfg.block_end(b, n) - 1;
     const RInstr& in = f.code[last];
-    if (is_terminator(in.op)) {
+    if (rop_is_terminator(in.op)) {
       for (u32 t : branch_targets(f, in))
         if (t < n) cfg.successors[b].push_back(u32(cfg.block_of[t]));
     } else {
-      if (is_branch(in.op))
+      if (rop_is_jump(in.op))
         for (u32 t : branch_targets(f, in))
           if (t < n) cfg.successors[b].push_back(u32(cfg.block_of[t]));
       if (last + 1 < n) cfg.successors[b].push_back(u32(cfg.block_of[last + 1]));
@@ -886,7 +868,7 @@ void thread_branches(RFunc& f) {
     return t;
   };
   for (auto& in : f.code) {
-    if (is_branch(in.op) && in.op != ROp::kBrTable)
+    if (rop_is_jump(in.op))
       in.imm = final_target(u32(in.imm));
   }
   for (auto& pool : f.br_pool)
@@ -907,7 +889,7 @@ void compact(RFunc& f) {
   for (const auto& in : f.code)
     if (in.op != ROp::kNop) out.push_back(in);
   for (auto& in : out) {
-    if (is_branch(in.op) && in.op != ROp::kBrTable) in.imm = remap[in.imm];
+    if (rop_is_jump(in.op)) in.imm = remap[in.imm];
   }
   for (auto& pool : f.br_pool)
     for (u32& t : pool) t = remap[t];

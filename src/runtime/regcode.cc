@@ -125,6 +125,46 @@ const char* rop_name(ROp op) {
   }
 }
 
+u32 rop_lane_count(ROp op) {
+  switch (op) {
+    case ROp::kI8x16ExtractLaneS: case ROp::kI8x16ExtractLaneU:
+    case ROp::kI8x16ReplaceLane:
+      return 16;
+    case ROp::kI16x8ExtractLaneS: case ROp::kI16x8ExtractLaneU:
+    case ROp::kI16x8ReplaceLane:
+      return 8;
+    case ROp::kI32x4ExtractLane: case ROp::kF32x4ExtractLane:
+    case ROp::kI32x4ReplaceLane: case ROp::kF32x4ReplaceLane:
+      return 4;
+    case ROp::kI64x2ExtractLane: case ROp::kF64x2ExtractLane:
+    case ROp::kI64x2ReplaceLane: case ROp::kF64x2ReplaceLane:
+      return 2;
+    default:
+      return 0;
+  }
+}
+
+bool rfunc_well_formed(const RFunc& f) {
+  const size_t n = f.code.size();
+  if (n == 0 || !rop_is_terminator(f.code.back().op)) return false;
+  for (const RInstr& in : f.code) {
+    if (rop_is_jump(in.op) && in.imm >= n) return false;
+    if (in.op == ROp::kBrTable) {
+      if (in.imm >= f.br_pool.size()) return false;
+      const std::vector<u32>& targets = f.br_pool[in.imm];
+      if (targets.empty()) return false;
+      for (u32 t : targets)
+        if (t >= n) return false;
+    }
+    if ((in.op == ROp::kConstV128 || in.op == ROp::kI8x16Shuffle) &&
+        in.imm >= f.v128_pool.size())
+      return false;
+    if (u32 lanes = rop_lane_count(in.op); lanes != 0 && in.imm >= lanes)
+      return false;
+  }
+  return true;
+}
+
 std::string RFunc::to_string() const {
   std::ostringstream os;
   os << "func params=" << num_params << " locals=" << num_locals

@@ -9,9 +9,9 @@
 //
 // The executor attacks the three interpreter costs Jangda et al. identify
 // as the Wasm-vs-native gap:
-//   - dispatch: computed-goto direct threading, with the portable switch
-//     loop as reference and fallback (see exec.h). Handler addresses live
-//     in RFunc::handlers, resolved once per function at publication time.
+//   - dispatch: computed-goto direct threading (see exec.h). Handler
+//     addresses live in RFunc::handlers, resolved once per function at
+//     publication time.
 //   - bounds checks: the executor checks every access against the current
 //     size; native code has none and lets the guard region fault instead
 //     (memory.h, jit_support.h).
@@ -199,6 +199,23 @@ inline bool rop_is_atomic(ROp op) {
   return op >= ROp::kAtomicNotify && op < ROp::kCount;
 }
 
+/// Whether `op` branches to the instruction index in imm: every branch but
+/// kBrTable, whose targets live in br_pool.
+inline bool rop_is_jump(ROp op) {
+  return (op >= ROp::kBr && op <= ROp::kBrIfNot) ||
+         (op >= ROp::kBrIfI32Eq && op <= ROp::kBrIfI32GeU);
+}
+
+/// Whether control never falls through `op` to the next instruction.
+inline bool rop_is_terminator(ROp op) {
+  return op == ROp::kBr || op == ROp::kBrTable || op == ROp::kReturn ||
+         op == ROp::kReturnVoid || op == ROp::kUnreachable;
+}
+
+/// Lane count of an extract/replace op, whose imm is a lane index; 0 for
+/// every other op.
+u32 rop_lane_count(ROp op);
+
 const char* rop_name(ROp op);
 
 struct RInstr {
@@ -258,8 +275,8 @@ struct RFunc {
   std::vector<wasm::V128> v128_pool;
   std::vector<std::vector<u32>> br_pool;  // br_table target lists (default last)
   // Direct-threading handler addresses, parallel to `code`. Derived (never
-  // serialized): filled by prepare_rfunc() at publication time; empty means
-  // the portable switch loop executes this body. See exec.h.
+  // serialized): filled by prepare_rfunc() at publication time, before any
+  // thread can run the body. See exec.h.
   std::vector<const void*> handlers;
   // Native machine code for this body (jit tier / tiered jit promotions);
   // null when the function was not JIT-compiled or had an untemplatable op.
@@ -272,6 +289,16 @@ struct RFunc {
 
   std::string to_string() const;  // disassembly, for tests/debugging
 };
+
+/// Whether control and pool references in `f` stay inside the body: the
+/// last instruction is a terminator, every branch target is below
+/// code.size(), every br_table list exists and is non-empty with targets in
+/// range, every v128 pool index (const, shuffle) is in range, and every lane
+/// immediate is below its lane count. The executor and the JIT rely on this
+/// without checking it per instruction, so every body they run must pass.
+/// Lowering and the optimizer always produce such bodies; a cache record
+/// that fails is malformed.
+bool rfunc_well_formed(const RFunc& f);
 
 /// A lowered module: RFuncs parallel to Module::bodies.
 struct RModule {

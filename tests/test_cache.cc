@@ -339,6 +339,131 @@ TEST(Cache, RecordHeaderThatDisagreesWithItsTypeIsRecompiled) {
   }
 }
 
+TEST(Cache, MalformedRecordBodyIsRecompiled) {
+  // The executor and native code trust a body's control and pool
+  // references: the goto loop has no pc bound, and pool and lane indices
+  // are not checked per instruction. A record that breaks one of
+  // rfunc_well_formed()'s rules is malformed, like an unknown opcode, and
+  // compiles from the module bytes instead. Each case also drops the
+  // record's native blob, so that the executor would run the body.
+  auto bytes = build_single_func({{I32}, {I32}}, [](auto& f) {
+    f.local_get(0);  // if (x > 100) x = 100  (a jump)
+    f.i32_const(100);
+    f.op(Op::kI32GtS);
+    f.if_();
+    f.i32_const(100);
+    f.local_set(0);
+    f.end();
+    f.block();
+    f.block();
+    f.block();
+    f.local_get(0);
+    f.br_table({0, 1}, 2);
+    f.end();
+    // x == 0: lane 1 of shuffle(splat(x), pool vector)
+    f.local_get(0);
+    f.op(Op::kI32x4Splat);
+    wasm::V128 v;
+    for (u8 i = 0; i < 16; ++i) v.bytes[i] = u8(0x11 * (i + 1));
+    f.v128_const(v);
+    const u8 lanes[16] = {20, 21, 22, 23, 24, 25, 26, 27,
+                          28, 29, 30, 31, 16, 17, 18, 19};
+    f.i8x16_shuffle(lanes);
+    f.lane_op(Op::kI32x4ExtractLane, 1);
+    f.ret();
+    f.end();
+    f.i32_const(7);  // x == 1
+    f.ret();
+    f.end();
+    f.i32_const(9);  // otherwise
+    f.end();
+  });
+  // Index of the first instruction of `f` that satisfies `pred`.
+  auto find = [](const rt::RFunc& f, auto pred) {
+    for (size_t i = 0; i < f.code.size(); ++i)
+      if (pred(f.code[i].op)) return i;
+    ADD_FAILURE() << "no such instruction in\n" << f.to_string();
+    return size_t(0);
+  };
+  auto op_is = [](rt::ROp want) {
+    return [want](rt::ROp op) { return op == want; };
+  };
+  struct Case {
+    const char* what;
+    std::function<void(rt::RFunc&)> mutate;
+  };
+  const Case cases[] = {
+      {"last op not a terminator",
+       [](auto& f) { f.code.back().op = rt::ROp::kNop; }},
+      {"branch past the end",
+       [&](auto& f) { f.code[find(f, rt::rop_is_jump)].imm = f.code.size(); }},
+      {"br_table list index out of range",
+       [&](auto& f) {
+         f.code[find(f, op_is(rt::ROp::kBrTable))].imm = f.br_pool.size();
+       }},
+      {"empty br_table list",
+       [&](auto& f) {
+         f.br_pool[f.code[find(f, op_is(rt::ROp::kBrTable))].imm].clear();
+       }},
+      {"br_table target past the end",
+       [&](auto& f) {
+         f.br_pool[f.code[find(f, op_is(rt::ROp::kBrTable))].imm].back() =
+             u32(f.code.size());
+       }},
+      {"v128 const pool index out of range",
+       [&](auto& f) {
+         f.code[find(f, op_is(rt::ROp::kConstV128))].imm = f.v128_pool.size();
+       }},
+      {"shuffle pool index out of range",
+       [&](auto& f) {
+         const size_t i = find(f, op_is(rt::ROp::kI8x16Shuffle));
+         f.code[i].imm = f.v128_pool.size();
+       }},
+      {"lane immediate out of range",
+       [&](auto& f) {
+         f.code[find(f, op_is(rt::ROp::kI32x4ExtractLane))].imm = 4;
+       }},
+  };
+  auto ref = instantiate(bytes, EngineTier::kInterp);
+  const i32 inputs[] = {0, 1, 5, 200};
+  for (EngineTier tier : kCompiledTiers) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(rt::tier_name(tier)) + ": " + c.what);
+      auto dir = fresh_cache_dir();
+      EngineConfig cfg;
+      cfg.tier = tier;
+      cfg.jit = true;
+      cfg.enable_cache = true;
+      cfg.cache_dir = dir;
+      auto cold = rt::compile({bytes.data(), bytes.size()}, cfg);
+      ASSERT_FALSE(cold->loaded_from_cache);
+      const fs::path entry = only_entry(dir);
+      const std::vector<u8> good = read_file_bytes(entry);
+      auto rm = rt::deserialize_regcode({good.data(), good.size()});
+      ASSERT_TRUE(rm.has_value());
+      rt::RFunc& f = rm->funcs[0];
+      ASSERT_TRUE(rt::rfunc_well_formed(f));
+      c.mutate(f);
+      ASSERT_FALSE(rt::rfunc_well_formed(f)) << f.to_string();
+      f.jit = nullptr;
+      write_file_bytes(entry, rt::serialize_regcode(*rm));
+
+      auto warm = rt::compile({bytes.data(), bytes.size()}, cfg);
+      EXPECT_TRUE(warm->loaded_from_cache);
+      rt::Instance inst(warm, rt::ImportTable{});
+      for (i32 x : inputs) {
+        const Value args[] = {Value::from_i32(x)};
+        EXPECT_EQ(inst.invoke("run", args).as_i32(),
+                  ref->invoke("run", args).as_i32())
+            << "x=" << x;
+      }
+      EXPECT_EQ(rt::tierup_snapshot(*warm).cache_record_fallbacks, 1u);
+      EXPECT_FALSE(fs::exists(entry)) << "the malformed entry is removed";
+      fs::remove_all(dir);
+    }
+  }
+}
+
 TEST(Cache, HugeFunctionCountIsRejectedNotAllocated) {
   // A corrupt count must be a clean miss, not a multi-GB resize.
   rt::RModule empty_rm;

@@ -14,7 +14,6 @@
 
 #include "benchlib/harness.h"
 #include "embedder/embedder.h"
-#include "runtime/exec.h"
 #include "toolchain/kernels.h"
 
 namespace mpiwasm::test {
@@ -282,29 +281,6 @@ TEST(DifferentialTraps, AllConfigsAgreeOnTrapKind) {
       FAIL() << "expected trap on " << config_label(cfg);
     } catch (const rt::Trap& t) {
       EXPECT_EQ(t.kind(), rt::TrapKind::kIntegerDivByZero);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Dispatch differential: the direct-threaded and portable switch executors
-// run the same regcode and must agree bit-exactly on the whole corpus.
-// ---------------------------------------------------------------------------
-
-TEST(DifferentialDispatch, SwitchAndThreadedExecutorsAgree) {
-  struct ForceGuard {
-    ~ForceGuard() { rt::set_dispatch_force_switch(false); }
-  } guard;
-  for (const Program& p : corpus()) {
-    auto threaded = instantiate(p.bytes, EngineTier::kOptimizing);
-    auto switched = instantiate(p.bytes, EngineTier::kOptimizing);
-    for (size_t k = 0; k < p.inputs.size(); ++k) {
-      rt::set_dispatch_force_switch(false);
-      u64 vt = threaded->invoke("run", p.inputs[k]).slot.u64v;
-      rt::set_dispatch_force_switch(true);
-      u64 vs = switched->invoke("run", p.inputs[k]).slot.u64v;
-      rt::set_dispatch_force_switch(false);
-      EXPECT_EQ(vt, vs) << p.name << " input#" << k;
     }
   }
 }

@@ -1,7 +1,9 @@
 // Generated-program differential test for the jit tier's register
 // allocator: seeded random modules, valid by construction, run natively
-// (kJit) and in the interpreter (kInterp). Both must agree on every result,
-// on trap kind and message, and on the final linear-memory image.
+// (kJit), on the RegCode executor (kOptimizing) and in the interpreter
+// (kInterp). All three must agree on every result, on trap kind and
+// message, and on the final linear-memory image. The executor runs every
+// kJit function with a template gap, so it is held to the same programs.
 //
 // Each program keeps more values live across its loop than the allocator
 // has registers (10+ integers for 6 GPRs, 20 floats and vectors for 14
@@ -577,23 +579,29 @@ TEST(JitRegAlloc, GeneratedProgramsMatchInterpreter) {
         ASSERT_NE(f.jit, nullptr) << "seed " << seed << ": not compiled";
     }
     rt::Instance jit(jit_cm, {});
+    auto opt = instantiate(bytes, EngineTier::kOptimizing);
     auto ref = instantiate(bytes, EngineTier::kInterp);
 
     for (i32 n : {0, 3, 9}) {
       const Outcome want = run_once(*ref, n);
-      const Outcome got = run_once(jit, n);
-      ASSERT_EQ(want.trapped, got.trapped)
-          << "seed " << seed << " n=" << n << ": " << want.trap << got.trap;
-      if (want.trapped) {
-        ++traps;
-        EXPECT_EQ(want.trap, got.trap) << "seed " << seed << " n=" << n;
-      } else {
-        EXPECT_EQ(want.value, got.value) << "seed " << seed << " n=" << n;
+      if (want.trapped) ++traps;
+      for (rt::Instance* inst : {&jit, opt.get()}) {
+        const std::string where =
+            "seed " + std::to_string(seed) + " n=" + std::to_string(n) + " " +
+            rt::tier_name(inst->compiled().tier);
+        const Outcome got = run_once(*inst, n);
+        ASSERT_EQ(want.trapped, got.trapped)
+            << where << ": " << want.trap << got.trap;
+        if (want.trapped) {
+          EXPECT_EQ(want.trap, got.trap) << where;
+        } else {
+          EXPECT_EQ(want.value, got.value) << where;
+        }
+        ASSERT_EQ(ref->memory().byte_size(), inst->memory().byte_size());
+        ASSERT_EQ(0, std::memcmp(ref->memory().base(), inst->memory().base(),
+                                 ref->memory().byte_size()))
+            << where << ": memory images differ";
       }
-      ASSERT_EQ(ref->memory().byte_size(), jit.memory().byte_size());
-      ASSERT_EQ(0, std::memcmp(ref->memory().base(), jit.memory().base(),
-                               ref->memory().byte_size()))
-          << "seed " << seed << " n=" << n << ": memory images differ";
     }
   }
   // The generator must keep exercising the trap path.

@@ -3,8 +3,7 @@
 // Every v128 instruction is checked against an independent scalar reference
 // evaluator (plain per-lane loops written here, not the runtime's arith.h
 // helpers), across every engine configuration (all three static tiers,
-// tiered promotion-threshold-1/staged) and both dispatch modes
-// (computed-goto and forced switch). On top of the per-op
+// tiered promotion-threshold-1/staged). On top of the per-op
 // sweep: scalar-vs-SIMD micro-kernel twins (bit-exact for element-wise and
 // integer kernels, ULP-bounded for reassociated float reductions), the
 // opt_simd ablation, and OOB-trap-point equivalence for v128 accesses,
@@ -15,7 +14,6 @@
 #include <cstring>
 #include <random>
 
-#include "runtime/exec.h"
 #include "runtime/memory.h"
 #include "toolchain/kernels.h"
 
@@ -186,17 +184,6 @@ std::vector<EngineConfig> simd_configs() {
   return cfgs;
 }
 
-/// Runs `check` under every engine config, then again under the
-/// forced-switch loop.
-void for_each_mode(const std::function<void(const EngineConfig&)>& check) {
-  for (const EngineConfig& cfg : simd_configs()) {
-    check(cfg);
-    rt::set_dispatch_force_switch(true);
-    check(cfg);
-    rt::set_dispatch_force_switch(false);
-  }
-}
-
 /// Lane comparison mode: 'b' = exact bytes; 'f'/'d' = f32/f64 lanes where
 /// two NaNs compare equal regardless of payload (Wasm arithmetic may return
 /// any NaN, and host addss/addps operand order legitimately picks different
@@ -328,7 +315,7 @@ TEST(SimdDifferential, LanewiseBinopsAndComparisons) {
   auto vecs = test_vectors();
   for (const BinCase& bc : kBinCases) {
     auto bytes = binop_module(bc.op);
-    for_each_mode([&](const EngineConfig& cfg) {
+    for (const EngineConfig& cfg : simd_configs()) {
       auto inst = instantiate_cfg(bytes, cfg);
       for (size_t i = 0; i + 1 < vecs.size(); ++i) {
         V128 got = run_on(*inst, vecs[i], vecs[i + 1], V128{});
@@ -338,7 +325,7 @@ TEST(SimdDifferential, LanewiseBinopsAndComparisons) {
                            config_label(cfg),
                        bc.mode);
       }
-    });
+    }
   }
 }
 
@@ -374,7 +361,7 @@ TEST(SimdDifferential, LanewiseUnops) {
     // sqrt of negative inputs is lane-wise NaN; restrict its sweep to
     // non-negative bit patterns by abs-ing the float lanes first.
     auto bytes = unop_module(uc.op);
-    for_each_mode([&](const EngineConfig& cfg) {
+    for (const EngineConfig& cfg : simd_configs()) {
       auto inst = instantiate_cfg(bytes, cfg);
       for (const V128& a0 : vecs) {
         V128 a = a0;
@@ -386,7 +373,7 @@ TEST(SimdDifferential, LanewiseUnops) {
         expect_v128_eq(got, uc.ref(a), std::string(wasm::op_name(uc.op)) +
                                            " under " + config_label(cfg));
       }
-    });
+    }
   }
 }
 
@@ -398,7 +385,7 @@ TEST(SimdDifferential, FloatMinMaxNaNSemantics) {
     auto bytes = binop_module(op);
     bool f64s = op == Op::kF64x2Min || op == Op::kF64x2Max;
     bool is_min = op == Op::kF64x2Min || op == Op::kF32x4Min;
-    for_each_mode([&](const EngineConfig& cfg) {
+    for (const EngineConfig& cfg : simd_configs()) {
       V128 a{}, b{};
       if (f64s) {
         put_lane<f64, 2>(a, 0, std::numeric_limits<f64>::quiet_NaN());
@@ -425,7 +412,7 @@ TEST(SimdDifferential, FloatMinMaxNaNSemantics) {
         EXPECT_EQ(std::signbit(l1), is_min) << config_label(cfg);
         EXPECT_EQ(l2, is_min ? -7.0f : 3.0f) << config_label(cfg);
       }
-    });
+    }
   }
 }
 
@@ -463,7 +450,7 @@ TEST(SimdDifferential, Shifts) {
   auto vecs = test_vectors();
   for (const auto& sc : cases) {
     auto bytes = shift_module(sc.op);
-    for_each_mode([&](const EngineConfig& cfg) {
+    for (const EngineConfig& cfg : simd_configs()) {
       auto inst = instantiate_cfg(bytes, cfg);
       for (u32 k : {0u, 1u, 3u, 31u, 32u, 33u, 63u, 64u, 65u}) {
         V128 got = run_on(*inst, vecs[2], V128{}, V128{},
@@ -472,7 +459,7 @@ TEST(SimdDifferential, Shifts) {
                        std::string(wasm::op_name(sc.op)) + " count " +
                            std::to_string(k) + " under " + config_label(cfg));
       }
-    });
+    }
   }
 }
 
@@ -501,13 +488,13 @@ TEST(SimdDifferential, ShuffleSwizzleBitselect) {
       f.mem_op(Op::kV128Store);
       f.end();
     });
-    for_each_mode([&](const EngineConfig& cfg) {
+    for (const EngineConfig& cfg : simd_configs()) {
       V128 got = run_v128(bytes, cfg, a, b, V128{});
       V128 want{};
       for (int i = 0; i < 16; ++i)
         want.bytes[i] = pat[i] < 16 ? a.bytes[pat[i]] : b.bytes[pat[i] - 16];
       expect_v128_eq(got, want, "i8x16.shuffle under " + config_label(cfg));
-    });
+    }
   }
   {
     auto bytes = binop_module(Op::kI8x16Swizzle);
@@ -515,13 +502,13 @@ TEST(SimdDifferential, ShuffleSwizzleBitselect) {
     V128 sel{};
     const u8 sels[16] = {0, 15, 16, 255, 7, 8, 3, 200, 1, 2, 14, 13, 17, 31, 5, 9};
     std::memcpy(sel.bytes, sels, 16);
-    for_each_mode([&](const EngineConfig& cfg) {
+    for (const EngineConfig& cfg : simd_configs()) {
       V128 got = run_v128(bytes, cfg, a, sel, V128{});
       V128 want{};
       for (int i = 0; i < 16; ++i)
         want.bytes[i] = sels[i] < 16 ? a.bytes[sels[i]] : 0;
       expect_v128_eq(got, want, "i8x16.swizzle under " + config_label(cfg));
-    });
+    }
   }
   {
     auto bytes = build_single_func({{}, {}}, [&](auto& f) {
@@ -536,14 +523,14 @@ TEST(SimdDifferential, ShuffleSwizzleBitselect) {
       f.mem_op(Op::kV128Store);
       f.end();
     });
-    for_each_mode([&](const EngineConfig& cfg) {
+    for (const EngineConfig& cfg : simd_configs()) {
       V128 got = run_v128(bytes, cfg, a, b, vecs[3]);
       V128 want{};
       for (int i = 0; i < 16; ++i)
         want.bytes[i] =
             u8((a.bytes[i] & vecs[3].bytes[i]) | (b.bytes[i] & ~vecs[3].bytes[i]));
       expect_v128_eq(got, want, "v128.bitselect under " + config_label(cfg));
-    });
+    }
   }
 }
 
@@ -551,7 +538,7 @@ TEST(SimdDifferential, SplatsExtractReplace) {
   // i8x16/i16x8.splat of a value with junk above the lane, every lane
   // checked; i16x8.splat + both extract widths (s/u) + replace on every
   // shape.
-  for_each_mode([&](const EngineConfig& cfg) {
+  for (const EngineConfig& cfg : simd_configs()) {
     for (Op op : {Op::kI8x16Splat, Op::kI16x8Splat}) {
       auto bytes = build_single_func({{I32}, {}}, [&](auto& f) {
         f.i32_const(i32(kOut));
@@ -690,7 +677,7 @@ TEST(SimdDifferential, SplatsExtractReplace) {
                 0xBEEF)
           << config_label(cfg);
     }
-  });
+  }
 }
 
 TEST(SimdDifferential, LoadSplats) {
@@ -710,7 +697,7 @@ TEST(SimdDifferential, LoadSplats) {
   });
   V128 a{};
   for (int i = 0; i < 16; ++i) a.bytes[i] = u8(0x11 * (i + 1));
-  for_each_mode([&](const EngineConfig& cfg) {
+  for (const EngineConfig& cfg : simd_configs()) {
     V128 got = run_v128(bytes32, cfg, a, V128{}, V128{});
     V128 want{};
     for (int i = 0; i < 4; ++i)
@@ -720,7 +707,7 @@ TEST(SimdDifferential, LoadSplats) {
     for (int i = 0; i < 2; ++i)
       put_lane<u64, 2>(want, i, get_lane<u64, 2>(a, 0));
     expect_v128_eq(got, want, "v128.load64_splat under " + config_label(cfg));
-  });
+  }
 }
 
 TEST(SimdDifferential, AnyTrueAllTrue) {
@@ -734,7 +721,7 @@ TEST(SimdDifferential, AnyTrueAllTrue) {
   };
   for (const RCase& rc : cases) {
     auto bytes = reduce_i32_module(rc.op);
-    for_each_mode([&](const EngineConfig& cfg) {
+    for (const EngineConfig& cfg : simd_configs()) {
       auto run1 = [&](const V128& a) {
         auto inst = instantiate_cfg(bytes, cfg);
         std::memcpy(inst->memory().base() + kInA, a.bytes, 16);
@@ -754,7 +741,7 @@ TEST(SimdDifferential, AnyTrueAllTrue) {
         std::memset(holed.bytes + 16 - rc.lanes, 0, size_t(rc.lanes));
         EXPECT_EQ(run1(holed), 0) << config_label(cfg);
       }
-    });
+    }
   }
 }
 
@@ -781,7 +768,7 @@ TEST(SimdKernels, ScalarAndSimdTwinsMatchReference) {
     p.kernel = k;
     p.n = 256;
     const f64 want = toolchain::micro_kernel_reference(p, u32(reps));
-    for_each_mode([&](const EngineConfig& cfg) {
+    for (const EngineConfig& cfg : simd_configs()) {
       p.use_simd = false;
       f64 scalar = run_kernel(p, cfg, reps);
       // The scalar build follows the reference's operation order exactly.
@@ -797,7 +784,7 @@ TEST(SimdKernels, ScalarAndSimdTwinsMatchReference) {
         EXPECT_EQ(simd, want)
             << toolchain::micro_kernel_name(k) << " simd, " << config_label(cfg);
       }
-    });
+    }
   }
 }
 
@@ -873,7 +860,7 @@ TEST(SimdHoist, OobV128StoreTrapsAtSamePointWithIdenticalPartialStores) {
   interp.tier = EngineTier::kInterp;
   TrapKind want_kind = run_one(interp, want_tail, want_what);
   EXPECT_EQ(want_kind, TrapKind::kMemoryOutOfBounds);
-  for_each_mode([&](const EngineConfig& cfg) {
+  for (const EngineConfig& cfg : simd_configs()) {
     std::vector<u8> tail;
     std::string what;
     TrapKind kind = run_one(cfg, tail, what);
@@ -881,7 +868,7 @@ TEST(SimdHoist, OobV128StoreTrapsAtSamePointWithIdenticalPartialStores) {
     EXPECT_EQ(what, want_what) << config_label(cfg);
     EXPECT_EQ(tail, want_tail) << "partial stores differ under "
                                << config_label(cfg);
-  });
+  }
 }
 
 TEST(SimdHoist, InBoundsV128LoopRunsGuardedAndUnguardedIdentically) {
@@ -897,9 +884,9 @@ TEST(SimdHoist, InBoundsV128LoopRunsGuardedAndUnguardedIdentically) {
   EngineConfig interp;
   interp.tier = EngineTier::kInterp;
   auto want = run_one(interp);
-  for_each_mode([&](const EngineConfig& cfg) {
+  for (const EngineConfig& cfg : simd_configs()) {
     EXPECT_EQ(run_one(cfg), want) << config_label(cfg);
-  });
+  }
 }
 
 // ---------------------------------------------------------------------------
