@@ -6,7 +6,9 @@
 //
 // Two durations per compile: `compile_ms` (CompiledModule::compile_ms, the
 // lower/optimize/JIT or cache-load part) and the wall time of the whole
-// compile() call, which adds decode, validation and hashing. A warm load
+// compile() call, which adds decode, validation and hashing. The cold
+// compile runs with the cache on, so it is a miss, which builds every
+// function up front (in parallel) for the entry it stores. A warm load
 // maps the cache entry and builds each function on its first call, so a
 // third column, "warm+all", times a warm load followed by materializing
 // every function: what a run that calls all of them pays in total. The

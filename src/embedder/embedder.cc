@@ -126,8 +126,7 @@ RunResult Embedder::run_world(std::shared_ptr<const rt::CompiledModule> cm,
   });
 
   result.wall_seconds = wall.elapsed_s();
-  // Cheap for every tier; carries the native-code census for kJit modules
-  // and the promotion counters for kTiered ones (zeros elsewhere).
+  // Cheap for every tier: one atomic load per function.
   result.tierup = rt::tierup_snapshot(*cm);
 
   // Flush observability output now that every rank thread has joined (the

@@ -54,10 +54,10 @@ struct RunResult {
   u32 funcs_validated = 0;  // bodies the compile validated; 0 on a cache hit
   f64 wall_seconds = 0;
   bool loaded_from_cache = false;
-  /// Per-tier execution stats, taken after the world finishes: tier-up
-  /// counters for kTiered runs, the native-code census (functions compiled,
-  /// interpreter fallbacks, machine-code bytes) for kJit and tiered-to-jit
-  /// runs; zeros for the purely interpreted/threaded tiers.
+  /// Code stats, taken after the world finishes: the functions built so far
+  /// and the time their first calls spent building them, and for kJit the
+  /// native-code census (native functions, interpreter fallbacks,
+  /// machine-code bytes).
   rt::TierUpSnapshot tierup;
   /// Merged Figure-6 samples from all ranks (record_translation only).
   std::vector<TranslationSample> translation_samples;

@@ -233,28 +233,6 @@ std::optional<RFunc> decode_record(std::span<const u8> rec) {
   }
 }
 
-/// Reads the whole per-function entry at `path` into a buffer sized from
-/// its stat; nullopt when it cannot be opened, stat'ed or fully read.
-std::optional<std::vector<u8>> read_file(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return std::nullopt;
-  std::optional<std::vector<u8>> out;
-  struct stat st;
-  if (::fstat(fd, &st) == 0) {
-    std::vector<u8> bytes(size_t(st.st_size));
-    size_t got = 0;
-    while (got < bytes.size()) {
-      const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) break;
-      got += size_t(n);
-    }
-    if (got == bytes.size()) out = std::move(bytes);
-  }
-  ::close(fd);
-  return out;
-}
-
 /// Atomically publishes `bytes` at `path`; concurrent writers race
 /// benignly. Each writer fills its own temp file (pid + thread id), so two
 /// writers of one entry never truncate each other's bytes, and only a
@@ -411,13 +389,6 @@ std::string FileSystemCache::entry_path(const Sha256Digest& hash,
   return dir_ + "/" + hash.hex() + "-" + tier_tag + ".rcache";
 }
 
-std::string FileSystemCache::func_entry_path(const Sha256Digest& hash,
-                                             u32 func_index,
-                                             const std::string& tier_tag) const {
-  return dir_ + "/" + hash.hex() + "-f" + std::to_string(func_index) + "-" +
-         tier_tag + ".rcache";
-}
-
 MappedEntry::MappedEntry(std::string path, const u8* base, size_t size,
                          u32 count)
     : path_(std::move(path)), base_(base), size_(size), count_(count) {}
@@ -471,26 +442,6 @@ void FileSystemCache::store(const Sha256Digest& hash,
                             const RModule& rm) const {
   if (!enabled_) return;
   write_entry(entry_path(hash, tier_tag), serialize_regcode(rm));
-}
-
-std::optional<RFunc> FileSystemCache::load_func(
-    const Sha256Digest& hash, u32 func_index,
-    const std::string& tier_tag) const {
-  if (!enabled_) return std::nullopt;
-  const std::string path = func_entry_path(hash, func_index, tier_tag);
-  auto bytes = read_file(path);
-  if (!bytes.has_value()) return std::nullopt;
-  auto f = deserialize_rfunc(*bytes);
-  if (!f.has_value()) remove_corrupt(path);
-  return f;
-}
-
-void FileSystemCache::store_func(const Sha256Digest& hash, u32 func_index,
-                                 const std::string& tier_tag,
-                                 const RFunc& f) const {
-  if (!enabled_) return;
-  write_entry(func_entry_path(hash, func_index, tier_tag),
-              serialize_rfunc(f));
 }
 
 void FileSystemCache::clear() const {

@@ -6,8 +6,8 @@
 // a new hash and triggers recompilation; repeated executions of the same
 // application skip compilation entirely.
 //
-// The unit of serialization is a *function record*. The static tiers store
-// one whole-module entry (format v9; the layout dates from v8):
+// The unit of serialization is a *function record*. The compiled tiers
+// store one whole-module entry (format v11; the layout dates from v8):
 //
 //   magic u32 | version u32 | count u32 | count x (offset u32, length u32)
 //   | record 0 | record 1 | ...
@@ -16,10 +16,7 @@
 // to back in function order, and the last one ends at end-of-file. A warm
 // start maps the entry read-only (MappedEntry), checks that table, and
 // decodes nothing more: the engine decodes, prepares and installs each
-// function's record on the function's first call. The tiered engine stores
-// and loads individual functions keyed by (module hash, function index,
-// tier) as they get promoted, as magic | version | one record — a hot
-// function compiled on one run warm-starts on the next.
+// function's record on the function's first call.
 //
 // Entries are only ever replaced by rename, never rewritten in place, so a
 // mapping stays a complete entry for as long as it lives.
@@ -91,23 +88,12 @@ class FileSystemCache {
   void store(const Sha256Digest& hash, const std::string& tier_tag,
              const RModule& rm) const;
 
-  /// Loads one function's compiled body for (hash, func_index, tier_tag);
-  /// nullopt on miss or on a corrupt entry (which is removed).
-  std::optional<RFunc> load_func(const Sha256Digest& hash, u32 func_index,
-                                 const std::string& tier_tag) const;
-
-  /// Stores one function's compiled body; best-effort.
-  void store_func(const Sha256Digest& hash, u32 func_index,
-                  const std::string& tier_tag, const RFunc& f) const;
-
   /// Removes every cache entry (used by tests and the cache ablation).
   void clear() const;
 
  private:
   std::string entry_path(const Sha256Digest& hash,
                          const std::string& tier_tag) const;
-  std::string func_entry_path(const Sha256Digest& hash, u32 func_index,
-                              const std::string& tier_tag) const;
   std::string dir_;
   bool enabled_ = false;
 };
@@ -122,6 +108,8 @@ std::string autotune_table_path(const std::string& dir);
 /// Serialization used by the cache (exposed for round-trip tests).
 /// deserialize_regcode is the eager decoder of a whole-module entry: the
 /// same header and table checks as FileSystemCache::map, then every record.
+/// serialize_rfunc writes one record behind the magic and the version, the
+/// form tests compare bodies in; deserialize_rfunc reads it back.
 std::vector<u8> serialize_regcode(const RModule& rm);
 std::optional<RModule> deserialize_regcode(std::span<const u8> bytes);
 std::vector<u8> serialize_rfunc(const RFunc& f);

@@ -1,6 +1,6 @@
 // Compilation engine: turns Wasm binaries into executable CompiledModules.
 //
-// Three static tiers, one per point of the paper's compiler-backend
+// Three tiers, one per point of the paper's compiler-backend
 // trade-off (Table 1):
 //   kInterp     — predecode + stack-machine execution (instant startup;
 //                 the Singlepass point, and the differential reference)
@@ -11,27 +11,20 @@
 //                 x86-64 (the LLVM point: slowest compile, fastest run;
 //                 the default)
 //
-// The compiled tiers compile every function through one per-function
-// pipeline (lower -> optimize -> native blob), spread over the host's CPUs;
-// the results are installed in function-index order on the calling thread,
-// so the compiled module does not depend on scheduling.
-//
-// kTiered dissolves the compile-time/run-time trade-off: the unit of
-// compilation becomes the *function*, not the module. compile() only
-// predecodes (instant startup, like kInterp); each function carries an
-// atomic call counter and is lazily lowered + optimized, then compiled to
-// native code, as its counter crosses the configured thresholds.
-// Publication is thread-safe: CompiledModule is shared across rank
-// threads, so promoted bodies are handed off through atomic pointers and
-// never freed while the module lives.
+// compile() decodes and validates every body at every tier, so it reports
+// the same errors whichever tier runs. At the compiled tiers it then builds
+// no function: each one is lowered, optimized and (at kJit) JITted on its
+// first call, through its FuncUnit. Most functions of a large module are
+// never called, and the few an HPC kernel calls are built once per process
+// and shared by every rank thread.
 //
 // A FileSystemCache keyed by a SHA-256 module digest (paper §3.3 uses
-// BLAKE-3) lets repeated executions skip recompilation entirely. A warm
-// start at a static compiled tier maps the module's entry and builds no
-// function: each one is decoded, prepared and installed on its first call,
-// through the same FuncUnit entry thunks tiered mode uses. In tiered mode
-// the cache holds per-function entries keyed by
-// (module hash, function index, tier) so hot functions warm-start.
+// BLAKE-3) lets repeated executions skip recompilation. With the cache on,
+// a miss compiles every function up front, spread over the host's CPUs and
+// installed in function-index order on the calling thread (so the stored
+// entry does not depend on scheduling), because the entry must hold them
+// all. A hit maps the module's entry and builds no function: each one is
+// decoded from its record, prepared and installed on its first call.
 #pragma once
 
 #include <atomic>
@@ -52,20 +45,14 @@
 
 namespace mpiwasm::rt {
 
-class Instance;
-struct CompiledModule;
-
 enum class EngineTier : u8 {
   kInterp = 0,
   kOptimizing = 1,
-  kTiered = 2,  // lazy per-function compile with dynamic tier-up
   // Native x86-64 template codegen on top of the full optimizing pipeline
   // (jit_x64.h). Functions whose RegCode contains an op without a template
   // fall back to the threaded interpreter, so kJit is never worse than
-  // kOptimizing. Note kTiered sits between kOptimizing and kJit numerically
-  // but is a *mode*, not a code quality level; per-function tier fields
-  // only ever hold kInterp, kOptimizing and kJit, whose order is monotone.
-  kJit = 3,
+  // kOptimizing.
+  kJit = 2,
 };
 
 const char* tier_name(EngineTier tier);
@@ -87,21 +74,13 @@ struct EngineConfig {
   EngineTier tier = EngineTier::kJit;
   bool enable_cache = false;
   std::string cache_dir;  // empty -> "<tmp>/mpiwasm-cache"
-  // kTiered promotion thresholds (call counts). A function is compiled at
-  // the Optimizing tier once it has been entered `tierup_opt_threshold`
-  // times. Threshold 1 promotes on the first call.
-  u64 tierup_opt_threshold = 8;
-  // Third promotion stage: once a function has been entered this many times
-  // it is recompiled to native code (only when `jit` is on; clamped to at
-  // least tierup_opt_threshold).
-  u64 tierup_jit_threshold = 4096;
   /// Master switch for native codegen, defaulting to the MPIWASM_JIT
   /// environment variable (docs/TUNING.md). Off: EngineTier::kJit degrades
-  /// to kOptimizing and tiered promotion stops at the optimizing stage.
+  /// to kOptimizing.
   bool jit = jit_enabled_from_env();
   /// SIMD-aware optimization (v128 const folding, v128 indexed addressing),
-  /// applied wherever the full pipeline runs — kOptimizing, kJit and tiered
-  /// promotions to them. Defaults to the MPIWASM_SIMD environment variable
+  /// applied wherever the full pipeline runs — kOptimizing and kJit.
+  /// Defaults to the MPIWASM_SIMD environment variable
   /// so the whole test/bench suite can be ablated without recompiling; v128
   /// code still *executes* when this is off — it just runs through the
   /// generic pipeline.
@@ -119,99 +98,68 @@ class CompileError : public std::runtime_error {
   explicit CompileError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Lifecycle of one function's code in tiered mode.
-enum class FuncState : u8 {
-  kNone = 0,        // nothing derived from the body yet
-  kPredecoded = 1,  // interpreter bytecode ready (module load)
-  kRegcode = 2,     // compiled regcode published (optimizing or jit)
-};
-
-/// Entry thunk: how a call enters one function. Tiered dispatch swaps the
-/// thunk as the function is promoted so steady-state calls pay no
-/// counting/promotion checks.
-using EntryThunk = void (*)(Instance& inst, const CompiledModule& cm,
-                            u32 defined_index, Slot* base);
-
-/// Per-function compilation unit (tiered mode). Readers are lock-free:
-/// they load `entry`/`active` with acquire semantics. Writers serialize on
-/// TieredState::mu and publish with release stores. Promoted bodies are
-/// kept alive for the module's lifetime (another rank thread may still be
-/// executing the superseded one).
+/// How a call enters one defined function of a compiled-tier module.
+/// `active` stays null until the function is built: on its first call, or
+/// by a cache-on compile, which builds them all. Readers load it with
+/// acquire semantics; the builder holds FuncTable::mu, fills `body` and
+/// publishes it with a release store. A published body is never replaced.
 struct FuncUnit {
-  std::atomic<FuncState> state{FuncState::kNone};
-  std::atomic<EngineTier> tier{EngineTier::kInterp};  // tier of `active`
-  std::atomic<u64> calls{0};
-  std::atomic<const RFunc*> active{nullptr};  // best published body
-  std::atomic<EntryThunk> entry{nullptr};
-  // Writer-owned storage behind the published pointers.
-  std::unique_ptr<RFunc> optimized_body;
-  std::unique_ptr<RFunc> jit_body;  // optimized body + native entry
+  std::atomic<const RFunc*> active{nullptr};
+  std::unique_ptr<RFunc> body;
 };
 
-/// Monotonic tier-up counters, aggregated across all rank threads.
-struct TierUpStats {
-  std::atomic<u64> promoted_optimizing{0};
-  std::atomic<u64> promoted_jit{0};
-  std::atomic<u64> func_cache_hits{0};   // promotions served from cache
-  std::atomic<u64> tierup_compile_ns{0};  // wall time spent promoting
-  // Static tiers loaded from the cache: functions built on first call, and
-  // those among them whose record was corrupt and were compiled instead.
+/// First-call build counters, aggregated across all rank threads.
+struct FirstCallStats {
+  std::atomic<u64> compiled_funcs{0};  // functions built on a first call
+  std::atomic<u64> compile_ns{0};      // wall time spent building them
+  // Modules loaded from the cache: the functions among those built from the
+  // mapped entry, and those whose record was rejected and were compiled
+  // from the module bytes instead.
   std::atomic<u64> cache_materialized_funcs{0};
   std::atomic<u64> cache_record_fallbacks{0};
 };
 
-/// Plain-value copy of TierUpStats for reports, plus a census of the
-/// unit table's current FuncState distribution.
+/// Plain-value report of a module's code: a census of the functions built
+/// so far, the first-call build counters, and the native-code census.
 struct TierUpSnapshot {
   u64 funcs_total = 0;
-  u64 funcs_predecoded = 0;  // still interpreter-only
-  u64 funcs_regcode = 0;     // promoted to compiled code
-  u64 promoted_optimizing = 0;
-  u64 promoted_jit = 0;
-  u64 func_cache_hits = 0;
-  f64 tierup_compile_ms = 0;
-  // Calls observed while counting thunks were installed (tiered mode; a
-  // function stops counting once its final-stage thunk is published).
-  u64 calls_counted = 0;
-  // Native-tier census — filled for kJit modules and tiered modules alike.
+  u64 funcs_predecoded = 0;  // kInterp: every function
+  u64 funcs_regcode = 0;     // compiled tiers: functions built so far
+  // Functions built on their first call, and the time that took (see
+  // FirstCallStats). Zero when a cache-on compile built every function.
+  u64 lazy_compiled_funcs = 0;
+  f64 lazy_compile_ms = 0;
+  // Native-code census (kJit).
   u64 jit_funcs = 0;           // functions running native code
   u64 jit_fallback_funcs = 0;  // template gaps: fell back to threaded interp
   u64 jit_code_bytes = 0;      // machine code installed in the arena
   // Instances whose linear memory got no guard region (memory.h): their
   // native bodies run as RegCode in the executor instead.
   u64 guard_fallbacks = 0;
-  // Cache-loaded static-tier modules (see TierUpStats).
+  // Cache-loaded modules (see FirstCallStats).
   u64 cache_materialized_funcs = 0;
   u64 cache_record_fallbacks = 0;
 };
 
-/// Mutable tiered-execution state hanging off an otherwise immutable
-/// CompiledModule. A static-tier module loaded from the cache uses it too:
-/// its units start out entered through a thunk that materializes the
-/// function from `cache_entry` on the first call.
-struct TieredState {
+/// The one mutable part of a compiled-tier CompiledModule: one FuncUnit per
+/// defined function, and what building one on its first call needs.
+struct FuncTable {
   std::unique_ptr<FuncUnit[]> units;  // parallel to Module::bodies
   u32 num_units = 0;
-  u64 opt_threshold = 8;
-  u64 jit_threshold = 4096;
-  bool jit_enabled = false;
-  bool cache_enabled = false;
   bool opt_simd = true;
-  std::string cache_dir;
-  std::unique_ptr<MappedEntry> cache_entry;  // static tiers, warm start
-  std::mutex mu;  // serializes promotion compilation/publication
-  TierUpStats stats;
+  std::unique_ptr<MappedEntry> cache_entry;  // set by a cache hit
+  std::mutex mu;  // serializes builds, and with them arena installs
+  FirstCallStats stats;
 };
 
-/// An immutable compiled module, shareable across rank instances. (In
-/// kTiered mode, and for a static tier loaded from the cache, `tiered` is
-/// the one mutable, internally synchronized exception: code is born lazily
-/// but each published body is immutable.)
+/// An immutable compiled module, shareable across rank instances. At the
+/// compiled tiers `funcs` is the one mutable, internally synchronized
+/// exception: functions are built lazily, but each published body is
+/// immutable.
 struct CompiledModule {
   wasm::Module module;
   EngineTier tier = EngineTier::kJit;
-  RModule regcode;              // kOptimizing / kJit, cold compile only
-  PreModule predecoded;         // kInterp / kTiered
+  PreModule predecoded;             // kInterp
   std::vector<u32> canon_type_ids;  // type index -> canonical sig id
   std::vector<u32> func_canon;      // func index (combined) -> canonical sig id
   Sha256Digest hash;
@@ -220,12 +168,11 @@ struct CompiledModule {
   f64 validate_ms = 0;
   u32 funcs_validated = 0;      // bodies compile() validated; 0 on a cache hit
   bool loaded_from_cache = false;
-  mutable TieredState tiered;   // kTiered, and static tiers from the cache
-  // Native-code state (kJit, and kTiered promotions to the jit stage). The
-  // arena owns the executable mappings for the module's lifetime; installs
-  // are serialized (compile() installs on its calling thread after the
-  // parallel compile loop, tiered promotions and cache materializations
-  // hold TieredState::mu). The counters feed TierUpSnapshot.
+  mutable FuncTable funcs;      // kOptimizing / kJit
+  // Native-code state (kJit). The arena owns the executable mappings for
+  // the module's lifetime; installs are serialized (a cache-on compile
+  // installs on its calling thread before the module is shared, first-call
+  // builds hold FuncTable::mu). The counters feed TierUpSnapshot.
   mutable std::unique_ptr<JitArena> jit_arena;
   mutable std::atomic<u64> jit_funcs{0};
   mutable std::atomic<u64> jit_fallback_funcs{0};
@@ -237,21 +184,20 @@ struct CompiledModule {
 std::shared_ptr<const CompiledModule> compile(std::span<const u8> bytes,
                                               const EngineConfig& cfg);
 
-/// Promotes defined function `defined_index` to `target` (kOptimizing or
-/// kJit) and publishes the body; no-op if the function is already at or
-/// above `target`, or if another thread currently holds the
-/// promotion lock (callers fall through to the published body and retry
-/// on a later call — promotion never stalls execution). Normally driven
-/// by the counting entry thunk, exposed for tests and warm-up hooks.
-void tier_up(const CompiledModule& cm, u32 defined_index, EngineTier target);
+/// Builds defined function `defined_index` of a compiled-tier module and
+/// publishes it through its FuncUnit, unless another thread did first;
+/// returns the published body. Instance::call_function calls it when the
+/// unit has no body yet. Throws CompileError when the function is rebuilt
+/// from a body that fails validation (a warm load validated only the
+/// module shell).
+const RFunc& materialize(const CompiledModule& cm, u32 defined_index);
 
 /// Returns the body of defined function `defined_index` of a module at a
-/// static compiled tier (kOptimizing or kJit), materializing it first when
-/// the module was loaded from the cache. For tests and benches; calls
-/// materialize through Instance::call_function.
+/// compiled tier (kOptimizing or kJit), building it first if no call has.
+/// For tests and benches.
 const RFunc& compiled_body(const CompiledModule& cm, u32 defined_index);
 
-/// Reads the module's tier-up counters (zeros for non-tiered modules).
+/// Reads the module's code census and first-call counters.
 TierUpSnapshot tierup_snapshot(const CompiledModule& cm);
 
 }  // namespace mpiwasm::rt

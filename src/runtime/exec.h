@@ -26,9 +26,9 @@ class Instance;
 void exec_regcode(Instance& inst, const RFunc& f, Slot* regs);
 
 /// Resolves `f.handlers` (per-instruction direct-threading addresses).
-/// Called once per function at publication time — engine compile() for the
-/// static tiers, tier_up() for tiered promotions, materialize() for cache
-/// hits. `f` must pass rfunc_well_formed(): lowering and the optimizer
+/// Called once per function at publication time — by a cache-on compile()
+/// for every function, and by materialize() for a function built on its
+/// first call. `f` must pass rfunc_well_formed(): lowering and the optimizer
 /// always produce such bodies, and the cache rejects records that do not.
 void prepare_rfunc(RFunc& f);
 

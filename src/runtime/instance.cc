@@ -209,24 +209,13 @@ void Instance::call_function(u32 fidx, Slot* base) {
   }
 
   const u32 di = fidx - imported;
-  // Per-function dispatch, in tiered mode and for a static tier loaded from
-  // the cache: the entry thunk reflects the unit's current stage (counting/
-  // interp, counting/optimizing, steady, or not yet materialized).
-  if (cm.tiered.units != nullptr) {
-    cm.tiered.units[di].entry.load(std::memory_order_acquire)(*this, cm, di,
-                                                              base);
+  if (cm.tier == EngineTier::kInterp) {
+    run_predecoded(cm.predecoded.funcs[di], base);
     return;
   }
-  switch (cm.tier) {
-    case EngineTier::kInterp:
-    case EngineTier::kTiered:  // (always has units)
-      run_predecoded(cm.predecoded.funcs[di], base);
-      return;
-    case EngineTier::kOptimizing:
-    case EngineTier::kJit:
-      run_compiled(cm.regcode.funcs[di], base);
-      return;
-  }
+  // A compiled-tier function is built on its first call.
+  const RFunc* rf = cm.funcs.units[di].active.load(std::memory_order_acquire);
+  run_compiled(rf != nullptr ? *rf : materialize(cm, di), base);
 }
 
 void Instance::run_predecoded(const PreFunc& f, Slot* base) {

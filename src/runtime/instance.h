@@ -92,10 +92,9 @@ class Instance {
 
   // --- Executor internals (public for the tier executors) ----------------
   /// Calls function `fidx`; args pre-placed at `base[0..nargs)`; the result
-  /// (if any) is written to `base[0]`. In tiered mode, and for a static
-  /// tier loaded from the cache, this dispatches through the module's
-  /// FuncUnit table (each function may be at a different stage); otherwise
-  /// the module-wide tier picks the executor.
+  /// (if any) is written to `base[0]`. At kInterp this runs the predecoded
+  /// body; at the compiled tiers it runs the function's FuncUnit body,
+  /// building it first on the function's first call (materialize()).
   void call_function(u32 fidx, Slot* base);
 
   /// Runs a predecoded body: allocates the frame, zeroes locals, copies the

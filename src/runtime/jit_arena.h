@@ -3,8 +3,8 @@
 // True W^X: the arena is a memfd mapped twice — one PROT_READ|PROT_WRITE
 // view the installer writes through, one PROT_READ|PROT_EXEC view the CPU
 // executes from. No page ever holds W and X at once, and installation never
-// flips protections on pages another rank thread may be executing (tiered
-// promotions publish code while the module is live). Falls back to a single
+// flips protections on pages another rank thread may be executing (functions
+// built on their first call publish code while the module is live). Falls back to a single
 // RWX anonymous mapping where memfd_create is unavailable.
 #pragma once
 

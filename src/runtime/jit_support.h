@@ -46,8 +46,8 @@ u32 jit_cpu_features();
 u64 jit_layout_hash();
 
 /// Reads the MPIWASM_JIT environment variable once per process: "0",
-/// "false", or "off" disable the JIT tier (kJit degrades to kOptimizing and
-/// tiered promotion stops at the optimizing stage); anything else —
+/// "false", or "off" disable the JIT tier (kJit degrades to kOptimizing);
+/// anything else —
 /// including unset — enables it.
 bool jit_enabled_from_env();
 

@@ -278,7 +278,7 @@ struct RFunc {
   // serialized): filled by prepare_rfunc() at publication time, before any
   // thread can run the body. See exec.h.
   std::vector<const void*> handlers;
-  // Native machine code for this body (jit tier / tiered jit promotions);
+  // Native machine code for this body (jit tier);
   // null when the function was not JIT-compiled or had an untemplatable op.
   // Serialized by cache v6 as the per-function native section.
   std::shared_ptr<const JitBlob> jit;

@@ -4,7 +4,6 @@
 // Synopsis: mpiwasm-run [flags] module.wasm [args...]
 // The flag set below (kFlags) is the single source of truth; --help (and
 // any parse error) prints the generated usage text.
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,14 +28,11 @@ struct FlagSpec {
 
 constexpr FlagSpec kFlags[] = {
     {"--np", "N", "number of MPI ranks (default 1)"},
-    {"--tier", "interp|optimizing|tiered|jit", "execution tier (default jit)"},
+    {"--tier", "interp|optimizing|jit", "execution tier (default jit)"},
     {"--jit", "on|off", "force native codegen on/off (overrides MPIWASM_JIT)"},
-    {"--tierup-opt-threshold", "N",
-     "calls before interp -> optimizing (tiered)"},
-    {"--tierup-jit-threshold", "N", "calls before -> jit (tiered)"},
     {"--cache", nullptr, "enable the on-disk compilation cache"},
-    {"--stats", nullptr, "print engine/tier-up counters to stderr"},
-    {"--stats-json", "FILE", "write engine/tier-up counters as JSON"},
+    {"--stats", nullptr, "print engine counters to stderr"},
+    {"--stats-json", "FILE", "write engine counters as JSON"},
     {"--trace", "FILE",
      "write a Chrome trace-event JSON (Perfetto-loadable); also via "
      "MPIWASM_TRACE"},
@@ -56,18 +52,6 @@ void usage(const char* argv0) {
     if (f.arg != nullptr) left += std::string(" ") + f.arg;
     std::fprintf(stderr, "  %-28s %s\n", left.c_str(), f.help);
   }
-}
-
-/// Strict positive-integer parse for the tier-up threshold flags;
-/// rejects garbage, negatives, and zero instead of silently clamping.
-bool parse_threshold(const char* s, mpiwasm::u64& out) {
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0' || s[0] == '-' || v == 0)
-    return false;
-  out = v;
-  return true;
 }
 
 /// Pulls flag values out of argv supporting both `--flag value` and
@@ -117,7 +101,7 @@ void write_stats_json(const std::string& path, const char* tier, int ranks,
   std::fprintf(f,
                "{\n"
                "  \"tool\": \"mpiwasm-run\",\n"
-               "  \"schema\": 2,\n"
+               "  \"schema\": 3,\n"
                "  \"tier\": \"%s\",\n"
                "  \"ranks\": %d,\n"
                "  \"exit_code\": %d,\n"
@@ -131,11 +115,8 @@ void write_stats_json(const std::string& path, const char* tier, int ranks,
                "    \"funcs_total\": %llu,\n"
                "    \"funcs_predecoded\": %llu,\n"
                "    \"funcs_regcode\": %llu,\n"
-               "    \"promoted_optimizing\": %llu,\n"
-               "    \"promoted_jit\": %llu,\n"
-               "    \"func_cache_hits\": %llu,\n"
-               "    \"tierup_compile_ms\": %.3f,\n"
-               "    \"calls_counted\": %llu,\n"
+               "    \"lazy_compiled_funcs\": %llu,\n"
+               "    \"lazy_compile_ms\": %.3f,\n"
                "    \"jit_funcs\": %llu,\n"
                "    \"jit_fallback_funcs\": %llu,\n"
                "    \"jit_code_bytes\": %llu,\n"
@@ -150,10 +131,7 @@ void write_stats_json(const std::string& path, const char* tier, int ranks,
                (unsigned long long)t.funcs_total,
                (unsigned long long)t.funcs_predecoded,
                (unsigned long long)t.funcs_regcode,
-               (unsigned long long)t.promoted_optimizing,
-               (unsigned long long)t.promoted_jit,
-               (unsigned long long)t.func_cache_hits, t.tierup_compile_ms,
-               (unsigned long long)t.calls_counted,
+               (unsigned long long)t.lazy_compiled_funcs, t.lazy_compile_ms,
                (unsigned long long)t.jit_funcs,
                (unsigned long long)t.jit_fallback_funcs,
                (unsigned long long)t.jit_code_bytes,
@@ -188,7 +166,6 @@ int main(int argc, char** argv) {
       std::string t = v != nullptr ? v : "";
       if (t == "interp") cfg.engine.tier = rt::EngineTier::kInterp;
       else if (t == "optimizing") cfg.engine.tier = rt::EngineTier::kOptimizing;
-      else if (t == "tiered") cfg.engine.tier = rt::EngineTier::kTiered;
       else if (t == "jit") cfg.engine.tier = rt::EngineTier::kJit;
       else { usage(argv[0]); return 2; }
     } else if (arg == "--jit") {
@@ -198,18 +175,6 @@ int main(int argc, char** argv) {
       if (s == "on") cfg.engine.jit = true;
       else if (s == "off") cfg.engine.jit = false;
       else { usage(argv[0]); return 2; }
-    } else if (arg == "--tierup-opt-threshold") {
-      const char* v = cur.value();
-      if (v == nullptr || !parse_threshold(v, cfg.engine.tierup_opt_threshold)) {
-        usage(argv[0]);
-        return 2;
-      }
-    } else if (arg == "--tierup-jit-threshold") {
-      const char* v = cur.value();
-      if (v == nullptr || !parse_threshold(v, cfg.engine.tierup_jit_threshold)) {
-        usage(argv[0]);
-        return 2;
-      }
     } else if (arg == "--stats") {
       print_stats = true;
     } else if (arg == "--stats-json") {
@@ -293,32 +258,15 @@ int main(int argc, char** argv) {
     embed::RunResult result = embedder.run_world(cm, ranks);
     std::fprintf(stderr, "[mpiwasm] %d ranks finished in %.3fs, exit=%d\n",
                  ranks, result.wall_seconds, result.exit_code);
-    if (cm->tier == rt::EngineTier::kTiered) {
-      const auto& t = result.tierup;
-      std::fprintf(stderr,
-                   "[mpiwasm] tier-up: %llu funcs (%llu compiled), "
-                   "%llu -> optimizing, %llu -> jit, "
-                   "%llu cache hits, %.2fms compiling\n",
-                   (unsigned long long)t.funcs_total,
-                   (unsigned long long)t.funcs_regcode,
-                   (unsigned long long)t.promoted_optimizing,
-                   (unsigned long long)t.promoted_jit,
-                   (unsigned long long)t.func_cache_hits, t.tierup_compile_ms);
-    }
     if (print_stats) {
       const auto& t = result.tierup;
       std::fprintf(stderr,
-                   "[mpiwasm] stats: tier=%s funcs=%llu regcode=%llu "
-                   "calls_counted=%llu\n",
+                   "[mpiwasm] stats: tier=%s funcs=%llu built=%llu "
+                   "(%llu on first call, %.2fms)\n",
                    rt::tier_name(cm->tier), (unsigned long long)t.funcs_total,
                    (unsigned long long)t.funcs_regcode,
-                   (unsigned long long)t.calls_counted);
-      std::fprintf(stderr,
-                   "[mpiwasm] stats: tier-up events: %llu -> optimizing, "
-                   "%llu -> jit (%llu cache hits, %.2fms compiling)\n",
-                   (unsigned long long)t.promoted_optimizing,
-                   (unsigned long long)t.promoted_jit,
-                   (unsigned long long)t.func_cache_hits, t.tierup_compile_ms);
+                   (unsigned long long)t.lazy_compiled_funcs,
+                   t.lazy_compile_ms);
       std::fprintf(stderr,
                    "[mpiwasm] stats: jit: %llu native funcs, %llu interpreter "
                    "fallbacks, %llu code bytes\n",

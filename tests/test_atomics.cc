@@ -1,7 +1,7 @@
 // Differential suite for the threads-proposal 0xFE atomic opcode space.
 //
 // One module exports a tiny wrapper per atomic opcode; every engine
-// configuration (static tiers, tiered promotion schedules, jit on/off) must
+// configuration (the three tiers, jit on/off) must
 // agree with a host-side std::atomic-style reference on result values and
 // memory effects — including sub-word zero-extension and the untouched
 // neighbouring bytes. On top of the

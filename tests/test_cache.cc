@@ -1,8 +1,9 @@
 // FileSystemCache tests: serialization round-trip, hit/miss behaviour,
 // hash-keyed invalidation, corrupt-entry recovery (paper §3.3 semantics),
 // concurrent writers, the lazy warm start (a mapped entry whose functions
-// materialize on first call, with only the module shell validated), and
-// the parallel static compile whose output the cache stores.
+// materialize on first call, with only the module shell validated), the
+// lazy cold start (functions built from the module bytes on first call),
+// and the parallel compile of a cache miss, whose output the cache stores.
 #include "testlib.h"
 
 #include <sys/stat.h>
@@ -83,6 +84,15 @@ std::string entry_tag(const fs::path& p) {
 const EngineTier kCompiledTiers[] = {EngineTier::kOptimizing,
                                      EngineTier::kJit};
 
+/// Every function of compiled-tier module `cm`, built if no call has built
+/// it, as the RModule the cache serializes.
+rt::RModule compiled_regcode(const rt::CompiledModule& cm) {
+  rt::RModule rm;
+  for (u32 i = 0; i < cm.module.bodies.size(); ++i)
+    rm.funcs.push_back(rt::compiled_body(cm, i));
+  return rm;
+}
+
 std::vector<u8> make_module(i32 magic) {
   return build_single_func({{}, {I32}}, [&](auto& f) {
     f.i32_const(magic);
@@ -95,13 +105,14 @@ TEST(Cache, SerializationRoundTrip) {
   EngineConfig cfg;
   cfg.tier = EngineTier::kOptimizing;
   auto cm = rt::compile({bytes.data(), bytes.size()}, cfg);
-  auto blob = rt::serialize_regcode(cm->regcode);
+  const rt::RModule compiled = compiled_regcode(*cm);
+  auto blob = rt::serialize_regcode(compiled);
   auto rm = rt::deserialize_regcode({blob.data(), blob.size()});
   ASSERT_TRUE(rm.has_value());
-  ASSERT_EQ(rm->funcs.size(), cm->regcode.funcs.size());
+  ASSERT_EQ(rm->funcs.size(), compiled.funcs.size());
   for (size_t i = 0; i < rm->funcs.size(); ++i) {
     const auto& a = rm->funcs[i];
-    const auto& b = cm->regcode.funcs[i];
+    const auto& b = compiled.funcs[i];
     ASSERT_EQ(a.code.size(), b.code.size());
     for (size_t j = 0; j < a.code.size(); ++j) {
       EXPECT_EQ(u16(a.code[j].op), u16(b.code[j].op));
@@ -165,12 +176,13 @@ TEST(Cache, TruncatedBlobIsRejected) {
   cfg.cache_dir = dir;
   auto cold = rt::compile({bytes.data(), bytes.size()}, cfg);
   ASSERT_FALSE(cold->loaded_from_cache);
-  const auto& funcs = cold->regcode.funcs;
+  const rt::RModule cold_rm = compiled_regcode(*cold);
+  const auto& funcs = cold_rm.funcs;
   const u32 n = u32(funcs.size());
   ASSERT_EQ(n, 4u);
   const fs::path entry = only_entry(dir);
   const std::vector<u8> good = read_file_bytes(entry);
-  ASSERT_EQ(good, rt::serialize_regcode(cold->regcode));
+  ASSERT_EQ(good, rt::serialize_regcode(cold_rm));
   ASSERT_TRUE(rt::deserialize_regcode({good.data(), good.size()}));
   ASSERT_EQ(get_u32(good, 8), n);
   const size_t table_end = offset_at(n);
@@ -344,40 +356,61 @@ TEST(Cache, MalformedRecordBodyIsRecompiled) {
   // references: the goto loop has no pc bound, and pool and lane indices
   // are not checked per instruction. A record that breaks one of
   // rfunc_well_formed()'s rules is malformed, like an unknown opcode, and
-  // compiles from the module bytes instead. Each case also drops the
-  // record's native blob, so that the executor would run the body.
-  auto bytes = build_single_func({{I32}, {I32}}, [](auto& f) {
-    f.local_get(0);  // if (x > 100) x = 100  (a jump)
-    f.i32_const(100);
-    f.op(Op::kI32GtS);
-    f.if_();
-    f.i32_const(100);
-    f.local_set(0);
-    f.end();
-    f.block();
-    f.block();
-    f.block();
-    f.local_get(0);
-    f.br_table({0, 1}, 2);
-    f.end();
+  // compiles from the module bytes instead. So is a record whose
+  // global.get/global.set, call or call_indirect immediate is out of range
+  // for the module: those index the globals, the functions and the types
+  // unchecked. Each case also drops the record's native blob, so that the
+  // executor would run the body.
+  ModuleBuilder b;
+  b.add_memory(1);
+  const u32 g = b.add_global(I32, /*mutable_=*/true);
+  b.add_table(1);
+  auto& id = b.begin_func({{I32}, {I32}});  // func 0, table[0]: identity
+  id.local_get(0);
+  id.end();
+  b.add_elem(0, {0});
+  auto& run = b.begin_func({{I32}, {I32}}, "run");  // func 1
+  {
+    run.local_get(0);  // x = call_indirect[0](call 0(global.get(g = x)))
+    run.global_set(g);
+    run.global_get(g);
+    run.call(0);
+    run.i32_const(0);
+    run.call_indirect(b.add_type({{I32}, {I32}}));
+    run.local_set(0);
+    run.local_get(0);  // if (x > 100) x = 100  (a jump)
+    run.i32_const(100);
+    run.op(Op::kI32GtS);
+    run.if_();
+    run.i32_const(100);
+    run.local_set(0);
+    run.end();
+    run.block();
+    run.block();
+    run.block();
+    run.local_get(0);
+    run.br_table({0, 1}, 2);
+    run.end();
     // x == 0: lane 1 of shuffle(splat(x), pool vector)
-    f.local_get(0);
-    f.op(Op::kI32x4Splat);
+    run.local_get(0);
+    run.op(Op::kI32x4Splat);
     wasm::V128 v;
     for (u8 i = 0; i < 16; ++i) v.bytes[i] = u8(0x11 * (i + 1));
-    f.v128_const(v);
+    run.v128_const(v);
     const u8 lanes[16] = {20, 21, 22, 23, 24, 25, 26, 27,
                           28, 29, 30, 31, 16, 17, 18, 19};
-    f.i8x16_shuffle(lanes);
-    f.lane_op(Op::kI32x4ExtractLane, 1);
-    f.ret();
-    f.end();
-    f.i32_const(7);  // x == 1
-    f.ret();
-    f.end();
-    f.i32_const(9);  // otherwise
-    f.end();
-  });
+    run.i8x16_shuffle(lanes);
+    run.lane_op(Op::kI32x4ExtractLane, 1);
+    run.ret();
+    run.end();
+    run.i32_const(7);  // x == 1
+    run.ret();
+    run.end();
+    run.i32_const(9);  // otherwise
+    run.end();
+  }
+  const std::vector<u8> bytes = b.build();
+  constexpr u32 kRun = 1;
   // Index of the first instruction of `f` that satisfies `pred`.
   auto find = [](const rt::RFunc& f, auto pred) {
     for (size_t i = 0; i < f.code.size(); ++i)
@@ -391,6 +424,7 @@ TEST(Cache, MalformedRecordBodyIsRecompiled) {
   struct Case {
     const char* what;
     std::function<void(rt::RFunc&)> mutate;
+    bool module_level = false;  // still passes rfunc_well_formed()
   };
   const Case cases[] = {
       {"last op not a terminator",
@@ -423,6 +457,19 @@ TEST(Cache, MalformedRecordBodyIsRecompiled) {
        [&](auto& f) {
          f.code[find(f, op_is(rt::ROp::kI32x4ExtractLane))].imm = 4;
        }},
+      {"global.get index 2^20",
+       [&](auto& f) { f.code[find(f, op_is(rt::ROp::kGlobalGet))].imm = 1 << 20; },
+       true},
+      {"global.set index past the globals",
+       [&](auto& f) { f.code[find(f, op_is(rt::ROp::kGlobalSet))].imm = 1; },
+       true},
+      {"call index past the functions",
+       [&](auto& f) { f.code[find(f, op_is(rt::ROp::kCall))].imm = 2; }, true},
+      {"call_indirect type index past the types",
+       [&](auto& f) {
+         f.code[find(f, op_is(rt::ROp::kCallIndirect))].imm = 1;
+       },
+       true},
   };
   auto ref = instantiate(bytes, EngineTier::kInterp);
   const i32 inputs[] = {0, 1, 5, 200};
@@ -441,10 +488,10 @@ TEST(Cache, MalformedRecordBodyIsRecompiled) {
       const std::vector<u8> good = read_file_bytes(entry);
       auto rm = rt::deserialize_regcode({good.data(), good.size()});
       ASSERT_TRUE(rm.has_value());
-      rt::RFunc& f = rm->funcs[0];
+      rt::RFunc& f = rm->funcs[kRun];
       ASSERT_TRUE(rt::rfunc_well_formed(f));
       c.mutate(f);
-      ASSERT_FALSE(rt::rfunc_well_formed(f)) << f.to_string();
+      ASSERT_EQ(rt::rfunc_well_formed(f), c.module_level) << f.to_string();
       f.jit = nullptr;
       write_file_bytes(entry, rt::serialize_regcode(*rm));
 
@@ -564,7 +611,7 @@ TEST(Cache, StaleVersionEntriesAreRejectedCleanlyAndRecompiled) {
 
     auto cm2 = rt::compile({bytes.data(), bytes.size()}, cfg);
     EXPECT_FALSE(cm2->loaded_from_cache);  // stale entry rejected, recompiled
-    EXPECT_EQ(cm2->regcode.funcs.size(), cm->regcode.funcs.size());
+    EXPECT_EQ(rt::tierup_snapshot(*cm2).funcs_regcode, 1u);
     // The recompile stored a fresh current-version entry; a third compile
     // hits it.
     auto cm3 = rt::compile({bytes.data(), bytes.size()}, cfg);
@@ -574,89 +621,6 @@ TEST(Cache, StaleVersionEntriesAreRejectedCleanlyAndRecompiled) {
     EXPECT_EQ(inst.invoke("run").as_i32(), 77);
     fs::remove_all(dir);
   }
-}
-
-TEST(Cache, PerFunctionEntriesRoundTripAndKeySeparately) {
-  auto dir = fresh_cache_dir();
-  FileSystemCache cache(dir);
-  auto bytes = make_module(31);
-  EngineConfig cfg;
-  cfg.tier = EngineTier::kOptimizing;
-  auto cm = rt::compile({bytes.data(), bytes.size()}, cfg);
-  const rt::RFunc& f = cm->regcode.funcs[0];
-
-  cache.store_func(cm->hash, 0, "optimizing", f);
-  EXPECT_TRUE(cache.load_func(cm->hash, 0, "optimizing").has_value());
-  // Different function index and tier are separate keys.
-  EXPECT_FALSE(cache.load_func(cm->hash, 1, "optimizing").has_value());
-  EXPECT_FALSE(cache.load_func(cm->hash, 0, "jit").has_value());
-  // The per-function entry does not satisfy a whole-module lookup.
-  EXPECT_EQ(cache.map(cm->hash, "optimizing", 1), nullptr);
-
-  auto loaded = cache.load_func(cm->hash, 0, "optimizing");
-  ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->code.size(), f.code.size());
-  for (size_t i = 0; i < f.code.size(); ++i)
-    EXPECT_EQ(u16(loaded->code[i].op), u16(f.code[i].op));
-  fs::remove_all(dir);
-}
-
-TEST(Cache, CorruptPerFunctionEntryIsIgnoredAndRemoved) {
-  auto dir = fresh_cache_dir();
-  FileSystemCache cache(dir);
-  auto bytes = make_module(13);
-  EngineConfig cfg;
-  cfg.tier = EngineTier::kOptimizing;
-  auto cm = rt::compile({bytes.data(), bytes.size()}, cfg);
-  cache.store_func(cm->hash, 0, "optimizing", cm->regcode.funcs[0]);
-
-  size_t entries = 0;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    std::ofstream out(entry.path(), std::ios::binary | std::ios::trunc);
-    out << "truncated-garbage";
-    ++entries;
-  }
-  ASSERT_EQ(entries, 1u);
-  EXPECT_FALSE(cache.load_func(cm->hash, 0, "optimizing").has_value());
-  // The corrupt file was removed from disk.
-  entries = 0;
-  for (const auto& e : fs::directory_iterator(dir))
-    if (e.path().extension() == ".rcache") ++entries;
-  EXPECT_EQ(entries, 0u);
-  fs::remove_all(dir);
-}
-
-TEST(Cache, TieredPromotionsWarmStartFromCache) {
-  auto dir = fresh_cache_dir();
-  auto bytes = make_module(55);
-  EngineConfig cfg;
-  cfg.tier = EngineTier::kTiered;
-  cfg.tierup_opt_threshold = 1;
-  cfg.tierup_jit_threshold = 2;
-  cfg.jit = true;  // independent of the MPIWASM_JIT ambient default
-  cfg.enable_cache = true;
-  cfg.cache_dir = dir;
-
-  auto run_twice_and_snapshot = [&] {
-    auto cm = rt::compile({bytes.data(), bytes.size()}, cfg);
-    rt::ImportTable imports;
-    rt::Instance inst(cm, imports);
-    EXPECT_EQ(inst.invoke("run").as_i32(), 55);  // promotes to optimizing
-    EXPECT_EQ(inst.invoke("run").as_i32(), 55);  // promotes to jit
-    return rt::tierup_snapshot(*cm);
-  };
-
-  auto cold = run_twice_and_snapshot();
-  EXPECT_EQ(cold.promoted_optimizing, 1u);
-  EXPECT_EQ(cold.promoted_jit, 1u);
-  EXPECT_EQ(cold.func_cache_hits, 0u);
-
-  auto warm = run_twice_and_snapshot();
-  EXPECT_EQ(warm.promoted_optimizing, 1u);
-  EXPECT_EQ(warm.promoted_jit, 1u);
-  EXPECT_EQ(warm.func_cache_hits, 2u)
-      << "second execution must warm-start both promotions from cache";
-  fs::remove_all(dir);
 }
 
 TEST(Cache, SecondCompileHitsCache) {
@@ -831,14 +795,15 @@ TEST(Cache, ConcurrentWritersOfOneEntryLeaveOneLoadableEntry) {
   EngineConfig cfg;
   cfg.tier = EngineTier::kOptimizing;
   auto cm = rt::compile({bytes.data(), bytes.size()}, cfg);
+  const rt::RModule rm = compiled_regcode(*cm);
   const std::string tag = "optimizing";
   FileSystemCache cache(dir);
-  cache.store(cm->hash, tag, cm->regcode);
+  cache.store(cm->hash, tag, rm);
   // Once an entry exists a reader must always find a complete one: writers
   // publish by rename, never by rewriting the file in place.
   std::atomic<bool> writing{true};
   std::atomic<u32> misses{0};
-  const u32 n = u32(cm->regcode.funcs.size());
+  const u32 n = u32(rm.funcs.size());
   std::thread reader([&] {
     while (writing.load())
       if (!cache.map(cm->hash, tag, n)) misses.fetch_add(1);
@@ -846,7 +811,7 @@ TEST(Cache, ConcurrentWritersOfOneEntryLeaveOneLoadableEntry) {
   std::vector<std::thread> writers;
   for (int t = 0; t < 2; ++t)
     writers.emplace_back([&] {
-      for (int k = 0; k < 200; ++k) cache.store(cm->hash, tag, cm->regcode);
+      for (int k = 0; k < 200; ++k) cache.store(cm->hash, tag, rm);
     });
   for (auto& w : writers) w.join();
   writing.store(false);
@@ -865,15 +830,14 @@ TEST(Cache, ConcurrentWritersOfOneEntryLeaveOneLoadableEntry) {
   for (u32 i = 0; i < n; ++i) {
     auto f = mapped->decode(i);
     ASSERT_TRUE(f.has_value()) << "func " << i;
-    EXPECT_EQ(rt::serialize_rfunc(*f),
-              rt::serialize_rfunc(cm->regcode.funcs[i]));
+    EXPECT_EQ(rt::serialize_rfunc(*f), rt::serialize_rfunc(rm.funcs[i]));
   }
   fs::remove_all(dir);
 }
 
-// The static tiers compile functions in parallel; a module of this size
-// spans many compile chunks, so helper threads take part whenever the host
-// has more than one CPU.
+// A cache miss compiles every function up front, in parallel; a module of
+// this size spans many compile chunks, so helper threads take part whenever
+// the host has more than one CPU.
 constexpr u32 kParallelFuncs = 1024;
 
 const std::vector<u8>& parallel_stress_module() {
@@ -882,38 +846,56 @@ const std::vector<u8>& parallel_stress_module() {
   return bytes;
 }
 
+EngineConfig stress_cache_config(const std::string& dir) {
+  EngineConfig cfg;
+  cfg.tier = EngineTier::kJit;
+  cfg.jit = true;
+  cfg.enable_cache = true;
+  cfg.cache_dir = dir;
+  return cfg;
+}
+
+/// The stress module compiled at `tier` with the cache on in a fresh
+/// directory: a miss, which builds every function before compile()
+/// returns.
 std::shared_ptr<const rt::CompiledModule> compile_stress(EngineTier tier) {
   const auto& bytes = parallel_stress_module();
-  EngineConfig cfg;
+  const std::string dir = fresh_cache_dir();
+  EngineConfig cfg = stress_cache_config(dir);
   cfg.tier = tier;
-  cfg.jit = true;
-  return rt::compile({bytes.data(), bytes.size()}, cfg);
+  auto cm = rt::compile({bytes.data(), bytes.size()}, cfg);
+  fs::remove_all(dir);
+  return cm;
 }
 
 TEST(ParallelCompile, EveryStaticTierCountsItsFunctions) {
-  // A cold static-tier module counts every defined function, as predecoded
-  // (kInterp) or compiled (kOptimizing, kJit); a warm one counts the
-  // functions materialized from the mapped entry so far.
+  // kInterp counts every defined function as predecoded. At the compiled
+  // tiers the census counts the functions built so far: none after a cold
+  // compile with the cache off or a warm load, all after a miss, which
+  // builds every function for the entry it stores.
   constexpr u32 kFuncs = 8;
   const std::vector<u8> bytes = toolchain::build_compile_stress_module(kFuncs);
   struct Row {
     EngineTier tier;
-    bool warm;
+    bool cache, warm;
     u64 predecoded, regcode;
   };
-  const Row rows[] = {{EngineTier::kInterp, false, kFuncs, 0},
-                      {EngineTier::kOptimizing, false, 0, kFuncs},
-                      {EngineTier::kJit, false, 0, kFuncs},
-                      {EngineTier::kOptimizing, true, 0, 0},
-                      {EngineTier::kJit, true, 0, 0}};
+  const Row rows[] = {{EngineTier::kInterp, false, false, kFuncs, 0},
+                      {EngineTier::kOptimizing, false, false, 0, 0},
+                      {EngineTier::kJit, false, false, 0, 0},
+                      {EngineTier::kOptimizing, true, false, 0, kFuncs},
+                      {EngineTier::kJit, true, false, 0, kFuncs},
+                      {EngineTier::kOptimizing, true, true, 0, 0},
+                      {EngineTier::kJit, true, true, 0, 0}};
   for (const Row& row : rows) {
     SCOPED_TRACE(::testing::Message()
-                 << rt::tier_name(row.tier) << (row.warm ? " warm" : " cold"));
+                 << rt::tier_name(row.tier)
+                 << (row.warm ? " warm" : row.cache ? " miss" : " cold"));
     auto dir = fresh_cache_dir();
     EngineConfig cfg;
     cfg.tier = row.tier;
     cfg.jit = true;
-    cfg.enable_cache = row.warm;
+    cfg.enable_cache = row.cache;
     cfg.cache_dir = dir;
     if (row.warm) (void)rt::compile({bytes.data(), bytes.size()}, cfg);
     auto cm = rt::compile({bytes.data(), bytes.size()}, cfg);
@@ -922,11 +904,12 @@ TEST(ParallelCompile, EveryStaticTierCountsItsFunctions) {
     EXPECT_EQ(s.funcs_total, kFuncs);
     EXPECT_EQ(s.funcs_predecoded, row.predecoded);
     EXPECT_EQ(s.funcs_regcode, row.regcode);
-    if (row.warm) {
-      for (u32 i = 0; i < kFuncs; ++i) (void)rt::compiled_body(*cm, i);
+    if (row.tier != EngineTier::kInterp) {
+      materialize_all(*cm);
       s = rt::tierup_snapshot(*cm);
       EXPECT_EQ(s.funcs_total, kFuncs);
       EXPECT_EQ(s.funcs_regcode, kFuncs);
+      EXPECT_EQ(s.lazy_compiled_funcs, kFuncs - row.regcode);
     }
     fs::remove_all(dir);
   }
@@ -936,14 +919,14 @@ TEST(ParallelCompile, EachFunctionMatchesTheSerialPipeline) {
   for (EngineTier tier : kCompiledTiers) {
     SCOPED_TRACE(rt::tier_name(tier));
     auto cm = compile_stress(tier);
-    ASSERT_EQ(cm->regcode.funcs.size(), kParallelFuncs);
+    ASSERT_EQ(rt::tierup_snapshot(*cm).funcs_regcode, kParallelFuncs);
     for (u32 i = 0; i < kParallelFuncs; ++i) {
       rt::RFunc ref = rt::lower_function(cm->module, i);
       rt::optimize_function(ref);
       if (tier == EngineTier::kJit) ref.jit = rt::jit_compile_function(ref);
       // The serialized record covers every non-derived field, native blob
       // included.
-      ASSERT_EQ(rt::serialize_rfunc(cm->regcode.funcs[i]),
+      ASSERT_EQ(rt::serialize_rfunc(rt::compiled_body(*cm, i)),
                 rt::serialize_rfunc(ref))
           << "func " << i;
     }
@@ -962,23 +945,14 @@ TEST(ParallelCompile, RepeatedCompilesAreByteIdentical) {
     SCOPED_TRACE(rt::tier_name(tier));
     auto a = compile_stress(tier);
     auto b = compile_stress(tier);
-    EXPECT_EQ(rt::serialize_regcode(a->regcode),
-              rt::serialize_regcode(b->regcode));
+    EXPECT_EQ(rt::serialize_regcode(compiled_regcode(*a)),
+              rt::serialize_regcode(compiled_regcode(*b)));
     if (tier == EngineTier::kJit) {
       ASSERT_NE(a->jit_arena, nullptr);
       ASSERT_NE(b->jit_arena, nullptr);
       EXPECT_EQ(a->jit_arena->code_bytes(), b->jit_arena->code_bytes());
     }
   }
-}
-
-EngineConfig stress_cache_config(const std::string& dir) {
-  EngineConfig cfg;
-  cfg.tier = EngineTier::kJit;
-  cfg.jit = true;
-  cfg.enable_cache = true;
-  cfg.cache_dir = dir;
-  return cfg;
 }
 
 TEST(ParallelCompile, WarmLoadMatchesTheColdCompile) {
@@ -994,7 +968,7 @@ TEST(ParallelCompile, WarmLoadMatchesTheColdCompile) {
   EXPECT_EQ(rt::tierup_snapshot(*warm).jit_funcs, 0u);
   for (u32 i = 0; i < kParallelFuncs; ++i)
     ASSERT_EQ(rt::serialize_rfunc(rt::compiled_body(*warm, i)),
-              rt::serialize_rfunc(cold->regcode.funcs[i]))
+              rt::serialize_rfunc(rt::compiled_body(*cold, i)))
         << "func " << i;
   const rt::TierUpSnapshot s = rt::tierup_snapshot(*warm);
   EXPECT_EQ(s.jit_funcs, kParallelFuncs);
@@ -1012,22 +986,18 @@ TEST(ParallelCompile, WarmLoadMatchesTheColdCompile) {
   fs::remove_all(dir);
 }
 
-TEST(ParallelCompile, ConcurrentFirstCallsMaterializeEachFunctionOnce) {
-  // Four threads, each with its own instance of one warm-loaded module,
-  // first-call the same 64 functions at once. Each gets the cold result,
-  // and each function is materialized and installed exactly once.
+/// Four threads, each with its own instance of `lazy`, first-call the same
+/// 64 functions at once. Each gets `eager`'s result, and each function is
+/// built and installed exactly once.
+void expect_concurrent_first_calls_build_once(
+    const std::shared_ptr<const rt::CompiledModule>& eager,
+    const std::shared_ptr<const rt::CompiledModule>& lazy) {
   constexpr u32 kFuncs = 64;
   constexpr int kThreads = 4;
-  auto dir = fresh_cache_dir();
-  const auto& bytes = parallel_stress_module();
-  const EngineConfig cfg = stress_cache_config(dir);
-  auto cold = rt::compile({bytes.data(), bytes.size()}, cfg);
-  auto warm = rt::compile({bytes.data(), bytes.size()}, cfg);
-  ASSERT_TRUE(warm->loaded_from_cache);
   const Value args[] = {Value::from_i32(100)};
   std::vector<f64> expected(kFuncs);
   {
-    rt::Instance inst(cold, rt::ImportTable{});
+    rt::Instance inst(eager, rt::ImportTable{});
     for (u32 i = 0; i < kFuncs; ++i)
       expected[i] = inst.invoke_index(i, args).as_f64();
   }
@@ -1036,7 +1006,7 @@ TEST(ParallelCompile, ConcurrentFirstCallsMaterializeEachFunctionOnce) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t)
     threads.emplace_back([&, t] {
-      rt::Instance inst(warm, rt::ImportTable{});
+      rt::Instance inst(lazy, rt::ImportTable{});
       ready.fetch_add(1);
       while (ready.load() < kThreads) std::this_thread::yield();
       for (u32 i = 0; i < kFuncs; ++i)
@@ -1046,14 +1016,44 @@ TEST(ParallelCompile, ConcurrentFirstCallsMaterializeEachFunctionOnce) {
   for (int t = 0; t < kThreads; ++t)
     for (u32 i = 0; i < kFuncs; ++i)
       EXPECT_EQ(got[t][i], expected[i]) << "thread " << t << " func " << i;
-  rt::TierUpSnapshot s = rt::tierup_snapshot(*warm);
-  EXPECT_EQ(s.cache_materialized_funcs, kFuncs);
+  rt::TierUpSnapshot s = rt::tierup_snapshot(*lazy);
+  EXPECT_EQ(s.lazy_compiled_funcs, kFuncs);
+  EXPECT_EQ(s.funcs_regcode, kFuncs);
   EXPECT_EQ(s.jit_funcs, kFuncs);
-  for (u32 i = 0; i < kParallelFuncs; ++i) (void)rt::compiled_body(*warm, i);
-  s = rt::tierup_snapshot(*warm);
+  materialize_all(*lazy);
+  s = rt::tierup_snapshot(*lazy);
+  EXPECT_EQ(s.lazy_compiled_funcs, kParallelFuncs);
+  EXPECT_EQ(s.jit_code_bytes, rt::tierup_snapshot(*eager).jit_code_bytes);
+}
+
+TEST(ParallelCompile, ConcurrentFirstCallsMaterializeEachFunctionOnce) {
+  // The functions of a warm-loaded module are built from the mapped
+  // entry's records.
+  auto dir = fresh_cache_dir();
+  const auto& bytes = parallel_stress_module();
+  const EngineConfig cfg = stress_cache_config(dir);
+  auto cold = rt::compile({bytes.data(), bytes.size()}, cfg);
+  auto warm = rt::compile({bytes.data(), bytes.size()}, cfg);
+  ASSERT_TRUE(warm->loaded_from_cache);
+  expect_concurrent_first_calls_build_once(cold, warm);
+  const rt::TierUpSnapshot s = rt::tierup_snapshot(*warm);
   EXPECT_EQ(s.cache_materialized_funcs, kParallelFuncs);
-  EXPECT_EQ(s.jit_code_bytes, rt::tierup_snapshot(*cold).jit_code_bytes);
+  EXPECT_EQ(s.cache_record_fallbacks, 0u);
   fs::remove_all(dir);
+}
+
+TEST(LazyCompile, ConcurrentFirstCallsMaterializeEachFunctionOnce) {
+  // The functions of a cold module compiled with the cache off are built
+  // from the module bytes.
+  const auto& bytes = parallel_stress_module();
+  EngineConfig cfg;
+  cfg.tier = EngineTier::kJit;
+  cfg.jit = true;
+  auto lazy = rt::compile({bytes.data(), bytes.size()}, cfg);
+  ASSERT_EQ(rt::tierup_snapshot(*lazy).funcs_regcode, 0u);
+  expect_concurrent_first_calls_build_once(compile_stress(EngineTier::kJit),
+                                           lazy);
+  EXPECT_EQ(rt::tierup_snapshot(*lazy).cache_materialized_funcs, 0u);
 }
 
 TEST(ParallelCompile, MutatedEntriesAreRejectedOrDecodeCleanly) {
@@ -1069,7 +1069,7 @@ TEST(ParallelCompile, MutatedEntriesAreRejectedOrDecodeCleanly) {
   auto cold = rt::compile({bytes.data(), bytes.size()}, cfg);
   const fs::path entry = only_entry(dir);
   std::vector<u8> blob = read_file_bytes(entry);
-  ASSERT_EQ(blob, rt::serialize_regcode(cold->regcode));
+  ASSERT_EQ(blob, rt::serialize_regcode(compiled_regcode(*cold)));
   FileSystemCache cache(dir);
   const std::string tag = entry_tag(entry);
   std::mt19937_64 rng(19);
@@ -1144,8 +1144,8 @@ TEST(ParallelCompile, EveryTierComputesTheSameResult) {
   }
 }
 
-// A warm start (a hit at a static tier) validates the module shell only;
-// a cold compile, a miss, kInterp and kTiered validate every body.
+// A warm start (a hit at a compiled tier) validates the module shell only;
+// a cold compile, a miss and kInterp validate every body.
 
 TEST(WarmStart, OnlyAHitSkipsBodyValidation) {
   constexpr u32 kFuncs = 8;
@@ -1154,9 +1154,10 @@ TEST(WarmStart, OnlyAHitSkipsBodyValidation) {
     EngineTier tier;
     bool cache;
   };
-  const Row rows[] = {{EngineTier::kInterp, false},  {EngineTier::kInterp, true},
-                      {EngineTier::kTiered, false},  {EngineTier::kTiered, true},
-                      {EngineTier::kOptimizing, false}, {EngineTier::kJit, false}};
+  const Row rows[] = {{EngineTier::kInterp, false},
+                      {EngineTier::kInterp, true},
+                      {EngineTier::kOptimizing, false},
+                      {EngineTier::kJit, false}};
   for (const Row& row : rows) {
     SCOPED_TRACE(::testing::Message() << rt::tier_name(row.tier)
                                       << (row.cache ? " cache" : ""));
@@ -1194,7 +1195,7 @@ TEST(WarmStart, OnlyAHitSkipsBodyValidation) {
 }
 
 TEST(WarmStart, EveryFunctionMatchesTheColdCompile) {
-  // A 64-copy stress module, warm-started at each static tier with every
+  // A 64-copy stress module, warm-started at each compiled tier with every
   // function called.
   constexpr u32 kFuncs = 64;
   const std::vector<u8> bytes = toolchain::build_compile_stress_module(kFuncs);
@@ -1341,6 +1342,134 @@ TEST(WarmStart, AFallbackValidatesTheBodyItCompiles) {
     } catch (const rt::CompileError& e) {
       EXPECT_EQ(std::string(e.what()), compile_error(invalid, EngineConfig{}));
     }
+    fs::remove_all(dir);
+  }
+}
+
+// A cold compile at a compiled tier with the cache off validates every body
+// and builds no function: each one is lowered, optimized and (at kJit)
+// JITted on its first call.
+
+TEST(LazyCompile, ColdCompileBuildsNoFunction) {
+  constexpr u32 kFuncs = 8;
+  const std::vector<u8> bytes = toolchain::build_compile_stress_module(kFuncs);
+  for (EngineTier tier : kCompiledTiers) {
+    SCOPED_TRACE(rt::tier_name(tier));
+    EngineConfig cfg;
+    cfg.tier = tier;
+    cfg.jit = true;
+    auto cm = rt::compile({bytes.data(), bytes.size()}, cfg);
+    EXPECT_FALSE(cm->loaded_from_cache);
+    EXPECT_EQ(cm->funcs_validated, kFuncs);
+    const rt::TierUpSnapshot s = rt::tierup_snapshot(*cm);
+    EXPECT_EQ(s.funcs_total, kFuncs);
+    EXPECT_EQ(s.funcs_regcode, 0u);
+    EXPECT_EQ(s.lazy_compiled_funcs, 0u);
+    EXPECT_EQ(s.jit_funcs + s.jit_fallback_funcs, 0u);
+    EXPECT_EQ(cm->jit_arena, nullptr);
+  }
+}
+
+TEST(LazyCompile, AnInvalidBodyThatIsNeverCalledStillFailsCompile) {
+  // Func[2] is invalid and nothing calls it; compile() reports it with the
+  // message kInterp, which validates and predecodes every body, reports.
+  const std::vector<u8> bytes = build_many_funcs(4, 2, ~0u);
+  EngineConfig interp;
+  interp.tier = EngineTier::kInterp;
+  const std::string expected = compile_error(bytes, interp);
+  EXPECT_EQ(expected.rfind("validation error: func[2]: ", 0), 0u) << expected;
+  for (EngineTier tier : kCompiledTiers) {
+    SCOPED_TRACE(rt::tier_name(tier));
+    EngineConfig cfg;
+    cfg.tier = tier;
+    cfg.jit = true;
+    EXPECT_EQ(compile_error(bytes, cfg), expected);
+  }
+}
+
+TEST(LazyCompile, CallingAnExportBuildsExactlyItsCallGraph) {
+  // run -> mid (call) -> leaf (call_indirect through table[0]); the other
+  // two functions are never called and stay unbuilt.
+  ModuleBuilder b;
+  b.add_table(1);
+  auto& unused_a = b.begin_func({{I32}, {I32}});  // func 0
+  unused_a.local_get(0);
+  unused_a.end();
+  auto& leaf = b.begin_func({{I32}, {I32}});  // func 1, table[0]
+  leaf.local_get(0);
+  leaf.i32_const(3);
+  leaf.op(Op::kI32Mul);
+  leaf.end();
+  b.add_elem(0, {1});
+  auto& mid = b.begin_func({{I32}, {I32}});  // func 2
+  mid.local_get(0);
+  mid.i32_const(0);
+  mid.call_indirect(b.add_type({{I32}, {I32}}));
+  mid.i32_const(1);
+  mid.op(Op::kI32Add);
+  mid.end();
+  auto& unused_b = b.begin_func({{I32}, {I32}});  // func 3
+  unused_b.local_get(0);
+  unused_b.end();
+  auto& run = b.begin_func({{I32}, {I32}}, "run");  // func 4
+  run.local_get(0);
+  run.call(2);
+  run.end();
+  const std::vector<u8> bytes = b.build();
+  for (EngineTier tier : kCompiledTiers) {
+    SCOPED_TRACE(rt::tier_name(tier));
+    EngineConfig cfg;
+    cfg.tier = tier;
+    cfg.jit = true;
+    auto cm = rt::compile({bytes.data(), bytes.size()}, cfg);
+    rt::Instance inst(cm, rt::ImportTable{});
+    const Value args[] = {Value::from_i32(5)};
+    EXPECT_EQ(inst.invoke("run", args).as_i32(), 16);
+    EXPECT_EQ(inst.invoke("run", args).as_i32(), 16);
+    const rt::TierUpSnapshot s = rt::tierup_snapshot(*cm);
+    EXPECT_EQ(s.funcs_regcode, 3u);
+    EXPECT_EQ(s.lazy_compiled_funcs, 3u);
+    EXPECT_EQ(s.jit_funcs, tier == EngineTier::kJit ? 3u : 0u);
+    for (u32 i = 0; i < 5; ++i)
+      EXPECT_EQ(cm->funcs.units[i].active.load() != nullptr,
+                i == 1 || i == 2 || i == 4)
+          << "func " << i;
+  }
+}
+
+TEST(LazyCompile, ColdCacheOnCompileStoresACompleteEntry) {
+  // With the cache on, a miss builds every function up front so that the
+  // entry it stores holds them all; a warm load then serves each one from
+  // its record.
+  constexpr u32 kFuncs = 8;
+  const std::vector<u8> bytes = toolchain::build_compile_stress_module(kFuncs);
+  const Value args[] = {Value::from_i32(40)};
+  for (EngineTier tier : kCompiledTiers) {
+    SCOPED_TRACE(rt::tier_name(tier));
+    auto dir = fresh_cache_dir();
+    EngineConfig cfg = stress_cache_config(dir);
+    cfg.tier = tier;
+    auto cold = rt::compile({bytes.data(), bytes.size()}, cfg);
+    ASSERT_FALSE(cold->loaded_from_cache);
+    rt::TierUpSnapshot s = rt::tierup_snapshot(*cold);
+    EXPECT_EQ(s.funcs_regcode, kFuncs);
+    EXPECT_EQ(s.lazy_compiled_funcs, 0u);
+    const std::vector<u8> stored = read_file_bytes(only_entry(dir));
+    EXPECT_EQ(stored, rt::serialize_regcode(compiled_regcode(*cold)));
+
+    auto warm = rt::compile({bytes.data(), bytes.size()}, cfg);
+    ASSERT_TRUE(warm->loaded_from_cache);
+    rt::Instance cold_inst(cold, rt::ImportTable{});
+    rt::Instance warm_inst(warm, rt::ImportTable{});
+    for (u32 i = 0; i < kFuncs; ++i)
+      EXPECT_EQ(warm_inst.invoke_index(i, args).as_f64(),
+                cold_inst.invoke_index(i, args).as_f64())
+          << "func " << i;
+    s = rt::tierup_snapshot(*warm);
+    EXPECT_EQ(s.lazy_compiled_funcs, kFuncs);
+    EXPECT_EQ(s.cache_materialized_funcs, kFuncs);
+    EXPECT_EQ(s.cache_record_fallbacks, 0u);
+    EXPECT_EQ(rt::tierup_snapshot(*cold).lazy_compiled_funcs, 0u);
     fs::remove_all(dir);
   }
 }

@@ -1,9 +1,9 @@
 // Differential property tests: for a corpus of generated programs and
 // pseudo-random inputs, every execution configuration must agree
-// bit-exactly — the three static tiers *and* tiered mode with threshold 1,
-// which forces a lazy promotion mid-run. This is the core correctness
-// argument for the compiled tiers and for tier-up publication — any
-// lowering, optimization, or promotion bug shows up as a divergence.
+// bit-exactly — the three tiers, whose compiled functions are built on
+// their first call, mid-run. This is the core correctness argument for the
+// compiled tiers and for first-call publication — any lowering,
+// optimization, or publication bug shows up as a divergence.
 #include "testlib.h"
 
 #include <algorithm>
@@ -259,8 +259,8 @@ TEST_P(DifferentialTest, AllConfigsAgreeBitExactly) {
 }
 
 TEST(DifferentialTraps, AllConfigsAgreeOnTrapKind) {
-  // A trapping program must trap identically everywhere — including in a
-  // function promoted between the successful and the trapping call.
+  // A trapping program must trap identically everywhere — including after
+  // the successful calls that built the function.
   auto bytes = build_single_func({{I32}, {I32}}, [](auto& f) {
     f.i32_const(100);
     f.local_get(0);
@@ -269,7 +269,7 @@ TEST(DifferentialTraps, AllConfigsAgreeOnTrapKind) {
   });
   for (const EngineConfig& cfg : all_engine_configs()) {
     auto inst = instantiate_cfg(bytes, cfg);
-    // Several good calls first so a tiered config promotes mid-sequence.
+    // Several good calls first, through the body the first one built.
     for (int k = 0; k < 5; ++k) {
       EXPECT_EQ(
           inst->invoke("run", std::vector<Value>{Value::from_i32(5)}).as_i32(),
@@ -468,7 +468,7 @@ TEST(DifferentialTraps, OobUnderHoistedGuardsMatchesInterp) {
                rt::Trap);
   for (const EngineConfig& cfg : all_engine_configs()) {
     auto inst = instantiate_cfg(bytes, cfg);
-    // Warm calls first so tiered configs promote mid-run.
+    // Warm calls first, through the body the first one built.
     for (int w = 0; w < 5; ++w) {
       inst->invoke("run", std::vector<Value>{Value::from_i32(64)});
     }
@@ -549,7 +549,7 @@ TEST(DifferentialTraps, OobUnderHoistedGuardsMatchesInterp) {
 
 // ---------------------------------------------------------------------------
 // Toolchain-kernel differential: every generated benchmark kernel runs
-// through the embedder under all static tiers and tiered(threshold=1), and
+// through the embedder under all three tiers, and
 // must produce identical correctness-relevant outputs (exit codes, report
 // row counts, checksums/residuals/verification flags — not timings).
 // ---------------------------------------------------------------------------

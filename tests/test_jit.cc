@@ -56,6 +56,7 @@ std::vector<u8> arith_module() {
 TEST(Jit, CompilesAndRunsNativeCode) {
   auto bytes = arith_module();
   auto cm = rt::compile({bytes.data(), bytes.size()}, jit_config());
+  materialize_all(*cm);
   EXPECT_EQ(cm->tier, EngineTier::kJit);
   EXPECT_EQ(cm->jit_funcs.load(), 1u);
   EXPECT_EQ(cm->jit_fallback_funcs.load(), 0u);
@@ -75,6 +76,7 @@ TEST(Jit, IsTheDefaultTier) {
   EXPECT_EQ(cfg.tier, EngineTier::kJit);
   cfg.jit = true;
   auto cm = rt::compile({bytes.data(), bytes.size()}, cfg);
+  materialize_all(*cm);
   EXPECT_EQ(cm->tier, EngineTier::kJit);
   EXPECT_EQ(cm->jit_funcs.load(), 1u);
 }
@@ -84,6 +86,7 @@ TEST(Jit, JitOffDegradesToOptimizing) {
   EngineConfig off = jit_config();
   off.jit = false;
   auto cm = rt::compile({bytes.data(), bytes.size()}, off);
+  materialize_all(*cm);
   EXPECT_EQ(cm->tier, EngineTier::kOptimizing);
   EXPECT_EQ(cm->jit_funcs.load(), 0u);
   rt::ImportTable imports;
@@ -108,6 +111,7 @@ TEST(Jit, UncoveredOpFallsBackPerFunction) {
     f.end();
   });
   auto cm = rt::compile({bytes.data(), bytes.size()}, jit_config());
+  materialize_all(*cm);
   EXPECT_EQ(cm->jit_funcs.load(), 0u);
   EXPECT_EQ(cm->jit_fallback_funcs.load(), 1u);
   rt::ImportTable imports;
@@ -137,6 +141,7 @@ TEST(Jit, MixedModuleCompilesCoveredKeepsRest) {
   f.end();
   auto bytes = b.build();
   auto cm = rt::compile({bytes.data(), bytes.size()}, jit_config());
+  materialize_all(*cm);
   EXPECT_EQ(cm->jit_funcs.load(), 1u);
   EXPECT_EQ(cm->jit_fallback_funcs.load(), 1u);
   rt::ImportTable imports;
@@ -166,6 +171,7 @@ TEST(Jit, CallsBetweenNativeFunctionsWork) {
   f.end();
   auto bytes = b.build();
   auto cm = rt::compile({bytes.data(), bytes.size()}, jit_config());
+  materialize_all(*cm);
   EXPECT_EQ(cm->jit_funcs.load(), 2u);
   rt::ImportTable imports;
   rt::Instance inst(cm, imports);
@@ -195,6 +201,7 @@ TEST(Jit, BrTableDispatches) {
     f.end();
   });
   auto cm = rt::compile({bytes.data(), bytes.size()}, jit_config());
+  materialize_all(*cm);
   EXPECT_EQ(cm->jit_funcs.load(), 1u);
   rt::ImportTable imports;
   rt::Instance inst(cm, imports);
@@ -220,6 +227,7 @@ TEST(Jit, V128ArithmeticMatchesScalar) {
     f.end();
   });
   auto cm = rt::compile({bytes.data(), bytes.size()}, jit_config());
+  materialize_all(*cm);
   EXPECT_EQ(cm->jit_funcs.load(), 1u);
   rt::ImportTable imports;
   rt::Instance inst(cm, imports);
@@ -419,6 +427,7 @@ TEST(Jit, DivTrapsMatchInterp) {
   }
   const std::vector<u8> bytes = b.build();
   auto cm = rt::compile({bytes.data(), bytes.size()}, jit_config());
+  materialize_all(*cm);
   ASSERT_EQ(cm->jit_funcs.load(), names.size() + 1);
   rt::ImportTable imports;
   rt::Instance jit(cm, imports);
@@ -492,6 +501,7 @@ TEST(Jit, MemoryGrowOpensPagesForNativeAccesses) {
     f.end();
   });
   auto cm = rt::compile({bytes.data(), bytes.size()}, jit_config());
+  materialize_all(*cm);
   ASSERT_EQ(cm->jit_funcs.load(), 1u);
   rt::ImportTable imports;
   rt::Instance inst(cm, imports);
@@ -664,53 +674,20 @@ TEST(Jit, InvalidBlobOnUncompilableFunctionFallsBackToThreaded) {
 TEST(Jit, TruncatedNativeSectionRejectsWholeEntry) {
   auto bytes = arith_module();
   auto cm = rt::compile({bytes.data(), bytes.size()}, jit_config());
-  ASSERT_NE(cm->regcode.funcs[0].jit, nullptr);
-  auto blob = rt::serialize_regcode(cm->regcode);
+  rt::RModule rm;
+  rm.funcs.push_back(rt::compiled_body(*cm, 0));
+  ASSERT_NE(rm.funcs[0].jit, nullptr);
+  auto blob = rt::serialize_regcode(rm);
   // Cut inside the native section (the last bytes of the entry).
   for (size_t cut = blob.size() - 1; cut > blob.size() - 12; --cut)
     EXPECT_FALSE(rt::deserialize_regcode({blob.data(), cut}).has_value())
         << "prefix of " << cut << " bytes";
 }
 
-// --- tier-up into native code -----------------------------------------------
-
-TEST(Jit, TieredPromotionReachesNativeCode) {
-  auto bytes = arith_module();
-  EngineConfig cfg;
-  cfg.tier = EngineTier::kTiered;
-  cfg.jit = true;
-  cfg.tierup_opt_threshold = 2;
-  cfg.tierup_jit_threshold = 4;
-  auto cm = rt::compile({bytes.data(), bytes.size()}, cfg);
-  rt::ImportTable imports;
-  rt::Instance inst(cm, imports);
-  for (u64 call = 1; call <= 8; ++call) {
-    const i32 k = i32(call);
-    EXPECT_EQ(inst.invoke("run", std::vector<Value>{Value::from_i32(k),
-                                                    Value::from_i32(2)})
-                  .as_i32(),
-              2 * k + 5)
-        << "call " << call;
-    const auto snap = rt::tierup_snapshot(*cm);
-    // Interp until the opt threshold, optimizing until the jit threshold,
-    // then native code behind the steady thunk, which stops counting.
-    const bool optimized = call >= cfg.tierup_opt_threshold;
-    const bool native = call >= cfg.tierup_jit_threshold;
-    EXPECT_EQ(snap.funcs_predecoded, optimized ? 0u : 1u) << "call " << call;
-    EXPECT_EQ(snap.funcs_regcode, optimized ? 1u : 0u) << "call " << call;
-    EXPECT_EQ(snap.promoted_optimizing, optimized ? 1u : 0u)
-        << "call " << call;
-    EXPECT_EQ(snap.promoted_jit, native ? 1u : 0u) << "call " << call;
-    EXPECT_EQ(snap.jit_funcs, native ? 1u : 0u) << "call " << call;
-    EXPECT_EQ(snap.calls_counted, std::min(call, cfg.tierup_jit_threshold))
-        << "call " << call;
-  }
-  EXPECT_GT(rt::tierup_snapshot(*cm).jit_code_bytes, 0u);
-}
-
 TEST(Jit, SnapshotCountsStaticJitModules) {
   auto bytes = arith_module();
   auto cm = rt::compile({bytes.data(), bytes.size()}, jit_config());
+  materialize_all(*cm);
   auto snap = rt::tierup_snapshot(*cm);
   EXPECT_EQ(snap.funcs_total, 1u);
   EXPECT_EQ(snap.funcs_regcode, 1u);
@@ -782,6 +759,7 @@ int run_without_guard_region(const std::vector<u8>& bytes) {
   imports.add("env", "poke", {{}, {}},
               [](rt::HostContext&, const rt::Slot*, rt::Slot*) {});
   auto cm = rt::compile({bytes.data(), bytes.size()}, jit_config());
+  materialize_all(*cm);
   if (cm->jit_funcs.load() != 2) return 1;
   long pages = 0;
   if (std::FILE* f = std::fopen("/proc/self/statm", "r")) {

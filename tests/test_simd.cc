@@ -2,12 +2,11 @@
 //
 // Every v128 instruction is checked against an independent scalar reference
 // evaluator (plain per-lane loops written here, not the runtime's arith.h
-// helpers), across every engine configuration (all three static tiers,
-// tiered promotion-threshold-1/staged). On top of the per-op
-// sweep: scalar-vs-SIMD micro-kernel twins (bit-exact for element-wise and
-// integer kernels, ULP-bounded for reassociated float reductions), the
-// opt_simd ablation, and OOB-trap-point equivalence for v128 accesses,
-// which native code leaves to the memory's guard region.
+// helpers), across every engine configuration (all three tiers). On top of
+// the per-op sweep: scalar-vs-SIMD micro-kernel twins (bit-exact for
+// element-wise and integer kernels, ULP-bounded for reassociated float
+// reductions), the opt_simd ablation, and OOB-trap-point equivalence for
+// v128 accesses, which native code leaves to the memory's guard region.
 #include "testlib.h"
 
 #include <cmath>
@@ -148,7 +147,7 @@ std::vector<u8> reduce_i32_module(Op op) {  // any_true / all_true family
 
 /// Copies the inputs into linear memory, invokes "run", and reads the
 /// 16-byte result back from kOut. Reusing one instance across input sets
-/// also drives the tiered configs through their mid-sweep promotions.
+/// also runs the body its first call built on the later sets.
 V128 run_on(rt::Instance& inst, const V128& a, const V128& b, const V128& c,
             const std::vector<rt::Value>& args = {}) {
   u8* mem = inst.memory().base();

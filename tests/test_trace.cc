@@ -229,9 +229,9 @@ TEST(TraceJson, TracedWorkloadEmitsWellFormedChromeJson) {
   // not flush-and-reset before we can inspect the events.
   trace::enable_tracing(true);
 
-  // Leg 1: an 8-rank allreduce guest on the tiered engine with promotion
-  // thresholds low enough that tier-up (and its cache miss) fires mid-run.
-  // Covers the mpi (MpiScope), coll (pick_algo), and engine layers.
+  // Leg 1: an 8-rank allreduce guest at kJit with the cache off, so each
+  // function the guest calls is built on its first call, mid-run. Covers
+  // the mpi (MpiScope), coll (pick_algo), and engine layers.
   toolchain::ImbParams p;
   p.routine = toolchain::ImbRoutine::kAllReduce;
   p.min_bytes = 4096;
@@ -241,8 +241,7 @@ TEST(TraceJson, TracedWorkloadEmitsWellFormedChromeJson) {
   auto bytes = toolchain::build_imb_module(p);
   bench::ReportCollector collector;
   EmbedderConfig cfg;
-  cfg.engine.tier = EngineTier::kTiered;
-  cfg.engine.tierup_opt_threshold = 2;
+  cfg.engine.tier = EngineTier::kJit;
   cfg.engine.enable_cache = false;
   cfg.extra_imports = collector.hook();
   Embedder emb(cfg);
@@ -273,11 +272,11 @@ TEST(TraceJson, TracedWorkloadEmitsWellFormedChromeJson) {
   EXPECT_TRUE(checker.parse()) << "invalid JSON near offset " << checker.pos;
 
   // Every instrumented layer shows up: guest lifecycle, MPI calls,
-  // collective algorithm selection, tier-up promotion, schedule steps, and
+  // collective algorithm selection, first-call builds, schedule steps, and
   // rendezvous segment drains — plus the per-thread timeline metadata.
   for (const char* name :
        {"guest._start", "MPI_Allreduce", "MPI_Init", "MPI_Finalize",
-        "coll.select", "tier_up", "sched.step", "rndv.segment",
+        "coll.select", "materialize", "sched.step", "rndv.segment",
         "thread_name"}) {
     EXPECT_TRUE(checker.names.count(name)) << "missing event: " << name;
   }

@@ -32,9 +32,9 @@ inline std::vector<EngineTier> all_tiers() {
 }
 
 /// Every engine configuration a module should behave identically under:
-/// the three static tiers, plus tiered mode with threshold 1, which forces a
-/// lazy promotion on the very first call of every function (maximum mid-run
-/// tier churn; promotions also compile fused bodies).
+/// the three tiers. The jit knob keeps its env default in every entry;
+/// Jit.JitOffDegradesToOptimizing pins that kJit with codegen off compiles
+/// the kOptimizing entry.
 inline std::vector<EngineConfig> all_engine_configs() {
   std::vector<EngineConfig> cfgs;
   for (EngineTier tier : all_tiers()) {
@@ -42,37 +42,21 @@ inline std::vector<EngineConfig> all_engine_configs() {
     c.tier = tier;
     cfgs.push_back(c);
   }
-  EngineConfig tiered;
-  tiered.tier = EngineTier::kTiered;
-  tiered.tierup_opt_threshold = 1;
-  cfgs.push_back(tiered);
-  // A staged variant: interp first, optimizing on call 2, native code on
-  // call 4 — promotions land mid-sweep in multi-input tests.
-  EngineConfig staged;
-  staged.tier = EngineTier::kTiered;
-  staged.tierup_opt_threshold = 2;
-  staged.tierup_jit_threshold = 4;
-  cfgs.push_back(staged);
-  // Tiered mode promoting all the way to native code mid-run. The jit knob
-  // keeps its env default in every entry; Jit.JitOffDegradesToOptimizing
-  // pins that kJit with codegen off compiles the kOptimizing entry.
-  EngineConfig tiered_jit;
-  tiered_jit.tier = EngineTier::kTiered;
-  tiered_jit.tierup_opt_threshold = 1;
-  tiered_jit.tierup_jit_threshold = 3;
-  cfgs.push_back(tiered_jit);
   return cfgs;
 }
 
-/// Human-readable label for a config (tier name + thresholds for tiered).
+/// Human-readable label for a config.
 inline std::string config_label(const EngineConfig& cfg) {
   std::string s = rt::tier_name(cfg.tier);
-  if (cfg.tier == EngineTier::kTiered) {
-    s += "(" + std::to_string(cfg.tierup_opt_threshold) + "," +
-         std::to_string(cfg.tierup_jit_threshold) + ")";
-  }
   if (cfg.tier == EngineTier::kJit && !cfg.jit) s += "(off)";
   return s;
+}
+
+/// Builds every function of a compiled-tier module, as the first calls of
+/// a run that calls them all would; for tests that read the code census.
+inline void materialize_all(const rt::CompiledModule& cm) {
+  for (u32 i = 0; i < cm.module.bodies.size(); ++i)
+    (void)rt::compiled_body(cm, i);
 }
 
 /// Compiles `bytes` under `cfg` and returns a fresh instance.
