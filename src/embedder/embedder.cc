@@ -1,5 +1,7 @@
 #include "embedder/embedder.h"
 
+#include <sys/resource.h>
+
 #include <cstdlib>
 #include <mutex>
 
@@ -11,6 +13,16 @@
 #include "support/trace.h"
 
 namespace mpiwasm::embed {
+
+namespace {
+/// Minor page faults the calling thread has taken so far (0 where the
+/// kernel cannot say).
+u64 thread_minor_faults() {
+  rusage ru{};
+  if (::getrusage(RUSAGE_THREAD, &ru) != 0) return 0;
+  return u64(ru.ru_minflt);
+}
+}  // namespace
 
 Embedder::Embedder(EmbedderConfig config) : config_(std::move(config)) {
   if (config_.faasm_compat) {
@@ -89,35 +101,41 @@ RunResult Embedder::run_world(std::shared_ptr<const rt::CompiledModule> cm,
     guest_threads.register_imports(imports);
     if (config_.extra_imports) config_.extra_imports(imports, rank.world_rank());
 
-    rt::Instance instance(cm, imports, &env);
-
+    // The Instance lives in this scope so that the fault count spans its
+    // linear memory's first touch and its unmap.
+    const u64 faults_before = thread_minor_faults();
     int exit_code = 0;
-    try {
-      trace::Scope span("guest", "guest._start");
-      instance.invoke("_start");
-    } catch (const rt::ProcExit& e) {
-      exit_code = e.code();
-    } catch (...) {
-      // _start trapped. Guest threads must be parked before `instance` is
-      // destroyed; abort first so ones blocked in MPI calls unblock.
-      rank.world().request_abort(-1);
+    {
+      rt::Instance instance(cm, imports, &env);
       try {
-        guest_threads.join_all();
+        trace::Scope span("guest", "guest._start");
+        instance.invoke("_start");
+      } catch (const rt::ProcExit& e) {
+        exit_code = e.code();
       } catch (...) {
-        // The _start trap is the primary error.
+        // _start trapped. Guest threads must be parked before `instance` is
+        // destroyed; abort first so ones blocked in MPI calls unblock.
+        rank.world().request_abort(-1);
+        try {
+          guest_threads.join_all();
+        } catch (...) {
+          // The _start trap is the primary error.
+        }
+        throw;
       }
-      throw;
+      // Join spawned guest threads before the Instance (and Env) they
+      // execute in leave scope; a guest thread's trap resurfaces here as
+      // the rank's failure.
+      guest_threads.join_all();
+      // The rank's wall time is the denominator for the profile's "% of
+      // aggregate rank wall" column.
+      if (trace::active()) trace::profile_add_wall(rank_wall.elapsed_ns());
     }
-    // Join spawned guest threads before the Instance (and Env) they execute
-    // in leave scope; a guest thread's trap resurfaces here as the rank's
-    // failure.
-    guest_threads.join_all();
-    // The rank's wall time is the denominator for the profile's "% of
-    // aggregate rank wall" column.
-    if (trace::active()) trace::profile_add_wall(rank_wall.elapsed_ns());
+    const u64 faults = thread_minor_faults() - faults_before;
 
     std::lock_guard<std::mutex> lock(result_mu);
     if (exit_code != 0 && result.exit_code == 0) result.exit_code = exit_code;
+    result.rank_minor_faults += faults;
     if (config_.record_translation) {
       result.translation_samples.insert(result.translation_samples.end(),
                                         env.samples().begin(),

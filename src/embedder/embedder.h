@@ -54,6 +54,10 @@ struct RunResult {
   u32 funcs_validated = 0;  // bodies the compile validated; 0 on a cache hit
   f64 wall_seconds = 0;
   bool loaded_from_cache = false;
+  /// Minor page faults summed over the rank threads, each counted from just
+  /// before its Instance is built to just after it is destroyed: mostly the
+  /// first touch of linear memory. Guest threads' faults are not included.
+  u64 rank_minor_faults = 0;
   /// Code stats, taken after the world finishes: the functions built so far
   /// and the time their first calls spent building them, and for kJit the
   /// native-code census (native functions, interpreter fallbacks,

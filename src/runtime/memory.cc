@@ -14,11 +14,38 @@ namespace mpiwasm::rt {
 namespace {
 // Virtual reservation ceiling for modules that declare no maximum. Virtual
 // space is free with MAP_NORESERVE; physical pages are committed only when
-// touched, so this does not inflate RSS with many rank instances.
+// touched, so this does not inflate RSS with many rank instances beyond
+// the huge-page rounding: a partly touched 2 MiB page is committed whole.
 constexpr u32 kDefaultMaxPages = 16384;  // 1 GiB virtual per module
 // A guarded reservation: every effective address native code forms (below
 // 2^33, plus at most 16 bytes of access width) lands inside it.
 constexpr u64 kGuardedReserveBytes = (u64(1) << 33) + wasm::kPageSize;
+// Transparent huge page size on x86-64: reservations start on and span
+// whole multiples of it.
+constexpr u64 kHugePageBytes = u64(2) << 20;
+
+u64 round_up_huge(u64 bytes) {
+  return (bytes + kHugePageBytes - 1) & ~(kHugePageBytes - 1);
+}
+
+/// Maps `len` bytes (a multiple of kHugePageBytes) at a 2 MiB-aligned
+/// address and advises huge pages over all of it. The kernel aligns large
+/// anonymous mappings only by heuristic, so this over-maps by one huge page
+/// and unmaps the unaligned head and tail. A failed madvise (THP off, an old
+/// kernel) leaves 4 KiB pages and changes nothing else.
+void* map_huge_aligned(u64 len, int prot) {
+  void* p = ::mmap(nullptr, len + kHugePageBytes, prot,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (p == MAP_FAILED) return p;
+  auto* raw = static_cast<u8*>(p);
+  const u64 head = round_up_huge(reinterpret_cast<uintptr_t>(raw)) -
+                   reinterpret_cast<uintptr_t>(raw);
+  u8* base = raw + head;
+  if (head != 0) ::munmap(raw, head);
+  ::munmap(base + len, kHugePageBytes - head);
+  (void)::madvise(base, len, MADV_HUGEPAGE);
+  return base;
+}
 }  // namespace
 
 /// Growth lock plus the futex-style parking table for wait/notify. The map
@@ -54,19 +81,18 @@ LinearMemory::LinearMemory(u32 min_pages, u32 max_pages, bool shared)
   max_pages_ = max_pages == 0 ? std::max(min_pages, kDefaultMaxPages)
                               : std::min(max_pages, wasm::kMaxPages);
   max_pages_ = std::max(max_pages_, min_pages);
-  void* p = ::mmap(nullptr, kGuardedReserveBytes, PROT_NONE,
-                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  const u64 guarded_bytes = round_up_huge(kGuardedReserveBytes);
+  void* p = map_huge_aligned(guarded_bytes, PROT_NONE);
   if (p != MAP_FAILED &&
       ::mprotect(p, u64(min_pages) * wasm::kPageSize,
                  PROT_READ | PROT_WRITE) == 0) {
-    reserved_bytes_ = kGuardedReserveBytes;
+    reserved_bytes_ = guarded_bytes;
     guarded_ = true;
   } else {
     // No room for the guard region: reserve the maximum size only.
-    if (p != MAP_FAILED) ::munmap(p, kGuardedReserveBytes);
-    reserved_bytes_ = u64(max_pages_) * wasm::kPageSize;
-    p = ::mmap(nullptr, reserved_bytes_, PROT_READ | PROT_WRITE,
-               MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (p != MAP_FAILED) ::munmap(p, guarded_bytes);
+    reserved_bytes_ = round_up_huge(u64(max_pages_) * wasm::kPageSize);
+    p = map_huge_aligned(reserved_bytes_, PROT_READ | PROT_WRITE);
     if (p == MAP_FAILED) fatal("mmap failed reserving linear memory");
   }
   base_ = static_cast<u8*>(p);

@@ -19,6 +19,14 @@
 // Where the guarded reservation cannot be had (an address-space limit),
 // the memory reserves only max_pages, read-write, and guarded() is false:
 // its instance then runs every body in the checking executor.
+//
+// Either reservation starts on a 2 MiB boundary, spans whole 2 MiB units,
+// and is advised MADV_HUGEPAGE once at construction. The kernel then backs
+// every aligned 2 MiB range that is wholly read-write with one transparent
+// huge page on first touch, so a large memory takes a fault per 2 MiB
+// instead of per 4 KiB and unmaps as fast. RSS rounds up by at most 2 MiB
+// per partly touched huge page. On a host with THP `never` the advice does
+// nothing: 4 KiB pages, identical results.
 #pragma once
 
 #include <atomic>

@@ -101,7 +101,7 @@ void write_stats_json(const std::string& path, const char* tier, int ranks,
   std::fprintf(f,
                "{\n"
                "  \"tool\": \"mpiwasm-run\",\n"
-               "  \"schema\": 3,\n"
+               "  \"schema\": 4,\n"
                "  \"tier\": \"%s\",\n"
                "  \"ranks\": %d,\n"
                "  \"exit_code\": %d,\n"
@@ -111,6 +111,7 @@ void write_stats_json(const std::string& path, const char* tier, int ranks,
                "  \"funcs_validated\": %u,\n"
                "  \"wall_seconds\": %.6f,\n"
                "  \"loaded_from_cache\": %s,\n"
+               "  \"rank_minor_faults\": %llu,\n"
                "  \"tierup\": {\n"
                "    \"funcs_total\": %llu,\n"
                "    \"funcs_predecoded\": %llu,\n"
@@ -128,6 +129,7 @@ void write_stats_json(const std::string& path, const char* tier, int ranks,
                tier, ranks, r.exit_code, r.compile_ms, r.decode_ms,
                r.validate_ms, r.funcs_validated, r.wall_seconds,
                r.loaded_from_cache ? "true" : "false",
+               (unsigned long long)r.rank_minor_faults,
                (unsigned long long)t.funcs_total,
                (unsigned long long)t.funcs_predecoded,
                (unsigned long long)t.funcs_regcode,

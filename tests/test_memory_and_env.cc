@@ -3,6 +3,12 @@
 // translation tables (§3.6/§3.7).
 #include "testlib.h"
 
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <string>
+
 #include "embedder/abi.h"
 #include "embedder/env.h"
 #include "runtime/memory.h"
@@ -69,6 +75,81 @@ TEST(LinearMemory, MoveTransfersOwnership) {
   LinearMemory c(1, 2);
   c = std::move(b);
   EXPECT_EQ(c.load<u32>(0), 42u);
+}
+
+constexpr u64 kHugePage = u64(2) << 20;
+
+TEST(LinearMemory, GuardedBaseIsHugePageAligned) {
+  LinearMemory mem(1, 64);
+  ASSERT_TRUE(mem.guarded());
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(mem.base()) % kHugePage, 0u);
+}
+
+TEST(LinearMemory, TwoMiBMemoryTrapsAtItsEndAndOpensOnGrow) {
+  // 32 pages are exactly one huge page: the whole aligned 2 MiB is
+  // read-write and the byte after it is the first of the guard region.
+  auto bytes = build_single_func({{I32}, {I32}}, [](auto& f) {
+    f.local_get(0);
+    f.mem_op(Op::kI32Load);
+    f.end();
+  }, 32);
+  const std::string want = "access at 2097152+4 exceeds memory size 2097152";
+  for (EngineTier tier : {EngineTier::kInterp, EngineTier::kJit}) {
+    SCOPED_TRACE(rt::tier_name(tier));
+    auto inst = instantiate(bytes, tier);
+    LinearMemory& mem = inst->memory();
+    ASSERT_EQ(mem.byte_size(), kHugePage);
+    std::memset(mem.base(), 0x5A, kHugePage);
+    Value last = Value::from_i32(i32(kHugePage - 4));
+    EXPECT_EQ(inst->invoke("run", {&last, 1}).as_i32(), 0x5A5A5A5A);
+    Value end = Value::from_i32(i32(kHugePage));
+    try {
+      inst->invoke("run", {&end, 1});
+      ADD_FAILURE() << "expected a trap";
+    } catch (const rt::Trap& t) {
+      EXPECT_EQ(t.kind(), rt::TrapKind::kMemoryOutOfBounds);
+      EXPECT_NE(std::string(t.what()).find(want), std::string::npos)
+          << t.what();
+    }
+    ASSERT_EQ(mem.grow(1), 32);
+    EXPECT_EQ(inst->invoke("run", {&end, 1}).as_i32(), 0);
+  }
+}
+
+/// Whether the host's THP mode lets an madvise'd range get huge pages.
+bool thp_madvise_honoured() {
+  std::ifstream in("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string mode;
+  std::getline(in, mode);
+  return mode.find("[always]") != std::string::npos ||
+         mode.find("[madvise]") != std::string::npos;
+}
+
+/// AnonHugePages (kB) of the /proc/self/smaps mapping holding `addr`, or -1.
+long anon_huge_kb(const void* addr) {
+  const auto a = reinterpret_cast<uintptr_t>(addr);
+  std::ifstream in("/proc/self/smaps");
+  std::string line;
+  bool inside = false;
+  while (std::getline(in, line)) {
+    unsigned long lo = 0, hi = 0;
+    if (std::sscanf(line.c_str(), "%lx-%lx ", &lo, &hi) == 2) {
+      inside = lo <= a && a < hi;
+      continue;
+    }
+    long kb = 0;
+    if (inside && std::sscanf(line.c_str(), "AnonHugePages: %ld kB", &kb) == 1)
+      return kb;
+  }
+  return -1;
+}
+
+TEST(LinearMemory, TouchedMemoryIsBackedByHugePages) {
+  if (!thp_madvise_honoured())
+    GTEST_SKIP() << "transparent huge pages are off on this host";
+  LinearMemory mem(64, 64);  // 4 MiB from an aligned base
+  std::memset(mem.base(), 1, 2 * kHugePage);
+  EXPECT_GE(anon_huge_kb(mem.base()), 2048);
 }
 
 TEST(SharedHandleState, StaticTablesMatchAbi) {
