@@ -5,8 +5,10 @@
 #include <cmath>
 #include <cstring>
 #include <initializer_list>
+#include <map>
 #include <optional>
 #include <span>
+#include <tuple>
 
 #include "runtime/jit_support.h"
 #include "runtime/optimizer.h"
@@ -185,6 +187,29 @@ std::optional<Sig> reg_sig(ROp op) {
       return Sig{kNo, kInt, kFlt, kInt};
     case R::kV128StoreIx:
       return Sig{kNo, kInt, kVec, kInt};
+
+    // Inline atomics (the rest call helpers and run under the fallback rule).
+    case R::kI32AtomicLoad: case R::kI64AtomicLoad: case R::kI32AtomicLoad8U:
+    case R::kI32AtomicLoad16U: case R::kI64AtomicLoad8U:
+    case R::kI64AtomicLoad16U: case R::kI64AtomicLoad32U:
+      return Sig{kInt, kNo, kInt};
+    case R::kI32AtomicStore: case R::kI64AtomicStore: case R::kI32AtomicStore8:
+    case R::kI32AtomicStore16: case R::kI64AtomicStore8:
+    case R::kI64AtomicStore16: case R::kI64AtomicStore32:
+      return Sig{kNo, kInt, kInt};
+    case R::kI32AtomicRmwAdd: case R::kI64AtomicRmwAdd:
+    case R::kI32AtomicRmw8AddU: case R::kI32AtomicRmw16AddU:
+    case R::kI64AtomicRmw8AddU: case R::kI64AtomicRmw16AddU:
+    case R::kI64AtomicRmw32AddU:
+    case R::kI32AtomicRmwSub: case R::kI64AtomicRmwSub:
+    case R::kI32AtomicRmw8SubU: case R::kI32AtomicRmw16SubU:
+    case R::kI64AtomicRmw8SubU: case R::kI64AtomicRmw16SubU:
+    case R::kI64AtomicRmw32SubU:
+    case R::kI32AtomicRmwXchg: case R::kI64AtomicRmwXchg:
+    case R::kI32AtomicRmw8XchgU: case R::kI32AtomicRmw16XchgU:
+    case R::kI64AtomicRmw8XchgU: case R::kI64AtomicRmw16XchgU:
+    case R::kI64AtomicRmw32XchgU:
+      return Sig{kInt, kNo, kInt, kInt};
     default:
       return std::nullopt;
   }
@@ -208,6 +233,37 @@ void jit_reads(const RInstr& in, std::vector<u32>& out) {
 /// Ops whose destination is the r[a] they read: one web, updated in place.
 bool select_shaped(ROp op) {
   return op == ROp::kSelect || op == ROp::kV128Bitselect;
+}
+
+/// Whether `in`'s register-form template writes a GPR destination with a
+/// 32-bit operation, which clears bits 32-63. A shift by 0 is left out:
+/// its template may shift the destination register in place, and the
+/// architecture manuals do not say that a zero count writes it.
+bool zext_def(const RInstr& in) {
+  using R = ROp;
+  switch (in.op) {
+    case R::kConst:
+      return in.imm <= 0xFFFFFFFFull;  // mov r32, imm32
+    case R::kI32ShlImm: case R::kI32ShrUImm:
+      return (in.imm & 31) != 0;
+    case R::kI32AddImm: case R::kI32AndImm: case R::kI32MulImm:
+    case R::kI32Load: case R::kI32Load8S: case R::kI32Load8U:
+    case R::kI32Load16S: case R::kI32Load16U: case R::kI32LoadIx:
+    case R::kI32Add: case R::kI32Sub: case R::kI32Mul: case R::kI32And:
+    case R::kI32Or: case R::kI32Xor: case R::kI32Shl: case R::kI32ShrS:
+    case R::kI32ShrU: case R::kI32Rotl: case R::kI32Rotr:
+    case R::kI32DivS: case R::kI32DivU: case R::kI32RemS: case R::kI32RemU:
+    case R::kI32WrapI64: case R::kI32Eqz: case R::kI64Eqz:
+    case R::kI32Eq: case R::kI32Ne: case R::kI32LtS: case R::kI32LtU:
+    case R::kI32GtS: case R::kI32GtU: case R::kI32LeS: case R::kI32LeU:
+    case R::kI32GeS: case R::kI32GeU:
+    case R::kI64Eq: case R::kI64Ne: case R::kI64LtS: case R::kI64LtU:
+    case R::kI64GtS: case R::kI64GtU: case R::kI64LeS: case R::kI64LeU:
+    case R::kI64GeS: case R::kI64GeU:
+      return true;
+    default:
+      return false;
+  }
 }
 
 /// Fallback templates that call a C++ helper on their normal path, which
@@ -261,6 +317,7 @@ constexpr u8 kAllocXmms = 14;  // xmm2..xmm15
 struct RegAlloc {
   struct Locs {
     u8 a_in = kNoLoc, b = kNoLoc, c = kNoLoc, d = kNoLoc, a_out = kNoLoc;
+    u8 zext = 0;  // bit k: operand k (a_in, b, c, d) is zero-extended
   };
   struct Move {
     u32 slot;
@@ -319,6 +376,7 @@ RegAlloc allocate_registers(const RFunc& f, u32 feats) {
     f64 weight = 0;             // loop-depth-weighted reads + writes
     u8 kinds = 0;               // 1 << Kind, over converted templates
     bool frame = false;         // live across a wasm call or memory.grow
+    bool wide = false;          // may hold nonzero bits 32-63 (see Web)
   };
   std::vector<Node> nodes;
   nodes.reserve(2 * n + 8);
@@ -353,6 +411,7 @@ RegAlloc allocate_registers(const RFunc& f, u32 feats) {
     each_live(live_in.data(), [&](u32 r) {
       entry_slot.push_back(r);
       entry_node.push_back(make());
+      nodes.back().wide = b == 0;  // a parameter or local from the caller
     });
   }
   entry_at[nb] = u32(entry_slot.size());
@@ -381,7 +440,10 @@ RegAlloc allocate_registers(const RFunc& f, u32 feats) {
       after.clear();
       jit_reads(in, reads);
       for (u32 r : reads) {
-        if (cur[r] == kNoWeb) cur[r] = make();
+        if (cur[r] == kNoWeb) {
+          cur[r] = make();
+          nodes[cur[r]].wide = true;
+        }
         touch(cur[r], u32(i));
         nodes[cur[r]].weight += w;
         if (!sig) add_move(moves, save_at[i], r, cur[r]);
@@ -402,6 +464,7 @@ RegAlloc allocate_registers(const RFunc& f, u32 feats) {
         const u32 x = select_shaped(in.op) ? cur[in.a] : make();
         touch(x, u32(i));
         nodes[x].weight += w;
+        if (!sig || !zext_def(in)) nodes[x].wide = true;
         cur[in.a] = x;
         if (sig) {
           opnode[i][4] = x;
@@ -437,12 +500,17 @@ RegAlloc allocate_registers(const RFunc& f, u32 feats) {
   }
   save_at[n] = u32(moves.size());
 
-  // Fold every node into its web (the union-find root).
+  // Fold every node into its web (the union-find root). A web whose every
+  // def is a zext_def template holds its value zero-extended in a GPR:
+  // spills and fills move all 64 bits, so they keep bits 32-63 clear.
+  // Parameters, moves, selects, reinterprets and fallback results (a call
+  // result among them) may leave those bits set.
   struct Web {
     u32 first = ~0u, last = 0;
     f64 weight = 0;
     u8 kinds = 0;
     bool frame = false;
+    bool wide = false;
     u8 loc = kFrame;
   };
   const u32 nn = u32(nodes.size());
@@ -456,6 +524,7 @@ RegAlloc allocate_registers(const RFunc& f, u32 feats) {
     wb.weight += nodes[x].weight;
     wb.kinds |= nodes[x].kinds;
     wb.frame |= nodes[x].frame;
+    wb.wide |= nodes[x].wide;
   }
 
   // Linear scan per register file. A web read as an integer somewhere and
@@ -523,6 +592,9 @@ RegAlloc allocate_registers(const RFunc& f, u32 feats) {
     const std::array<u32, 5>& on = opnode[i];
     ra.at[i] = {loc_of(on[0]), loc_of(on[1]), loc_of(on[2]), loc_of(on[3]),
                 loc_of(on[4])};
+    for (int k = 0; k < 4; ++k)
+      if (on[k] != kNoWeb && !web[root[on[k]]].wide)
+        ra.at[i].zext |= u8(1u << k);
     ra.save_at[i] = u32(ra.moves.size());
     keep(save_at[i], restore_at[i]);
     ra.restore_at[i] = u32(ra.moves.size());
@@ -561,6 +633,8 @@ struct Emitter {
   struct FaultSite {  // unchecked guest access at code[at]
     u32 at;
     u32 len;
+    u8 idx;        // the access is [r13 + idx + disp]
+    u32 disp;
     u32 stub = 0;  // its OOB stub, set by finish()
   };
   std::vector<BranchFix> branch_fixes;
@@ -569,6 +643,8 @@ struct Emitter {
   std::vector<TrapSite> trap_sites;
   std::vector<FaultSite> fault_sites;
   u32 fault_len = 0;  // width of the guest access the next op_mem makes
+  u8 mem_idx = RAX;   // its address: [r13 + mem_idx + mem_disp]
+  u32 mem_disp = 0;
   std::vector<V128> pool;  // f.v128_pool + emitter-generated masks
 
   Emitter(const RFunc& fn, u32 features, const RegAlloc& alloc)
@@ -631,21 +707,42 @@ struct Emitter {
   /// pending guest access (see guest_access), if any.
   void fault_site_here() {
     if (fault_len != 0) {
-      fault_sites.push_back({u32(code.size()), fault_len});
+      fault_sites.push_back({u32(code.size()), fault_len, mem_idx, mem_disp});
       fault_len = 0;
     }
   }
 
-  /// op reg, [r13 + rax] — the linear-memory access form. r13&7 == 5 forces
-  /// a disp8 even at zero; index rax never needs REX.X.
+  /// modrm + SIB for [base + idx*2^scale + disp]. base&7 == 5 (rbp, r13)
+  /// has no disp-less form, so it always gets a disp8; idx is never rsp.
+  void modrm_sib(u8 reg, u8 base, u8 idx, u8 scale, i32 disp) {
+    const u8 mod = disp == 0 && (base & 7) != 5 ? 0x00
+                   : disp >= -128 && disp <= 127 ? 0x40 : 0x80;
+    b1(u8(mod | ((reg & 7) << 3) | 4));
+    b1(u8((scale << 6) | ((idx & 7) << 3) | (base & 7)));
+    if (mod == 0x40)
+      b1(u8(i8(disp)));
+    else if (mod == 0x80)
+      i32le(u32(disp));
+  }
+
+  /// op reg, [r13 + mem_idx + mem_disp] — the linear-memory access form.
+  /// Always carries REX (REX.B for r13), so byte stores of sil/dil encode.
   void op_mem(u8 pfx, bool w, std::initializer_list<u8> ops, u8 reg) {
     fault_site_here();
     if (pfx) b1(pfx);
-    b1(u8(0x40 | (w ? 8 : 0) | ((reg >> 3) << 2) | 1));  // REX.B = r13
+    b1(u8(0x41 | (w ? 8 : 0) | ((reg >> 3) << 2) | ((mem_idx >> 3) << 1)));
     for (u8 o : ops) b1(o);
-    b1(u8(0x44 | ((reg & 7) << 3)));  // mod=01, rm=SIB
-    b1(0x05);                         // SIB: scale 1, index rax, base r13
-    b1(0x00);                         // disp8 = 0
+    modrm_sib(reg, R13, mem_idx, 0, i32(mem_disp));
+  }
+
+  /// lea dst32, [base + idx*2^scale]: the sum wraps at 32 bits and
+  /// zero-extends into dst, like the u32 arithmetic it stands for.
+  void lea32(u8 dst, u8 base, u8 idx, u8 scale) {
+    const u8 rex =
+        u8(0x40 | ((dst >> 3) << 2) | ((idx >> 3) << 1) | (base >> 3));
+    if (rex != 0x40) b1(rex);
+    b1(0x8D);
+    modrm_sib(dst, base, idx, scale, 0);
   }
 
   /// op reg, [rip + disp32]; returns the offset of the disp32 for fixups.
@@ -712,16 +809,23 @@ struct Emitter {
 
   i64 slot(u32 r) const { return i64(r) * 16; }
 
-  u8 src_loc(u32 r) const {
-    if (frame_only) return kFrame;
+  /// The operand field (0 a_in, 1 b, 2 c, 3 d) through which the current
+  /// instruction reads slot r.
+  int src_field(u32 r) const {
     const RInstr& in = f.code[at];
     const RegAlloc::Locs& l = ra.at[at];
-    if (l.b != kNoLoc && r == in.b) return l.b;
-    if (l.c != kNoLoc && r == in.c) return l.c;
-    if (l.d != kNoLoc && r == in.d) return l.d;
-    if (l.a_in != kNoLoc && r == in.a) return l.a_in;
-    MW_CHECK(false, "jit: template reads a slot outside its signature");
-    return kFrame;
+    if (l.b != kNoLoc && r == in.b) return 1;
+    if (l.c != kNoLoc && r == in.c) return 2;
+    if (l.d != kNoLoc && r == in.d) return 3;
+    MW_CHECK(l.a_in != kNoLoc && r == in.a,
+             "jit: template reads a slot outside its signature");
+    return 0;
+  }
+  u8 src_loc(u32 r) const {
+    if (frame_only) return kFrame;
+    const RegAlloc::Locs& l = ra.at[at];
+    const u8 locs[4] = {l.a_in, l.b, l.c, l.d};
+    return locs[src_field(r)];
   }
   u8 dst_loc(u32 r) const {
     if (frame_only) return kFrame;
@@ -834,6 +938,20 @@ struct Emitter {
     return d & 15;
   }
 
+  /// cmp r[x], r[y]: a register operand is compared in place; rax holds x
+  /// only when both live in the frame.
+  void cmp_src(bool w, u32 x, u32 y) {
+    const u8 lx = src_loc(x), ly = src_loc(y);
+    if (lx != kFrame && !(lx & kXmm)) {
+      op_src(0, w, {0x3B}, lx, y);  // cmp x, y
+    } else if (lx == kFrame && ly != kFrame && !(ly & kXmm)) {
+      op_rm(0, w, {0x39}, ly, RBX, slot(x));  // cmp [x], y
+    } else {
+      ld_gpr(RAX, w, x);
+      op_src(0, w, {0x3B}, RAX, y);
+    }
+  }
+
   /// Writes register location `l` to its home slot (fallback save rule).
   void spill(u32 r, u8 l) {
     if (l & kXmm)
@@ -914,19 +1032,19 @@ struct Emitter {
   }
 
   // --- effective addresses ------------------------------------------------------
+  //
+  // A guest access is [r13 + idx + disp]: idx holds a u32 zero-extended to
+  // 64 bits and disp is the access's imm when it is below 2^31, so the
+  // address stays below 2^32 + 2^31, inside the guard region (memory.h).
+  // An imm of 2^31 or more, which no disp32 holds, is added to rax first.
 
-  /// rax = u64(r[base_slot].u32) + imm. rcx is clobbered for 64-bit imms.
+  /// rax = u64(r[base_slot].u32) + imm as the next access's address, for
+  /// the atomics (their alignment check tests al) and imms of 2^31 or more.
+  /// rcx is clobbered for those.
   void lin_addr(u32 base_slot, u64 imm) {
     load32(RAX, base_slot);  // 32-bit mov zero-extends
-    add_imm_rax(imm);
-  }
-
-  /// rax = u64(u32(r[base].u32 + (r[idx].u32 << shift))) + imm — the IXADDR
-  /// macro. The 32-bit add wraps and zero-extends exactly like the macro.
-  void ix_addr(u32 base_slot, u32 idx_slot, u32 shift, u64 imm) {
-    load32(RAX, idx_slot);
-    if (shift & 31) shift_imm(false, 4, RAX, u8(shift & 31));
-    op_src(0, false, {0x03}, RAX, base_slot);  // add eax, base
+    mem_idx = RAX;
+    mem_disp = 0;
     add_imm_rax(imm);
   }
 
@@ -940,15 +1058,55 @@ struct Emitter {
     }
   }
 
-  /// Makes the next op_mem an unchecked guest access of `len` bytes at
-  /// [r13+rax]: it is recorded as a fault site, so an out-of-bounds address
-  /// faults in the guard region and resumes at an OOB stub, which finds the
-  /// address still in rax.
+  /// A GPR holding u64(r[r].u32): the operand's own register when the
+  /// allocator holds it zero-extended (RegAlloc::Locs::zext), else eax
+  /// loaded by a 32-bit move.
+  u8 addr_reg(u32 r) {
+    const u8 l = src_loc(r);
+    if (l != kFrame && !(l & kXmm) && (ra.at[at].zext >> src_field(r) & 1))
+      return l;
+    load32(RAX, r);
+    return RAX;
+  }
+
+  /// Makes the next op_mem an unchecked guest access of `len` bytes. It is
+  /// recorded as a fault site with its index register and disp: an
+  /// out-of-bounds address faults in the guard region, and the fault
+  /// handler resumes at a stub that rebuilds the address in rax from them
+  /// (see finish()).
   void guest_access(u32 len) { fault_len = len; }
 
+  /// The next access is at u64(r[base_slot].u32) + imm.
   void guest_addr(u32 base_slot, u64 imm, u32 len) {
-    lin_addr(base_slot, imm);
+    if (imm <= 0x7FFFFFFFull) {
+      mem_idx = addr_reg(base_slot);
+      mem_disp = u32(imm);
+    } else {
+      lin_addr(base_slot, imm);
+    }
     guest_access(len);
+  }
+
+  /// The next access is at u64(u32(r[base].u32 + (r[idx].u32 << shift))) +
+  /// imm — the IXADDR macro. The 32-bit lea (shift <= 3) or add wraps and
+  /// zero-extends into rax exactly like the macro.
+  void ix_addr(u32 base_slot, u32 idx_slot, u32 shift, u64 imm) {
+    shift &= 31;
+    if (shift <= 3) {
+      const u8 base = gpr_of(base_slot, RAX, false);
+      lea32(RAX, base, gpr_of(idx_slot, base == RAX ? RCX : RAX, false),
+            u8(shift));
+    } else {
+      load32(RAX, idx_slot);
+      shift_imm(false, 4, RAX, u8(shift));
+      op_src(0, false, {0x03}, RAX, base_slot);  // add eax, base
+    }
+    mem_idx = RAX;
+    mem_disp = 0;
+    if (imm <= 0x7FFFFFFFull)
+      mem_disp = u32(imm);
+    else
+      add_imm_rax(imm);
   }
 
   /// Natural-alignment check for atomics: jnz to an out-of-line stub when
@@ -1031,19 +1189,38 @@ struct Emitter {
   }
 
   void finish() {
-    // One stub per jcc site; fault sites share one per access width, since
-    // only rax varies and the fault handler resumes with it intact.
-    for (const TrapSite& t : trap_sites) {
-      patch32(t.at, u32(code.size()) - (t.at + 4));
-      trap_stub(t.helper, t.len);
-    }
+    // Fault sites share one OOB stub per access width, which passes rax to
+    // the helper; they come first, so the body ends where the lowest stub
+    // in the fault-site table starts. A site whose access is not
+    // [r13 + rax] resumes at a stub of its own, shared by the sites with
+    // the same (idx, disp, len), that rebuilds rax = zext(idx) + disp and
+    // jumps to the shared one: a faulting access writes nothing, so idx
+    // still holds the address's u32 part.
     u32 oob_stub[17] = {};  // by access width; code offset 0 is the prologue
-    for (FaultSite& fs : fault_sites) {
+    for (const FaultSite& fs : fault_sites) {
       if (oob_stub[fs.len] == 0) {
         oob_stub[fs.len] = u32(code.size());
         trap_stub(JitHelperId::kTrapOob, fs.len);
       }
+    }
+    std::map<std::tuple<u8, u32, u32>, u32> rebuild_stub;
+    for (FaultSite& fs : fault_sites) {
       fs.stub = oob_stub[fs.len];
+      if (fs.idx == RAX && fs.disp == 0) continue;
+      auto [it, fresh] =
+          rebuild_stub.try_emplace({fs.idx, fs.disp, fs.len}, u32(code.size()));
+      if (fresh) {
+        if (fs.idx != RAX) op_rr(0, false, {0x8B}, RAX, fs.idx);  // mov eax
+        add_imm_rax(fs.disp);
+        b1(0xE9);  // jmp rel32
+        i32le(fs.stub - u32(code.size() + 4));
+      }
+      fs.stub = it->second;
+    }
+    // One stub per jcc site.
+    for (const TrapSite& t : trap_sites) {
+      patch32(t.at, u32(code.size()) - (t.at + 4));
+      trap_stub(t.helper, t.len);
     }
 
     // 16-aligned constant pool.
@@ -1108,11 +1285,7 @@ bool Emitter::emit_instr(const RInstr& in) {
   };
   // Integer compare: cmp r[b], r[c] then setcc.
   auto int_cmp = [&](bool w, u8 cc) {
-    if (w)
-      load64(RAX, b);
-    else
-      load32(RAX, b);
-    op_src(0, w, {0x3B}, RAX, c);  // cmp (r)ax, [c]
+    cmp_src(w, b, c);
     setcc_store(cc);
   };
   // Float eq/ne need the parity flag folded in (unordered => PF=1).
@@ -1942,8 +2115,7 @@ bool Emitter::emit_simd_or_fused(const RInstr& in) {
   };
   // BRCMP family: cmp r[a], r[b]; jcc target.
   auto br_cmp = [&](u8 cc) {
-    load32(RAX, a);
-    op_src(0, false, {0x3B}, RAX, b);
+    cmp_src(false, a, b);
     jcc32(cc, u32(imm));
   };
 
@@ -2185,10 +2357,13 @@ bool Emitter::emit_simd_or_fused(const RInstr& in) {
 
     // --- fused immediates ---
     // t = r[b] op imm, computed in the destination register when it has one.
-    case ROp::kI32AddImm: {
+    case ROp::kI32AddImm: {  // lea t, [src + imm] from another register
       const u8 t = gpr_work(RAX);
-      load32(t, b);
-      alu_imm(false, 0, t, i64(i32(u32(imm))));
+      const u8 src = gpr_of(b, t, false);
+      if (src == t)
+        alu_imm(false, 0, t, i64(i32(u32(imm))));
+      else
+        op_rm(0, false, {0x8D}, t, src, i64(i32(u32(imm))));
       store32(a, t);
       return true;
     }
@@ -2305,13 +2480,14 @@ bool Emitter::emit_atomic(const RInstr& in) {
   // Seq-cst atomic load: on x86 an aligned plain load (narrow: movzx).
   auto a_load = [&](u32 len, bool w) {
     aaddr(b, len);
+    const u8 t = gpr_work(RCX);
     if (len == 1)
-      op_mem(0, false, {0x0F, 0xB6}, RCX);
+      op_mem(0, false, {0x0F, 0xB6}, t);
     else if (len == 2)
-      op_mem(0, false, {0x0F, 0xB7}, RCX);
+      op_mem(0, false, {0x0F, 0xB7}, t);
     else
-      op_mem(0, len == 8, {0x8B}, RCX);
-    st_gpr(a, RCX, w);
+      op_mem(0, len == 8, {0x8B}, t);
+    st_gpr(a, t, w);
   };
   // Seq-cst atomic store: xchg (implicitly locked) supplies the trailing
   // full barrier a plain mov would lack.

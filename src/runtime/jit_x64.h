@@ -16,15 +16,31 @@
 //   r15 is not used.
 // The base never moves (memory.h), so r13 is loaded once in the prologue;
 // no memory size lives in a register. Loads, stores and the inline atomics
-// (load, store, xchg, add/sub) have no bounds check. Each forms its u64
-// effective address in rax and accesses [r13 + rax] with one instruction,
-// listed in the blob's fault-site table (JitBlob::fault_sites): an
-// out-of-bounds access faults in the memory's guard region (memory.h), and
-// the fault handler resumes at an out-of-line stub that passes r14 and rax
-// to the OOB helper, which raises the trap with the interpreter's message
-// and the memory's live size. x86 commits no part of a faulting store, so
-// a store straddling the end of memory writes nothing, as in the
-// interpreter. Inline atomics test alignment first; their stub runs
+// (load, store, xchg, add/sub) have no bounds check. Each accesses
+// [r13 + idx + disp32] with one instruction, listed in the blob's
+// fault-site table (JitBlob::fault_sites). idx holds the u32 base
+// zero-extended and disp32 is the access's offset when it is below 2^31,
+// so the address stays below 2^32 + 2^31, inside the guard region
+// (memory.h); a larger offset is added to rax first. idx is the base's own
+// register when the allocator holds its web zero-extended: every def of
+// the web writes the register with a 32-bit instruction (constants below
+// 2^32, i32 arithmetic, compares and loads) and no def is a parameter, a
+// move, a select, a reinterpret or a fallback result such as a call's;
+// spills and fills move all 64 bits, so they keep the upper half clear.
+// Any other base goes to eax by a 32-bit move, and the indexed forms
+// compute u32(base + (idx << s)) in eax with a 32-bit lea (s <= 3) or
+// shl + add, which wrap like the interpreter's u32 arithmetic. Inline
+// atomics keep the whole address in rax for their alignment check.
+// An out-of-bounds access faults in the memory's guard region, and the
+// fault handler resumes at the site's out-of-line stub: a [r13 + rax]
+// site at its width's shared stub, which passes r14 and rax to the OOB
+// helper; any other site at a small stub (shared by sites with the same
+// idx, disp and width) that rebuilds rax = zext(idx) + disp and jumps to
+// the shared one. The faulting access wrote nothing, so idx is intact.
+// The helper raises the trap with the interpreter's message and the
+// memory's live size. x86 commits no part of a faulting store, so a store
+// straddling the end of memory writes nothing, as in the interpreter.
+// Inline atomics test alignment first; their stub runs
 // LinearMemory::check_atomic, which reports out-of-bounds before
 // misalignment. memory.size and the other atomics call helpers that ask
 // the LinearMemory, so a page another thread's grow opened is seen at once.
@@ -37,7 +53,8 @@
 // (moves, constants, selects, integer and float arithmetic, compare-branches,
 // loads and stores of every addressing form and f64/v128 lanes) take each
 // operand as a register or as its slot and emit the mod=11 or the memory
-// form of the same opcode bytes.
+// form of the same opcode bytes. The inline atomics take register operands
+// too.
 //
 // Integer div/rem has a register form too: dividend in rax, divisor in rcx,
 // then the hardware div/idiv. A zero divisor and div_s(MIN, -1) branch to a

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 
 #include "runtime/cache.h"
 #include "runtime/jit_x64.h"
@@ -281,6 +282,299 @@ TEST(Jit, OobTrapsAtTheSamePointAsInterp) {
   }
 }
 
+/// What one call did: its result, or the trap it raised.
+struct Outcome {
+  bool trapped = false;
+  i64 value = 0;
+  TrapKind kind = TrapKind::kHostError;
+  std::string message;
+  bool operator==(const Outcome&) const = default;
+};
+
+void PrintTo(const Outcome& o, std::ostream* os) {
+  if (o.trapped)
+    *os << "trap " << int(o.kind) << " \"" << o.message << "\"";
+  else
+    *os << "value " << o.value;
+}
+
+Outcome run_outcome(rt::Instance& inst, const std::string& name,
+                    std::span<const Value> args) {
+  Outcome o;
+  try {
+    const Value v = inst.invoke(name, args);
+    o.value = v.type == I64 ? v.as_i64() : v.as_i32();
+  } catch (const Trap& t) {
+    o.trapped = true;
+    o.kind = t.kind();
+    o.message = t.what();
+  }
+  return o;
+}
+
+// Guest-address edge table: every access width at the end of memory, imms
+// on both sides of the 2^31 disp32 limit, and the base in each place the
+// register allocator puts one. Native code must trap where the interpreter
+// traps, with its kind and message, and leave memory as it does.
+struct AddrAccess {
+  Op op;
+  u32 width;
+  bool store;
+};
+constexpr AddrAccess kAddrAccesses[] = {
+    {Op::kI32Load8U, 1, false}, {Op::kI32Load16U, 2, false},
+    {Op::kI32Load, 4, false},   {Op::kI64Load, 8, false},
+    {Op::kV128Load, 16, false}, {Op::kI32Store8, 1, true},
+    {Op::kI32Store16, 2, true}, {Op::kI32Store, 4, true},
+    {Op::kI64Store, 8, true},   {Op::kV128Store, 16, true},
+};
+constexpr u32 kAddrImms[] = {0, 1, 0x7FFFFFFF, 0x80000000};
+
+enum class AddrPlace {
+  kZextLoop,  // a loop counter held zero-extended: [r13 + reg + imm]
+  kParam,     // a parameter register, not zero-extended: copied to eax
+  kFrame,     // live across a wasm call, so read from the frame
+  kIndexed,   // x + (y << 3) fused into the access (lea)
+  kIndexed4,  // x + (y << 4) fused into the access (shl, add)
+};
+constexpr AddrPlace kAddrPlaces[] = {AddrPlace::kZextLoop, AddrPlace::kParam,
+                                     AddrPlace::kFrame, AddrPlace::kIndexed,
+                                     AddrPlace::kIndexed4};
+
+/// The shift of an indexed placement's y; 0 for the others.
+u32 index_shift(AddrPlace place) {
+  switch (place) {
+    case AddrPlace::kIndexed: return 3;
+    case AddrPlace::kIndexed4: return 4;
+    default: return 0;
+  }
+}
+
+/// run(x, y) -> i64 for one access, imm and placement, inside a loop that
+/// runs once: the access is at x + imm, or at u32(x + (y << shift)) + imm
+/// for the indexed forms (the narrow accesses have none and use the i32.add).
+/// Loads return the loaded bits (a v128 its lanes xored); stores write a
+/// fixed pattern and return 0.
+void emit_addr_body(wasm::FunctionBuilder& f, const AddrAccess& acc, u32 imm,
+                    AddrPlace place, u32 nop_func) {
+  u32 base = 0;
+  if (place == AddrPlace::kZextLoop) {
+    base = f.add_local(I32);  // wrap(extend_u(x)): a def with a 32-bit write
+    f.local_get(0);
+    f.op(Op::kI64ExtendI32U);
+    f.op(Op::kI32WrapI64);
+    f.local_set(base);
+  } else if (place == AddrPlace::kFrame) {
+    f.call(nop_func);
+  }
+  const u32 n = f.add_local(I32), out = f.add_local(I64);
+  const u32 v = f.add_local(V128T);
+  f.loop();
+  f.local_get(base);
+  if (const u32 shift = index_shift(place)) {
+    f.local_get(1);
+    f.i32_const(i32(shift));
+    f.op(Op::kI32Shl);
+    f.op(Op::kI32Add);
+  }
+  if (acc.store) {
+    wasm::V128 pattern;
+    for (u8 k = 0; k < 16; ++k) pattern.bytes[k] = u8(0xA0 + k);
+    if (acc.width == 16)
+      f.v128_const(pattern);
+    else if (acc.width == 8)
+      f.i64_const(0x0807060504030201);
+    else
+      f.i32_const(0x04030201);
+    f.mem_op(acc.op, imm);
+  } else {
+    f.mem_op(acc.op, imm);
+    if (acc.width == 16) {
+      f.local_tee(v);
+      f.lane_op(Op::kI64x2ExtractLane, 0);
+      f.local_get(v);
+      f.lane_op(Op::kI64x2ExtractLane, 1);
+      f.op(Op::kI64Xor);
+    } else if (acc.width != 8) {
+      f.op(Op::kI64ExtendI32U);
+    }
+    f.local_set(out);
+  }
+  if (place == AddrPlace::kZextLoop) {  // count the base up, as a loop would
+    f.local_get(base);
+    f.i32_const(1);
+    f.op(Op::kI32Add);
+    f.local_set(base);
+  }
+  f.local_get(n);
+  f.i32_const(1);
+  f.op(Op::kI32Add);
+  f.local_tee(n);
+  f.i32_const(1);
+  f.op(Op::kI32LtU);
+  f.br_if(0);
+  f.end();
+  f.local_get(out);
+  f.end();
+}
+
+TEST(Jit, OobEdgesMatchInterpInEveryAddressPlacement) {
+  constexpr u32 kMem = 65536;
+  ModuleBuilder b;
+  b.add_memory(1);
+  auto& nop = b.begin_func({{}, {}});
+  nop.end();
+  struct Fn {
+    std::string name;
+    AddrAccess acc;
+    u32 imm;
+    AddrPlace place;
+  };
+  std::vector<Fn> fns;
+  for (AddrPlace place : kAddrPlaces)
+    for (const AddrAccess& acc : kAddrAccesses)
+      for (u32 imm : kAddrImms) {
+        fns.push_back({std::string(wasm::op_name(acc.op)) + "/imm=" +
+                           std::to_string(imm) + "/place=" +
+                           std::to_string(int(place)),
+                       acc, imm, place});
+        auto& f = b.begin_func({{I32, I32}, {I64}}, fns.back().name);
+        emit_addr_body(f, acc, imm, place, nop.index());
+      }
+  const std::vector<u8> bytes = b.build();
+  auto cm = rt::compile({bytes.data(), bytes.size()}, jit_config());
+  materialize_all(*cm);
+  ASSERT_EQ(cm->jit_funcs.load(), fns.size() + 1);
+  rt::ImportTable imports;
+  rt::Instance jit(cm, imports);
+  auto ref = instantiate(bytes, EngineTier::kInterp);
+  for (rt::Instance* inst : {&jit, ref.get()})
+    for (u32 k = 0; k < 64; ++k) {
+      inst->memory().base()[k] = u8(k * 7 + 1);
+      inst->memory().base()[kMem - 64 + k] = u8(k * 5 + 3);
+    }
+
+  for (const Fn& fn : fns) {
+    // The access ends exactly at the end of memory, one byte past it, and
+    // at the largest base (the indexed forms wrap it to a small address).
+    const u32 shift = index_shift(fn.place);
+    const u32 back = shift != 0 ? 1u << shift : 0;
+    const u32 end_x = u32(kMem - fn.acc.width - fn.imm - back);
+    for (const u32 x : {end_x, end_x + 1, 0xFFFFFFFFu}) {
+      SCOPED_TRACE(fn.name + " x=" + std::to_string(x));
+      const Value args[] = {Value::from_u32(x), Value::from_u32(1)};
+      const Outcome want = run_outcome(*ref, fn.name, args);
+      const Outcome got = run_outcome(jit, fn.name, args);
+      EXPECT_EQ(want, got);
+      EXPECT_EQ(std::memcmp(ref->memory().base(), jit.memory().base(), kMem),
+                0);
+      if (x == end_x + 1) {
+        EXPECT_TRUE(want.trapped);
+      } else if (x == end_x && fn.imm <= 1) {
+        EXPECT_FALSE(want.trapped);
+      }
+    }
+  }
+}
+
+// The zero-extension rule: an i32 address whose register may hold nonzero
+// bits 32-63 is not an index of [r13 + reg + disp]. Each producer below
+// hands a loop's load and store (imm 16) such a register, from caller slots
+// that last held an i64 with bit 32 set.
+enum class DirtyProducer { kParam, kReinterpret, kSelect, kTee, kCallResult };
+constexpr DirtyProducer kDirtyProducers[] = {
+    DirtyProducer::kParam, DirtyProducer::kReinterpret,
+    DirtyProducer::kSelect, DirtyProducer::kTee, DirtyProducer::kCallResult};
+
+TEST(Jit, AddressesWithDirtyUpperBitsMatchInterp) {
+  ModuleBuilder b;
+  b.add_memory(1);
+  auto& id = b.begin_func({{I32}, {I32}});  // id(p) = p
+  id.local_get(0);
+  id.end();
+  std::vector<std::string> names;
+  for (DirtyProducer p : kDirtyProducers) {
+    // run(x, fx, fz, c) -> i32: fx is x's bits as an f32, fz is -0.0 and c
+    // is 1, so every producer yields x.
+    names.push_back("producer" + std::to_string(int(p)));
+    auto& f = b.begin_func({{I32, F32, F32, I32}, {I32}}, names.back());
+    const u32 base = f.add_local(I32), i = f.add_local(I32);
+    const u32 lim = f.add_local(I32), acc = f.add_local(I32);
+    switch (p) {
+      case DirtyProducer::kParam:
+        f.local_get(0);
+        break;
+      case DirtyProducer::kReinterpret:
+        f.local_get(1);
+        f.local_get(2);
+        f.op(Op::kF32Add);
+        f.op(Op::kI32ReinterpretF32);
+        break;
+      case DirtyProducer::kSelect:
+        f.local_get(0);
+        f.i32_const(0);
+        f.local_get(3);
+        f.op(Op::kSelect);
+        break;
+      case DirtyProducer::kTee:
+        f.local_get(0);
+        f.local_tee(lim);
+        break;
+      case DirtyProducer::kCallResult:
+        f.local_get(0);
+        f.call(id.index());
+        break;
+    }
+    f.local_set(base);
+    f.i32_const(4);
+    f.local_set(lim);
+    f.for_loop_i32(i, 0, lim, 1, [&] {
+      f.local_get(base);
+      f.mem_op(Op::kI32Load, 16);
+      f.local_get(i);
+      f.op(Op::kI32Add);
+      f.local_set(acc);
+      f.local_get(base);
+      f.local_get(acc);
+      f.mem_op(Op::kI32Store, 16);
+    });
+    f.local_get(acc);
+    f.end();
+  }
+  const std::vector<u8> bytes = b.build();
+  auto cm = rt::compile({bytes.data(), bytes.size()}, jit_config());
+  materialize_all(*cm);
+  ASSERT_EQ(cm->jit_funcs.load(), names.size() + 1);
+  rt::ImportTable imports;
+  rt::Instance jit(cm, imports);
+  auto ref = instantiate(bytes, EngineTier::kInterp);
+
+  // Caller slots that last held an i64 with bit 32 set, read as an i32 and
+  // an f32: only their low 32 bits are the argument.
+  auto dirty = [](Value v, ValType t) {
+    v.slot.u64v |= u64(1) << 32;
+    v.type = t;
+    return v;
+  };
+  for (const u32 x : {0u, 1000u, 65536u - 20u, 65536u - 19u}) {
+    f32 fx;
+    std::memcpy(&fx, &x, 4);
+    const Value args[] = {dirty(Value::from_u32(x), I32),
+                          dirty(Value::from_f32(fx), F32),
+                          dirty(Value::from_f32(-0.0f), F32),
+                          dirty(Value::from_i32(1), I32)};
+    for (const std::string& name : names) {
+      SCOPED_TRACE(name + " x=" + std::to_string(x));
+      const Outcome want = run_outcome(*ref, name, args);
+      const Outcome got = run_outcome(jit, name, args);
+      EXPECT_EQ(want, got);
+      EXPECT_EQ(want.trapped, x == 65536u - 19u);
+      EXPECT_EQ(std::memcmp(ref->memory().base(), jit.memory().base(), 65536),
+                0);
+    }
+  }
+}
+
 // Integer div/rem edge table: every op at both widths, on the inputs where
 // hardware division and wasm part ways (zero divisor, MIN / -1, signs,
 // unsigned wrap), in each operand placement the register allocator makes.
@@ -382,33 +676,12 @@ void emit_div_body(wasm::FunctionBuilder& f, const DivOp& d, DivPlace place,
   f.end();
 }
 
-struct DivOutcome {
-  bool trapped = false;
-  i64 value = 0;
-  TrapKind kind = TrapKind::kHostError;
-  std::string message;
-  bool operator==(const DivOutcome&) const = default;
-};
-
-DivOutcome run_div(rt::Instance& inst, const std::string& name, bool wide,
-                   i64 x, i64 y) {
-  DivOutcome o;
-  try {
-    if (wide) {
-      o.value = inst.invoke(name, std::vector<Value>{Value::from_i64(x),
-                                                     Value::from_i64(y)})
-                    .as_i64();
-    } else {
-      o.value = inst.invoke(name, std::vector<Value>{Value::from_i32(i32(x)),
-                                                     Value::from_i32(i32(y))})
-                    .as_i32();
-    }
-  } catch (const Trap& t) {
-    o.trapped = true;
-    o.kind = t.kind();
-    o.message = t.what();
-  }
-  return o;
+Outcome run_div(rt::Instance& inst, const std::string& name, bool wide,
+               i64 x, i64 y) {
+  const Value args[] = {
+      wide ? Value::from_i64(x) : Value::from_i32(i32(x)),
+      wide ? Value::from_i64(y) : Value::from_i32(i32(y))};
+  return run_outcome(inst, name, args);
 }
 
 TEST(Jit, DivTrapsMatchInterp) {
@@ -447,11 +720,11 @@ TEST(Jit, DivTrapsMatchInterp) {
         SCOPED_TRACE(std::string(wasm::op_name(d.op)) + "(" +
                      std::to_string(dividend) + ", " +
                      std::to_string(divisor) + ")");
-        DivOutcome first;
+        Outcome first;
         for (size_t p = 0; p < std::size(kDivPlaces); ++p) {
           const std::string& name = names[o * std::size(kDivPlaces) + p];
-          const DivOutcome want = run_div(*ref, name, wide, dividend, divisor);
-          const DivOutcome got = run_div(jit, name, wide, dividend, divisor);
+          const Outcome want = run_div(*ref, name, wide, dividend, divisor);
+          const Outcome got = run_div(jit, name, wide, dividend, divisor);
           EXPECT_EQ(want.trapped, got.trapped) << name << ": " << got.message;
           EXPECT_EQ(want.value, got.value) << name;
           EXPECT_EQ(want.kind, got.kind) << name;
