@@ -14,14 +14,9 @@
 namespace mpiwasm::bench {
 
 /// Prints the tier a figure bench's wasm runs execute at: the engine
-/// default, which runs the optimizing tier's code when native codegen is
-/// off (MPIWASM_JIT=0).
+/// default.
 inline void print_default_tier() {
-  const rt::EngineConfig engine;
-  std::printf("tier: %s%s\n", rt::tier_name(engine.tier),
-              engine.tier == rt::EngineTier::kJit && !engine.jit
-                  ? " (native codegen off: optimizing)"
-                  : "");
+  std::printf("tier: %s\n", rt::tier_name(rt::EngineConfig{}.tier));
 }
 
 /// Runs an IMB routine natively on `ranks` ranks; returns rank-0 rows.

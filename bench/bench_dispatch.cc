@@ -45,20 +45,19 @@ namespace {
 
 struct ExecConfig {
   const char* name;
-  bool jit;  // native codegen (EngineTier::kJit)
+  rt::EngineTier tier;
 };
 
 constexpr size_t kNumConfigs = 2;
 constexpr size_t kThreaded = 0, kJitCol = 1;
 const ExecConfig kConfigs[kNumConfigs] = {
-    {"threaded", false},
-    {"jit", true},
+    {"threaded", rt::EngineTier::kOptimizing},
+    {"jit", rt::EngineTier::kJit},
 };
 
 rt::EngineConfig engine_for(const ExecConfig& c) {
   rt::EngineConfig cfg;
-  cfg.tier = c.jit ? rt::EngineTier::kJit : rt::EngineTier::kOptimizing;
-  cfg.jit = c.jit;
+  cfg.tier = c.tier;
   return cfg;
 }
 
@@ -313,7 +312,7 @@ int main(int argc, char** argv) {
     for (size_t c = 0; c < kNumConfigs; ++c)
       samplers[c] = micro_sampler(m.bytes, engine_for(kConfigs[c]), m.n, warm,
                                   micro_calls,
-                                  kConfigs[c].jit ? &row.jit_funcs : nullptr);
+                                  c == kJitCol ? &row.jit_funcs : nullptr);
     measure(row, samplers, micro_rounds);
     rows.push_back(std::move(row));
   }
@@ -323,7 +322,7 @@ int main(int argc, char** argv) {
     Sampler samplers[kNumConfigs];
     for (size_t c = 0; c < kNumConfigs; ++c)
       samplers[c] = kernel_sampler(k.bytes, engine_for(kConfigs[c]), 2,
-                                   kConfigs[c].jit ? &row.jit_funcs : nullptr);
+                                   c == kJitCol ? &row.jit_funcs : nullptr);
     measure(row, samplers, kernel_rounds);
     rows.push_back(std::move(row));
   }

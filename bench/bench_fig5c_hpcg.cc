@@ -26,10 +26,10 @@ int main() {
     HpcgParams p;
     p.n_per_rank = global_n / u32(np);  // strong scaling
     p.iterations = iters;
-    // SIMD twin selection follows the MPIWASM_SIMD ablation flag; the
-    // native residual check below stays bit-exact in both modes because
-    // native_hpcg_run mirrors the SIMD dot's lane-accumulation order.
-    p.use_simd = rt::simd_enabled_from_env();
+    // The v128 build; the native residual check below stays bit-exact
+    // because native_hpcg_run mirrors the SIMD dot's lane-accumulation
+    // order.
+    p.use_simd = true;
 
     HpcgResult native{};
     simmpi::World world(np, profile);

@@ -174,9 +174,7 @@ f64 run_wasm_kernel(const OverlapParams& p, int ranks,
   ReportCollector collector;
   embed::EmbedderConfig cfg;
   // Native x86-64 codegen for the compute phases — this is what closes the
-  // wasm-vs-native gap on the kernel panel. The `jit` knob keeps its
-  // MPIWASM_JIT env default, so the ablation run degrades this to the
-  // optimizing tier without a rebuild.
+  // wasm-vs-native gap on the kernel panel.
   cfg.engine.tier = rt::EngineTier::kJit;
   cfg.net_profile = prof;
   cfg.extra_imports = collector.hook();

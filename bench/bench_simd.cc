@@ -1,13 +1,9 @@
 // bench_simd: the Wasm-SIMD (v128) perf trajectory.
 //
 // Measures every vectorizable micro kernel (toolchain/kernels.h,
-// MicroKernel) in three builds/configurations, always at the Optimizing
-// tier with the default executor:
-//   scalar      — the scalar inner loop
-//   simd_plain  — the v128 inner loop with SIMD-aware optimization off
-//                 (EngineConfig::opt_simd = false): v128 ops execute, but
-//                 no v128 folding / indexed addressing
-//   simd        — the v128 inner loop with the full SIMD pipeline (default)
+// MicroKernel) in two builds, always at the Optimizing tier:
+//   scalar — the scalar inner loop
+//   simd   — the v128 inner loop
 //
 // Jangda et al. ("Not So Fast") single out missing vectorization as one of
 // the largest Wasm-vs-native gaps; the paper's §4.5 measures the -msimd128
@@ -21,6 +17,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "runtime/engine.h"
@@ -35,12 +32,10 @@ using toolchain::MicroKernelParams;
 namespace {
 
 /// Steady-state seconds per run(reps) call.
-f64 time_kernel(const MicroKernelParams& p, bool opt_simd, i32 reps, int warm,
-                int timed) {
+f64 time_kernel(const MicroKernelParams& p, i32 reps, int warm, int timed) {
   auto bytes = toolchain::build_micro_kernel_module(p);
   rt::EngineConfig cfg;
   cfg.tier = rt::EngineTier::kOptimizing;
-  cfg.opt_simd = opt_simd;
   auto cm = rt::compile({bytes.data(), bytes.size()}, cfg);
   rt::ImportTable imports;
   rt::Instance inst(cm, imports);
@@ -54,7 +49,7 @@ f64 time_kernel(const MicroKernelParams& p, bool opt_simd, i32 reps, int warm,
 
 struct Row {
   std::string name;
-  f64 scalar_s = 0, simd_plain_s = 0, simd_s = 0;
+  f64 scalar_s = 0, simd_s = 0;
   f64 speedup() const { return simd_s > 0 ? scalar_s / simd_s : 0; }
 };
 
@@ -67,19 +62,20 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
   }
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"bench\": \"bench_simd\",\n");
-  std::fprintf(out, "  \"schema\": 1,\n");
+  std::fprintf(out, "  \"schema\": 2,\n");
   std::fprintf(out, "  \"smoke\": %s,\n", smoke ? "true" : "false");
+  std::fprintf(out, "  \"host_hw_concurrency\": %u,\n",
+               unsigned(std::thread::hardware_concurrency()));
   std::fprintf(out, "  \"tier\": \"optimizing\",\n");
-  std::fprintf(out, "  \"configs\": [\"scalar\", \"simd_plain\", \"simd\"],\n");
+  std::fprintf(out, "  \"configs\": [\"scalar\", \"simd\"],\n");
   std::fprintf(out, "  \"kernels\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(out,
                  "    {\"name\": \"%s\", \"seconds\": {\"scalar\": %.9f, "
-                 "\"simd_plain\": %.9f, \"simd\": %.9f}, "
-                 "\"speedup_simd_vs_scalar\": %.3f}%s\n",
-                 r.name.c_str(), r.scalar_s, r.simd_plain_s, r.simd_s,
-                 r.speedup(), i + 1 < rows.size() ? "," : "");
+                 "\"simd\": %.9f}, \"speedup_simd_vs_scalar\": %.3f}%s\n",
+                 r.name.c_str(), r.scalar_s, r.simd_s, r.speedup(),
+                 i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
   std::fprintf(out, "  \"geomean_speedup_simd_vs_scalar\": %.3f\n", geomean);
@@ -117,19 +113,18 @@ int main(int argc, char** argv) {
     Row row;
     row.name = toolchain::micro_kernel_name(k);
     p.use_simd = false;
-    row.scalar_s = time_kernel(p, true, reps, warm, timed);
+    row.scalar_s = time_kernel(p, reps, warm, timed);
     p.use_simd = true;
-    row.simd_plain_s = time_kernel(p, false, reps, warm, timed);
-    row.simd_s = time_kernel(p, true, reps, warm, timed);
+    row.simd_s = time_kernel(p, reps, warm, timed);
     rows.push_back(std::move(row));
   }
 
-  std::printf("\n%-16s %12s %12s %12s %10s\n", "kernel", "scalar",
-              "simd_plain", "simd", "speedup");
+  std::printf("\n%-16s %12s %12s %10s\n", "kernel", "scalar", "simd",
+              "speedup");
   f64 log_sum = 0;
   for (const Row& r : rows) {
-    std::printf("%-16s %12.6f %12.6f %12.6f %9.2fx\n", r.name.c_str(),
-                r.scalar_s, r.simd_plain_s, r.simd_s, r.speedup());
+    std::printf("%-16s %12.6f %12.6f %9.2fx\n", r.name.c_str(), r.scalar_s,
+                r.simd_s, r.speedup());
     log_sum += std::log(r.speedup());
   }
   f64 geomean = std::exp(log_sum / f64(rows.size()));

@@ -118,12 +118,6 @@ int main(int argc, char** argv) {
     else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
       out_path = argv[++i];
   }
-  if (!rt::threads_enabled_from_env()) {
-    std::fprintf(stderr,
-                 "bench_threads requires the threads proposal "
-                 "(MPIWASM_THREADS=0 is set)\n");
-    return 1;
-  }
 
   std::printf("== wasi-threads guest scaling (0xFE atomics) ==\n");
   const u32 n = smoke ? 1 << 12 : 1 << 20;

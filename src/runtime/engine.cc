@@ -1,11 +1,11 @@
 #include "runtime/engine.h"
 
-#include <cstdlib>
 #include <optional>
 #include <unordered_map>
 
 #include "runtime/cache.h"
 #include "runtime/exec.h"
+#include "runtime/jit_support.h"
 #include "runtime/jit_x64.h"
 #include "runtime/lowering.h"
 #include "runtime/optimizer.h"
@@ -27,38 +27,7 @@ const char* tier_name(EngineTier tier) {
   return "?";
 }
 
-bool simd_enabled_from_env() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("MPIWASM_SIMD");
-    if (v == nullptr) return true;
-    std::string s(v);
-    return !(s == "0" || s == "false" || s == "off");
-  }();
-  return enabled;
-}
-
-bool threads_enabled_from_env() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("MPIWASM_THREADS");
-    if (v == nullptr) return true;
-    std::string s(v);
-    return !(s == "0" || s == "false" || s == "off");
-  }();
-  return enabled;
-}
-
 namespace {
-
-/// Cache tag for a compiled artifact. The optimizing tier's SIMD ablation
-/// flag changes the generated code, so it is part of the key — a warm cache
-/// must never serve SIMD-folded code to a run that disabled those rewrites
-/// (or vice versa). The default flag keeps the plain tier name.
-std::string cache_tag(EngineTier tier, bool simd) {
-  std::string tag = tier_name(tier);
-  if (tier != EngineTier::kInterp && !simd) tag += "-nosimd";
-  if (!threads_enabled_from_env()) tag += "-nothreads";
-  return tag;
-}
 
 /// Body bytes per parallel_for chunk in compile(): about 1.5 ms of lowering,
 /// optimization and codegen at the ~2.7 MB/s one Xeon vCPU compiles the jit
@@ -72,10 +41,9 @@ constexpr u64 kCompileChunkBytes = 4 << 10;
 /// code keeps their addressing modes. Reads only the module, so a cache-on
 /// compile() runs it for many functions at once; materialize() runs it for
 /// one.
-RFunc compile_function(const wasm::Module& m, u32 index, EngineTier tier,
-                       const OptOptions& opt) {
+RFunc compile_function(const wasm::Module& m, u32 index, EngineTier tier) {
   RFunc rf = lower_function(m, index);
-  optimize_function(rf, opt);
+  optimize_function(rf);
   if (tier == EngineTier::kJit) rf.jit = jit_compile_function(rf);
   return rf;
 }
@@ -208,8 +176,7 @@ const RFunc& materialize(const CompiledModule& cm, u32 di) {
     }
   }
   if (body == nullptr)
-    body = std::make_unique<RFunc>(
-        compile_function(m, di, tier, OptOptions{.simd = ft.opt_simd}));
+    body = std::make_unique<RFunc>(compile_function(m, di, tier));
   // Helper addresses are process-specific, so every blob is installed anew;
   // a function whose blob cannot be installed runs on the threaded
   // interpreter.
@@ -260,8 +227,8 @@ TierUpSnapshot tierup_snapshot(const CompiledModule& cm) {
 std::shared_ptr<const CompiledModule> compile(std::span<const u8> bytes,
                                               const EngineConfig& cfg) {
   auto cm = std::make_shared<CompiledModule>();
-  // With native codegen switched off (config or MPIWASM_JIT=0) the jit tier
-  // degrades to the optimizing tier — same RegCode, threaded dispatch.
+  // With native codegen switched off the jit tier degrades to the
+  // optimizing tier — same RegCode, threaded dispatch.
   const EngineTier tier = cfg.tier == EngineTier::kJit && !cfg.jit
                               ? EngineTier::kOptimizing
                               : cfg.tier;
@@ -275,7 +242,7 @@ std::shared_ptr<const CompiledModule> compile(std::span<const u8> bytes,
   cm->hash = sha256(bytes);
 
   const u32 num_bodies = u32(cm->module.bodies.size());
-  const std::string tag = cache_tag(tier, cfg.opt_simd);
+  const std::string tag = tier_name(tier);
   std::optional<FileSystemCache> cache;
   std::unique_ptr<MappedEntry> entry;
   f64 map_ms = 0;  // part of compile_ms
@@ -298,18 +265,6 @@ std::shared_ptr<const CompiledModule> compile(std::span<const u8> bytes,
   cm->validate_ms = validate_watch.elapsed_ms();
   cm->funcs_validated = entry ? 0 : num_bodies;
 
-  // Threads ablation: with the proposal switched off (config or
-  // MPIWASM_THREADS=0), shared memories are rejected outright. Atomics
-  // can't validate without one, so this single gate covers the whole
-  // feature.
-  if (!cfg.threads) {
-    for (const wasm::Limits& lim : cm->module.memories)
-      if (lim.shared)
-        throw CompileError(
-            "module declares a shared memory but threads support is "
-            "disabled (MPIWASM_THREADS=0)");
-  }
-
   compute_canonical_ids(*cm);
 
   Stopwatch compile_watch;
@@ -322,7 +277,6 @@ std::shared_ptr<const CompiledModule> compile(std::span<const u8> bytes,
   FuncTable& ft = cm->funcs;
   ft.num_units = num_bodies;
   ft.units = std::make_unique<FuncUnit[]>(num_bodies);
-  ft.opt_simd = cfg.opt_simd;
   if (entry) {
     // A hit builds no function: each one materializes from the mapped
     // entry on its first call.
@@ -344,14 +298,13 @@ std::shared_ptr<const CompiledModule> compile(std::span<const u8> bytes,
   // events and the cache store — happens afterwards on this thread in
   // function-index order, so arena layout and cache bytes do not depend on
   // scheduling.
-  const OptOptions opt{.simd = cfg.opt_simd};
   RModule rm;
   rm.funcs.resize(num_bodies);
   parallel_for(
       num_bodies, kCompileChunkBytes,
       [&](u32 i) { return u64(cm->module.bodies[i].length); },
       [&](u32 i) {
-        rm.funcs[i] = compile_function(cm->module, i, tier, opt);
+        rm.funcs[i] = compile_function(cm->module, i, tier);
         // Resolve direct-threading handler addresses once per body.
         prepare_rfunc(rm.funcs[i]);
       });

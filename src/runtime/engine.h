@@ -37,7 +37,6 @@
 #include "runtime/cache.h"
 #include "runtime/interp.h"
 #include "runtime/jit_arena.h"
-#include "runtime/jit_support.h"
 #include "runtime/regcode.h"
 #include "runtime/value.h"
 #include "support/sha256.h"
@@ -57,39 +56,13 @@ enum class EngineTier : u8 {
 
 const char* tier_name(EngineTier tier);
 
-/// Reads the MPIWASM_SIMD environment variable once per process: "0",
-/// "false", or "off" disable SIMD-aware optimization (and the toolchain
-/// kernels' vectorized twins); anything else — including unset — enables
-/// them. This is the ablation knob behind EngineConfig::opt_simd's default
-/// and the benches' scalar-vs-SIMD kernel selection (docs/TUNING.md).
-bool simd_enabled_from_env();
-
-/// Reads the MPIWASM_THREADS environment variable once per process: "0",
-/// "false", or "off" disable the threads proposal (shared memories are
-/// rejected at compile time and the toolchain's threaded kernel twins are
-/// skipped); anything else — including unset — enables it (docs/TUNING.md).
-bool threads_enabled_from_env();
-
 struct EngineConfig {
   EngineTier tier = EngineTier::kJit;
   bool enable_cache = false;
   std::string cache_dir;  // empty -> "<tmp>/mpiwasm-cache"
-  /// Master switch for native codegen, defaulting to the MPIWASM_JIT
-  /// environment variable (docs/TUNING.md). Off: EngineTier::kJit degrades
-  /// to kOptimizing.
-  bool jit = jit_enabled_from_env();
-  /// SIMD-aware optimization (v128 const folding, v128 indexed addressing),
-  /// applied wherever the full pipeline runs — kOptimizing and kJit.
-  /// Defaults to the MPIWASM_SIMD environment variable
-  /// so the whole test/bench suite can be ablated without recompiling; v128
-  /// code still *executes* when this is off — it just runs through the
-  /// generic pipeline.
-  bool opt_simd = simd_enabled_from_env();
-  /// Threads-proposal master switch, defaulting to the MPIWASM_THREADS
-  /// environment variable. Off: compile() rejects modules that declare a
-  /// shared memory (atomics themselves never validate without one), giving
-  /// a clean ablation leg with zero concurrency in the engine.
-  bool threads = threads_enabled_from_env();
+  /// Master switch for native codegen. Off: EngineTier::kJit degrades to
+  /// kOptimizing, which EngineTier::kOptimizing already selects directly.
+  bool jit = true;
 };
 
 /// Raised when a module fails to decode or validate.
@@ -146,7 +119,6 @@ struct TierUpSnapshot {
 struct FuncTable {
   std::unique_ptr<FuncUnit[]> units;  // parallel to Module::bodies
   u32 num_units = 0;
-  bool opt_simd = true;
   std::unique_ptr<MappedEntry> cache_entry;  // set by a cache hit
   std::mutex mu;  // serializes builds, and with them arena installs
   FirstCallStats stats;

@@ -5,7 +5,6 @@
 #include <ucontext.h>
 
 #include <csetjmp>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <string>
@@ -410,16 +409,6 @@ u64 jit_layout_hash() {
   mix(offsetof(JitEnv, mem_base));
   mix(u64(JitHelperId::kCount));
   return h;
-}
-
-bool jit_enabled_from_env() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("MPIWASM_JIT");
-    if (v == nullptr) return true;
-    std::string s(v);
-    return !(s == "0" || s == "false" || s == "off");
-  }();
-  return enabled;
 }
 
 const void* jit_helper_address(u32 id) {

@@ -45,12 +45,6 @@ u32 jit_cpu_features();
 /// cached native blob (clean rejection, threaded fallback).
 u64 jit_layout_hash();
 
-/// Reads the MPIWASM_JIT environment variable once per process: "0",
-/// "false", or "off" disable the JIT tier (kJit degrades to kOptimizing);
-/// anything else —
-/// including unset — enables it.
-bool jit_enabled_from_env();
-
 /// The block of state a JIT entry receives in %rdi. The prologue loads the
 /// fields into fixed callee-saved registers (offsets are part of
 /// jit_layout_hash()):

@@ -440,7 +440,7 @@ std::optional<ImmFusion> imm_fusable(ROp op) {
   }
 }
 
-u32 local_forward_pass(RFunc& f, const Cfg& cfg, bool simd_fold) {
+u32 local_forward_pass(RFunc& f, const Cfg& cfg) {
   u32 changes = 0;
   std::vector<u32> reads;
   const size_t n = f.code.size();
@@ -535,19 +535,17 @@ u32 local_forward_pass(RFunc& f, const Cfg& cfg, bool simd_fold) {
         }
         // SIMD folding: splat-of-constant and integer/bitwise v128 binops
         // with two known-constant vectors collapse into pooled constants.
-        if (simd_fold) {
-          if (const_of.count(in.b)) {
-            if (auto v = fold_splat(in.op, const_of[in.b])) {
-              in = RInstr{ROp::kConstV128, in.a, 0, 0, 0, intern_v128(f, *v)};
-              ++changes;
-            }
+        if (const_of.count(in.b)) {
+          if (auto v = fold_splat(in.op, const_of[in.b])) {
+            in = RInstr{ROp::kConstV128, in.a, 0, 0, 0, intern_v128(f, *v)};
+            ++changes;
           }
-          if (v128_of.count(in.b) && v128_of.count(in.c)) {
-            if (auto v = fold_v128_binop(in.op, f.v128_pool[v128_of[in.b]],
-                                         f.v128_pool[v128_of[in.c]])) {
-              in = RInstr{ROp::kConstV128, in.a, 0, 0, 0, intern_v128(f, *v)};
-              ++changes;
-            }
+        }
+        if (v128_of.count(in.b) && v128_of.count(in.c)) {
+          if (auto v = fold_v128_binop(in.op, f.v128_pool[v128_of[in.b]],
+                                       f.v128_pool[v128_of[in.c]])) {
+            in = RInstr{ROp::kConstV128, in.a, 0, 0, 0, intern_v128(f, *v)};
+            ++changes;
           }
         }
         // Strength reduction: mul by a power of two becomes a shift (also
@@ -744,34 +742,29 @@ u32 peephole_pass(RFunc& f, const Cfg& cfg, const Liveness& lv) {
 // values the deleted producers saw; the liveness preconditions guarantee
 // nothing else observed the deleted temporaries.
 
-std::optional<ROp> indexed_load(ROp op, bool simd) {
+std::optional<ROp> indexed_load(ROp op) {
   switch (op) {
     case ROp::kI32Load: return ROp::kI32LoadIx;
     case ROp::kI64Load: return ROp::kI64LoadIx;
     case ROp::kF32Load: return ROp::kF32LoadIx;
     case ROp::kF64Load: return ROp::kF64LoadIx;
-    case ROp::kV128Load:
-      if (simd) return ROp::kV128LoadIx;
-      return std::nullopt;
+    case ROp::kV128Load: return ROp::kV128LoadIx;
     default: return std::nullopt;
   }
 }
 
-std::optional<ROp> indexed_store(ROp op, bool simd) {
+std::optional<ROp> indexed_store(ROp op) {
   switch (op) {
     case ROp::kI32Store: return ROp::kI32StoreIx;
     case ROp::kI64Store: return ROp::kI64StoreIx;
     case ROp::kF32Store: return ROp::kF32StoreIx;
     case ROp::kF64Store: return ROp::kF64StoreIx;
-    case ROp::kV128Store:
-      if (simd) return ROp::kV128StoreIx;
-      return std::nullopt;
+    case ROp::kV128Store: return ROp::kV128StoreIx;
     default: return std::nullopt;
   }
 }
 
-u32 indexed_address_pass(RFunc& f, const Cfg& cfg, const Liveness& lv,
-                         bool simd) {
+u32 indexed_address_pass(RFunc& f, const Cfg& cfg, const Liveness& lv) {
   u32 changes = 0;
   const size_t n = f.code.size();
   for (size_t b = 0; b < cfg.leaders.size(); ++b) {
@@ -792,7 +785,7 @@ u32 indexed_address_pass(RFunc& f, const Cfg& cfg, const Liveness& lv,
       if (lv.live_after(i + 1, t1)) continue;
       u32 t2 = ad.a;
       // The load's destination may legally overwrite the address temp.
-      if (auto lop = indexed_load(m.op, simd);
+      if (auto lop = indexed_load(m.op);
           lop && m.b == t2 && (m.a == t2 || !lv.live_after(i + 2, t2))) {
         m = RInstr{*lop, m.a, base, idx, shift, m.imm};
         sh = RInstr{ROp::kNop};
@@ -800,7 +793,7 @@ u32 indexed_address_pass(RFunc& f, const Cfg& cfg, const Liveness& lv,
         ++changes;
         continue;
       }
-      if (auto sop = indexed_store(m.op, simd);
+      if (auto sop = indexed_store(m.op);
           sop && m.a == t2 && m.b != t1 && m.b != t2 &&
           !lv.live_after(i + 2, t2)) {
         m = RInstr{*sop, base, m.b, idx, shift, m.imm};
@@ -817,7 +810,7 @@ u32 indexed_address_pass(RFunc& f, const Cfg& cfg, const Liveness& lv,
       RInstr& next = f.code[i + 1];
       if (a.op != ROp::kI32Add) continue;
       u32 t2 = a.a;
-      if (auto lop = indexed_load(next.op, simd);
+      if (auto lop = indexed_load(next.op);
           lop && next.b == t2 &&
           (next.a == t2 || !lv.live_after(i + 1, t2))) {
         next = RInstr{*lop, next.a, a.b, a.c, 0, next.imm};
@@ -825,7 +818,7 @@ u32 indexed_address_pass(RFunc& f, const Cfg& cfg, const Liveness& lv,
         ++changes;
         continue;
       }
-      if (auto sop = indexed_store(next.op, simd);
+      if (auto sop = indexed_store(next.op);
           sop && next.a == t2 && next.b != t2 &&
           !lv.live_after(i + 1, t2)) {
         next = RInstr{*sop, a.b, next.b, a.c, 0, next.imm};
@@ -898,18 +891,18 @@ void compact(RFunc& f) {
 
 }  // namespace
 
-OptStats optimize_function(RFunc& f, const OptOptions& opts) {
+OptStats optimize_function(RFunc& f) {
   OptStats stats;
   stats.instrs_before = f.code.size();
   for (u32 round = 0; round < kMaxRounds; ++round) {
     ++stats.rounds;
     Cfg cfg = build_cfg(f);
-    u32 changes = local_forward_pass(f, cfg, opts.simd);
+    u32 changes = local_forward_pass(f, cfg);
     Liveness live = compute_liveness(f, cfg);
     changes += peephole_pass(f, cfg, live);
     // Peephole invalidates liveness; recompute before the next pass.
     live = compute_liveness(f, cfg);
-    const u32 fused = indexed_address_pass(f, cfg, live, opts.simd);
+    const u32 fused = indexed_address_pass(f, cfg, live);
     changes += fused;
     stats.fused_indexed += fused;
     if (fused != 0) live = compute_liveness(f, cfg);

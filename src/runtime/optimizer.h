@@ -29,17 +29,9 @@ struct OptStats {
   u32 fused_indexed = 0;  // indexed loads/stores formed
 };
 
-/// Pass configuration: the ablation switch of the optimizing pipeline
-/// (EngineConfig::opt_simd). Every other pass always runs.
-struct OptOptions {
-  /// SIMD-specific work: v128 splat/binop constant folding and v128
-  /// indexed addressing (kV128LoadIx/StoreIx). Plain v128 execution is
-  /// unaffected — this only gates the optimizer's SIMD-aware rewrites
-  /// (MPIWASM_SIMD ablation).
-  bool simd = true;
-};
-
-OptStats optimize_function(RFunc& f, const OptOptions& opts = {});
+/// Runs every pass, v128 constant folding and v128 indexed addressing
+/// (kV128LoadIx/StoreIx) included, to a small fixpoint.
+OptStats optimize_function(RFunc& f);
 
 // ---- Dataflow primitives shared with the jit tier's register allocator ----
 

@@ -29,7 +29,6 @@ struct FlagSpec {
 constexpr FlagSpec kFlags[] = {
     {"--np", "N", "number of MPI ranks (default 1)"},
     {"--tier", "interp|optimizing|jit", "execution tier (default jit)"},
-    {"--jit", "on|off", "force native codegen on/off (overrides MPIWASM_JIT)"},
     {"--cache", nullptr, "enable the on-disk compilation cache"},
     {"--stats", nullptr, "print engine counters to stderr"},
     {"--stats-json", "FILE", "write engine counters as JSON"},
@@ -169,13 +168,6 @@ int main(int argc, char** argv) {
       if (t == "interp") cfg.engine.tier = rt::EngineTier::kInterp;
       else if (t == "optimizing") cfg.engine.tier = rt::EngineTier::kOptimizing;
       else if (t == "jit") cfg.engine.tier = rt::EngineTier::kJit;
-      else { usage(argv[0]); return 2; }
-    } else if (arg == "--jit") {
-      // Overrides the MPIWASM_JIT environment default either way.
-      const char* v = cur.value();
-      std::string s = v != nullptr ? v : "";
-      if (s == "on") cfg.engine.jit = true;
-      else if (s == "off") cfg.engine.jit = false;
       else { usage(argv[0]); return 2; }
     } else if (arg == "--stats") {
       print_stats = true;

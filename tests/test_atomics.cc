@@ -196,13 +196,7 @@ u64 ret_of(bool wide, const Value& v) {
   return wide ? u64(v.as_i64()) : u64(u32(v.as_i32()));
 }
 
-class AtomicsCfgTest : public ::testing::TestWithParam<EngineConfig> {
- protected:
-  void SetUp() override {
-    if (!rt::threads_enabled_from_env())
-      GTEST_SKIP() << "MPIWASM_THREADS=0";
-  }
-};
+using AtomicsCfgTest = ::testing::TestWithParam<EngineConfig>;
 
 INSTANTIATE_TEST_SUITE_P(AllConfigs, AtomicsCfgTest,
                          ::testing::ValuesIn(all_engine_configs()),
@@ -390,13 +384,7 @@ std::vector<EngineConfig> hammer_configs() {
   return {interp, jit};
 }
 
-class AtomicsHammerTest : public ::testing::TestWithParam<EngineConfig> {
- protected:
-  void SetUp() override {
-    if (!rt::threads_enabled_from_env())
-      GTEST_SKIP() << "MPIWASM_THREADS=0";
-  }
-};
+using AtomicsHammerTest = ::testing::TestWithParam<EngineConfig>;
 
 INSTANTIATE_TEST_SUITE_P(InterpAndJit, AtomicsHammerTest,
                          ::testing::ValuesIn(hammer_configs()),
@@ -785,8 +773,6 @@ TEST(AtomicsJit, InlineAtomicLoadKeepsLiveValuesInRegisters) {
   // itself: 10 bytes on x86-64. Saving and reloading the four live values
   // as well makes it 64 bytes larger.
   constexpr size_t kInlineAtomicMargin = 11;
-  if (!rt::threads_enabled_from_env()) GTEST_SKIP() << "MPIWASM_THREADS=0";
-  if (!rt::jit_enabled_from_env()) GTEST_SKIP() << "MPIWASM_JIT=0";
   EngineConfig cfg;
   cfg.tier = EngineTier::kJit;
   auto inst = instantiate_cfg(build_live_across_load_module(), cfg);
@@ -864,25 +850,6 @@ TEST(AtomicsValidation, SharedMemoryRequiresMax) {
   ASSERT_FALSE(vr.ok);
   EXPECT_NE(vr.error.find("shared memory requires a max"), std::string::npos)
       << vr.error;
-}
-
-TEST(AtomicsValidation, EngineRejectsSharedMemoryWhenThreadsOff) {
-  ModuleBuilder b;
-  b.add_memory(1, 1, true, true);
-  auto& f = b.begin_func({{}, {I32}}, "run");
-  f.i32_const(1);
-  f.end();
-  std::vector<u8> bytes = b.build();
-  EngineConfig cfg;
-  cfg.tier = EngineTier::kInterp;
-  cfg.threads = false;
-  std::string msg;
-  try {
-    rt::compile({bytes.data(), bytes.size()}, cfg);
-  } catch (const std::exception& e) {
-    msg = e.what();
-  }
-  EXPECT_NE(msg.find("threads support is disabled"), std::string::npos);
 }
 
 }  // namespace

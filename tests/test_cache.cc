@@ -328,7 +328,6 @@ TEST(Cache, RecordHeaderThatDisagreesWithItsTypeIsRecompiled) {
       auto dir = fresh_cache_dir();
       EngineConfig cfg;
       cfg.tier = tier;
-      cfg.jit = true;
       cfg.enable_cache = true;
       cfg.cache_dir = dir;
       auto cold = rt::compile({bytes.data(), bytes.size()}, cfg);
@@ -479,7 +478,6 @@ TEST(Cache, MalformedRecordBodyIsRecompiled) {
       auto dir = fresh_cache_dir();
       EngineConfig cfg;
       cfg.tier = tier;
-      cfg.jit = true;
       cfg.enable_cache = true;
       cfg.cache_dir = dir;
       auto cold = rt::compile({bytes.data(), bytes.size()}, cfg);
@@ -547,32 +545,6 @@ TEST(Cache, WrongVersionIsRejected) {
   auto blob = rt::serialize_regcode(rm);
   blob[4] ^= 0xFF;  // flip a version byte after the magic
   EXPECT_FALSE(rt::deserialize_regcode({blob.data(), blob.size()}).has_value());
-}
-
-TEST(Cache, OptimizingAblationFlagsKeySeparately) {
-  // A cache warmed with the full optimizing pipeline must not serve its
-  // SIMD-folded code to a run that disabled those rewrites (key suffix
-  // "-nosimd"). The full run sets opt_simd itself, so the test holds under
-  // MPIWASM_SIMD=0 too.
-  auto dir = fresh_cache_dir();
-  auto bytes = make_module(9);
-  EngineConfig full;
-  full.tier = EngineTier::kOptimizing;
-  full.enable_cache = true;
-  full.cache_dir = dir;
-  full.opt_simd = true;
-  auto cm1 = rt::compile({bytes.data(), bytes.size()}, full);
-  ASSERT_FALSE(cm1->loaded_from_cache);
-
-  EngineConfig plain = full;
-  plain.opt_simd = false;
-  auto cm2 = rt::compile({bytes.data(), bytes.size()}, plain);
-  EXPECT_FALSE(cm2->loaded_from_cache);  // different key, not a hit
-  auto cm3 = rt::compile({bytes.data(), bytes.size()}, plain);
-  EXPECT_TRUE(cm3->loaded_from_cache);  // same ablation config hits its own
-  auto cm4 = rt::compile({bytes.data(), bytes.size()}, full);
-  EXPECT_TRUE(cm4->loaded_from_cache);
-  fs::remove_all(dir);
 }
 
 TEST(Cache, StaleVersionEntriesAreRejectedCleanlyAndRecompiled) {
@@ -666,7 +638,6 @@ TEST(Cache, TiersAreCachedSeparately) {
   cfg.enable_cache = true;
   cfg.cache_dir = dir;
 
-  cfg.jit = true;  // kJit must not degrade to the optimizing tier's tag
   cfg.tier = EngineTier::kOptimizing;
   rt::compile({bytes.data(), bytes.size()}, cfg);
   cfg.tier = EngineTier::kJit;
@@ -849,7 +820,6 @@ const std::vector<u8>& parallel_stress_module() {
 EngineConfig stress_cache_config(const std::string& dir) {
   EngineConfig cfg;
   cfg.tier = EngineTier::kJit;
-  cfg.jit = true;
   cfg.enable_cache = true;
   cfg.cache_dir = dir;
   return cfg;
@@ -894,7 +864,6 @@ TEST(ParallelCompile, EveryStaticTierCountsItsFunctions) {
     auto dir = fresh_cache_dir();
     EngineConfig cfg;
     cfg.tier = row.tier;
-    cfg.jit = true;
     cfg.enable_cache = row.cache;
     cfg.cache_dir = dir;
     if (row.warm) (void)rt::compile({bytes.data(), bytes.size()}, cfg);
@@ -1048,7 +1017,6 @@ TEST(LazyCompile, ConcurrentFirstCallsMaterializeEachFunctionOnce) {
   const auto& bytes = parallel_stress_module();
   EngineConfig cfg;
   cfg.tier = EngineTier::kJit;
-  cfg.jit = true;
   auto lazy = rt::compile({bytes.data(), bytes.size()}, cfg);
   ASSERT_EQ(rt::tierup_snapshot(*lazy).funcs_regcode, 0u);
   expect_concurrent_first_calls_build_once(compile_stress(EngineTier::kJit),
@@ -1164,7 +1132,6 @@ TEST(WarmStart, OnlyAHitSkipsBodyValidation) {
     auto dir = fresh_cache_dir();
     EngineConfig cfg;
     cfg.tier = row.tier;
-    cfg.jit = true;
     cfg.enable_cache = row.cache;
     cfg.cache_dir = dir;
     for (int rep = 0; rep < 2; ++rep) {
@@ -1179,7 +1146,6 @@ TEST(WarmStart, OnlyAHitSkipsBodyValidation) {
     auto dir = fresh_cache_dir();
     EngineConfig cfg;
     cfg.tier = tier;
-    cfg.jit = true;
     cfg.enable_cache = true;
     cfg.cache_dir = dir;
     auto miss = rt::compile({bytes.data(), bytes.size()}, cfg);
@@ -1260,7 +1226,6 @@ TEST(WarmStart, AMissReportsTheColdValidationError) {
   const std::vector<u8> bytes = build_many_funcs(1024, 900, 3);
   EngineConfig cold;
   cold.tier = EngineTier::kJit;
-  cold.jit = true;
   const std::string expected = compile_error(bytes, cold);
   EXPECT_EQ(expected.rfind("validation error: func[3]: ", 0), 0u) << expected;
   for (EngineTier tier : kCompiledTiers) {
@@ -1357,7 +1322,6 @@ TEST(LazyCompile, ColdCompileBuildsNoFunction) {
     SCOPED_TRACE(rt::tier_name(tier));
     EngineConfig cfg;
     cfg.tier = tier;
-    cfg.jit = true;
     auto cm = rt::compile({bytes.data(), bytes.size()}, cfg);
     EXPECT_FALSE(cm->loaded_from_cache);
     EXPECT_EQ(cm->funcs_validated, kFuncs);
@@ -1382,7 +1346,6 @@ TEST(LazyCompile, AnInvalidBodyThatIsNeverCalledStillFailsCompile) {
     SCOPED_TRACE(rt::tier_name(tier));
     EngineConfig cfg;
     cfg.tier = tier;
-    cfg.jit = true;
     EXPECT_EQ(compile_error(bytes, cfg), expected);
   }
 }
@@ -1420,7 +1383,6 @@ TEST(LazyCompile, CallingAnExportBuildsExactlyItsCallGraph) {
     SCOPED_TRACE(rt::tier_name(tier));
     EngineConfig cfg;
     cfg.tier = tier;
-    cfg.jit = true;
     auto cm = rt::compile({bytes.data(), bytes.size()}, cfg);
     rt::Instance inst(cm, rt::ImportTable{});
     const Value args[] = {Value::from_i32(5)};

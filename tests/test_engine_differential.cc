@@ -489,7 +489,7 @@ TEST(DifferentialTraps, OobUnderHoistedGuardsMatchesInterp) {
   struct Case {
     std::string name;
     i32 k, grow;
-    bool indexed, v128;
+    bool indexed;
   };
   std::vector<Case> cases;
   for (const SweepAccess& acc : kSweepAccesses)
@@ -497,8 +497,8 @@ TEST(DifferentialTraps, OobUnderHoistedGuardsMatchesInterp) {
       for (bool indexed : {false, true})
         for (i32 k = 0; k < (1 << acc.width_log2); ++k)
           for (i32 grow : {0, 1})
-            cases.push_back({sweep_export(acc, store, indexed), k, grow,
-                             indexed, acc.type == V128T});
+            cases.push_back(
+                {sweep_export(acc, store, indexed), k, grow, indexed});
   std::vector<SweepOutcome> want;
   {
     EngineConfig interp;
@@ -528,9 +528,7 @@ TEST(DifferentialTraps, OobUnderHoistedGuardsMatchesInterp) {
             rt::compiled_body(*cm, *probe.exported_func(c.name));
         ASSERT_NE(body.jit, nullptr) << label;
         EXPECT_GT(body.jit->fault_sites, 0u) << label;
-        if (!c.v128 || cfg.opt_simd) {
-          EXPECT_EQ(has_indexed_access(body), c.indexed) << label;
-        }
+        EXPECT_EQ(has_indexed_access(body), c.indexed) << label;
       }
       const SweepOutcome got = run_sweep(cm, c.name, c.k, c.grow);
       const SweepOutcome& w = want[ci];
@@ -636,7 +634,6 @@ TEST(KernelDifferential, ThreadsCheck) {
   // Guest probe: MPI_Init_thread must report MPI_THREAD_MULTIPLE, wasi
   // thread-spawn must work, and the 0xFE atomics (rmw contention, fence,
   // wait/notify, cmpxchg) must behave — under every engine config.
-  if (!rt::threads_enabled_from_env()) GTEST_SKIP() << "MPIWASM_THREADS=0";
   expect_kernel_agreement("threads_check",
                           toolchain::build_threads_check_module(), 2,
                           no_fields);

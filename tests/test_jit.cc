@@ -17,6 +17,7 @@
 #include <span>
 
 #include "runtime/cache.h"
+#include "runtime/jit_support.h"
 #include "runtime/jit_x64.h"
 
 namespace mpiwasm::test {
@@ -38,7 +39,6 @@ std::string fresh_cache_dir() {
 EngineConfig jit_config() {
   EngineConfig cfg;
   cfg.tier = EngineTier::kJit;
-  cfg.jit = true;  // independent of the MPIWASM_JIT ambient default
   return cfg;
 }
 
@@ -75,7 +75,7 @@ TEST(Jit, IsTheDefaultTier) {
   auto bytes = arith_module();
   EngineConfig cfg;
   EXPECT_EQ(cfg.tier, EngineTier::kJit);
-  cfg.jit = true;
+  EXPECT_TRUE(cfg.jit);
   auto cm = rt::compile({bytes.data(), bytes.size()}, cfg);
   materialize_all(*cm);
   EXPECT_EQ(cm->tier, EngineTier::kJit);
@@ -260,7 +260,6 @@ TEST(Jit, OobTrapsAtTheSamePointAsInterp) {
   for (EngineTier tier : {EngineTier::kInterp, EngineTier::kJit}) {
     EngineConfig cfg;
     cfg.tier = tier;
-    cfg.jit = true;
     auto cm = rt::compile({bytes.data(), bytes.size()}, cfg);
     rt::ImportTable imports;
     rt::Instance inst(cm, imports);

@@ -574,11 +574,9 @@ TEST(JitRegAlloc, GeneratedProgramsMatchInterpreter) {
     jit_cfg.tier = EngineTier::kJit;
     jit_cfg.enable_cache = false;
     auto jit_cm = rt::compile({bytes.data(), bytes.size()}, jit_cfg);
-    if (rt::jit_enabled_from_env()) {
-      for (u32 i = 0; i < jit_cm->module.bodies.size(); ++i)
-        ASSERT_NE(rt::compiled_body(*jit_cm, i).jit, nullptr)
-            << "seed " << seed << ": not compiled";
-    }
+    for (u32 i = 0; i < jit_cm->module.bodies.size(); ++i)
+      ASSERT_NE(rt::compiled_body(*jit_cm, i).jit, nullptr)
+          << "seed " << seed << ": not compiled";
     rt::Instance jit(jit_cm, {});
     auto opt = instantiate(bytes, EngineTier::kOptimizing);
     auto ref = instantiate(bytes, EngineTier::kInterp);

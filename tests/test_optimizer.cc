@@ -349,7 +349,7 @@ TEST(Superinstructions, FusesF32MulAdd) {
 }
 
 // ---------------------------------------------------------------------------
-// SIMD-aware optimizer additions (gated by OptOptions::simd).
+// SIMD-aware optimizer additions.
 // ---------------------------------------------------------------------------
 
 TEST(SimdSuperinstructions, FusesV128IndexedAddress) {
@@ -368,10 +368,9 @@ TEST(SimdSuperinstructions, FusesV128IndexedAddress) {
   EXPECT_FALSE(contains_op(opt, ROp::kV128Load)) << opt.to_string();
 }
 
-TEST(SimdSuperinstructions, SimdFusionDisabledByOption) {
-  // v128 and scalar loads off the same scaled index: with the SIMD rewrites
-  // off the v128 load keeps its address arithmetic, the scalar one still
-  // folds it.
+TEST(SimdSuperinstructions, FusesV128AndScalarOffOneIndex) {
+  // v128 and scalar loads off the same scaled index each fold their own
+  // address arithmetic.
   auto bytes = build_single_func({{I32, I32}, {F64}}, [](auto& f) {
     f.local_get(0);
     f.local_get(1);
@@ -389,15 +388,10 @@ TEST(SimdSuperinstructions, SimdFusionDisabledByOption) {
     f.op(Op::kF64Add);
     f.end();
   });
-  auto decoded = wasm::decode_module({bytes.data(), bytes.size()});
-  ASSERT_TRUE(decoded.ok());
-  RFunc f = rt::lower_function(*decoded.module, 0);
-  rt::OptOptions opts;
-  opts.simd = false;
-  rt::optimize_function(f, opts);
-  EXPECT_FALSE(contains_op(f, ROp::kV128LoadIx)) << f.to_string();
-  EXPECT_TRUE(contains_op(f, ROp::kV128Load)) << f.to_string();
-  EXPECT_TRUE(contains_op(f, ROp::kF64LoadIx)) << f.to_string();
+  RFunc opt = lower_one(bytes, true);
+  EXPECT_TRUE(contains_op(opt, ROp::kV128LoadIx)) << opt.to_string();
+  EXPECT_FALSE(contains_op(opt, ROp::kV128Load)) << opt.to_string();
+  EXPECT_TRUE(contains_op(opt, ROp::kF64LoadIx)) << opt.to_string();
 }
 
 TEST(SimdFolding, SplatOfConstantBecomesPooledV128Const) {

@@ -5,8 +5,8 @@
 // helpers), across every engine configuration (all three tiers). On top of
 // the per-op sweep: scalar-vs-SIMD micro-kernel twins (bit-exact for
 // element-wise and integer kernels, ULP-bounded for reassociated float
-// reductions), the opt_simd ablation, and OOB-trap-point equivalence for
-// v128 accesses, which native code leaves to the memory's guard region.
+// reductions), and OOB-trap-point equivalence for v128 accesses, which
+// native code leaves to the memory's guard region.
 #include "testlib.h"
 
 #include <cmath>
@@ -167,22 +167,6 @@ V128 run_v128(const std::vector<u8>& bytes, const EngineConfig& cfg,
   return run_on(*inst, a, b, c, args);
 }
 
-/// Every configuration the differential sweep runs under: the shared
-/// all_engine_configs() list plus explicit opt_simd on/off optimizing
-/// configs (the shared list inherits opt_simd from MPIWASM_SIMD, so pin
-/// both here to stay env-independent).
-std::vector<EngineConfig> simd_configs() {
-  auto cfgs = all_engine_configs();
-  EngineConfig simd_on;
-  simd_on.tier = EngineTier::kOptimizing;
-  simd_on.opt_simd = true;
-  cfgs.push_back(simd_on);
-  EngineConfig simd_off = simd_on;
-  simd_off.opt_simd = false;
-  cfgs.push_back(simd_off);
-  return cfgs;
-}
-
 /// Lane comparison mode: 'b' = exact bytes; 'f'/'d' = f32/f64 lanes where
 /// two NaNs compare equal regardless of payload (Wasm arithmetic may return
 /// any NaN, and host addss/addps operand order legitimately picks different
@@ -314,7 +298,7 @@ TEST(SimdDifferential, LanewiseBinopsAndComparisons) {
   auto vecs = test_vectors();
   for (const BinCase& bc : kBinCases) {
     auto bytes = binop_module(bc.op);
-    for (const EngineConfig& cfg : simd_configs()) {
+    for (const EngineConfig& cfg : all_engine_configs()) {
       auto inst = instantiate_cfg(bytes, cfg);
       for (size_t i = 0; i + 1 < vecs.size(); ++i) {
         V128 got = run_on(*inst, vecs[i], vecs[i + 1], V128{});
@@ -360,7 +344,7 @@ TEST(SimdDifferential, LanewiseUnops) {
     // sqrt of negative inputs is lane-wise NaN; restrict its sweep to
     // non-negative bit patterns by abs-ing the float lanes first.
     auto bytes = unop_module(uc.op);
-    for (const EngineConfig& cfg : simd_configs()) {
+    for (const EngineConfig& cfg : all_engine_configs()) {
       auto inst = instantiate_cfg(bytes, cfg);
       for (const V128& a0 : vecs) {
         V128 a = a0;
@@ -384,7 +368,7 @@ TEST(SimdDifferential, FloatMinMaxNaNSemantics) {
     auto bytes = binop_module(op);
     bool f64s = op == Op::kF64x2Min || op == Op::kF64x2Max;
     bool is_min = op == Op::kF64x2Min || op == Op::kF32x4Min;
-    for (const EngineConfig& cfg : simd_configs()) {
+    for (const EngineConfig& cfg : all_engine_configs()) {
       V128 a{}, b{};
       if (f64s) {
         put_lane<f64, 2>(a, 0, std::numeric_limits<f64>::quiet_NaN());
@@ -449,7 +433,7 @@ TEST(SimdDifferential, Shifts) {
   auto vecs = test_vectors();
   for (const auto& sc : cases) {
     auto bytes = shift_module(sc.op);
-    for (const EngineConfig& cfg : simd_configs()) {
+    for (const EngineConfig& cfg : all_engine_configs()) {
       auto inst = instantiate_cfg(bytes, cfg);
       for (u32 k : {0u, 1u, 3u, 31u, 32u, 33u, 63u, 64u, 65u}) {
         V128 got = run_on(*inst, vecs[2], V128{}, V128{},
@@ -487,7 +471,7 @@ TEST(SimdDifferential, ShuffleSwizzleBitselect) {
       f.mem_op(Op::kV128Store);
       f.end();
     });
-    for (const EngineConfig& cfg : simd_configs()) {
+    for (const EngineConfig& cfg : all_engine_configs()) {
       V128 got = run_v128(bytes, cfg, a, b, V128{});
       V128 want{};
       for (int i = 0; i < 16; ++i)
@@ -501,7 +485,7 @@ TEST(SimdDifferential, ShuffleSwizzleBitselect) {
     V128 sel{};
     const u8 sels[16] = {0, 15, 16, 255, 7, 8, 3, 200, 1, 2, 14, 13, 17, 31, 5, 9};
     std::memcpy(sel.bytes, sels, 16);
-    for (const EngineConfig& cfg : simd_configs()) {
+    for (const EngineConfig& cfg : all_engine_configs()) {
       V128 got = run_v128(bytes, cfg, a, sel, V128{});
       V128 want{};
       for (int i = 0; i < 16; ++i)
@@ -522,7 +506,7 @@ TEST(SimdDifferential, ShuffleSwizzleBitselect) {
       f.mem_op(Op::kV128Store);
       f.end();
     });
-    for (const EngineConfig& cfg : simd_configs()) {
+    for (const EngineConfig& cfg : all_engine_configs()) {
       V128 got = run_v128(bytes, cfg, a, b, vecs[3]);
       V128 want{};
       for (int i = 0; i < 16; ++i)
@@ -537,7 +521,7 @@ TEST(SimdDifferential, SplatsExtractReplace) {
   // i8x16/i16x8.splat of a value with junk above the lane, every lane
   // checked; i16x8.splat + both extract widths (s/u) + replace on every
   // shape.
-  for (const EngineConfig& cfg : simd_configs()) {
+  for (const EngineConfig& cfg : all_engine_configs()) {
     for (Op op : {Op::kI8x16Splat, Op::kI16x8Splat}) {
       auto bytes = build_single_func({{I32}, {}}, [&](auto& f) {
         f.i32_const(i32(kOut));
@@ -696,7 +680,7 @@ TEST(SimdDifferential, LoadSplats) {
   });
   V128 a{};
   for (int i = 0; i < 16; ++i) a.bytes[i] = u8(0x11 * (i + 1));
-  for (const EngineConfig& cfg : simd_configs()) {
+  for (const EngineConfig& cfg : all_engine_configs()) {
     V128 got = run_v128(bytes32, cfg, a, V128{}, V128{});
     V128 want{};
     for (int i = 0; i < 4; ++i)
@@ -720,7 +704,7 @@ TEST(SimdDifferential, AnyTrueAllTrue) {
   };
   for (const RCase& rc : cases) {
     auto bytes = reduce_i32_module(rc.op);
-    for (const EngineConfig& cfg : simd_configs()) {
+    for (const EngineConfig& cfg : all_engine_configs()) {
       auto run1 = [&](const V128& a) {
         auto inst = instantiate_cfg(bytes, cfg);
         std::memcpy(inst->memory().base() + kInA, a.bytes, 16);
@@ -767,7 +751,7 @@ TEST(SimdKernels, ScalarAndSimdTwinsMatchReference) {
     p.kernel = k;
     p.n = 256;
     const f64 want = toolchain::micro_kernel_reference(p, u32(reps));
-    for (const EngineConfig& cfg : simd_configs()) {
+    for (const EngineConfig& cfg : all_engine_configs()) {
       p.use_simd = false;
       f64 scalar = run_kernel(p, cfg, reps);
       // The scalar build follows the reference's operation order exactly.
@@ -798,7 +782,7 @@ TEST(SimdKernels, HpcgSimdResidualMatchesMirroredNative) {
   // Compile-only smoke across tiers (full embedder runs live in
   // test_toolchain_kernels); here assert the module validates and the
   // engine accepts it at every tier.
-  for (const EngineConfig& cfg : simd_configs()) {
+  for (const EngineConfig& cfg : all_engine_configs()) {
     EXPECT_NO_THROW(rt::compile({bytes.data(), bytes.size()}, cfg))
         << config_label(cfg);
   }
@@ -859,7 +843,7 @@ TEST(SimdHoist, OobV128StoreTrapsAtSamePointWithIdenticalPartialStores) {
   interp.tier = EngineTier::kInterp;
   TrapKind want_kind = run_one(interp, want_tail, want_what);
   EXPECT_EQ(want_kind, TrapKind::kMemoryOutOfBounds);
-  for (const EngineConfig& cfg : simd_configs()) {
+  for (const EngineConfig& cfg : all_engine_configs()) {
     std::vector<u8> tail;
     std::string what;
     TrapKind kind = run_one(cfg, tail, what);
@@ -883,7 +867,7 @@ TEST(SimdHoist, InBoundsV128LoopRunsGuardedAndUnguardedIdentically) {
   EngineConfig interp;
   interp.tier = EngineTier::kInterp;
   auto want = run_one(interp);
-  for (const EngineConfig& cfg : simd_configs()) {
+  for (const EngineConfig& cfg : all_engine_configs()) {
     EXPECT_EQ(run_one(cfg), want) << config_label(cfg);
   }
 }

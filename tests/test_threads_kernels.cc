@@ -42,15 +42,7 @@ std::vector<EngineConfig> interp_and_jit() {
   return {interp, jit};
 }
 
-class ThreadedKernelTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (!rt::threads_enabled_from_env())
-      GTEST_SKIP() << "MPIWASM_THREADS=0";
-  }
-};
-
-TEST_F(ThreadedKernelTest, MicroKernelsBitExactAcrossThreadCounts) {
+TEST(ThreadedKernelTest, MicroKernelsBitExactAcrossThreadCounts) {
   for (MicroKernel k : {MicroKernel::kDaxpy, MicroKernel::kStencil3}) {
     toolchain::MicroKernelParams mp;
     mp.kernel = k;
@@ -74,7 +66,7 @@ TEST_F(ThreadedKernelTest, MicroKernelsBitExactAcrossThreadCounts) {
   }
 }
 
-TEST_F(ThreadedKernelTest, DaxpyAgreesUnderEveryEngineConfig) {
+TEST(ThreadedKernelTest, DaxpyAgreesUnderEveryEngineConfig) {
   toolchain::MicroKernelParams mp;
   mp.kernel = MicroKernel::kDaxpy;
   mp.n = 512;
@@ -91,7 +83,7 @@ TEST_F(ThreadedKernelTest, DaxpyAgreesUnderEveryEngineConfig) {
   }
 }
 
-TEST_F(ThreadedKernelTest, CgResidualIsThreadCountInvariant) {
+TEST(ThreadedKernelTest, CgResidualIsThreadCountInvariant) {
   toolchain::ThreadedCgParams p;
   p.n = 512;
   const i32 iters = 6;

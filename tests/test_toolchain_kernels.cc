@@ -230,7 +230,6 @@ TEST(KernelCanonicalIds, MatchTheFirstStructurallyEqualType) {
     SCOPED_TRACE(name);
     EngineConfig cfg;
     cfg.tier = EngineTier::kInterp;
-    cfg.threads = true;
     auto cm = rt::compile({bytes.data(), bytes.size()}, cfg);
     const wasm::Module& m = cm->module;
     std::vector<u32> canon(m.types.size());

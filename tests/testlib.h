@@ -32,9 +32,8 @@ inline std::vector<EngineTier> all_tiers() {
 }
 
 /// Every engine configuration a module should behave identically under:
-/// the three tiers. The jit knob keeps its env default in every entry;
-/// Jit.JitOffDegradesToOptimizing pins that kJit with codegen off compiles
-/// the kOptimizing entry.
+/// the three tiers. Jit.JitOffDegradesToOptimizing pins that kJit with
+/// codegen off compiles the kOptimizing entry.
 inline std::vector<EngineConfig> all_engine_configs() {
   std::vector<EngineConfig> cfgs;
   for (EngineTier tier : all_tiers()) {
@@ -47,9 +46,7 @@ inline std::vector<EngineConfig> all_engine_configs() {
 
 /// Human-readable label for a config.
 inline std::string config_label(const EngineConfig& cfg) {
-  std::string s = rt::tier_name(cfg.tier);
-  if (cfg.tier == EngineTier::kJit && !cfg.jit) s += "(off)";
-  return s;
+  return rt::tier_name(cfg.tier);
 }
 
 /// Builds every function of a compiled-tier module, as the first calls of
