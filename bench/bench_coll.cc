@@ -12,14 +12,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "simmpi/coll_algos.h"
-#include "simmpi/coll_tune.h"
 #include "support/common.h"
 #include "support/timing.h"
 
@@ -31,19 +29,13 @@ using mpiwasm::simmpi::coll::coll_name;
 
 namespace {
 
-/// Warmup calls per configuration. The autotuned rows need the exploration
-/// budget (kExploreRounds passes over the largest candidate list) spent
-/// before the timed window opens, so the measurement sees the locked
-/// winner, not the rotation.
+/// Warmup calls per configuration.
 constexpr int kWarmups = 3;
-int autotune_warmups(CollOp op) {
-  return coll::Autotuner::kExploreRounds * int(coll::algos_for(op).size()) + 2;
-}
 
-/// One timed configuration; returns the per-operation latency in us.
-f64 time_coll_tuned(CollOp op, const CollTuning& tuning, int ranks,
-                    size_t bytes, int iters, int warmups) {
-  World world(ranks, NetworkProfile::zero(), tuning);
+/// One timed configuration (`algo` forced for `op`, kAuto = the static
+/// table's pick); returns the per-operation latency in us.
+f64 time_coll(CollOp op, CollAlgo algo, int ranks, size_t bytes, int iters) {
+  World world(ranks, NetworkProfile::zero(), coll::forced_tuning(op, algo));
   f64 us_per_op = 0;
   world.run([&](Rank& r) {
     int n = r.size();
@@ -93,42 +85,13 @@ f64 time_coll_tuned(CollOp op, const CollTuning& tuning, int ranks,
           break;
       }
     };
-    for (int w = 0; w < warmups; ++w) once();
+    for (int w = 0; w < kWarmups; ++w) once();
     r.barrier();
     Stopwatch sw;
     for (int i = 0; i < iters; ++i) once();
     r.barrier();
     if (r.rank() == 0) us_per_op = sw.elapsed_us() / f64(iters);
   });
-  return us_per_op;
-}
-
-f64 time_coll(CollOp op, CollAlgo algo, int ranks, size_t bytes, int iters) {
-  return time_coll_tuned(op, coll::forced_tuning(op, algo), ranks, bytes,
-                         iters,
-                         algo == CollAlgo::kAuto ? autotune_warmups(op)
-                                                 : kWarmups);
-}
-
-/// Timed allreduce run whose window INCLUDES the exploration phase (no
-/// warmups), persisting the learned table to `file` — back-to-back calls
-/// measure the cold-start cost vs the warm start from the saved table.
-f64 time_autotune_run(int ranks, size_t bytes, int iters,
-                      const std::string& file) {
-  CollTuning t;
-  t.autotune_file = file;
-  World world(ranks, NetworkProfile::zero(), t);
-  f64 us_per_op = 0;
-  world.run([&](Rank& r) {
-    int count = int(bytes);
-    std::vector<u8> a(bytes, u8(1)), b(bytes, u8(0));
-    r.barrier();
-    Stopwatch sw;
-    for (int i = 0; i < iters; ++i)
-      r.allreduce(a.data(), b.data(), count, Datatype::kByte, ReduceOp::kSum);
-    r.barrier();
-    if (r.rank() == 0) us_per_op = sw.elapsed_us() / f64(iters);
-  });  // World dtor persists the table
   return us_per_op;
 }
 
@@ -147,15 +110,8 @@ int iters_for(size_t bytes, bool smoke) {
   return int(iters);
 }
 
-struct ColdWarmRow {
-  size_t bytes = 0;
-  f64 cold_us = 0;  // first run: exploration inside the timed window
-  f64 warm_us = 0;  // second run: winners preloaded from the saved table
-};
-
 void write_json(const std::string& path, const std::vector<Entry>& entries,
-                f64 small_speedup, const std::vector<ColdWarmRow>& coldwarm,
-                f64 warm_vs_cold, bool smoke) {
+                f64 small_speedup, bool smoke) {
   FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -163,7 +119,7 @@ void write_json(const std::string& path, const std::vector<Entry>& entries,
   }
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"bench\": \"bench_coll\",\n");
-  std::fprintf(out, "  \"schema\": 2,\n");
+  std::fprintf(out, "  \"schema\": 3,\n");
   std::fprintf(out, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(out, "  \"host_hw_concurrency\": %u,\n",
                unsigned(std::thread::hardware_concurrency()));
@@ -178,17 +134,6 @@ void write_json(const std::string& path, const std::vector<Entry>& entries,
                  i + 1 < entries.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
-  std::fprintf(out, "  \"autotune_cold_warm\": [\n");
-  for (size_t i = 0; i < coldwarm.size(); ++i) {
-    const ColdWarmRow& c = coldwarm[i];
-    std::fprintf(out,
-                 "    {\"coll\": \"allreduce\", \"ranks\": 8, \"bytes\": %zu, "
-                 "\"cold_us\": %.3f, \"warm_us\": %.3f}%s\n",
-                 c.bytes, c.cold_us, c.warm_us,
-                 i + 1 < coldwarm.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n");
-  std::fprintf(out, "  \"autotune_warm_vs_cold\": %.3f,\n", warm_vs_cold);
   std::fprintf(out,
                "  \"small_message_speedup_auto_vs_linear_8ranks\": %.3f\n",
                small_speedup);
@@ -248,16 +193,7 @@ int main(int argc, char** argv) {
           by_key[key(coll_name(op), coll::algo_name(a), ranks, bytes)] = us;
           std::printf("  %s=%.2fus", coll::algo_name(a), us);
         }
-        // The kAuto row above runs with online autotuning (the default);
-        // this column is the same selection with MPIWASM_COLL_AUTOTUNE=0
-        // semantics — the PR 3 static table alone.
-        CollTuning untuned;
-        untuned.autotune = false;
-        f64 us = time_coll_tuned(op, untuned, ranks, bytes,
-                                 iters_for(bytes, smoke), kWarmups);
-        entries.push_back({coll_name(op), "auto_static", ranks, bytes, us});
-        by_key[key(coll_name(op), "auto_static", ranks, bytes)] = us;
-        std::printf("  auto_static=%.2fus\n", us);
+        std::printf("\n");
       }
     }
   }
@@ -287,37 +223,6 @@ int main(int argc, char** argv) {
       "(allreduce/bcast/barrier): %.2fx\n",
       small_speedup);
 
-  // Cold vs warm autotuning: the cold run pays for exploration inside the
-  // timed window and persists the learned table; the warm run preloads the
-  // winners and must match or beat it.
-  std::printf("\n--- autotune cold vs warm (allreduce, 8 ranks) ---\n");
-  const std::string table =
-      (std::filesystem::temp_directory_path() / "mpiwasm-bench-coll.table")
-          .string();
-  std::vector<ColdWarmRow> coldwarm;
-  f64 cw_log_sum = 0;
-  int cw_n = 0;
-  const int cw_iters = smoke ? 24 : 48;
-  for (size_t bytes : {size_t(1024), size_t(65536)}) {
-    std::remove(table.c_str());
-    ColdWarmRow row;
-    row.bytes = bytes;
-    row.cold_us = time_autotune_run(8, bytes, cw_iters, table);
-    row.warm_us = time_autotune_run(8, bytes, cw_iters, table);
-    std::printf("  %8zu B: cold=%.2fus warm=%.2fus (%.2fx)\n", bytes,
-                row.cold_us, row.warm_us,
-                row.warm_us > 0 ? row.cold_us / row.warm_us : 0);
-    if (row.cold_us > 0 && row.warm_us > 0) {
-      cw_log_sum += std::log(row.warm_us / row.cold_us);
-      ++cw_n;
-    }
-    coldwarm.push_back(row);
-  }
-  std::remove(table.c_str());
-  f64 warm_vs_cold = cw_n > 0 ? std::exp(cw_log_sum / cw_n) : 0;
-  std::printf("  warm/cold geomean: %.3f (<= 1.0 means the persisted table "
-              "pays off)\n", warm_vs_cold);
-
-  write_json(out_path, entries, small_speedup, coldwarm, warm_vs_cold, smoke);
+  write_json(out_path, entries, small_speedup, smoke);
   return 0;
 }

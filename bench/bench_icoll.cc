@@ -38,7 +38,6 @@ namespace {
 struct OverlapRow {
   int ranks = 0;
   size_t bytes = 0;
-  bool autotune = true;  // online collective autotuning active for this row
   f64 factor = 1.0;     // compute budget as a fraction of the coll latency
   f64 coll_us = 0;      // blocking allreduce alone
   f64 compute_us = 0;   // calibrated per-rank compute budget
@@ -49,11 +48,10 @@ struct OverlapRow {
 };
 
 OverlapRow measure_overlap(int ranks, size_t bytes, f64 factor, int iters,
-                           const NetworkProfile& prof, bool autotune) {
+                           const NetworkProfile& prof) {
   OverlapRow row;
   row.ranks = ranks;
   row.bytes = bytes;
-  row.autotune = autotune;
   row.factor = factor;
   const int count = int(bytes / 8);
   // Min-of-reps filters scheduler noise on CI hosts. Small payloads get
@@ -62,9 +60,7 @@ OverlapRow measure_overlap(int ranks, size_t bytes, f64 factor, int iters,
   // nearly nothing against the large-size rows.
   const int reps = bytes <= 32768 ? 6 : 5;
   const int n_iters = bytes <= 32768 ? iters * 3 : iters * 3 / 2;
-  CollTuning tuning;
-  tuning.autotune = autotune;
-  World world(ranks, prof, tuning);
+  World world(ranks, prof, CollTuning{});
   world.run([&](Rank& r) {
     std::vector<f64> in(size_t(count), 1.0), out(size_t(count), 0.0);
     auto coll = [&] {
@@ -82,8 +78,7 @@ OverlapRow measure_overlap(int ranks, size_t bytes, f64 factor, int iters,
       }
       return best;
     };
-    // Phase 1: the collective alone. Warmups cover the autotuner's
-    // exploration budget so the timed windows measure the locked winner.
+    // Phase 1: the collective alone, after a few warmup calls.
     for (int w = 0; w < 16; ++w) coll();
     f64 coll_us = timed(coll);
     // Every rank computes with the same budget: the wall-clock collective
@@ -197,7 +192,7 @@ void write_json(const std::string& path, const std::vector<OverlapRow>& rows,
   }
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"bench\": \"bench_icoll\",\n");
-  std::fprintf(out, "  \"schema\": 2,\n");
+  std::fprintf(out, "  \"schema\": 3,\n");
   std::fprintf(out, "  \"smoke\": %s,\n", smoke ? "true" : "false");
   std::fprintf(out, "  \"host_hw_concurrency\": %u,\n",
                unsigned(std::thread::hardware_concurrency()));
@@ -206,13 +201,11 @@ void write_json(const std::string& path, const std::vector<OverlapRow>& rows,
   for (size_t i = 0; i < rows.size(); ++i) {
     const OverlapRow& r = rows[i];
     std::fprintf(out,
-                 "    {\"ranks\": %d, \"bytes\": %zu, \"autotune\": %s, "
-                 "\"compute_factor\": "
+                 "    {\"ranks\": %d, \"bytes\": %zu, \"compute_factor\": "
                  "%.2f, \"coll_us\": %.3f, \"compute_us\": %.3f, "
                  "\"blocking_us\": %.3f, \"overlap_us\": %.3f, "
                  "\"speedup\": %.3f, \"overlap_efficiency\": %.3f}%s\n",
-                 r.ranks, r.bytes, r.autotune ? "true" : "false", r.factor,
-                 r.coll_us, r.compute_us,
+                 r.ranks, r.bytes, r.factor, r.coll_us, r.compute_us,
                  r.blocking_us, r.overlap_us, r.speedup, r.efficiency,
                  i + 1 < rows.size() ? "," : "");
   }
@@ -274,24 +267,12 @@ int main(int argc, char** argv) {
     for (size_t bytes : sizes) {
       for (f64 factor : factors) {
         OverlapRow row =
-            measure_overlap(ranks, bytes, factor, iters, profile, true);
+            measure_overlap(ranks, bytes, factor, iters, profile);
         std::printf("  %10zu %6.2f %10.2f %10.2f %12.2f %11.2f %7.2fx %6.2f\n",
                     row.bytes, row.factor, row.coll_us, row.compute_us,
                     row.blocking_us, row.overlap_us, row.speedup,
                     row.efficiency);
         rows.push_back(row);
-        if (!smoke && factor == 1.0) {
-          // Ablation column: same bin with the online autotuner disabled
-          // (static selection). Quantifies what adaptive selection buys.
-          OverlapRow off =
-              measure_overlap(ranks, bytes, factor, iters, profile, false);
-          std::printf(
-              "  %10zu %6.2f %10.2f %10.2f %12.2f %11.2f %7.2fx %6.2f"
-              "  [autotune off]\n",
-              off.bytes, off.factor, off.coll_us, off.compute_us,
-              off.blocking_us, off.overlap_us, off.speedup, off.efficiency);
-          rows.push_back(off);
-        }
       }
     }
   }

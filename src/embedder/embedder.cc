@@ -7,7 +7,6 @@
 
 #include "embedder/mpi_host.h"
 #include "embedder/threads_host.h"
-#include "runtime/cache.h"
 #include "support/log.h"
 #include "support/timing.h"
 #include "support/trace.h"
@@ -59,12 +58,7 @@ RunResult Embedder::run_world(std::shared_ptr<const rt::CompiledModule> cm,
   result.loaded_from_cache = cm->loaded_from_cache;
 
   auto shared_state = std::make_shared<SharedHandleState>();
-  // The learned collective table persists next to the JIT code cache so a
-  // warm run starts on the previously measured winners.
-  simmpi::CollTuning coll = config_.coll;
-  if (coll.autotune && coll.autotune_file.empty())
-    coll.autotune_file = rt::autotune_table_path(config_.engine.cache_dir);
-  simmpi::World world(ranks, config_.net_profile, coll);
+  simmpi::World world(ranks, config_.net_profile, config_.coll);
 
   std::mutex result_mu;
   Stopwatch wall;

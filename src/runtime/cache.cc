@@ -379,11 +379,6 @@ FileSystemCache::FileSystemCache(std::string dir)
     : dir_(cache_dir_or_default(dir).string()),
       enabled_(open_cache_dir(dir_)) {}
 
-std::string autotune_table_path(const std::string& dir) {
-  const fs::path base = cache_dir_or_default(dir);
-  return open_cache_dir(base) ? (base / "coll-tune.table").string() : "";
-}
-
 std::string FileSystemCache::entry_path(const Sha256Digest& hash,
                                         const std::string& tier_tag) const {
   return dir_ + "/" + hash.hex() + "-" + tier_tag + ".rcache";

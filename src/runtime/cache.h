@@ -98,13 +98,6 @@ class FileSystemCache {
   bool enabled_ = false;
 };
 
-/// Where the collective-autotuning table lives: next to the code cache, so
-/// both kinds of learned state share one directory. `dir` empty selects the
-/// same "<system temp>/mpiwasm-cache" default as FileSystemCache, and the
-/// directory passes the same checks; when it fails them the result is
-/// empty, and the table is neither loaded nor saved.
-std::string autotune_table_path(const std::string& dir);
-
 /// Serialization used by the cache (exposed for round-trip tests).
 /// deserialize_regcode is the eager decoder of a whole-module entry: the
 /// same header and table checks as FileSystemCache::map, then every record.

@@ -73,10 +73,6 @@ CollTuning CollTuning::from_env(CollTuning base) {
     std::string_view v(s);
     base.enable_shm = !(v == "0" || v == "false" || v == "off");
   }
-  if (const char* s = std::getenv("MPIWASM_COLL_AUTOTUNE"); s != nullptr) {
-    std::string_view v(s);
-    base.autotune = !(v == "0" || v == "false" || v == "off");
-  }
   return base;
 }
 

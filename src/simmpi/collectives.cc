@@ -1,20 +1,18 @@
 // Collective entry points: argument validation, MPI_IN_PLACE resolution,
 // and algorithm selection from the pluggable registry (coll_algos.h): the
-// size x comm-size table (coll::select), CollTuning / MPIWASM_COLL_*
-// overrides and, for blocking calls, the online autotuner. Every p2p
-// algorithm exists once, as a schedule (coll_sched.h): a nonblocking call
-// returns its schedule's request, a blocking call runs the same schedule to
-// completion (Schedule::run_blocking). Blocking calls that select kShm read
-// their peers' buffers in place instead (coll::Engine *_shm).
+// size x comm-size table (coll::select) with CollTuning / MPIWASM_COLL_*
+// overrides. Every p2p algorithm exists once, as a schedule (coll_sched.h):
+// a nonblocking call returns its schedule's request, a blocking call runs
+// the same schedule to completion (Schedule::run_blocking). Blocking calls
+// that select kShm read their peers' buffers in place instead
+// (coll::Engine *_shm).
 #include <cstring>
 #include <vector>
 
 #include "simmpi/coll_algos.h"
 #include "simmpi/coll_sched.h"
-#include "simmpi/coll_tune.h"
 #include "simmpi/reduce_ops.h"
 #include "simmpi/world.h"
-#include "support/timing.h"
 #include "support/trace.h"
 
 namespace mpiwasm::simmpi {
@@ -29,135 +27,26 @@ using coll::Schedule;
 /// shm path at any message size.
 bool shm_ok(const detail::CommData& c) { return c.coll != nullptr; }
 
-/// Collectives whose exit is synchronized across the communicator: every
-/// rank leaves only once the operation is complete everywhere, so a rank's
-/// per-call duration is a fair sample of the algorithm's cost — the online
-/// autotuner's cost model. Rooted and prefix collectives (bcast, reduce,
-/// gather, scatter, scan, exscan) let fast ranks exit early: their samples
-/// mostly measure arrival skew, and their loop throughput is decided by
-/// cross-call pipelining the sampler cannot see, so they stay on the
-/// static table.
-bool tuner_samples_valid(CollOp op) {
-  switch (op) {
-    case CollOp::kBarrier:
-    case CollOp::kAllreduce:
-    case CollOp::kAllgather:
-    case CollOp::kAlltoall:
-    case CollOp::kReduceScatter:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// Resolved algorithm for one collective call, autotune-aware.
-struct Choice {
-  CollAlgo algo = CollAlgo::kAuto;
-  bool exploring = false;  // measure and record() this call
-  u64 key = 0;
-};
-
-/// Picks the algorithm for one collective call. Explicit MPIWASM_COLL_*
-/// overrides and autotune-off worlds use the static selection table;
-/// otherwise the Autotuner rotates through the registry candidates and
-/// then returns the locked winner, with the static pick as the fallback
-/// for never-measured keys. Advances the per-communicator call counter.
-/// Nonblocking calls bypass the tuner entirely (see below) — their
-/// completion is asynchronous, so they could never record a timing, and
-/// the blocking winner is the wrong pick for an overlapping schedule.
-Choice pick_algo_impl(World& w, detail::CommData& c, CollOp op, size_t bytes,
-                      bool ok, bool nonblocking) {
-  Choice r;
+/// Picks the algorithm for one collective call from the static selection
+/// table, honouring explicit MPIWASM_COLL_* overrides. Nonblocking calls
+/// exclude the shm path from auto selection: a CPU-side barrier overlaps
+/// nothing, and the schedule machinery's fixed cost exceeds the direct
+/// reads' entire latency at the sizes where shm wins. An explicitly forced
+/// kShm still builds its schedule (the differential tests force every
+/// algorithm). Every selection lands in the per-thread algorithm histogram
+/// and, when tracing, as a "coll.select" instant.
+CollAlgo pick_algo(const World& w, const detail::CommData& c, CollOp op,
+                   size_t bytes, bool ok, bool nonblocking = false) {
   const CollTuning& t = w.coll_tuning();
   const int n = int(c.world_ranks.size());
-  coll::Autotuner* tuner = w.tuner();
-  // Nonblocking schedules always use the static table. The autotuner's
-  // cost model is blocking latency, a poor proxy for overlap quality: the
-  // blocking winner is often the most tightly synchronized algorithm,
-  // exactly the one whose schedule pipelines worst under overlap. The static
-  // table's per-size structure choices are pipeline-friendly by
-  // construction. The shm path is excluded from auto selection too — a
-  // CPU-side barrier overlaps nothing, and the schedule machinery's fixed
-  // cost exceeds the direct reads' entire latency at the sizes where shm wins
-  // — but an explicitly forced kShm still builds its schedule (the
-  // differential tests force every algorithm).
-  if (nonblocking) {
-    const bool allow = coll::forced_algo(t, op) != CollAlgo::kAuto && ok;
-    r.algo = coll::select(op, t, n, bytes, allow);
-    return r;
-  }
-  if (tuner == nullptr || !tuner_samples_valid(op) ||
-      coll::forced_algo(t, op) != CollAlgo::kAuto) {
-    r.algo = coll::select(op, t, n, bytes, ok);
-    return r;
-  }
-  std::span<const CollAlgo> cand = coll::algos_for(op);
-  // kShm is by convention the last registry entry; it never enters the
-  // measured candidate set. The shm path serializes the calling loop on its
-  // internal barrier — a cost per-call latency samples cannot see (the
-  // same blind spot that keeps it out of nonblocking selection), so
-  // measuring it hands it wins its loop throughput does not earn. Where
-  // the static table picks shm, that pick survives as the unmeasured
-  // fallback (choose() never displaces a fallback without evidence
-  // against it).
-  if (!cand.empty() && cand.back() == CollAlgo::kShm)
-    cand = cand.first(cand.size() - 1);
-  r.key = coll::Autotuner::key(op, n, bytes);
-  if (auto cached = c.tune_locked.find(r.key); cached != c.tune_locked.end()) {
-    r.algo = cached->second;
-    return r;
-  }
-  const u64 idx = c.tune_calls[r.key]++;
-  r.algo = tuner->choose(r.key, idx, cand, coll::select(op, t, n, bytes, ok),
-                         &r.exploring);
-  // A winner preloaded from a table saved by a world with the shm path on
-  // can be kShm; a communicator without a CollectiveContext cannot run it.
-  if (r.algo == CollAlgo::kShm && !ok)
-    r.algo = coll::select(op, t, n, bytes, ok);
-  if (!r.exploring) c.tune_locked.emplace(r.key, r.algo);
-  return r;
-}
-
-/// pick_algo_impl plus observability: every selection (static, tuner
-/// explore, tuner locked, nonblocking) lands in the per-thread algorithm
-/// histogram and — when tracing — as a "coll.select" instant recording the
-/// explore-vs-locked decision.
-Choice pick_algo(World& w, detail::CommData& c, CollOp op, size_t bytes,
-                 bool ok, bool nonblocking = false) {
-  Choice r = pick_algo_impl(w, c, op, bytes, ok, nonblocking);
+  if (nonblocking) ok = ok && coll::forced_algo(t, op) != CollAlgo::kAuto;
+  const CollAlgo algo = coll::select(op, t, n, bytes, ok);
   if (MW_TRACE_ACTIVE()) {
-    trace::note_algo(coll::coll_name(op), coll::algo_name(r.algo));
-    trace::instant("coll", "coll.select", "bytes", i64(bytes), "exploring",
-                   r.exploring ? 1 : 0, coll::coll_name(op),
-                   coll::algo_name(r.algo));
+    trace::note_algo(coll::coll_name(op), coll::algo_name(algo));
+    trace::instant("coll", "coll.select", "bytes", i64(bytes), "ranks", n,
+                   coll::coll_name(op), coll::algo_name(algo));
   }
-  return r;
-}
-
-/// Runs the dispatched algorithm, timing and recording it when exploring.
-template <typename Fn>
-void run_timed(Rank& r, detail::CommData& c, World& w, const Choice& sel,
-               Fn&& fn) {
-  if (!sel.exploring) {
-    fn();
-    return;
-  }
-  // Align entries before sampling: most collectives impose no exit
-  // synchronization, so without this a rank's raw duration mostly measures
-  // how late its peers arrived (and credits algorithms that let fast ranks
-  // race ahead with their peers' wait time). Post-barrier, the local
-  // duration approximates the algorithm's completion latency. Exploration
-  // is rank-consistent, so every rank takes this barrier together.
-  if (c.coll != nullptr) {
-    Engine::barrier_shm(r, c);
-  } else {
-    auto s = Schedule::acquire(r, c);
-    coll::build_ibarrier(*s, CollAlgo::kDissemination);
-    s->run_blocking(r);
-  }
-  const u64 t0 = now_ns();
-  fn();
-  w.tuner()->record(sel.key, sel.algo, f64(now_ns() - t0) * 1e-3);
+  return algo;
 }
 
 }  // namespace
@@ -166,16 +55,14 @@ void Rank::barrier(Comm comm) {
   maybe_icoll_progress();
   detail::CommData& c = comm_data_mut(comm);
   if (c.world_ranks.size() == 1) return;
-  Choice sel = pick_algo(*world_, c, CollOp::kBarrier, 0, shm_ok(c));
-  run_timed(*this, c, *world_, sel, [&] {
-    if (sel.algo == CollAlgo::kShm) {
-      Engine::barrier_shm(*this, c);
-    } else {
-      auto s = Schedule::acquire(*this, c);
-      coll::build_ibarrier(*s, sel.algo);
-      s->run_blocking(*this);
-    }
-  });
+  CollAlgo a = pick_algo(*world_, c, CollOp::kBarrier, 0, shm_ok(c));
+  if (a == CollAlgo::kShm) {
+    Engine::barrier_shm(*this, c);
+  } else {
+    auto s = Schedule::acquire(*this, c);
+    coll::build_ibarrier(*s, a);
+    s->run_blocking(*this);
+  }
 }
 
 void Rank::bcast(void* buf, int count, Datatype type, int root, Comm comm) {
@@ -186,16 +73,14 @@ void Rank::bcast(void* buf, int count, Datatype type, int root, Comm comm) {
   if (count < 0) throw MpiError("bcast: negative count");
   if (n == 1) return;
   size_t bytes = size_t(count) * datatype_size(type);
-  Choice sel = pick_algo(*world_, c, CollOp::kBcast, bytes, shm_ok(c));
-  run_timed(*this, c, *world_, sel, [&] {
-    if (sel.algo == CollAlgo::kShm) {
-      Engine::bcast_shm(*this, c, buf, bytes, root);
-    } else {
-      auto s = Schedule::acquire(*this, c);
-      coll::build_ibcast(*s, sel.algo, buf, bytes, root);
-      s->run_blocking(*this);
-    }
-  });
+  CollAlgo a = pick_algo(*world_, c, CollOp::kBcast, bytes, shm_ok(c));
+  if (a == CollAlgo::kShm) {
+    Engine::bcast_shm(*this, c, buf, bytes, root);
+  } else {
+    auto s = Schedule::acquire(*this, c);
+    coll::build_ibcast(*s, a, buf, bytes, root);
+    s->run_blocking(*this);
+  }
 }
 
 void Rank::reduce(const void* sendbuf, void* recvbuf, int count, Datatype type,
@@ -218,17 +103,14 @@ void Rank::reduce(const void* sendbuf, void* recvbuf, int count, Datatype type,
     if (recvbuf != sendbuf) std::memmove(recvbuf, sendbuf, bytes);
     return;
   }
-  Choice sel = pick_algo(*world_, c, CollOp::kReduce, bytes, shm_ok(c));
-  run_timed(*this, c, *world_, sel, [&] {
-    if (sel.algo == CollAlgo::kShm) {
-      Engine::reduce_shm(*this, c, sendbuf, recvbuf, count, type, op, root);
-    } else {
-      auto s = Schedule::acquire(*this, c);
-      coll::build_ireduce(*s, sel.algo, sendbuf, recvbuf, count, type, op,
-                          root);
-      s->run_blocking(*this);
-    }
-  });
+  CollAlgo a = pick_algo(*world_, c, CollOp::kReduce, bytes, shm_ok(c));
+  if (a == CollAlgo::kShm) {
+    Engine::reduce_shm(*this, c, sendbuf, recvbuf, count, type, op, root);
+  } else {
+    auto s = Schedule::acquire(*this, c);
+    coll::build_ireduce(*s, a, sendbuf, recvbuf, count, type, op, root);
+    s->run_blocking(*this);
+  }
 }
 
 void Rank::allreduce(const void* sendbuf, void* recvbuf, int count,
@@ -244,16 +126,14 @@ void Rank::allreduce(const void* sendbuf, void* recvbuf, int count,
     if (recvbuf != sendbuf) std::memmove(recvbuf, sendbuf, bytes);
     return;
   }
-  Choice sel = pick_algo(*world_, c, CollOp::kAllreduce, bytes, shm_ok(c));
-  run_timed(*this, c, *world_, sel, [&] {
-    if (sel.algo == CollAlgo::kShm) {
-      Engine::allreduce_shm(*this, c, sendbuf, recvbuf, count, type, op);
-    } else {
-      auto s = Schedule::acquire(*this, c);
-      coll::build_iallreduce(*s, sel.algo, sendbuf, recvbuf, count, type, op);
-      s->run_blocking(*this);
-    }
-  });
+  CollAlgo a = pick_algo(*world_, c, CollOp::kAllreduce, bytes, shm_ok(c));
+  if (a == CollAlgo::kShm) {
+    Engine::allreduce_shm(*this, c, sendbuf, recvbuf, count, type, op);
+  } else {
+    auto s = Schedule::acquire(*this, c);
+    coll::build_iallreduce(*s, a, sendbuf, recvbuf, count, type, op);
+    s->run_blocking(*this);
+  }
 }
 
 void Rank::gather(const void* sendbuf, int sendcount, void* recvbuf,
@@ -275,17 +155,14 @@ void Rank::gather(const void* sendbuf, int sendcount, void* recvbuf,
     if (!in_place) std::memcpy(recvbuf, sendbuf, block);
     return;
   }
-  Choice sel = pick_algo(*world_, c, CollOp::kGather, block, shm_ok(c));
-  run_timed(*this, c, *world_, sel, [&] {
-    if (sel.algo == CollAlgo::kShm) {
-      Engine::gather_shm(*this, c, sendbuf, recvbuf, block, root, in_place);
-    } else {
-      auto s = Schedule::acquire(*this, c);
-      coll::build_gather(*s, sel.algo, sendbuf, recvbuf, block, root,
-                         in_place);
-      s->run_blocking(*this);
-    }
-  });
+  CollAlgo a = pick_algo(*world_, c, CollOp::kGather, block, shm_ok(c));
+  if (a == CollAlgo::kShm) {
+    Engine::gather_shm(*this, c, sendbuf, recvbuf, block, root, in_place);
+  } else {
+    auto s = Schedule::acquire(*this, c);
+    coll::build_gather(*s, a, sendbuf, recvbuf, block, root, in_place);
+    s->run_blocking(*this);
+  }
 }
 
 void Rank::scatter(const void* sendbuf, int sendcount, void* recvbuf,
@@ -306,17 +183,14 @@ void Rank::scatter(const void* sendbuf, int sendcount, void* recvbuf,
     if (!in_place) std::memcpy(recvbuf, sendbuf, block);
     return;
   }
-  Choice sel = pick_algo(*world_, c, CollOp::kScatter, block, shm_ok(c));
-  run_timed(*this, c, *world_, sel, [&] {
-    if (sel.algo == CollAlgo::kShm) {
-      Engine::scatter_shm(*this, c, sendbuf, recvbuf, block, root, in_place);
-    } else {
-      auto s = Schedule::acquire(*this, c);
-      coll::build_scatter(*s, sel.algo, sendbuf, recvbuf, block, root,
-                          in_place);
-      s->run_blocking(*this);
-    }
-  });
+  CollAlgo a = pick_algo(*world_, c, CollOp::kScatter, block, shm_ok(c));
+  if (a == CollAlgo::kShm) {
+    Engine::scatter_shm(*this, c, sendbuf, recvbuf, block, root, in_place);
+  } else {
+    auto s = Schedule::acquire(*this, c);
+    coll::build_scatter(*s, a, sendbuf, recvbuf, block, root, in_place);
+    s->run_blocking(*this);
+  }
 }
 
 void Rank::allgather(const void* sendbuf, int sendcount, void* recvbuf,
@@ -338,16 +212,14 @@ void Rank::allgather(const void* sendbuf, int sendcount, void* recvbuf,
     if (!in_place) std::memcpy(recvbuf, sendbuf, block);
     return;
   }
-  Choice sel = pick_algo(*world_, c, CollOp::kAllgather, block, shm_ok(c));
-  run_timed(*this, c, *world_, sel, [&] {
-    if (sel.algo == CollAlgo::kShm) {
-      Engine::allgather_shm(*this, c, sendbuf, recvbuf, block, in_place);
-    } else {
-      auto s = Schedule::acquire(*this, c);
-      coll::build_iallgather(*s, sel.algo, sendbuf, recvbuf, block);
-      s->run_blocking(*this);
-    }
-  });
+  CollAlgo a = pick_algo(*world_, c, CollOp::kAllgather, block, shm_ok(c));
+  if (a == CollAlgo::kShm) {
+    Engine::allgather_shm(*this, c, sendbuf, recvbuf, block, in_place);
+  } else {
+    auto s = Schedule::acquire(*this, c);
+    coll::build_iallgather(*s, a, sendbuf, recvbuf, block);
+    s->run_blocking(*this);
+  }
 }
 
 void Rank::alltoall(const void* sendbuf, int sendcount, void* recvbuf,
@@ -367,16 +239,14 @@ void Rank::alltoall(const void* sendbuf, int sendcount, void* recvbuf,
     std::memcpy(recvbuf, sendbuf, sblock);
     return;
   }
-  Choice sel = pick_algo(*world_, c, CollOp::kAlltoall, sblock, shm_ok(c));
-  run_timed(*this, c, *world_, sel, [&] {
-    if (sel.algo == CollAlgo::kShm) {
-      Engine::alltoall_shm(*this, c, sendbuf, recvbuf, sblock, rblock);
-    } else {
-      auto s = Schedule::acquire(*this, c);
-      coll::build_ialltoall(*s, sel.algo, sendbuf, recvbuf, sblock, rblock);
-      s->run_blocking(*this);
-    }
-  });
+  CollAlgo a = pick_algo(*world_, c, CollOp::kAlltoall, sblock, shm_ok(c));
+  if (a == CollAlgo::kShm) {
+    Engine::alltoall_shm(*this, c, sendbuf, recvbuf, sblock, rblock);
+  } else {
+    auto s = Schedule::acquire(*this, c);
+    coll::build_ialltoall(*s, a, sendbuf, recvbuf, sblock, rblock);
+    s->run_blocking(*this);
+  }
 }
 
 void Rank::alltoallv(const void* sendbuf, const int* sendcounts,
@@ -429,19 +299,16 @@ void Rank::reduce_scatter(const void* sendbuf, void* recvbuf,
       std::memmove(recvbuf, input, size_t(recvcounts[0]) * esize);
     return;
   }
-  Choice sel = pick_algo(*world_, c, CollOp::kReduceScatter, total * esize,
+  CollAlgo a = pick_algo(*world_, c, CollOp::kReduceScatter, total * esize,
                          shm_ok(c));
-  run_timed(*this, c, *world_, sel, [&] {
-    if (sel.algo == CollAlgo::kShm) {
-      Engine::reduce_scatter_shm(*this, c, input, recvbuf, recvcounts, type,
-                                 op);
-    } else {
-      auto s = Schedule::acquire(*this, c);
-      coll::build_ireduce_scatter(*s, sel.algo, input, recvbuf, recvcounts,
-                                  type, op);
-      s->run_blocking(*this);
-    }
-  });
+  if (a == CollAlgo::kShm) {
+    Engine::reduce_scatter_shm(*this, c, input, recvbuf, recvcounts, type, op);
+  } else {
+    auto s = Schedule::acquire(*this, c);
+    coll::build_ireduce_scatter(*s, a, input, recvbuf, recvcounts, type,
+                                op);
+    s->run_blocking(*this);
+  }
 }
 
 void Rank::scan(const void* sendbuf, void* recvbuf, int count, Datatype type,
@@ -457,16 +324,14 @@ void Rank::scan(const void* sendbuf, void* recvbuf, int count, Datatype type,
     if (recvbuf != sendbuf) std::memmove(recvbuf, sendbuf, bytes);
     return;
   }
-  Choice sel = pick_algo(*world_, c, CollOp::kScan, bytes, shm_ok(c));
-  run_timed(*this, c, *world_, sel, [&] {
-    if (sel.algo == CollAlgo::kShm) {
-      Engine::scan_shm(*this, c, sendbuf, recvbuf, count, type, op);
-    } else {
-      auto s = Schedule::acquire(*this, c);
-      coll::build_iscan(*s, sel.algo, sendbuf, recvbuf, count, type, op);
-      s->run_blocking(*this);
-    }
-  });
+  CollAlgo a = pick_algo(*world_, c, CollOp::kScan, bytes, shm_ok(c));
+  if (a == CollAlgo::kShm) {
+    Engine::scan_shm(*this, c, sendbuf, recvbuf, count, type, op);
+  } else {
+    auto s = Schedule::acquire(*this, c);
+    coll::build_iscan(*s, a, sendbuf, recvbuf, count, type, op);
+    s->run_blocking(*this);
+  }
 }
 
 void Rank::exscan(const void* sendbuf, void* recvbuf, int count, Datatype type,
@@ -479,16 +344,14 @@ void Rank::exscan(const void* sendbuf, void* recvbuf, int count, Datatype type,
   if (is_in_place(sendbuf)) sendbuf = recvbuf;
   size_t bytes = size_t(count) * datatype_size(type);
   if (n == 1) return;  // recvbuf undefined on rank 0
-  Choice sel = pick_algo(*world_, c, CollOp::kExscan, bytes, shm_ok(c));
-  run_timed(*this, c, *world_, sel, [&] {
-    if (sel.algo == CollAlgo::kShm) {
-      Engine::exscan_shm(*this, c, sendbuf, recvbuf, count, type, op);
-    } else {
-      auto s = Schedule::acquire(*this, c);
-      coll::build_iexscan(*s, sel.algo, sendbuf, recvbuf, count, type, op);
-      s->run_blocking(*this);
-    }
-  });
+  CollAlgo a = pick_algo(*world_, c, CollOp::kExscan, bytes, shm_ok(c));
+  if (a == CollAlgo::kShm) {
+    Engine::exscan_shm(*this, c, sendbuf, recvbuf, count, type, op);
+  } else {
+    auto s = Schedule::acquire(*this, c);
+    coll::build_iexscan(*s, a, sendbuf, recvbuf, count, type, op);
+    s->run_blocking(*this);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -502,7 +365,7 @@ Request Rank::ibarrier(Comm comm) {
   int n = int(c.world_ranks.size());
   if (n == 1) return Request{};
   CollAlgo a = pick_algo(*world_, c, CollOp::kBarrier, 0, shm_ok(c),
-                         /*nonblocking=*/true).algo;
+                         /*nonblocking=*/true);
   auto s = Schedule::acquire(*this, c);
   coll::build_ibarrier(*s, a);
   return start_icoll(std::move(s));
@@ -516,7 +379,7 @@ Request Rank::ibcast(void* buf, int count, Datatype type, int root, Comm comm) {
   if (n == 1) return Request{};
   size_t bytes = size_t(count) * datatype_size(type);
   CollAlgo a = pick_algo(*world_, c, CollOp::kBcast, bytes, shm_ok(c),
-                         /*nonblocking=*/true).algo;
+                         /*nonblocking=*/true);
   auto s = Schedule::acquire(*this, c);
   coll::build_ibcast(*s, a, buf, bytes, root);
   return start_icoll(std::move(s));
@@ -542,7 +405,7 @@ Request Rank::ireduce(const void* sendbuf, void* recvbuf, int count,
     return Request{};
   }
   CollAlgo a = pick_algo(*world_, c, CollOp::kReduce, bytes, shm_ok(c),
-                         /*nonblocking=*/true).algo;
+                         /*nonblocking=*/true);
   auto s = Schedule::acquire(*this, c);
   coll::build_ireduce(*s, a, sendbuf, recvbuf, count, type, op, root);
   return start_icoll(std::move(s));
@@ -561,7 +424,7 @@ Request Rank::iallreduce(const void* sendbuf, void* recvbuf, int count,
     return Request{};
   }
   CollAlgo a = pick_algo(*world_, c, CollOp::kAllreduce, bytes, shm_ok(c),
-                         /*nonblocking=*/true).algo;
+                         /*nonblocking=*/true);
   auto s = Schedule::acquire(*this, c);
   coll::build_iallreduce(*s, a, sendbuf, recvbuf, count, type, op);
   return start_icoll(std::move(s));
@@ -586,7 +449,7 @@ Request Rank::iallgather(const void* sendbuf, int sendcount, void* recvbuf,
     return Request{};
   }
   CollAlgo a = pick_algo(*world_, c, CollOp::kAllgather, block, shm_ok(c),
-                         /*nonblocking=*/true).algo;
+                         /*nonblocking=*/true);
   auto s = Schedule::acquire(*this, c);
   coll::build_iallgather(*s, a, sendbuf, recvbuf, block);
   return start_icoll(std::move(s));
@@ -607,9 +470,8 @@ Request Rank::ialltoall(const void* sendbuf, int sendcount, void* recvbuf,
     std::memcpy(recvbuf, sendbuf, sblock);
     return Request{};
   }
-  CollAlgo a = pick_algo(*world_, c, CollOp::kAlltoall, sblock,
-                         /*ok=*/false,
-                         /*nonblocking=*/true).algo;
+  CollAlgo a = pick_algo(*world_, c, CollOp::kAlltoall, sblock, /*ok=*/false,
+                         /*nonblocking=*/true);
   auto s = Schedule::acquire(*this, c);
   coll::build_ialltoall(*s, a, sendbuf, recvbuf, sblock, rblock);
   return start_icoll(std::move(s));
@@ -634,8 +496,7 @@ Request Rank::ireduce_scatter(const void* sendbuf, void* recvbuf,
     return Request{};
   }
   CollAlgo a = pick_algo(*world_, c, CollOp::kReduceScatter, total * esize,
-                         shm_ok(c),
-                         /*nonblocking=*/true).algo;
+                         shm_ok(c), /*nonblocking=*/true);
   auto s = Schedule::acquire(*this, c);
   coll::build_ireduce_scatter(*s, a, input, recvbuf, recvcounts, type, op);
   return start_icoll(std::move(s));
@@ -654,7 +515,7 @@ Request Rank::iscan(const void* sendbuf, void* recvbuf, int count,
     return Request{};
   }
   CollAlgo a = pick_algo(*world_, c, CollOp::kScan, bytes, shm_ok(c),
-                         /*nonblocking=*/true).algo;
+                         /*nonblocking=*/true);
   auto s = Schedule::acquire(*this, c);
   coll::build_iscan(*s, a, sendbuf, recvbuf, count, type, op);
   return start_icoll(std::move(s));
@@ -670,7 +531,7 @@ Request Rank::iexscan(const void* sendbuf, void* recvbuf, int count,
   size_t bytes = size_t(count) * datatype_size(type);
   if (n == 1) return Request{};  // recvbuf undefined on rank 0
   CollAlgo a = pick_algo(*world_, c, CollOp::kExscan, bytes, shm_ok(c),
-                         /*nonblocking=*/true).algo;
+                         /*nonblocking=*/true);
   auto s = Schedule::acquire(*this, c);
   coll::build_iexscan(*s, a, sendbuf, recvbuf, count, type, op);
   return start_icoll(std::move(s));

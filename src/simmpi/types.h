@@ -142,17 +142,8 @@ struct CollTuning {
   /// p2p.
   bool enable_shm = true;
 
-  /// Online autotuning of the kAuto selection: per (collective, size-bin,
-  /// comm-size) key the first calls rotate through the candidate algorithms,
-  /// an EWMA over measured timings picks a winner, and the winner is locked
-  /// in. Explicit MPIWASM_COLL_<NAME> overrides always bypass it.
-  bool autotune = true;
-  /// Where the learned table persists between runs (empty = in-memory only;
-  /// the embedder points this next to the JIT code cache).
-  std::string autotune_file;
-
-  /// Applies MPIWASM_COLL_<NAME>=<algo>, MPIWASM_COLL_SHM=0|1 and
-  /// MPIWASM_COLL_AUTOTUNE=0|1 on top of `base` (defaults when omitted).
+  /// Applies MPIWASM_COLL_<NAME>=<algo> and MPIWASM_COLL_SHM=0|1 on top of
+  /// `base` (defaults when omitted).
   static CollTuning from_env(CollTuning base);
   static CollTuning from_env() { return from_env(CollTuning{}); }
 };

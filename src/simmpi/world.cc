@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "simmpi/coll_sched.h"
-#include "simmpi/coll_tune.h"
 #include "support/log.h"
 #include "support/parallel.h"
 #include "support/timing.h"
@@ -253,17 +252,6 @@ World::World(int size, NetworkProfile profile, CollTuning coll)
   boxes_.reserve(size_);
   for (int i = 0; i < size_; ++i)
     boxes_.push_back(std::make_unique<detail::Mailbox>());
-  if (coll_.autotune) {
-    tuner_ = std::make_unique<coll::Autotuner>(coll::Autotuner::host_signature(
-        int(std::thread::hardware_concurrency()), profile_.name, size_));
-    if (!coll_.autotune_file.empty()) tuner_->load(coll_.autotune_file);
-  }
-}
-
-World::~World() {
-  // Persist freshly locked winners so the next run starts tuned.
-  if (tuner_ != nullptr && tuner_->dirty() && !coll_.autotune_file.empty())
-    tuner_->save(coll_.autotune_file);
 }
 
 i32 World::alloc_comm_ids(i32 n) { return next_comm_id_.fetch_add(n); }

@@ -24,7 +24,6 @@ class World;
 class Rank;
 class CollectiveContext;
 namespace coll {
-class Autotuner;
 class Schedule;
 }  // namespace coll
 
@@ -116,18 +115,6 @@ struct CommData {
   /// CommData: a copy must drop them.
   static constexpr size_t kPooledSchedules = 4;
   std::vector<std::shared_ptr<coll::Schedule>> schedules;
-  /// Autotuner call counters, keyed by (collective, size-bin, comm-size)
-  /// packed key. Per-rank but consistent across the communicator by MPI's
-  /// matching-call-order requirement, so every rank explores the same
-  /// candidate on the same call — a rank-divergent pick would deadlock.
-  std::map<u64, u64> tune_calls;
-  /// Per-rank cache of final (post-exploration) autotune choices. Once the
-  /// tuner hands back a non-exploring answer it is permanent for the run
-  /// (winners are write-once), so later calls on this key skip the tuner's
-  /// mutex entirely — with every rank of an oversubscribed host taking
-  /// that mutex per collective call, the convoy costs more than a small
-  /// collective itself.
-  std::map<u64, CollAlgo> tune_locked;
 };
 
 }  // namespace detail
@@ -576,16 +563,12 @@ class World {
  public:
   World(int size, NetworkProfile profile = NetworkProfile::zero(),
         CollTuning coll = CollTuning::from_env());
-  ~World();
   World(const World&) = delete;
   World& operator=(const World&) = delete;
 
   int size() const { return size_; }
   const NetworkProfile& profile() const { return profile_; }
   const CollTuning& coll_tuning() const { return coll_; }
-  /// Online collective-selection autotuner; null when tuning.autotune is
-  /// off. Loaded from / persisted to tuning.autotune_file when set.
-  coll::Autotuner* tuner() const { return tuner_.get(); }
 
   /// Runs `fn(rank)` on `size` threads (one per rank) and joins them.
   /// The first exception thrown by any rank is rethrown here; an MPI_Abort
@@ -636,7 +619,6 @@ class World {
   int size_;
   NetworkProfile profile_;
   CollTuning coll_;
-  std::unique_ptr<coll::Autotuner> tuner_;
   std::vector<std::unique_ptr<detail::Mailbox>> boxes_;
   std::atomic<i32> next_comm_id_{1};
   std::atomic<bool> abort_flag_{false};

@@ -730,8 +730,6 @@ TEST(CacheDir, AMissingDirectoryIsCreatedPrivate) {
   ASSERT_EQ(::stat(dir.c_str(), &st), 0);
   EXPECT_EQ(st.st_mode & 0777, 0700u);
   EXPECT_EQ(st.st_uid, ::geteuid());
-  EXPECT_EQ(rt::autotune_table_path(dir.string()),
-            (dir / "coll-tune.table").string());
   fs::remove_all(dir.parent_path());
 }
 
@@ -743,7 +741,6 @@ TEST(CacheDir, AnotherUsersDirectoryTurnsTheCacheOff) {
   ::chmod(dir.c_str(), 0777);
   FileSystemCache cache(dir);
   EXPECT_FALSE(cache.enabled());
-  EXPECT_EQ(rt::autotune_table_path(dir), "");
 
   auto bytes = make_module(7);
   EngineConfig cfg;

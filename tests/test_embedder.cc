@@ -3,6 +3,9 @@
 // from the guest, the copy-mode ablation, and the Faasm-compat subset.
 #include "testlib.h"
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <set>
 
 #include "embedder/abi.h"
@@ -357,6 +360,23 @@ TEST(EmbedderModes, TruncatingAlltoallAtEndOfMemoryTraps) {
           << t.what();
     }
   }
+}
+
+TEST(EmbedderModes, CacheOffRunLeavesTheCacheDirUntouched) {
+  // With the cache off a run reads and writes nothing on disk: the cache
+  // directory is not even created.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("mpiwasm-test-nocache-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  auto bytes = toolchain::build_allreduce_check_module();
+  EmbedderConfig cfg = config_for(EngineTier::kJit);
+  cfg.engine.cache_dir = dir.string();
+  Embedder emb(cfg);
+  auto result = emb.run_world({bytes.data(), bytes.size()}, 4);
+  EXPECT_EQ(result.exit_code, 0);
+  EXPECT_FALSE(std::filesystem::exists(dir)) << dir;
+  std::filesystem::remove_all(dir);
 }
 
 TEST(EmbedderModes, NativeAndWasmHpcgResidualsAgree) {

@@ -11,10 +11,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cctype>
 #include <cmath>
 #include <cstring>
 #include <functional>
 #include <numeric>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -742,6 +744,75 @@ TEST(CollSelect, EnvOverridesParse) {
           << coll::coll_name(op);
   }
   (void)base;
+}
+
+// The default world runs each blocking collective on the static table's
+// pick from its first call: no call of a fresh world tries another
+// algorithm first.
+TEST(CollSelect, AutoRunsTheStaticPickFromTheFirstCall) {
+#ifndef MPIWASM_TRACE_DISABLED
+  trace::enable_tracing(true);
+  trace::reset();
+  const int ranks = 4, count = 1024 / 8, calls = 40;
+  World world(ranks, NetworkProfile::zero(), CollTuning{});
+  world.run([&](Rank& r) {
+    std::vector<i64> in(count * ranks, 1), out(count * ranks);
+    for (int i = 0; i < calls; ++i)
+      r.allreduce(in.data(), out.data(), count, Datatype::kLong,
+                  ReduceOp::kSum);
+    for (int i = 0; i < calls; ++i)
+      r.alltoall(in.data(), count, out.data(), count, Datatype::kLong);
+    for (int i = 0; i < calls; ++i) r.barrier();
+  });
+  auto algos = trace::algo_histogram();
+  trace::enable_tracing(false);
+  trace::reset();
+  for (const std::string coll : {"allreduce", "alltoall", "barrier"}) {
+    u64 shm = 0;
+    for (const auto& [key, n] : algos) {
+      if (key.rfind(coll + "/", 0) != 0) continue;
+      EXPECT_EQ(key, coll + "/shm") << n << " calls";
+      if (key == coll + "/shm") shm = n;
+    }
+    EXPECT_EQ(shm, u64(ranks * calls)) << coll;
+  }
+#else
+  GTEST_SKIP() << "tracing compiled out";
+#endif
+}
+
+// CollTuning::from_env: MPIWASM_COLL_<NAME> forces a supported algorithm,
+// anything else leaves kAuto, and MPIWASM_COLL_SHM=0 turns the shm path off.
+TEST(CollSelect, FromEnvAppliesValidOverridesOnly) {
+  std::vector<std::string> vars = {"MPIWASM_COLL_SHM"};
+  for (i32 i = 0; i < coll::kNumCollOps; ++i) {
+    std::string v = std::string("MPIWASM_COLL_") + coll::coll_name(CollOp(i));
+    for (char& ch : v) ch = char(std::toupper(u8(ch)));
+    vars.push_back(v);
+  }
+  std::vector<std::pair<std::string, std::optional<std::string>>> saved;
+  for (const std::string& v : vars) {
+    const char* s = std::getenv(v.c_str());
+    saved.emplace_back(v, s ? std::optional<std::string>(s) : std::nullopt);
+  }
+  ASSERT_EQ(setenv("MPIWASM_COLL_ALLREDUCE", "ring", 1), 0);
+  ASSERT_EQ(setenv("MPIWASM_COLL_BCAST", "quantum", 1), 0);
+  ASSERT_EQ(setenv("MPIWASM_COLL_BARRIER", "ring", 1), 0);
+  ASSERT_EQ(setenv("MPIWASM_COLL_SHM", "0", 1), 0);
+  const CollTuning set = CollTuning::from_env();
+  for (const std::string& v : vars) ASSERT_EQ(unsetenv(v.c_str()), 0);
+  const CollTuning unset = CollTuning::from_env();
+  for (const auto& [name, value] : saved)
+    if (value) setenv(name.c_str(), value->c_str(), 1);
+
+  EXPECT_EQ(set.allreduce, CollAlgo::kRing);
+  EXPECT_EQ(set.bcast, CollAlgo::kAuto);    // unknown name
+  EXPECT_EQ(set.barrier, CollAlgo::kAuto);  // barrier has no ring
+  EXPECT_FALSE(set.enable_shm);
+  for (i32 i = 0; i < coll::kNumCollOps; ++i)
+    EXPECT_EQ(coll::forced_algo(unset, CollOp(i)), CollAlgo::kAuto)
+        << coll::coll_name(CollOp(i));
+  EXPECT_TRUE(unset.enable_shm);
 }
 
 /// Repeated mixed shm collectives on one communicator: catches epoch /

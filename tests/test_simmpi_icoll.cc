@@ -416,7 +416,6 @@ TEST(IcollOutstanding, MixedKindsAcrossCollectives) {
 TEST(IcollOutstanding, BlockingCollectivesWhileNonblockingOutstanding) {
   CollTuning tuning;
   tuning.enable_shm = false;
-  tuning.autotune = false;
   for (int ranks : {3, 5, 8}) {
     World world(ranks, NetworkProfile::zero(), tuning);
     const int root = ranks - 1;

@@ -254,7 +254,6 @@ TEST(TraceJson, TracedWorkloadEmitsWellFormedChromeJson) {
   constexpr int kCount = 32768;  // doubles -> 256 KiB per message
   simmpi::CollTuning forced = simmpi::coll::forced_tuning(
       simmpi::coll::CollOp::kAllreduce, simmpi::CollAlgo::kRecursiveDoubling);
-  forced.autotune = false;
   simmpi::World world(8, simmpi::NetworkProfile::zero(), forced);
   world.run([&](simmpi::Rank& rank) {
     trace::set_thread_label("rank", rank.world_rank());
